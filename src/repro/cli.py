@@ -179,7 +179,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     """Mine frequent patterns with the chosen algorithm."""
     if not _check_storage_flags(args):
         return 2
-    database, _storage = _storage_database(args)
+    database, storage = _storage_database(args)
     start = time.perf_counter()
     if args.algorithm == "partminer":
         partitioner = None
@@ -344,6 +344,15 @@ def cmd_mine(args: argparse.Namespace) -> int:
                 f"  support={pattern.support:4d} size={pattern.size} "
                 f"{min_dfs_code(pattern.graph)}"
             )
+    if storage is not None:
+        # The out-of-core read pattern of this run: every miss decoded
+        # one row, so misses / graphs is the number of passes made.
+        cache = storage.stats()["cache"]
+        print(
+            f"storage: {cache['hits'] + cache['misses']} graph reads, "
+            f"cache {cache['hits']} hits / {cache['misses']} misses, "
+            f"decode cache {cache['entries']}/{cache['capacity']} graphs"
+        )
     return 0
 
 

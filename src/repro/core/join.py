@@ -27,7 +27,13 @@ from ..graph.operations import (
     overlay_candidates,
 )
 from ..mining.base import Pattern, PatternKey
-from ..mining.edges import EdgeTriple, normalize_triple
+from ..mining.edges import (
+    EdgeTriple,
+    FrequentEdge,
+    edge_triple_index,
+    frequent_in_index,
+    normalize_triple,
+)
 from ..perf.counters import COUNTERS
 
 # Edge triples are recomputed for the same pattern graph at every level it
@@ -60,10 +66,19 @@ class SupportCounter:
 
     With the acceleration layer enabled, candidates are additionally
     filtered by per-graph invariant fingerprints (degree-by-label and
-    1-round neighborhood domination), and an optional shared
+    1-round neighborhood domination), and an optional
     :class:`~repro.perf.SupportCache` memoizes per-graph containment
-    verdicts under the pattern's canonical key — verdicts survive across
-    merge levels that share graph instances and across update batches.
+    verdicts under the pattern's canonical key.  The cache is keyed by
+    graph *instance*, so it pays only for an owner that re-tests the
+    same instances (incremental re-merges); over a store-backed
+    dataset (``database.state_token() is not None``) decoded graphs
+    are transient — an entry could never be found again and every
+    probe would cost a row decode — so an attached cache is ignored.
+
+    The level dataset is read once: with the flat kernels on, the
+    triple index is derived from the compiled CSR arrays and the
+    batched counting path never fetches a graph; the per-graph
+    reference paths still dereference ``database[gid]`` per test.
     """
 
     def __init__(
@@ -72,6 +87,8 @@ class SupportCounter:
         cache: "perf.SupportCache | None" = None,
     ) -> None:
         self.database = database
+        if cache is not None and database.state_token() is not None:
+            cache = None
         self.cache = cache
         # Flat-array kernels: compile the level dataset once (cached on
         # the database instance, version-validated); every existence
@@ -81,18 +98,26 @@ class SupportCounter:
         # at this level reuses the same preallocated matcher state
         # instead of building per-call lists (see repro.perf.batchscan).
         self._arena = perf.ScanArena()
-        self._triple_index: dict[EdgeTriple, set[int]] = {}
-        for gid, graph in database:
-            for u, v, elabel in graph.edges():
-                triple = normalize_triple(
-                    graph.vertex_label(u), elabel, graph.vertex_label(v)
-                )
-                self._triple_index.setdefault(triple, set()).add(gid)
+        # With the flat kernels on the index comes off the compiled
+        # arrays (shared, read-only) instead of a second database pass.
+        self._triple_index = (
+            self._flat.edge_triple_index()
+            if self._flat is not None
+            else edge_triple_index(database)
+        )
         self.isomorphism_tests = 0  # graphs submitted to an existence check
         self.vf2_tests = 0  # backtracking searches actually entered
         self.fingerprint_rejects = 0  # candidates killed by fingerprints
         self.cache_hits = 0
         self.cache_misses = 0
+
+    def frequent_edges(self, threshold: int) -> list[FrequentEdge]:
+        """``P^1(S)`` read off the triple index, sorted by triple.
+
+        Equal to :func:`repro.mining.edges.frequent_edges` over the
+        level dataset, without scanning it again.
+        """
+        return frequent_in_index(self._triple_index, threshold)
 
     def candidate_gids(
         self, pattern: LabeledGraph, admit: bool = True

@@ -2,7 +2,8 @@
 
 Implements the ``MergeJoin`` procedure of the paper's Fig 11:
 
-1. ``P^1(S)`` comes from a direct frequent-edge scan of the level dataset;
+1. ``P^1(S)`` comes from the one pass over the level dataset that builds
+   the :class:`~repro.core.join.SupportCounter` (its edge-triple index);
 2. patterns carried from the children are pruned with the Apriori property
    against ``P^1(S)`` (Fig 11 lines 2-3);
 3. 2-edge patterns are unioned (complete, because connective edges live in
@@ -27,7 +28,6 @@ from dataclasses import dataclass, field
 from .. import obs, perf
 from ..graph.database import GraphDatabase
 from ..mining.base import Pattern, PatternKey, PatternSet
-from ..mining.edges import frequent_edges
 from ..obs import metrics as obs_metrics
 from ..perf.counters import COUNTERS
 from .join import (
@@ -101,9 +101,11 @@ def merge_join(
         without re-counting their support — this is ``IncMergeJoin``'s
         "eliminate the generation of unchanged candidate graphs" saving.
     support_cache:
-        Optional :class:`~repro.perf.SupportCache` shared across levels
-        (and across re-mines): per-graph containment verdicts are read
-        and written under each pattern's canonical key.
+        Optional :class:`~repro.perf.SupportCache` of an owner that
+        re-tests the same graph instances (incremental re-merges):
+        per-graph containment verdicts are read and written under each
+        pattern's canonical key.  Ignored over a store-backed dataset,
+        whose decoded instances are transient.
 
     Returns
     -------
@@ -115,9 +117,10 @@ def merge_join(
     counter = SupportCounter(dataset, cache=support_cache)
     result = PatternSet()
 
-    # Line 1: frequent 1-edge patterns come from a direct scan of S.
+    # Line 1: frequent 1-edge patterns of S, read off the index the
+    # counter's single pass over S just built.
     allowed_triples = set()
-    for fedge in frequent_edges(dataset, threshold):
+    for fedge in counter.frequent_edges(threshold):
         allowed_triples.add(fedge.triple)
         result.add(fedge.to_pattern())
 

@@ -85,7 +85,7 @@ class PartMinerResult:
     merge_stats: dict[tuple[int, int], MergeJoinStats]
     partition_time: float = 0.0
     telemetry: object | None = None  # RunTelemetry when parallel_units ran
-    support_cache: object | None = None  # SupportCache the merges shared
+    support_cache: object | None = None  # the caller's SupportCache, if any
 
     @property
     def aggregate_time(self) -> float:
@@ -162,11 +162,13 @@ class PartMiner:
         Optional :class:`~repro.coord.CoordConfig` overriding the
         coordinator policy (takes precedence over ``shards``).
     support_cache:
-        A :class:`~repro.perf.SupportCache` shared by every merge-join of
-        the run.  When ``None`` (the default) a private cache is created
-        per :meth:`mine` call; pass a long-lived cache to carry
-        containment verdicts across runs on the same database (what
+        A :class:`~repro.perf.SupportCache` handed to every merge-join of
+        the run, for an owner that re-tests the same graph instances
+        across runs (what
         :class:`~repro.core.incremental.IncrementalPartMiner` does).
+        ``None`` (the default) mines without one: the level datasets of
+        one partition tree never share a graph instance, so a cache
+        private to a single :meth:`mine` call could never hit.
     profiler:
         Optional :class:`~repro.obs.PhaseProfiler` capturing per-phase
         cProfile stats (the CLI creates one under ``--profile``).
@@ -199,11 +201,7 @@ class PartMiner:
         partitioning criteria (zeros when omitted — pure connectivity).
         """
         threshold = database.absolute_support(min_support)
-        support_cache = (
-            self.support_cache
-            if self.support_cache is not None
-            else perf.SupportCache()
-        )
+        support_cache = self.support_cache
         counters_before = perf.snapshot()
         profiler = self.profiler or _NULL_PROFILER
 
@@ -219,12 +217,14 @@ class PartMiner:
                 result.support_cache = support_cache
             else:
                 result = self._mine_inner(
-                    database, threshold, ufreq, support_cache, profiler
+                    database, threshold, ufreq, profiler
                 )
             run_span.set_attrs(patterns=len(result.patterns))
         if result.telemetry is not None:
             result.telemetry.perf = {
-                "support_cache": support_cache.stats(),
+                "support_cache": (
+                    None if support_cache is None else support_cache.stats()
+                ),
                 "counters": perf.delta_since(counters_before).to_dict(),
                 "accel": {
                     "enabled": perf.enabled(),
@@ -296,7 +296,6 @@ class PartMiner:
         database: GraphDatabase,
         threshold: int,
         ufreq: UfreqMap | None,
-        support_cache: object,
         profiler,
     ) -> PartMinerResult:
         t0 = time.perf_counter()
@@ -322,7 +321,7 @@ class PartMiner:
             merge_times={},
             merge_stats={},
             partition_time=partition_time,
-            support_cache=support_cache,
+            support_cache=self.support_cache,
         )
 
         # Phase 2a: mine the units (serially, or in a real process pool).
@@ -399,9 +398,7 @@ class PartMiner:
         with obs.span("partminer.merge") as merge_span, profiler.phase(
             "merge_join"
         ):
-            result.patterns = self._combine(
-                tree.root, threshold, result, support_cache
-            )
+            result.patterns = self._combine(tree.root, threshold, result)
             merge_span.set_attrs(
                 levels=len(
                     {depth for depth, _ in result.merge_times}
@@ -419,17 +416,12 @@ class PartMiner:
         node: PartitionNode,
         root_threshold: int,
         result: PartMinerResult,
-        support_cache: object,
     ) -> PatternSet:
         key = (node.depth, node.index)
         if node.is_leaf:
             return result.node_results[key]
-        left = self._combine(
-            node.children[0], root_threshold, result, support_cache
-        )
-        right = self._combine(
-            node.children[1], root_threshold, result, support_cache
-        )
+        left = self._combine(node.children[0], root_threshold, result)
+        right = self._combine(node.children[1], root_threshold, result)
         stats = MergeJoinStats()
         t0 = time.perf_counter()
         with obs.span(
@@ -443,7 +435,7 @@ class PartMiner:
                 strict_paper_joins=self.strict_paper_joins,
                 max_size=self.max_size,
                 stats=stats,
-                support_cache=support_cache,
+                support_cache=self.support_cache,
             )
             level_span.set_attrs(
                 patterns=len(merged),

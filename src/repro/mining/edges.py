@@ -42,10 +42,8 @@ class FrequentEdge:
         return Pattern.from_graph(self.to_graph(), self.tids)
 
 
-def frequent_edges(
-    database: GraphDatabase, threshold: int
-) -> list[FrequentEdge]:
-    """All 1-edge patterns with support >= ``threshold``, sorted by triple."""
+def edge_triple_index(database: GraphDatabase) -> dict[EdgeTriple, set[int]]:
+    """Each normalized edge triple -> the gids of the graphs carrying it."""
     tids_by_triple: dict[EdgeTriple, set[int]] = {}
     for gid, graph in database:
         triples = set()
@@ -57,6 +55,13 @@ def frequent_edges(
             )
         for triple in triples:
             tids_by_triple.setdefault(triple, set()).add(gid)
+    return tids_by_triple
+
+
+def frequent_in_index(
+    tids_by_triple: dict[EdgeTriple, set[int]], threshold: int
+) -> list[FrequentEdge]:
+    """The index entries with support >= ``threshold``, sorted by triple."""
     result = [
         FrequentEdge(triple=triple, tids=frozenset(tids))
         for triple, tids in tids_by_triple.items()
@@ -64,6 +69,13 @@ def frequent_edges(
     ]
     result.sort(key=lambda fe: fe.triple)
     return result
+
+
+def frequent_edges(
+    database: GraphDatabase, threshold: int
+) -> list[FrequentEdge]:
+    """All 1-edge patterns with support >= ``threshold``, sorted by triple."""
+    return frequent_in_index(edge_triple_index(database), threshold)
 
 
 def frequent_edge_patterns(

@@ -247,13 +247,16 @@ class MetricsRegistry:
         self, name: str, kind: str, help: str,
         labels: tuple[str, ...], **options,
     ) -> MetricFamily:
-        _validate_name(name)
         labels = tuple(labels)
-        for label in labels:
-            _validate_name(label)
         with self._lock:
             family = self._families.get(name)
             if family is None:
+                # Names are checked once, when the family is created:
+                # the hook helpers re-request live families on every
+                # increment, and a registered name is already valid.
+                _validate_name(name)
+                for label in labels:
+                    _validate_name(label)
                 family = MetricFamily(
                     name, kind, help, labels, self._lock, **options
                 )

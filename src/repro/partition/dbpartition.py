@@ -19,12 +19,6 @@ from .units import PartitionNode, PartitionTree, UfreqMap
 Partitioner = Callable[[LabeledGraph, Sequence[float]], Bipartition]
 
 
-def _default_ufreq(database: GraphDatabase) -> UfreqMap:
-    return {
-        gid: (0.0,) * graph.num_vertices for gid, graph in database
-    }
-
-
 def split_node(node: PartitionNode, partitioner: Partitioner) -> None:
     """Split every graph of ``node`` in two, attaching two child nodes.
 
@@ -105,23 +99,26 @@ def db_partition(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if ufreq is None:
-        ufreq = _default_ufreq(database)
-    else:
-        for gid, graph in database:
-            if gid not in ufreq or len(ufreq[gid]) != graph.num_vertices:
-                raise ValueError(
-                    f"ufreq for graph {gid} missing or wrong length"
-                )
     if partitioner is None:
         partitioner = GraphPartitioner()
 
+    # One pass over the database fills both root maps: over a
+    # store-backed database every pass decodes every row.
+    root_ufreq: UfreqMap = {}
+    orig_vertices = {}
+    for gid, graph in database:
+        n = graph.num_vertices
+        if ufreq is None:
+            root_ufreq[gid] = (0.0,) * n
+        elif gid not in ufreq or len(ufreq[gid]) != n:
+            raise ValueError(
+                f"ufreq for graph {gid} missing or wrong length"
+            )
+        orig_vertices[gid] = tuple(range(n))
     root = PartitionNode(
         database=database,
-        ufreq=dict(ufreq),
-        orig_vertices={
-            gid: tuple(range(graph.num_vertices)) for gid, graph in database
-        },
+        ufreq=root_ufreq if ufreq is None else dict(ufreq),
+        orig_vertices=orig_vertices,
         depth=0,
         index=0,
     )

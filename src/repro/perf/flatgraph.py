@@ -287,6 +287,7 @@ class FlatDB:
 
     __slots__ = (
         "gids", "flats", "admit_memo", "scan_memo", "_stamps", "_segment",
+        "_triple_index",
     )
 
     def __init__(self, gids, flats, stamps=None, segment=None) -> None:
@@ -300,6 +301,7 @@ class FlatDB:
         )
         self._stamps = stamps
         self._segment = segment
+        self._triple_index = None
 
     def plan_memo(self, plan) -> dict:
         """The per-gid admit memo of ``plan``, enforcing the plan cap."""
@@ -325,16 +327,14 @@ class FlatDB:
             if hasattr(database, "state_token")
             else None
         )
+        # Instance stamps are taken in the compile loop itself: the
+        # database is iterated exactly once.
+        stamps = [] if token is None else ("token", token)
         for gid, graph in database:
             gids.append(gid)
             flats[gid] = FlatGraph.from_labeled(graph)
-        if token is not None:
-            stamps = ("token", token)
-        else:
-            stamps = [
-                (gid, weakref.ref(database[gid]), database[gid].version)
-                for gid in gids
-            ]
+            if token is None:
+                stamps.append((gid, weakref.ref(graph), graph.version))
         COUNTERS.inc("flat_db_compiles")
         return cls(gids, flats, stamps)
 
@@ -367,6 +367,43 @@ class FlatDB:
 
     def get(self, gid: int) -> FlatGraph | None:
         return self.flats.get(gid)
+
+    def edge_triple_index(self) -> dict[tuple[Label, Label, Label], set[int]]:
+        """Each edge label triple -> the gids of the graphs carrying it.
+
+        Read off the compiled arrays, so the database is not iterated
+        again; triples are oriented smaller vertex label first, which
+        makes the result equal to
+        :func:`repro.mining.edges.edge_triple_index` over the database
+        this was compiled from.  Built on first use and kept — a FlatDB
+        is immutable — so callers share it and must not modify it.
+        """
+        index = self._triple_index
+        if index is not None:
+            return index
+        index = {}
+        labels = INTERNER.labels
+        oriented: dict[tuple[int, int, int], tuple] = {}
+        for gid in self.gids:
+            flat = self.flats[gid]
+            vlab, indptr = flat.vlab, flat.indptr
+            nbr, elab = flat.nbr, flat.elab
+            seen = set()
+            for v in range(flat.n):
+                lv = vlab[v]
+                for k in range(indptr[v], indptr[v + 1]):
+                    if v < nbr[k]:  # each edge once, from its lower end
+                        seen.add((lv, elab[k], vlab[nbr[k]]))
+            for ids in seen:
+                triple = oriented.get(ids)
+                if triple is None:
+                    lu, le, lw = (labels[i] for i in ids)
+                    if (lw, lu) < (lu, lw):
+                        lu, lw = lw, lu
+                    triple = oriented[ids] = (lu, le, lw)
+                index.setdefault(triple, set()).add(gid)
+        self._triple_index = index
+        return index
 
     def to_database(self) -> GraphDatabase:
         """Materialize a :class:`GraphDatabase` (worker-side rebuild)."""

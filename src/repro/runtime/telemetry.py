@@ -73,8 +73,10 @@ class RunTelemetry:
     """Telemetry of one full runtime run.
 
     ``perf`` carries the support-counting acceleration digest of the run
-    that produced this telemetry (cache hit/miss/bytes and matcher work
-    counters, see :mod:`repro.perf`); empty when the acceleration layer
+    that produced this telemetry (matcher work counters, plus cache
+    hit/miss/bytes under ``support_cache`` — ``null`` when the miner had
+    no :class:`~repro.perf.SupportCache` attached, the static-mining
+    default; see :mod:`repro.perf`); empty when the acceleration layer
     recorded nothing.
 
     ``serving`` carries the pattern-serving digest when the run fed a

@@ -112,6 +112,30 @@ class TestFamilies:
         with pytest.raises(ValueError):
             reg.counter("no spaces")
 
+    def test_invalid_label_name_raises_at_first_registration(self):
+        reg = MetricsRegistry()
+        with pytest.raises(ValueError):
+            reg.counter("t_total", labels=("bad label",))
+        # The rejected family was not registered under the valid name.
+        assert reg.families() == []
+
+    def test_live_family_lookup_does_no_validation(self, monkeypatch):
+        """The hook helpers re-request their family on every increment."""
+        reg = MetricsRegistry()
+        reg.counter("t_total", labels=("kind",)).labels(kind="a").inc()
+        reg.gauge("t_entries").set(1)
+        calls = []
+        monkeypatch.setattr(obs_metrics, "_validate_name", calls.append)
+        reg.counter("t_total", labels=("kind",)).labels(kind="a").inc()
+        reg.gauge("t_entries").set(2)
+        assert calls == []
+        # A conflicting re-request still raises, and a new family is
+        # still validated.
+        with pytest.raises(ValueError):
+            reg.gauge("t_total", labels=("kind",))
+        reg.counter("t_fresh_total", labels=("kind",))
+        assert calls == ["t_fresh_total", "kind"]
+
     def test_unlabeled_access_on_labeled_family_raises(self):
         reg = MetricsRegistry()
         fam = reg.counter("t_total", labels=("kind",))

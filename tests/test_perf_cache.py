@@ -7,15 +7,19 @@ sharing patterns the miners use, comparing against cache-free runs.
 """
 
 import gc
+import json
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro import perf
 from repro.core.incremental import IncrementalPartMiner
+from repro.core.join import SupportCounter
 from repro.core.partminer import PartMiner
 from repro.graph.database import GraphDatabase
 from repro.graph.labeled_graph import LabeledGraph
+from repro.mining.edges import edge_triple_index, frequent_edges
 from repro.updates.generator import UpdateGenerator
+from repro.updates.model import RelabelVertex
 
 from .test_properties import connected_graphs, databases
 
@@ -164,13 +168,93 @@ class TestCrossRunReuse:
         result = PartMiner(k=2, parallel_units=True).mine(db, 2)
         assert result.telemetry is not None
         digest = result.telemetry.perf
-        assert "support_cache" in digest
         assert "counters" in digest
-        assert digest["support_cache"]["stores"] >= 0
-        roundtrip = type(result.telemetry).from_dict(
-            result.telemetry.to_dict()
-        )
+        # No cache was attached, and none is invented for one static run.
+        assert result.support_cache is None
+        assert digest["support_cache"] is None
+        document = json.loads(json.dumps(result.telemetry.to_dict()))
+        assert document["perf"]["support_cache"] is None
+        roundtrip = type(result.telemetry).from_dict(document)
         assert roundtrip.perf == digest
+
+    def test_attached_cache_is_reported_in_the_digest(self):
+        db = GraphDatabase.from_graphs(
+            [path_graph([0, 1, 2]) for _ in range(4)]
+        )
+        cache = perf.SupportCache()
+        result = PartMiner(
+            k=2, parallel_units=True, support_cache=cache
+        ).mine(db, 2)
+        assert result.support_cache is cache
+        assert result.telemetry.perf["support_cache"] == cache.stats()
+
+
+# ----------------------------------------------------------------------
+# Who owns a cache: incremental sessions yes, one static mine no
+# ----------------------------------------------------------------------
+class TestCacheOwnership:
+    def database(self):
+        return GraphDatabase.from_graphs(
+            [path_graph([0, 1, 2, 1]) for _ in range(4)]
+            + [path_graph([0, 2, 2]) for _ in range(3)]
+        )
+
+    def test_static_mine_creates_no_cache(self):
+        before = perf.snapshot()
+        result = PartMiner(k=2).mine(self.database(), 2)
+        assert result.support_cache is None
+        work = perf.delta_since(before)
+        assert work.support_cache_hits == 0
+        assert work.support_cache_misses == 0
+        assert work.support_cache_stores == 0
+
+    def test_incremental_miner_creates_shares_and_reports_its_cache(self):
+        miner = IncrementalPartMiner(k=2)
+        result = miner.initial_mine(self.database(), 2)
+        cache = miner.support_cache
+        assert result.support_cache is cache
+        assert cache.stores > 0
+        assert cache.hits == 0
+        # One graph changes; the re-merge re-tests the six untouched
+        # instances of the root dataset and finds their verdicts.
+        miner.apply_updates([RelabelVertex(gid=6, vertex=0, new_label=1)])
+        assert cache.hits > 0
+        assert miner.support_cache is cache
+
+
+class TestTripleIndex:
+    """``merge_join`` reads ``P^1(S)`` off the counter's triple index."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(databases(max_graphs=6, max_vertices=6), st.integers(1, 4))
+    @example(
+        # Parallel triples: one graph carries the same triple three
+        # times, and both orientations of an unequal-label edge.
+        GraphDatabase.from_graphs(
+            [path_graph([0, 1, 0, 1]), path_graph([1, 0]),
+             path_graph([2, 2, 2], elabel=1)]
+        ),
+        1,
+    )
+    def test_index_matches_the_direct_scan(self, db, threshold):
+        want = frequent_edges(db, threshold)
+        assert SupportCounter(db).frequent_edges(threshold) == want
+        with perf.flat_disabled():
+            assert SupportCounter(db).frequent_edges(threshold) == want
+
+    def test_index_is_built_once_per_flat_db(self):
+        db = GraphDatabase.from_graphs(
+            [path_graph([0, 1, 2]), path_graph([1, 0])]
+        )
+        flat = perf.get_flat_db(db)
+        index = flat.edge_triple_index()
+        assert index == edge_triple_index(db)
+        assert flat.edge_triple_index() is index
+        assert SupportCounter(db)._triple_index is index
+        # A mutated database compiles to a new FlatDB, hence a new index.
+        db[1].set_vertex_label(0, 2)
+        rebuilt = SupportCounter(db)._triple_index
+        assert rebuilt == edge_triple_index(db) != index
 
 
 # ----------------------------------------------------------------------

@@ -19,6 +19,7 @@ Three layers of "observationally identical", strongest last:
 
 import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -194,7 +195,7 @@ def test_accel_matrix_byte_identical_on_disk(tmp_path):
     assert want, "baseline mined nothing — dataset too sparse"
     for mode, global_flags, mine_flags in ACCEL_MATRIX:
         out = tmp_path / f"{mode}.jsonl"
-        run_cli(
+        stdout = run_cli(
             *global_flags,
             "mine",
             str(dataset),
@@ -212,3 +213,14 @@ def test_accel_matrix_byte_identical_on_disk(tmp_path):
             str(out),
         )
         assert pattern_records(out) == want, mode
+        # Every sqlite run ends by reporting its read pattern; the
+        # default kernels stay on the pass budget (3 passes over the 40
+        # graphs, see tests/test_storage_outofcore.py).
+        summary = re.fullmatch(
+            r"storage: (\d+) graph reads, cache (\d+) hits / (\d+) misses, "
+            r"decode cache \d+/6 graphs",
+            stdout.splitlines()[-1],
+        )
+        assert summary, (mode, stdout)
+        if mode == "flat+batch":
+            assert int(summary[3]) <= 4 * 40

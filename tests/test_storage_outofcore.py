@@ -18,10 +18,13 @@ import io
 
 import pytest
 
+from repro import perf
+from repro.core.mergejoin import merge_join
+from repro.core.partminer import PartMiner, resolve_unit_threshold
 from repro.mining.gaston import GastonMiner
 from repro.mining.gspan import GSpanMiner
 from repro.mining.store import dump_patterns
-from repro.core.partminer import PartMiner
+from repro.partition import db_partition
 from repro.serve.catalog import PatternCatalog
 from repro.serve.engine import QueryEngine
 from repro.storage import open_backend
@@ -49,9 +52,11 @@ def database():
     return random_database(seed=55, num_graphs=NUM_GRAPHS, n=6)
 
 
-def stored(tmp_path, database, name="outofcore.db"):
+def stored(
+    tmp_path, database, name="outofcore.db", cache_graphs=CACHE_GRAPHS
+):
     backend = open_backend(
-        "sqlite", tmp_path / name, cache_graphs=CACHE_GRAPHS
+        "sqlite", tmp_path / name, cache_graphs=cache_graphs
     )
     backend.import_database(database)
     backend.cache.clear()
@@ -87,6 +92,73 @@ def test_mine_larger_than_cache_is_byte_identical_and_bounded(
         assert stats["max_live"] < NUM_GRAPHS
         # The run genuinely streamed: rows were re-read, not retained.
         assert stats["evictions"] > NUM_GRAPHS
+    finally:
+        backend.close()
+
+
+# ----------------------------------------------------------------------
+# The pass budget: how often a mine may decode the store-backed root
+# ----------------------------------------------------------------------
+#: PartMiner reads the root three times (partition set-up, split, the
+#: root merge-join's flat compile); merge-join's counting reads nothing.
+#: One more |D| of slack keeps the bound about the access *pattern*:
+#: the per-candidate fetches this guards against cost tens of |D|.
+MISS_BOUND = 3 * NUM_GRAPHS + NUM_GRAPHS
+TINY_CACHE = 4
+
+
+def test_partminer_reads_the_root_in_sequential_passes(tmp_path, database):
+    base_text = pattern_text(PartMiner(k=4).mine(database, 6).patterns)
+    backend = stored(tmp_path, database, cache_graphs=TINY_CACHE)
+    try:
+        mined = PartMiner(k=4).mine(backend.database(), 6)
+        assert pattern_text(mined.patterns) == base_text
+        cache = backend.stats()["cache"]
+        assert cache["misses"] <= MISS_BOUND
+        assert cache["max_cached"] <= TINY_CACHE
+        # The reference matcher fetches a graph per test by design: it
+        # is held to the same output, not to the budget.
+        with perf.disabled():
+            reference = PartMiner(k=4).mine(backend.database(), 6)
+        assert pattern_text(reference.patterns) == base_text
+    finally:
+        backend.close()
+
+
+def test_merge_join_ignores_a_cache_over_a_store_backed_dataset(
+    tmp_path, database
+):
+    """The staged pipeline with an explicit cache stays on the budget.
+
+    An instance-keyed memo cannot be found again once the store evicts
+    the decoded graph, so probing it would only buy a row decode per
+    (candidate, graph) pair.
+    """
+    base_text = pattern_text(PartMiner(k=4).mine(database, 6).patterns)
+    backend = stored(tmp_path, database, cache_graphs=TINY_CACHE)
+    try:
+        support_cache = perf.SupportCache()
+        tree = db_partition(backend.database(), 4)
+        results = {
+            (unit.depth, unit.index): GastonMiner().mine(
+                unit.database, resolve_unit_threshold(unit, 6, "paper", k=4)
+            )
+            for unit in tree.units()
+        }
+
+        def combine(node):
+            if node.is_leaf:
+                return results[(node.depth, node.index)]
+            left, right = (combine(child) for child in node.children)
+            return merge_join(
+                node.database, left, right, node.support_threshold(6),
+                support_cache=support_cache,
+            )
+
+        assert pattern_text(combine(tree.root)) == base_text
+        assert backend.stats()["cache"]["misses"] <= MISS_BOUND
+        # The two resident inner levels still used the cache they got.
+        assert support_cache.stores > 0
     finally:
         backend.close()
 
