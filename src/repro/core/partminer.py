@@ -24,9 +24,10 @@ from typing import Callable
 from .. import obs, perf
 from ..obs import metrics as obs_metrics
 from ..graph.database import GraphDatabase
-from ..mining.base import PatternSet
+from ..mining.base import MiningStats, PatternSet
 from ..mining.gaston import GastonMiner
 from ..partition.dbpartition import Partitioner, db_partition
+from ..partition.graphpart import GraphPartitioner
 from ..partition.units import PartitionNode, PartitionTree, UfreqMap
 from .mergejoin import MergeJoinStats, merge_join
 
@@ -299,15 +300,23 @@ class PartMiner:
         profiler,
     ) -> PartMinerResult:
         t0 = time.perf_counter()
+        partitioner = self.partitioner
+        if partitioner is None:
+            partitioner = GraphPartitioner()
+        seeds_before = getattr(partitioner, "seeds_walked", 0)
         with obs.span("partminer.partition", k=self.k) as part_span:
             with profiler.phase("partition"):
                 tree = db_partition(
                     database,
                     self.k,
                     ufreq=ufreq,
-                    partitioner=self.partitioner,
+                    partitioner=partitioner,
                 )
-            part_span.set_attrs(units=len(tree.units()))
+            part_span.set_attrs(
+                units=len(tree.units()),
+                seeds=getattr(partitioner, "seeds_walked", 0) - seeds_before,
+                cut_edges=tree.total_connective_edges(),
+            )
         partition_time = time.perf_counter() - t0
         obs_metrics.observe_phase("partition", partition_time)
 
@@ -386,6 +395,11 @@ class PartMiner:
                     ) as unit_span:
                         mined = miner.mine(unit.database, unit_threshold)
                         unit_span.set_attrs(patterns=len(mined))
+                        # Not every unit miner keeps MiningStats (FSG,
+                        # ADI have their own counters).
+                        stats = getattr(miner, "stats", None)
+                        if isinstance(stats, MiningStats):
+                            unit_span.set_attrs(**stats.prune_attrs())
                     result.unit_times.append(time.perf_counter() - t0)
                     result.unit_results.append(mined)
                     result.node_results[(unit.depth, unit.index)] = mined

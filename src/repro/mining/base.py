@@ -176,10 +176,25 @@ class MiningStats:
     """Counters describing one mining run (for benchmarks and tests)."""
 
     patterns_found: int = 0
+    #: Candidates whose support was looked at.  What a candidate is
+    #: depends on the miner; for Gaston it is an extension group over
+    #: frequent edges (an infrequent edge never forms a group).
     candidates_generated: int = 0
     isomorphism_tests: int = 0
     duplicate_codes_pruned: int = 0
     extras: dict = field(default_factory=dict)
+
+    def prune_attrs(self) -> dict:
+        """The prune-attribution attributes of a unit-mining trace span.
+
+        ``infrequent_edges`` is the number of database edges the miner's
+        frequent-triple filter dropped (0 for a miner without one).
+        """
+        return {
+            "candidates": self.candidates_generated,
+            "duplicates_pruned": self.duplicate_codes_pruned,
+            "infrequent_edges": self.extras.get("infrequent_edges", 0),
+        }
 
 
 class Miner(Protocol):

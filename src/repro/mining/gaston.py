@@ -16,14 +16,13 @@ test suite cross-checks this.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 from ..graph.canonical import canonical_code
 from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import Label, LabeledGraph
 from .base import MiningStats, Pattern, PatternKey, PatternSet
-from .edges import frequent_edges
+from .edges import EdgeTriple, FrequentEdge, frequent_edges
 
 
 class PatternClass(Enum):
@@ -43,16 +42,70 @@ def classify(graph: LabeledGraph) -> PatternClass:
     return PatternClass.TREE
 
 
-@dataclass
-class _Embedding:
-    """Injective map pattern-vertex -> graph-vertex for one occurrence."""
+#: One occurrence of a pattern: ``(gid, vertices)`` with ``vertices[pv]``
+#: the graph vertex that pattern vertex ``pv`` maps to (injective).
+_Embedding = tuple[int, tuple[int, ...]]
 
-    gid: int
-    vertices: tuple[int, ...]
+#: A graph's adjacency restricted to frequent edges: per vertex, the
+#: neighbours in the graph's own adjacency order mapped to
+#: ``(edge label, neighbour's vertex label)``.
+_Rows = list[dict[int, tuple[Label, Label]]]
+
+
+def _frequent_rows(
+    database: GraphDatabase, fedges: list[FrequentEdge]
+) -> tuple[dict[int, _Rows], dict[EdgeTriple, dict[int, list]], int]:
+    """One database pass: restricted rows, seed embeddings, edges dropped.
+
+    An edge whose normalized triple is infrequent cannot occur in a
+    frequent pattern (downward closure on single edges), so growth never
+    has to look at it.  Seed embeddings come back per frequent triple and
+    per gid, each gid's list in ``graph.edges()`` order.
+    """
+    seeds: dict[EdgeTriple, dict[int, list]] = {
+        fedge.triple: {} for fedge in fedges
+    }
+    # Both orientations of every frequent triple, so rows are filled
+    # without normalizing each directed edge.
+    directed = set(seeds)
+    directed.update((lv, le, lu) for lu, le, lv in seeds)
+    rows: dict[int, _Rows] = {}
+    dropped = 0
+    for gid, graph in database:
+        labels = graph.vertex_labels()
+        graph_rows: _Rows = []
+        kept = 0
+        for u, lu in enumerate(labels):
+            row = {}
+            for v, le in graph.adjacency(u).items():
+                lv = labels[v]
+                if (lu, le, lv) not in directed:
+                    continue
+                row[v] = (le, lv)
+                if u > v:
+                    continue
+                kept += 1
+                for triple, pair in (
+                    ((lu, le, lv), (u, v)),
+                    ((lv, le, lu), (v, u)),
+                ):
+                    by_gid = seeds.get(triple)
+                    if by_gid is not None:
+                        by_gid.setdefault(gid, []).append((gid, pair))
+            graph_rows.append(row)
+        rows[gid] = graph_rows
+        dropped += graph.num_edges - kept
+    return rows, seeds, dropped
 
 
 class GastonMiner:
     """Frequent miner with Gaston's path -> tree -> cyclic enumeration.
+
+    Embeddings are extended over frequent edges only, and a refined
+    pattern graph is built only for an extension group that meets the
+    threshold, so ``stats.candidates_generated`` counts extension groups
+    over frequent edges; ``stats.extras["infrequent_edges"]`` is the
+    number of database edges the frequent-triple filter dropped.
 
     Parameters
     ----------
@@ -74,8 +127,12 @@ class GastonMiner:
         result = PatternSet()
         seen: set[PatternKey] = set()
 
-        for fedge in frequent_edges(database, threshold):
-            lu, le, lv = fedge.triple
+        fedges = frequent_edges(database, threshold)
+        # The row tables live for this call only: the miner object
+        # outlives it (PartMiner holds it through merge-join).
+        rows, seeds, dropped = _frequent_rows(database, fedges)
+        self.stats.extras["infrequent_edges"] = dropped
+        for fedge in fedges:
             pattern = fedge.to_graph()
             key = canonical_code(pattern)
             if key in seen:
@@ -85,25 +142,15 @@ class GastonMiner:
             self.stats.patterns_found += 1
             if self.max_size is not None and self.max_size <= 1:
                 continue
-            embeddings = []
-            for gid in fedge.tids:
-                graph = database[gid]
-                for u, v, elabel in graph.edges():
-                    if elabel != le:
-                        continue
-                    for a, b in ((u, v), (v, u)):
-                        if (
-                            graph.vertex_label(a) == lu
-                            and graph.vertex_label(b) == lv
-                        ):
-                            embeddings.append(_Embedding(gid, (a, b)))
-            self._grow(database, threshold, pattern, embeddings, result, seen)
+            by_gid = seeds[fedge.triple]
+            embeddings = [emb for gid in fedge.tids for emb in by_gid[gid]]
+            self._grow(rows, threshold, pattern, embeddings, result, seen)
         return result
 
     # ------------------------------------------------------------------
     def _grow(
         self,
-        database: GraphDatabase,
+        rows: dict[int, _Rows],
         threshold: int,
         pattern: LabeledGraph,
         embeddings: list[_Embedding],
@@ -112,35 +159,39 @@ class GastonMiner:
     ) -> None:
         if self.max_size is not None and pattern.num_edges >= self.max_size:
             return
-        pattern_class = classify(pattern)
-
-        for new_pattern, new_embeddings in self._refinements(
-            database, pattern, pattern_class, embeddings
+        for (pu, pw, elabel, vlabel), group in self._refinements(
+            rows, pattern, embeddings
         ):
-            tids = {e.gid for e in new_embeddings}
+            tids = {gid for gid, _ in group}
             self.stats.candidates_generated += 1
             if len(tids) < threshold:
                 continue
-            key = canonical_code(new_pattern)
+            # Only a group that passes gets its pattern graph built.
+            refined = pattern.copy()
+            if pw is None:
+                pw = refined.add_vertex(vlabel)
+            refined.add_edge(pu, pw, elabel)
+            key = canonical_code(refined)
             if key in seen:
                 self.stats.duplicate_codes_pruned += 1
                 continue
             seen.add(key)
-            result.add(Pattern.from_graph(new_pattern, tids))
+            result.add(Pattern.from_graph(refined, tids))
             self.stats.patterns_found += 1
-            self._grow(
-                database, threshold, new_pattern, new_embeddings, result, seen
-            )
+            self._grow(rows, threshold, refined, group, result, seen)
 
     # ------------------------------------------------------------------
+    @staticmethod
     def _refinements(
-        self,
-        database: GraphDatabase,
+        rows: dict[int, _Rows],
         pattern: LabeledGraph,
-        pattern_class: PatternClass,
         embeddings: list[_Embedding],
     ):
-        """Yield ``(refined_pattern, embeddings)`` per Gaston's phase rules.
+        """Yield ``((pu, pw, elabel, vlabel), embeddings)`` per phase rules.
+
+        The first element describes the refinement — a new edge ``pu-pw``
+        labeled ``elabel``, where ``pw is None`` stands for a new vertex
+        labeled ``vlabel`` — and the second holds its embeddings.
 
         * paths and trees take *node refinements* (a new leaf edge); for a
           path, refining an interior vertex turns it into a tree;
@@ -150,42 +201,39 @@ class GastonMiner:
         """
         # ----- node refinements (PATH and TREE phases only) -----
         node_groups: dict[
-            tuple[int, Label, Label], list[_Embedding]
+            tuple[int, tuple[Label, Label]], list[_Embedding]
         ] = {}
-        if pattern_class is not PatternClass.CYCLIC:
-            for emb in embeddings:
-                graph = database[emb.gid]
-                mapped = set(emb.vertices)
-                for pv, gv in enumerate(emb.vertices):
-                    for w, elabel in graph.neighbors(gv):
-                        if w in mapped:
+        if classify(pattern) is not PatternClass.CYCLIC:
+            for gid, vertices in embeddings:
+                graph_rows = rows[gid]
+                for pv, gv in enumerate(vertices):
+                    for w, labels in graph_rows[gv].items():
+                        if w in vertices:
                             continue
-                        node_groups.setdefault(
-                            (pv, elabel, graph.vertex_label(w)), []
-                        ).append(
-                            _Embedding(emb.gid, emb.vertices + (w,))
-                        )
-        for (pv, elabel, vlabel), group in node_groups.items():
-            refined = pattern.copy()
-            new_pv = refined.add_vertex(vlabel)
-            refined.add_edge(pv, new_pv, elabel)
-            yield refined, group
+                        group = node_groups.get((pv, labels))
+                        if group is None:
+                            node_groups[(pv, labels)] = group = []
+                        group.append((gid, vertices + (w,)))
+        for (pv, (elabel, vlabel)), group in node_groups.items():
+            yield (pv, None, elabel, vlabel), group
 
         # ----- cycle closings (all phases) -----
+        size = pattern.num_vertices
+        open_pairs = [
+            (pu, pw)
+            for pu in range(size)
+            for pw in range(pu + 1, size)
+            if not pattern.has_edge(pu, pw)
+        ]
         cycle_groups: dict[tuple[int, int, Label], list[_Embedding]] = {}
         for emb in embeddings:
-            graph = database[emb.gid]
-            for pu in range(pattern.num_vertices):
-                for pw in range(pu + 1, pattern.num_vertices):
-                    if pattern.has_edge(pu, pw):
-                        continue
-                    gu, gw = emb.vertices[pu], emb.vertices[pw]
-                    if not graph.has_edge(gu, gw):
-                        continue
+            gid, vertices = emb
+            graph_rows = rows[gid]
+            for pu, pw in open_pairs:
+                labels = graph_rows[vertices[pu]].get(vertices[pw])
+                if labels is not None:
                     cycle_groups.setdefault(
-                        (pu, pw, graph.edge_label(gu, gw)), []
+                        (pu, pw, labels[0]), []
                     ).append(emb)
         for (pu, pw, elabel), group in cycle_groups.items():
-            refined = pattern.copy()
-            refined.add_edge(pu, pw, elabel)
-            yield refined, group
+            yield (pu, pw, elabel, None), group

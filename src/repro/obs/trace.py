@@ -198,6 +198,9 @@ _ACTIVE: Tracer | None = None
 _CURRENT: contextvars.ContextVar[str | None] = contextvars.ContextVar(
     "repro_obs_current_span", default=None
 )
+_OPEN: contextvars.ContextVar["Span | None"] = contextvars.ContextVar(
+    "repro_obs_open_span", default=None
+)
 
 
 def active() -> Tracer | None:
@@ -249,14 +252,27 @@ def span(name: str, parent: "Span | str | None" = None, **attrs):
         parent_id = parent.span_id
     node = Span(name, tracer.trace_id, parent_id, attrs)
     token = _CURRENT.set(node.span_id)
+    open_token = _OPEN.set(node)
     try:
         yield node
     except BaseException as exc:
         node.set_status("error", f"{type(exc).__name__}: {exc}")
         raise
     finally:
+        _OPEN.reset(open_token)
         _CURRENT.reset(token)
         tracer.record(node)
+
+
+def annotate(**attrs) -> None:
+    """Set attributes on the innermost open :func:`span`, if any.
+
+    For code that runs *inside* a span someone else opened (a unit
+    worker under the runtime's ``unit.worker`` span).
+    """
+    node = _OPEN.get()
+    if node is not None:
+        node.set_attrs(**attrs)
 
 
 def begin(name: str, **attrs) -> "Span | _NullSpan":

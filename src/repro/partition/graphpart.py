@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from ..graph.labeled_graph import LabeledGraph
-from .weights import PartitionWeights, cut_edges
+from ..graph.labeled_graph import Label, LabeledGraph
+from .weights import PartitionWeights
 
 
 @dataclass(frozen=True)
@@ -64,16 +64,16 @@ def _make_side(
     graph: LabeledGraph,
     core: set[int],
     boundary: set[int],
-    edges: list[tuple[int, int]],
+    edges: list[tuple[int, int, Label]],
     ufreq: Sequence[float],
 ) -> SidePiece:
-    ordered = sorted(core) + sorted(boundary - core)
+    ordered = sorted(core) + sorted(boundary)
     mapping = {old: new for new, old in enumerate(ordered)}
     side = LabeledGraph()
     for old in ordered:
         side.add_vertex(graph.vertex_label(old))
-    for u, v in edges:
-        side.add_edge(mapping[u], mapping[v], graph.edge_label(u, v))
+    for u, v, label in edges:
+        side.add_edge(mapping[u], mapping[v], label)
     return SidePiece(
         graph=side,
         orig_vertices=tuple(ordered),
@@ -95,30 +95,77 @@ def build_bipartition(
     if ufreq is None:
         ufreq = [0.0] * graph.num_vertices
     complement = set(graph.vertices()) - subset
-    crossing = cut_edges(graph, subset)
-    edges0: list[tuple[int, int]] = []
-    edges1: list[tuple[int, int]] = []
-    for u, v, _ in graph.edges():
+    crossing: list[tuple[int, int]] = []
+    edges0: list[tuple[int, int, Label]] = []
+    edges1: list[tuple[int, int, Label]] = []
+    # Boundary vertices: the far endpoint of each connective edge.
+    boundary0: set[int] = set()
+    boundary1: set[int] = set()
+    for edge in graph.edges():
+        u, v, _ = edge
         u_in = u in subset
-        v_in = v in subset
-        if u_in and v_in:
-            edges0.append((u, v))
-        elif not u_in and not v_in:
-            edges1.append((u, v))
-        else:
-            edges0.append((u, v))
-            edges1.append((u, v))
-    boundary0 = {w for u, v in crossing for w in (u, v) if w not in subset}
-    boundary1 = {w for u, v in crossing for w in (u, v) if w in subset}
+        if u_in == (v in subset):
+            (edges0 if u_in else edges1).append(edge)
+            continue
+        crossing.append((u, v))
+        edges0.append(edge)
+        edges1.append(edge)
+        inside, outside = (u, v) if u_in else (v, u)
+        boundary0.add(outside)
+        boundary1.add(inside)
     return Bipartition(
-        side0=_make_side(graph, subset, subset | boundary0, edges0, ufreq),
-        side1=_make_side(
-            graph, complement, complement | boundary1, edges1, ufreq
-        ),
+        side0=_make_side(graph, subset, boundary0, edges0, ufreq),
+        side1=_make_side(graph, complement, boundary1, edges1, ufreq),
         core0=frozenset(subset),
         core1=frozenset(complement),
         connective_edges=tuple(crossing),
     )
+
+
+def _ranked_rows(
+    graph: LabeledGraph, ufreq: Sequence[float]
+) -> tuple[list[int], list[list[int]]]:
+    """The vertices in walk order, and each vertex's row in that order.
+
+    The walk's key is ``(-ufreq, id)``: seeds are taken from the front of
+    the vertex order, and "the unvisited neighbour with the highest
+    update frequency" is the first unvisited entry of a row.
+    """
+    order = sorted(graph.vertices(), key=lambda v: (-ufreq[v], v))
+    rank = [0] * len(order)
+    for position, vertex in enumerate(order):
+        rank[vertex] = position
+    by_rank = rank.__getitem__
+    return order, [
+        sorted(graph.adjacency(v), key=by_rank) for v in graph.vertices()
+    ]
+
+
+def _seed_walk(
+    rows: list[list[int]], seed: int, limit: int
+) -> tuple[set[int], int]:
+    """The DFSScan walk over ranked ``rows``: ``(visited, cut size)``.
+
+    ``visited`` only grows, so each stacked vertex keeps one iterator
+    over its row that never moves back; the cut size is carried along —
+    a vertex that joins turns its edges to unvisited vertices into cut
+    edges and its edges to visited ones into inner edges.
+    """
+    visited = {seed}
+    cut = len(rows[seed])
+    stack = [iter(rows[seed])]
+    while stack and len(visited) < limit:
+        for best in stack[-1]:
+            if best not in visited:
+                break
+        else:
+            stack.pop()
+            continue
+        row = rows[best]
+        cut += len(row) - 2 * len(visited.intersection(row))
+        visited.add(best)
+        stack.append(iter(row))
+    return visited, cut
 
 
 def dfs_scan(
@@ -133,24 +180,8 @@ def dfs_scan(
     highest update frequency (paper Fig 5, DFSScan line 21; ties broken by
     vertex id for determinism), backtracking when stuck.
     """
-    visited = {seed}
-    stack = [seed]
-    while stack and len(visited) < limit:
-        current = stack[-1]
-        best = None
-        best_key = None
-        for neighbor in graph.neighbor_ids(current):
-            if neighbor in visited:
-                continue
-            key = (ufreq[neighbor], -neighbor)
-            if best is None or key > best_key:
-                best, best_key = neighbor, key
-        if best is None:
-            stack.pop()
-            continue
-        visited.add(best)
-        stack.append(best)
-    return visited
+    _order, rows = _ranked_rows(graph, ufreq)
+    return _seed_walk(rows, seed, limit)[0]
 
 
 class GraphPartitioner:
@@ -161,10 +192,14 @@ class GraphPartitioner:
     weights:
         The :class:`PartitionWeights` implementing the partitioning
         criterion (Partition1/2/3 from the paper, or custom lambdas).
+
+    ``seeds_walked`` counts the seed walks run over the partitioner's
+    lifetime (an owner reads it before and after a batch of calls).
     """
 
     def __init__(self, weights: PartitionWeights | None = None) -> None:
         self.weights = weights if weights is not None else PartitionWeights()
+        self.seeds_walked = 0
 
     def __call__(
         self,
@@ -185,21 +220,21 @@ class GraphPartitioner:
         if n < 2 or graph.num_edges == 0:
             return build_bipartition(graph, set(graph.vertices()), ufreq)
 
-        order = sorted(
-            graph.vertices(), key=lambda v: (-ufreq[v], v)
-        )
-        limit = max(1, n // 2)
+        order, rows = _ranked_rows(graph, ufreq)
+        # Seed count and walk limit are the same number, and
+        # 1 <= n // 2 < n here: no walk can leave side 1 empty.
+        limit = n // 2
         best_subset: set[int] | None = None
         best_weight = float("-inf")
-        for seed in order[: max(1, n // 2)]:
-            subset = dfs_scan(graph, seed, limit, ufreq)
-            if len(subset) >= n:
-                continue  # degenerate: would leave side 1 empty
-            weight = self.weights.evaluate(graph, subset, ufreq)
+        for seed in order[:limit]:
+            subset, cut = _seed_walk(rows, seed, limit)
+            weight = self.weights.weight(set(subset), ufreq, cut)
             if weight > best_weight:
                 best_weight = weight
                 best_subset = subset
+        self.seeds_walked += limit
         if best_subset is None:
-            # Fall back to a plain half split in vertex order.
+            # No weight compared above -inf (infinite or NaN lambdas):
+            # fall back to a plain half split in vertex order.
             best_subset = set(order[:limit])
         return build_bipartition(graph, best_subset, ufreq)

@@ -39,6 +39,22 @@ class PartitionWeights:
     lambda1: float = 1.0
     lambda2: float = 1.0
 
+    def weight(
+        self, members: set[int], ufreq: Sequence[float], cut: int
+    ) -> float:
+        """Equation (1) for ``members`` given its number of cut edges.
+
+        The one statement of the formula: :meth:`evaluate` counts the cut
+        by scanning the graph, the GraphPart seed walk carries it.  The
+        ufreq term is summed in ``members``' own iteration order, so two
+        callers get bit-identical floats only for sets built the same way
+        (``evaluate`` and the partitioner both pass ``set(subset)``).
+        """
+        if not members:
+            return float("-inf")
+        avg_ufreq = sum(ufreq[v] for v in members) / len(members)
+        return self.lambda1 * avg_ufreq - self.lambda2 * cut
+
     def evaluate(
         self,
         graph: LabeledGraph,
@@ -47,11 +63,7 @@ class PartitionWeights:
     ) -> float:
         """Evaluate ``w(V1)`` for ``subset`` against the rest of ``graph``."""
         members = set(subset)
-        if not members:
-            return float("-inf")
-        avg_ufreq = sum(ufreq[v] for v in members) / len(members)
-        connectivity = len(cut_edges(graph, members))
-        return self.lambda1 * avg_ufreq - self.lambda2 * connectivity
+        return self.weight(members, ufreq, len(cut_edges(graph, members)))
 
 
 #: Named criteria from the paper's Section 5.1.1.

@@ -140,7 +140,9 @@ def mine_unit_worker(payload: dict, attempt: int) -> list:
 
     database = resolve_payload_database(payload)
     miner = GastonMiner(max_size=payload.get("max_size"))
-    return encode_patterns(miner.mine(database, payload["threshold"]))
+    mined = miner.mine(database, payload["threshold"])
+    obs_trace.annotate(**miner.stats.prune_attrs())
+    return encode_patterns(mined)
 
 
 def _child_main(worker: Worker, payload: object, attempt: int, conn) -> None:

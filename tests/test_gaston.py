@@ -4,6 +4,7 @@ import random
 
 from repro.graph.database import GraphDatabase
 from repro.graph.isomorphism import count_support
+from repro.mining.bruteforce import BruteForceMiner
 from repro.mining.gaston import GastonMiner, PatternClass, classify
 from repro.mining.gspan import GSpanMiner
 
@@ -84,3 +85,92 @@ class TestPhases:
         result = miner.mine(medium_db, 3)
         assert miner.stats.patterns_found == len(result)
         assert miner.stats.duplicate_codes_pruned >= 0
+
+
+def many_label_db(seed: int, num_graphs: int = 8) -> GraphDatabase:
+    """Few larger graphs, most edge triples infrequent (the tx-front shape).
+
+    Every graph plants one small cyclic core over labels 0-2, then hangs
+    noise vertices with labels from a wide range off random vertices, so
+    nearly every noise triple occurs in too few graphs to be frequent.
+    """
+    rng = random.Random(seed)
+    graphs = []
+    for _ in range(num_graphs):
+        g = make_graph(
+            [0, 1, 2, 1, 0],
+            [(0, 1, 0), (1, 2, 1), (2, 0, 0), (2, 3, 1), (3, 4, 0)],
+        )
+        for _ in range(rng.randrange(6, 10)):
+            v = g.add_vertex(rng.randrange(3, 40))
+            g.add_edge(v, rng.randrange(v), rng.randrange(4))
+        for _ in range(3):
+            u, v = rng.randrange(g.num_vertices), rng.randrange(g.num_vertices)
+            if u != v and not g.has_edge(u, v):
+                g.add_edge(u, v, rng.randrange(4))
+        graphs.append(g)
+    return GraphDatabase.from_graphs(graphs)
+
+
+def as_records(patterns):
+    return {p.key: (p.support, p.tids) for p in patterns}
+
+
+class TestFrequentEdgeRestriction:
+    """Growing over frequent edges only loses nothing (downward closure)."""
+
+    def test_many_label_db_against_gspan_and_brute_force(self):
+        for seed in range(4):
+            db = many_label_db(seed)
+            miner = GastonMiner()
+            gaston = miner.mine(db, 0.5)
+            # The shape under test: the filter drops most of the edges.
+            dropped = miner.stats.extras["infrequent_edges"]
+            assert dropped > db.total_edges() / 2
+            assert any(p.size >= 5 for p in gaston)  # the planted core
+            assert as_records(gaston) == as_records(GSpanMiner().mine(db, 0.5))
+
+            bounded = GastonMiner(max_size=3).mine(db, 0.5)
+            assert as_records(bounded) == as_records(
+                BruteForceMiner(max_size=3).mine(db, 0.5)
+            )
+
+    def test_every_edge_frequent_drops_nothing(self):
+        db = GraphDatabase.from_graphs([triangle(), triangle()])
+        miner = GastonMiner()
+        miner.mine(db, 2)
+        assert miner.stats.extras["infrequent_edges"] == 0
+
+    def test_max_size_one_and_two(self):
+        db = many_label_db(seed=9)
+        for max_size in (1, 2):
+            miner = GastonMiner(max_size=max_size)
+            result = miner.mine(db, 0.5)
+            assert as_records(result) == as_records(
+                BruteForceMiner(max_size=max_size).mine(db, 0.5)
+            )
+            assert result.max_size() == max_size
+            assert miner.stats.patterns_found == len(result)
+
+
+class TestMinerReuse:
+    def test_two_databases_in_a_row_match_fresh_miners(self):
+        first, second = many_label_db(seed=1), random_database(seed=7)
+        reused = GastonMiner()
+        results = [reused.mine(first, 0.5), reused.mine(second, 3)]
+        expected = [
+            GastonMiner().mine(first, 0.5), GastonMiner().mine(second, 3),
+        ]
+        for got, want in zip(results, expected):
+            assert [p.key for p in got] == [p.key for p in want]
+            assert as_records(got) == as_records(want)
+        assert reused.stats.patterns_found == len(results[1])
+
+    def test_no_per_run_tables_survive_mine(self):
+        miner = GastonMiner(max_size=4)
+        miner.mine(many_label_db(seed=2), 0.5)
+        # Only the configuration and the counters: the row tables and
+        # seed embeddings must be gone when mine returns (PartMiner keeps
+        # the miner alive through merge-join).
+        assert set(vars(miner)) == {"max_size", "stats"}
+        assert set(miner.stats.extras) == {"infrequent_edges"}

@@ -237,6 +237,47 @@ class TestParallelRuntimeTree:
         assert any(s["status"] == "error" for s in attempts)
         assert result.patterns.keys() == baseline.patterns.keys()
 
+    def test_prune_attribution_agrees_between_serial_and_parallel(self):
+        db = random_database(seed=4600, num_graphs=8, n=6, extra_edges=1)
+        serial_tracer = Tracer()
+        with obs_trace.tracing(serial_tracer):
+            serial = PartMiner(k=2).mine(db, 3)
+        _parallel, parallel_tracer = mine_traced(db)
+
+        keys = ("candidates", "duplicates_pruned", "infrequent_edges")
+        serial_units = {
+            s["attrs"]["unit"]: {k: s["attrs"][k] for k in keys}
+            for s in serial_tracer.spans()
+            if s["name"] == "unit.mine"
+        }
+        assert len(serial_units) == 2
+        assert all(unit["candidates"] > 0 for unit in serial_units.values())
+
+        by_id = {s["span_id"]: s for s in parallel_tracer.spans()}
+        worker_units = {}
+        for node in by_id.values():
+            if node["name"] != "unit.worker":
+                continue
+            unit_span = by_id[by_id[node["parent_id"]]["parent_id"]]
+            worker_units[unit_span["attrs"]["unit"]] = {
+                k: node["attrs"][k] for k in keys
+            }
+        assert worker_units == serial_units
+
+        for tracer in (serial_tracer, parallel_tracer):
+            (partition,) = [
+                s for s in tracer.spans()
+                if s["name"] == "partminer.partition"
+            ]
+            # Every graph of n >= 2 vertices walks n // 2 seeds.
+            assert partition["attrs"]["seeds"] == sum(
+                graph.num_vertices // 2 for _gid, graph in db
+            )
+            assert (
+                partition["attrs"]["cut_edges"]
+                == serial.tree.total_connective_edges()
+            )
+
     def test_untraced_parallel_run_records_nothing(self):
         db = random_database(seed=4400, num_graphs=6, n=5)
         result = PartMiner(

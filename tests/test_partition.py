@@ -1,7 +1,11 @@
 """Tests for weights, GraphPart, and the METIS-like partitioner."""
 
 import random
+from dataclasses import dataclass, field
 
+from hypothesis import given, settings, strategies as st
+
+from repro.graph.labeled_graph import LabeledGraph
 from repro.partition.graphpart import (
     GraphPartitioner,
     build_bipartition,
@@ -166,6 +170,192 @@ class TestGraphPartitioner:
         b1 = partitioner(g, [0.0] * 8)
         b2 = partitioner(g, [0.0] * 8)
         assert b1.core0 == b2.core0
+
+
+# ----------------------------------------------------------------------
+# Differential: the partitioner against the straightforward algorithm
+# ----------------------------------------------------------------------
+def reference_dfs_scan(graph, seed, limit, ufreq):
+    """DFSScan as the paper states it: re-scan the stack top every step."""
+    visited = {seed}
+    stack = [seed]
+    while stack and len(visited) < limit:
+        current = stack[-1]
+        best = None
+        best_key = None
+        for neighbor in graph.neighbor_ids(current):
+            if neighbor in visited:
+                continue
+            key = (ufreq[neighbor], -neighbor)
+            if best is None or key > best_key:
+                best, best_key = neighbor, key
+        if best is None:
+            stack.pop()
+            continue
+        visited.add(best)
+        stack.append(best)
+    return visited
+
+
+def reference_subset(weights, graph, ufreq):
+    """Fig 5's seed loop: plain scan per seed, ``evaluate`` (which counts
+    the cut with ``cut_edges``), first strict maximum wins."""
+    n = graph.num_vertices
+    if n < 2 or graph.num_edges == 0:
+        return set(graph.vertices())
+    order = sorted(graph.vertices(), key=lambda v: (-ufreq[v], v))
+    limit = max(1, n // 2)
+    best_subset, best_weight = None, float("-inf")
+    for seed in order[:limit]:
+        subset = reference_dfs_scan(graph, seed, limit, ufreq)
+        weight = weights.evaluate(graph, subset, ufreq)
+        if weight > best_weight:
+            best_subset, best_weight = subset, weight
+    return best_subset if best_subset is not None else set(order[:limit])
+
+
+def reference_sides(graph, subset, ufreq):
+    """Both sides of ``subset`` as (labels, edges, orig_vertices, ufreq)."""
+    crossing = cut_edges(graph, subset)
+    touched = {w for edge in crossing for w in edge}
+    sides = []
+    for core in (subset, set(graph.vertices()) - subset):
+        ordered = sorted(core) + sorted(touched - core)
+        new_id = {old: new for new, old in enumerate(ordered)}
+        side = LabeledGraph()
+        for old in ordered:
+            side.add_vertex(graph.vertex_label(old))
+        for u, v, label in graph.edges():
+            if u in core or v in core:
+                side.add_edge(new_id[u], new_id[v], label)
+        sides.append((side, tuple(ordered), tuple(ufreq[v] for v in ordered)))
+    return tuple(crossing), sides
+
+
+def rows_of(graph):
+    """Labels plus every adjacency row in order: equal iff built alike."""
+    return graph.vertex_labels(), [
+        list(graph.adjacency(v).items()) for v in graph.vertices()
+    ]
+
+
+@st.composite
+def graphs_maybe_disconnected(draw, max_vertices=12):
+    n = draw(st.integers(1, max_vertices))
+    graph = LabeledGraph()
+    for _ in range(n):
+        graph.add_vertex(draw(st.integers(0, 2)))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=20)
+                  if pairs else st.just([]))
+    for u, v in chosen:
+        graph.add_edge(u, v, draw(st.integers(0, 1)))
+    return graph
+
+
+@st.composite
+def partition_cases(draw):
+    graph = draw(graphs_maybe_disconnected())
+    values = draw(
+        st.sampled_from(
+            [
+                st.just(0.0),  # all zero: pure connectivity
+                st.sampled_from([0.0, 0.5]),  # heavily tied
+                # Non-dyadic: a changed summation order flips ties here.
+                st.sampled_from([0.1, 0.2, 0.3]),
+                st.floats(0.0, 1.0),
+            ]
+        )
+    )
+    ufreq = [draw(values) for _ in range(graph.num_vertices)]
+    weights = draw(
+        st.sampled_from([PARTITION1, PARTITION2, PARTITION3])
+        | st.builds(
+            PartitionWeights,
+            st.floats(0.0, 3.0),
+            st.floats(0.0, 3.0),
+        )
+    )
+    return graph, ufreq, weights
+
+
+@dataclass(frozen=True)
+class RecordingWeights(PartitionWeights):
+    """Records each seed's subset and the cut size the walk carried."""
+
+    seen: list = field(default_factory=list, compare=False)
+
+    def weight(self, members, ufreq, cut):
+        self.seen.append((set(members), cut))
+        return super().weight(members, ufreq, cut)
+
+
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(partition_cases())
+    def test_bipartition_is_identical(self, case):
+        graph, ufreq, weights = case
+        bipart = GraphPartitioner(weights).partition(graph, ufreq)
+
+        subset = reference_subset(weights, graph, ufreq)
+        crossing, sides = reference_sides(graph, subset, ufreq)
+        assert bipart.core0 == subset
+        assert bipart.core1 == set(graph.vertices()) - subset
+        assert bipart.connective_edges == crossing
+        for piece, (side, orig, side_ufreq) in zip(
+            (bipart.side0, bipart.side1), sides
+        ):
+            assert rows_of(piece.graph) == rows_of(side)
+            assert piece.orig_vertices == orig
+            assert piece.ufreq == side_ufreq
+
+    @settings(max_examples=150, deadline=None)
+    @given(partition_cases())
+    def test_every_seed_walk_and_its_carried_cut(self, case):
+        graph, ufreq, weights = case
+        recording = RecordingWeights(weights.lambda1, weights.lambda2)
+        partitioner = GraphPartitioner(recording)
+        partitioner.partition(graph, ufreq)
+
+        n = graph.num_vertices
+        if n < 2 or graph.num_edges == 0:
+            assert recording.seen == [] and partitioner.seeds_walked == 0
+            return
+        limit = max(1, n // 2)
+        order = sorted(graph.vertices(), key=lambda v: (-ufreq[v], v))
+        assert partitioner.seeds_walked == len(recording.seen) == limit
+        for seed, (members, cut) in zip(order, recording.seen):
+            assert members == reference_dfs_scan(graph, seed, limit, ufreq)
+            assert members == dfs_scan(graph, seed, limit, ufreq)
+            assert cut == len(cut_edges(graph, members))
+            assert len(members) < n  # side 1 is never left empty
+
+    def test_tie_that_summation_order_decides(self):
+        # Found by search: walks that get stuck in small components give
+        # subsets whose ufreq mean depends on the order the floats are
+        # added in (0.1 + 0.2 + 0.3 != 0.3 + 0.2 + 0.1); summing this case
+        # in ascending-id order picks another subset than set order does.
+        edges = [
+            (0, 4), (2, 21), (3, 5), (5, 7), (6, 20), (7, 9), (8, 17),
+            (10, 14), (10, 19), (11, 12), (12, 20), (13, 18), (15, 16),
+            (15, 18), (17, 21),
+        ]
+        g = make_graph([0] * 22, [(u, v, 0) for u, v in edges])
+        ufreq = [
+            0.1, 0.1, 0.1, 0.1, 0.2, 0.1, 0.1, 0.3, 0.2, 0.2, 0.1,
+            0.1, 0.1, 0.1, 0.3, 0.3, 0.2, 0.2, 0.1, 0.1, 0.3, 0.2,
+        ]
+        bipart = GraphPartitioner(PARTITION1).partition(g, ufreq)
+        assert bipart.core0 == reference_subset(PARTITION1, g, ufreq)
+
+    def test_nonfinite_weights_fall_back_to_half_split(self):
+        # Every cut is >= 1, so every weight is -inf and none is a strict
+        # maximum: the first n // 2 vertices win though no walk joins them.
+        g = make_graph([0] * 4, [(0, 2, 0), (2, 1, 0), (1, 3, 0)])
+        bipart = GraphPartitioner(PartitionWeights(0.0, float("inf")))(
+            g, [0.0] * 4
+        )
+        assert bipart.core0 == {0, 1}
 
 
 class TestMetisPartitioner:
