@@ -10,8 +10,9 @@ containment ("in-zone") and heading ("follows") relationships.  A small
 set of *hot* objects (vehicles) moves every epoch, relabeling and adding
 relationships; landmarks never change.  IncPartMiner maintains the
 frequent relationship patterns across epochs, re-mining only the affected
-partition units, and classifies every pattern as UF (unchanged), FI
-(frequent -> infrequent) or IF (infrequent -> frequent).
+partition units and recounting old patterns over the touched snapshots
+only, and classifies every pattern as UF (unchanged), FI (frequent ->
+infrequent) or IF (infrequent -> frequent) — with exact supports.
 
 Run:  python examples/spatiotemporal_updates.py
 """
@@ -89,8 +90,8 @@ def main() -> None:
         )
         print(
             f"  re-mined {stats.units_remined}/4 units; "
-            f"prune set {stats.prune_set_size}; "
-            f"reused {stats.known_reused} known supports"
+            f"recounted {stats.known_reused} node-level patterns over "
+            f"the touched snapshots only"
         )
         print(
             f"  UF={len(result.unchanged)}  "
@@ -99,6 +100,10 @@ def main() -> None:
         )
         recall = len(result.patterns.keys() & full.keys()) / max(
             1, len(full)
+        )
+        # Every support IncPartMiner reports is counted, never assumed.
+        assert all(
+            p.tids == full.get(p.key).tids for p in result.patterns
         )
         print(
             f"  IncPartMiner: {incremental_time:.2f}s   "

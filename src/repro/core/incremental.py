@@ -2,29 +2,31 @@
 
 After an initial PartMiner run, an update batch is handled as follows:
 
-1. apply the updates to the stored database and re-partition **only the
-   updated graphs** through the existing partition tree;
-2. determine the *affected units* — leaves whose piece of any updated graph
-   changed (the paper's ``setword``) — and re-mine only those with the
-   memory-based miner;
-3. build the **prune set** ``P``: frequent 1-edge patterns lost from the
-   database, plus patterns that disappeared from an affected unit's result
-   and survive in no other unit (Fig 12 lines 1-9);
-4. prune the old ``P(D)`` of every supergraph of a prune-set pattern —
-   those are the *FI* (frequent -> infrequent) suspects — leaving
-   ``P(D)'`` whose members are treated as still-frequent without
-   re-verification (Fig 12 line 10);
-5. re-run the merge-join bottom-up, reusing cached node results for
-   subtrees without affected units and passing ``P(D)'`` (and the cached
-   per-node results) as *known* patterns so unchanged candidates skip
-   support counting (``IncMergeJoin``);
-6. classify every pattern into **UF** (unchanged), **FI** (frequent ->
+1. apply the updates to copies of the touched graphs — a batch that fails
+   half-way leaves the miner exactly as it was — swap them in and
+   re-partition **only the updated graphs** through the existing tree;
+2. re-mine only the *affected units* — leaves whose piece of an updated
+   graph changed (the paper's ``setword``) — with the memory-based miner;
+3. re-merge bottom-up, at every internal node with an affected unit below
+   it, by **delta counting** (``IncMergeJoin``): the set ``U`` of graphs
+   whose piece changed at the node is known and every other graph is the
+   graph it was, so an old pattern's TID list becomes
+   ``(tids - U) | {g in U : P in g}`` — ``|U|`` searches per pattern, exact
+   by construction — and a generator pair the node had already joined is
+   joined again only where a graph of ``U`` gained an edge its candidates
+   could use (see :class:`~repro.core.mergejoin.MergeDelta`);
+4. classify every pattern into **UF** (unchanged), **FI** (frequent ->
    infrequent) and **IF** (infrequent -> frequent).
 
-``recheck_known=True`` disables step 5's trust in old supports (every
-pattern is re-verified), turning IncPartMiner into an exact — but slower —
-incremental miner; the test suite uses it to bound the approximation error
-of the paper's heuristic.
+Every support in the result is counted or delta-counted against the
+current database; nothing is vouched for.  This deviates from Fig 12 lines
+1-10 on purpose: the paper's prune set ``P`` and its ``P(D)'`` of patterns
+"treated as still frequent" are subsumed by the recount (a supergraph of a
+lost pattern simply recounts below the threshold), which makes the result
+exact where the paper's is a heuristic: with ``unit_support='exact'`` it is
+what mining the updated database from scratch returns, and at the paper's
+reduced unit threshold it contains everything a from-scratch
+:class:`PartMiner` over the same partition finds.
 """
 
 from __future__ import annotations
@@ -32,18 +34,18 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 
-from .. import obs, perf
+from .. import obs
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..graph.database import GraphDatabase
-from ..graph.isomorphism import subgraph_exists
-from ..mining.base import Pattern, PatternKey, PatternSet
-from ..mining.edges import frequent_edges
+from ..mining.base import PatternSet
+from ..mining.edges import normalize_triple
 from ..mining.gaston import GastonMiner
 from ..partition.dbpartition import Partitioner
+from ..partition.graphpart import GraphPartitioner
 from ..partition.units import PartitionNode, UfreqMap
 from ..updates.model import Update, apply_updates
-from .mergejoin import MergeJoinStats, merge_join
+from .mergejoin import MergeDelta, MergeJoinStats, merge_join
 from .partminer import (
     MinerFactory,
     PartMiner,
@@ -51,7 +53,12 @@ from .partminer import (
     UnitSupport,
     resolve_unit_threshold,
 )
-from .join import pattern_edge_triples
+
+NodeKey = tuple[int, int]
+
+
+def _key(node: PartitionNode) -> NodeKey:
+    return (node.depth, node.index)
 
 
 @dataclass
@@ -62,14 +69,20 @@ class IncrementalStats:
     affected_units: int = 0
     changed_piece_pairs: int = 0  # (unit, gid) pairs whose piece changed
     units_remined: int = 0
-    prune_set_size: int = 0
-    known_reused: int = 0
     repartition_time: float = 0.0
     remine_time: float = 0.0
     remine_times: list[float] = field(default_factory=list)
     merge_time: float = 0.0
+    # Per re-merged internal node: wall time and work counters.
+    merge_times: dict[NodeKey, float] = field(default_factory=dict)
+    merge_stats: dict[NodeKey, MergeJoinStats] = field(default_factory=dict)
     classify_time: float = 0.0
     runtime_telemetry: object | None = None  # RunTelemetry (runtime remine)
+
+    @property
+    def known_reused(self) -> int:
+        """Old node-level patterns whose support the recount carried over."""
+        return sum(s.known_reused for s in self.merge_stats.values())
 
     @property
     def total_time(self) -> float:
@@ -102,18 +115,41 @@ class IncrementalResult:
     stats: IncrementalStats
 
 
-def _piece_signature(unit: PartitionNode, gid: int) -> frozenset:
-    """Structural fingerprint of a unit's piece of one graph, in root ids."""
-    piece = unit.database[gid]
-    orig = unit.orig_vertices[gid]
-    edges = frozenset(
-        (min(orig[u], orig[v]), max(orig[u], orig[v]), label)
-        for u, v, label in piece.edges()
+def _piece_elements(node: PartitionNode, gid: int) -> tuple[dict, dict]:
+    """A node's piece of one graph in root vertex ids: edge -> label triple
+    and vertex -> label.  Two pieces with equal elements are one graph."""
+    piece = node.database[gid]
+    orig = node.orig_vertices[gid]
+    edges = {}
+    for u, v, label in piece.edges():
+        ends = (min(orig[u], orig[v]), max(orig[u], orig[v]), label)
+        edges[ends] = normalize_triple(
+            piece.vertex_label(u), label, piece.vertex_label(v)
+        )
+    vertices = {orig[v]: piece.vertex_label(v) for v in piece.vertices()}
+    return edges, vertices
+
+
+def _new_edge_triples(before: tuple, after: tuple) -> frozenset | None:
+    """Label triples of the edges a piece gained: added, re-labelled, or at
+    a new or re-labelled vertex.  ``None`` when the piece did not change.
+
+    Any occurrence of a pattern the new piece has and the old one lacked
+    covers a changed element, and — patterns being connected — an edge
+    that is new or ends at a changed vertex.
+    """
+    (old_edges, old_vertices), (edges, vertices) = before, after
+    if old_edges == edges and old_vertices == vertices:
+        return None
+    moved = {
+        v for v, label in vertices.items()
+        if v not in old_vertices or old_vertices[v] != label
+    }
+    return frozenset(
+        triple
+        for ends, triple in edges.items()
+        if ends not in old_edges or ends[0] in moved or ends[1] in moved
     )
-    vertices = frozenset(
-        (orig[v], piece.vertex_label(v)) for v in piece.vertices()
-    )
-    return frozenset([("e", edges), ("v", vertices)])
 
 
 class IncrementalPartMiner:
@@ -131,38 +167,28 @@ class IncrementalPartMiner:
         unit_support: UnitSupport = "paper",
         strict_paper_joins: bool = False,
         max_size: int | None = None,
-        recheck_known: bool = False,
         unit_remine: str = "full",
         runtime: object | None = None,
-        support_cache: object | None = None,
     ) -> None:
         """``runtime`` (a :class:`~repro.runtime.config.RuntimeConfig`)
         re-mines affected units through the fault-tolerant parallel
         runtime instead of in-process, recording execution telemetry on
         ``stats.runtime_telemetry``.  It applies to ``unit_remine='full'``
-        (the ``'selective'`` single-unit patcher stays in-process).
-
-        ``support_cache`` (a :class:`~repro.perf.SupportCache`; one is
-        created when omitted) is shared by the initial mine and every
-        incremental re-merge: containment verdicts for graphs an update
-        batch did not touch are reused verbatim, and touched graphs
-        invalidate themselves through their version counters."""
+        (the ``'selective'`` single-unit patcher stays in-process)."""
         if unit_remine not in ("full", "selective"):
             raise ValueError(
                 f"unit_remine must be 'full' or 'selective': {unit_remine!r}"
             )
         self.k = k
-        self.partitioner = partitioner
+        self.partitioner = (
+            partitioner if partitioner is not None else GraphPartitioner()
+        )
         self.miner_factory = miner_factory
         self.unit_support = unit_support
         self.strict_paper_joins = strict_paper_joins
         self.max_size = max_size
-        self.recheck_known = recheck_known
         self.unit_remine = unit_remine
         self.runtime = runtime
-        self.support_cache = (
-            support_cache if support_cache is not None else perf.SupportCache()
-        )
         self._database: GraphDatabase | None = None
         self._ufreq: UfreqMap | None = None
         self._result: PartMinerResult | None = None
@@ -211,7 +237,6 @@ class IncrementalPartMiner:
             unit_support=self.unit_support,
             strict_paper_joins=self.strict_paper_joins,
             max_size=self.max_size,
-            support_cache=self.support_cache,
         )
         self._result = miner.mine(
             self._database, self._threshold, ufreq=self._ufreq
@@ -220,14 +245,25 @@ class IncrementalPartMiner:
 
     # ------------------------------------------------------------------
     def apply_updates(self, updates: list[Update]) -> IncrementalResult:
-        """Process one update batch incrementally."""
+        """Process one update batch incrementally.
+
+        The batch is applied to copies of the graphs it touches and
+        swapped in only once every update went through: an invalid update
+        raises the error :func:`~repro.updates.model.apply_update` raises
+        and leaves the miner as it was before the call.
+        """
         if self._result is None or self._database is None:
             raise RuntimeError("call initial_mine() first")
         t_start = time.perf_counter()
         with obs.span(
             "inc.apply_updates", updates=len(updates)
         ) as root_span:
-            result = self._apply_updates_inner(updates)
+            staged = GraphDatabase()
+            for update in updates:
+                if update.gid not in staged:
+                    staged.add(update.gid, self._database[update.gid].copy())
+            apply_updates(staged, updates)
+            result = self._apply_staged(staged)
             root_span.set_attrs(
                 uf=len(result.unchanged),
                 fi=len(result.became_infrequent),
@@ -239,36 +275,44 @@ class IncrementalPartMiner:
         )
         return result
 
-    def _apply_updates_inner(
-        self, updates: list[Update]
-    ) -> IncrementalResult:
+    def _apply_staged(self, staged: GraphDatabase) -> IncrementalResult:
         old = self._result
         tree = old.tree
         threshold = self._threshold
-        stats = IncrementalStats()
+        stats = IncrementalStats(updated_graphs=len(staged))
 
-        # --- step 1: apply updates, re-partition updated graphs ---------
+        # --- step 1: swap in the updated graphs, re-partition them -------
         step = obs_trace.begin("inc.repartition")
         t0 = time.perf_counter()
-        touched = apply_updates(self._database, updates)
-        stats.updated_graphs = len(touched)
-        units = tree.units()
+        nodes = list(tree.nodes())
         before = {
-            (i, gid): _piece_signature(unit, gid)
-            for i, unit in enumerate(units)
-            for gid in touched
+            (_key(node), gid): _piece_elements(node, gid)
+            for node in nodes
+            for gid in staged.gids()
         }
-        for gid in touched:
+        for gid, graph in staged:
+            self._database.replace(gid, graph)
             self._pad_ufreq(gid)
             self._repartition_graph(tree.root, gid)
-        changed_by_unit: dict[int, set[int]] = {}
-        for (i, gid), signature in before.items():
-            if _piece_signature(units[i], gid) != signature:
-                changed_by_unit.setdefault(i, set()).add(gid)
-        affected = set(changed_by_unit)
-        stats.affected_units = len(affected)
+        # Per node: the gids whose piece changed there, each with the
+        # label triples of the edges its new piece gained.
+        touched: dict[NodeKey, dict[int, frozenset]] = {
+            _key(node): {} for node in nodes
+        }
+        for node in nodes:
+            for gid in staged.gids():
+                gained = _new_edge_triples(
+                    before[(_key(node), gid)], _piece_elements(node, gid)
+                )
+                if gained is not None:
+                    touched[_key(node)][gid] = gained
+        units = tree.units()
+        affected = [
+            i for i, unit in enumerate(units) if touched[_key(unit)]
+        ]
+        stats.affected_units = stats.units_remined = len(affected)
         stats.changed_piece_pairs = sum(
-            len(gids) for gids in changed_by_unit.values()
+            len(touched[_key(units[i])]) for i in affected
         )
         stats.repartition_time = time.perf_counter() - t0
         step.set_attrs(
@@ -280,162 +324,74 @@ class IncrementalPartMiner:
         # --- step 2: re-mine affected units ------------------------------
         step = obs_trace.begin("inc.remine")
         new_unit_results = list(old.unit_results)
-        if (
-            self.runtime is not None
-            and affected
-            and self.unit_remine == "full"
-        ):
-            # Selective re-mining through the fault-tolerant runtime: only
-            # the affected units are dispatched, each with timeout/retry/
-            # degradation protection, and the run's telemetry lands on the
-            # step's stats.
+        unit_times = [0.0] * len(units)
+        thresholds = {
+            i: resolve_unit_threshold(
+                units[i], threshold, self.unit_support, k=self.k
+            )
+            for i in affected
+        }
+        if self.runtime is not None and affected and self.unit_remine == "full":
+            # Through the fault-tolerant runtime: only the affected units
+            # are dispatched, each with timeout/retry/degradation
+            # protection, and the run's telemetry lands on the stats.
             from ..runtime import run_unit_mining
 
-            indices = sorted(affected)
             run = run_unit_mining(
-                [units[i] for i in indices],
-                [
-                    resolve_unit_threshold(
-                        units[i], threshold, self.unit_support, k=self.k
-                    )
-                    for i in indices
-                ],
+                [units[i] for i in affected],
+                [thresholds[i] for i in affected],
                 max_size=self.max_size,
                 config=self.runtime,
                 miner_factory=self.miner_factory,
             )
             stats.runtime_telemetry = run.telemetry
             for i, mined, record in zip(
-                indices, run.unit_results, run.telemetry.units
+                affected, run.unit_results, run.telemetry.units
             ):
                 new_unit_results[i] = mined
-                stats.remine_times.append(record.wall_time)
-                stats.remine_time += record.wall_time
-                stats.units_remined += 1
-            affected_to_remine: set[int] = set()
+                unit_times[i] = record.wall_time
         else:
-            affected_to_remine = affected
-        for i in sorted(affected_to_remine):
-            unit = units[i]
-            unit_threshold = resolve_unit_threshold(
-                unit, threshold, self.unit_support, k=self.k
-            )
-            t0 = time.perf_counter()
-            if self.unit_remine == "selective":
-                from ..mining.incremental_unit import selective_unit_remine
-
-                new_unit_results[i] = selective_unit_remine(
-                    unit.database,
+            for i in affected:
+                t0 = time.perf_counter()
+                new_unit_results[i] = self._remine_unit(
+                    units[i].database,
                     old.unit_results[i],
-                    changed_by_unit[i],
-                    unit_threshold,
-                    max_size=self.max_size,
+                    set(touched[_key(units[i])]),
+                    thresholds[i],
                 )
-            else:
-                miner = self.miner_factory()
-                if self.max_size is not None and hasattr(miner, "max_size"):
-                    miner.max_size = self.max_size
-                new_unit_results[i] = miner.mine(
-                    unit.database, unit_threshold
-                )
-            elapsed = time.perf_counter() - t0
-            stats.remine_times.append(elapsed)
-            stats.remine_time += elapsed
-            stats.units_remined += 1
+                unit_times[i] = time.perf_counter() - t0
+        stats.remine_times = [unit_times[i] for i in affected]
+        stats.remine_time = sum(stats.remine_times)
         step.set_attrs(units_remined=stats.units_remined)
         obs_trace.finish(step)
 
-        # --- step 3: the prune set P (Fig 12 lines 1-9) ------------------
-        step = obs_trace.begin("inc.prune")
-        t0 = time.perf_counter()
-        prune = self._prepare_prune_set(
-            self._build_prune_set(old, new_unit_results, affected)
-        )
-        stats.prune_set_size = len(prune)
-
-        # --- step 4: prune old P(D) -> P(D)'; FI suspects ----------------
-        known = PatternSet()
-        for pattern in old.patterns:
-            if not self._hits_prune_set(pattern, prune):
-                known.add(pattern)
-        stats.classify_time += time.perf_counter() - t0
-        step.set_attrs(
-            prune_set=stats.prune_set_size, known=len(known)
-        )
-        obs_trace.finish(step)
-
-        # --- step 5: incremental merge-join -------------------------------
+        # --- step 3: delta merge-join, bottom-up --------------------------
         step = obs_trace.begin("inc.merge")
-        # Fig 12 line 6: recombination is needed only when an affected unit
-        # *gained* patterns (losses are handled by the prune set alone).
-        recombine = any(
-            new_unit_results[i].keys() - old.unit_results[i].keys()
-            for i in affected
-        )
-        node_results: dict[tuple[int, int], PatternSet] = {}
-        for i, unit in enumerate(units):
-            node_results[(unit.depth, unit.index)] = new_unit_results[i]
-
         t0 = time.perf_counter()
-        if recombine or (affected and self.recheck_known):
-            affected_keys = {
-                (units[i].depth, units[i].index) for i in affected
-            }
-            # Per-node vouching: each internal node trusts its *own*
-            # cached pre-update result (correct level-scale TID lists),
-            # minus the prune-set suspects.  The root's cached result is
-            # the paper's pruned P(D).
-            prune_hit: dict = {}
-
-            def node_known(key: tuple[int, int]) -> PatternSet | None:
-                if self.recheck_known:
-                    return None
-                cached = old.node_results.get(key)
-                if cached is None:
-                    return None
-                vouched = PatternSet()
-                for pattern in cached:
-                    hit = prune_hit.get(pattern.key)
-                    if hit is None:
-                        hit = self._hits_prune_set(pattern, prune)
-                        prune_hit[pattern.key] = hit
-                    if not hit:
-                        vouched.add(pattern)
-                return vouched
-
-            new_patterns = self._combine_incremental(
-                tree.root,
-                threshold,
-                old,
-                node_results,
-                affected_keys,
-                node_known,
-                stats,
-            )
-        else:
-            new_patterns = known
-        stats.merge_time = time.perf_counter() - t0
-        step.set_attrs(
-            recombined=bool(recombine or (affected and self.recheck_known)),
-            known_reused=stats.known_reused,
+        node_results = dict(old.node_results)
+        for unit, mined in zip(units, new_unit_results):
+            node_results[_key(unit)] = mined
+        totals: dict[str, int] = {}
+        new_patterns = self._merge(
+            tree.root, old, node_results, touched, stats, totals
         )
+        stats.merge_time = time.perf_counter() - t0
+        step.set_attrs(nodes=len(stats.merge_stats), **totals)
         obs_trace.finish(step)
 
-        # --- step 6: classification ---------------------------------------
+        # --- step 4: classification ---------------------------------------
         step = obs_trace.begin("inc.classify")
         t0 = time.perf_counter()
-        old_keys = old.patterns.keys()
-        new_keys = new_patterns.keys()
-        became_frequent = PatternSet(
-            p for p in new_patterns if p.key not in old_keys
-        )
         unchanged = PatternSet(
-            p for p in new_patterns if p.key in old_keys
+            p for p in new_patterns if p.key in old.patterns
+        )
+        became_frequent = PatternSet(
+            p for p in new_patterns if p.key not in old.patterns
         )
         became_infrequent = PatternSet(
-            p for p in old.patterns if p.key not in new_keys
+            p for p in old.patterns if p.key not in new_patterns
         )
-        stats.classify_time += time.perf_counter() - t0
+        stats.classify_time = time.perf_counter() - t0
         step.set_attrs(
             uf=len(unchanged),
             fi=len(became_infrequent),
@@ -443,17 +399,17 @@ class IncrementalPartMiner:
         )
         obs_trace.finish(step)
 
-        # Commit the new state.
+        # Commit the new state; its run facts are this batch's own.
         self._result = PartMinerResult(
             patterns=new_patterns,
             tree=tree,
             threshold=threshold,
             unit_results=new_unit_results,
             node_results=node_results,
-            unit_times=old.unit_times,
-            merge_times=old.merge_times,
-            merge_stats=old.merge_stats,
-            partition_time=old.partition_time,
+            unit_times=unit_times,
+            merge_times=stats.merge_times,
+            merge_stats=stats.merge_stats,
+            partition_time=stats.repartition_time,
         )
         return IncrementalResult(
             patterns=new_patterns,
@@ -462,6 +418,25 @@ class IncrementalPartMiner:
             became_frequent=became_frequent,
             stats=stats,
         )
+
+    def _remine_unit(
+        self,
+        database: GraphDatabase,
+        previous: PatternSet,
+        changed: set[int],
+        threshold: int,
+    ) -> PatternSet:
+        if self.unit_remine == "selective":
+            from ..mining.incremental_unit import selective_unit_remine
+
+            return selective_unit_remine(
+                database, previous, changed, threshold,
+                max_size=self.max_size,
+            )
+        miner = self.miner_factory()
+        if self.max_size is not None and hasattr(miner, "max_size"):
+            miner.max_size = self.max_size
+        return miner.mine(database, threshold)
 
     # ------------------------------------------------------------------
     def _pad_ufreq(self, gid: int) -> None:
@@ -476,19 +451,13 @@ class IncrementalPartMiner:
     def _repartition_graph(self, node: PartitionNode, gid: int) -> None:
         """Re-run the partition cascade for one (updated) graph."""
         if node.depth == 0:
-            node.database.replace(gid, self._database[gid])
             node.ufreq[gid] = self._ufreq[gid]
             node.orig_vertices[gid] = tuple(
                 range(self._database[gid].num_vertices)
             )
         if node.children is None:
             return
-        partitioner = self.partitioner
-        if partitioner is None:
-            from ..partition.graphpart import GraphPartitioner
-
-            partitioner = GraphPartitioner()
-        bipart = partitioner(node.database[gid], node.ufreq[gid])
+        bipart = self.partitioner(node.database[gid], node.ufreq[gid])
         parent_orig = node.orig_vertices[gid]
         node.connective_edges[gid] = tuple(
             (parent_orig[u], parent_orig[v])
@@ -504,115 +473,62 @@ class IncrementalPartMiner:
             self._repartition_graph(child, gid)
 
     # ------------------------------------------------------------------
-    def _build_prune_set(
-        self,
-        old: PartMinerResult,
-        new_unit_results: list[PatternSet],
-        affected: set[int],
-    ) -> list[Pattern]:
-        """Patterns that may have turned infrequent (Fig 12 lines 1-9)."""
-        prune: dict[PatternKey, Pattern] = {}
-
-        # Lost frequent edges: P^1(D) \ P^1(D').
-        new_edge_keys = {
-            fe.to_pattern().key
-            for fe in frequent_edges(self._database, self._threshold)
-        }
-        for pattern in old.patterns:
-            if pattern.size == 1 and pattern.key not in new_edge_keys:
-                prune[pattern.key] = pattern
-
-        # Patterns dropped from an affected unit, absent everywhere else.
-        for i in affected:
-            dropped = (
-                old.unit_results[i].keys() - new_unit_results[i].keys()
-            )
-            for key in dropped:
-                if key in prune:
-                    continue
-                survives_elsewhere = any(
-                    key in new_unit_results[j]
-                    for j in range(len(new_unit_results))
-                    if j != i
-                )
-                if not survives_elsewhere:
-                    prune[key] = old.unit_results[i].get(key)
-        return list(prune.values())
-
-    @staticmethod
-    def _prepare_prune_set(prune: list[Pattern]) -> list[tuple[Pattern, set]]:
-        """Pair every prune pattern with its edge triples (computed once)."""
-        return [
-            (candidate, pattern_edge_triples(candidate.graph))
-            for candidate in prune
-        ]
-
-    @staticmethod
-    def _hits_prune_set(
-        pattern: Pattern, prune: list[tuple[Pattern, set]]
-    ) -> bool:
-        """True if any prune-set pattern is a subgraph of ``pattern``."""
-        triples = pattern_edge_triples(pattern.graph)
-        for candidate, candidate_triples in prune:
-            if candidate.size > pattern.size:
-                continue
-            if not candidate_triples <= triples:
-                continue
-            if subgraph_exists(candidate.graph, pattern.graph):
-                return True
-        return False
-
-    # ------------------------------------------------------------------
-    def _combine_incremental(
+    def _merge(
         self,
         node: PartitionNode,
-        threshold: int,
         old: PartMinerResult,
-        node_results: dict[tuple[int, int], PatternSet],
-        affected_keys: set[tuple[int, int]],
-        node_known,
+        node_results: dict[NodeKey, PatternSet],
+        touched: dict[NodeKey, dict[int, frozenset]],
         stats: IncrementalStats,
+        totals: dict[str, int],
     ) -> PatternSet:
-        key = (node.depth, node.index)
+        """The node's result after the batch, stored in ``node_results``
+        (which starts as the pre-batch map) for every re-merged node."""
+        key = _key(node)
         if node.is_leaf:
             return node_results[key]
-        if not self._subtree_affected(node, affected_keys):
-            # No affected unit below: the cached result is still valid.
-            node_results[key] = old.node_results[key]
-            return old.node_results[key]
-        left = self._combine_incremental(
-            node.children[0], threshold, old, node_results,
-            affected_keys, node_known, stats,
-        )
-        right = self._combine_incremental(
-            node.children[1], threshold, old, node_results,
-            affected_keys, node_known, stats,
-        )
-        merge_stats = MergeJoinStats()
+        previous = old.node_results[key]
+        if not any(touched[_key(leaf)] for leaf in node.leaves()):
+            # No affected unit below: the cached results are still valid.
+            return previous
+        children = [
+            self._merge(child, old, node_results, touched, stats, totals)
+            for child in node.children
+        ]
+        threshold = node.support_threshold(self._threshold)
+        work = stats.merge_stats[key] = MergeJoinStats()
+        t0 = time.perf_counter()
         with obs.span(
             "merge.level", level=node.depth, index=node.index
         ) as level_span:
-            merged = merge_join(
+            merged = node_results[key] = merge_join(
                 node.database,
-                left,
-                right,
-                node.support_threshold(threshold),
+                *children,
+                threshold,
                 strict_paper_joins=self.strict_paper_joins,
                 max_size=self.max_size,
-                stats=merge_stats,
-                known=node_known(key),
-                support_cache=self.support_cache,
+                stats=work,
+                delta=MergeDelta(
+                    previous,
+                    *(old.node_results[_key(c)] for c in node.children),
+                    touched[key],
+                ),
             )
-            level_span.set_attrs(patterns=len(merged))
-        stats.known_reused += merge_stats.known_reused
-        node_results[key] = merged
+            facts = {
+                "recounted": work.known_reused,
+                "recount_searches": work.recount_searches,
+                "fi": sum(1 for p in previous if p.key not in merged),
+                "pairs_skipped_untouched": work.join_pairs_untouched,
+                "candidates_counted": work.candidates_counted,
+                "if_": sum(1 for p in merged if p.key not in previous),
+            }
+            level_span.set_attrs(
+                patterns=len(merged),
+                threshold=threshold,
+                touched=len(touched[key]),
+                **facts,
+            )
+        for name, value in facts.items():
+            totals[name] = totals.get(name, 0) + value
+        stats.merge_times[key] = time.perf_counter() - t0
         return merged
-
-    @staticmethod
-    def _subtree_affected(
-        node: PartitionNode, affected_keys: set[tuple[int, int]]
-    ) -> bool:
-        return any(
-            (leaf.depth, leaf.index) in affected_keys
-            for leaf in node.leaves()
-        )

@@ -14,7 +14,7 @@ seeds with TID lists inherited from the children.
 from __future__ import annotations
 
 import weakref
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .. import perf
 from ..graph.canonical import canonical_code
@@ -37,8 +37,8 @@ from ..mining.edges import (
 from ..perf.counters import COUNTERS
 
 # Edge triples are recomputed for the same pattern graph at every level it
-# is carried to, in every merge round and in every prune-set check; the
-# version-stamped weak cache makes each graph pay once per mutation.
+# is carried to and in every merge round; the version-stamped weak cache
+# makes each graph pay once per mutation.
 _TRIPLES_CACHE: "weakref.WeakKeyDictionary[LabeledGraph, tuple]"
 _TRIPLES_CACHE = weakref.WeakKeyDictionary()
 
@@ -70,7 +70,7 @@ class SupportCounter:
     :class:`~repro.perf.SupportCache` memoizes per-graph containment
     verdicts under the pattern's canonical key.  The cache is keyed by
     graph *instance*, so it pays only for an owner that re-tests the
-    same instances (incremental re-merges); over a store-backed
+    same instances (repeated mines of one database); over a store-backed
     dataset (``database.state_token() is not None``) decoded graphs
     are transient — an entry could never be found again and every
     probe would cost a row decode — so an attached cache is ignored.
@@ -251,10 +251,6 @@ class SupportCounter:
                     for gid in unresolved:
                         if gid not in undecided:
                             cache.put(key, database[gid], gid in hits)
-            if use_cache:
-                for gid in known_tids:
-                    if gid in database:
-                        cache.put(key, database[gid], True)
             return len(supporting), frozenset(supporting)
         flat_plan = (
             perf.get_flat_plan(pattern) if flat is not None and untested
@@ -289,13 +285,6 @@ class SupportCounter:
         if flat_searched:
             COUNTERS.inc("vf2_calls", flat_searched)
             COUNTERS.inc("flat_searches", flat_searched)
-        if use_cache:
-            # Child-level TIDs are sound positives at this level too (the
-            # piece embeds in the level graph); memoize them so ancestor
-            # levels sharing these instances skip the test entirely.
-            for gid in known_tids:
-                if gid in database:
-                    cache.put(key, database[gid], True)
         return len(supporting), frozenset(supporting)
 
 
@@ -332,6 +321,7 @@ def join_patterns(
     right: Iterable[Pattern],
     seen: set[PatternKey] | None = None,
     min_bound: int = 0,
+    touched: Mapping[int, frozenset[EdgeTriple]] | None = None,
 ) -> dict[PatternKey, tuple[LabeledGraph, frozenset[int]]]:
     """All ``(k+1)``-edge join candidates of two ``k``-edge pattern sets.
 
@@ -354,6 +344,15 @@ def join_patterns(
     when the inputs carry level-exact TIDs and every pattern of the
     level is present on some input side (merge_join guarantees both);
     the default 0 disables the prune.
+
+    ``touched`` is the incremental restriction (IncPartMiner): the caller
+    vouches that every cross pair was already joined at this level before
+    the update batch that changed the graphs ``touched`` — each candidate
+    is in ``seen`` or was infrequent then.  It maps each changed gid to
+    the label triples of its new or re-labelled edges: a candidate can
+    have gained an occurrence only in a changed graph that holds both
+    generators, through an edge whose triple one of them has, and pairs
+    without such a graph are skipped before any overlay.
     """
     seen = seen if seen is not None else set()
     left_list = list(left)
@@ -405,6 +404,17 @@ def join_patterns(
                     # so this pair cannot contribute one.
                     COUNTERS.inc("join_pairs_pruned")
                     continue
+                if touched is not None:
+                    triples = pattern_edge_triples(
+                        left_graphs[i]
+                    ) | pattern_edge_triples(right_graphs[j])
+                    if not any(
+                        touched[gid] & triples
+                        for gid in bound.intersection(touched)
+                    ):
+                        pair_bounds[(i, j)] = frozenset()
+                        COUNTERS.inc("join_pairs_untouched")
+                        continue
                 for candidate in overlay_candidates(
                     left_core,
                     right_core,

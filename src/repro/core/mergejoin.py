@@ -19,15 +19,20 @@ Implements the ``MergeJoin`` procedure of the paper's Fig 11:
 
 The function returns every pattern whose support in the level dataset meets
 the level threshold, with exact level TID lists.
+
+Given a :class:`MergeDelta` the same procedure runs as ``IncMergeJoin``
+(Fig 12), at a cost proportional to what an update batch changed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Mapping
 
 from .. import obs, perf
 from ..graph.database import GraphDatabase
 from ..mining.base import Pattern, PatternKey, PatternSet
+from ..mining.edges import EdgeTriple
 from ..obs import metrics as obs_metrics
 from ..perf.counters import COUNTERS
 from .join import (
@@ -60,10 +65,32 @@ class MergeJoinStats:
     support_cache_hits: int = 0
     support_cache_misses: int = 0
     rounds: int = 0
-    known_reused: int = 0
+    known_reused: int = 0  # old patterns recounted over the touched graphs only
+    recount_searches: int = 0  # searches those recounts entered
+    candidates_counted: int = 0  # candidates that reached a full count
     join_levels_skipped: int = 0  # levels the cs/0112007 bound proved hopeless
     join_pairs_pruned: int = 0  # generator pairs skipped by the TID bound
+    join_pairs_untouched: int = 0  # settled pairs the batch's graphs missed
     extras: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class MergeDelta:
+    """A node's state before an update batch, and what the batch changed.
+
+    ``previous`` is the node's result then (exact TID lists), ``left`` /
+    ``right`` the children's results it was merged from; ``touched`` maps
+    each gid whose piece at the node changed to the label triples of the
+    piece's new edges (added, re-labelled, or at a re-labelled vertex).
+    Every other graph is the graph it was, so every verdict about it
+    stands, and a pattern can have *gained* a touched graph only through
+    one of those edges.
+    """
+
+    previous: PatternSet
+    left: PatternSet
+    right: PatternSet
+    touched: Mapping[int, frozenset[EdgeTriple]]
 
 
 def merge_join(
@@ -74,8 +101,8 @@ def merge_join(
     strict_paper_joins: bool = False,
     max_size: int | None = None,
     stats: MergeJoinStats | None = None,
-    known: PatternSet | None = None,
     support_cache: object | None = None,
+    delta: MergeDelta | None = None,
 ) -> PatternSet:
     """Combine the frequent patterns of two sibling partitions.
 
@@ -93,19 +120,22 @@ def merge_join(
         combinations (loses some spanning patterns; see DESIGN.md).
     max_size:
         Optional bound on pattern size.
-    known:
-        Patterns already known to be frequent at this level from a previous
-        run whose frequency is unaffected by the current update batch
-        (IncPartMiner's pruned ``P(D)'``, paper Fig 12).  Carried patterns
-        and candidates whose canonical key appears here are accepted
-        without re-counting their support — this is ``IncMergeJoin``'s
-        "eliminate the generation of unchanged candidate graphs" saving.
     support_cache:
         Optional :class:`~repro.perf.SupportCache` of an owner that
-        re-tests the same graph instances (incremental re-merges):
-        per-graph containment verdicts are read and written under each
-        pattern's canonical key.  Ignored over a store-backed dataset,
-        whose decoded instances are transient.
+        re-tests the same graph instances (repeated mines): per-graph
+        containment verdicts are read and written under each pattern's
+        canonical key.  Ignored over a store-backed dataset, whose
+        decoded instances are transient.
+    delta:
+        The node's pre-update state (IncPartMiner).  A pattern of
+        ``delta.previous`` keeps its TIDs outside ``delta.touched`` and
+        is searched for inside it only, and a generator pair the node
+        had already joined is skipped unless a touched graph could have
+        lifted one of its candidates.  Everything new — patterns a
+        child did not carry before, pairs with a new generator — is
+        handled as in a fresh merge: the result is what a fresh merge
+        of the same inputs returns, plus the still-frequent patterns of
+        ``delta.previous`` a fresh merge no longer reaches.
 
     Returns
     -------
@@ -152,40 +182,78 @@ def merge_join(
     # pair's TID intersection, so inputs below threshold, pairs whose
     # intersection is below threshold, and whole levels where no
     # core-compatible pair can reach it are all provably fruitless.
-    # Applied only on fresh (non-incremental) merges with the
-    # acceleration layer on — `--no-accel` restores the paper-pure path.
-    use_bound = known is None and perf.enabled()
+    # Every input carries level-exact TIDs — counted here, or recounted
+    # over the touched graphs of an incremental merge — so the bound
+    # holds on both; `--no-accel` restores the paper-pure path.
+    use_bound = perf.enabled()
     # Under the same regime the batched scan kernel may stop a count
     # early once the pattern provably cannot reach the threshold: the
     # partial TID list that produces is only ever attached to patterns
     # the bound excludes from joins and from the result, and patterns
     # that DO reach the threshold always come back with exact TIDs.
     verify_minsup = threshold if use_bound else 0
+    touched = delta.touched if delta is not None else None
+    touched_gids = frozenset(touched or ())
+
+    def verify(key: PatternKey, graph, tids: frozenset[int]) -> Pattern:
+        """Level support of a pattern, seeded by TIDs known to hold it."""
+        old = delta.previous.get(key) if delta is not None else None
+        restrict = None
+        if old is not None:
+            # Delta recount: only a touched graph can have changed sides.
+            stats.known_reused += 1
+            tids, restrict = (old.tids - touched_gids) | tids, touched_gids
+        searches = counter.vf2_tests
+        support, tids = counter.count(
+            graph, tids, restrict=restrict, key=key, minsup=verify_minsup
+        )
+        if old is not None:
+            stats.recount_searches += counter.vf2_tests - searches
+        return Pattern(graph=graph, key=key, support=support, tids=tids)
 
     # Exact level support for every carried pattern, seeded by child TIDs.
-    # Patterns vouched for by `known` skip the count entirely.
     evaluated: dict[PatternKey, Pattern] = {}
+    # F holds the spanning patterns discovered at this level, by size.
+    new_frequent: dict[int, list[Pattern]] = {}
     with obs.span("merge.verify_carried", carried=len(carried)):
         for key, pattern in carried.items():
-            vouched = known.get(key) if known is not None else None
-            if vouched is not None:
-                stats.known_reused += 1
-                evaluated[key] = Pattern(
-                    graph=pattern.graph,
-                    key=key,
-                    support=vouched.support,
-                    tids=vouched.tids,
-                )
-            else:
-                support, tids = counter.count(
-                    pattern.graph, pattern.tids, key=key,
-                    minsup=verify_minsup,
-                )
-                evaluated[key] = Pattern(
-                    graph=pattern.graph, key=key, support=support, tids=tids
-                )
+            evaluated[key] = verify(key, pattern.graph, pattern.tids)
             if evaluated[key].support >= threshold:
                 result.add(evaluated[key])
+        if delta is not None:
+            # What this node found by joining (or a child has since
+            # lost) is not carried: recounted, it joins from F.
+            for old in delta.previous:
+                if old.size < 2 or old.key in evaluated:
+                    continue
+                if not pattern_edge_triples(old.graph) <= allowed_triples:
+                    continue
+                pattern = verify(old.key, old.graph, frozenset())
+                evaluated[old.key] = pattern
+                if pattern.support >= threshold:
+                    result.add(pattern)
+                    new_frequent.setdefault(old.size, []).append(pattern)
+
+    # A pattern is *settled* when it was a join input of this node before
+    # the batch in the role it has now: two settled inputs of one join
+    # combination were joined then, every candidate of theirs decided.
+    settled = set() if delta is None else {
+        key
+        for key in evaluated
+        if key in delta.previous
+        and (key in delta.left) == (0 in sides.get(key, ()))
+        and (key in delta.right) == (1 in sides.get(key, ()))
+    }
+
+    def join_parts(a: list[Pattern], b: list[Pattern]) -> list[tuple]:
+        """``(left, right, touched-or-None)`` calls covering ``a x b``."""
+        if delta is None:
+            return [(a, b, None)]
+        a_old = [p for p in a if p.key in settled]
+        a_new = [p for p in a if p.key not in settled]
+        b_old = [p for p in b if p.key in settled]
+        b_new = [p for p in b if p.key not in settled]
+        return [(a_old, b_old, touched), (a_new, b, None), (a_old, b_new, None)]
 
     def side_patterns(side_index: int, size: int) -> list[Pattern]:
         return [
@@ -236,9 +304,7 @@ def merge_join(
                     return False
         return True
 
-    # Level-wise join loop (Fig 11 lines 4-14).  F holds the spanning
-    # patterns discovered at this level, by size.
-    new_frequent: dict[int, list[Pattern]] = {}
+    # Level-wise join loop (Fig 11 lines 4-14).
     max_carried = max((p.size for p in carried.values()), default=1)
     size = 2
     while True:
@@ -284,42 +350,36 @@ def merge_join(
             candidates: dict[PatternKey, tuple] = {}
             min_bound = threshold if use_bound else 0
             pruned_before = COUNTERS.join_pairs_pruned
+            untouched_before = COUNTERS.join_pairs_untouched
             for a, b in join_inputs:
-                joined = join_patterns(a, b, seen, min_bound=min_bound)
-                for key, (graph, bound) in joined.items():
-                    # First-found bound kept: every generating pair's TID
-                    # intersection is a sound support bound on its own.
-                    candidates.setdefault(key, (graph, bound))
+                for a_part, b_part, within in join_parts(a, b):
+                    joined = join_patterns(
+                        a_part, b_part, seen,
+                        min_bound=min_bound, touched=within,
+                    )
+                    for key, (graph, bound) in joined.items():
+                        # First-found bound kept: every generating pair's
+                        # TID intersection is a sound support bound on
+                        # its own.
+                        candidates.setdefault(key, (graph, bound))
             stats.join_pairs_pruned += (
                 COUNTERS.join_pairs_pruned - pruned_before
+            )
+            stats.join_pairs_untouched += (
+                COUNTERS.join_pairs_untouched - untouched_before
             )
 
             stats.rounds += 1
             stats.candidates_generated += len(candidates)
             frequent_before = stats.candidates_frequent
             for key, (graph, bound) in candidates.items():
-                vouched = known.get(key) if known is not None else None
-                if vouched is not None:
-                    stats.known_reused += 1
-                    pattern = Pattern(
-                        graph=graph,
-                        key=key,
-                        support=vouched.support,
-                        tids=vouched.tids,
-                    )
-                    evaluated[key] = pattern
-                    if pattern.support >= threshold:
-                        stats.candidates_frequent += 1
-                        new_frequent.setdefault(size + 1, []).append(pattern)
-                        result.add(pattern)
-                    continue
+                evaluated[key] = Pattern(graph, key, 0, frozenset())
                 if len(bound) < threshold:
                     # The TID bound already caps the support below threshold.
-                    evaluated[key] = Pattern(graph, key, 0, frozenset())
                     continue
                 if not pattern_edge_triples(graph) <= allowed_triples:
-                    evaluated[key] = Pattern(graph, key, 0, frozenset())
                     continue
+                stats.candidates_counted += 1
                 support, tids = counter.count(
                     graph, restrict=bound, key=key, minsup=verify_minsup
                 )

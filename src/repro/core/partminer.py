@@ -164,9 +164,7 @@ class PartMiner:
         coordinator policy (takes precedence over ``shards``).
     support_cache:
         A :class:`~repro.perf.SupportCache` handed to every merge-join of
-        the run, for an owner that re-tests the same graph instances
-        across runs (what
-        :class:`~repro.core.incremental.IncrementalPartMiner` does).
+        the run, for an owner that mines the same graph instances again.
         ``None`` (the default) mines without one: the level datasets of
         one partition tree never share a graph instance, so a cache
         private to a single :meth:`mine` call could never hit.

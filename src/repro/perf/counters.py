@@ -57,8 +57,10 @@ class PerfCounters:
     flat_plan_compiles: int = 0  # flat pattern plans built
     flat_db_compiles: int = 0  # databases compiled to flat arrays
     flat_db_hits: int = 0  # flat databases served from cache
+    flat_graph_recompiles: int = 0  # stale graphs recompiled into a cached db
     join_levels_skipped: int = 0  # merge-join levels skipped by the bound
     join_pairs_pruned: int = 0  # generator pairs skipped by the bound
+    join_pairs_untouched: int = 0  # settled pairs an update batch missed
     shm_publishes: int = 0  # flat databases published to shared memory
     shm_attaches: int = 0  # shared-memory segments mapped
 

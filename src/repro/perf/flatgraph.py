@@ -25,7 +25,8 @@ flat graph in the process, across merge levels and update batches.
 :class:`FlatDB` is the per-database bundle, weakly cached on the
 :class:`~repro.graph.database.GraphDatabase` instance and validated
 against each member graph's ``version`` counter — mutated or replaced
-graphs trigger recompilation, exactly like the fingerprint cache.
+graphs are recompiled (alone: every still-current graph's arrays are
+carried into the refreshed FlatDB), exactly like the fingerprint cache.
 
 Shared memory
 -------------
@@ -259,6 +260,28 @@ class FlatGraph:
         return self.indptr[v + 1] - self.indptr[v]
 
 
+def _edge_triples(flat: FlatGraph, oriented: dict) -> set:
+    """The edge label triples of one compiled graph, smaller vertex label
+    first; ``oriented`` memoizes id triple -> label triple across calls."""
+    labels = INTERNER.labels
+    vlab, indptr = flat.vlab, flat.indptr
+    nbr, elab = flat.nbr, flat.elab
+    triples = set()
+    for v in range(flat.n):
+        lv = vlab[v]
+        for k in range(indptr[v], indptr[v + 1]):
+            if v < nbr[k]:  # each edge once, from its lower end
+                ids = (lv, elab[k], vlab[nbr[k]])
+                triple = oriented.get(ids)
+                if triple is None:
+                    lu, le, lw = (labels[i] for i in ids)
+                    if (lw, lu) < (lu, lw):
+                        lu, lw = lw, lu
+                    triple = oriented[ids] = (lu, le, lw)
+                triples.add(triple)
+    return triples
+
+
 # ----------------------------------------------------------------------
 # One compiled database
 # ----------------------------------------------------------------------
@@ -338,8 +361,10 @@ class FlatDB:
         COUNTERS.inc("flat_db_compiles")
         return cls(gids, flats, stamps)
 
-    def valid_for(self, database: GraphDatabase) -> bool:
-        """True while every compiled graph is still the database's graph.
+    def stale_gids(self, database: GraphDatabase) -> list[int] | None:
+        """Gids whose compiled graph is no longer the database's graph;
+        ``None`` when only a full compile will do (no stamps or a mapped
+        segment, a different gid set, a moved state token).
 
         Reads the database's gid map directly — this runs once per
         :func:`count_support` call, so the per-stamp cost (one dict get,
@@ -349,21 +374,55 @@ class FlatDB:
         """
         stamps = self._stamps
         if stamps is None:
-            return False
+            return None
         if type(stamps) is tuple and stamps[0] == "token":
             if not hasattr(database, "state_token"):
-                return False
-            return database.state_token() == stamps[1]
+                return None
+            return [] if database.state_token() == stamps[1] else None
         graphs = database._graphs
         if len(stamps) != len(graphs):
-            return False
+            return None
+        stale = []
         for gid, ref, version in stamps:
             graph = graphs.get(gid)
-            if graph is None or ref() is not graph:
-                return False
-            if graph.version != version:
-                return False
-        return True
+            if graph is None:
+                return None
+            if ref() is not graph or graph.version != version:
+                stale.append(gid)
+        if stale and self._segment is not None:
+            return None  # views into a mapped segment are not carried over
+        return stale
+
+    def valid_for(self, database: GraphDatabase) -> bool:
+        """True while every compiled graph is still the database's graph."""
+        return self.stale_gids(database) == []
+
+    def refreshed(self, database: GraphDatabase, stale: list[int]) -> "FlatDB":
+        """This compilation with the ``stale`` graphs recompiled; the rest
+        is shared with ``self``, so replacing |U| graphs of a dataset costs
+        |U| graph compiles and a triple-index patch, not a pass over it."""
+        flats = dict(self.flats)
+        fresh = {gid: FlatGraph.from_labeled(database[gid]) for gid in stale}
+        flats.update(fresh)
+        stamps = [
+            (gid, weakref.ref(database[gid]), database[gid].version)
+            if gid in fresh else (gid, ref, version)
+            for gid, ref, version in self._stamps
+        ]
+        COUNTERS.inc("flat_graph_recompiles", len(stale))
+        flat = FlatDB(self.gids, flats, stamps)
+        if self._triple_index is not None:
+            # Copy-on-write: untouched triples keep sharing their gid sets.
+            index = dict(self._triple_index)
+            oriented: dict = {}
+            for gid, graph in fresh.items():
+                for triple in _edge_triples(self.flats[gid], oriented):
+                    index[triple] = index[triple] - {gid}
+                for triple in _edge_triples(graph, oriented):
+                    index[triple] = index.get(triple, set()) | {gid}
+            index = {triple: gids for triple, gids in index.items() if gids}
+            flat._triple_index = index
+        return flat
 
     def get(self, gid: int) -> FlatGraph | None:
         return self.flats.get(gid)
@@ -382,25 +441,9 @@ class FlatDB:
         if index is not None:
             return index
         index = {}
-        labels = INTERNER.labels
-        oriented: dict[tuple[int, int, int], tuple] = {}
+        oriented: dict = {}
         for gid in self.gids:
-            flat = self.flats[gid]
-            vlab, indptr = flat.vlab, flat.indptr
-            nbr, elab = flat.nbr, flat.elab
-            seen = set()
-            for v in range(flat.n):
-                lv = vlab[v]
-                for k in range(indptr[v], indptr[v + 1]):
-                    if v < nbr[k]:  # each edge once, from its lower end
-                        seen.add((lv, elab[k], vlab[nbr[k]]))
-            for ids in seen:
-                triple = oriented.get(ids)
-                if triple is None:
-                    lu, le, lw = (labels[i] for i in ids)
-                    if (lw, lu) < (lu, lw):
-                        lu, lw = lw, lu
-                    triple = oriented[ids] = (lu, le, lw)
+            for triple in _edge_triples(self.flats[gid], oriented):
                 index.setdefault(triple, set()).add(gid)
         self._triple_index = index
         return index
@@ -572,10 +615,14 @@ _FLAT_DBS = weakref.WeakKeyDictionary()
 def get_flat_db(database: GraphDatabase) -> FlatDB:
     """The (cached) flat compilation of ``database`` at current versions."""
     flat = _FLAT_DBS.get(database)
-    if flat is not None and flat.valid_for(database):
+    stale = flat.stale_gids(database) if flat is not None else None
+    if stale is None:
+        flat = FlatDB.compile(database)
+    elif stale:
+        flat = flat.refreshed(database, stale)
+    else:
         COUNTERS.inc("flat_db_hits")
         return flat
-    flat = FlatDB.compile(database)
     _FLAT_DBS[database] = flat
     return flat
 

@@ -274,42 +274,76 @@ class TestBoundPruningSoundness:
         walk(tree.root)
         return nodes
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_skipped_levels_contain_no_frequent_patterns(self, seed):
+    @staticmethod
+    def replay_skipped_levels(merge_stats, nodes, context):
+        """``(levels, candidates)`` replayed; asserts none is frequent."""
         from repro.core.join import join_patterns
         from repro.graph.isomorphism import count_support
 
+        levels = replayed = 0
+        for node_key, stats in merge_stats.items():
+            dataset = nodes[node_key].database
+            for record in stats.extras.get("skipped_join_levels", []):
+                levels += 1
+                # Re-generate the level's candidates with the bound
+                # off (min_bound=0, empty seen: *every* candidate).
+                candidates = {}
+                for a, b in record["inputs"]:
+                    for key, (graph, _bound) in join_patterns(
+                        a, b, set()
+                    ).items():
+                        candidates.setdefault(key, graph)
+                for key, graph in candidates.items():
+                    support, _tids = count_support(graph, dataset, key=key)
+                    assert support < record["threshold"], (
+                        f"{context} node={node_key} "
+                        f"size={record['size']}: skipped level hides a "
+                        f"frequent pattern {key}"
+                    )
+                    replayed += 1
+        return levels, replayed
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_skipped_levels_contain_no_frequent_patterns(self, seed):
         db = small_db(seed)
-        replayed_levels = replayed_candidates = 0
+        replayed_levels = 0
         for threshold in (2, 3):
             result = PartMiner(k=2, unit_support="exact").mine(
                 db, threshold
             )
-            nodes = self.tree_nodes(result.tree)
-            for node_key, stats in result.merge_stats.items():
-                dataset = nodes[node_key].database
-                for record in stats.extras.get("skipped_join_levels", []):
-                    replayed_levels += 1
-                    # Re-generate the level's candidates with the bound
-                    # off (min_bound=0, empty seen: *every* candidate).
-                    candidates = {}
-                    for a, b in record["inputs"]:
-                        for key, (graph, _bound) in join_patterns(
-                            a, b, set()
-                        ).items():
-                            candidates.setdefault(key, graph)
-                    for key, graph in candidates.items():
-                        support, _tids = count_support(
-                            graph, dataset, key=key
-                        )
-                        assert support < record["threshold"], (
-                            f"seed={seed} sup={threshold} node={node_key} "
-                            f"size={record['size']}: skipped level hides a "
-                            f"frequent pattern {key}"
-                        )
-                        replayed_candidates += 1
+            levels, _ = self.replay_skipped_levels(
+                result.merge_stats,
+                self.tree_nodes(result.tree),
+                f"seed={seed} sup={threshold}",
+            )
+            replayed_levels += levels
         # The test must not pass vacuously: these workloads are known to
         # trigger skips (and most skipped levels still join candidates).
+        assert replayed_levels > 0
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_incremental_merges_skip_no_frequent_patterns_either(self, seed):
+        """The bound runs on incremental merges too (every input carries
+        exact, delta-recounted TIDs): same replay, against each node's
+        dataset as the batch left it."""
+        from repro.core.incremental import IncrementalPartMiner
+        from repro.updates.generator import UpdateGenerator
+
+        inc = IncrementalPartMiner(k=2, unit_support="exact")
+        inc.initial_mine(small_db(seed), 2)
+        nodes = self.tree_nodes(inc._result.tree)
+        generator = UpdateGenerator(3, 2, seed=seed)
+        replayed_levels = 0
+        for batch in range(3):
+            updates = generator.generate(
+                inc.database, inc.ufreq, 0.4, 2, "mixed"
+            )
+            stats = inc.apply_updates(updates).stats
+            assert stats.merge_stats, "the batch re-merged no node"
+            levels, _ = self.replay_skipped_levels(
+                stats.merge_stats, nodes, f"seed={seed} batch={batch}"
+            )
+            replayed_levels += levels
         assert replayed_levels > 0
 
     def test_pair_pruning_never_changes_the_answer(self):

@@ -44,7 +44,7 @@ class TestSparseGids:
     def test_incremental_with_sparse_gids(self):
         db = sparse_gid_database()
         inc = IncrementalPartMiner(
-            k=2, unit_support="exact", recheck_known=True
+            k=2, unit_support="exact"
         )
         inc.initial_mine(db, 3)
         result = inc.apply_updates([RelabelVertex(1003, 0, 9)])

@@ -3,9 +3,16 @@
 import pytest
 
 from repro.core.incremental import IncrementalPartMiner
+from repro.core.partminer import PartMiner
 from repro.mining.gspan import GSpanMiner
 from repro.updates.generator import UpdateGenerator
-from repro.updates.model import AddEdge, RelabelVertex
+from repro.updates.model import (
+    AddEdge,
+    AddVertex,
+    RelabelEdge,
+    RelabelVertex,
+    apply_update,
+)
 from repro.updates.tracker import hot_vertex_assignment
 
 from .conftest import random_database
@@ -47,7 +54,7 @@ class TestExactIncrementalEquality:
     @pytest.mark.parametrize("kind", ["relabel", "structural", "mixed"])
     def test_single_batch(self, kind):
         db = random_database(seed=602, num_graphs=10, n=6)
-        inc = build(db, k=2, unit_support="exact", recheck_known=True)
+        inc = build(db, k=2, unit_support="exact")
         gen = UpdateGenerator(3, 2, seed=5)
         updates = gen.generate(inc.database, inc.ufreq, 0.4, 2, kind)
         result = inc.apply_updates(updates)
@@ -58,7 +65,7 @@ class TestExactIncrementalEquality:
 
     def test_multiple_batches(self):
         db = random_database(seed=603, num_graphs=10, n=6)
-        inc = build(db, k=2, unit_support="exact", recheck_known=True)
+        inc = build(db, k=2, unit_support="exact")
         gen = UpdateGenerator(3, 2, seed=6)
         for _ in range(3):
             updates = gen.generate(inc.database, inc.ufreq, 0.3, 2, "mixed")
@@ -69,7 +76,7 @@ class TestExactIncrementalEquality:
     @pytest.mark.parametrize("k", [3, 4])
     def test_other_unit_counts(self, k):
         db = random_database(seed=604, num_graphs=10, n=6)
-        inc = build(db, k=k, unit_support="exact", recheck_known=True)
+        inc = build(db, k=k, unit_support="exact")
         gen = UpdateGenerator(3, 2, seed=7)
         updates = gen.generate(inc.database, inc.ufreq, 0.4, 2, "mixed")
         result = inc.apply_updates(updates)
@@ -80,7 +87,7 @@ class TestExactIncrementalEquality:
 class TestClassification:
     def test_uf_fi_if_partition_the_pattern_space(self):
         db = random_database(seed=605, num_graphs=10, n=6)
-        inc = build(db, k=2, unit_support="exact", recheck_known=True)
+        inc = build(db, k=2, unit_support="exact")
         old_keys = inc.current_patterns.keys()
         gen = UpdateGenerator(3, 2, seed=8)
         updates = gen.generate(inc.database, inc.ufreq, 0.5, 2, "mixed")
@@ -98,8 +105,7 @@ class TestClassification:
         """Relabeling a vertex label everywhere kills its patterns."""
         db = random_database(seed=606, num_graphs=8, n=6,
                              num_vertex_labels=2)
-        inc = build(db, sup=2, k=2, unit_support="exact",
-                    recheck_known=True)
+        inc = build(db, sup=2, k=2, unit_support="exact")
         updates = []
         for gid, graph in inc.database:
             for v in range(graph.num_vertices):
@@ -114,10 +120,7 @@ class TestClassification:
     def test_added_edges_create_if(self):
         """Adding the same edge to every graph creates new patterns."""
         db = random_database(seed=607, num_graphs=8, n=5)
-        inc = build(db, sup=8, k=2, unit_support="exact",
-                    recheck_known=True)
-        from repro.updates.model import AddVertex
-
+        inc = build(db, sup=8, k=2, unit_support="exact")
         updates = []
         for gid, graph in inc.database:
             # Relabel vertex 0 uniformly, then attach a fresh vertex labeled
@@ -173,12 +176,155 @@ class TestIncrementalStats:
 
 class TestPaperHeuristicQuality:
     def test_paper_mode_recall(self):
+        """At the paper's reduced unit threshold every emitted support is
+        exact and nothing a from-scratch PartMiner finds is missing."""
         db = random_database(seed=612, num_graphs=12, n=6)
         inc = build(db, k=2, unit_support="paper")
         gen = UpdateGenerator(3, 2, seed=11)
+        for _ in range(3):
+            updates = gen.generate(inc.database, inc.ufreq, 0.4, 2, "mixed")
+            result = inc.apply_updates(updates)
+            truth = GSpanMiner().mine(inc.database, 3)
+            for p in result.patterns:
+                assert p.tids == truth.get(p.key).tids
+            scratch = PartMiner(k=2).mine(
+                inc.database.copy(deep=True), 3, ufreq=inc.ufreq
+            )
+            assert result.patterns.keys() >= scratch.patterns.keys()
+
+
+def snapshot(inc):
+    """Everything a batch may change, as comparable values."""
+    result = inc._result
+
+    def graphs(database):
+        return {
+            gid: (g.vertex_labels(), sorted(g.edges()))
+            for gid, g in database
+        }
+
+    return {
+        "database": graphs(inc.database),
+        "ufreq": dict(inc.ufreq),
+        "patterns": {p.key: p.tids for p in inc.current_patterns},
+        "pieces": [
+            (graphs(node.database), dict(node.ufreq),
+             dict(node.orig_vertices), dict(node.connective_edges))
+            for node in result.tree.nodes()
+        ],
+        "units": [{p.key: p.tids for p in unit} for unit in result.unit_results],
+        "nodes": {
+            key: {p.key: p.tids for p in found}
+            for key, found in result.node_results.items()
+        },
+    }
+
+
+class TestFailedBatch:
+    """A batch that cannot be applied must not corrupt the miner."""
+
+    def test_invalid_last_update_changes_nothing(self):
+        db = random_database(seed=613, num_graphs=8, n=6)
+        inc = build(db, k=4, unit_support="exact", max_size=4)
+        first, second = inc.database.gids()[:2]
+        before = snapshot(inc)
+        batch = [
+            RelabelVertex(first, 0, 2),
+            RelabelVertex(second, 1, 2),
+            # Adds the vertex, then fails on the edge to a missing one.
+            AddVertex(first, 1, 99, 0),
+        ]
+        with pytest.raises((KeyError, ValueError)):
+            inc.apply_updates(batch)
+        assert snapshot(inc) == before
+        # The same updates minus the bad one go through afterwards, and
+        # the session is still exact.
+        result = inc.apply_updates(batch[:-1])
+        truth = GSpanMiner(max_size=4).mine(inc.database, 3)
+        assert {p.key: p.tids for p in result.patterns} == {
+            p.key: p.tids for p in truth
+        }
+
+    @pytest.mark.parametrize(
+        "bad",
+        [RelabelVertex(0, 99, 1), RelabelEdge(0, 0, 99, 1),
+         AddEdge(0, 0, 0, 1), RelabelVertex(12345, 0, 1)],
+    )
+    def test_each_update_type_error_is_the_models_own(self, bad):
+        db = random_database(seed=614, num_graphs=6, n=5)
+        inc = build(db, k=2)
+        before = snapshot(inc)
+        with pytest.raises(Exception) as raised:
+            inc.apply_updates([RelabelVertex(1, 0, 2), bad])
+        with pytest.raises(type(raised.value)):
+            apply_update(db.copy(deep=True), bad)
+        assert snapshot(inc) == before
+
+
+class TestRunFacts:
+    def test_committed_state_reports_the_batch_not_the_initial_mine(self):
+        db = random_database(seed=615, num_graphs=10, n=6)
+        inc = build(db, k=4)
+        initial = inc._result
+        result = inc.apply_updates([RelabelVertex(inc.database.gids()[0], 0, 2)])
+        state, stats = inc._result, result.stats
+        assert state.merge_stats is stats.merge_stats
+        assert state.merge_times is stats.merge_times
+        assert state.merge_stats.keys() <= initial.merge_stats.keys()
+        for key, merged in state.merge_stats.items():
+            assert merged is not initial.merge_stats[key]
+        remined = [t for t in state.unit_times if t > 0]
+        assert len(remined) == stats.units_remined
+        assert sorted(remined) == sorted(stats.remine_times)
+        assert state.partition_time == stats.repartition_time
+        assert stats.known_reused == sum(
+            s.known_reused for s in stats.merge_stats.values()
+        )
+
+    def test_one_partitioner_for_the_session(self):
+        inc = IncrementalPartMiner(k=4)
+        partitioner = inc.partitioner
+        assert partitioner is not None
+        db = random_database(seed=616, num_graphs=6, n=6)
+        inc.initial_mine(db, 3)
+        inc.apply_updates([RelabelVertex(0, 0, 2), RelabelVertex(1, 0, 2)])
+        assert inc.partitioner is partitioner
+
+
+class TestBatchTrace:
+    """One batch, one span tree that says what it cost and why."""
+
+    def test_merge_spans_attribute_the_work(self):
+        from repro.obs import trace as obs_trace
+        from repro.obs.summarize import build_tree
+
+        db = random_database(seed=617, num_graphs=10, n=6)
+        inc = build(db, k=4)
+        gen = UpdateGenerator(3, 2, seed=12)
         updates = gen.generate(inc.database, inc.ufreq, 0.4, 2, "mixed")
-        result = inc.apply_updates(updates)
-        truth = GSpanMiner().mine(inc.database, 3)
-        got = result.patterns.keys()
-        recall = len(got & truth.keys()) / max(1, len(truth))
-        assert recall >= 0.9
+        tracer = obs_trace.Tracer()
+        with obs_trace.tracing(tracer):
+            result = inc.apply_updates(updates)
+        spans = tracer.spans()
+        roots, orphans = build_tree(spans)
+        assert [r["name"] for r in roots] == ["inc.apply_updates"]
+        assert not orphans
+        names = {s["name"] for s in spans}
+        assert {"inc.repartition", "inc.remine", "inc.merge",
+                "inc.classify"} <= names
+        wanted = {"recounted", "recount_searches", "fi",
+                  "pairs_skipped_untouched", "candidates_counted", "if_"}
+        (merge,) = [s for s in spans if s["name"] == "inc.merge"]
+        levels = [s for s in spans if s["name"] == "merge.level"]
+        assert len(levels) == merge["attrs"]["nodes"] == len(
+            result.stats.merge_stats
+        )
+        for attr in wanted:
+            assert merge["attrs"][attr] == sum(
+                s["attrs"][attr] for s in levels
+            )
+        assert merge["attrs"]["recounted"] == result.stats.known_reused > 0
+        # The root node's FI/IF are the batch's.
+        (root,) = [s for s in levels if s["attrs"]["level"] == 0]
+        assert root["attrs"]["fi"] == len(result.became_infrequent)
+        assert root["attrs"]["if_"] == len(result.became_frequent)

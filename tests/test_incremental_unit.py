@@ -102,7 +102,6 @@ class TestIntegrationWithIncPartMiner:
             inc = IncrementalPartMiner(
                 k=2,
                 unit_support="exact",
-                recheck_known=True,
                 unit_remine=mode,
             )
             inc.initial_mine(db, 3, ufreq=ufreq)
@@ -125,7 +124,6 @@ class TestIntegrationWithIncPartMiner:
         inc = IncrementalPartMiner(
             k=2,
             unit_support="exact",
-            recheck_known=True,
             unit_remine="selective",
         )
         inc.initial_mine(db, 3, ufreq=ufreq)

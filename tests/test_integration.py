@@ -68,7 +68,7 @@ class TestDynamicPipeline:
         """
         ufreq = hot_vertex_assignment(synthetic_db, 0.2, seed=3)
         inc = IncrementalPartMiner(
-            k=2, unit_support="exact", recheck_known=True, max_size=4
+            k=2, unit_support="exact", max_size=4
         )
         inc.initial_mine(synthetic_db, 0.25, ufreq=ufreq)
         gen = UpdateGenerator(8, 8, seed=4)
@@ -110,7 +110,7 @@ class TestClassificationConsistency:
     def test_uf_fi_if_relative_to_exact_sets(self, synthetic_db):
         ufreq = hot_vertex_assignment(synthetic_db, 0.2, seed=7)
         inc = IncrementalPartMiner(
-            k=2, unit_support="exact", recheck_known=True, max_size=3
+            k=2, unit_support="exact", max_size=3
         )
         initial = inc.initial_mine(synthetic_db, 0.25, ufreq=ufreq)
         old_keys = initial.patterns.keys()
@@ -133,7 +133,7 @@ class TestStreamedEpochs:
 
         ufreq = hot_vertex_assignment(synthetic_db, 0.2, seed=11)
         miner = IncrementalPartMiner(
-            k=2, unit_support="exact", recheck_known=True, max_size=3
+            k=2, unit_support="exact", max_size=3
         )
         miner.initial_mine(synthetic_db, 0.25, ufreq=ufreq)
         stream = UpdateStream(
@@ -156,7 +156,6 @@ class TestStreamedEpochs:
         miner = IncrementalPartMiner(
             k=4,
             unit_support="exact",
-            recheck_known=True,
             unit_remine="selective",
             max_size=3,
         )

@@ -2,7 +2,7 @@
 
 import random
 
-from repro.core.mergejoin import MergeJoinStats, merge_join
+from repro.core.mergejoin import MergeDelta, MergeJoinStats, merge_join
 from repro.graph.database import GraphDatabase
 from repro.mining.base import PatternSet
 from repro.mining.bruteforce import BruteForceMiner
@@ -64,27 +64,77 @@ class TestStrictPaperJoins:
         assert strict.keys() <= full.keys()
 
 
-class TestKnownVouching:
-    def test_known_patterns_skip_counting(self):
+class TestDeltaRecount:
+    """``merge_join(delta=...)``: the incremental path (paper Fig 12)."""
+
+    @staticmethod
+    def relabel_one_graph(db, gid):
+        """The database with one graph re-labelled, and what that touched."""
+        from repro.core.join import pattern_edge_triples
+
+        after = db.copy(deep=True)
+        graph = after[gid]
+        graph.set_vertex_label(0, 7)
+        for u, v, label in list(graph.edges())[:1]:
+            graph.set_edge_label(u, v, 5)
+        # Over-approximating the gained edges is sound: every triple.
+        return after, {gid: pattern_edge_triples(graph)}
+
+    def test_recount_searches_touched_graphs_only(self):
         db = random_database(seed=303, num_graphs=8, n=6)
+        tree = db_partition(db, 2)
+        left, right = mine_units_exact(tree)
+        baseline = merge_join(db, left, right, 2)
+        after, touched = self.relabel_one_graph(db, 3)
+        tree = db_partition(after, 2)
+        new_left, new_right = mine_units_exact(tree)
+        stats = MergeJoinStats()
+        again = merge_join(
+            after, new_left, new_right, 2, stats=stats,
+            delta=MergeDelta(baseline, left, right, touched),
+        )
+        fresh_stats = MergeJoinStats()
+        fresh = merge_join(after, new_left, new_right, 2, stats=fresh_stats)
+        assert again.keys() == fresh.keys()
+        assert stats.known_reused > 0
+        # One touched graph: a recount enters at most one search per
+        # old pattern, and the whole merge far fewer than a fresh one.
+        assert stats.recount_searches <= stats.known_reused
+        assert stats.vf2_tests < fresh_stats.vf2_tests
+
+    def test_recounted_supports_exact(self):
+        db = random_database(seed=304, num_graphs=6, n=5)
+        tree = db_partition(db, 2)
+        left, right = mine_units_exact(tree)
+        baseline = merge_join(db, left, right, 2)
+        after, touched = self.relabel_one_graph(db, 2)
+        tree = db_partition(after, 2)
+        new_left, new_right = mine_units_exact(tree)
+        again = merge_join(
+            after, new_left, new_right, 2,
+            delta=MergeDelta(baseline, left, right, touched),
+        )
+        want = GSpanMiner().mine(after, 2)
+        assert again.keys() == want.keys()
+        for p in again:
+            assert p.tids == want.get(p.key).tids
+
+    def test_untouched_delta_changes_nothing(self):
+        db = random_database(seed=309, num_graphs=6, n=5)
         tree = db_partition(db, 2)
         left, right = mine_units_exact(tree)
         baseline = merge_join(db, left, right, 2)
         stats = MergeJoinStats()
         again = merge_join(
-            db, left, right, 2, stats=stats, known=baseline
+            db, left, right, 2, stats=stats,
+            delta=MergeDelta(baseline, left, right, {}),
         )
-        assert again.keys() == baseline.keys()
+        assert {p.key: p.tids for p in again} == {
+            p.key: p.tids for p in baseline
+        }
         assert stats.known_reused > 0
-
-    def test_vouched_supports_copied(self):
-        db = random_database(seed=304, num_graphs=6, n=5)
-        tree = db_partition(db, 2)
-        left, right = mine_units_exact(tree)
-        baseline = merge_join(db, left, right, 2)
-        again = merge_join(db, left, right, 2, known=baseline)
-        for p in again:
-            assert p.tids == baseline.get(p.key).tids
+        assert stats.recount_searches == 0
+        assert stats.candidates_generated == 0
 
 
 class TestBehaviour:

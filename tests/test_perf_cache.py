@@ -120,13 +120,13 @@ class TestCrossRunReuse:
     def test_incremental_reuse_stays_correct_after_updates(
         self, db, seed, batches
     ):
-        """The long-lived cache never corrupts an incremental session.
+        """The acceleration layer never corrupts an incremental session.
 
-        The accelerated session shares one cache across the initial mine
-        and every re-merge; the baseline session runs with the layer
-        disabled.  After every batch — whose in-place mutations bump graph
-        versions and whose re-partitions replace piece instances — the
-        pattern sets must match exactly.
+        The accelerated session carries its flat compilations across
+        batches (only replaced graphs are recompiled); the baseline
+        session runs with the layer disabled.  After every batch — whose
+        swapped-in graphs and re-partitions replace piece instances —
+        the pattern sets must match exactly.
         """
         accel = IncrementalPartMiner(k=2, max_size=4)
         accel.initial_mine(db, 2)
@@ -155,8 +155,8 @@ class TestCrossRunReuse:
             + [path_graph([0, 2, 2]) for _ in range(3)]
         )
         cache = perf.SupportCache()
-        miner = IncrementalPartMiner(k=2, support_cache=cache)
-        result = miner.initial_mine(db, 2)
+        miner = PartMiner(k=2, support_cache=cache)
+        result = miner.mine(db, 2)
         assert miner.support_cache is cache
         assert result.support_cache is cache
         assert cache.stores > 0
@@ -190,7 +190,7 @@ class TestCrossRunReuse:
 
 
 # ----------------------------------------------------------------------
-# Who owns a cache: incremental sessions yes, one static mine no
+# Who owns a cache: whoever passes one in — no miner creates its own
 # ----------------------------------------------------------------------
 class TestCacheOwnership:
     def database(self):
@@ -208,18 +208,18 @@ class TestCacheOwnership:
         assert work.support_cache_misses == 0
         assert work.support_cache_stores == 0
 
-    def test_incremental_miner_creates_shares_and_reports_its_cache(self):
+    def test_incremental_miner_owns_no_cache(self):
+        """Delta counting re-tests only replaced graphs, whose verdicts a
+        version-keyed cache could never serve: the session keeps none."""
+        before = perf.snapshot()
         miner = IncrementalPartMiner(k=2)
         result = miner.initial_mine(self.database(), 2)
-        cache = miner.support_cache
-        assert result.support_cache is cache
-        assert cache.stores > 0
-        assert cache.hits == 0
-        # One graph changes; the re-merge re-tests the six untouched
-        # instances of the root dataset and finds their verdicts.
+        assert result.support_cache is None
         miner.apply_updates([RelabelVertex(gid=6, vertex=0, new_label=1)])
-        assert cache.hits > 0
-        assert miner.support_cache is cache
+        work = perf.delta_since(before)
+        assert work.support_cache_hits == 0
+        assert work.support_cache_misses == 0
+        assert work.support_cache_stores == 0
 
 
 class TestTripleIndex:
