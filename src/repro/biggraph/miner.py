@@ -30,6 +30,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .. import obs
 from ..core.partminer import PartMiner, PartMinerResult
 from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import Label, LabeledGraph
@@ -56,16 +57,24 @@ class BigGraphResult:
     extract_time: float = 0.0
     mine_time: float = 0.0
     verify_time: float = 0.0
+    #: Emitted patterns of radius > ``radius``: under MNI their support
+    #: is a lower bound (DESIGN.md §16), never an unmarked number.
+    lower_bound_patterns: int = 0
+    pivot_labels: frozenset[Label] | None = None
 
     def meta(self) -> dict:
         """Header metadata for canonical pattern dumps."""
-        return {
+        meta = {
             "workload": "biggraph",
             "radius": self.radius,
             "support_mode": self.support_mode,
             "threshold": self.threshold,
             "pivots": self.extraction.pivots,
+            "lower_bound_patterns": self.lower_bound_patterns,
         }
+        if self.pivot_labels is not None:
+            meta["pivot_labels"] = sorted(self.pivot_labels, key=repr)
+        return meta
 
 
 @dataclass
@@ -157,10 +166,12 @@ class BigGraphMiner:
             )
         extractor = self.extractor()
         t0 = time.perf_counter()
-        if self.backend is not None:
-            neighborhoods = extractor.extract_into(graph, self.backend)
-        else:
-            neighborhoods = extractor.extract(graph)
+        with obs.span("biggraph.extract", radius=self.radius) as span:
+            if self.backend is not None:
+                neighborhoods = extractor.extract_into(graph, self.backend)
+            else:
+                neighborhoods = extractor.extract(graph)
+            span.set_attrs(pivots=len(neighborhoods))
         extract_time = time.perf_counter() - t0
         stats = extractor.stats(neighborhoods)
 
@@ -174,14 +185,20 @@ class BigGraphMiner:
             coord=self._coord_config(),
         )
         t0 = time.perf_counter()
-        part_result = part.mine(neighborhoods, threshold)
+        with obs.span("biggraph.mine", k=self.k) as span:
+            part_result = part.mine(neighborhoods, threshold)
+            candidates = part_result.patterns
+            span.set_attrs(candidates=len(candidates))
         mine_time = time.perf_counter() - t0
-        candidates = part_result.patterns
 
         t0 = time.perf_counter()
+        lower_bound = 0
         if self.support_mode == "mni":
-            counter = MNISupport(graph, neighborhoods, self.radius)
-            patterns = counter.verify(candidates, threshold)
+            with obs.span("biggraph.mni_verify") as span:
+                counter = MNISupport(graph, neighborhoods, self.radius)
+                patterns = counter.verify(candidates, threshold)
+                span.set_attrs(**counter.stats)
+            lower_bound = counter.stats["lower_bound_patterns"]
         else:
             patterns = candidates
         verify_time = time.perf_counter() - t0
@@ -197,4 +214,6 @@ class BigGraphMiner:
             extract_time=extract_time,
             mine_time=mine_time,
             verify_time=verify_time,
+            lower_bound_patterns=lower_bound,
+            pivot_labels=extractor.pivot_labels,
         )

@@ -12,32 +12,46 @@ which is anti-monotone — deleting a pattern vertex can only grow the
 remaining image sets.
 
 This module computes MNI *through* the r-neighborhood decomposition
-(:mod:`repro.biggraph.extract`) in two phases:
+(:mod:`repro.biggraph.extract`): an embedding counts iff some unit
+contains it.  Units are *induced* subgraphs over the pivots' r-balls,
+so that is a predicate on the embedding's image — it lies inside
+``ball_r(p)`` for some pivot ``p``, i.e. ``∩ ball_r(x)`` over the image
+vertices ``x`` meets the pivot set.
 
-1. **Locate** — run the transactional support counter
-   (:func:`repro.graph.isomorphism.count_support` with ``need_tids``)
-   over the neighborhood database.  This goes through the acceleration
-   seam, so match plans, flat-array kernels and the batched scan kernel
-   all apply, and ``--no-accel`` / ``--no-flat`` / ``--no-batch`` fall
-   back exactly as they do for transactional mining.  The result is the
-   set of pivots whose neighborhoods contain the pattern at all.
-2. **Fold** — enumerate the embeddings inside each supporting
-   neighborhood with the reference enumerator and translate unit-local
-   vertices back to global ids via the deterministic
-   :func:`~repro.biggraph.extract.neighborhood_vertices` order.  Global
-   image sets deduplicate the same embedding discovered from several
-   overlapping neighborhoods for free.
+**Enumerate once, test visibility** (``perf.enabled()``, the default).
+The big graph is compiled to one :class:`~repro.perf.FlatGraph`; each
+pattern's canonical graph is enumerated *once* on it by
+:func:`repro.perf.flat_embeddings`, rooted at a centre vertex of the
+pattern, global vertex ids throughout.  The ball intersection (balls
+memoised per vertex) is carried along the descent, so a partial image
+no pivot can see is pruned with its subtree.  When every vertex is a
+pivot and ``pattern_radius(P) <= r`` the centre's image is such a pivot
+by construction and the test is skipped.  A caller's ``candidate_gids``
+(a sound superset of the supporting pivots) seeds the roots: the
+centre's image is a supporting pivot in the skipped case and lies in
+some candidate's ball otherwise.  The neighborhood database contributes
+only its gids; a store-backed one is never decoded.
+
+**Reference fold** (``perf.disabled()`` / ``--no-accel``).  *Locate*
+the pivots whose units contain the pattern with
+:func:`repro.graph.isomorphism.count_support`, then *fold*
+:func:`~repro.graph.isomorphism.find_embeddings` over each supporting
+unit, translating unit-local vertices to global ids via the
+deterministic :func:`~repro.biggraph.extract.neighborhood_vertices`
+order; the global image sets deduplicate an embedding seen from several
+units.  It shares no matching code with the kernel, which is what makes
+it the oracle (tests, the benchmark ladder's precision check).
 
 **Exactness.** With unrestricted pivots, every embedding of a pattern
 whose radius is ≤ r lies inside the neighborhood of the image of one of
-its center vertices, so the folded image sets are complete and the
-count *is* the graph's exact MNI.  For patterns of radius > r (possible
-when ``max_size`` allows them) the folded count is a deterministic
-**lower bound** — embeddings spanning more than r hops from every
-vertex are invisible to the decomposition.  DESIGN.md §16 discusses the
-caveat; the planted-recall CI job only plants radius ≤ r patterns.
+its center vertices, so the image sets are complete and the count *is*
+the graph's exact MNI.  For patterns of radius > r (possible when
+``max_size`` allows them) the count is a deterministic **lower bound**
+— embeddings spanning more than r hops from every vertex are invisible
+to the decomposition; :meth:`MNISupport.verify` counts the emitted
+patterns this applies to for the dump header (DESIGN.md §16).
 
-Determinism down to bytes: the fold runs on the pattern's *canonical*
+Determinism down to bytes: both paths run on the pattern's *canonical*
 (min-DFS-code) graph, so the per-vertex image sets — and the argmin
 vertex, tie-broken by ``(image count, canonical vertex id)`` — are pure
 functions of the isomorphism class and the input graph.  The reported
@@ -59,18 +73,10 @@ from ..mining.base import Pattern, PatternSet
 from .extract import neighborhood_vertices
 
 
-def pattern_radius(graph: LabeledGraph) -> int:
-    """Radius (minimum eccentricity) of a connected pattern graph.
-
-    The quantity the exactness guarantee is stated in: neighborhood-
-    folded MNI is exact for patterns with ``pattern_radius(P) <= r``.
-    Disconnected graphs have no finite radius; miners only emit
-    connected patterns, so this raises on disconnected input.
-    """
+def _eccentricities(graph: LabeledGraph) -> list[float]:
+    """Per-vertex eccentricity; ``inf`` throughout a disconnected graph."""
     n = graph.num_vertices
-    if n == 0:
-        return 0
-    best = None
+    eccs: list[float] = []
     for start in range(n):
         depth = {start: 0}
         frontier = [start]
@@ -84,16 +90,27 @@ def pattern_radius(graph: LabeledGraph) -> int:
                         ecc = depth[w]
                         nxt.append(w)
             frontier = nxt
-        if len(depth) != n:
-            raise ValueError("pattern_radius requires a connected graph")
-        if best is None or ecc < best:
-            best = ecc
-    return best
+        eccs.append(ecc if len(depth) == n else float("inf"))
+    return eccs
+
+
+def pattern_radius(graph: LabeledGraph) -> int:
+    """Radius (minimum eccentricity) of a connected pattern graph.
+
+    The quantity the exactness guarantee is stated in: neighborhood
+    MNI is exact for patterns with ``pattern_radius(P) <= r``.
+    Disconnected graphs have no finite radius; miners only emit
+    connected patterns, so this raises on disconnected input.
+    """
+    radius = min(_eccentricities(graph), default=0)
+    if radius == float("inf"):
+        raise ValueError("pattern_radius requires a connected graph")
+    return radius
 
 
 @dataclass(frozen=True)
 class MNICount:
-    """One pattern's minimum-image count and its witnesses."""
+    """One pattern's minimum-image count and its witness."""
 
     #: ``min over u of |I(u)|`` — the MNI support.
     support: int
@@ -104,8 +121,6 @@ class MNICount:
     #: graph.  ``len(min_image) == support`` — this is what rides in a
     #: :class:`~repro.mining.base.Pattern`'s TID list.
     min_image: frozenset[int]
-    #: Pivots whose neighborhoods contained at least one embedding.
-    supporting_pivots: frozenset[int]
 
 
 class MNISupport:
@@ -113,10 +128,11 @@ class MNISupport:
 
     ``database`` must be the ``radius``-decomposition of ``graph``
     produced by :class:`~repro.biggraph.extract.NeighborhoodExtractor`
-    (in-memory or a storage-backend view — only gids and unit contents
-    matter).  One instance amortizes the flat-database compilation
-    across every :meth:`count` of a verification pass, mirroring
-    :meth:`repro.mining.base.PatternSet.recount`.
+    (in-memory or a storage-backend view).  The accelerated path reads
+    only its gids — the pivot set — and compiles ``graph`` to flat form
+    once per instance; the reference path (``perf.disabled()``) scans
+    and folds its units.  ``stats`` tallies the work of every
+    :meth:`count` so far (plus :meth:`verify`'s pass totals).
     """
 
     def __init__(
@@ -130,10 +146,15 @@ class MNISupport:
         self.graph = graph
         self.database = database
         self.radius = radius
-        self._flat = (
-            perf.get_flat_db(database) if perf.flat_enabled() else None
+        self.stats = dict.fromkeys(
+            ("roots_tried", "embeddings", "visibility_checks", "invisible"),
+            0,
         )
-        self._arena = perf.ScanArena() if self._flat is not None else None
+        self._pivots = frozenset(database.gids())
+        self._all_pivots = len(self._pivots) == graph.num_vertices
+        self._balls: dict[int, frozenset[int]] = {}
+        self._flat: perf.FlatGraph | None = None
+        self._arena = perf.ScanArena()
 
     # ------------------------------------------------------------------
     def count(
@@ -144,21 +165,34 @@ class MNISupport:
     ) -> MNICount:
         """The MNI count of ``pattern``.
 
-        ``candidate_gids`` seeds phase 1 with a known pivot superset
-        (e.g. the transactional TID list of a mined candidate), so the
-        locate scan costs ``O(candidates)`` instead of ``O(pivots)``.
+        ``candidate_gids`` is a sound superset of the supporting pivots
+        (e.g. the transactional TID list of a mined candidate): it seeds
+        the enumeration's roots (reference path: the locate scan), so
+        the cost scales with the candidates instead of the graph.
+        ``key`` is forwarded to the reference path's locate scan only.
         """
-        if pattern.num_edges:
-            canon = min_dfs_code(pattern).to_graph()
+        return self._count(_canonical(pattern), key, candidate_gids)
+
+    def _count(self, canon, key, candidate_gids) -> MNICount:
+        if perf.enabled():
+            images = self._enumerate(canon, candidate_gids)
         else:
-            canon = pattern
+            images = self._fold(canon, key, candidate_gids)
+        if not images:
+            return MNICount(0, 0, frozenset())
+        vertex = min(
+            range(len(images)), key=lambda v: (len(images[v]), v)
+        )
+        return MNICount(
+            support=len(images[vertex]),
+            vertex=vertex,
+            min_image=frozenset(images[vertex]),
+        )
+
+    def _fold(self, canon, key, candidate_gids) -> list[set[int]]:
+        """Reference path: locate supporting pivots, fold their units."""
         _support, pivots = count_support(
-            canon,
-            self.database,
-            candidate_gids=candidate_gids,
-            key=key,
-            flat=self._flat,
-            arena=self._arena,
+            canon, self.database, candidate_gids=candidate_gids, key=key
         )
         images: list[set[int]] = [
             set() for _ in range(canon.num_vertices)
@@ -169,17 +203,67 @@ class MNISupport:
             for mapping in find_embeddings(canon, unit):
                 for pv, local in mapping.items():
                     images[pv].add(order[local])
-        if not images:
-            return MNICount(0, 0, frozenset(), frozenset(pivots))
-        vertex = min(
-            range(len(images)), key=lambda v: (len(images[v]), v)
-        )
-        return MNICount(
-            support=len(images[vertex]),
-            vertex=vertex,
-            min_image=frozenset(images[vertex]),
-            supporting_pivots=frozenset(pivots),
-        )
+        return images
+
+    def _enumerate(self, canon, candidate_gids) -> list[set[int]]:
+        """Accelerated path: one rooted enumeration on the flat graph."""
+        n = canon.num_vertices
+        if n == 0:
+            return []
+        if self._flat is None:
+            self._flat = perf.FlatGraph.from_labeled(self.graph)
+        eccs = _eccentricities(canon)
+        centre = eccs.index(min(eccs))
+        # With every vertex a pivot, the centre's image of a radius <= r
+        # pattern is itself a pivot whose ball holds the embedding.
+        checked = not (self._all_pivots and eccs[centre] <= self.radius)
+        plan = perf.FlatPlan(canon, start=centre)
+        pivots = self._pivots
+        if candidate_gids is not None:
+            pivots = pivots.intersection(candidate_gids)
+        roots = None if candidate_gids is None else pivots
+        within = None
+        checks = invisible = 0
+        if checked:
+            # common[d]: the pivots whose ball holds images 0..d-1.  It
+            # only shrinks along a descent, so an empty one prunes.
+            common = [pivots] * (n + 1)
+            ball = self._ball
+            if roots is not None:
+                roots = frozenset().union(*map(ball, pivots))
+
+            def within(depth: int, vertex: int) -> bool:
+                nonlocal checks, invisible
+                checks += 1
+                seen = common[depth + 1] = common[depth] & ball(vertex)
+                if seen:
+                    return True
+                invisible += 1
+                return False
+
+        images: list[set[int]] = [set() for _ in range(n)]
+        adders = [images[v].add for v in plan.order]
+        embeddings = 0
+        for assigned in perf.flat_embeddings(
+            plan, self._flat, roots, self._arena, within
+        ):
+            embeddings += 1
+            for add, image in zip(adders, assigned):
+                add(image)
+        stats = self.stats
+        stats["roots_tried"] += 0 if roots is None else len(roots)
+        stats["embeddings"] += embeddings
+        stats["visibility_checks"] += checks
+        stats["invisible"] += invisible
+        return images
+
+    def _ball(self, vertex: int) -> frozenset[int]:
+        ball = self._balls.get(vertex)
+        if ball is None:
+            ball = self._balls[vertex] = frozenset(
+                neighborhood_vertices(self.graph, vertex, self.radius)
+            )
+        return ball
 
     # ------------------------------------------------------------------
     def verify(
@@ -187,31 +271,41 @@ class MNISupport:
     ) -> PatternSet:
         """Re-verify a transactional candidate set under MNI.
 
-        Each candidate's neighborhood TID list seeds the locate phase;
+        Each candidate's neighborhood TID list seeds its count;
         survivors carry their MNI count as ``support`` and the argmin
         image set as ``tids`` (so ``support == len(tids)`` holds for
         the pattern store).  The output is a pure function of the
         candidate *keys* and the big graph — the property the
         serial-vs-sharded byte-identity test pins down.
+        ``stats['lower_bound_patterns']`` counts the survivors of radius
+        ``> r``, whose support is a lower bound (module docstring).
         """
         verified = PatternSet()
+        lower_bound = 0
         for candidate in candidates:
-            count = self.count(
-                candidate.graph,
-                key=candidate.key,
-                candidate_gids=set(candidate.tids),
-            )
+            canon = _canonical(candidate.graph)
+            count = self._count(canon, candidate.key, candidate.tids)
             if count.support < min_support:
                 continue
-            graph = candidate.graph
-            if graph.num_edges:
-                graph = min_dfs_code(graph).to_graph()
+            lower_bound += min(_eccentricities(canon)) > self.radius
             verified.add(
                 Pattern(
-                    graph=graph,
+                    graph=canon,
                     key=candidate.key,
                     support=count.support,
                     tids=count.min_image,
                 )
             )
+        self.stats.update(
+            candidates=len(candidates),
+            survivors=len(verified),
+            lower_bound_patterns=lower_bound,
+        )
         return verified
+
+
+def _canonical(pattern: LabeledGraph) -> LabeledGraph:
+    """The pattern's min-DFS-code graph (itself when it has no edges)."""
+    if pattern.num_edges:
+        return min_dfs_code(pattern).to_graph()
+    return pattern

@@ -468,6 +468,12 @@ def cmd_mine_big(args: argparse.Namespace) -> int:
         f"frequent patterns under {args.support_mode} support "
         f"({result.verify_time:.2f}s)"
     )
+    if args.support_mode == "mni":
+        print(
+            f"{result.lower_bound_patterns} of {len(result.patterns)} "
+            f"patterns exceed radius {args.radius}: support is a lower "
+            "bound"
+        )
     if args.output:
         save_patterns(
             result.patterns,

@@ -30,6 +30,7 @@ from .batchscan import (
     BatchScan,
     ScanArena,
     flat_count_batch,
+    flat_embeddings,
     local_arena,
 )
 from .cache import SupportCache
@@ -171,6 +172,7 @@ __all__ = [
     "enabled",
     "flat_count_batch",
     "flat_disabled",
+    "flat_embeddings",
     "flat_enabled",
     "local_arena",
     "REJECT_DEGREE",

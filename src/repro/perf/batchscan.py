@@ -47,8 +47,8 @@ from bisect import bisect_left
 from typing import NamedTuple
 
 from .counters import COUNTERS
-from .fastmatch import REJECT_QUICK, FlatPlan, flat_admits
-from .flatgraph import FlatDB
+from .fastmatch import ADMIT, REJECT_QUICK, FlatPlan, flat_admits
+from .flatgraph import FlatDB, FlatGraph
 
 
 class ScanArena:
@@ -348,3 +348,149 @@ def flat_count_batch(
     return BatchScan(
         len(hits), hits, exact, undecided, searched, quick + finger
     )
+
+
+def flat_embeddings(
+    plan: FlatPlan,
+    fg: FlatGraph,
+    roots=None,
+    arena: ScanArena | None = None,
+    within=None,
+):
+    """Yield every embedding of ``plan`` in the flat graph ``fg``, once.
+
+    The enumerating sibling of :func:`flat_count_batch`: the same
+    iterative descent over the same plan rows and ``runs`` / ``by_label``
+    probes, but a full assignment is *handed to the caller* and the
+    search backtracks instead of returning.  Each item is the arena's
+    assignment buffer — ``item[d]`` is the image of plan position ``d``
+    (pattern vertex ``plan.order[d]``) for ``d < plan.n`` — valid until
+    the generator is resumed; copy it to keep it.  Monomorphism semantics
+    only (the set of mappings equals
+    :func:`repro.graph.isomorphism.find_embeddings`).
+
+    ``roots`` restricts the depth-0 candidates to the given vertex ids
+    (those carrying another label are skipped); the default is every
+    vertex of the depth-0 label.  ``within(depth, vertex)``, when given,
+    is asked once per structurally feasible candidate before it is
+    assigned; a false answer prunes that subtree (for caller constraints
+    that only tighten along a descent).  The arena's all-zero mask invariant
+    holds once the generator is exhausted *or closed*.  One enumeration
+    ticks ``vf2_calls`` / ``flat_searches`` once and adds its yield
+    count to ``flat_embeddings``, flushed when it ends.
+    """
+    n = plan.n
+    if arena is None:
+        arena = local_arena()
+    arena.reserve(n, fg.n)
+    assigned = arena.assigned
+    if n == 0:
+        yield assigned
+        return
+    if flat_admits(plan, fg) != ADMIT:
+        return
+    cursor = arena.cursor
+    limit = arena.limit
+    rootsat = arena.roots
+    used = arena.used
+    meta = plan.meta
+    apos, aelab = plan.apos, plan.aelab
+    vlab = fg.vlab
+    nbr = fg.nbr
+    deg = fg.deg
+    by_label = fg.by_label
+    runs_get = fg.runs.get
+    if roots is not None:
+        want = plan.vlabs[0]
+        roots = [v for v in roots if vlab[v] == want]
+    empty = ()
+    last = n - 1
+    found = 0
+    depth = 0
+    entering = True
+    try:
+        while True:
+            (
+                a0, a1, _n0, _n1, want_label, need_deg,
+                apos0, aelab0, multi,
+            ) = meta[depth]
+            if entering:
+                if apos0 >= 0:
+                    root = None
+                    run = runs_get(assigned[apos0] << 32 | aelab0)
+                    if run is None:
+                        i = end = 0
+                    else:
+                        i, end = run
+                else:
+                    if depth == 0 and roots is not None:
+                        root = roots
+                    else:
+                        root = by_label.get(want_label, empty)
+                    i = 0
+                    end = len(root)
+            else:
+                root = rootsat[depth]
+                i = cursor[depth]
+                end = limit[depth]
+            anchored = root is None
+            seq = nbr if anchored else root
+            cand = -1
+            while i < end:
+                c = seq[i]
+                i += 1
+                if used[c]:
+                    continue
+                if anchored and vlab[c] != want_label:
+                    continue
+                if deg[c] < need_deg:
+                    continue
+                if multi:
+                    ok = True
+                    for j in range(a0 + 1, a1):
+                        run = runs_get(c << 32 | aelab[j])
+                        if run is None:
+                            ok = False
+                            break
+                        target = assigned[apos[j]]
+                        lo, hi = run
+                        k = bisect_left(nbr, target, lo, hi)
+                        if k >= hi or nbr[k] != target:
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                if within is not None and not within(depth, c):
+                    continue
+                if depth == last:
+                    # Full assignment: hand it over and keep scanning
+                    # this depth — the leaf never enters the mask.
+                    assigned[depth] = c
+                    found += 1
+                    yield assigned
+                    continue
+                cand = c
+                break
+            if cand >= 0:
+                rootsat[depth] = root
+                cursor[depth] = i
+                limit[depth] = end
+                assigned[depth] = cand
+                used[cand] = 1
+                depth += 1
+                entering = True
+            else:
+                depth -= 1
+                if depth < 0:
+                    break
+                used[assigned[depth]] = 0
+                entering = False
+    finally:
+        # A closed (abandoned) enumeration suspends mid-descent: unwind
+        # the mask so the arena invariant holds for the next search.
+        for d in range(depth):
+            used[assigned[d]] = 0
+        COUNTERS.inc("vf2_calls")
+        COUNTERS.inc("flat_searches")
+        if found:
+            COUNTERS.inc("flat_embeddings", found)

@@ -54,6 +54,7 @@ class PerfCounters:
     support_cache_misses: int = 0  # cache consulted, no (fresh) verdict
     support_cache_stores: int = 0  # verdicts written to a cache
     flat_searches: int = 0  # searches run by the flat-array matcher
+    flat_embeddings: int = 0  # embeddings yielded by the enumerating kernel
     flat_plan_compiles: int = 0  # flat pattern plans built
     flat_db_compiles: int = 0  # databases compiled to flat arrays
     flat_db_hits: int = 0  # flat databases served from cache

@@ -38,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from ..graph.labeled_graph import LabeledGraph
 from .counters import COUNTERS
 from .flatgraph import INTERNER, FlatGraph, LabelInterner
-from .matchplan import get_match_plan
+from .matchplan import MatchPlan, get_match_plan
 
 
 class FlatPlan:
@@ -67,14 +67,24 @@ class FlatPlan:
         "ehist",  # (edge-label id, required directed count) pairs
         "degs_by_label",  # (vertex-label id, descending degrees) pairs
         "meta",  # per-depth constants packed for one-unpack node entry
+        "order",  # position -> pattern vertex id
     )
 
     def __init__(
-        self, pattern: LabeledGraph, interner: LabelInterner = INTERNER
+        self,
+        pattern: LabeledGraph,
+        interner: LabelInterner = INTERNER,
+        start: int | None = None,
     ) -> None:
-        plan = get_match_plan(pattern)
+        # ``start`` pins the depth-0 pattern vertex (rooted enumeration);
+        # such plans are one-off and bypass the per-pattern plan cache.
+        if start is None:
+            plan = get_match_plan(pattern)
+        else:
+            plan = MatchPlan(pattern, start)
         self.version = pattern.version
         self.n = plan.n
+        self.order = plan.order
         self.num_vertices = plan.num_vertices
         self.num_edges = plan.num_edges
         self.interner_len = len(interner)

@@ -46,15 +46,19 @@ class MatchPlan:
         "anchors",  # position -> ((prior position, edge label), ...)
         "nonadjacent",  # position -> (prior position, ...) non-neighbors
         "profile",  # PatternProfile for fingerprint checks
+        "order",  # position -> pattern vertex id
     )
 
-    def __init__(self, pattern: LabeledGraph) -> None:
+    def __init__(
+        self, pattern: LabeledGraph, start: int | None = None
+    ) -> None:
         self.version = pattern.version
         self.num_vertices = pattern.num_vertices
         self.num_edges = pattern.num_edges
-        order = _match_order(pattern)
+        order = _match_order(pattern, start)
         n = len(order)
         self.n = n
+        self.order = tuple(order)
         position = {v: i for i, v in enumerate(order)}
         self.vlabels = tuple(pattern.vertex_label(v) for v in order)
         self.degrees = tuple(pattern.degree(v) for v in order)
@@ -78,14 +82,21 @@ class MatchPlan:
         self.profile = PatternProfile(pattern)
 
 
-def _match_order(pattern: LabeledGraph) -> list[int]:
-    """Connected, most-constrained-first vertex order (as the reference)."""
+def _match_order(
+    pattern: LabeledGraph, start: int | None = None
+) -> list[int]:
+    """Connected, most-constrained-first vertex order (as the reference).
+
+    ``start`` pins position 0 (enumeration rooted at a chosen vertex);
+    the default is the highest-degree vertex.
+    """
     n = pattern.num_vertices
     if n == 0:
         return []
     placed: list[int] = []
     in_order = [False] * n
-    start = max(range(n), key=pattern.degree)
+    if start is None:
+        start = max(range(n), key=pattern.degree)
     placed.append(start)
     in_order[start] = True
     while len(placed) < n:

@@ -6,11 +6,18 @@ the textbook MNI definition, with no decomposition involved.  The
 neighborhood-folded counter must agree exactly for patterns of radius
 ≤ r (the soundness guarantee) and never exceed it otherwise, under
 every cell of the acceleration matrix (off / plans / flat / flat+batch).
+
+Only two MNI paths exist behind that matrix: the accelerated one
+(``perf.enabled()``: one rooted enumeration on the big graph's flat
+form, visibility as a predicate) and the reference fold
+(``perf.disabled()``: locate supporting units, fold their embeddings).
+The second half of this module pins the first against the second —
+radius > r patterns and restricted pivots included — and the predicate
+itself on two hand-built graphs.
 """
 
 from __future__ import annotations
 
-import io
 import random
 
 import pytest
@@ -24,12 +31,12 @@ from repro.biggraph import (
     pattern_radius,
 )
 from repro.graph.canonical import min_dfs_code
-from repro.graph.isomorphism import find_embeddings
+from repro.graph.isomorphism import count_support, find_embeddings
 from repro.graph.labeled_graph import LabeledGraph
 from repro.mining.gspan import GSpanMiner
-from repro.mining.store import dump_patterns
 
 from .conftest import make_graph, path_graph, random_graph, star_graph
+from .test_biggraph_miner import dump_text
 
 
 def oracle_mni(pattern: LabeledGraph, graph: LabeledGraph) -> int:
@@ -141,6 +148,166 @@ class TestMNIDifferential:
         assert count.min_image == frozenset()
 
 
+def reference_count(graph, db, radius, pattern, **kwargs):
+    with perf.disabled():
+        return MNISupport(graph, db, radius).count(pattern, **kwargs)
+
+
+class TestEnumerationVsReferenceFold:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        connected_graphs(max_vertices=9, vlabels=2, elabels=1),
+        st.integers(1, 2),
+        st.one_of(
+            st.none(),
+            st.frozensets(st.integers(0, 1), min_size=1, max_size=1),
+        ),
+    )
+    def test_same_count_vertex_and_image(self, graph, radius, labels):
+        db = NeighborhoodExtractor(
+            radius=radius, pivot_labels=labels
+        ).extract(graph)
+        counter = MNISupport(graph, db, radius)
+        for pattern in candidate_patterns(graph, max_size=4):
+            assert counter.count(pattern) == reference_count(
+                graph, db, radius, pattern
+            )
+
+    @pytest.mark.parametrize("labels", [None, frozenset([0])])
+    def test_beyond_radius_patterns_on_a_chordal_graph(self, labels):
+        rng = random.Random(17)
+        graph = random_graph(rng, 24, extra_edges=30, num_vertex_labels=2)
+        db = NeighborhoodExtractor(radius=1, pivot_labels=labels).extract(
+            graph
+        )
+        counter = MNISupport(graph, db, 1)
+        beyond = supported = 0
+        for pattern in candidate_patterns(graph, max_size=4):
+            count = counter.count(pattern)
+            assert count == reference_count(graph, db, 1, pattern)
+            if pattern_radius(pattern) > 1:
+                beyond += 1
+                supported += count.support > 0
+                assert count.support <= oracle_mni(
+                    min_dfs_code(pattern).to_graph(), graph
+                )
+        assert beyond and supported  # the lower-bound case is exercised
+        assert counter.stats["invisible"] > 0
+
+    @settings(max_examples=15, deadline=None)
+    @given(connected_graphs(max_vertices=8, vlabels=2), st.integers(1, 2))
+    def test_seeded_equals_unseeded(self, graph, radius):
+        db = NeighborhoodExtractor(radius=radius).extract(graph)
+        counter = MNISupport(graph, db, radius)
+        for pattern in candidate_patterns(graph, max_size=4):
+            full = counter.count(pattern)
+            _support, exact = count_support(pattern, db)
+            assert counter.count(pattern, candidate_gids=exact) == full
+            superset = set(exact) | set(db.gids()[::2])
+            assert counter.count(pattern, candidate_gids=superset) == full
+
+    def test_chordless_path_is_invisible_at_radius_one(self):
+        # No vertex of a chordless 4-path is within one hop of the other
+        # three, so no 1-ball holds the embedding: MNI 0, although the
+        # whole-graph MNI is 1 per label position.
+        graph = make_graph(
+            [0, 1, 2, 3], [(0, 1, 0), (1, 2, 0), (2, 3, 0)]
+        )
+        pattern = make_graph(
+            [0, 1, 2, 3], [(0, 1, 0), (1, 2, 0), (2, 3, 0)]
+        )
+        assert pattern_radius(pattern) == 2
+        db = NeighborhoodExtractor(radius=1).extract(graph)
+        counter = MNISupport(graph, db, 1)
+        assert counter.count(pattern).support == 0
+        assert counter.stats["invisible"] > 0
+        assert reference_count(graph, db, 1, pattern).support == 0
+        assert oracle_mni(pattern, graph) == 1
+        wide = NeighborhoodExtractor(radius=2).extract(graph)
+        assert MNISupport(graph, wide, 2).count(pattern).support == 1
+
+    def test_path_with_chords_to_a_hub_is_visible(self):
+        # Same path, plus a hub adjacent to all four: the hub's 1-ball
+        # holds the embedding, so it counts — but only while the hub
+        # is a pivot.
+        graph = make_graph(
+            [0, 1, 2, 3, 9],
+            [(0, 1, 0), (1, 2, 0), (2, 3, 0)]
+            + [(v, 4, 5) for v in range(4)],
+        )
+        pattern = path_graph(4)
+        for v in range(4):
+            pattern.set_vertex_label(v, v)
+        db = NeighborhoodExtractor(radius=1).extract(graph)
+        count = MNISupport(graph, db, 1).count(pattern)
+        assert count.support == 1
+        assert count == reference_count(graph, db, 1, pattern)
+        off_hub = NeighborhoodExtractor(
+            radius=1, pivot_labels=frozenset([0, 1, 2, 3])
+        ).extract(graph)
+        count = MNISupport(graph, off_hub, 1).count(pattern)
+        assert count.support == 0
+        assert count == reference_count(graph, off_hub, 1, pattern)
+
+    def test_verify_never_decodes_a_stored_neighborhood(self, tmp_path):
+        from repro.storage import open_backend
+
+        rng = random.Random(8)
+        graph = random_graph(rng, 50, extra_edges=30, num_vertex_labels=2)
+        resident = NeighborhoodExtractor(radius=1).extract(graph)
+        candidates = GSpanMiner(max_size=3).mine(resident, 4)
+        expected = MNISupport(graph, resident, 1).verify(candidates, 4)
+        with open_backend("sqlite", tmp_path / "n.db") as backend:
+            stored = NeighborhoodExtractor(radius=1).extract_into(
+                graph, backend
+            )
+            before = backend.stats()["cache"]
+            verified = MNISupport(graph, stored, 1).verify(candidates, 4)
+            after = backend.stats()["cache"]
+        assert (after["hits"], after["misses"]) == (
+            before["hits"], before["misses"],
+        )
+        assert len(verified) > 0
+        assert dump_text(verified) == dump_text(expected)
+
+
+class TestLowerBoundMarking:
+    def test_header_and_verify_span_count_patterns_beyond_the_radius(self):
+        from repro.obs import trace as obs_trace
+
+        rng = random.Random(3)
+        graph = random_graph(rng, 30, extra_edges=40, num_vertex_labels=2)
+        tracer = obs_trace.Tracer()
+        obs_trace.activate(tracer)
+        try:
+            result = BigGraphMiner(radius=1, max_size=4, k=1).mine(graph, 3)
+        finally:
+            obs_trace.activate(None)
+        recount = sum(
+            pattern_radius(p.graph) > 1 for p in result.patterns
+        )
+        assert recount > 0  # the fixture does produce radius-2 patterns
+        assert result.meta()["lower_bound_patterns"] == recount
+        assert "pivot_labels" not in result.meta()
+
+        by_name = {span["name"]: span for span in tracer.spans()}
+        assert {"biggraph.extract", "biggraph.mine"} <= set(by_name)
+        attrs = by_name["biggraph.mni_verify"]["attrs"]
+        assert attrs["candidates"] == len(result.candidates)
+        assert attrs["survivors"] == len(result.patterns)
+        assert attrs["lower_bound_patterns"] == recount
+        assert attrs["embeddings"] > 0 and attrs["roots_tried"] > 0
+        assert 0 < attrs["invisible"] <= attrs["visibility_checks"]
+
+    def test_header_names_restricted_pivots(self):
+        rng = random.Random(3)
+        graph = random_graph(rng, 30, extra_edges=40, num_vertex_labels=2)
+        anchored = BigGraphMiner(
+            radius=1, max_size=2, k=1, pivot_labels=frozenset([1, 0])
+        ).mine(graph, 3)
+        assert anchored.meta()["pivot_labels"] == [0, 1]
+
+
 class TestAccelMatrixByteIdentity:
     @pytest.mark.parametrize("seed", [2, 11])
     def test_full_runs_dump_identically(self, seed):
@@ -154,9 +321,7 @@ class TestAccelMatrixByteIdentity:
                 result = BigGraphMiner(radius=1, max_size=3).mine(
                     graph, 3
                 )
-                buffer = io.StringIO()
-                dump_patterns(result.patterns, buffer)
-                dumps[name] = buffer.getvalue()
+                dumps[name] = dump_text(result.patterns)
         baseline = dumps["off"]
         assert len(baseline.splitlines()) > 1  # found something
         for name, text in dumps.items():

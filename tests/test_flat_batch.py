@@ -20,6 +20,12 @@ On top of verdict parity the suite locks down the kernel's contracts:
   all-zero between scans;
 * the FlatDB **admit memos** are weakly keyed and capped, so retired
   plans cannot pin memory (the PR-7 leak fix).
+
+:func:`repro.perf.batchscan.flat_embeddings`, the enumerating sibling,
+is pinned against :func:`repro.graph.isomorphism.find_embeddings` as a
+*set of mappings* — rooted plans, root lists and the ``within`` pruning
+hook included — and held to the same clean-mask invariant, also when an
+enumeration is abandoned half way.
 """
 
 from __future__ import annotations
@@ -33,14 +39,25 @@ from hypothesis import given, settings
 from repro.graph.database import GraphDatabase
 from repro.graph.isomorphism import (
     count_support,
+    find_embeddings,
     subgraph_exists_reference,
 )
 from repro.graph.labeled_graph import LabeledGraph
-from repro.perf.batchscan import ScanArena, flat_count_batch, local_arena
-from repro.perf.fastmatch import flat_exists, get_flat_plan
-from repro.perf.flatgraph import ADMIT_MEMO_PLANS, FlatDB, get_flat_db
+from repro.perf.batchscan import (
+    ScanArena,
+    flat_count_batch,
+    flat_embeddings,
+    local_arena,
+)
+from repro.perf.fastmatch import FlatPlan, flat_exists, get_flat_plan
+from repro.perf.flatgraph import (
+    ADMIT_MEMO_PLANS,
+    FlatDB,
+    FlatGraph,
+    get_flat_db,
+)
 
-from .conftest import make_graph, path_graph, random_graph
+from .conftest import make_graph, path_graph, random_graph, star_graph
 from .test_properties import connected_graphs
 
 REGIMES = {
@@ -265,6 +282,119 @@ class TestEarlyExit:
                 else:
                     assert support < minsup
                     assert set(tids) <= set(truth)
+
+
+# ----------------------------------------------------------------------
+# The enumerating kernel
+# ----------------------------------------------------------------------
+def reference_mappings(pattern, target):
+    return {
+        tuple(sorted(mapping.items()))
+        for mapping in find_embeddings(pattern, target)
+    }
+
+
+def kernel_mappings(pattern, target, start=None, **kwargs):
+    plan = FlatPlan(pattern, start=start)
+    order, n = plan.order, plan.n
+    found = [
+        tuple(sorted(zip(order, assigned[:n])))
+        for assigned in flat_embeddings(
+            plan, FlatGraph.from_labeled(target), **kwargs
+        )
+    ]
+    assert len(found) == len(set(found)), "an embedding was yielded twice"
+    return set(found)
+
+
+class TestEmbeddingEnumeration:
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    def test_same_mappings_as_reference(self, regime):
+        seed, vlabels, elabels = REGIMES[regime]
+        rng = random.Random(seed ^ 0xE1)
+        arena = ScanArena()
+        for trial in range(40):
+            target = random_graph(
+                rng, rng.randint(3, 12), extra_edges=rng.randint(0, 8),
+                num_vertex_labels=vlabels, num_edge_labels=elabels,
+            )
+            # Chords give depths with more than one anchor.
+            pattern = random_graph(
+                rng, rng.randint(1, 5), extra_edges=rng.randint(0, 3),
+                num_vertex_labels=vlabels, num_edge_labels=elabels,
+            )
+            expected = reference_mappings(pattern, target)
+            assert kernel_mappings(pattern, target, arena=arena) == expected
+            start = rng.randrange(pattern.num_vertices)
+            assert (
+                kernel_mappings(pattern, target, start, arena=arena)
+                == expected
+            )
+            assert not any(arena.used), "mask left dirty"
+
+    def test_root_list_restricts_depth_zero(self):
+        rng = random.Random(77)
+        target = random_graph(rng, 14, extra_edges=10, num_vertex_labels=2)
+        pattern = path_graph(3, vlabel=0)
+        pattern.set_vertex_label(1, 1)
+        roots = [v for v in range(14) if v % 2]  # labels are filtered
+        for start in range(3):
+            expected = {
+                mapping
+                for mapping in reference_mappings(pattern, target)
+                if dict(mapping)[start] in roots
+            }
+            assert (
+                kernel_mappings(pattern, target, start, roots=roots)
+                == expected
+            )
+        assert kernel_mappings(pattern, target, 0, roots=[]) == set()
+
+    def test_within_prunes_subtrees(self):
+        rng = random.Random(5)
+        target = random_graph(rng, 12, extra_edges=9, num_vertex_labels=1)
+        pattern = path_graph(4)
+        asked = []
+
+        def within(depth, vertex):
+            asked.append(depth)
+            return vertex != 3
+
+        expected = {
+            mapping
+            for mapping in reference_mappings(pattern, target)
+            if 3 not in dict(mapping).values()
+        }
+        arena = ScanArena()
+        assert (
+            kernel_mappings(pattern, target, arena=arena, within=within)
+            == expected
+        )
+        assert set(asked) == {0, 1, 2, 3}
+        assert not any(arena.used)
+
+    def test_degenerate_patterns(self):
+        target = make_graph([0, 1, 1], [(0, 1, 0), (0, 2, 0)])
+        assert kernel_mappings(make_graph([1], []), target) == {
+            ((0, 1),), ((0, 2),),
+        }
+        assert kernel_mappings(make_graph([7], []), target) == set()
+        absent = make_graph([0, 1], [(0, 1, 9)])  # edge label never seen
+        assert kernel_mappings(absent, target) == set()
+        assert kernel_mappings(LabeledGraph(), target) == {()}
+
+    def test_abandoned_enumeration_leaves_mask_clean(self):
+        arena = ScanArena()
+        target = FlatGraph.from_labeled(star_graph(6))
+        plan = FlatPlan(star_graph(3))
+        walk = flat_embeddings(plan, target, arena=arena)
+        next(walk)
+        assert any(arena.used)  # suspended mid-descent
+        walk.close()
+        assert not any(arena.used)
+        assert sum(1 for _ in flat_embeddings(plan, target, arena=arena)) == (
+            6 * 5 * 4
+        )
 
 
 # ----------------------------------------------------------------------
