@@ -1,42 +1,38 @@
-"""Support-counting acceleration: the four-mode differential benchmark.
+"""Support-counting acceleration: the two-mode differential benchmark.
 
 A fixed seeded workload — one PartMiner session, incremental update
 batches, match-style re-count passes, then a block of pure
-``PatternSet.recount`` passes — runs four times over the same database,
-once per acceleration mode:
+``PatternSet.recount`` passes — runs twice over the same database, once
+per matcher:
 
 * **baseline** — layer off (:func:`repro.perf.disabled`): reference
   recursive matcher with the histogram quick-reject only;
-* **plans** — compiled match plans + fingerprints, flat kernels off
-  (:func:`repro.perf.flat_disabled`);
-* **flat** — flat-array (CSR) graph compilation, the integer-space
-  admit prefilter and the iterative flat matcher, dispatched per graph
-  (:func:`repro.perf.batch_disabled`);
-* **batch** — the full layer: the batched candidate-scan kernel
-  (:mod:`repro.perf.batchscan`) fusing admit + search over whole
+* **kernel** — the production path: flat-array (CSR) graph compilation,
+  the integer-space admit prefilter and the batched candidate-scan
+  kernel (:mod:`repro.perf.batchscan`) fusing admit + search over whole
   candidate lists in one frame, with arena-reused matcher state and
   minsup early exits.
 
-Every mode must mine identical pattern sets at every checkpoint — that
+Both modes must mine identical pattern sets at every checkpoint — that
 is the differential gate.  Two figures of merit:
 
-* backtracking searches entered (``vf2_calls``), which the full layer
-  must cut at least in half on this workload;
+* backtracking searches entered (``vf2_calls``), which the kernel must
+  cut at least in half on this workload;
 * recount throughput (patterns/sec over the pure recount passes), where
-  the per-graph flat kernels must clear **5x** the baseline and the
-  batched kernel **8x** (3x/4x under ``--quick``, which shrinks the
-  workload and leaves more room for timer noise — the CI job
-  additionally compares the quick ratios against the committed full-run
-  ratios).
+  the kernel must clear **8x** the baseline (4x under ``--quick``, which
+  shrinks the workload and leaves more room for timer noise — the CI
+  job additionally compares the quick ratio against the committed
+  full-run ratio).
 
 Persists ``benchmarks/results/BENCH_support.json`` with per-mode
 series, isomorphism-test counts, the reduction factor, the cache hit
-rate and the recount speedups — plus a copy at the repo root
+rate and the recount speedup — plus a copy at the repo root
 (``BENCH_support.json``), which is the committed reference the CI
 regression gate compares against.
 """
 
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from repro import perf
@@ -54,27 +50,18 @@ MINSUP = 0.1
 #: Repo root — home of the committed BENCH_support.json reference copy.
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-MODES = ("baseline", "plans", "flat", "batch")
+MODES = ("baseline", "kernel")
 
 
 def _mode_context(mode):
-    if mode == "baseline":
-        return perf.disabled()
-    if mode == "plans":
-        return perf.flat_disabled()
-    if mode == "flat":
-        return perf.batch_disabled()
-    return None  # batch: the full layer, nothing disabled
+    return perf.disabled() if mode == "baseline" else nullcontext()
 
 
 def _workload(db, mode, update_batches, match_passes, recount_passes):
     """One full session in ``mode``; returns (checkpoints, delta, digest)."""
     before = perf.snapshot()
     start = time.perf_counter()
-    context = _mode_context(mode)
-    if context is not None:
-        context.__enter__()
-    try:
+    with _mode_context(mode):
         cache = perf.SupportCache()
         miner = IncrementalPartMiner(k=2, max_size=5)
         result = miner.initial_mine(db, MINSUP)
@@ -99,14 +86,12 @@ def _workload(db, mode, update_batches, match_passes, recount_passes):
             "cache": cache.stats(),
         }
         # Counter accounting stops here: the recount block below is a
-        # pure *throughput* measure, and the flat kernels deliberately
-        # trade fingerprint rejects for (much cheaper) extra searches —
-        # folding its searches into the reduction factor would conflate
-        # the two figures of merit.
+        # pure *throughput* measure — folding its searches into the
+        # reduction factor would conflate the two figures of merit.
         delta = perf.delta_since(before)
         # Pure recount throughput: CheckFrequency from scratch over the
         # final pattern set, no support cache — this is the number the
-        # flat kernels are gated on.  One untimed warm-up pass first, so
+        # kernel is gated on.  One untimed warm-up pass first, so
         # one-time compilation (flat plans, admit + full-scan memos)
         # lands outside the timed window in every mode and the
         # quick/full ratios stay comparable.
@@ -119,9 +104,6 @@ def _workload(db, mode, update_batches, match_passes, recount_passes):
         digest["recount_rate"] = (
             len(final) * recount_passes / recount_elapsed
         )
-    finally:
-        if context is not None:
-            context.__exit__(None, None, None)
     return checkpoints, delta, digest
 
 
@@ -131,7 +113,6 @@ def test_support_counting_acceleration(benchmark, quick):
     # alone (no miner owns one), so the second pass is what can hit.
     match_passes = 2
     recount_passes = 2 if quick else 4
-    flat_gate = 3.0 if quick else 5.0
     batch_gate = 4.0 if quick else 8.0
     # The shorter quick workload has one update batch fewer to spread
     # the session's searches over, so the search-reduction bar drops.
@@ -159,7 +140,7 @@ def test_support_counting_acceleration(benchmark, quick):
         exp = Experiment(
             "BENCH_support",
             f"Support-counting acceleration ({DATASET}, minsup={MINSUP})",
-            "mode (0=baseline, 1=plans, 2=flat, 3=batch)",
+            "mode (0=baseline, 1=kernel)",
             "value",
         )
         vf2 = exp.new_series("VF2 searches entered")
@@ -172,9 +153,7 @@ def test_support_counting_acceleration(benchmark, quick):
             recount.add(x, digest["recount_rate"])
 
         base_delta, base = runs["baseline"][1:]
-        plans_delta, plans = runs["plans"][1:]
-        flat_delta, flat = runs["flat"][1:]
-        batch_delta, batch = runs["batch"][1:]
+        batch_delta, batch = runs["kernel"][1:]
         reduction = base_delta.vf2_calls / max(1, batch_delta.vf2_calls)
         exp.notes["workload"] = {
             "dataset": DATASET,
@@ -190,21 +169,8 @@ def test_support_counting_acceleration(benchmark, quick):
             + base_delta.quick_rejects,
             "elapsed": round(base["elapsed"], 4),
         }
-        exp.notes["plans"] = {
-            "vf2_calls": plans_delta.vf2_calls,
-            "fingerprint_rejects": plans_delta.fingerprint_rejects,
-            "quick_rejects": plans_delta.quick_rejects,
-            "elapsed": round(plans["elapsed"], 4),
-        }
-        exp.notes["flat"] = {
-            "vf2_calls": flat_delta.vf2_calls,
-            "flat_searches": flat_delta.flat_searches,
-            "fingerprint_rejects": flat_delta.fingerprint_rejects,
-            "quick_rejects": flat_delta.quick_rejects,
-            "elapsed": round(flat["elapsed"], 4),
-        }
-        # "accelerated" = the full stack (kept under its historical key
-        # so EXPERIMENTS.md tooling and dashboards keep reading it).
+        # The kernel run, under its historical key (EXPERIMENTS.md
+        # tooling and the CI gates read it).
         exp.notes["accelerated"] = {
             "vf2_calls": batch_delta.vf2_calls,
             "flat_searches": batch_delta.flat_searches,
@@ -218,12 +184,6 @@ def test_support_counting_acceleration(benchmark, quick):
         exp.notes["recount"] = {
             mode: round(runs[mode][2]["recount_rate"], 1) for mode in MODES
         }
-        exp.notes["recount"]["plans_speedup"] = round(
-            plans["recount_rate"] / base["recount_rate"], 3
-        )
-        exp.notes["recount"]["flat_speedup"] = round(
-            flat["recount_rate"] / base["recount_rate"], 3
-        )
         exp.notes["recount"]["batch_speedup"] = round(
             batch["recount_rate"] / base["recount_rate"], 3
         )
@@ -233,19 +193,13 @@ def test_support_counting_acceleration(benchmark, quick):
     finish(exp)
     exp.save(REPO_ROOT)  # the committed CI reference copy
 
-    baseline_vf2, plans_vf2, flat_vf2, batch_vf2 = exp.series[0].ys()
-    # The CI gates: acceleration must never *add* backtracking searches;
-    # the full layer must at least halve them on this fixed workload;
-    # and both flat dispatch tiers must clear their throughput bars.
-    assert plans_vf2 <= baseline_vf2
-    assert flat_vf2 <= baseline_vf2
-    assert batch_vf2 <= flat_vf2  # early exits can only remove searches
+    baseline_vf2, kernel_vf2 = exp.series[0].ys()
+    # The CI gates: the kernel must never *add* backtracking searches,
+    # must at least halve them on this fixed workload, and must clear
+    # its recount-throughput bar.
+    assert kernel_vf2 <= baseline_vf2
     assert exp.notes["vf2_reduction_factor"] >= reduction_gate
     assert exp.notes["cache_hit_rate"] > 0.0
-    assert exp.notes["recount"]["flat_speedup"] >= flat_gate, (
-        f"flat recount speedup {exp.notes['recount']['flat_speedup']}x "
-        f"below the {flat_gate}x gate"
-    )
     assert exp.notes["recount"]["batch_speedup"] >= batch_gate, (
         f"batch recount speedup {exp.notes['recount']['batch_speedup']}x "
         f"below the {batch_gate}x gate"

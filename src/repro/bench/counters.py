@@ -1,7 +1,7 @@
 """Benchmark-facing view of the acceleration-layer work counters.
 
 Benchmarks report *isomorphism tests avoided*, cache hit rates and
-fingerprint rejections through these counters.  The implementation lives
+admit-prefilter rejections through these counters.  The implementation lives
 in :mod:`repro.perf.counters` (so the hot modules can import it without
 the benchmark harness); this module is the stable import point for
 benchmark and tooling code::

@@ -24,6 +24,7 @@ Every command reads/writes the plain-text ``t/v/e`` graph format
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 
@@ -816,22 +817,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--no-accel", action="store_true",
-        help="disable the support-counting acceleration layer "
-             "(match plans, fingerprints, support cache, flat-array "
-             "kernels, join-bound pruning, shared-memory payloads); "
-             "equivalent to setting REPRO_NO_ACCEL=1",
-    )
-    parser.add_argument(
-        "--no-flat", action="store_true",
-        help="keep the acceleration layer but disable the flat-array "
-             "matching kernels (plans-only mode); equivalent to "
-             "setting REPRO_NO_FLAT=1",
-    )
-    parser.add_argument(
-        "--no-batch", action="store_true",
-        help="keep the flat-array kernels but disable the batched "
-             "candidate-scan kernel (per-graph dispatch); equivalent "
-             "to setting REPRO_NO_BATCH=1",
+        help="count support with the reference matcher instead of the "
+             "acceleration layer (flat-array kernel, support cache, "
+             "join-bound pruning, shared-memory payloads); equivalent "
+             "to setting REPRO_NO_ACCEL=1",
     )
     parser.add_argument(
         "--no-obs", action="store_true",
@@ -1073,7 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "index + query engine instead of a linear scan")
     p.add_argument("--no-query-accel", action="store_true",
                    help="linear path only: also skip the edge-triple/"
-                        "fingerprint candidate filters")
+                        "admit candidate filters")
     p.add_argument("--induced", action="store_true",
                    help="use induced-subgraph semantics")
     p.add_argument("--min-support", type=_support, default=None)
@@ -1132,15 +1121,10 @@ def main(argv: list[str] | None = None) -> int:
     if args.no_accel:
         from . import perf
 
+        # The variable carries the setting to spawned worker processes,
+        # which import repro.perf afresh.
+        os.environ["REPRO_NO_ACCEL"] = "1"
         perf.set_enabled(False)
-    if args.no_flat:
-        from . import perf
-
-        perf.set_flat_enabled(False)
-    if args.no_batch:
-        from . import perf
-
-        perf.set_batch_enabled(False)
     if args.no_obs:
         from . import obs
 
@@ -1150,8 +1134,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         # Output piped into e.g. `head`; exiting quietly is the Unix way.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except ArtifactCorrupt as exc:

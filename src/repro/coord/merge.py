@@ -44,15 +44,15 @@ def global_support(
 
     Returns ``(frequent patterns, phase digest)``.  Counting runs
     through :func:`~repro.graph.isomorphism.count_support` with
-    ``minsup=threshold`` — on the batched flat-kernel path a hopeless
+    ``minsup=threshold`` — on the kernel path a hopeless
     candidate aborts its scan early, while every *kept* pattern carries
     its complete TID list (the kernel contract for frequent results).
     """
     from .. import perf
     from ..graph.isomorphism import count_support
 
-    flat = perf.get_flat_db(database) if perf.flat_enabled() else None
-    arena = perf.ScanArena() if flat is not None else None
+    flat = perf.get_flat_db(database) if perf.enabled() else None
+    arena = perf.ScanArena()
     frequent = PatternSet()
     rejected = 0
     for pattern in candidates:
@@ -79,6 +79,6 @@ def global_support(
         "candidates": len(candidates),
         "frequent": len(frequent),
         "rejected": rejected,
-        "flat_kernels": flat is not None,
+        "accel": flat is not None,
     }
     return frequent, digest

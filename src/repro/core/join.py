@@ -19,7 +19,7 @@ from typing import Iterable, Mapping
 from .. import perf
 from ..graph.canonical import canonical_code
 from ..graph.database import GraphDatabase
-from ..graph.isomorphism import subgraph_exists
+from ..graph.isomorphism import scan_support
 from ..graph.labeled_graph import LabeledGraph
 from ..graph.operations import (
     DeletionCore,
@@ -62,23 +62,25 @@ class SupportCounter:
     Builds an edge-triple -> gid index once; a pattern's support is then
     counted only over graphs containing all of its edge triples, seeded by
     TID lists already known from child levels (a piece's supporting graph
-    also supports the pattern at the parent level).
+    also supports the pattern at the parent level).  The surviving
+    candidates go through
+    :func:`~repro.graph.isomorphism.scan_support`, the counting routine
+    :func:`~repro.graph.isomorphism.count_support` runs too.
 
-    With the acceleration layer enabled, candidates are additionally
-    filtered by per-graph invariant fingerprints (degree-by-label and
-    1-round neighborhood domination), and an optional
-    :class:`~repro.perf.SupportCache` memoizes per-graph containment
-    verdicts under the pattern's canonical key.  The cache is keyed by
-    graph *instance*, so it pays only for an owner that re-tests the
-    same instances (repeated mines of one database); over a store-backed
-    dataset (``database.state_token() is not None``) decoded graphs
-    are transient — an entry could never be found again and every
-    probe would cost a row decode — so an attached cache is ignored.
-
-    The level dataset is read once: with the flat kernels on, the
-    triple index is derived from the compiled CSR arrays and the
-    batched counting path never fetches a graph; the per-graph
-    reference paths still dereference ``database[gid]`` per test.
+    With the acceleration layer on — read once, at construction: a
+    counter lives for one merge — the level dataset is compiled to a
+    :class:`~repro.perf.FlatDB` and read once: the triple index comes
+    off the compiled CSR arrays, and the batched kernel (which applies
+    the admit prefilter through the FlatDB's memo) never fetches a
+    graph.  An optional :class:`~repro.perf.SupportCache` memoizes
+    per-graph containment verdicts under the pattern's canonical key.
+    The cache is keyed by graph *instance*, so it pays only for an owner
+    that re-tests the same instances (repeated mines of one database);
+    over a store-backed dataset (``database.state_token() is not None``)
+    decoded graphs are transient — an entry could never be found again
+    and every probe would cost a row decode — so an attached cache is
+    ignored.  With the layer off the reference matcher dereferences
+    ``database[gid]`` per test and no cache is consulted.
     """
 
     def __init__(
@@ -90,16 +92,16 @@ class SupportCounter:
         if cache is not None and database.state_token() is not None:
             cache = None
         self.cache = cache
-        # Flat-array kernels: compile the level dataset once (cached on
-        # the database instance, version-validated); every existence
-        # check below then runs on CSR int arrays instead of dict rows.
-        self._flat = perf.get_flat_db(database) if perf.flat_enabled() else None
+        # The level dataset's flat compilation (cached on the database
+        # instance, version-validated); None selects the reference
+        # matcher.
+        self._flat = perf.get_flat_db(database) if perf.enabled() else None
         # One scan arena for the counter's lifetime: every batched count
         # at this level reuses the same preallocated matcher state
         # instead of building per-call lists (see repro.perf.batchscan).
         self._arena = perf.ScanArena()
-        # With the flat kernels on the index comes off the compiled
-        # arrays (shared, read-only) instead of a second database pass.
+        # With the kernel on the index comes off the compiled arrays
+        # (shared, read-only) instead of a second database pass.
         self._triple_index = (
             self._flat.edge_triple_index()
             if self._flat is not None
@@ -107,7 +109,7 @@ class SupportCounter:
         )
         self.isomorphism_tests = 0  # graphs submitted to an existence check
         self.vf2_tests = 0  # backtracking searches actually entered
-        self.fingerprint_rejects = 0  # candidates killed by fingerprints
+        self.fingerprint_rejects = 0  # candidates killed by the admit filter
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -119,18 +121,8 @@ class SupportCounter:
         """
         return frequent_in_index(self._triple_index, threshold)
 
-    def candidate_gids(
-        self, pattern: LabeledGraph, admit: bool = True
-    ) -> set[int]:
-        """Gids of graphs that pass every cheap containment filter.
-
-        Intersects the edge-triple index (as always), then — when the
-        acceleration layer is on — drops candidates whose fingerprint
-        rules the pattern out without a search.  ``admit=False`` skips
-        that second stage: the batched scan kernel applies the same
-        integer-space admit through the FlatDB's memo, so running it
-        here too would pay for every invariant twice.
-        """
+    def candidate_gids(self, pattern: LabeledGraph) -> set[int]:
+        """Gids of the graphs holding every edge triple of ``pattern``."""
         candidates: set[int] | None = None
         for triple in pattern_edge_triples(pattern):
             gids = self._triple_index.get(triple)
@@ -139,41 +131,7 @@ class SupportCounter:
             candidates = set(gids) if candidates is None else candidates & gids
             if not candidates:
                 return set()
-        if candidates is None:
-            return set()
-        if candidates and admit and perf.enabled():
-            flat = self._flat if perf.flat_enabled() else None
-            if flat is not None:
-                # Integer-space admit over the precompiled invariants;
-                # counters are flushed in bulk, not per candidate.
-                plan = perf.get_flat_plan(pattern)
-                quick = finger = 0
-                admitted = set()
-                for gid in candidates:
-                    reason = perf.flat_admits(plan, flat.get(gid))
-                    if reason == perf.ADMIT:
-                        admitted.add(gid)
-                    elif reason == perf.REJECT_QUICK:
-                        quick += 1
-                    else:
-                        finger += 1
-                self.fingerprint_rejects += quick + finger
-                if quick:
-                    COUNTERS.inc("quick_rejects", quick)
-                if finger:
-                    COUNTERS.inc("fingerprint_rejects", finger)
-                candidates = admitted
-            else:
-                profile = perf.get_match_plan(pattern).profile
-                database = self.database
-                admitted = set()
-                for gid in candidates:
-                    if perf.get_fingerprint(database[gid]).admits(profile):
-                        admitted.add(gid)
-                    else:
-                        self.fingerprint_rejects += 1
-                candidates = admitted
-        return candidates
+        return candidates if candidates is not None else set()
 
     def count(
         self,
@@ -193,98 +151,42 @@ class SupportCounter:
         the pattern's canonical key, used to address the shared support
         cache; when omitted it is derived on demand.
 
-        ``minsup`` (batched kernel only) lets the scan stop as soon as
-        the pattern provably cannot reach that support: the returned TID
+        ``minsup`` (kernel only) lets the scan stop as soon as the
+        pattern provably cannot reach that support: the returned TID
         set is then a subset of the true one, but the frequent/infrequent
         verdict against ``minsup`` is always exact, and a set that *does*
         reach ``minsup`` is always complete.  Callers that need the full
         TID set of infrequent patterns must pass 0 (the default).
         """
-        flat = self._flat if perf.flat_enabled() else None
-        use_batch = flat is not None and perf.batch_enabled()
         supporting = set(known_tids)
-        untested = self.candidate_gids(pattern, admit=not use_batch)
+        untested = self.candidate_gids(pattern)
         untested -= supporting
         if restrict is not None:
             untested &= restrict
-        cache = self.cache
-        use_cache = cache is not None and perf.enabled()
-        if use_cache and key is None:
-            try:
-                key = canonical_code(pattern)
-            except ValueError:  # disconnected/empty: not cacheable
-                use_cache = False
-        database = self.database
-        if use_batch:
-            if untested:
-                flat_plan = perf.get_flat_plan(pattern)
-                order = sorted(untested)
-                if use_cache:
-                    unresolved = []
-                    for gid in order:
-                        verdict = cache.get(key, database[gid])
-                        if verdict is not None:
-                            self.cache_hits += 1
-                            if verdict:
-                                supporting.add(gid)
-                        else:
-                            self.cache_misses += 1
-                            unresolved.append(gid)
-                else:
-                    unresolved = order
-                need = max(0, minsup - len(supporting)) if minsup else 0
-                scan = perf.flat_count_batch(
-                    flat_plan,
-                    flat,
-                    unresolved,
-                    minsup=need,
-                    need_tids=True,
-                    arena=self._arena,
-                )
-                supporting.update(scan.hits)
+        if untested:
+            # The reference matcher keeps no tallies of its own.
+            before = COUNTERS.vf2_calls if self._flat is None else 0
+            scan, cache_hits = scan_support(
+                pattern,
+                self.database,
+                sorted(untested),
+                self._flat,
+                supporting,
+                cache=self.cache,
+                key=key,
+                minsup=minsup,
+                arena=self._arena,
+            )
+            if scan is None:
+                self.isomorphism_tests += len(untested)
+                self.vf2_tests += COUNTERS.vf2_calls - before
+            else:
                 self.isomorphism_tests += scan.searched
                 self.vf2_tests += scan.searched
                 self.fingerprint_rejects += scan.rejected
-                if use_cache:
-                    hits = set(scan.hits)
-                    undecided = set(scan.undecided)
-                    for gid in unresolved:
-                        if gid not in undecided:
-                            cache.put(key, database[gid], gid in hits)
-            return len(supporting), frozenset(supporting)
-        flat_plan = (
-            perf.get_flat_plan(pattern) if flat is not None and untested
-            else None
-        )
-        flat_searched = 0
-        for gid in untested:
-            graph = database[gid]
-            if use_cache:
-                verdict = cache.get(key, graph)
-                if verdict is not None:
-                    self.cache_hits += 1
-                    if verdict:
-                        supporting.add(gid)
-                    continue
-                self.cache_misses += 1
-            self.isomorphism_tests += 1
-            if flat_plan is not None:
-                # candidate_gids already applied the flat admit, so go
-                # straight into the search (always entered: count 1).
-                hit = perf.flat_exists(flat_plan, flat.get(gid), count=False)
-                flat_searched += 1
-                self.vf2_tests += 1
-            else:
-                before = COUNTERS.vf2_calls
-                hit = subgraph_exists(pattern, graph)
-                self.vf2_tests += COUNTERS.vf2_calls - before
-            if use_cache:
-                cache.put(key, graph, hit)
-            if hit:
-                supporting.add(gid)
-        if flat_searched:
-            COUNTERS.inc("vf2_calls", flat_searched)
-            COUNTERS.inc("flat_searches", flat_searched)
+                if self.cache is not None:
+                    self.cache_hits += cache_hits
+                    self.cache_misses += len(untested) - cache_hits
         return len(supporting), frozenset(supporting)
 
 

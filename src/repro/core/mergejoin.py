@@ -49,9 +49,10 @@ class MergeJoinStats:
 
     ``isomorphism_tests`` counts graphs submitted to an existence check
     (the historical metric); ``vf2_tests`` counts backtracking searches
-    actually entered — the difference is work the fingerprint prefilters
-    absorbed inside the matcher.  ``fingerprint_rejects`` counts
-    candidate graphs dropped before submission, and the cache counters
+    actually entered — they differ only under the reference matcher,
+    whose quick-reject sits inside the check.  ``fingerprint_rejects``
+    counts candidate graphs the kernel's admit prefilter dropped before
+    submission, and the cache counters
     describe the shared support cache when one was passed in.
     """
 

@@ -225,18 +225,13 @@ class PartMiner:
                     None if support_cache is None else support_cache.stats()
                 ),
                 "counters": perf.delta_since(counters_before).to_dict(),
-                "accel": {
-                    "enabled": perf.enabled(),
-                    "flat": perf.flat_enabled(),
-                    "join_levels_skipped": sum(
-                        s.join_levels_skipped
-                        for s in result.merge_stats.values()
-                    ),
-                    "join_pairs_pruned": sum(
-                        s.join_pairs_pruned
-                        for s in result.merge_stats.values()
-                    ),
-                },
+                "accel": perf.enabled(),
+                "join_levels_skipped": sum(
+                    s.join_levels_skipped for s in result.merge_stats.values()
+                ),
+                "join_pairs_pruned": sum(
+                    s.join_pairs_pruned for s in result.merge_stats.values()
+                ),
             }
         return result
 

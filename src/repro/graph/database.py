@@ -149,25 +149,6 @@ class GraphDatabase:
         return token() if token is not None else None
 
     # ------------------------------------------------------------------
-    # Acceleration
-    # ------------------------------------------------------------------
-    def fingerprint(self, gid: int):
-        """The invariant fingerprint of graph ``gid``.
-
-        Fingerprints (:class:`repro.perf.GraphFingerprint`) are computed
-        once per graph version and cached on the graph instance; support
-        counting uses them to reject non-supporting graphs without a
-        subgraph search.
-        """
-        from ..perf.fingerprint import get_fingerprint
-
-        return get_fingerprint(self._graphs[gid])
-
-    def fingerprints(self) -> dict[int, object]:
-        """Build (or refresh) the fingerprint of every graph, by gid."""
-        return {gid: self.fingerprint(gid) for gid in self._graphs}
-
-    # ------------------------------------------------------------------
     # Statistics
     # ------------------------------------------------------------------
     def total_edges(self) -> int:

@@ -11,13 +11,14 @@ the same label.  The target may have extra edges between mapped vertices
 (non-induced / monomorphism semantics, which is what frequent subgraph mining
 uses).
 
-Existence checks (:func:`subgraph_exists`, and :func:`count_support` built
-on it) are served by the acceleration layer (:mod:`repro.perf`) by default:
-a compiled per-pattern match plan, per-graph invariant fingerprints and an
-iterative matcher replace the from-scratch recursive search.  The original
-path survives as :func:`subgraph_exists_reference` — the differential
-baseline, and what every call falls back to when the layer is disabled.
-:func:`find_embeddings` (full enumeration) is unchanged.
+This module holds the **reference matcher** — :func:`find_embeddings` and
+:func:`subgraph_exists_reference`, recursive and dict-based, the oracle of
+the differential tests.  Existence checks (:func:`subgraph_exists`) and
+support counts (:func:`count_support`) are answered by the production
+kernel in :mod:`repro.perf.batchscan` instead — pattern compiled to a flat
+plan, graphs to CSR arrays, one iterative descent per candidate list —
+unless the layer is switched off (:func:`repro.perf.enabled`), in which
+case they run the reference matcher.  Verdicts are identical either way.
 """
 
 from __future__ import annotations
@@ -31,19 +32,24 @@ from .database import GraphDatabase
 from .labeled_graph import LabeledGraph
 
 
-def _match_order(pattern: LabeledGraph) -> list[int]:
+def _match_order(
+    pattern: LabeledGraph, start: int | None = None
+) -> list[int]:
     """Order pattern vertices so each (after the first) touches a prior one.
 
-    Starts from the highest-degree vertex and grows a connected frontier,
-    preferring vertices with many already-ordered neighbors (most
-    constrained first).  Isolated vertices, if any, come last.
+    Starts from the highest-degree vertex (or ``start``, for an
+    enumeration rooted at a chosen vertex) and grows a connected
+    frontier, preferring vertices with many already-ordered neighbors
+    (most constrained first).  Isolated vertices, if any, come last.
+    The flat plans of :mod:`repro.perf.fastmatch` use the same order.
     """
     n = pattern.num_vertices
     if n == 0:
         return []
     placed: list[int] = []
     in_order = [False] * n
-    start = max(range(n), key=pattern.degree)
+    if start is None:
+        start = max(range(n), key=pattern.degree)
     placed.append(start)
     in_order[start] = True
     while len(placed) < n:
@@ -197,11 +203,17 @@ def subgraph_exists(
 
     ``induced=True`` switches to induced-subgraph semantics.
 
-    Uses the accelerated matcher (:mod:`repro.perf`) unless the layer is
-    globally disabled; both paths return identical verdicts.
+    Runs the production kernel (:func:`repro.perf.flat_contains`) on the
+    pattern's cached flat plan and the target's cached flat form unless
+    the layer is globally disabled; both paths return identical verdicts.
     """
     if perf.enabled():
-        return perf.accel_subgraph_exists(pattern, target, induced=induced)
+        # Target first: compiling it interns its labels, and a plan
+        # compiled before that could be marked unmatchable.
+        flat_target = perf.get_flat_graph(target)
+        return perf.flat_contains(
+            perf.get_flat_plan(pattern), flat_target, induced=induced
+        )
     return subgraph_exists_reference(pattern, target, induced=induced)
 
 
@@ -260,15 +272,13 @@ def count_support(
     key if already known — when omitted it is derived (and memoized on the
     pattern) the first time the cache is consulted.
 
-    ``minsup`` opts into support-threshold early termination on the
-    batched kernel path (cache-less only): the scan aborts once the
-    remaining candidates cannot reach ``minsup``, and — with
-    ``need_tids=False`` — once ``minsup`` supporting graphs are in hand.
-    After an abort the returned pair is a partial lower bound whose
+    ``minsup`` opts into support-threshold early termination: the scan
+    aborts once the remaining candidates cannot reach ``minsup``, and —
+    with ``need_tids=False`` — once ``minsup`` supporting graphs are in
+    hand.  After an abort the returned pair is a partial lower bound whose
     frequency verdict (``support >= minsup``) is nevertheless exact;
     callers that consume TID lists of frequent patterns keep the default
     ``need_tids=True``, under which frequent results are always complete.
-    The reference and per-graph paths ignore both knobs (always exact).
 
     ``flat`` is a pre-validated flat compilation of ``database``
     (:func:`repro.perf.get_flat_db`): callers issuing many counts against
@@ -276,142 +286,103 @@ def count_support(
     once and pass it down, skipping the per-call freshness revalidation
     (the caller then owns the database-unchanged contract, exactly as
     :class:`~repro.core.join.SupportCounter` does).  ``arena`` is a
-    :class:`repro.perf.ScanArena` to reuse across batched scans; both are
-    ignored when the flat layer is off.
+    :class:`repro.perf.ScanArena` to reuse across scans.
+
+    With the acceleration layer off the reference matcher visits every
+    candidate; ``cache``, ``minsup``, ``flat`` and ``arena`` are ignored.
     """
-    use_cache = cache is not None and perf.enabled()
-    if use_cache and key is None:
+    if not perf.enabled():
+        flat = None
+    elif flat is None:
+        flat = perf.get_flat_db(database)
+    gids = (
+        None
+        if candidate_gids is None
+        else sorted(gid for gid in candidate_gids if gid in database)
+    )
+    supporting: set[int] = set()
+    scan_support(
+        pattern, database, gids, flat, supporting,
+        induced=induced, cache=cache, key=key, minsup=minsup,
+        need_tids=need_tids, arena=arena,
+    )
+    return len(supporting), supporting
+
+
+def scan_support(
+    pattern: LabeledGraph,
+    database: GraphDatabase,
+    gids: list[int] | None,
+    flat: "perf.FlatDB | None",
+    supporting: set[int],
+    induced: bool = False,
+    cache: "perf.SupportCache | None" = None,
+    key: tuple | None = None,
+    minsup: int = 0,
+    need_tids: bool = True,
+    arena: "perf.ScanArena | None" = None,
+) -> tuple["perf.BatchScan | None", int]:
+    """Probe the cache, scan the misses, store the verdicts: the one
+    counting routine behind :func:`count_support` and
+    :class:`repro.core.join.SupportCounter`.
+
+    Adds to ``supporting`` (gids already known to contain the pattern;
+    they count towards ``minsup``) every gid of ``gids`` — sorted, all in
+    ``database``; ``None`` is the whole database, which the kernel scans
+    through its memoized admit list — whose graph contains ``pattern``,
+    and returns ``(scan, cache_hits)``.
+
+    ``flat`` selects the matcher.  A :class:`~repro.perf.FlatDB` of
+    ``database`` runs the kernel: ``cache`` resolves what it can, one
+    :func:`~repro.perf.flat_count_batch` call decides the rest (its
+    :class:`~repro.perf.BatchScan` is returned for the work tallies), and
+    every decided miss is stored — after an early exit the undecided
+    gids are not.  ``None`` runs the reference matcher over every gid,
+    exactly and cache-less; ``scan`` is then ``None``.
+    """
+    if flat is None:
+        items = (
+            iter(database)
+            if gids is None
+            else ((gid, database[gid]) for gid in gids)
+        )
+        supporting.update(
+            gid
+            for gid, graph in items
+            if subgraph_exists_reference(pattern, graph, induced=induced)
+        )
+        return None, 0
+    if cache is not None and key is None:
         try:
             key = canonical_code(pattern)
         except ValueError:  # empty or disconnected pattern: no canonical key
-            use_cache = False
-    # Flat kernels: compile the database once (instance-cached), then run
-    # every existence check as an integer-space admit + flat-array
-    # search.  Counters are tallied locally and flushed once — no lock
-    # acquisitions inside the scan loop.
-    flat_plan = None
-    if perf.flat_enabled() and pattern.num_vertices > 0:
-        if flat is None:
-            flat = perf.get_flat_db(database)
-        flat_plan = perf.get_flat_plan(pattern)
-    else:
-        flat = None
-    supporting: set[int] = set()
-
-    if flat_plan is not None and perf.batch_enabled():
-        # Batched scan: the fused admit + descent kernel walks the whole
-        # sorted candidate list inside one Python frame and flushes the
-        # work counters once (see repro.perf.batchscan).
-        if use_cache:
-            # Probe the cache outside the kernel, batch only the misses;
-            # the kernel then runs exact so every miss gets a verdict.
-            probe = (
-                sorted(database._graphs)
-                if candidate_gids is None
-                else sorted(g for g in candidate_gids if g in database)
-            )
-            unresolved = []
-            for gid in probe:
-                verdict = cache.get(key, database[gid], induced=induced)
-                if verdict is None:
-                    unresolved.append(gid)
-                elif verdict:
-                    supporting.add(gid)
-            scan = perf.flat_count_batch(
-                flat_plan, flat, unresolved, induced=induced, arena=arena
-            )
-            hits = set(scan.hits)
-            supporting |= hits
-            for gid in unresolved:
-                cache.put(key, database[gid], gid in hits, induced=induced)
-        else:
-            gid_list = (
-                None
-                if candidate_gids is None
-                else sorted(g for g in candidate_gids if g in database)
-            )
-            scan = perf.flat_count_batch(
-                flat_plan,
-                flat,
-                gid_list,
-                induced=induced,
-                minsup=minsup,
-                need_tids=need_tids,
-                arena=arena,
-            )
-            supporting = set(scan.hits)
-        return len(supporting), supporting
-
-    if candidate_gids is None:
-        items: Iterator[tuple[int, LabeledGraph]] = iter(database)
-    else:
-        items = (
-            (gid, database[gid])
-            for gid in sorted(candidate_gids)
-            if gid in database
-        )
-    quick = finger = searched = 0
-
-    if flat_plan is not None and not use_cache:
-        # Per-graph flat loop (batch kernel disabled): no cache probes,
-        # no closure dispatch — just admit + search per graph, locals
-        # bound once.  Admit verdicts are memoized on the FlatDB (both
-        # sides are immutable), so repeated scans of one database skip
-        # the invariant loops; the reject counters still tick every scan.
-        admits = perf.flat_admits
-        fexists = perf.flat_exists
-        flats = flat.flats
-        reject_quick = perf.REJECT_QUICK
-        add = supporting.add
-        memo = flat.plan_memo(flat_plan)
-        memo_get = memo.get
-        for gid, _graph in items:
-            reason = memo_get(gid)
-            if reason is None:
-                reason = memo[gid] = admits(flat_plan, flats[gid])
-            if reason:
-                if reason == reject_quick:
-                    quick += 1
-                else:
-                    finger += 1
-                continue
-            searched += 1
-            if fexists(flat_plan, flats[gid], induced=induced, count=False):
-                add(gid)
-    else:
-
-        def exists(gid: int, graph: LabeledGraph) -> bool:
-            nonlocal quick, finger, searched
-            if flat_plan is not None:
-                fg = flat.get(gid)
-                reason = perf.flat_admits(flat_plan, fg)
-                if reason:
-                    if reason == perf.REJECT_QUICK:
-                        quick += 1
-                    else:
-                        finger += 1
-                    return False
-                searched += 1
-                return perf.flat_exists(
-                    flat_plan, fg, induced=induced, count=False
-                )
-            return subgraph_exists(pattern, graph, induced=induced)
-
-        for gid, graph in items:
-            if use_cache:
-                verdict = cache.get(key, graph, induced=induced)
-                if verdict is None:
-                    verdict = exists(gid, graph)
-                    cache.put(key, graph, verdict, induced=induced)
+            cache = None
+    cache_hits = 0
+    if cache is not None:
+        probe = sorted(database.gids()) if gids is None else gids
+        gids = []
+        for gid in probe:
+            verdict = cache.get(key, database[gid], induced=induced)
+            if verdict is None:
+                gids.append(gid)
             else:
-                verdict = exists(gid, graph)
-            if verdict:
-                supporting.add(gid)
-    if quick:
-        COUNTERS.inc("quick_rejects", quick)
-    if finger:
-        COUNTERS.inc("fingerprint_rejects", finger)
-    if searched:
-        COUNTERS.inc("vf2_calls", searched)
-        COUNTERS.inc("flat_searches", searched)
-    return len(supporting), supporting
+                cache_hits += 1
+                if verdict:
+                    supporting.add(gid)
+    scan = perf.flat_count_batch(
+        perf.get_flat_plan(pattern),
+        flat,
+        gids,
+        induced=induced,
+        minsup=max(0, minsup - len(supporting)),
+        need_tids=need_tids,
+        arena=arena,
+    )
+    supporting.update(scan.hits)
+    if cache is not None:
+        hits = set(scan.hits)
+        undecided = set(scan.undecided)
+        for gid in gids:
+            if gid not in undecided:
+                cache.put(key, database[gid], gid in hits, induced=induced)
+    return scan, cache_hits

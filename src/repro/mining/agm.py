@@ -25,7 +25,7 @@ from typing import Hashable
 
 from ..graph.canonical import canonical_code
 from ..graph.database import GraphDatabase
-from ..graph.isomorphism import find_embeddings, subgraph_exists
+from ..graph.isomorphism import count_support, find_embeddings
 from ..graph.labeled_graph import Label, LabeledGraph
 from .base import MiningStats, Pattern, PatternSet
 
@@ -287,12 +287,10 @@ class AGMMiner:
         pattern: LabeledGraph,
         bound: frozenset[int],
     ) -> tuple[int, set[int]]:
-        supporting = set()
-        for gid in bound:
-            self.stats.isomorphism_tests += 1
-            if subgraph_exists(pattern, database[gid], induced=True):
-                supporting.add(gid)
-        return len(supporting), supporting
+        self.stats.isomorphism_tests += len(bound)
+        return count_support(
+            pattern, database, candidate_gids=bound, induced=True
+        )
 
 
 class InducedBruteForceMiner:

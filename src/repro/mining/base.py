@@ -130,8 +130,8 @@ class PatternSet:
     ) -> "PatternSet":
         """Re-derive every pattern's support against ``database``.
 
-        Runs ``CheckFrequency`` from scratch — through the flat-array
-        kernels when the acceleration layer is on, through the reference
+        Runs ``CheckFrequency`` from scratch — through the batched
+        kernel when the acceleration layer is on, through the reference
         matcher otherwise — and returns a new set with exact supports
         and TID lists.  This is the bench harness's throughput workload
         and the soundness oracle the bound-pruning tests re-check
@@ -145,8 +145,8 @@ class PatternSet:
         # flat database once and hand it (plus one scan arena) to every
         # count — the pass itself never mutates the database, so the
         # per-call revalidation would be pure overhead at this scale.
-        flat = perf.get_flat_db(database) if perf.flat_enabled() else None
-        arena = perf.ScanArena() if flat is not None else None
+        flat = perf.get_flat_db(database) if perf.enabled() else None
+        arena = perf.ScanArena()
         result = PatternSet()
         for pattern in self._by_key.values():
             support, tids = count_support(

@@ -1,20 +1,26 @@
-"""Support-counting acceleration layer (match plans, fingerprints, cache).
+"""Support-counting acceleration layer (reference matcher, kernel, cache).
 
-Three cooperating mechanisms make ``CheckFrequency`` cheap:
+``CheckFrequency`` asks one question — which graphs contain this
+pattern? — and there are two ways to answer it:
 
-* :mod:`repro.perf.matchplan` — per-pattern compiled matching state and an
-  iterative, allocation-light existence matcher;
-* :mod:`repro.perf.fingerprint` — per-graph containment-monotone
-  invariants that reject most non-supporting graphs without a search;
-* :mod:`repro.perf.cache` — a canonical-key -> per-graph containment memo
-  shared across partition-tree levels and update batches.
+* the **reference matcher** (:func:`repro.graph.isomorphism.find_embeddings`
+  / ``subgraph_exists_reference``): recursive, dict-based, the oracle of
+  every differential test;
+* the **production kernel** (:mod:`repro.perf.batchscan`): patterns
+  compiled to flat plans (:mod:`repro.perf.fastmatch`), graphs to CSR
+  arrays (:mod:`repro.perf.flatgraph`), an integer-space admit prefilter
+  and an iterative descent over a whole candidate list per call —
+  ``flat_count_batch`` / ``flat_contains`` to count, ``flat_embeddings``
+  to enumerate.
 
-All fast paths are behaviour-preserving: the differential test-suite pins
-them against the reference matcher.  The layer can be switched off
-globally (``set_enabled(False)``, the CLI ``--no-accel`` flag, or the
-``REPRO_NO_ACCEL`` environment variable), which routes every existence
-check through the original recursive matcher — the escape hatch and the
-baseline the benchmarks compare against.
+:mod:`repro.perf.cache` adds a canonical-key -> per-graph containment
+memo for owners that re-test the same graph instances.
+
+The kernel is behaviour-preserving: the differential test-suite pins it
+against the reference matcher.  One switch chooses between the two
+(``set_enabled(False)``, the CLI ``--no-accel`` flag, or the
+``REPRO_NO_ACCEL`` environment variable — the escape hatch and the
+baseline the benchmarks compare against).
 
 Work counters live in :mod:`repro.perf.counters` (re-exported for
 benchmark code as :mod:`repro.bench.counters`).
@@ -29,6 +35,7 @@ from ._state import accel_token, bump_token as _bump_token
 from .batchscan import (
     BatchScan,
     ScanArena,
+    flat_contains,
     flat_count_batch,
     flat_embeddings,
     local_arena,
@@ -42,14 +49,12 @@ from .counters import (
     reset_counters,
     snapshot,
 )
-from .fingerprint import GraphFingerprint, PatternProfile, get_fingerprint
 from .fastmatch import (
     ADMIT,
     REJECT_DEGREE,
     REJECT_QUICK,
     FlatPlan,
     flat_admits,
-    flat_exists,
     get_flat_plan,
 )
 from .flatgraph import (
@@ -59,18 +64,12 @@ from .flatgraph import (
     FlatSegment,
     attach_segment,
     get_flat_db,
+    get_flat_graph,
     live_segments,
-)
-from .matchplan import (
-    MatchPlan,
-    accel_subgraph_exists,
-    get_match_plan,
-    plan_exists,
 )
 
 _ENABLED = not os.environ.get("REPRO_NO_ACCEL")
-_FLAT_ENABLED = not os.environ.get("REPRO_NO_FLAT")
-_BATCH_ENABLED = not os.environ.get("REPRO_NO_BATCH")
+
 
 def enabled() -> bool:
     """True when the acceleration layer is globally active."""
@@ -87,36 +86,6 @@ def set_enabled(flag: bool) -> bool:
     return previous
 
 
-def flat_enabled() -> bool:
-    """True when the flat-array kernels are active (implies enabled())."""
-    return _ENABLED and _FLAT_ENABLED
-
-
-def set_flat_enabled(flag: bool) -> bool:
-    """Switch the flat-array kernels on or off; returns the previous state."""
-    global _FLAT_ENABLED
-    previous = _FLAT_ENABLED
-    _FLAT_ENABLED = bool(flag)
-    if previous != _FLAT_ENABLED:
-        _bump_token()
-    return previous
-
-
-def batch_enabled() -> bool:
-    """True when the batched scan kernel is active (implies flat_enabled())."""
-    return _ENABLED and _FLAT_ENABLED and _BATCH_ENABLED
-
-
-def set_batch_enabled(flag: bool) -> bool:
-    """Switch the batched scan kernel on or off; returns the previous state."""
-    global _BATCH_ENABLED
-    previous = _BATCH_ENABLED
-    _BATCH_ENABLED = bool(flag)
-    if previous != _BATCH_ENABLED:
-        _bump_token()
-    return previous
-
-
 @contextmanager
 def disabled():
     """Run a block on the unaccelerated reference paths (for testing)."""
@@ -125,26 +94,6 @@ def disabled():
         yield
     finally:
         set_enabled(previous)
-
-
-@contextmanager
-def flat_disabled():
-    """Run a block with match plans but no flat kernels (for testing)."""
-    previous = set_flat_enabled(False)
-    try:
-        yield
-    finally:
-        set_flat_enabled(previous)
-
-
-@contextmanager
-def batch_disabled():
-    """Run a block with flat kernels but per-graph dispatch (for testing)."""
-    previous = set_batch_enabled(False)
-    try:
-        yield
-    finally:
-        set_batch_enabled(previous)
 
 
 __all__ = [
@@ -156,39 +105,27 @@ __all__ = [
     "FlatPlan",
     "ScanArena",
     "FlatSegment",
-    "GraphFingerprint",
     "INTERNER",
-    "MatchPlan",
-    "PatternProfile",
     "PerfCounters",
     "SupportCache",
-    "accel_subgraph_exists",
     "accel_token",
     "attach_segment",
-    "batch_disabled",
-    "batch_enabled",
     "delta_since",
     "disabled",
     "enabled",
+    "flat_contains",
     "flat_count_batch",
-    "flat_disabled",
     "flat_embeddings",
-    "flat_enabled",
     "local_arena",
     "REJECT_DEGREE",
     "REJECT_QUICK",
     "flat_admits",
-    "flat_exists",
-    "get_fingerprint",
     "get_flat_db",
+    "get_flat_graph",
     "get_flat_plan",
-    "get_match_plan",
     "global_counters",
     "live_segments",
-    "plan_exists",
     "reset_counters",
-    "set_batch_enabled",
     "set_enabled",
-    "set_flat_enabled",
     "snapshot",
 ]

@@ -1,8 +1,7 @@
 """Process-wide acceleration-state token (cycle-free home).
 
-The token is bumped whenever the acceleration layer's observable
-configuration changes — the global on/off switch or the flat-kernel
-switch.  :class:`repro.perf.cache.SupportCache` stamps every verdict
+The token is bumped whenever the acceleration layer's on/off switch
+flips.  :class:`repro.perf.cache.SupportCache` stamps every verdict
 with it, so a verdict computed under one configuration is never served
 under another; it lives in this tiny module because ``cache.py`` is
 imported while ``repro.perf.__init__`` is still executing.

@@ -1,11 +1,19 @@
-"""Batched candidate-scan kernel: one Python frame per whole scan.
+"""The production matching kernels: one Python frame per whole scan.
 
-:func:`repro.perf.fastmatch.flat_exists` made the *search* cheap; the
-scan loop around it stayed interpreter-bound — one Python call, a fresh
-``bytearray`` used-mask, five fresh per-depth lists and a counter flush
-**per graph**.  :func:`flat_count_batch` fuses the admit prefilter and
-the iterative VF2 descent over an entire (sorted) candidate-gid list
-inside a single frame:
+Two iterative backtracking descents over flat graphs
+(:mod:`repro.perf.flatgraph`) and flat plans
+(:mod:`repro.perf.fastmatch`), sharing their state layout:
+
+* :func:`flat_count_batch` **counts** — which graphs of a
+  :class:`~repro.perf.flatgraph.FlatDB` contain the pattern — and
+  :func:`flat_contains` asks the same of one free-standing graph;
+* :func:`flat_embeddings` **enumerates** every embedding in one graph.
+
+A scan loop that makes one Python call, a fresh ``bytearray`` used-mask,
+five fresh per-depth lists and a counter flush **per graph** is
+interpreter-bound however cheap the search is.  :func:`flat_count_batch`
+fuses the admit prefilter and the descent over an entire (sorted)
+candidate-gid list:
 
 * plan state (anchor CSR arrays, label ids, degree requirements) is
   bound to locals **once per scan** instead of once per graph;
@@ -21,6 +29,14 @@ inside a single frame:
 * work counters are tallied in locals and flushed to the global
   :data:`~repro.perf.counters.COUNTERS` once per scan.
 
+Inside a search, candidates for an anchored position are the anchor
+image's sub-run of the required edge-label id (one ``runs`` probe; rows
+are sorted by ``(edge-label id, neighbor id)``), the remaining anchor
+constraints bisect the candidate's own sub-run, and induced
+non-adjacency is a linear scan of the candidate's row (rows are short;
+only the AGM family asks).  No label objects are read and nothing is
+allocated per node.
+
 Support-threshold early termination extends the Geerts/Goethals/Van den
 Bussche candidate bound (cs/0112007, already pruning join pairs and
 levels in :mod:`repro.core.mergejoin`) down into the per-pattern verify
@@ -34,10 +50,11 @@ wanted).  Either abort returns ``exact=False`` plus the list of
 still-undecided gids, so callers memoizing per-graph verdicts
 (:class:`~repro.perf.cache.SupportCache`) never cache a guess.
 
-Semantics per graph are identical to :func:`flat_exists`; the
-differential suite pins the batch kernel against it and against the
-recursive reference matcher across label regimes and both matching
-semantics.
+``vf2_calls`` counts searches entered here exactly as it does in the
+reference matcher, so the two modes' work is comparable;
+``flat_searches`` counts the kernels specifically.  The differential
+suite pins both kernels against the recursive reference matcher across
+label regimes and both matching semantics.
 """
 
 from __future__ import annotations
@@ -151,6 +168,152 @@ def _admitted_pairs(plan: FlatPlan, flat: FlatDB, gids) -> tuple:
     return entry
 
 
+def _descend(plan, pairs, maxn, induced, minsup, need_tids, arena):
+    """The existence descent over admitted ``(gid, FlatGraph)`` pairs.
+
+    Returns ``(hits, stop_at)``: the gids whose graph contains the plan
+    (in ``pairs`` order) and the index an early exit fired at, -1 when
+    every pair was searched.  ``plan.n`` must be positive and ``maxn``
+    at least the largest graph's vertex count.
+    """
+    n = plan.n
+    admitted = len(pairs)
+    hits: list = []
+    if arena is None:
+        arena = local_arena()
+    arena.reserve(n, maxn)
+    assigned = arena.assigned
+    cursor = arena.cursor
+    limit = arena.limit
+    roots = arena.roots
+    used = arena.used
+    meta = plan.meta
+    apos, aelab = plan.apos, plan.aelab
+    npos = plan.npos
+    empty = ()
+    found = 0
+    hits_append = hits.append
+    stop_at = -1  # index where an early exit fired (-1: ran to the end)
+    for idx, (gid, fg) in enumerate(pairs):
+        if minsup:
+            if found + admitted - idx < minsup or (
+                not need_tids and found >= minsup
+            ):
+                stop_at = idx
+                break
+        if n == 1:
+            # Admission guarantees a vertex of the right label (the
+            # degree requirement is 0): always a hit, counted as a search.
+            found += 1
+            hits_append(gid)
+            continue
+        vlab = fg.vlab
+        nbr = fg.nbr
+        deg = fg.deg
+        by_label = fg.by_label
+        runs_get = fg.runs.get
+        # Iterative descent: "enter" computes the candidate scan bounds
+        # of the current depth, "advance" walks them to the next feasible
+        # candidate; scan state is spilled to cursor/limit/roots only
+        # when a depth suspends on a match, restored only on backtrack.
+        # Per-depth plan constants come from the plan's packed ``meta``
+        # rows: one list index + tuple unpack per node entry.
+        depth = 0
+        entering = True
+        hit = False
+        while True:
+            (
+                a0, a1, n0, n1, want_label, need_deg,
+                apos0, aelab0, multi,
+            ) = meta[depth]
+            if entering:
+                if apos0 >= 0:
+                    # Anchored: the anchor image's sub-run of the
+                    # required edge-label id, via one runs probe.
+                    root = None
+                    run = runs_get(assigned[apos0] << 32 | aelab0)
+                    if run is None:
+                        i = end = 0
+                    else:
+                        i, end = run
+                else:
+                    root = by_label.get(want_label, empty)
+                    i = 0
+                    end = len(root)
+            else:
+                root = roots[depth]
+                i = cursor[depth]
+                end = limit[depth]
+            anchored = root is None
+            seq = nbr if anchored else root
+            cand = -1
+            while i < end:
+                c = seq[i]
+                i += 1
+                if used[c]:
+                    continue
+                if anchored and vlab[c] != want_label:
+                    continue
+                if deg[c] < need_deg:
+                    continue
+                if multi:
+                    ok = True
+                    for j in range(a0 + 1, a1):
+                        # Is (c, image of apos[j]) an aelab[j]-edge?
+                        run = runs_get(c << 32 | aelab[j])
+                        if run is None:
+                            ok = False
+                            break
+                        target = assigned[apos[j]]
+                        lo, hi = run
+                        k = bisect_left(nbr, target, lo, hi)
+                        if k >= hi or nbr[k] != target:
+                            ok = False
+                            break
+                    if not ok:
+                        continue
+                if induced and n1 > n0:
+                    indptr = fg.indptr
+                    ok = True
+                    for j in range(n0, n1):
+                        target = assigned[npos[j]]
+                        for k in range(indptr[c], indptr[c + 1]):
+                            if nbr[k] == target:
+                                ok = False
+                                break
+                        if not ok:
+                            break
+                    if not ok:
+                        continue
+                cand = c
+                break
+            if cand >= 0:
+                roots[depth] = root
+                cursor[depth] = i
+                limit[depth] = end
+                assigned[depth] = cand
+                used[cand] = 1
+                depth += 1
+                if depth == n:
+                    hit = True
+                    break
+                entering = True
+            else:
+                depth -= 1
+                if depth < 0:
+                    break
+                used[assigned[depth]] = 0
+                entering = False
+        if hit:
+            found += 1
+            hits_append(gid)
+            # The search suspended mid-match: unwind the mask so the
+            # arena invariant (all-zero between searches) holds.
+            for d in range(n):
+                used[assigned[d]] = 0
+    return hits, stop_at
+
+
 def flat_count_batch(
     plan: FlatPlan,
     flat: FlatDB,
@@ -171,17 +334,16 @@ def flat_count_batch(
     ``minsup`` enables the early exits described in the module
     docstring (0 disables both); ``minsup`` must already be adjusted for
     hits the caller has in hand from elsewhere (cache probes, seeded
-    TID lists).  Per-graph verdict semantics — including ``induced`` —
-    are identical to :func:`~repro.perf.fastmatch.flat_exists`.
+    TID lists).  Per-graph verdicts — monomorphism by default, induced
+    with ``induced=True`` — equal the reference matcher's.
 
-    Counter accounting matches the fused loops this kernel replaces:
-    every admit rejection ticks ``quick_rejects``/``fingerprint_rejects``
+    Every admit rejection ticks ``quick_rejects``/``fingerprint_rejects``
     and every search entered ticks ``vf2_calls`` + ``flat_searches``,
     flushed in one batch at the end of the scan.
     """
     n = plan.n
     if n == 0:
-        # Empty pattern: embeds everywhere (flat_exists contract).
+        # Empty pattern: embeds everywhere.
         hits = sorted(flat.flats) if gids is None else [
             gid for gid in gids if gid in flat.flats
         ]
@@ -200,137 +362,9 @@ def flat_count_batch(
         undecided = [gid for gid, _ in pairs]
         exact = False
     elif admitted:
-        if arena is None:
-            arena = local_arena()
-        arena.reserve(n, maxn)
-        assigned = arena.assigned
-        cursor = arena.cursor
-        limit = arena.limit
-        roots = arena.roots
-        used = arena.used
-        meta = plan.meta
-        apos, aelab = plan.apos, plan.aelab
-        npos = plan.npos
-        empty = ()
-        found = 0
-        hits_append = hits.append
-        stop_at = -1  # index where an early exit fired (-1: ran to the end)
-        for idx, (gid, fg) in enumerate(pairs):
-            if minsup:
-                if found + admitted - idx < minsup or (
-                    not need_tids and found >= minsup
-                ):
-                    stop_at = idx
-                    break
-            if n == 1:
-                # Admission guarantees a vertex of the right label (the
-                # degree requirement is 0): always a hit, same counter
-                # accounting as the per-graph matcher.
-                found += 1
-                hits_append(gid)
-                continue
-            vlab = fg.vlab
-            nbr = fg.nbr
-            deg = fg.deg
-            by_label = fg.by_label
-            runs_get = fg.runs.get
-            # Iterative descent — the same inlined enter/advance loop as
-            # flat_exists, over the arena's reusable buffers.  Per-depth
-            # plan constants come from the plan's packed ``meta`` rows:
-            # one list index + tuple unpack per node entry.
-            depth = 0
-            entering = True
-            hit = False
-            while True:
-                (
-                    a0, a1, n0, n1, want_label, need_deg,
-                    apos0, aelab0, multi,
-                ) = meta[depth]
-                if entering:
-                    if apos0 >= 0:
-                        # Anchored: the anchor image's sub-run of the
-                        # required edge-label id, via one runs probe.
-                        root = None
-                        run = runs_get(assigned[apos0] << 32 | aelab0)
-                        if run is None:
-                            i = end = 0
-                        else:
-                            i, end = run
-                    else:
-                        root = by_label.get(want_label, empty)
-                        i = 0
-                        end = len(root)
-                else:
-                    root = roots[depth]
-                    i = cursor[depth]
-                    end = limit[depth]
-                anchored = root is None
-                seq = nbr if anchored else root
-                cand = -1
-                while i < end:
-                    c = seq[i]
-                    i += 1
-                    if used[c]:
-                        continue
-                    if anchored and vlab[c] != want_label:
-                        continue
-                    if deg[c] < need_deg:
-                        continue
-                    if multi:
-                        ok = True
-                        for j in range(a0 + 1, a1):
-                            # Is (c, image of apos[j]) an aelab[j]-edge?
-                            run = runs_get(c << 32 | aelab[j])
-                            if run is None:
-                                ok = False
-                                break
-                            target = assigned[apos[j]]
-                            lo, hi = run
-                            k = bisect_left(nbr, target, lo, hi)
-                            if k >= hi or nbr[k] != target:
-                                ok = False
-                                break
-                        if not ok:
-                            continue
-                    if induced and n1 > n0:
-                        indptr = fg.indptr
-                        ok = True
-                        for j in range(n0, n1):
-                            target = assigned[npos[j]]
-                            for k in range(indptr[c], indptr[c + 1]):
-                                if nbr[k] == target:
-                                    ok = False
-                                    break
-                            if not ok:
-                                break
-                        if not ok:
-                            continue
-                    cand = c
-                    break
-                if cand >= 0:
-                    roots[depth] = root
-                    cursor[depth] = i
-                    limit[depth] = end
-                    assigned[depth] = cand
-                    used[cand] = 1
-                    depth += 1
-                    if depth == n:
-                        hit = True
-                        break
-                    entering = True
-                else:
-                    depth -= 1
-                    if depth < 0:
-                        break
-                    used[assigned[depth]] = 0
-                    entering = False
-            if hit:
-                found += 1
-                hits_append(gid)
-                # The search suspended mid-match: unwind the mask so the
-                # arena invariant (all-zero between searches) holds.
-                for d in range(n):
-                    used[assigned[d]] = 0
+        hits, stop_at = _descend(
+            plan, pairs, maxn, induced, minsup, need_tids, arena
+        )
         if stop_at >= 0:
             exact = False
             undecided = [gid for gid, _ in pairs[stop_at:]]
@@ -348,6 +382,28 @@ def flat_count_batch(
     return BatchScan(
         len(hits), hits, exact, undecided, searched, quick + finger
     )
+
+
+def flat_contains(plan: FlatPlan, fg: FlatGraph, induced: bool = False) -> bool:
+    """True if ``plan`` embeds in the one flat graph ``fg``.
+
+    The single-pair form of :func:`flat_count_batch` — the same admit
+    prefilter, the same descent, the same counters — for callers that
+    hold a free-standing graph rather than a database
+    (:func:`repro.graph.isomorphism.subgraph_exists`).
+    """
+    if plan.n == 0:
+        return True
+    reason = flat_admits(plan, fg)
+    if reason != ADMIT:
+        COUNTERS.inc(
+            "quick_rejects" if reason == REJECT_QUICK else "fingerprint_rejects"
+        )
+        return False
+    hits, _ = _descend(plan, ((0, fg),), fg.n, induced, 0, True, None)
+    COUNTERS.inc("vf2_calls")
+    COUNTERS.inc("flat_searches")
+    return bool(hits)
 
 
 def flat_embeddings(

@@ -2,11 +2,11 @@
 
 Every fast path in :mod:`repro.perf` increments these process-wide
 counters, so benchmarks and the CI perf gate can measure *work avoided*
-(isomorphism searches skipped, candidates rejected by fingerprints,
-support verdicts served from cache) independently of wall-clock noise.
+(isomorphism searches skipped, candidates rejected by the admit
+prefilter, support verdicts served from cache) independently of wall-clock noise.
 
 ``vf2_calls`` is the headline number: it counts backtracking subgraph
-searches **actually entered**, in both the accelerated matcher and the
+searches **actually entered**, in both the production kernel and the
 reference recursive matcher, after their respective prefilters.  Running
 the same workload with acceleration off and on and comparing the two
 deltas is how ``benchmarks/bench_support_counting.py`` computes the
@@ -45,11 +45,7 @@ class PerfCounters:
 
     vf2_calls: int = 0  # backtracking searches entered (both matchers)
     quick_rejects: int = 0  # size/label-histogram rejections
-    fingerprint_rejects: int = 0  # degree/neighborhood fingerprint rejections
-    plan_compiles: int = 0  # match plans built
-    plan_hits: int = 0  # match plans served from cache
-    fingerprint_builds: int = 0  # graph fingerprints built
-    fingerprint_hits: int = 0  # fingerprints served from cache
+    fingerprint_rejects: int = 0  # degree-sequence rejections
     support_cache_hits: int = 0  # containment verdicts served from cache
     support_cache_misses: int = 0  # cache consulted, no (fresh) verdict
     support_cache_stores: int = 0  # verdicts written to a cache

@@ -1,52 +1,44 @@
-"""Iterative existence matching over flat-array graphs.
+"""Flat pattern plans and the integer-space admit prefilter.
 
-:func:`flat_exists` answers "does this pattern embed in this flat
-graph?" with the same semantics (and the same match order) as
-:func:`repro.perf.matchplan.plan_exists`, but its inner loop touches
-only flat integer arrays:
+A :class:`FlatPlan` is one pattern compiled for the kernels in
+:mod:`repro.perf.batchscan`: the match order (shared with the reference
+matcher, :func:`repro.graph.isomorphism._match_order`), and per match
+position the required vertex-label id, the minimum degree, the
+already-placed pattern neighbours with their edge-label ids (*anchors*)
+and — for induced matching — the already-placed non-neighbours, all as
+flat ``int`` lists.  The reference matcher recomputes this for every
+``(pattern, target)`` pair; support counting matches one pattern against
+tens to thousands of targets, so it is compiled once per pattern
+version and cached on the pattern instance.
 
-* candidate generation for an anchored position is a pair of bisects
-  locating the anchor row's sub-run of the required edge-label id
-  (rows are sorted by ``(edge-label id, neighbor id)``);
-* the remaining anchor constraints are answered by bisecting the
-  candidate's own row — label sub-run first, neighbor id within it;
-* induced non-adjacency is a linear scan of the candidate's row (rows
-  are short; patterns needing this are the AGM family only).
-
-No dicts are read and no tuples are allocated inside the search — the
-per-depth state is four preallocated ``int`` lists.
-
-A :class:`FlatPlan` is the flat compilation of a pattern's
-:class:`~repro.perf.matchplan.MatchPlan`: label objects are replaced by
-interned ids from the process-global
+Label objects are replaced by interned ids from the process-global
 :class:`~repro.perf.flatgraph.LabelInterner`.  A pattern label the
 interner has never seen cannot occur in any flat graph compiled so far,
 so the plan is marked *unmatchable* — but the mark records the interner
 length and is revalidated when the table grows (a later database may
 intern that label, at which point the plan silently recompiles).
 
-``vf2_calls`` is incremented per search entered, exactly like both other
-matchers, so VF2-reduction accounting stays comparable across the
-acceleration modes; ``flat_searches`` counts this matcher specifically.
+:func:`flat_admits` compares a plan's invariants (counts, edge-label
+histogram, per-label degree sequences) with a flat graph's; every one is
+monotone under subgraph containment, so a rejection needs no search.
 """
 
 from __future__ import annotations
 
 import weakref
-from bisect import bisect_left, bisect_right
 
 from ..graph.labeled_graph import LabeledGraph
 from .counters import COUNTERS
 from .flatgraph import INTERNER, FlatGraph, LabelInterner
-from .matchplan import MatchPlan, get_match_plan
 
 
 class FlatPlan:
-    """Integer-only compilation of one pattern's match plan.
+    """Integer-only matching state of one pattern.
 
-    Anchors and non-adjacency constraints are flattened into CSR-style
-    ``(ptr, data)`` pairs indexed by match position, so the matcher
-    never iterates tuples of tuples.
+    Positions ``0 .. n-1`` are the match order; everything is indexed by
+    position, not by pattern vertex id.  Anchors and non-adjacency
+    constraints are flattened into CSR-style ``(ptr, data)`` pairs, so
+    the matcher never iterates tuples of tuples.
     """
 
     __slots__ = (
@@ -78,45 +70,45 @@ class FlatPlan:
     ) -> None:
         # ``start`` pins the depth-0 pattern vertex (rooted enumeration);
         # such plans are one-off and bypass the per-pattern plan cache.
-        if start is None:
-            plan = get_match_plan(pattern)
-        else:
-            plan = MatchPlan(pattern, start)
+        from ..graph.isomorphism import _match_order  # import cycle
+
+        order = _match_order(pattern, start)
+        position = {v: p for p, v in enumerate(order)}
         self.version = pattern.version
-        self.n = plan.n
-        self.order = plan.order
-        self.num_vertices = plan.num_vertices
-        self.num_edges = plan.num_edges
+        self.n = len(order)
+        self.order = tuple(order)
+        self.num_vertices = pattern.num_vertices
+        self.num_edges = pattern.num_edges
         self.interner_len = len(interner)
         unmatchable = False
         lookup = interner.lookup
 
         vlabs = []
-        for label in plan.vlabels:
-            lid = lookup(label)
+        aptr, apos, aelab = [0], [], []
+        nptr, npos = [0], []
+        for p, v in enumerate(order):
+            lid = lookup(pattern.vertex_label(v))
             if lid is None:
                 unmatchable = True
                 lid = -1
             vlabs.append(lid)
-        self.vlabs = vlabs
-        self.mindeg = list(plan.degrees)
-
-        aptr, apos, aelab = [0], [], []
-        for prior in plan.anchors:
-            for position, elabel in prior:
-                lid = lookup(elabel)
-                if lid is None:
-                    unmatchable = True
-                    lid = -1
-                apos.append(position)
-                aelab.append(lid)
+            # Anchors: pattern neighbours placed before ``v`` (the first
+            # one generates the candidates, the rest are edge checks).
+            for w, elabel in pattern.neighbors(v):
+                if position[w] < p:
+                    lid = lookup(elabel)
+                    if lid is None:
+                        unmatchable = True
+                        lid = -1
+                    apos.append(position[w])
+                    aelab.append(lid)
             aptr.append(len(apos))
-        self.aptr, self.apos, self.aelab = aptr, apos, aelab
-
-        nptr, npos = [0], []
-        for prior in plan.nonadjacent:
-            npos.extend(prior)
+            neighbor_ids = set(pattern.neighbor_ids(v))
+            npos.extend(q for q in range(p) if order[q] not in neighbor_ids)
             nptr.append(len(npos))
+        self.vlabs = vlabs
+        self.mindeg = [pattern.degree(v) for v in order]
+        self.aptr, self.apos, self.aelab = aptr, apos, aelab
         self.nptr, self.npos = nptr, npos
         self.unmatchable = unmatchable
 
@@ -192,15 +184,15 @@ REJECT_DEGREE = 2  # per-label degree sequences
 def flat_admits(plan: FlatPlan, fg: FlatGraph) -> int:
     """Integer-space admit prefilter: can ``plan`` possibly embed in ``fg``?
 
-    A flat re-statement of the first three layers of
-    :meth:`repro.perf.fingerprint.GraphFingerprint.reject_reason`
-    (counts, label histograms, per-label degree sequences) over the
-    precompiled int invariants — no label objects, no per-call dict
-    builds.  Returns :data:`ADMIT`, :data:`REJECT_QUICK` (counts /
-    histogram: what the classic quick-reject would catch) or
-    :data:`REJECT_DEGREE` (the fingerprint layer's extra power).  The
-    fourth fingerprint layer (1-round neighborhood domination) is not
-    replicated: the searches it would save are cheap on flat arrays.
+    Vertex/edge counts, label histograms and per-label degree
+    sequences (the target's sorted-descending degrees of a label must
+    pointwise dominate the pattern's), compared over the precompiled int
+    invariants — no label objects, no per-call dict builds.  All are
+    sound for monomorphism and induced semantics alike.  Returns
+    :data:`ADMIT`, :data:`REJECT_QUICK` (counts / histogram: what the
+    reference matcher's quick-reject would catch, counted as
+    ``quick_rejects``) or :data:`REJECT_DEGREE` (counted as
+    ``fingerprint_rejects``).
     """
     if (
         plan.unmatchable
@@ -223,136 +215,3 @@ def flat_admits(plan: FlatPlan, fg: FlatGraph) -> int:
             if got < need:
                 return REJECT_DEGREE
     return ADMIT
-
-
-def flat_exists(
-    plan: FlatPlan, fg: FlatGraph, induced: bool = False, count: bool = True
-) -> bool:
-    """True if the planned pattern embeds in the flat graph ``fg``.
-
-    Semantics are identical to
-    :func:`repro.perf.matchplan.plan_exists` (monomorphism by default,
-    induced with ``induced=True``); the differential suite pins the two
-    against each other and against the recursive reference matcher.
-
-    ``count=False`` skips the per-search counter increments — bulk
-    counting loops (:func:`repro.graph.isomorphism.count_support`) tally
-    locally and flush once, keeping the lock out of the hot loop; they
-    must add every search they ran to ``vf2_calls`` *and*
-    ``flat_searches`` afterwards.
-    """
-    n = plan.n
-    if n == 0:
-        return True
-    if plan.unmatchable or plan.num_vertices > fg.n or plan.num_edges > fg.m:
-        return False
-    if count:
-        COUNTERS.inc("vf2_calls")
-        COUNTERS.inc("flat_searches")
-
-    vlabs = plan.vlabs
-    if n == 1:
-        # Single-vertex pattern: any vertex of the right label matches
-        # (degree requirement is 0, no anchors, no non-adjacency).
-        return bool(fg.by_label.get(vlabs[0]))
-    mindeg = plan.mindeg
-    aptr, apos, aelab = plan.aptr, plan.apos, plan.aelab
-    nptr, npos = plan.nptr, plan.npos
-    vlab, indptr, nbr, elab = fg.vlab, fg.indptr, fg.nbr, fg.elab
-    by_label = fg.by_label
-    empty = ()
-
-    assigned = [-1] * n  # position -> target vertex
-    used = bytearray(fg.n)
-    cursor = [0] * n  # per-depth scan position
-    limit = [0] * n  # per-depth scan end
-    roots = [None] * n  # per-depth unanchored candidate list (or None)
-
-    # One flat loop: "enter" computes the candidate scan bounds of the
-    # current depth, "advance" walks them to the next feasible candidate.
-    # Both are inlined (no per-node function calls) — scan state is
-    # spilled to cursor/limit/roots only when a depth suspends on a
-    # successful match, and restored only on backtrack.
-    depth = 0
-    entering = True
-    while True:
-        if entering:
-            a0 = aptr[depth]
-            if aptr[depth + 1] > a0:
-                # Anchored: scan the anchor image's sub-run of the
-                # required edge-label id.
-                anchor = assigned[apos[a0]]
-                want = aelab[a0]
-                lo = bisect_left(
-                    elab, want, indptr[anchor], indptr[anchor + 1]
-                )
-                root = None
-                i = lo
-                end = bisect_right(elab, want, lo, indptr[anchor + 1])
-            else:
-                root = by_label.get(vlabs[depth], empty)
-                i = 0
-                end = len(root)
-        else:
-            root = roots[depth]
-            i = cursor[depth]
-            end = limit[depth]
-            a0 = aptr[depth]
-        anchored = root is None
-        want_label = vlabs[depth]
-        need_deg = mindeg[depth]
-        a1 = aptr[depth + 1]
-        n0 = nptr[depth]
-        n1 = nptr[depth + 1]
-        cand = -1
-        while i < end:
-            c = nbr[i] if anchored else root[i]
-            i += 1
-            if used[c]:
-                continue
-            if anchored and vlab[c] != want_label:
-                continue
-            row_lo = indptr[c]
-            row_hi = indptr[c + 1]
-            if row_hi - row_lo < need_deg:
-                continue
-            ok = True
-            for j in range(a0 + 1, a1):
-                # Is (c, image of apos[j]) an edge labeled aelab[j]?
-                target = assigned[apos[j]]
-                want = aelab[j]
-                lo = bisect_left(elab, want, row_lo, row_hi)
-                hi = bisect_right(elab, want, lo, row_hi)
-                k = bisect_left(nbr, target, lo, hi)
-                if k >= hi or nbr[k] != target:
-                    ok = False
-                    break
-            if ok and induced and n1 > n0:
-                for j in range(n0, n1):
-                    target = assigned[npos[j]]
-                    for k in range(row_lo, row_hi):
-                        if nbr[k] == target:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-            if ok:
-                cand = c
-                break
-        if cand >= 0:
-            roots[depth] = root
-            cursor[depth] = i
-            limit[depth] = end
-            assigned[depth] = cand
-            used[cand] = 1
-            depth += 1
-            if depth == n:
-                return True
-            entering = True
-        else:
-            depth -= 1
-            if depth < 0:
-                return False
-            used[assigned[depth]] = 0
-            assigned[depth] = -1
-            entering = False

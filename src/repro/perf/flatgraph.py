@@ -13,9 +13,10 @@ buffers:
 * ``elab[k]``      — interned edge-label id, parallel to ``nbr``.
 
 Each neighbor run is sorted by ``(edge-label id, neighbor id)``, so the
-matcher (:mod:`repro.perf.fastmatch`) locates the sub-run of one edge
-label with two bisects and answers "is ``(v, w)`` an edge with label
-``l``?" with a third — no dicts, no tuples, ints only.
+matcher (:mod:`repro.perf.batchscan`) locates the sub-run of one edge
+label with one probe of the precomputed ``runs`` table and answers "is
+``(v, w)`` an edge with label ``l``?" with a bisect inside it — no label
+objects, no tuples, ints only.
 
 Labels are interned through one process-global :class:`LabelInterner`:
 ids are stable for the lifetime of the process, so a pattern compiled to
@@ -26,7 +27,8 @@ flat graph in the process, across merge levels and update batches.
 :class:`~repro.graph.database.GraphDatabase` instance and validated
 against each member graph's ``version`` counter — mutated or replaced
 graphs are recompiled (alone: every still-current graph's arrays are
-carried into the refreshed FlatDB), exactly like the fingerprint cache.
+carried into the refreshed FlatDB).  :func:`get_flat_graph` is the
+same cache for one free-standing graph (single-pair existence checks).
 
 Shared memory
 -------------
@@ -258,6 +260,23 @@ class FlatGraph:
 
     def degree(self, v: int) -> int:
         return self.indptr[v + 1] - self.indptr[v]
+
+
+# One flat form per live graph instance, weakly keyed so dead graphs
+# (replaced pieces, temporary candidates) free their entries, and stamped
+# with the graph's version so in-place mutation invalidates.
+_FLAT_GRAPHS: "weakref.WeakKeyDictionary[LabeledGraph, tuple]"
+_FLAT_GRAPHS = weakref.WeakKeyDictionary()
+
+
+def get_flat_graph(graph: LabeledGraph) -> FlatGraph:
+    """The (cached) flat form of ``graph`` at its current version."""
+    entry = _FLAT_GRAPHS.get(graph)
+    if entry is not None and entry[0] == graph.version:
+        return entry[1]
+    flat = FlatGraph.from_labeled(graph)
+    _FLAT_GRAPHS[graph] = (graph.version, flat)
+    return flat
 
 
 def _edge_triples(flat: FlatGraph, oriented: dict) -> set:

@@ -16,9 +16,10 @@ Both monomorphism (mining) and induced (AGM) semantics are supported.
 
 :func:`match_patterns` and :func:`coverage` consult the acceleration
 layer (:mod:`repro.perf`) before entering any embedding search: an
-edge-triple index over the database plus per-graph invariant
-fingerprints reject most non-supporting graphs outright.  The filters
-are sound for both semantics (an induced embedding is in particular a
+edge-triple index plus the kernel's admit prefilter
+(:func:`repro.perf.flat_admits`), both read off the database's flat
+form, reject most non-supporting graphs outright.  The filters are
+sound for both semantics (an induced embedding is in particular a
 monomorphism), so results are identical either way; ``use_accel=False``
 — or the global ``REPRO_NO_ACCEL`` switch — forces the original full
 scan.
@@ -29,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import perf
+from .core.join import pattern_edge_triples
 from .graph.database import GraphDatabase
 from .graph.isomorphism import find_embeddings
 from .graph.labeled_graph import LabeledGraph
 from .mining.base import Pattern, PatternSet
-from .mining.edges import EdgeTriple, normalize_triple
 
 
 @dataclass(frozen=True)
@@ -73,38 +74,18 @@ class MatchResult:
         return counts
 
 
-def _triple_index(
-    database: GraphDatabase,
-) -> dict[EdgeTriple, set[int]]:
-    """Edge triple -> gids of the graphs containing such an edge."""
-    index: dict[EdgeTriple, set[int]] = {}
-    for gid, graph in database:
-        for u, v, elabel in graph.edges():
-            triple = normalize_triple(
-                graph.vertex_label(u), elabel, graph.vertex_label(v)
-            )
-            index.setdefault(triple, set()).add(gid)
-    return index
-
-
-def _candidate_gids(
-    pattern: LabeledGraph,
-    database: GraphDatabase,
-    triple_index: dict[EdgeTriple, set[int]],
-) -> set[int]:
+def _candidate_gids(pattern: LabeledGraph, flat: "perf.FlatDB") -> set[int]:
     """Gids that pass every cheap containment filter for ``pattern``.
 
-    Intersects the edge-triple posting lists, then drops candidates whose
-    invariant fingerprint (:mod:`repro.perf.fingerprint`) rules the
-    pattern out.  Both filters are necessary conditions for containment
-    under either semantics, so the survivors are a sound candidate set.
-    An edge-free pattern cannot be filtered: every gid comes back.
+    Intersects the edge-triple posting lists, then drops candidates the
+    admit prefilter (:func:`repro.perf.flat_admits`) rules out.  Both
+    filters are necessary conditions for containment under either
+    semantics, so the survivors are a sound candidate set.  An edge-free
+    pattern cannot be filtered: every gid comes back.
     """
+    triple_index = flat.edge_triple_index()
     candidates: set[int] | None = None
-    for u, v, elabel in pattern.edges():
-        triple = normalize_triple(
-            pattern.vertex_label(u), elabel, pattern.vertex_label(v)
-        )
+    for triple in pattern_edge_triples(pattern):
         gids = triple_index.get(triple)
         if not gids:
             return set()
@@ -112,12 +93,12 @@ def _candidate_gids(
         if not candidates:
             return set()
     if candidates is None:
-        return {gid for gid, _ in database}
-    profile = perf.get_match_plan(pattern).profile
+        return set(flat.flats)
+    plan = perf.get_flat_plan(pattern)
     return {
         gid
         for gid in candidates
-        if perf.get_fingerprint(database[gid]).admits(profile)
+        if perf.flat_admits(plan, flat.flats[gid]) == perf.ADMIT
     }
 
 
@@ -161,8 +142,8 @@ def match_patterns(
     ``min_support`` (when given) are dropped.
 
     By default each pattern is searched only in the graphs surviving the
-    acceleration layer's candidate filters (edge-triple index +
-    fingerprints); ``use_accel=False`` — or disabling the layer globally
+    acceleration layer's candidate filters (edge-triple index + admit
+    prefilter); ``use_accel=False`` — or disabling the layer globally
     via ``REPRO_NO_ACCEL`` — scans every graph for every pattern, as the
     original implementation did.  Results are identical either way.
     """
@@ -172,11 +153,11 @@ def match_patterns(
         else 0
     )
     accel = use_accel and perf.enabled()
-    triple_index = _triple_index(database) if accel else None
+    flat = perf.get_flat_db(database) if accel else None
     relocated = PatternSet()
     for pattern in patterns:
-        if triple_index is not None:
-            gids = _candidate_gids(pattern.graph, database, triple_index)
+        if flat is not None:
+            gids = _candidate_gids(pattern.graph, flat)
             items = ((gid, database[gid]) for gid in sorted(gids))
         else:
             items = iter(database)
@@ -205,17 +186,20 @@ def coverage(
     use_accel: bool = True,
 ) -> tuple[float, set[int]]:
     """Fraction (and set) of graphs containing at least one pattern."""
-    accel = use_accel and perf.enabled()
+    flats = (
+        perf.get_flat_db(database).flats
+        if use_accel and perf.enabled()
+        else None
+    )
     covered: set[int] = set()
     for gid, graph in database:
-        fingerprint = perf.get_fingerprint(graph) if accel else None
         for pattern in patterns:
             if gid in covered:
                 break
-            if fingerprint is not None and not fingerprint.admits(
-                perf.get_match_plan(pattern.graph).profile
-            ):
-                continue
+            if flats is not None:
+                plan = perf.get_flat_plan(pattern.graph)
+                if perf.flat_admits(plan, flats[gid]) != perf.ADMIT:
+                    continue
             for _ in find_embeddings(
                 pattern.graph, graph, limit=1, induced=induced
             ):

@@ -274,7 +274,7 @@ class QueryEngine:
 
         supporting = set()
         order = sorted(candidates)
-        if accel and order and deadline is None and perf.batch_enabled():
+        if accel and order and deadline is None:
             # Batched kernel: one fused admit+search frame over the whole
             # candidate list.  Cache probes stay out here (the kernel is
             # probe-free by contract); deadline-bearing queries keep the

@@ -17,7 +17,7 @@ list, and the decoder rebuilds ``_adj`` directly.
 
 Decoded graphs carry deterministic ``version`` counters
 (``n_vertices + n_edges``, matching a fresh ``add_vertex``/``add_edge``
-construction), so version-stamped caches (fingerprints, canonical codes,
+construction), so version-stamped caches (flat forms, canonical codes,
 support cache) behave identically for stored and live graphs.
 """
 

@@ -5,7 +5,7 @@ with the reference matcher and takes the minimum distinct-image count —
 the textbook MNI definition, with no decomposition involved.  The
 neighborhood-folded counter must agree exactly for patterns of radius
 ≤ r (the soundness guarantee) and never exceed it otherwise, under
-every cell of the acceleration matrix (off / plans / flat / flat+batch).
+both acceleration states (off / kernel).
 
 Only two MNI paths exist behind that matrix: the accelerated one
 (``perf.enabled()``: one rooted enumeration on the big graph's flat
@@ -51,14 +51,12 @@ def oracle_mni(pattern: LabeledGraph, graph: LabeledGraph) -> int:
 
 
 def accel_matrix():
-    """The four acceleration states as (name, contextmanager factory)."""
+    """The two acceleration states as (name, contextmanager factory)."""
     from contextlib import nullcontext
 
     return [
         ("off", perf.disabled),
-        ("plans", perf.flat_disabled),
-        ("flat", perf.batch_disabled),
-        ("flat+batch", nullcontext),
+        ("kernel", nullcontext),
     ]
 
 

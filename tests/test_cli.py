@@ -1,7 +1,11 @@
 """Tests for the command-line interface."""
 
+import multiprocessing
+import os
+
 import pytest
 
+from repro import perf
 from repro.cli import main
 from repro.graph import io as graph_io
 from repro.mining.store import read_patterns
@@ -257,3 +261,31 @@ class TestExitCodes:
         raw[len(raw) // 3] ^= 0x10
         patterns.write_bytes(bytes(raw))
         assert main(["match", str(patterns), str(database_file)]) == 3
+
+
+class TestAccelSwitch:
+    """``--no-accel`` is the one matcher switch the CLI has."""
+
+    def test_no_accel_reaches_spawned_workers(self, database_file):
+        """A spawned worker imports :mod:`repro.perf` afresh: it must
+        come up on the reference matcher like its parent, or a
+        ``--no-accel --parallel`` dump is not a reference dump."""
+        assert "REPRO_NO_ACCEL" not in os.environ
+        spawn = multiprocessing.get_context("spawn")
+        try:
+            assert main(["--no-accel", "stats", str(database_file)]) == 0
+            assert not perf.enabled()
+            with spawn.Pool(1) as pool:
+                assert pool.apply(perf.enabled) is False
+        finally:
+            os.environ.pop("REPRO_NO_ACCEL", None)
+            perf.set_enabled(True)
+        with spawn.Pool(1) as pool:
+            assert pool.apply(perf.enabled) is True
+
+    @pytest.mark.parametrize("rung", ["flat", "batch"])
+    def test_retired_rung_flags_are_usage_errors(self, database_file, rung):
+        """The per-rung switches are gone, not silently accepted."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--no-" + rung, "mine", str(database_file), "0.4"])
+        assert excinfo.value.code == 2

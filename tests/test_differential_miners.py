@@ -157,19 +157,18 @@ class TestAsPartMinerUnitMiners:
 # ----------------------------------------------------------------------
 class TestAccelMatrix:
     """The acceleration layer is an *optimization*, never a semantic:
-    accel off, match plans only, plans + flat kernels (per-graph
-    dispatch), plans + flat + the batched scan kernel, and the full
-    stack over shared-memory workers must all mine byte-identical
+    accel off (the reference matcher), the batched kernel, and the
+    kernel over shared-memory workers must all mine byte-identical
     pattern sets.
 
-    The matrix is the lockdown for the flat-array kernels
+    The matrix is the lockdown for the flat plans
     (:mod:`repro.perf.fastmatch`), the batched scan kernel with its
     minsup early exits (:mod:`repro.perf.batchscan`) and the cs/0112007
     join bound wired into :mod:`repro.core.mergejoin` — any unsound
     shortcut in any of them shows up here as a divergence from the
     accel-off baseline."""
 
-    MODES = ("off", "plans", "flat", "flat+batch", "flat+shm")
+    MODES = ("off", "kernel", "kernel+shm")
 
     @staticmethod
     def mine_in_mode(mode: str, db, threshold: int):
@@ -181,19 +180,9 @@ class TestAccelMatrix:
                 return PartMiner(k=2, unit_support="exact").mine(
                     db, threshold
                 )
-        if mode == "plans":
-            with perf.flat_disabled():
-                return PartMiner(k=2, unit_support="exact").mine(
-                    db, threshold
-                )
-        if mode == "flat":
-            with perf.batch_disabled():
-                return PartMiner(k=2, unit_support="exact").mine(
-                    db, threshold
-                )
-        if mode == "flat+batch":
+        if mode == "kernel":
             return PartMiner(k=2, unit_support="exact").mine(db, threshold)
-        if mode == "flat+shm":
+        if mode == "kernel+shm":
             return PartMiner(
                 k=2,
                 unit_support="exact",
@@ -214,7 +203,7 @@ class TestAccelMatrix:
                 )
 
     def test_shared_memory_mode_actually_uses_segments(self):
-        """The fourth matrix column must not silently degrade to pickles
+        """The third matrix column must not silently degrade to pickles
         (which would make its column vacuous)."""
         from repro.perf import flatgraph
         from repro.perf.counters import COUNTERS
@@ -222,7 +211,7 @@ class TestAccelMatrix:
         db = small_db(SEEDS[0])
         published_before = COUNTERS.shm_publishes
         attached_before = COUNTERS.shm_attaches
-        self.mine_in_mode("flat+shm", db, 2)
+        self.mine_in_mode("kernel+shm", db, 2)
         assert COUNTERS.shm_publishes > published_before
         assert COUNTERS.shm_attaches > attached_before
         assert flatgraph.live_segments() == []  # all destroyed after
@@ -237,17 +226,8 @@ class TestAccelMatrix:
         want = BruteForceMiner().mine(db, 3)
         with perf.disabled():
             off = MONOMORPHIC_MINERS[name]().mine(db, 3)
-        with perf.flat_disabled():
-            plans = MONOMORPHIC_MINERS[name]().mine(db, 3)
-        with perf.batch_disabled():
-            flat = MONOMORPHIC_MINERS[name]().mine(db, 3)
-        batch = MONOMORPHIC_MINERS[name]().mine(db, 3)
-        for got, mode in (
-            (off, "off"),
-            (plans, "plans"),
-            (flat, "flat"),
-            (batch, "flat+batch"),
-        ):
+        kernel = MONOMORPHIC_MINERS[name]().mine(db, 3)
+        for got, mode in ((off, "off"), (kernel, "kernel")):
             assert_same_patterns(got, want, f"{name}[{mode}]")
 
 

@@ -1,15 +1,17 @@
-"""Differential harness for the flat-array existence matcher.
+"""Differential harness for the production kernel's existence verdicts.
 
-:func:`repro.perf.fastmatch.flat_exists` must agree with the recursive
-reference matcher (:func:`repro.graph.isomorphism.subgraph_exists_reference`)
-and with the dict-based plan matcher
-(:func:`repro.perf.matchplan.plan_exists`) on *every* pattern/target pair,
-under both monomorphic and induced semantics.  The randomized sweep here
-covers several hundred pairs across regimes the flat kernels treat
-specially:
+The single-pair entry (:func:`repro.graph.isomorphism.subgraph_exists`
+with the layer on: cached flat plan + cached flat target +
+:func:`repro.perf.batchscan.flat_contains`) and the database scan
+(:func:`repro.perf.batchscan.flat_count_batch`) must agree with the
+recursive reference matcher
+(:func:`repro.graph.isomorphism.subgraph_exists_reference`) on *every*
+pattern/target pair, under both monomorphic and induced semantics.  The
+randomized sweep here covers several hundred pairs across regimes the
+kernel treats specially:
 
 * **label-heavy** graphs (many distinct vertex/edge labels — small
-  bisect sub-runs, unanchored ``by_label`` seeds are selective);
+  ``runs`` sub-runs, unanchored ``by_label`` seeds are selective);
 * **label-poor** graphs (one label — sub-runs span whole rows, maximal
   backtracking);
 * **disconnected patterns** (a later component's first position has no
@@ -28,13 +30,17 @@ import random
 import pytest
 from hypothesis import given, settings
 
-from repro.graph.isomorphism import subgraph_exists_reference
+from repro.graph.database import GraphDatabase
+from repro.graph.isomorphism import (
+    _match_order,
+    subgraph_exists,
+    subgraph_exists_reference,
+)
 from repro.graph.labeled_graph import LabeledGraph
+from repro.perf.batchscan import flat_contains, flat_count_batch
 from repro.perf.counters import COUNTERS
-from repro.perf.fastmatch import FlatPlan, flat_exists, get_flat_plan
-from repro.perf.fingerprint import GraphFingerprint
-from repro.perf.flatgraph import INTERNER, FlatGraph
-from repro.perf.matchplan import get_match_plan, plan_exists
+from repro.perf.fastmatch import FlatPlan, get_flat_plan
+from repro.perf.flatgraph import INTERNER, FlatGraph, get_flat_db
 
 from .conftest import make_graph, path_graph, random_graph, star_graph
 from .test_properties import connected_graphs
@@ -54,20 +60,17 @@ def random_pattern(rng, max_n, vlabels, elabels, p_extra=0.3):
 
 
 def all_matchers_agree(pattern, target, context=""):
-    """The assertion at the heart of the suite: three matchers, both
-    semantics, one verdict."""
-    flat_target = FlatGraph.from_labeled(target)
-    fingerprint = GraphFingerprint(target)
+    """The assertion at the heart of the suite: the reference matcher
+    and both kernel entries, both semantics, one verdict."""
+    flat_db = get_flat_db(GraphDatabase.from_graphs([target]))
     for induced in (False, True):
         want = subgraph_exists_reference(pattern, target, induced=induced)
-        got_plan = plan_exists(
-            get_match_plan(pattern), target, fingerprint, induced=induced
-        )
-        got_flat = flat_exists(
-            get_flat_plan(pattern), flat_target, induced=induced
-        )
-        assert got_plan == want, f"plan_exists {context} induced={induced}"
-        assert got_flat == want, f"flat_exists {context} induced={induced}"
+        got_pair = subgraph_exists(pattern, target, induced=induced)
+        got_batch = flat_count_batch(
+            get_flat_plan(pattern), flat_db, induced=induced
+        ).hits
+        assert got_pair == want, f"single pair {context} induced={induced}"
+        assert got_batch == [0] * want, f"batch {context} induced={induced}"
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +143,7 @@ class TestRandomizedDifferential:
                 if u in remap and v in remap:
                     pattern.add_edge(remap[u], remap[v], label)
             flat_target = FlatGraph.from_labeled(target)
-            assert flat_exists(get_flat_plan(pattern), flat_target), trial
+            assert flat_contains(get_flat_plan(pattern), flat_target), trial
             all_matchers_agree(pattern, target, f"embed#{trial}")
 
     @settings(max_examples=50, deadline=None)
@@ -158,25 +161,25 @@ class TestRandomizedDifferential:
 class TestCornerCases:
     def test_empty_pattern_matches_everything(self):
         target = FlatGraph.from_labeled(path_graph(3))
-        assert flat_exists(get_flat_plan(LabeledGraph()), target)
+        assert flat_contains(get_flat_plan(LabeledGraph()), target)
 
     def test_single_vertex(self):
         target = FlatGraph.from_labeled(make_graph([0, 1], [(0, 1, 0)]))
-        assert flat_exists(get_flat_plan(make_graph([1], [])), target)
-        assert not flat_exists(get_flat_plan(make_graph([7], [])), target)
+        assert flat_contains(get_flat_plan(make_graph([1], [])), target)
+        assert not flat_contains(get_flat_plan(make_graph([7], [])), target)
 
     def test_pattern_larger_than_target_short_circuits(self):
         target = FlatGraph.from_labeled(path_graph(2))
         searches = COUNTERS.flat_searches
-        assert not flat_exists(get_flat_plan(path_graph(5)), target)
+        assert not flat_contains(get_flat_plan(path_graph(5)), target)
         assert COUNTERS.flat_searches == searches  # rejected pre-search
 
     def test_star_needs_degree(self):
         """Degree pruning: a 4-star cannot embed in a 3-star."""
         big = star_graph(4)
         small = FlatGraph.from_labeled(star_graph(3))
-        assert not flat_exists(get_flat_plan(big), small)
-        assert flat_exists(
+        assert not flat_contains(get_flat_plan(big), small)
+        assert flat_contains(
             get_flat_plan(star_graph(3)), FlatGraph.from_labeled(big)
         )
 
@@ -189,15 +192,15 @@ class TestCornerCases:
         )
         flat_tri = FlatGraph.from_labeled(triangle)
         plan = get_flat_plan(p3)
-        assert flat_exists(plan, flat_tri, induced=False)
-        assert not flat_exists(plan, flat_tri, induced=True)
+        assert flat_contains(plan, flat_tri, induced=False)
+        assert not flat_contains(plan, flat_tri, induced=True)
 
     def test_counters_track_searches(self):
         target = FlatGraph.from_labeled(path_graph(4))
         plan = get_flat_plan(path_graph(3))
         vf2 = COUNTERS.vf2_calls
         flat = COUNTERS.flat_searches
-        assert flat_exists(plan, target)
+        assert flat_contains(plan, target)
         assert COUNTERS.vf2_calls == vf2 + 1
         assert COUNTERS.flat_searches == flat + 1
 
@@ -229,7 +232,7 @@ class TestFlatPlanLifecycle:
         refreshed = get_flat_plan(pattern)
         assert refreshed is not plan
         assert not refreshed.unmatchable
-        assert flat_exists(refreshed, flat_target)
+        assert flat_contains(refreshed, flat_target)
 
     def test_unmatchable_plan_stays_cached_until_growth(self):
         rare = f"rare-label-{random.randrange(10 ** 9)}"
@@ -238,17 +241,23 @@ class TestFlatPlanLifecycle:
         assert plan.unmatchable
         assert get_flat_plan(pattern) is plan  # no growth -> same object
 
-    def test_flat_plan_mirrors_match_plan_shape(self):
+    def test_flat_plan_mirrors_pattern_shape(self):
         pattern = random_graph(random.Random(5), 5, extra_edges=2)
-        match_plan = get_match_plan(pattern)
         plan = FlatPlan(pattern)
-        assert plan.n == match_plan.n
-        assert plan.num_vertices == pattern.num_vertices
+        assert plan.order == tuple(_match_order(pattern))
+        assert plan.n == plan.num_vertices == pattern.num_vertices
         assert plan.num_edges == pattern.num_edges
         assert len(plan.vlabs) == plan.n
         assert len(plan.aptr) == plan.n + 1
         assert len(plan.apos) == len(plan.aelab) == plan.aptr[-1]
         assert len(plan.nptr) == plan.n + 1
-        # Anchor counts per position agree with the dict-based plan.
-        for depth, prior in enumerate(match_plan.anchors):
-            assert plan.aptr[depth + 1] - plan.aptr[depth] == len(prior)
+        # Every edge is an anchor of its later end; every non-adjacent
+        # pair a non-adjacency constraint of its later end.
+        n = plan.n
+        assert plan.aptr[-1] == pattern.num_edges
+        assert plan.nptr[-1] == n * (n - 1) // 2 - pattern.num_edges
+        placed = {v: p for p, v in enumerate(plan.order)}
+        for depth, v in enumerate(plan.order):
+            earlier = sum(placed[w] < depth for w in pattern.neighbor_ids(v))
+            assert plan.aptr[depth + 1] - plan.aptr[depth] == earlier
+            assert plan.mindeg[depth] == pattern.degree(v)

@@ -1,10 +1,11 @@
 """Differential harness for the batched candidate-scan kernel.
 
 :func:`repro.perf.batchscan.flat_count_batch` must agree, graph for
-graph, with the per-graph :func:`repro.perf.fastmatch.flat_exists` and
-with the recursive reference matcher
+graph, with its single-pair form
+:func:`repro.perf.batchscan.flat_contains` and with the recursive
+reference matcher
 (:func:`repro.graph.isomorphism.subgraph_exists_reference`) — across the
-label regimes the flat kernels treat specially, under both monomorphic
+label regimes the kernel treats specially, under both monomorphic
 and induced semantics, for whole-database and subset scans.
 
 On top of verdict parity the suite locks down the kernel's contracts:
@@ -45,11 +46,12 @@ from repro.graph.isomorphism import (
 from repro.graph.labeled_graph import LabeledGraph
 from repro.perf.batchscan import (
     ScanArena,
+    flat_contains,
     flat_count_batch,
     flat_embeddings,
     local_arena,
 )
-from repro.perf.fastmatch import FlatPlan, flat_exists, get_flat_plan
+from repro.perf.fastmatch import FlatPlan, get_flat_plan
 from repro.perf.flatgraph import (
     ADMIT_MEMO_PLANS,
     FlatDB,
@@ -112,7 +114,7 @@ def batch_agrees(pattern, database, gids=None, induced=False, arena=None):
     want_flat = [
         g
         for g in pool
-        if flat_exists(plan, flat.get(g), induced=induced, count=False)
+        if flat_contains(plan, flat.get(g), induced=induced)
     ]
     assert want_flat == want_ref
     assert scan.exact and not scan.undecided

@@ -8,7 +8,7 @@ path, so its invariants are pinned hard here:
 * neighbor runs are sorted by ``(edge-label id, neighbor id)`` — the
   matcher's bisects silently return garbage otherwise;
 * :func:`get_flat_db` caches per database *and* invalidates on graph
-  mutation or replacement, exactly like the fingerprint cache;
+  mutation or replacement;
 * the shared-memory wire format round-trips, detects corruption via its
   digest, and remaps label ids when the attaching process's interner
   disagrees with the publisher's (exercised in a real child process);

@@ -325,7 +325,7 @@ class TestPerfBridge:
     def test_perf_increments_ignore_obs_switch(self):
         from repro.perf.counters import COUNTERS
 
-        before = COUNTERS.plan_hits
+        before = COUNTERS.flat_db_hits
         with obs.disabled():
-            COUNTERS.inc("plan_hits")
-        assert COUNTERS.plan_hits == before + 1
+            COUNTERS.inc("flat_db_hits")
+        assert COUNTERS.flat_db_hits == before + 1

@@ -1,11 +1,14 @@
 """Differential tests: the acceleration layer is behaviour-preserving.
 
-Every fast path in :mod:`repro.perf` — the compiled-plan matcher, the
-fingerprint prefilters, and the shared support cache — must return exactly
-what the unaccelerated reference path returns: same verdicts, same
-supports, same TID lists, same canonical keys.  These tests drive both
-paths over hypothesis-generated inputs and compare them bit-for-bit.
+Every fast path in :mod:`repro.perf` — the flat kernel behind
+``subgraph_exists`` / ``count_support``, its admit prefilter, and the
+shared support cache — must return exactly what the unaccelerated
+reference path returns: same verdicts, same supports, same TID lists,
+same canonical keys.  These tests drive both paths over
+hypothesis-generated inputs and compare them bit-for-bit.
 """
+
+import uuid
 
 from hypothesis import given, settings, strategies as st
 
@@ -19,7 +22,9 @@ from repro.graph.isomorphism import (
     subgraph_exists,
     subgraph_exists_reference,
 )
+from repro.graph.labeled_graph import LabeledGraph
 from repro.mining.gspan import GSpanMiner
+from repro.perf.counters import COUNTERS
 
 from .test_properties import connected_graphs, databases
 
@@ -43,7 +48,7 @@ class TestMatcherAgreement:
         st.booleans(),
     )
     def test_accel_equals_reference(self, target, pattern, induced):
-        accel = perf.accel_subgraph_exists(pattern, target, induced=induced)
+        accel = subgraph_exists(pattern, target, induced=induced)
         reference = subgraph_exists_reference(
             pattern, target, induced=induced
         )
@@ -52,7 +57,7 @@ class TestMatcherAgreement:
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_vertices=6), st.booleans())
     def test_accel_reflexive(self, graph, induced):
-        assert perf.accel_subgraph_exists(graph, graph, induced=induced)
+        assert subgraph_exists(graph, graph, induced=induced)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -68,30 +73,63 @@ class TestMatcherAgreement:
             for _ in find_embeddings(pattern, target, limit=1, induced=induced)
         )
         assert (
-            perf.accel_subgraph_exists(pattern, target, induced=induced)
+            subgraph_exists(pattern, target, induced=induced)
             == any_embedding
         )
 
     @settings(max_examples=60, deadline=None)
     @given(connected_graphs(max_vertices=7), connected_graphs(max_vertices=5))
     def test_fingerprint_prefilter_sound(self, target, pattern):
-        """A fingerprint rejection never kills a real containment."""
-        fingerprint = perf.get_fingerprint(target)
-        profile = perf.get_match_plan(pattern).profile
-        if not fingerprint.admits(profile):
+        """An admit rejection (counted as ``quick_rejects`` /
+        ``fingerprint_rejects``) never kills a real containment."""
+        flat_target = perf.get_flat_graph(target)
+        plan = perf.get_flat_plan(pattern)
+        if perf.flat_admits(plan, flat_target) != perf.ADMIT:
             assert not subgraph_exists_reference(pattern, target)
 
     @settings(max_examples=40, deadline=None)
     @given(connected_graphs(max_vertices=6))
-    def test_plan_and_fingerprint_invalidate_on_mutation(self, graph):
-        plan = perf.get_match_plan(graph)
-        fingerprint = perf.get_fingerprint(graph)
-        assert perf.get_match_plan(graph) is plan
-        assert perf.get_fingerprint(graph) is fingerprint
+    def test_plan_and_flat_graph_invalidate_on_mutation(self, graph):
+        plan = perf.get_flat_plan(graph)
+        flat_graph = perf.get_flat_graph(graph)
+        assert perf.get_flat_plan(graph) is plan
+        assert perf.get_flat_graph(graph) is flat_graph
         graph.set_vertex_label(0, 99)
-        assert perf.get_match_plan(graph) is not plan
-        assert perf.get_fingerprint(graph) is not fingerprint
-        assert perf.accel_subgraph_exists(graph, graph)
+        assert perf.get_flat_plan(graph) is not plan
+        assert perf.get_flat_graph(graph) is not flat_graph
+        assert subgraph_exists(graph, graph)
+
+    def test_mutating_the_target_changes_the_verdict(self):
+        """Two calls on one target instance around a mutation: a stale
+        cached flat form would repeat the first verdict."""
+        pattern = LabeledGraph()
+        pattern.add_vertex("a")
+        pattern.add_vertex("b")
+        pattern.add_edge(0, 1, "x")
+        target = LabeledGraph()
+        target.add_vertex("a")
+        target.add_vertex("c")
+        target.add_edge(0, 1, "x")
+        assert not subgraph_exists(pattern, target)
+        target.set_vertex_label(1, "b")
+        assert subgraph_exists(pattern, target)
+        extra = target.add_vertex("a")
+        target.remove_edge(0, 1)
+        assert not subgraph_exists(pattern, target)
+        target.add_edge(extra, 1, "x")
+        assert subgraph_exists(pattern, target)
+
+    def test_plan_compiled_before_the_target_interned_its_labels(self):
+        """The pattern's plan may predate every flat graph carrying its
+        labels; the single-pair entry must not serve the stale
+        "unmatchable" mark."""
+        label = f"never-interned-{uuid.uuid4()}"
+        pattern = LabeledGraph()
+        pattern.add_vertex(label)
+        assert perf.get_flat_plan(pattern).unmatchable
+        target = LabeledGraph()
+        target.add_vertex(label)
+        assert subgraph_exists(pattern, target)
 
 
 # ----------------------------------------------------------------------
@@ -142,7 +180,7 @@ class TestSupportAgreement:
         connected_graphs(max_vertices=4),
     )
     def test_candidate_gids_superset_of_support(self, db, pattern):
-        """Fingerprint filtering never drops a supporting graph."""
+        """Triple-index filtering never drops a supporting graph."""
         counter = SupportCounter(db)
         candidates = counter.candidate_gids(pattern)
         with perf.disabled():
@@ -205,14 +243,13 @@ class TestEnableSwitch:
         assert perf.enabled()
 
     def test_disabled_subgraph_exists_uses_reference(self):
-        from repro.graph.labeled_graph import LabeledGraph
-        from repro.perf.counters import COUNTERS
-
         g = LabeledGraph()
         g.add_vertex(0)
         g.add_vertex(1)
         g.add_edge(0, 1, 0)
         with perf.disabled():
-            before = COUNTERS.plan_compiles + COUNTERS.plan_hits
+            before = COUNTERS.flat_searches
             assert subgraph_exists(g, g)
-            assert COUNTERS.plan_compiles + COUNTERS.plan_hits == before
+            assert COUNTERS.flat_searches == before
+        assert subgraph_exists(g, g)
+        assert COUNTERS.flat_searches == before + 1

@@ -239,7 +239,7 @@ class TestTripleIndex:
     def test_index_matches_the_direct_scan(self, db, threshold):
         want = frequent_edges(db, threshold)
         assert SupportCounter(db).frequent_edges(threshold) == want
-        with perf.flat_disabled():
+        with perf.disabled():
             assert SupportCounter(db).frequent_edges(threshold) == want
 
     def test_index_is_built_once_per_flat_db(self):
@@ -288,33 +288,25 @@ class TestMutationSafety:
 class TestAccelTokenInvalidation:
     """Entries are stamped with the accel-state token as well as the
     graph version (the regression: a verdict computed by one matcher
-    implementation surviving a mid-process ``--no-accel``/``--no-flat``
-    flip and being served as if the other matcher had produced it)."""
+    implementation surviving a mid-process ``--no-accel`` flip and
+    being served as if the other matcher had produced it)."""
 
-    def test_flat_toggle_invalidates_entries(self):
+    def test_accel_toggle_invalidates_entries(self):
         cache = perf.SupportCache()
         graph = path_graph([0, 1, 2])
-        cache.put(("k",), graph, True)
-        assert cache.get(("k",), graph) is True
-        with perf.flat_disabled():
+        cache.put(("k",), graph, False)
+        assert cache.get(("k",), graph) is False
+        with perf.disabled():
             # Inside the flipped mode the old-epoch entry is dead...
             assert cache.get(("k",), graph) is None
         # ...and stays dead after restoring (the token is monotonic:
         # there is no way back into a previous epoch).
         assert cache.get(("k",), graph) is None
 
-    def test_accel_toggle_invalidates_entries(self):
-        cache = perf.SupportCache()
-        graph = path_graph([0, 1, 2])
-        cache.put(("k",), graph, False)
-        with perf.disabled():
-            assert cache.get(("k",), graph) is None
-        assert cache.get(("k",), graph) is None
-
     def test_entries_written_inside_a_mode_die_with_it(self):
         cache = perf.SupportCache()
         graph = path_graph([0, 1])
-        with perf.flat_disabled():
+        with perf.disabled():
             cache.put(("k",), graph, True)
             assert cache.get(("k",), graph) is True
         assert cache.get(("k",), graph) is None
@@ -335,12 +327,9 @@ class TestAccelTokenInvalidation:
         )
         cache = perf.SupportCache()
         miner = PartMiner(k=2, unit_support="exact", support_cache=cache)
-        flat_run = miner.mine(db, 2).patterns
-        with perf.flat_disabled():
-            plans_run = miner.mine(db, 2).patterns
+        kernel_run = miner.mine(db, 2).patterns
         with perf.disabled():
             off_run = miner.mine(db, 2).patterns
         final_run = miner.mine(db, 2).patterns
-        assert pattern_maps(flat_run) == pattern_maps(plans_run)
-        assert pattern_maps(flat_run) == pattern_maps(off_run)
-        assert pattern_maps(flat_run) == pattern_maps(final_run)
+        assert pattern_maps(kernel_run) == pattern_maps(off_run)
+        assert pattern_maps(kernel_run) == pattern_maps(final_run)

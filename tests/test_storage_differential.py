@@ -156,10 +156,8 @@ class TestMiningDifferential:
 #: (id, global flags, mine flags) — one per acceleration mode.
 ACCEL_MATRIX = [
     ("off", ["--no-accel"], []),
-    ("plans", ["--no-flat"], []),
-    ("flat", ["--no-batch"], []),
-    ("flat+batch", [], []),
-    ("flat+shm", [], ["--parallel", "--workers", "1"]),
+    ("kernel", [], []),
+    ("kernel+shm", [], ["--parallel", "--workers", "1"]),
 ]
 
 
@@ -214,7 +212,7 @@ def test_accel_matrix_byte_identical_on_disk(tmp_path):
         )
         assert pattern_records(out) == want, mode
         # Every sqlite run ends by reporting its read pattern; the
-        # default kernels stay on the pass budget (3 passes over the 40
+        # default kernel stays on the pass budget (3 passes over the 40
         # graphs, see tests/test_storage_outofcore.py).
         summary = re.fullmatch(
             r"storage: (\d+) graph reads, cache (\d+) hits / (\d+) misses, "
@@ -222,5 +220,5 @@ def test_accel_matrix_byte_identical_on_disk(tmp_path):
             stdout.splitlines()[-1],
         )
         assert summary, (mode, stdout)
-        if mode == "flat+batch":
+        if mode == "kernel":
             assert int(summary[3]) <= 4 * 40
