@@ -134,6 +134,62 @@ def _check_storage_flags(args: argparse.Namespace) -> bool:
     return True
 
 
+def _supervision_configs(args: argparse.Namespace, balance="density"):
+    """``(RuntimeConfig, CoordConfig | None)`` from the policy flags.
+
+    Returns ``None`` after printing a one-line usage error when a flag
+    is out of range or the combination is contradictory.
+    """
+    from .runtime import RuntimeConfig
+
+    flags = vars(args)
+    shards = args.shards
+    try:
+        if shards and shards < 2:
+            raise ValueError(
+                f"--shards must be >= 2 (0 = unsharded): {shards}"
+            )
+        unit_only = [
+            name
+            for name in ("parallel", "spill_dir", "no_shared_db")
+            if flags.get(name)
+        ]
+        if shards and unit_only:
+            raise ValueError(
+                "--shards cannot be combined with "
+                + ", ".join("--" + n.replace("_", "-") for n in unit_only)
+            )
+        runtime = RuntimeConfig(
+            max_workers=args.workers,
+            unit_timeout=args.unit_timeout,
+            max_retries=flags.get("retries", RuntimeConfig.max_retries),
+            shared_db=not flags.get("no_shared_db"),
+            spill_dir=flags.get("spill_dir"),
+        )
+        coord = None
+        if shards:
+            from .coord import CoordConfig
+
+            coord = CoordConfig(
+                shards=shards,
+                runtime=runtime,
+                balance=balance,
+                **{
+                    field: flags[flag]
+                    for field, flag in (
+                        ("chunk_size", "shard_chunk"),
+                        ("heartbeat_interval", "heartbeat_interval"),
+                        ("mem_budget", "shard_mem_budget"),
+                    )
+                    if flag in flags
+                },
+            )
+    except ValueError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return None
+    return runtime, coord
+
+
 def _storage_database(args: argparse.Namespace):
     """``(database, backend)`` honoring the storage flags.
 
@@ -180,6 +236,10 @@ def cmd_mine(args: argparse.Namespace) -> int:
     """Mine frequent patterns with the chosen algorithm."""
     if not _check_storage_flags(args):
         return 2
+    configs = _supervision_configs(args)
+    if configs is None:
+        return 2
+    runtime_config, coord_config = configs
     database, storage = _storage_database(args)
     start = time.perf_counter()
     if args.algorithm == "partminer":
@@ -192,33 +252,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
                     lambda1=args.lambda1 if args.lambda1 is not None else 1.0,
                     lambda2=args.lambda2 if args.lambda2 is not None else 1.0,
                 )
-            )
-        runtime_config = None
-        if args.parallel:
-            from .runtime import RuntimeConfig
-
-            runtime_config = RuntimeConfig(
-                max_workers=args.workers,
-                unit_timeout=args.unit_timeout,
-                max_retries=args.retries,
-                shared_db=not args.no_shared_db,
-                spill_dir=args.spill_dir,
-            )
-        coord_config = None
-        if args.shards >= 2:
-            from .coord import CoordConfig
-            from .runtime import RuntimeConfig
-
-            coord_config = CoordConfig(
-                shards=args.shards,
-                workers=args.workers,
-                chunk_size=args.shard_chunk,
-                heartbeat_interval=args.heartbeat_interval,
-                mem_budget=args.shard_mem_budget,
-                runtime=RuntimeConfig(
-                    unit_timeout=args.unit_timeout,
-                    max_retries=args.retries,
-                ),
             )
         trace_sink = None
         trace_id = None
@@ -425,6 +458,10 @@ def cmd_mine_big(args: argparse.Namespace) -> int:
     """Mine one large graph via r-neighborhood decomposition + MNI."""
     if not _check_storage_flags(args):
         return 2
+    configs = _supervision_configs(args, balance="edges")
+    if configs is None:
+        return 2
+    runtime_config, coord_config = configs
     graph = _load_single_graph(args)
     if graph is None:
         return 2
@@ -437,14 +474,6 @@ def cmd_mine_big(args: argparse.Namespace) -> int:
         backend = open_backend(
             "sqlite", args.db_path, cache_graphs=args.graph_cache
         )
-    runtime_config = None
-    if args.workers is not None or args.unit_timeout is not None:
-        from .runtime import RuntimeConfig
-
-        runtime_config = RuntimeConfig(
-            max_workers=args.workers,
-            unit_timeout=args.unit_timeout,
-        )
     miner = BigGraphMiner(
         radius=args.radius,
         support_mode=args.support_mode,
@@ -454,6 +483,7 @@ def cmd_mine_big(args: argparse.Namespace) -> int:
         runtime=runtime_config,
         run_dir=args.run_dir,
         shards=args.shards,
+        coord=coord_config,
         backend=backend,
     )
     result = miner.mine(graph, args.support)
@@ -893,7 +923,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mine units through the fault-tolerant parallel "
                         "runtime (partminer only)")
     p.add_argument("--workers", type=int, default=None,
-                   help="concurrent unit workers (default: CPU count)")
+                   help="worker processes alive at once, under --parallel "
+                        "and --shards alike (default: CPU count)")
     p.add_argument("--unit-timeout", type=float, default=None,
                    help="per-attempt wall-clock timeout in seconds")
     p.add_argument("--retries", type=int, default=2,

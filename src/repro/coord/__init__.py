@@ -24,12 +24,7 @@ from .coordinator import (  # noqa: F401
     SITE_LEASE,
     SITE_SHARD_RESULT,
 )
-from .lease import (  # noqa: F401
-    Lease,
-    LeaseTable,
-    ShardAttempt,
-    ShardRecord,
-)
+from .lease import ShardRecord  # noqa: F401
 from .merge import global_support, merge_candidates  # noqa: F401
 from .plan import ShardPlan  # noqa: F401
-from .worker import shard_worker_main  # noqa: F401
+from .worker import mine_shard  # noqa: F401

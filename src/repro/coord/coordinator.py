@@ -1,15 +1,16 @@
-"""The sharded mining coordinator (supervision, leases, recovery).
+"""The sharded mining coordinator: shard tasks on the process supervisor.
 
-Architecture (DESIGN.md §15)::
+Architecture (DESIGN.md §7, §15)::
 
     Coordinator.mine(database, support)
       ├─ ShardPlan.build            density-ranked round-robin placement
       ├─ spill / reference          one SQLite file all workers stream
-      ├─ worker slots (threads)     each drains the shard queue:
-      │     grant lease ─▶ spawn worker process ─▶ supervise heartbeats
-      │     ├─ heartbeat gap > TTL ─▶ expire lease, kill, requeue
-      │     ├─ worker death (EOF)  ─▶ expire lease, requeue
-      │     ├─ requeued shard      ─▶ jittered backoff ─▶ any free slot
+      ├─ Supervisor.run(shard tasks)   (repro.runtime.supervisor)
+      │     each attempt: adopt a committed result, else
+      │     grant lease ─▶ spawn worker ─▶ heartbeats renew the lease
+      │     ├─ heartbeat gap > TTL ─▶ lease expired, worker killed
+      │     ├─ worker death (EOF)  ─▶ lease forfeited
+      │     ├─ failed attempt      ─▶ jittered backoff ─▶ any free slot
       │     │                         re-leases it (reassignment)
       │     └─ budget exhausted    ─▶ in-process serial fallback
       └─ global-support phase       merge-join candidates + exact recount
@@ -21,7 +22,7 @@ committed shards wholesale and resumes partial ones from their last
 chunk.  The coordinator manifest pins the placement — a directory
 created under a different plan refuses to resume.
 
-Fault sites (chaos matrix): ``coord.lease`` (grant/renew bookkeeping),
+Fault sites (chaos matrix): ``coord.lease`` (grant bookkeeping),
 ``coord.heartbeat`` (processing one worker heartbeat — an injected
 failure is a *lost* beat), ``coord.shard_result`` (reading a committed
 shard artifact; a byte site — corrupted results are quarantined and the
@@ -31,10 +32,8 @@ shard re-mined).
 from __future__ import annotations
 
 import json
-import os
 import time
 import warnings
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -44,26 +43,24 @@ from ..graph.database import GraphDatabase
 from ..mining.base import PatternSet
 from ..mining.store import load_patterns
 from ..obs import metrics as obs_metrics
-from ..obs import trace as obs_trace
 from ..resilience import faults, integrity
 from ..resilience.errors import ArtifactCorrupt
 from ..runtime.checkpoint import CheckpointMismatch, CheckpointStore
 from ..runtime.config import RuntimeConfig
-from ..runtime.engine import UnitMiningError
+from ..runtime.payload import sqlite_spec
+from ..runtime.supervisor import Supervisor, Task, UnitMiningError
 from ..runtime.telemetry import AttemptRecord, RunTelemetry, UnitRecord
 from .lease import (
     COMMITTED,
     DEGRADED,
     FAILED,
     LEASE_LOSS_OUTCOMES,
-    LeaseTable,
-    ShardAttempt,
     ShardRecord,
     coord_digest,
 )
 from .merge import global_support, merge_candidates
 from .plan import ShardPlan
-from .worker import mine_shard, shard_worker_main
+from .worker import mine_shard
 
 SITE_LEASE = faults.register_site(
     "coord.lease", "granting or renewing a shard lease"
@@ -88,12 +85,9 @@ class CoordConfig:
     Parameters
     ----------
     shards:
-        Number of database shards (= maximum concurrent shard miners).
-    workers:
-        Worker slots draining the shard queue (``None`` = ``min(shards,
-        CPU count)``).  Each slot supervises one worker process at a
-        time; a shard whose lease expires is requeued and picked up by
-        whichever slot frees first — that re-grant is the reassignment.
+        Number of database shards (= shard tasks handed to the
+        supervisor; ``runtime.max_workers`` bounds how many are mined
+        at once).
     chunk_size:
         Graphs per checkpoint chunk inside a shard (``0`` = whole-shard
         chunks).  Smaller chunks = finer resume granularity after a
@@ -108,16 +102,16 @@ class CoordConfig:
         larger than the budget stream their SQLite rows instead of
         materializing (the out-of-core contract of :mod:`repro.storage`).
     runtime:
-        The :class:`~repro.runtime.config.RuntimeConfig` retry policy
-        reused per shard: ``max_retries`` bounds worker attempts,
-        ``backoff_*`` (with seeded jitter) paces requeues,
+        The :class:`~repro.runtime.config.RuntimeConfig` supervision
+        policy, used exactly as for unit tasks: ``max_workers`` worker
+        slots drain the shard queue, ``max_retries`` bounds worker
+        attempts, ``backoff_*`` (with seeded jitter) paces requeues,
         ``unit_timeout`` caps one attempt's wall clock, ``fallback``
         picks serial degradation vs. failing the run, ``kill_grace`` /
         ``start_method`` govern the worker processes.
     """
 
     shards: int = 4
-    workers: int | None = None
     chunk_size: int = 0
     heartbeat_interval: float = 0.25
     lease_ttl: float | None = None
@@ -147,15 +141,9 @@ class CoordConfig:
             else 8.0 * self.heartbeat_interval
         )
 
-    def resolved_workers(self) -> int:
-        if self.workers is not None:
-            return max(1, min(self.workers, self.shards))
-        return max(1, min(self.shards, os.cpu_count() or 1))
-
     def to_dict(self) -> dict:
         return {
             "shards": self.shards,
-            "workers": self.workers,
             "chunk_size": self.chunk_size,
             "heartbeat_interval": self.heartbeat_interval,
             "lease_ttl": self.resolved_ttl,
@@ -176,17 +164,89 @@ class CoordResult:
     shard_results: list[PatternSet]
 
 
-@dataclass
-class _ShardState:
-    """Queue entry: one shard's supervision state."""
+class _ShardTask(Task):
+    """One shard on the supervisor: leases, events, exactly-once commit."""
 
-    shard: int
-    record: ShardRecord
-    failures: int = 0
-    not_before: float = 0.0
-    lost_lease: bool = False  # last attempt forfeited a live lease
-    settled: bool = False
-    patterns: PatternSet | None = None
+    label = "shard"
+    task_span, attempt_span = None, "coord.shard"
+    worker_span, fallback_span = "coord.worker", "coord.fallback"
+    adopted, corrupt = "resumed-commit", "result-corrupt"
+    undecodable, start_error = "result-corrupt", "lease-error"
+
+    def __init__(self, coordinator, record: ShardRecord, payload: dict):
+        config = coordinator.config
+        self.coordinator, self.record, self.payload = (
+            coordinator, record, payload
+        )
+        self.index, self.worker = record.shard, coordinator.worker
+        self.beat_every = config.heartbeat_interval
+        self.beat_ttl = config.resolved_ttl
+        self.lost_lease = False  # last attempt forfeited a live lease
+
+    def _event(self, kind: str, slot: str, **ctx) -> None:
+        self.coordinator.on_event(kind, shard=self.index, worker=slot, **ctx)
+
+    def adopt(self) -> PatternSet | None:
+        # Exactly-once: a result committed by a previous attempt (or a
+        # previous *run*) is adopted, never re-mined.
+        if not self.coordinator.result_path(self.index).exists():
+            return None
+        return self.coordinator._read_result(self.index)
+
+    def start(self, attempt: int, slot: str) -> object:
+        faults.fire(
+            SITE_LEASE, shard=self.index, worker=slot, attempt=attempt
+        )
+        return self.payload
+
+    def spawned(self, pid: int, slot: str) -> None:
+        obs_metrics.count_coord_lease("granted")
+        if self.lost_lease:
+            self.record.reassignments += 1
+            obs_metrics.count_coord_lease("reassigned")
+            self._event("reassigned", slot, pid=pid)
+        self._event("lease", slot, pid=pid)
+
+    def beat(self, info, pid: int, slot: str) -> None:
+        faults.fire(
+            SITE_HEARTBEAT, shard=self.index, worker=slot, seq=info[1]
+        )
+        obs_metrics.count_coord_lease("renewed")
+        self._event("heartbeat", slot, pid=pid, seq=info[1])
+        if info[0] == "unit":
+            self._event(
+                "unit", slot, pid=pid, chunk=info[1], patterns=info[2]
+            )
+
+    def decode(self, info, record: AttemptRecord) -> PatternSet:
+        patterns = self.coordinator._read_result(self.index)
+        record.resumed_units = info.get("resumed", 0)
+        record.mined_units = info.get("mined", 0)
+        return patterns
+
+    def degrade(self, record: AttemptRecord, slot: str) -> PatternSet:
+        self._event("fallback", slot)
+        info = mine_shard(self.payload, record.attempt, lambda info: None)
+        return self.decode(info, record)
+
+    def attempted(self, record: AttemptRecord, slot: str) -> None:
+        obs_metrics.count_coord_attempt(record.outcome)
+        self.lost_lease = record.outcome in LEASE_LOSS_OUTCOMES
+        if self.lost_lease:
+            self.record.lease_expiries += 1
+            obs_metrics.count_coord_lease("expired")
+            self._event("expired", slot, pid=record.pid)
+
+    def settled(self, patterns, record: UnitRecord, slot: str) -> None:
+        shard = self.record
+        shard.status = {
+            "ok": COMMITTED, "checkpoint": COMMITTED, "degraded": DEGRADED,
+        }.get(record.status, FAILED)
+        shard.attempts = record.attempts
+        shard.wall_time, shard.patterns = record.wall_time, record.patterns
+        obs_metrics.count_coord_shard_status(shard.status)
+        if shard.status == COMMITTED:
+            self._event("committed", slot)
 
 
 class Coordinator:
@@ -200,15 +260,17 @@ class Coordinator:
         Durable state root (manifest, spill file, per-shard checkpoint
         dirs and result commits).  Reusing it resumes.
     worker:
-        The picklable worker entry (tests substitute shims); must speak
-        the :mod:`repro.coord.worker` wire protocol.
+        The picklable worker ``worker(payload, attempt, beat)`` run in a
+        fresh process per attempt (tests substitute shims); it must
+        commit ``payload["result_path"]`` the way
+        :func:`repro.coord.worker.mine_shard` does.
     on_event:
         Optional hook ``on_event(kind, **ctx)`` fired on supervision
         events (``lease``, ``heartbeat``, ``unit``, ``expired``,
         ``reassigned``, ``committed``, ``fallback``) — the chaos tests
         use it to SIGKILL workers at precise moments.
     sleep:
-        Injectable clock for backoff waits.
+        Injectable wait for backoff (tests pass a recorder).
     """
 
     def __init__(
@@ -216,7 +278,7 @@ class Coordinator:
         config: CoordConfig | None = None,
         run_dir: str | Path | None = None,
         *,
-        worker: Callable = shard_worker_main,
+        worker: Callable = mine_shard,
         on_event: Callable | None = None,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
@@ -227,7 +289,6 @@ class Coordinator:
         self.worker = worker
         self.on_event = on_event or (lambda kind, **ctx: None)
         self.sleep = sleep
-        self.leases = LeaseTable()
 
     # ------------------------------------------------------------------
     # Layout
@@ -250,7 +311,6 @@ class Coordinator:
         config = self.config
         threshold = database.absolute_support(min_support)
         start = time.perf_counter()
-        parent_span = obs_trace.current_span_id()
 
         with obs.span(
             "coord.mine",
@@ -287,38 +347,47 @@ class Coordinator:
                     stacklevel=2,
                 )
             self._open_manifest(plan, threshold, chunk_thresholds, max_size)
-            payload_base = self._payload_source(database)
+            source = self._payload_source(database)
 
-            states: list[_ShardState] = []
+            tasks: list[_ShardTask] = []
             for shard in range(config.shards):
                 graphs, edges = plan.sizes[shard]
-                record = ShardRecord(
-                    shard=shard, graphs=graphs, edges=edges
+                manifest = self._shard_manifest(
+                    plan, shard, chunk_thresholds, max_size
                 )
-                states.append(_ShardState(shard=shard, record=record))
-                store = CheckpointStore(self.shard_dir(shard))
-                store.open(
-                    self._shard_manifest(
-                        plan, shard, chunk_thresholds, max_size
-                    )
+                CheckpointStore(self.shard_dir(shard)).open(manifest)
+                payload = dict(
+                    source,
+                    shard=shard,
+                    chunks=manifest["gids"],
+                    threshold=chunk_thresholds[shard],
+                    max_size=max_size,
+                    run_dir=str(self.shard_dir(shard)),
+                    result_path=str(self.result_path(shard)),
+                    result_meta={
+                        "shard": shard,
+                        "threshold": chunk_thresholds[shard],
+                    },
+                )
+                record = ShardRecord(shard=shard, graphs=graphs, edges=edges)
+                tasks.append(_ShardTask(self, record, payload))
+
+            settled = Supervisor(config.runtime, self.sleep).run(tasks)
+            records = [task.record for task in tasks]
+
+            def telemetry(phase: dict) -> RunTelemetry:
+                return RunTelemetry(
+                    units=[record for _patterns, record in settled],
+                    config={"coord": config.to_dict()},
+                    total_wall_time=time.perf_counter() - start,
+                    coord=coord_digest(records, plan.summary(), phase),
                 )
 
-            self._supervise(
-                states, plan, chunk_thresholds, payload_base, max_size,
-                parent_span,
-            )
-
-            failed = [
-                s.shard for s in states if s.record.status == FAILED
-            ]
-            records = [s.record for s in states]
+            failed = [r.shard for r in records if r.status == FAILED]
             if failed:
-                telemetry = self._telemetry(
-                    records, plan, {}, time.perf_counter() - start
-                )
-                raise UnitMiningError(failed, telemetry)
+                raise UnitMiningError(failed, telemetry({}))
 
-            shard_results = [s.patterns for s in states]
+            shard_results = [patterns for patterns, _record in settled]
             merge_t0 = time.perf_counter()
             with obs.span(
                 "coord.global_support", candidates=None
@@ -337,17 +406,15 @@ class Coordinator:
             )
             run_span.set_attrs(patterns=len(patterns))
 
-        telemetry = self._telemetry(
-            records, plan, phase, time.perf_counter() - start
-        )
-        telemetry.save(self.run_dir / "telemetry.json")
-        return CoordResult(
+        result = CoordResult(
             patterns=patterns,
             threshold=threshold,
             plan=plan,
-            telemetry=telemetry,
+            telemetry=telemetry(phase),
             shard_results=shard_results,
         )
+        result.telemetry.save(self.run_dir / "telemetry.json")
+        return result
 
     # ------------------------------------------------------------------
     # Run identity
@@ -417,446 +484,21 @@ class Coordinator:
         read-only connections under the per-worker cache budget and the
         shard never materializes in any single process.
         """
-        store = getattr(database, "_graphs", None)
-        spec_fn = getattr(store, "payload_spec", None)
-        if spec_fn is not None:
-            spec = dict(spec_fn())
-            spec.pop("gids", None)  # per-chunk gids come from the plan
-            if self.config.mem_budget is not None:
-                spec["cache"] = self.config.mem_budget
-            return {"sqlite": spec}
-        try:
-            with obs.span("coord.spill", graphs=len(database)):
-                from ..storage.sqlite import SQLiteBackend
-
-                path = self.run_dir / SPILL_NAME
-                backend = SQLiteBackend(path)
-                try:
-                    backend.import_database(database)
-                    backend.checkpoint()
-                finally:
-                    backend.close()
-        except Exception:
-            # No SQLite (or read-only filesystem): workers receive the
-            # pickled shard instead — correctness is unchanged, only the
-            # out-of-core property is lost.
-            return {"graphs": list(database)}
-        return {
-            "sqlite": {
-                "path": str(path.resolve()),
-                "cache": self.config.mem_budget,
-            }
-        }
-
-    # ------------------------------------------------------------------
-    # Supervision
-    # ------------------------------------------------------------------
-    def _supervise(
-        self,
-        states: list[_ShardState],
-        plan: ShardPlan,
-        chunk_thresholds: list[int],
-        payload_base: dict,
-        max_size: int | None,
-        parent_span: str | None,
-    ) -> None:
-        import threading
-
-        queue: deque[_ShardState] = deque(states)
-        cond = threading.Condition()
-        remaining = len(states)
-
-        def settle(state: _ShardState) -> None:
-            nonlocal remaining
-            with cond:
-                if state.settled:
-                    return
-                state.settled = True
-                remaining -= 1
-                cond.notify_all()
-
-        def requeue(state: _ShardState) -> None:
-            with cond:
-                queue.append(state)
-                cond.notify_all()
-
-        def next_state() -> _ShardState | None:
-            """Earliest ready shard, or block until one is (None = done)."""
-            with cond:
-                while True:
-                    if remaining == 0:
-                        return None
-                    now = time.monotonic()
-                    ready = [s for s in queue if s.not_before <= now]
-                    if ready:
-                        state = ready[0]
-                        queue.remove(state)
-                        return state
-                    if queue:
-                        soonest = min(s.not_before for s in queue)
-                        cond.wait(timeout=max(0.001, soonest - now))
-                    else:
-                        cond.wait(timeout=0.05)
-
-        def slot_main(slot: str) -> None:
-            while True:
-                state = next_state()
-                if state is None:
-                    return
-                try:
-                    self._run_shard(
-                        state, slot, plan, chunk_thresholds, payload_base,
-                        max_size, parent_span, settle, requeue,
-                    )
-                except Exception:  # noqa: BLE001 - a dead slot must not
-                    # wedge the queue: the shard fails, the run finishes.
-                    state.record.status = FAILED
-                    obs_metrics.count_coord_shard_status(FAILED)
-                    settle(state)
-
-        slots = [
-            threading.Thread(
-                target=slot_main, args=(f"w{i}",), daemon=True
-            )
-            for i in range(self.config.resolved_workers())
-        ]
-        for thread in slots:
-            thread.start()
-        for thread in slots:
-            thread.join()
-
-    def _run_shard(
-        self,
-        state: _ShardState,
-        slot: str,
-        plan: ShardPlan,
-        chunk_thresholds: list[int],
-        payload_base: dict,
-        max_size: int | None,
-        parent_span: str | None,
-        settle,
-        requeue,
-    ) -> None:
-        """One attempt at one shard, then route the outcome."""
-        config = self.config
-        record = state.record
-        shard = state.shard
-        shard_t0 = time.perf_counter()
-
-        with obs.span(
-            "coord.shard",
-            parent=parent_span,
-            shard=shard,
-            attempt=len(record.attempts),
-            slot=slot,
-        ) as span:
+        spec = sqlite_spec(database, None)
+        if spec is None:
             try:
-                attempt = self._attempt(
-                    state, slot, plan, chunk_thresholds, payload_base,
-                    max_size,
-                )
-            except Exception as exc:  # noqa: BLE001 - retried, never hangs
-                attempt = ShardAttempt(
-                    attempt=len(record.attempts),
-                    outcome="error",
-                    worker=slot,
-                    wall_time=time.perf_counter() - shard_t0,
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            record.attempts.append(attempt)
-            record.wall_time += time.perf_counter() - shard_t0
-            span.set_attrs(outcome=attempt.outcome)
-            obs_metrics.count_coord_attempt(attempt.outcome)
-
-            if attempt.outcome in ("ok", "resumed-commit"):
-                record.status = COMMITTED
-                record.patterns = (
-                    None if state.patterns is None else len(state.patterns)
-                )
-                obs_metrics.count_coord_shard_status(COMMITTED)
-                self.on_event("committed", shard=shard, worker=slot)
-                settle(state)
-                return
-            if attempt.outcome != "ok":
-                span.set_status("error", attempt.error or attempt.outcome)
-
-            if attempt.outcome in LEASE_LOSS_OUTCOMES:
-                record.lease_expiries += 1
-                obs_metrics.count_coord_lease("expired")
-                self.on_event(
-                    "expired", shard=shard, worker=slot, pid=attempt.pid
-                )
-            state.lost_lease = attempt.outcome in LEASE_LOSS_OUTCOMES
-            state.failures += 1
-
-            if state.failures <= config.runtime.max_retries:
-                delay = config.runtime.backoff_delay(
-                    state.failures - 1, unit=shard
-                )
-                attempt.backoff = delay
-                state.not_before = time.monotonic() + delay
-                requeue(state)
-                return
-
-            # Budget exhausted: degrade in-process, or fail the run.
-            if config.runtime.fallback == "serial":
-                self._fallback(
-                    state, slot, plan, chunk_thresholds, payload_base,
-                    max_size,
-                )
-            else:
-                record.status = FAILED
-                obs_metrics.count_coord_shard_status(FAILED)
-            settle(state)
-
-    # ------------------------------------------------------------------
-    def _attempt(
-        self,
-        state: _ShardState,
-        slot: str,
-        plan: ShardPlan,
-        chunk_thresholds: list[int],
-        payload_base: dict,
-        max_size: int | None,
-    ) -> ShardAttempt:
-        import multiprocessing
-
-        config = self.config
-        shard = state.shard
-        attempt_no = len(state.record.attempts)
-        t0 = time.perf_counter()
-
-        def finish(outcome, *, pid=None, error=None, heartbeats=0,
-                   resumed=0, mined=0) -> ShardAttempt:
-            return ShardAttempt(
-                attempt=attempt_no,
-                outcome=outcome,
-                worker=slot,
-                wall_time=time.perf_counter() - t0,
-                pid=pid,
-                error=error,
-                heartbeats=heartbeats,
-                resumed_units=resumed,
-                mined_units=mined,
-            )
-
-        # Exactly-once: a result committed by a previous attempt (or a
-        # previous *run*) is adopted, never re-mined.
-        if self.result_path(shard).exists():
-            try:
-                state.patterns = self._read_result(shard)
-            except ArtifactCorrupt as exc:
-                return finish("result-corrupt", error=str(exc))
-            return finish("resumed-commit", pid=os.getpid())
-
-        try:
-            faults.fire(
-                SITE_LEASE, shard=shard, worker=slot, attempt=attempt_no
-            )
-        except Exception as exc:  # noqa: BLE001 - a retryable attempt
-            return finish(
-                "lease-error", error=f"{type(exc).__name__}: {exc}"
-            )
-
-        payload = dict(
-            payload_base,
-            shard=shard,
-            chunks=[
-                list(chunk)
-                for chunk in plan.chunks(shard, config.chunk_size)
-            ],
-            threshold=chunk_thresholds[shard],
-            max_size=max_size,
-            heartbeat_interval=config.heartbeat_interval,
-            run_dir=str(self.shard_dir(shard)),
-            result_path=str(self.result_path(shard)),
-            result_meta={
-                "shard": shard, "threshold": chunk_thresholds[shard]
-            },
-        )
-        ctx = multiprocessing.get_context(config.runtime.start_method)
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=self.worker, args=(payload, send), daemon=True
-        )
-        proc.start()
-        send.close()
-
-        reassigned = state.lost_lease
-        lease = self.leases.grant(
-            shard, slot, proc.pid, config.resolved_ttl,
-            reassigned=reassigned,
-        )
-        obs_metrics.count_coord_lease("granted")
-        if reassigned:
-            state.record.reassignments += 1
-            obs_metrics.count_coord_lease("reassigned")
-            self.on_event(
-                "reassigned", shard=shard, worker=slot, pid=proc.pid
-            )
-        self.on_event("lease", shard=shard, worker=slot, pid=proc.pid)
-
-        deadline = (
-            None
-            if config.runtime.unit_timeout is None
-            else time.monotonic() + config.runtime.unit_timeout
-        )
-        outcome = error = None
-        done_info: dict = {}
-        poll_step = min(config.heartbeat_interval, config.resolved_ttl / 4)
-        try:
-            while outcome is None:
-                got = recv.poll(poll_step)
-                now = time.monotonic()
-                if got:
-                    try:
-                        message = recv.recv()
-                    except EOFError:
-                        outcome = "crash"
-                        error = "worker died without a report"
-                        break
-                    kind = message[0]
-                    if kind in ("hb", "unit"):
-                        try:
-                            faults.fire(
-                                SITE_HEARTBEAT, shard=shard,
-                                worker=slot, seq=message[1],
-                            )
-                        except Exception:  # noqa: BLE001 - beat lost
-                            pass  # a dropped heartbeat does not renew
-                        else:
-                            lease.renew()
-                            obs_metrics.count_coord_lease("renewed")
-                            self.on_event(
-                                "heartbeat", shard=shard, worker=slot,
-                                pid=proc.pid, seq=message[1],
-                            )
-                            if kind == "unit":
-                                self.on_event(
-                                    "unit", shard=shard, worker=slot,
-                                    pid=proc.pid, chunk=message[1],
-                                    patterns=message[2],
-                                )
-                    elif kind == "done":
-                        done_info = message[1]
-                        outcome = "done"
-                    else:  # ("error", msg)
-                        outcome = "error"
-                        error = message[1]
-                if outcome is None:
-                    if lease.expired(now):
-                        outcome = "lease-expired"
-                        error = (
-                            f"no heartbeat within "
-                            f"{config.resolved_ttl:.2f}s"
-                        )
-                    elif deadline is not None and now > deadline:
-                        outcome = "timeout"
-                        error = (
-                            f"no result within "
-                            f"{config.runtime.unit_timeout}s"
-                        )
-        finally:
-            pid = proc.pid
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(config.runtime.kill_grace)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(config.runtime.kill_grace)
-            else:
-                proc.join()
-            recv.close()
-            if outcome in LEASE_LOSS_OUTCOMES:
-                self.leases.expire(shard)
-            else:
-                self.leases.release(shard)
-
-        if outcome == "crash" and proc.exitcode not in (None, 0):
-            error = f"worker exit code {proc.exitcode}"
-        if outcome == "done":
-            try:
-                state.patterns = self._read_result(shard)
-            except ArtifactCorrupt as exc:
-                return finish(
-                    "result-corrupt",
-                    pid=pid,
-                    error=str(exc),
-                    heartbeats=lease.heartbeats,
-                )
-            return finish(
-                "ok",
-                pid=pid,
-                heartbeats=lease.heartbeats,
-                resumed=done_info.get("resumed", 0),
-                mined=done_info.get("mined", 0),
-            )
-        return finish(
-            outcome, pid=pid, error=error, heartbeats=lease.heartbeats
-        )
-
-    # ------------------------------------------------------------------
-    def _fallback(
-        self,
-        state: _ShardState,
-        slot: str,
-        plan: ShardPlan,
-        chunk_thresholds: list[int],
-        payload_base: dict,
-        max_size: int | None,
-    ) -> None:
-        """Mine the shard in-process after the worker budget is spent."""
-        record = state.record
-        shard = state.shard
-        t0 = time.perf_counter()
-        self.on_event("fallback", shard=shard, worker=slot)
-        payload = dict(
-            payload_base,
-            shard=shard,
-            chunks=[
-                list(chunk)
-                for chunk in plan.chunks(shard, self.config.chunk_size)
-            ],
-            threshold=chunk_thresholds[shard],
-            max_size=max_size,
-            run_dir=str(self.shard_dir(shard)),
-            result_path=str(self.result_path(shard)),
-            result_meta={
-                "shard": shard, "threshold": chunk_thresholds[shard]
-            },
-        )
-        try:
-            with obs.span("coord.fallback", shard=shard):
-                info = mine_shard(payload, send=lambda message: None)
-                state.patterns = self._read_result(shard)
-        except Exception as exc:  # noqa: BLE001 - recorded, failed
-            record.attempts.append(
-                ShardAttempt(
-                    attempt=len(record.attempts),
-                    outcome="fallback-error",
-                    worker=slot,
-                    wall_time=time.perf_counter() - t0,
-                    pid=os.getpid(),
-                    error=f"{type(exc).__name__}: {exc}",
-                )
-            )
-            record.status = FAILED
-            obs_metrics.count_coord_shard_status(FAILED)
-            return
-        record.attempts.append(
-            ShardAttempt(
-                attempt=len(record.attempts),
-                outcome="fallback-serial",
-                worker=slot,
-                wall_time=time.perf_counter() - t0,
-                pid=os.getpid(),
-                resumed_units=info.get("resumed", 0),
-                mined_units=info.get("mined", 0),
-            )
-        )
-        record.status = DEGRADED
-        record.patterns = len(state.patterns)
-        obs_metrics.count_coord_shard_status(DEGRADED)
+                with obs.span("coord.spill", graphs=len(database)):
+                    spec = sqlite_spec(database, self.run_dir / SPILL_NAME)
+            except Exception:
+                # No SQLite (or read-only filesystem): workers receive
+                # the pickled shard instead — correctness is unchanged,
+                # only the out-of-core property is lost.
+                return {"graphs": list(database)}
+        spec = dict(spec)
+        del spec["gids"]  # per-chunk gids come from the plan
+        if self.config.mem_budget is not None:
+            spec["cache"] = self.config.mem_budget
+        return {"sqlite": spec}
 
     # ------------------------------------------------------------------
     def _read_result(self, shard: int) -> PatternSet:
@@ -889,39 +531,3 @@ class Coordinator:
             corrupt.quarantined = integrity.quarantine(path)
             raise corrupt from exc
         return patterns
-
-    # ------------------------------------------------------------------
-    def _telemetry(
-        self,
-        records: list[ShardRecord],
-        plan: ShardPlan,
-        phase: dict,
-        total_wall_time: float,
-    ) -> RunTelemetry:
-        status_map = {COMMITTED: "ok", DEGRADED: "degraded"}
-        units = [
-            UnitRecord(
-                unit=record.shard,
-                status=status_map.get(record.status, record.status),
-                attempts=[
-                    AttemptRecord(
-                        attempt=a.attempt,
-                        outcome=a.outcome,
-                        wall_time=a.wall_time,
-                        pid=a.pid,
-                        error=a.error,
-                        backoff=a.backoff,
-                    )
-                    for a in record.attempts
-                ],
-                wall_time=record.wall_time,
-                patterns=record.patterns,
-            )
-            for record in records
-        ]
-        return RunTelemetry(
-            units=units,
-            config={"coord": self.config.to_dict()},
-            total_wall_time=total_wall_time,
-            coord=coord_digest(records, plan.summary(), phase),
-        )

@@ -1,33 +1,30 @@
-"""Lease-based shard supervision state.
+"""Per-shard supervision records (serialized into ``RunTelemetry.coord``).
 
-The coordinator tracks every in-flight shard through a :class:`LeaseTable`:
-a shard is *leased* to exactly one worker process, the lease is *renewed*
-by each heartbeat, and a heartbeat gap longer than the TTL (or the worker
-dying outright) *expires* it — the shard returns to the queue and is
-reassigned to a fresh worker.  The table is the coordinator's single
-source of truth about who owns what, and its transition log is what the
-chaos suite asserts against.
+A shard attempt is one :class:`~repro.runtime.telemetry.AttemptRecord`
+of the process supervisor, whose :class:`~repro.runtime.supervisor.Lease`
+a worker holds while its heartbeats arrive within the TTL; a heartbeat
+gap (or the worker dying outright) forfeits the lease and the shard goes
+back to the queue, to be re-leased — reassigned — to a fresh worker.
 
 Shard lifecycle (recorded per shard in :class:`ShardRecord`)::
 
-    PENDING ──grant──▶ LEASED ──commit──▶ COMMITTED
+    PENDING ──lease──▶ mining ──commit──▶ COMMITTED
        ▲                  │
        └──expire/retry────┘        (budget exhausted) ─▶ DEGRADED | FAILED
 
 ``DEGRADED`` means the in-process serial fallback mined the shard after
 every worker attempt was lost — the run completes exactly, just slower
-(the same degradation contract as the unit runtime).
+(the same degradation contract as unit tasks).
 """
 
 from __future__ import annotations
 
-import threading
-import time
 from dataclasses import asdict, dataclass, field
+
+from ..runtime.telemetry import AttemptRecord
 
 # Shard status vocabulary (ShardRecord.status).
 PENDING = "pending"
-LEASED = "leased"
 COMMITTED = "committed"
 DEGRADED = "degraded"
 FAILED = "failed"
@@ -37,113 +34,12 @@ LEASE_LOSS_OUTCOMES = ("lease-expired", "crash")
 
 
 @dataclass
-class Lease:
-    """One worker's current claim on one shard."""
-
-    shard: int
-    worker: str
-    pid: int | None
-    granted: float
-    ttl: float
-    last_beat: float
-    heartbeats: int = 0
-
-    def renew(self, now: float | None = None) -> None:
-        self.last_beat = time.monotonic() if now is None else now
-        self.heartbeats += 1
-
-    def expired(self, now: float | None = None) -> bool:
-        now = time.monotonic() if now is None else now
-        return now - self.last_beat > self.ttl
-
-
-class LeaseTable:
-    """Thread-safe shard -> :class:`Lease` map with a transition log."""
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._leases: dict[int, Lease] = {}
-        self.expiries = 0
-        self.reassignments = 0
-
-    def grant(
-        self, shard: int, worker: str, pid: int | None, ttl: float,
-        *, reassigned: bool = False,
-    ) -> Lease:
-        now = time.monotonic()
-        lease = Lease(
-            shard=shard, worker=worker, pid=pid,
-            granted=now, ttl=ttl, last_beat=now,
-        )
-        with self._lock:
-            self._leases[shard] = lease
-            if reassigned:
-                self.reassignments += 1
-        return lease
-
-    def renew(self, shard: int) -> None:
-        with self._lock:
-            lease = self._leases.get(shard)
-            if lease is not None:
-                lease.renew()
-
-    def expire(self, shard: int) -> Lease | None:
-        """Revoke the shard's lease (heartbeat gap or dead worker)."""
-        with self._lock:
-            lease = self._leases.pop(shard, None)
-            if lease is not None:
-                self.expiries += 1
-        return lease
-
-    def release(self, shard: int) -> Lease | None:
-        """Drop the lease on a clean commit (no expiry counted)."""
-        with self._lock:
-            return self._leases.pop(shard, None)
-
-    def holder(self, shard: int) -> Lease | None:
-        with self._lock:
-            return self._leases.get(shard)
-
-    def snapshot(self) -> list[dict]:
-        with self._lock:
-            return [asdict(lease) for lease in self._leases.values()]
-
-
-# ----------------------------------------------------------------------
-# Per-shard telemetry (serialized into RunTelemetry.coord)
-# ----------------------------------------------------------------------
-@dataclass
-class ShardAttempt:
-    """One attempt at mining one shard.
-
-    Outcomes: ``ok`` (result committed), ``lease-expired`` (heartbeat
-    gap — worker killed), ``crash`` (worker died, lease forfeited),
-    ``error`` (worker raised), ``lease-error`` (the lease grant itself
-    failed), ``result-corrupt`` (committed artifact failed integrity
-    verification and was quarantined), ``resumed-commit`` (a previous
-    attempt's committed result adopted without mining),
-    ``fallback-serial`` / ``fallback-error`` (in-process degradation).
-    """
-
-    attempt: int
-    outcome: str
-    worker: str
-    wall_time: float
-    pid: int | None = None
-    error: str | None = None
-    backoff: float | None = None
-    heartbeats: int = 0
-    resumed_units: int = 0
-    mined_units: int = 0
-
-
-@dataclass
 class ShardRecord:
     """Full supervision history of one shard."""
 
     shard: int
     status: str = PENDING
-    attempts: list[ShardAttempt] = field(default_factory=list)
+    attempts: list[AttemptRecord] = field(default_factory=list)
     lease_expiries: int = 0
     reassignments: int = 0
     wall_time: float = 0.0
@@ -166,7 +62,7 @@ class ShardRecord:
             shard=data["shard"],
             status=data["status"],
             attempts=[
-                ShardAttempt(**raw) for raw in data.get("attempts", [])
+                AttemptRecord(**raw) for raw in data.get("attempts", [])
             ],
             lease_expiries=data.get("lease_expiries", 0),
             reassignments=data.get("reassignments", 0),

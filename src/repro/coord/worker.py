@@ -1,69 +1,39 @@
-"""Shard-worker process: mine one shard's gid-chunks under a lease.
+"""Shard worker: mine one shard's gid-chunks under a lease.
 
-One process per *attempt* (the coordinator never reuses a worker whose
-lease expired).  The worker:
+One process per *attempt*, started through the supervisor's shared child
+entry (:func:`repro.runtime.supervisor.child_main`), which also runs the
+heartbeat thread and reports the return value.  The worker:
 
-* heartbeats over the supervision pipe from a daemon thread — an
-  immediate beat on startup (so the lease is live before any mining)
-  then one every ``heartbeat_interval`` seconds;
 * mines the shard's gid-chunks **serially in-process** (worker
   processes are daemonic, so they cannot spawn a nested runtime; the
   parallelism lives across shards, not inside one);
 * checkpoints every completed chunk through the shared
   :class:`~repro.runtime.checkpoint.CheckpointStore` — a killed worker's
-  successor resumes from the last committed chunk, not from scratch;
+  successor resumes from the last committed chunk, not from scratch —
+  and beats ``("unit", chunk_index, patterns)`` after each, which renews
+  the lease like a heartbeat does;
 * commits the shard result exactly once: the candidate union is written
   with an atomic rename + sha256 footer, so the artifact either exists
   whole or not at all, and a duplicate attempt that finds it already
   committed adopts it instead of re-mining.
-
-Wire protocol (worker -> coordinator), all sends serialized by a lock
-because the heartbeat thread and the mining thread share the pipe::
-
-    ("hb", seq)                      periodic heartbeat
-    ("unit", chunk_index, patterns)  one chunk checkpointed (renews too)
-    ("done", {"patterns", "resumed", "mined"})   result committed
-    ("error", "Type: message")       the worker raised
 """
 
 from __future__ import annotations
 
-import threading
-
-from ..graph.database import GraphDatabase
 from ..mining.base import PatternSet
+from ..obs import trace as obs_trace
 from ..resilience.errors import ArtifactCorrupt
 from ..runtime.checkpoint import CheckpointStore
+from ..runtime.payload import payload_database
 
 
-def chunk_database(payload: dict, gids: tuple[int, ...]) -> GraphDatabase:
-    """The database view one chunk mines, per the payload's wire form.
+def mine_shard(payload: dict, attempt: int, beat) -> dict:
+    """Mine every chunk (resuming from checkpoints), commit the result.
 
-    ``sqlite`` payloads open the worker's **own read-only connection**
-    (the parent's does not survive a fork) with the per-worker decoded
-    -graph cache budget — a shard larger than the budget streams rows
-    instead of materializing; ``graphs`` payloads carry the pickled
-    shard and slice it in memory.
+    Returns ``{"patterns", "resumed", "mined"}`` — the terminal message
+    of the attempt; the patterns themselves travel through the committed
+    artifact at ``payload["result_path"]``, never the pipe.
     """
-    spec = payload.get("sqlite")
-    if spec is not None:
-        from ..storage.backend import open_backend
-
-        backend = open_backend(
-            "sqlite",
-            spec["path"],
-            cache_graphs=spec.get("cache"),
-            read_only=True,
-        )
-        return backend.database(gids=list(gids))
-    wanted = set(gids)
-    return GraphDatabase(
-        (gid, graph) for gid, graph in payload["graphs"] if gid in wanted
-    )
-
-
-def mine_shard(payload: dict, send) -> dict:
-    """Mine every chunk (resuming from checkpoints), commit the result."""
     from ..mining.gaston import GastonMiner
     from ..mining.store import save_patterns
 
@@ -90,7 +60,7 @@ def mine_shard(payload: dict, send) -> dict:
                 patterns = None  # quarantined; re-mine below
         if patterns is None:
             miner = GastonMiner(max_size=payload.get("max_size"))
-            patterns = miner.mine(chunk_database(payload, gids), threshold)
+            patterns = miner.mine(payload_database(payload, gids), threshold)
             store.save(
                 index,
                 patterns,
@@ -99,7 +69,7 @@ def mine_shard(payload: dict, send) -> dict:
             mined += 1
         for pattern in patterns:
             candidates.add_union(pattern)
-        send(("unit", index, len(patterns)))
+        beat(("unit", index, len(patterns)))
 
     # Exactly-once commit: atomic rename + integrity footer.  A crash
     # before the rename leaves nothing; after it, the whole artifact.
@@ -109,39 +79,5 @@ def mine_shard(payload: dict, send) -> dict:
         meta=dict(payload.get("result_meta") or {}, chunks=len(chunks)),
         atomic=True,
     )
+    obs_trace.annotate(chunks=len(chunks), resumed=resumed, mined=mined)
     return {"patterns": len(candidates), "resumed": resumed, "mined": mined}
-
-
-def shard_worker_main(payload: dict, conn) -> None:
-    """Process entry: heartbeat + mine + report (never raises)."""
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def send(message) -> None:
-        with lock:
-            conn.send(message)
-
-    def beat() -> None:
-        seq = 0
-        try:
-            send(("hb", seq))
-            while not stop.wait(payload["heartbeat_interval"]):
-                seq += 1
-                send(("hb", seq))
-        except OSError:
-            return  # supervisor went away; mining continues or dies
-
-    heartbeat = threading.Thread(target=beat, daemon=True)
-    heartbeat.start()
-    try:
-        info = mine_shard(payload, send)
-        stop.set()
-        send(("done", info))
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        stop.set()
-        try:
-            send(("error", f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
-    finally:
-        conn.close()

@@ -17,10 +17,10 @@ The *current* span travels in a :mod:`contextvars` ContextVar, so nested
 explicit help:
 
 * **threads** — ContextVars do not follow ``threading.Thread``; the
-  runtime engine captures the parent span before fanning out and passes
-  it via ``span(..., parent=...)``;
-* **worker processes** — the engine puts :func:`current_handoff` (trace
-  id + parent span id) into the attempt payload, the child calls
+  supervisor captures the parent span before fanning out and each slot
+  thread re-enters it with :func:`under`;
+* **worker processes** — the supervisor puts :func:`current_handoff`
+  (trace id + parent span id) into the attempt payload, the child calls
   :func:`begin_in_child` / :func:`collect_child_spans`, and the parent
   merges the result with :meth:`Tracer.adopt`.  Child spans survive only
   if the worker replies; a crashed worker loses its spans but never
@@ -232,25 +232,18 @@ def current_span_id() -> str | None:
 
 
 @contextmanager
-def span(name: str, parent: "Span | str | None" = None, **attrs):
-    """Open a child span of the current (or given) parent.
+def span(name: str, **attrs):
+    """Open a child span of the current parent.
 
     No-op — yields the shared :data:`NULL_SPAN` — when the obs switch is
-    off or no tracer is active.  ``parent`` overrides the contextvar
-    parent; pass the captured parent span (or its id) when crossing a
-    thread boundary.
+    off or no tracer is active.  Across a thread boundary the contextvar
+    parent is lost; re-enter the captured one with :func:`under`.
     """
     tracer = _ACTIVE
     if tracer is None or not switch.enabled():
         yield NULL_SPAN
         return
-    if parent is None:
-        parent_id = _CURRENT.get()
-    elif isinstance(parent, str):
-        parent_id = parent
-    else:
-        parent_id = parent.span_id
-    node = Span(name, tracer.trace_id, parent_id, attrs)
+    node = Span(name, tracer.trace_id, _CURRENT.get(), attrs)
     token = _CURRENT.set(node.span_id)
     open_token = _OPEN.set(node)
     try:
@@ -262,6 +255,21 @@ def span(name: str, parent: "Span | str | None" = None, **attrs):
         _OPEN.reset(open_token)
         _CURRENT.reset(token)
         tracer.record(node)
+
+
+@contextmanager
+def under(parent: "Span | str | None"):
+    """Make ``parent`` (a span or span id) the current parent for a block.
+
+    ContextVars do not follow work handed to another thread; the
+    receiving thread re-enters the captured span with this, and spans it
+    opens inside parent as if the hand-off had not happened.
+    """
+    token = _CURRENT.set(getattr(parent, "span_id", parent))
+    try:
+        yield
+    finally:
+        _CURRENT.reset(token)
 
 
 def annotate(**attrs) -> None:

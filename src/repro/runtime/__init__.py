@@ -4,7 +4,8 @@ Public surface::
 
     from repro.runtime import (
         RuntimeConfig,        # timeouts / retries / backoff / fallback
-        MiningRuntime,        # the engine (generic over worker callables)
+        Supervisor, Task,     # the one process supervisor + its task API
+        MiningRuntime,        # unit tasks (generic over worker callables)
         run_unit_mining,      # high-level: units + thresholds -> results
         CheckpointStore,      # per-unit persistence under a run directory
         RunTelemetry,         # structured execution record
@@ -17,23 +18,26 @@ from .config import RuntimeConfig
 from .engine import (
     MiningRuntime,
     RuntimeResult,
-    UnitMiningError,
     UnitTask,
     decode_patterns,
     encode_patterns,
     mine_unit_worker,
     run_unit_mining,
 )
+from .supervisor import Lease, Supervisor, Task, UnitMiningError
 from .telemetry import AttemptRecord, RunTelemetry, UnitRecord
 
 __all__ = [
     "AttemptRecord",
     "CheckpointMismatch",
     "CheckpointStore",
+    "Lease",
     "MiningRuntime",
     "RunTelemetry",
     "RuntimeConfig",
     "RuntimeResult",
+    "Supervisor",
+    "Task",
     "UnitMiningError",
     "UnitRecord",
     "UnitTask",

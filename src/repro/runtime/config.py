@@ -16,12 +16,13 @@ FALLBACKS = ("serial", "none")
 
 @dataclass(frozen=True)
 class RuntimeConfig:
-    """Execution policy of :class:`~repro.runtime.engine.MiningRuntime`.
+    """Execution policy of :class:`~repro.runtime.supervisor.Supervisor`.
 
     Parameters
     ----------
     max_workers:
-        Units mined concurrently (``None`` = CPU count).
+        Worker processes alive at once, for unit and shard tasks alike
+        (``None`` = CPU count, capped by the number of tasks).
     unit_timeout:
         Wall-clock seconds one *attempt* may run before its worker process
         is killed (``None`` = unlimited).
@@ -91,6 +92,8 @@ class RuntimeConfig:
             raise ValueError(
                 f"fallback must be one of {FALLBACKS}: {self.fallback!r}"
             )
+        if self.max_workers is not None and self.max_workers < 1:
+            raise ValueError(f"max_workers must be >= 1: {self.max_workers}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0: {self.max_retries}")
         if self.unit_timeout is not None and self.unit_timeout <= 0:

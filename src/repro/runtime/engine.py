@@ -1,47 +1,38 @@
-"""Fault-tolerant parallel execution engine for unit mining.
+"""Unit tasks: PartMiner's phase-2 units on the process supervisor.
 
 The paper notes PartMiner's phase 2 is "inherently parallel": after
-DBPartition the ``k`` units are independent mining problems.  This engine
-runs them with production-grade fault tolerance instead of a bare pool:
+DBPartition the ``k`` units are independent mining problems.  This module
+defines them as tasks of :mod:`repro.runtime.supervisor` (which owns the
+attempt lifecycle, retries, backoff and the serial fallback) and adds
+what is particular to units:
 
-* every *attempt* runs in its own worker **process** (a fresh one per
-  attempt, so a crashed or wedged worker cannot poison its successors) and
-  is bounded by a wall-clock timeout — on expiry the process is killed;
-* failed attempts (timeout, crash, raised exception, garbage result) are
-  retried with capped exponential backoff up to ``max_retries`` times;
-* once the retry budget is exhausted the unit *degrades*: it is mined
-  in-process by the real serial miner, so an adversarial worker can delay
-  a run but never change its answer;
+* the worker returns its patterns over the pipe in a pickle-light wire
+  form that is validated on receipt (a malformed one is a ``garbage``
+  attempt);
 * each completed unit is checkpointed immediately (when a
   :class:`~repro.runtime.checkpoint.CheckpointStore` is attached), so a
-  killed run resumes by skipping finished units;
+  killed run resumes by adopting finished units;
+* unit workers do not beat, so only ``unit_timeout`` bounds an attempt;
 * everything that happened is recorded as structured telemetry
   (:class:`~repro.runtime.telemetry.RunTelemetry`).
-
-Concurrency model: up to ``max_workers`` units are in flight at once, each
-driven by a supervisor thread that owns the unit's retry loop and blocks
-on its current worker process.  Threads are cheap here — all heavy lifting
-happens in the worker processes.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable
 
-from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
 from ..mining.base import Pattern, PatternSet
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..resilience import faults
-from ..resilience.errors import ArtifactCorrupt
 from .checkpoint import CheckpointStore
 from .config import RuntimeConfig
+from .payload import payload_database, sqlite_spec
+from .supervisor import Supervisor, Task, UnitMiningError
 from .telemetry import AttemptRecord, RunTelemetry, UnitRecord
 
 SITE_WORKER_START = faults.register_site(
@@ -84,51 +75,6 @@ def decode_patterns(raw: object) -> PatternSet:
     return patterns
 
 
-def resolve_payload_database(payload: dict) -> GraphDatabase:
-    """The unit database a worker payload describes.
-
-    Three wire forms: ``graphs`` carries a pickled ``(gid, graph)`` list
-    (the original protocol); ``shm`` names a shared-memory flat-array
-    segment published by the parent (see
-    :mod:`repro.perf.flatgraph`) — the worker maps it, rebuilds the
-    graphs, and **adopts** the mapping as the rebuilt database's flat
-    compilation, so the worker's own support counting runs straight on
-    the zero-copy segment views instead of recompiling CSR buffers it
-    already has mapped; ``sqlite`` references a storage-backend database
-    file (path + optional gid subset + cache budget) — the worker opens
-    its **own read-only connection** (never the parent's, which does not
-    survive a fork) and streams rows through a bounded decode cache, so
-    a unit larger than RAM never materializes in the worker either.
-    Resources are held for the worker process's lifetime (one attempt
-    per process; the OS reclaims them on exit, and the storage layer's
-    atexit sweep closes connections).
-    """
-    spec = payload.get("sqlite")
-    if spec is not None:
-        from ..storage.backend import open_backend
-
-        backend = open_backend(
-            "sqlite",
-            spec["path"],
-            cache_graphs=spec.get("cache"),
-            read_only=True,
-        )
-        return backend.database(gids=spec.get("gids"))
-    name = payload.get("shm")
-    if name is not None:
-        from ..perf.flatgraph import attach_segment
-
-        flat = attach_segment(name)
-        try:
-            database = flat.to_database()
-        except BaseException:
-            flat.release()
-            raise
-        flat.adopt(database)
-        return database
-    return GraphDatabase(payload["graphs"])
-
-
 def mine_unit_worker(payload: dict, attempt: int) -> list:
     """Default worker: Gaston over one unit's piece database.
 
@@ -138,41 +84,11 @@ def mine_unit_worker(payload: dict, attempt: int) -> list:
     """
     from ..mining.gaston import GastonMiner
 
-    database = resolve_payload_database(payload)
+    database = payload_database(payload)
     miner = GastonMiner(max_size=payload.get("max_size"))
     mined = miner.mine(database, payload["threshold"])
     obs_trace.annotate(**miner.stats.prune_attrs())
     return encode_patterns(mined)
-
-
-def _child_main(worker: Worker, payload: object, attempt: int, conn) -> None:
-    """Worker-process entry: run the worker, report over the pipe.
-
-    When the attempt payload carries an ``obs_trace`` handoff (a traced
-    parent run), the child joins the parent's trace: its work runs under
-    a ``unit.worker`` span and the collected spans ride back in a third
-    message element — ``("ok", result, spans)``.  Untraced payloads keep
-    the original two-element protocol byte for byte.
-    """
-    handoff = (
-        payload.get("obs_trace") if isinstance(payload, dict) else None
-    )
-    try:
-        if handoff:
-            obs_trace.begin_in_child(handoff)
-            with obs_trace.span("unit.worker", attempt=attempt):
-                result = worker(payload, attempt)
-            conn.send(("ok", result, obs_trace.collect_child_spans()))
-        else:
-            result = worker(payload, attempt)
-            conn.send(("ok", result))
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        except Exception:
-            pass
-    finally:
-        conn.close()
 
 
 # ----------------------------------------------------------------------
@@ -196,20 +112,58 @@ class RuntimeResult:
     telemetry: RunTelemetry
 
 
-class UnitMiningError(RuntimeError):
-    """One or more units failed and no fallback was allowed.
+class _SupervisedUnit(Task):
+    """A :class:`UnitTask` bound to one run's worker, store and hook."""
 
-    Carries the run's telemetry (``.telemetry``) so the failure can still
-    be post-mortemed.
-    """
+    label = "unit"
+    task_span, attempt_span = "unit.mine", "unit.attempt"
+    worker_span, fallback_span = "unit.worker", "unit.fallback"
+    adopted, corrupt = "checkpoint", "checkpoint-corrupt"
+    undecodable, start_error = "garbage", "error"
 
-    def __init__(self, failed: list[int], telemetry: RunTelemetry) -> None:
-        super().__init__(
-            f"units {failed} failed after exhausting retries "
-            f"(fallback disabled)"
-        )
-        self.failed = failed
-        self.telemetry = telemetry
+    def __init__(self, task: UnitTask, runtime, checkpoint, on_complete):
+        self.task, self.index = task, task.index
+        self.worker, self._decode = runtime.worker, runtime.decode
+        self._checkpoint, self._on_complete = checkpoint, on_complete
+
+    def adopt(self) -> PatternSet | None:
+        store = self._checkpoint
+        if store is None or not store.has(self.index):
+            return None
+        with obs_trace.span("unit.checkpoint_load", unit=self.index):
+            return store.load(self.index)
+
+    def start(self, attempt: int, slot: str) -> object:
+        faults.fire(SITE_WORKER_START, unit=self.index, attempt=attempt)
+        return self.task.payload
+
+    def decode(self, result, record: AttemptRecord) -> PatternSet:
+        return self._decode(result)
+
+    def degrade(self, record: AttemptRecord, slot: str) -> PatternSet:
+        if self.task.fallback is None:
+            raise RuntimeError("unit task has no serial fallback")
+        faults.fire(SITE_FALLBACK, unit=self.index)
+        return self.task.fallback()
+
+    def attempted(self, record: AttemptRecord, slot: str) -> None:
+        obs_metrics.count_runtime_attempt(record.outcome)
+
+    def settled(self, patterns, record: UnitRecord, slot: str) -> None:
+        obs_metrics.count_unit_status(record.status)
+        if record.status not in ("ok", "degraded"):
+            return  # adopted units are on disk already; failed have nothing
+        if self._checkpoint is not None:
+            with obs_trace.span("unit.checkpoint_save", unit=self.index):
+                self._checkpoint.save(
+                    self.index,
+                    patterns,
+                    meta={
+                        "status": record.status, **self.task.checkpoint_meta
+                    },
+                )
+        if self._on_complete is not None:
+            self._on_complete(self.index, patterns, record)
 
 
 class MiningRuntime:
@@ -227,7 +181,7 @@ class MiningRuntime:
         Validates/decodes the worker's raw return into a
         :class:`PatternSet`; a raise counts as a ``garbage`` attempt.
     sleep:
-        Injectable clock for backoff (tests pass a recorder).
+        Injectable wait for backoff (tests pass a recorder).
     """
 
     def __init__(
@@ -243,7 +197,6 @@ class MiningRuntime:
         self.decode = decode
         self.sleep = sleep
 
-    # ------------------------------------------------------------------
     def run(
         self,
         tasks: list[UnitTask],
@@ -262,295 +215,26 @@ class MiningRuntime:
         ends up ``failed``.
         """
         start = time.perf_counter()
-        results: dict[int, PatternSet | None] = {}
-        records: dict[int, UnitRecord] = {}
-        # ContextVars do not follow the supervisor threads below, so
-        # capture the caller's span here and parent unit spans explicitly.
-        parent_span = obs_trace.current_span_id()
-
-        fresh: list[UnitTask] = []
-        corrupt_checkpoints: dict[int, AttemptRecord] = {}
-        for task in tasks:
-            if checkpoint is not None and checkpoint.has(task.index):
-                t0 = time.perf_counter()
-                try:
-                    with obs_trace.span(
-                        "unit.checkpoint_load", unit=task.index
-                    ):
-                        patterns = checkpoint.load(task.index)
-                except ArtifactCorrupt as exc:
-                    # Bad bytes on disk: the store already quarantined
-                    # the file; fall back to re-mining this unit and
-                    # keep the detection in the telemetry record.
-                    corrupt_checkpoints[task.index] = AttemptRecord(
-                        attempt=0,
-                        outcome="checkpoint-corrupt",
-                        wall_time=time.perf_counter() - t0,
-                        pid=os.getpid(),
-                        error=str(exc),
-                    )
-                    fresh.append(task)
-                    continue
-                elapsed = time.perf_counter() - t0
-                results[task.index] = patterns
-                records[task.index] = UnitRecord(
-                    unit=task.index,
-                    status="checkpoint",
-                    attempts=[
-                        AttemptRecord(
-                            attempt=0,
-                            outcome="checkpoint",
-                            wall_time=elapsed,
-                            pid=os.getpid(),
-                        )
-                    ],
-                    wall_time=elapsed,
-                    patterns=len(patterns),
-                )
-            else:
-                fresh.append(task)
-
-        if fresh:
-            max_workers = self.config.max_workers or os.cpu_count() or 1
-            with ThreadPoolExecutor(
-                max_workers=min(max_workers, len(fresh))
-            ) as pool:
-                for task, (patterns, record) in zip(
-                    fresh,
-                    pool.map(
-                        lambda t: self._run_unit(
-                            t, checkpoint, on_unit_complete, parent_span
-                        ),
-                        fresh,
-                    ),
-                ):
-                    results[task.index] = patterns
-                    records[task.index] = record
-                    seen_corrupt = corrupt_checkpoints.get(task.index)
-                    if seen_corrupt is not None:
-                        record.attempts.insert(0, seen_corrupt)
-
+        settled = Supervisor(self.config, self.sleep).run(
+            [
+                _SupervisedUnit(task, self, checkpoint, on_unit_complete)
+                for task in tasks
+            ]
+        )
         telemetry = RunTelemetry(
-            units=[records[task.index] for task in tasks],
+            units=[record for _patterns, record in settled],
             config=self.config.to_dict(),
             total_wall_time=time.perf_counter() - start,
         )
         failed = [
-            task.index
-            for task in tasks
-            if records[task.index].status == "failed"
+            record.unit for record in telemetry.units
+            if record.status == "failed"
         ]
         if failed:
             raise UnitMiningError(failed, telemetry)
         return RuntimeResult(
-            unit_results=[results[task.index] for task in tasks],
+            unit_results=[patterns for patterns, _record in settled],
             telemetry=telemetry,
-        )
-
-    # ------------------------------------------------------------------
-    def _run_unit(
-        self,
-        task: UnitTask,
-        checkpoint: CheckpointStore | None,
-        on_unit_complete,
-        parent_span: str | None = None,
-    ) -> tuple[PatternSet | None, UnitRecord]:
-        """Retry loop for one unit (runs on a supervisor thread)."""
-        config = self.config
-        start = time.perf_counter()
-        attempts: list[AttemptRecord] = []
-        patterns: PatternSet | None = None
-
-        with obs_trace.span(
-            "unit.mine", parent=parent_span, unit=task.index
-        ) as unit_span:
-            for attempt in range(config.max_retries + 1):
-                record, mined = self._attempt(task, attempt)
-                attempts.append(record)
-                if record.outcome == "ok":
-                    patterns = mined
-                    break
-                if attempt < config.max_retries:
-                    delay = config.backoff_delay(attempt, unit=task.index)
-                    record.backoff = delay
-                    if delay > 0:
-                        self.sleep(delay)
-
-            if patterns is not None:
-                status = "ok"
-            elif config.fallback == "serial" and task.fallback is not None:
-                t0 = time.perf_counter()
-                try:
-                    with obs_trace.span("unit.fallback", unit=task.index):
-                        faults.fire(SITE_FALLBACK, unit=task.index)
-                        patterns = task.fallback()
-                except Exception as exc:  # noqa: BLE001 - recorded, failed
-                    attempts.append(
-                        AttemptRecord(
-                            attempt=len(attempts),
-                            outcome="fallback-error",
-                            wall_time=time.perf_counter() - t0,
-                            pid=os.getpid(),
-                            error=f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    status = "failed"
-                else:
-                    attempts.append(
-                        AttemptRecord(
-                            attempt=len(attempts),
-                            outcome="fallback-serial",
-                            wall_time=time.perf_counter() - t0,
-                            pid=os.getpid(),
-                        )
-                    )
-                    status = "degraded"
-            else:
-                status = "failed"
-
-            unit_span.set_attrs(
-                status=status, attempts=len(attempts),
-                patterns=None if patterns is None else len(patterns),
-            )
-            if status == "failed":
-                unit_span.set_status("error", "unit failed")
-            obs_metrics.count_unit_status(status)
-
-            record = UnitRecord(
-                unit=task.index,
-                status=status,
-                attempts=attempts,
-                wall_time=time.perf_counter() - start,
-                patterns=None if patterns is None else len(patterns),
-            )
-            if patterns is not None:
-                if checkpoint is not None:
-                    with obs_trace.span(
-                        "unit.checkpoint_save", unit=task.index
-                    ):
-                        checkpoint.save(
-                            task.index,
-                            patterns,
-                            meta={"status": status, **task.checkpoint_meta},
-                        )
-                if on_unit_complete is not None:
-                    on_unit_complete(task.index, patterns, record)
-        return patterns, record
-
-    # ------------------------------------------------------------------
-    def _attempt(
-        self, task: UnitTask, attempt: int
-    ) -> tuple[AttemptRecord, PatternSet | None]:
-        """Run one attempt in a fresh worker process."""
-        config = self.config
-        start = time.perf_counter()
-        with obs_trace.span(
-            "unit.attempt", unit=task.index, attempt=attempt
-        ) as attempt_span:
-            record, patterns = self._attempt_inner(task, attempt, start)
-            attempt_span.set_attr("outcome", record.outcome)
-            if record.outcome != "ok":
-                attempt_span.set_status("error", record.error or record.outcome)
-            obs_metrics.count_runtime_attempt(record.outcome)
-        return record, patterns
-
-    def _attempt_inner(
-        self, task: UnitTask, attempt: int, start: float
-    ) -> tuple[AttemptRecord, PatternSet | None]:
-        config = self.config
-        try:
-            faults.fire(
-                SITE_WORKER_START, unit=task.index, attempt=attempt
-            )
-        except Exception as exc:  # noqa: BLE001 - a retryable attempt
-            return (
-                AttemptRecord(
-                    attempt=attempt,
-                    outcome="error",
-                    wall_time=time.perf_counter() - start,
-                    pid=None,
-                    error=f"{type(exc).__name__}: {exc}",
-                ),
-                None,
-            )
-        # Traced runs hand the trace id + this attempt span to the child
-        # so worker-side spans join the same tree; untraced payloads are
-        # byte-identical to the pre-obs protocol.
-        payload = task.payload
-        handoff = obs_trace.current_handoff()
-        if handoff is not None and isinstance(payload, dict):
-            payload = dict(payload, obs_trace=handoff)
-        ctx = multiprocessing.get_context(config.start_method)
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_child_main,
-            args=(self.worker, payload, attempt, send),
-            daemon=True,
-        )
-        proc.start()
-        send.close()
-
-        outcome = error = None
-        raw = None
-        child_spans: list[dict] = []
-        try:
-            if recv.poll(config.unit_timeout):
-                try:
-                    message = recv.recv()
-                except EOFError:
-                    message = None
-                if message is None:
-                    outcome, error = "crash", "worker died without a report"
-                elif message[0] == "ok":
-                    raw = message[1]
-                    if len(message) > 2 and isinstance(message[2], list):
-                        child_spans = message[2]
-                else:
-                    outcome, error = "error", message[1]
-            else:
-                outcome = "timeout"
-                error = f"no result within {config.unit_timeout}s"
-        finally:
-            pid = proc.pid
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(config.kill_grace)
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(config.kill_grace)
-            else:
-                proc.join()
-            recv.close()
-
-        if child_spans:
-            tracer = obs_trace.active()
-            if tracer is not None:
-                tracer.adopt(child_spans)
-
-        patterns = None
-        if raw is not None:
-            # A clean exit code but an empty pipe is already handled above;
-            # here the worker *reported* — but its payload may still be
-            # nonsense, which counts as a failed (retried) attempt.
-            try:
-                patterns = self.decode(raw)
-            except Exception as exc:  # noqa: BLE001 - garbage result
-                outcome = "garbage"
-                error = f"{type(exc).__name__}: {exc}"
-            else:
-                outcome = "ok"
-        if outcome == "crash" and proc.exitcode not in (None, 0):
-            error = f"worker exit code {proc.exitcode}"
-
-        return (
-            AttemptRecord(
-                attempt=attempt,
-                outcome=outcome,
-                wall_time=time.perf_counter() - start,
-                pid=pid,
-                error=error,
-            ),
-            patterns,
         )
 
 
@@ -608,34 +292,14 @@ def run_unit_mining(
     resolved_config = config or RuntimeConfig()
     use_shm = resolved_config.shared_db and perf.enabled()
     segments = []
-    spilled: list = []
-
-    def sqlite_spec(index: int, database: GraphDatabase):
-        """A ``sqlite`` payload spec for the unit, or ``None``."""
-        store = getattr(database, "_graphs", None)
-        spec = getattr(store, "payload_spec", None)
-        if spec is not None:
-            return spec()
-        if resolved_config.spill_dir is None:
-            return None
-        from pathlib import Path
-
-        from ..storage.sqlite import SQLiteBackend
-
-        spill_dir = Path(resolved_config.spill_dir)
-        spill_dir.mkdir(parents=True, exist_ok=True)
-        path = spill_dir / f"unit-{index:04d}.db"
-        backend = SQLiteBackend(path)
-        try:
-            backend.import_database(database)
-            backend.checkpoint()
-        finally:
-            backend.close()
-        spilled.append(path)
-        return {"path": str(path.resolve()), "gids": None, "cache": None}
+    spill_dir = resolved_config.spill_dir
+    spilled = [
+        Path(spill_dir) / f"unit-{index:04d}.db" if spill_dir else None
+        for index in range(len(thresholds))
+    ]
 
     def unit_payload(index, unit, threshold) -> dict:
-        spec = sqlite_spec(index, unit.database)
+        spec = sqlite_spec(unit.database, spilled[index])
         if spec is not None:
             return {
                 "sqlite": spec,
@@ -690,7 +354,7 @@ def run_unit_mining(
     finally:
         for segment in segments:
             segment.destroy()
-        for path in spilled:
+        for path in filter(None, spilled):
             for side in (path, path.with_name(path.name + "-wal"),
                          path.with_name(path.name + "-shm")):
                 try:

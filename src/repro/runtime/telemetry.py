@@ -6,21 +6,25 @@ a run degraded, not just that it did.  The whole record serializes to a
 single JSON document (``RunTelemetry.to_dict`` / ``save``) whose schema is
 documented in DESIGN.md.
 
-Outcome vocabulary (``AttemptRecord.outcome``):
+Outcome vocabulary (``AttemptRecord.outcome``), one list for unit and
+shard tasks — where the kinds name an event differently, unit first:
 
 ``ok``              worker returned a valid result
 ``timeout``         attempt exceeded ``unit_timeout``; worker killed
+``lease-expired``   no heartbeat within the lease TTL; worker killed
 ``crash``           worker died without reporting (segfault, OOM kill…)
 ``error``           worker raised an exception (message in ``error``)
-``garbage``         worker returned something that failed validation
-``fallback-serial`` in-process serial fallback mined the unit
+``lease-error``     the shard's lease grant failed before any spawn
+``garbage`` / ``result-corrupt``  the worker's result failed validation
+``checkpoint`` / ``resumed-commit``  an earlier result was adopted,
+                    nothing ran
+``checkpoint-corrupt`` / ``result-corrupt``  that earlier result failed
+                    integrity verification and was quarantined
+``fallback-serial`` in-process serial fallback mined the task
 ``fallback-error``  even the serial fallback raised
-``checkpoint``      unit result loaded from a checkpoint, nothing ran
-``checkpoint-corrupt`` a checkpoint failed integrity verification; it
-                    was quarantined and the unit re-mined
 
 Unit status (``UnitRecord.status``): ``ok`` (a worker attempt succeeded),
-``degraded`` (serial fallback), ``checkpoint`` (resumed), ``failed``.
+``degraded`` (serial fallback), ``checkpoint`` (adopted), ``failed``.
 """
 
 from __future__ import annotations
@@ -34,7 +38,13 @@ TELEMETRY_VERSION = 1
 
 @dataclass
 class AttemptRecord:
-    """One attempt at mining one unit."""
+    """One attempt at one supervised task (a unit or a shard).
+
+    ``worker`` is the supervisor slot that ran the attempt; the last
+    three fields are filled by tasks that beat and checkpoint inside
+    the attempt (shards) and keep their defaults otherwise, so files
+    written before they existed still load.
+    """
 
     attempt: int
     outcome: str
@@ -42,6 +52,10 @@ class AttemptRecord:
     pid: int | None = None
     error: str | None = None
     backoff: float | None = None  # delay slept after this failed attempt
+    worker: str | None = None
+    heartbeats: int = 0
+    resumed_units: int = 0
+    mined_units: int = 0
 
 
 @dataclass

@@ -416,11 +416,11 @@ def _coord_run(tmp_path, db, support=3):
 
     config = CoordConfig(
         shards=2,
-        workers=2,
         chunk_size=2,
         heartbeat_interval=0.05,
         runtime=RuntimeConfig(
-            backoff_base=0.001, backoff_max=0.01, kill_grace=2.0
+            max_workers=2, backoff_base=0.001, backoff_max=0.01,
+            kill_grace=2.0,
         ),
     )
     return Coordinator(config, run_dir=tmp_path / "coord-run").mine(

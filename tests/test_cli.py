@@ -263,6 +263,100 @@ class TestExitCodes:
         assert main(["match", str(patterns), str(database_file)]) == 3
 
 
+#: Supervision-policy flag combinations that must exit 2 with a one-line
+#: message: out-of-range values, and flags that contradict each other.
+BAD_POLICY_FLAGS = [
+    (["--parallel", "--retries", "-1"], "max_retries"),
+    (["--parallel", "--unit-timeout", "0"], "unit_timeout"),
+    (["--parallel", "--workers", "0"], "max_workers"),
+    (["--parallel", "--workers", "-3"], "max_workers"),
+    (["--shards", "2", "--heartbeat-interval", "0"], "heartbeat_interval"),
+    (["--shards", "1"], "--shards"),
+    (["--shards", "-2"], "--shards"),
+    (["--shards", "4", "--parallel"], "--parallel"),
+    (["--shards", "4", "--spill-dir", "d", "--no-shared-db"],
+     "--spill-dir, --no-shared-db"),
+]
+BAD_BIG_POLICY_FLAGS = [
+    (["--shards", "1"], "--shards"),
+    (["--shards", "2", "--workers", "0"], "max_workers"),
+    (["--unit-timeout", "-1"], "unit_timeout"),
+]
+
+
+def live_children():
+    """Pids of this process's children that are running (not zombies)."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as handle:
+                    fields = handle.read().rsplit(")", 1)[1].split()
+            except OSError:
+                continue
+            if int(fields[1]) == os.getpid() and fields[0] != "Z":
+                pids.append(int(entry))
+    return pids
+
+
+class TestSupervisionFlags:
+    @pytest.mark.parametrize("flags, named", BAD_POLICY_FLAGS)
+    def test_bad_mine_policy_is_a_usage_error(
+        self, database_file, capsys, flags, named
+    ):
+        assert main(["mine", str(database_file), "0.3", *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and err.count("\n") == 1
+        assert named in err
+
+    @pytest.mark.parametrize("flags, named", BAD_BIG_POLICY_FLAGS)
+    def test_bad_mine_big_policy_is_a_usage_error(
+        self, tmp_path, capsys, flags, named
+    ):
+        # Flags are checked before the input is opened.
+        assert main(["mine-big", str(tmp_path / "absent.tve"), "3",
+                     *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: ") and err.count("\n") == 1
+        assert named in err
+
+    @pytest.mark.parametrize("workers, most", [(1, 1), (2, 2)])
+    def test_workers_bounds_live_shard_workers(
+        self, tmp_path, workers, most
+    ):
+        """``--workers`` means the same under ``--shards`` as under
+        ``--parallel``: that many worker processes alive at once."""
+        import threading
+
+        graph = tmp_path / "big.tve"
+        assert main([
+            "generate-big", str(graph), "--vertices", "300",
+            "--labels", "6", "--communities", "3", "--seed", "4",
+        ]) == 0
+        # Earlier tests may have left helpers behind (the shared-memory
+        # resource tracker is one); only count what this run spawns.
+        before = set(live_children())
+        seen, done = [], threading.Event()
+
+        def watch():
+            while not done.wait(0.002):
+                seen.append(len(set(live_children()) - before))
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            assert main([
+                "mine-big", str(graph), "8", "--max-size", "3",
+                "--shards", "4", "--workers", str(workers),
+                "--run-dir", str(tmp_path / "run"),
+            ]) == 0
+        finally:
+            done.set()
+            watcher.join(10)
+        assert not watcher.is_alive()
+        assert max(seen) == most
+
+
 class TestAccelSwitch:
     """``--no-accel`` is the one matcher switch the CLI has."""
 

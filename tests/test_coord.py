@@ -17,12 +17,12 @@ import warnings
 import pytest
 
 from repro.coord import CoordConfig, Coordinator, ShardPlan
-from repro.coord.lease import LeaseTable, ShardRecord
+from repro.coord.lease import ShardRecord
 from repro.core.partminer import PartMiner
 from repro.mining.gaston import GastonMiner
 from repro.mining.store import dump_patterns
 from repro.resilience.faults import FaultPlan
-from repro.runtime import RuntimeConfig
+from repro.runtime import Lease, RuntimeConfig
 from repro.runtime.checkpoint import CheckpointMismatch
 from repro.runtime.telemetry import RunTelemetry
 
@@ -31,7 +31,9 @@ from .conftest import random_database
 SUPPORT = 3
 
 #: Fast supervision settings for tests: tiny backoffs, quick heartbeats.
-FAST = RuntimeConfig(backoff_base=0.001, backoff_max=0.01, kill_grace=2.0)
+FAST = RuntimeConfig(
+    max_workers=2, backoff_base=0.001, backoff_max=0.01, kill_grace=2.0
+)
 
 
 def pattern_text(patterns):
@@ -156,34 +158,19 @@ class TestShardPlan:
 
 
 # ----------------------------------------------------------------------
-# LeaseTable
+# Lease
 # ----------------------------------------------------------------------
-class TestLeaseTable:
+class TestLease:
     def test_expiry_is_ttl_after_last_beat(self):
-        table = LeaseTable()
-        lease = table.grant(0, "w0", 123, ttl=1.0)
-        assert not lease.expired(lease.last_beat + 0.5)
-        assert lease.expired(lease.last_beat + 1.5)
-        lease.renew(lease.last_beat + 0.9)
-        assert not lease.expired(lease.granted + 1.5)
+        lease = Lease(ttl=1.0)
+        granted = lease.last_beat
+        assert not lease.expired(granted + 0.5)
+        assert lease.expired(granted + 1.5)
+        lease.renew(granted + 0.9)
+        assert not lease.expired(granted + 1.5)
         assert lease.heartbeats == 1
-
-    def test_expire_counts_release_does_not(self):
-        table = LeaseTable()
-        table.grant(0, "w0", 1, ttl=1.0)
-        table.grant(1, "w1", 2, ttl=1.0)
-        table.expire(0)
-        table.release(1)
-        assert table.expiries == 1
-        assert table.holder(0) is None and table.holder(1) is None
-
-    def test_reassigned_grant_counts(self):
-        table = LeaseTable()
-        table.grant(0, "w0", 1, ttl=1.0)
-        table.expire(0)
-        table.grant(0, "w1", 2, ttl=1.0, reassigned=True)
-        assert table.reassignments == 1
-        assert table.holder(0).worker == "w1"
+        # A task whose workers never beat holds a lease with no TTL.
+        assert not Lease(ttl=None).expired(granted + 1e9)
 
 
 # ----------------------------------------------------------------------
@@ -193,7 +180,7 @@ def test_sharded_run_matches_serial_byte_for_byte(tmp_path):
     db = random_database(seed=21, num_graphs=12, n=6, extra_edges=2)
     baseline = pattern_text(GastonMiner().mine(db, SUPPORT))
     config = CoordConfig(
-        shards=4, workers=2, chunk_size=2, heartbeat_interval=0.05,
+        shards=4, chunk_size=2, heartbeat_interval=0.05,
         runtime=FAST,
     )
     result = Coordinator(config, tmp_path / "run").mine(db, SUPPORT)
@@ -233,13 +220,12 @@ def test_chaos_gate_kills_and_corruption_still_byte_identical(tmp_path):
 
     config = CoordConfig(
         shards=4,
-        workers=2,
         chunk_size=2,
         heartbeat_interval=0.03,
         mem_budget=2,  # < 6 graphs per shard: the out-of-core regime
         runtime=RuntimeConfig(
-            backoff_base=0.001, backoff_max=0.01, kill_grace=2.0,
-            max_retries=4,
+            max_workers=2, backoff_base=0.001, backoff_max=0.01,
+            kill_grace=2.0, max_retries=4,
         ),
     )
     run_dir = tmp_path / "run"
@@ -289,7 +275,7 @@ def _mine_and_die(run_dir, seed):
                 os._exit(17)
 
     config = CoordConfig(
-        shards=4, workers=2, chunk_size=2, heartbeat_interval=0.05,
+        shards=4, chunk_size=2, heartbeat_interval=0.05,
         runtime=FAST,
     )
     Coordinator(config, run_dir, on_event=on_event).mine(db, SUPPORT)
@@ -310,7 +296,7 @@ def test_killed_coordinator_resumes_from_sqlite_checkpoints(tmp_path):
     db = random_database(seed=seed, num_graphs=16, n=6, extra_edges=2)
     baseline = pattern_text(GastonMiner().mine(db, SUPPORT))
     config = CoordConfig(
-        shards=4, workers=2, chunk_size=2, heartbeat_interval=0.05,
+        shards=4, chunk_size=2, heartbeat_interval=0.05,
         runtime=FAST,
     )
     result = Coordinator(config, run_dir).mine(db, SUPPORT)
@@ -341,7 +327,7 @@ def test_sqlite_backed_database_is_referenced_not_respilled(tmp_path):
         backend.import_database(db)
         stored = backend.database()
         config = CoordConfig(
-            shards=3, workers=2, heartbeat_interval=0.05,
+            shards=3, heartbeat_interval=0.05,
             mem_budget=2, runtime=FAST,
         )
         run_dir = tmp_path / "run"
@@ -376,10 +362,10 @@ def test_serial_fallback_degrades_exactly(tmp_path):
                 pass
 
     config = CoordConfig(
-        shards=2, workers=1, heartbeat_interval=0.05,
+        shards=2, heartbeat_interval=0.05,
         runtime=RuntimeConfig(
-            backoff_base=0.001, backoff_max=0.01, kill_grace=2.0,
-            max_retries=1,
+            max_workers=1, backoff_base=0.001, backoff_max=0.01,
+            kill_grace=2.0, max_retries=1,
         ),
     )
     result = Coordinator(

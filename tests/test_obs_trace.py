@@ -82,8 +82,9 @@ class TestSpanBasics:
         with obs_trace.tracing(tracer):
             with obs.span("parent") as parent:
                 captured = parent.span_id
-            with obs.span("cross-thread", parent=captured):
+            with obs_trace.under(captured), obs.span("cross-thread"):
                 pass
+            assert obs_trace.current_span_id() is None
         spans = {s["name"]: s for s in tracer.spans()}
         assert spans["cross-thread"]["parent_id"] == captured
 
@@ -286,6 +287,40 @@ class TestParallelRuntimeTree:
         ).mine(db, 3)
         assert obs_trace.active() is None
         assert len(result.patterns) > 0
+
+
+class TestShardedTree:
+    def test_shard_worker_spans_parent_to_their_attempt(self, tmp_path):
+        """Shard workers go through the same child entry as unit workers,
+        so a traced ``--shards 2`` mine is one tree too: every
+        ``coord.shard`` attempt holds the span its worker process ran
+        under, carrying what that worker did."""
+        from repro.coord import CoordConfig
+
+        db = random_database(seed=4700, num_graphs=8, n=5, extra_edges=1)
+        tracer = Tracer()
+        with obs_trace.tracing(tracer):
+            PartMiner(
+                shards=2,
+                run_dir=tmp_path / "run",
+                coord=CoordConfig(shards=2, heartbeat_interval=0.05),
+            ).mine(db, 3)
+
+        roots, orphans = span_tree(tracer)
+        assert orphans == []
+        assert [root["name"] for root in roots] == ["partminer.mine"]
+        by_id = {s["span_id"]: s for s in tracer.spans()}
+        attempts = [s for s in by_id.values() if s["name"] == "coord.shard"]
+        workers = [s for s in by_id.values() if s["name"] == "coord.worker"]
+        assert sorted(s["attrs"]["shard"] for s in attempts) == [0, 1]
+        assert len(workers) == 2
+        for worker in workers:
+            parent = by_id[worker["parent_id"]]
+            assert parent["name"] == "coord.shard"
+            assert parent["attrs"]["outcome"] == "ok"
+            assert by_id[parent["parent_id"]]["name"] == "coord.mine"
+            assert worker["trace_id"] == tracer.trace_id
+            assert worker["attrs"]["mined"] == worker["attrs"]["chunks"] == 1
 
 
 # ----------------------------------------------------------------------
