@@ -2,8 +2,8 @@
 
 A fixed seeded workload — relocate every mined pattern, ask ``contains``
 for every database graph, then measure coverage — runs twice: once as the
-unindexed linear scan (:mod:`repro.query` with ``use_accel=False``, one
-embedding search per (pattern, graph) pair) and once through the serving
+unindexed linear scan (:func:`repro.query.match` under the reference
+matcher, one embedding search per (pattern, graph) pair) and once through the serving
 stack (:class:`repro.serve.QueryEngine` over a published-style snapshot:
 fragment index + support cache + LRU).  Both paths must produce identical
 answers; the figure of merit is the number of isomorphism searches
@@ -21,6 +21,7 @@ import repro.query as query_mod
 from repro import perf, query
 from repro.bench.harness import Experiment
 from repro.datagen.synthetic import generate_dataset
+from repro.mining.base import Pattern, PatternSet
 from repro.mining.gspan import GSpanMiner
 from repro.serve.catalog import CatalogSnapshot, catalog_order
 from repro.serve.engine import QueryEngine
@@ -45,7 +46,15 @@ def _linear_workload(patterns, ordered, db):
     query_mod.find_embeddings = counting
     try:
         with perf.disabled():
-            relocated = query.match_patterns(patterns, db, use_accel=False)
+            relocated = PatternSet()
+            for pattern in patterns:
+                gids = query.match(
+                    pattern.graph, db, max_occurrences_per_graph=1
+                ).supporting_gids
+                relocated.add(
+                    Pattern(pattern.graph, pattern.key, len(gids),
+                            frozenset(gids))
+                )
             contains = {}
             for gid, graph in db:
                 hits = []
@@ -55,7 +64,14 @@ def _linear_workload(patterns, ordered, db):
                         hits.append(pid)
                         break
                 contains[gid] = tuple(hits)
-            cov = query.coverage(patterns, db, use_accel=False)
+            covered = set()
+            for gid, graph in db:
+                for pattern in patterns:
+                    counter["n"] += 1
+                    if any(True for _ in real(pattern.graph, graph, limit=1)):
+                        covered.add(gid)
+                        break
+            cov = (len(covered) / len(db), covered)
     finally:
         query_mod.find_embeddings = real
     return {

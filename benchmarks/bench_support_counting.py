@@ -2,7 +2,7 @@
 
 A fixed seeded workload — one PartMiner session, incremental update
 batches, match-style re-count passes, then a block of pure
-``PatternSet.recount`` passes — runs twice over the same database, once
+whole-database recount passes (``count_support`` per pattern) — runs twice over the same database, once
 per matcher:
 
 * **baseline** — layer off (:func:`repro.perf.disabled`): reference
@@ -57,6 +57,17 @@ def _mode_context(mode):
     return perf.disabled() if mode == "baseline" else nullcontext()
 
 
+def _recount(patterns, database):
+    """One whole-database recount pass: every pattern's support from
+    scratch, one flat compilation and scan arena for the pass."""
+    flat = perf.get_flat_db(database) if perf.enabled() else None
+    arena = perf.ScanArena()
+    for pattern in patterns:
+        count_support(
+            pattern.graph, database, key=pattern.key, flat=flat, arena=arena
+        )
+
+
 def _workload(db, mode, update_batches, match_passes, recount_passes):
     """One full session in ``mode``; returns (checkpoints, delta, digest)."""
     before = perf.snapshot()
@@ -96,10 +107,10 @@ def _workload(db, mode, update_batches, match_passes, recount_passes):
         # lands outside the timed window in every mode and the
         # quick/full ratios stay comparable.
         final = checkpoints[-1]
-        final.recount(miner.database)
+        _recount(final, miner.database)
         t0 = time.perf_counter()
         for _ in range(recount_passes):
-            final.recount(miner.database)
+            _recount(final, miner.database)
         recount_elapsed = time.perf_counter() - t0
         digest["recount_rate"] = (
             len(final) * recount_passes / recount_elapsed

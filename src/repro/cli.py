@@ -10,8 +10,7 @@ Commands
 ``partition`` — split a database into k units and report cut statistics
 ``update``    — apply a random update batch to a database file
 ``show``      — export a database or mined patterns as Graphviz DOT
-``match``     — locate a stored pattern set inside a database
-``query``     — relocate patterns via the serving index (or linear scan)
+``query``     — relocate a stored pattern set over a database
 ``serve``     — publish patterns to a catalog and serve them over HTTP
 ``stats``     — print database statistics
 ``trace``     — inspect observability trace files (``trace summarize``)
@@ -645,98 +644,35 @@ def cmd_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_match(args: argparse.Namespace) -> int:
-    """Locate a stored pattern set inside a database."""
-    from .query import coverage, match_patterns
+def cmd_query(args: argparse.Namespace) -> int:
+    """Relocate stored patterns over a database (the memory or sqlite
+    backend) through :func:`repro.query.match_patterns`."""
+    from .graph.canonical import min_dfs_code
+    from .query import match_patterns
 
-    database = _load_database(args)
-    patterns, meta = read_patterns(args.patterns)
+    if not _check_storage_flags(args):
+        return 2
+    database, _storage = _storage_database(args)
+    patterns, _ = read_patterns(args.patterns)
+    start = time.perf_counter()
     relocated = match_patterns(
         patterns,
         database,
         induced=args.induced,
         min_support=args.min_support,
     )
+    elapsed = time.perf_counter() - start
+    occurring = sum(1 for pattern in relocated if pattern.support)
     print(
-        f"{len(relocated)}/{len(patterns)} patterns occur in "
-        f"{args.database}"
+        f"{occurring}/{len(patterns)} patterns occur in "
+        f"{args.database} ({elapsed:.2f}s)"
     )
-    fraction, covered = coverage(relocated, database, induced=args.induced)
+    covered = set().union(*(pattern.tids for pattern in relocated))
+    fraction = len(covered) / len(database) if len(database) else 0.0
     print(f"coverage: {fraction:.1%} of graphs ({len(covered)})")
     for pattern in sorted(
         relocated, key=lambda p: (-p.support, -p.size)
     )[: args.top]:
-        from .graph.canonical import min_dfs_code
-
-        print(
-            f"  support={pattern.support:4d} size={pattern.size} "
-            f"{min_dfs_code(pattern.graph)}"
-        )
-    if args.output:
-        save_patterns(
-            relocated, args.output,
-            meta={"database": args.database, "relocated_from": args.patterns},
-            atomic=True,
-        )
-        print(f"saved to {args.output}")
-    return 0
-
-
-def cmd_query(args: argparse.Namespace) -> int:
-    """Relocate stored patterns over a database, indexed or linear.
-
-    ``--via-index`` routes every pattern through the serving layer's
-    :class:`~repro.serve.QueryEngine` (fragment index + support cache);
-    the default is the linear :func:`repro.query.match_patterns` scan.
-    Both paths produce identical supports and TID lists.
-    """
-    if not _check_storage_flags(args):
-        return 2
-    database, _storage = _storage_database(args)
-    patterns, _ = read_patterns(args.patterns)
-    start = time.perf_counter()
-    if args.via_index:
-        from .serve import (
-            CatalogSnapshot,
-            FragmentIndex,
-            QueryEngine,
-            catalog_order,
-        )
-
-        index = FragmentIndex.build(
-            (p.graph for p in catalog_order(patterns)), database
-        )
-        snapshot = CatalogSnapshot(1, patterns, index, {})
-        engine = QueryEngine(snapshot, database)
-        relocated = engine.relocate(
-            patterns, induced=args.induced, min_support=args.min_support
-        )
-        work = engine.stats_dict()
-        workline = (
-            f"index: {work['searches']} searches over "
-            f"{work['universe']} pairs ({work['pruned']} pruned)"
-        )
-    else:
-        from .query import match_patterns
-
-        relocated = match_patterns(
-            patterns,
-            database,
-            induced=args.induced,
-            min_support=args.min_support,
-            use_accel=not args.no_query_accel,
-        )
-        workline = f"linear scan over {len(patterns) * len(database)} pairs"
-    elapsed = time.perf_counter() - start
-    print(
-        f"{len(relocated)}/{len(patterns)} patterns occur in "
-        f"{args.database} ({elapsed:.2f}s; {workline})"
-    )
-    for pattern in sorted(
-        relocated, key=lambda p: (-p.support, -p.size)
-    )[: args.top]:
-        from .graph.canonical import min_dfs_code
-
         print(
             f"  support={pattern.support:4d} size={pattern.size} "
             f"{min_dfs_code(pattern.graph)}"
@@ -1071,29 +1007,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_parse_policy(p)
     p.set_defaults(func=cmd_show)
 
-    p = sub.add_parser("match", help="locate stored patterns in a database")
-    p.add_argument("patterns", help="pattern file (from `mine --output`)")
-    p.add_argument("database", help=".tve database to search")
-    p.add_argument("--induced", action="store_true",
-                   help="use induced-subgraph semantics")
-    p.add_argument("--min-support", type=_support, default=None)
-    p.add_argument("--top", type=int, default=10)
-    p.add_argument("--output", help="save relocated patterns here")
-    _add_parse_policy(p)
-    p.set_defaults(func=cmd_match)
-
     p = sub.add_parser(
         "query",
-        help="relocate stored patterns via the serving index",
+        help="relocate stored patterns over a database",
     )
     p.add_argument("patterns", help="pattern file (from `mine --output`)")
     p.add_argument("database", help=".tve database to query")
-    p.add_argument("--via-index", action="store_true",
-                   help="answer through the serving layer's fragment "
-                        "index + query engine instead of a linear scan")
-    p.add_argument("--no-query-accel", action="store_true",
-                   help="linear path only: also skip the edge-triple/"
-                        "admit candidate filters")
     p.add_argument("--induced", action="store_true",
                    help="use induced-subgraph semantics")
     p.add_argument("--min-support", type=_support, default=None)

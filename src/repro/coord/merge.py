@@ -22,8 +22,10 @@ what makes the sharded run's output byte-identical.
 
 from __future__ import annotations
 
+from .. import perf
 from ..graph.database import GraphDatabase
-from ..mining.base import Pattern, PatternSet
+from ..mining.base import PatternSet
+from ..query import match_patterns
 
 
 def merge_candidates(shard_results: list[PatternSet]) -> PatternSet:
@@ -42,43 +44,16 @@ def global_support(
 ) -> tuple[PatternSet, dict]:
     """Exact recount of ``candidates`` against the full database.
 
-    Returns ``(frequent patterns, phase digest)``.  Counting runs
-    through :func:`~repro.graph.isomorphism.count_support` with
-    ``minsup=threshold`` — on the kernel path a hopeless
-    candidate aborts its scan early, while every *kept* pattern carries
-    its complete TID list (the kernel contract for frequent results).
+    Returns ``(frequent patterns, phase digest)``.  Counting is
+    :func:`repro.query.match_patterns` with ``min_support=threshold`` —
+    on the kernel path a hopeless candidate aborts its scan early, while
+    every *kept* pattern carries its complete TID list.
     """
-    from .. import perf
-    from ..graph.isomorphism import count_support
-
-    flat = perf.get_flat_db(database) if perf.enabled() else None
-    arena = perf.ScanArena()
-    frequent = PatternSet()
-    rejected = 0
-    for pattern in candidates:
-        support, tids = count_support(
-            pattern.graph,
-            database,
-            key=pattern.key,
-            minsup=threshold,
-            flat=flat,
-            arena=arena,
-        )
-        if support >= threshold:
-            frequent.add(
-                Pattern(
-                    graph=pattern.graph,
-                    key=pattern.key,
-                    support=support,
-                    tids=frozenset(tids),
-                )
-            )
-        else:
-            rejected += 1
+    frequent = match_patterns(candidates, database, min_support=threshold)
     digest = {
         "candidates": len(candidates),
         "frequent": len(frequent),
-        "rejected": rejected,
-        "accel": flat is not None,
+        "rejected": len(candidates) - len(frequent),
+        "accel": perf.enabled(),
     }
     return frequent, digest

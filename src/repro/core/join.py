@@ -122,7 +122,11 @@ class SupportCounter:
         return frequent_in_index(self._triple_index, threshold)
 
     def candidate_gids(self, pattern: LabeledGraph) -> set[int]:
-        """Gids of the graphs holding every edge triple of ``pattern``."""
+        """Gids of the graphs holding every edge triple of ``pattern``.
+
+        An edge-free pattern has no triple to filter on: every gid comes
+        back and the matcher checks the vertex labels.
+        """
         candidates: set[int] | None = None
         for triple in pattern_edge_triples(pattern):
             gids = self._triple_index.get(triple)
@@ -131,7 +135,9 @@ class SupportCounter:
             candidates = set(gids) if candidates is None else candidates & gids
             if not candidates:
                 return set()
-        return candidates if candidates is not None else set()
+        return candidates if candidates is not None else set(
+            self.database.gids()
+        )
 
     def count(
         self,
@@ -140,6 +146,7 @@ class SupportCounter:
         restrict: frozenset[int] | None = None,
         key: PatternKey | None = None,
         minsup: int = 0,
+        induced: bool = False,
     ) -> tuple[int, frozenset[int]]:
         """Support of ``pattern`` in the level dataset.
 
@@ -157,6 +164,8 @@ class SupportCounter:
         verdict against ``minsup`` is always exact, and a set that *does*
         reach ``minsup`` is always complete.  Callers that need the full
         TID set of infrequent patterns must pass 0 (the default).
+        ``induced`` switches to induced-subgraph semantics (the triple
+        filter is sound for both: an induced embedding is a monomorphism).
         """
         supporting = set(known_tids)
         untested = self.candidate_gids(pattern)
@@ -172,6 +181,7 @@ class SupportCounter:
                 sorted(untested),
                 self._flat,
                 supporting,
+                induced=induced,
                 cache=self.cache,
                 key=key,
                 minsup=minsup,

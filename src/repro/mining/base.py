@@ -125,44 +125,6 @@ class PatternSet:
             result.add_union(pattern)
         return result
 
-    def recount(
-        self, database: GraphDatabase, cache: object | None = None
-    ) -> "PatternSet":
-        """Re-derive every pattern's support against ``database``.
-
-        Runs ``CheckFrequency`` from scratch — through the batched
-        kernel when the acceleration layer is on, through the reference
-        matcher otherwise — and returns a new set with exact supports
-        and TID lists.  This is the bench harness's throughput workload
-        and the soundness oracle the bound-pruning tests re-check
-        skipped join levels with; ``cache`` may be a shared
-        :class:`~repro.perf.SupportCache`.
-        """
-        from .. import perf
-        from ..graph.isomorphism import count_support
-
-        # One freshness check for the whole pass: compile/validate the
-        # flat database once and hand it (plus one scan arena) to every
-        # count — the pass itself never mutates the database, so the
-        # per-call revalidation would be pure overhead at this scale.
-        flat = perf.get_flat_db(database) if perf.enabled() else None
-        arena = perf.ScanArena()
-        result = PatternSet()
-        for pattern in self._by_key.values():
-            support, tids = count_support(
-                pattern.graph, database, cache=cache, key=pattern.key,
-                flat=flat, arena=arena,
-            )
-            result.add(
-                Pattern(
-                    graph=pattern.graph,
-                    key=pattern.key,
-                    support=support,
-                    tids=frozenset(tids),
-                )
-            )
-        return result
-
     def difference_keys(self, other: "PatternSet") -> set[PatternKey]:
         """Keys present here but not in ``other``."""
         return self.keys() - other.keys()

@@ -33,11 +33,14 @@ under the previous configuration on first access.  Verdicts are
 configuration-independent *by contract*, but the token turns "the
 differential suite proves it" into "a flipped toggle can't even serve a
 stale one" — the accel-matrix tests flip these switches constantly.
+
+The cache locks itself, so threads serving queries may share one.
 """
 
 from __future__ import annotations
 
 import sys
+import threading
 import weakref
 
 from ..graph.labeled_graph import LabeledGraph
@@ -61,6 +64,7 @@ class SupportCache:
         # Distinct pattern keys seen, for the (rough) byte estimate; the
         # key tuples are shared between entries, so count each once.
         self._key_bytes: dict[int, int] = {}
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     def get(
@@ -70,22 +74,23 @@ class SupportCache:
         induced: bool = False,
     ) -> bool | None:
         """The memoized verdict for (pattern ``key``, ``graph``), if fresh."""
-        entry = self._verdicts.get(graph)
-        if entry is not None:
-            record = entry.get((key, induced))
-            if record is not None:
-                version, token, verdict = record
-                # The accel-state token guards against configuration
-                # flips mid-process: a verdict computed by one matcher
-                # stack is never served after the stack changed (the
-                # differential suite relies on toggles being clean).
-                if version == graph.version and token == accel_token():
-                    self.hits += 1
-                    COUNTERS.inc("support_cache_hits")
-                    return verdict
-                del entry[(key, induced)]
-                self.invalidated += 1
-        self.misses += 1
+        with self._lock:
+            entry = self._verdicts.get(graph)
+            if entry is not None:
+                record = entry.get((key, induced))
+                if record is not None:
+                    version, token, verdict = record
+                    # The accel-state token guards against configuration
+                    # flips mid-process: a verdict computed by one matcher
+                    # stack is never served after the stack changed (the
+                    # differential suite relies on toggles being clean).
+                    if version == graph.version and token == accel_token():
+                        self.hits += 1
+                        COUNTERS.inc("support_cache_hits")
+                        return verdict
+                    del entry[(key, induced)]
+                    self.invalidated += 1
+            self.misses += 1
         COUNTERS.inc("support_cache_misses")
         return None
 
@@ -97,26 +102,30 @@ class SupportCache:
         induced: bool = False,
     ) -> None:
         """Memoize a containment verdict at the graph's current version."""
-        entry = self._verdicts.get(graph)
-        if entry is None:
-            entry = {}
-            self._verdicts[graph] = entry
-        entry[(key, induced)] = (graph.version, accel_token(), verdict)
-        self.stores += 1
+        with self._lock:
+            entry = self._verdicts.get(graph)
+            if entry is None:
+                entry = {}
+                self._verdicts[graph] = entry
+            entry[(key, induced)] = (graph.version, accel_token(), verdict)
+            self.stores += 1
+            key_id = id(key)
+            if key_id not in self._key_bytes:
+                self._key_bytes[key_id] = sys.getsizeof(key)
         COUNTERS.inc("support_cache_stores")
-        key_id = id(key)
-        if key_id not in self._key_bytes:
-            self._key_bytes[key_id] = sys.getsizeof(key)
 
     # ------------------------------------------------------------------
     def entries(self) -> int:
         """Live memoized verdicts (dead graphs excluded automatically)."""
-        return sum(len(entry) for entry in self._verdicts.values())
+        with self._lock:
+            return sum(len(entry) for entry in self._verdicts.values())
 
     def approx_bytes(self) -> int:
         """Rough memory footprint: per-entry overhead + shared key tuples."""
         per_entry = 96  # dict slot + (version, verdict) tuple, roughly
-        return self.entries() * per_entry + sum(self._key_bytes.values())
+        entries = self.entries()
+        with self._lock:
+            return entries * per_entry + sum(self._key_bytes.values())
 
     def hit_rate(self) -> float:
         total = self.hits + self.misses
@@ -135,8 +144,9 @@ class SupportCache:
         }
 
     def clear(self) -> None:
-        self._verdicts.clear()
-        self._key_bytes.clear()
+        with self._lock:
+            self._verdicts.clear()
+            self._key_bytes.clear()
 
     def __repr__(self) -> str:
         return (

@@ -14,23 +14,18 @@ answers it:
 
 Both monomorphism (mining) and induced (AGM) semantics are supported.
 
-:func:`match_patterns` and :func:`coverage` consult the acceleration
-layer (:mod:`repro.perf`) before entering any embedding search: an
-edge-triple index plus the kernel's admit prefilter
-(:func:`repro.perf.flat_admits`), both read off the database's flat
-form, reject most non-supporting graphs outright.  The filters are
-sound for both semantics (an induced embedding is in particular a
-monomorphism), so results are identical either way; ``use_accel=False``
-— or the global ``REPRO_NO_ACCEL`` switch — forces the original full
-scan.
+:func:`match` enumerates occurrences with the reference matcher and is
+the oracle the tests check everything else against.
+:func:`match_patterns` — and :func:`coverage` on top of it — only asks
+which graphs contain each pattern, through the same
+:class:`~repro.core.join.SupportCounter` merge-join counts with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import perf
-from .core.join import pattern_edge_triples
+from .core.join import SupportCounter
 from .graph.database import GraphDatabase
 from .graph.isomorphism import find_embeddings
 from .graph.labeled_graph import LabeledGraph
@@ -74,34 +69,6 @@ class MatchResult:
         return counts
 
 
-def _candidate_gids(pattern: LabeledGraph, flat: "perf.FlatDB") -> set[int]:
-    """Gids that pass every cheap containment filter for ``pattern``.
-
-    Intersects the edge-triple posting lists, then drops candidates the
-    admit prefilter (:func:`repro.perf.flat_admits`) rules out.  Both
-    filters are necessary conditions for containment under either
-    semantics, so the survivors are a sound candidate set.  An edge-free
-    pattern cannot be filtered: every gid comes back.
-    """
-    triple_index = flat.edge_triple_index()
-    candidates: set[int] | None = None
-    for triple in pattern_edge_triples(pattern):
-        gids = triple_index.get(triple)
-        if not gids:
-            return set()
-        candidates = set(gids) if candidates is None else candidates & gids
-        if not candidates:
-            return set()
-    if candidates is None:
-        return set(flat.flats)
-    plan = perf.get_flat_plan(pattern)
-    return {
-        gid
-        for gid in candidates
-        if perf.flat_admits(plan, flat.flats[gid]) == perf.ADMIT
-    }
-
-
 def match(
     pattern: LabeledGraph,
     database: GraphDatabase,
@@ -132,48 +99,40 @@ def match_patterns(
     database: GraphDatabase,
     induced: bool = False,
     min_support: float | int | None = None,
-    use_accel: bool = True,
 ) -> PatternSet:
     """Re-locate a pattern set over ``database``.
 
     Returns a new :class:`PatternSet` whose supports and TID lists are
     measured against ``database`` (the input set's supports refer to
     whatever database it was mined from).  Patterns falling below
-    ``min_support`` (when given) are dropped.
+    ``min_support`` (when given) are dropped; without it every pattern
+    is kept, zero-support ones included.
 
-    By default each pattern is searched only in the graphs surviving the
-    acceleration layer's candidate filters (edge-triple index + admit
-    prefilter); ``use_accel=False`` — or disabling the layer globally
-    via ``REPRO_NO_ACCEL`` — scans every graph for every pattern, as the
-    original implementation did.  Results are identical either way.
+    This is the one relocation routine: every pattern is counted by one
+    :class:`~repro.core.join.SupportCounter` over ``database`` — the
+    edge-triple filter, then the kernel or the reference matcher as
+    :func:`repro.perf.enabled` picks.  With a threshold the scan of a
+    pattern stops once it provably misses; kept patterns always carry
+    complete TID lists.
     """
     threshold = (
         database.absolute_support(min_support)
         if min_support is not None
         else 0
     )
-    accel = use_accel and perf.enabled()
-    flat = perf.get_flat_db(database) if accel else None
+    counter = SupportCounter(database)
     relocated = PatternSet()
     for pattern in patterns:
-        if flat is not None:
-            gids = _candidate_gids(pattern.graph, flat)
-            items = ((gid, database[gid]) for gid in sorted(gids))
-        else:
-            items = iter(database)
-        supporting = set()
-        for gid, graph in items:
-            for _ in find_embeddings(
-                pattern.graph, graph, limit=1, induced=induced
-            ):
-                supporting.add(gid)
-        if len(supporting) >= threshold:
+        support, tids = counter.count(
+            pattern.graph, key=pattern.key, minsup=threshold, induced=induced
+        )
+        if support >= threshold:
             relocated.add(
                 Pattern(
                     graph=pattern.graph,
                     key=pattern.key,
-                    support=len(supporting),
-                    tids=frozenset(supporting),
+                    support=support,
+                    tids=tids,
                 )
             )
     return relocated
@@ -183,28 +142,11 @@ def coverage(
     patterns: PatternSet,
     database: GraphDatabase,
     induced: bool = False,
-    use_accel: bool = True,
 ) -> tuple[float, set[int]]:
     """Fraction (and set) of graphs containing at least one pattern."""
-    flats = (
-        perf.get_flat_db(database).flats
-        if use_accel and perf.enabled()
-        else None
-    )
     covered: set[int] = set()
-    for gid, graph in database:
-        for pattern in patterns:
-            if gid in covered:
-                break
-            if flats is not None:
-                plan = perf.get_flat_plan(pattern.graph)
-                if perf.flat_admits(plan, flats[gid]) != perf.ADMIT:
-                    continue
-            for _ in find_embeddings(
-                pattern.graph, graph, limit=1, induced=induced
-            ):
-                covered.add(gid)
-                break
+    for pattern in match_patterns(patterns, database, induced=induced):
+        covered |= pattern.tids
     if not len(database):
         return 0.0, covered
     return len(covered) / len(database), covered

@@ -25,13 +25,12 @@ Three layers of work avoidance, outermost first:
    drifted since the index was built are treated as always-candidates —
    see ``stale_gids``);
 3. a :class:`repro.perf.SupportCache` memoizing per-graph containment
-   verdicts under the pattern's canonical key (shared with mining when
-   the caller passes the miner's cache in).
+   verdicts under the pattern's canonical key.
 
-``use_accel=False`` (or the global ``REPRO_NO_ACCEL`` switch) bypasses
-layers 2–3 and scans linearly — the escape hatch and the differential
-baseline.  The engine is thread-safe: snapshots are immutable, and the
-mutable caches/stats sit behind a lock.
+``REPRO_NO_ACCEL`` (:func:`repro.perf.enabled`) bypasses layers 2–3 and
+scans linearly with the reference matcher — the differential baseline.
+The engine is thread-safe: snapshots are immutable, the support cache
+locks itself, and the LRU and stats sit behind the engine's lock.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ from .. import perf
 from ..obs import metrics as obs_metrics
 from ..graph.canonical import canonical_code
 from ..graph.database import GraphDatabase
-from ..graph.isomorphism import subgraph_exists
+from ..graph.isomorphism import scan_support, subgraph_exists
 from ..graph.labeled_graph import LabeledGraph
 from ..mining.base import Pattern, PatternSet
 from ..resilience.health import Deadline
@@ -134,19 +133,11 @@ class QueryEngine:
         self,
         snapshot: CatalogSnapshot,
         database: GraphDatabase,
-        support_cache: "perf.SupportCache | None" = None,
         lru_size: int = 1024,
-        use_accel: bool | None = None,
     ) -> None:
-        """``use_accel=None`` follows the global :func:`repro.perf.enabled`
-        switch (so ``REPRO_NO_ACCEL`` turns the engine linear too);
-        ``True``/``False`` force the choice for this engine."""
         self.snapshot = snapshot
         self.database = database
-        self.support_cache = (
-            support_cache if support_cache is not None else perf.SupportCache()
-        )
-        self.use_accel = use_accel
+        self.support_cache = perf.SupportCache()
         self.totals = EngineTotals()
         self._lru: OrderedDict = OrderedDict()
         self._lru_size = lru_size
@@ -155,11 +146,6 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _accel_on(self) -> bool:
-        if self.use_accel is None:
-            return perf.enabled()
-        return self.use_accel
-
     def _db_token(self) -> tuple:
         """A value that changes whenever any database graph changes.
 
@@ -202,18 +188,14 @@ class QueryEngine:
     ) -> bool:
         """Support-cache-memoized existence check for one pair."""
         if use_cache and key is not None:
-            with self._lock:
-                verdict = self.support_cache.get(key, graph, induced=induced)
+            verdict = self.support_cache.get(key, graph, induced=induced)
             if verdict is not None:
                 stats.support_cache_hits += 1
                 return verdict
         stats.searches += 1
         verdict = subgraph_exists(pattern, graph, induced=induced)
         if use_cache and key is not None:
-            with self._lock:
-                self.support_cache.put(
-                    key, graph, verdict, induced=induced
-                )
+            self.support_cache.put(key, graph, verdict, induced=induced)
         return verdict
 
     @staticmethod
@@ -244,7 +226,7 @@ class QueryEngine:
         """
         start = time.perf_counter()
         stats = QueryStats(kind="match", universe=len(self.database))
-        accel = self._accel_on()
+        accel = perf.enabled()
         key = self._safe_key(pattern)
         lru_key = None
         if key is not None:
@@ -272,56 +254,24 @@ class QueryEngine:
             candidates = live_gids
         stats.candidates = len(candidates)
 
-        supporting = set()
+        supporting: set[int] = set()
         order = sorted(candidates)
-        if accel and order and deadline is None:
-            # Batched kernel: one fused admit+search frame over the whole
-            # candidate list.  Cache probes stay out here (the kernel is
-            # probe-free by contract); deadline-bearing queries keep the
-            # per-graph loop so expiry is still checked between searches.
-            flat = perf.get_flat_db(self.database)
-            flat_plan = perf.get_flat_plan(pattern)
-            if key is not None:
-                unresolved = []
-                with self._lock:
-                    for gid in order:
-                        verdict = self.support_cache.get(
-                            key, self.database[gid], induced=induced
-                        )
-                        if verdict is None:
-                            unresolved.append(gid)
-                        else:
-                            stats.support_cache_hits += 1
-                            if verdict:
-                                supporting.add(gid)
-            else:
-                unresolved = order
-            scan = perf.flat_count_batch(
-                flat_plan,
-                flat,
-                unresolved,
-                induced=induced,
-                arena=perf.local_arena(),
-            )
-            hits = set(scan.hits)
-            supporting |= hits
-            stats.searches += scan.searched
-            if key is not None and unresolved:
-                with self._lock:
-                    for gid in unresolved:
-                        self.support_cache.put(
-                            key, self.database[gid], gid in hits,
-                            induced=induced,
-                        )
-        else:
-            for gid in order:
+        if order:
+            # One kernel call over the whole candidate list (the support
+            # cache resolves what it can first); a deadline-bearing query
+            # scans one gid per call so expiry is checked between searches.
+            flat = perf.get_flat_db(self.database) if accel else None
+            cache = self.support_cache if key is not None else None
+            for gids in [order] if deadline is None else [[g] for g in order]:
                 if deadline is not None:
                     deadline.check("match query")
-                graph = self.database[gid]
-                if self._cached_verdict(
-                    key, graph, pattern, induced, stats, use_cache=accel
-                ):
-                    supporting.add(gid)
+                scan, cache_hits = scan_support(
+                    pattern, self.database, gids, flat, supporting,
+                    induced=induced, cache=cache, key=key,
+                    arena=perf.local_arena(),
+                )
+                stats.support_cache_hits += cache_hits
+                stats.searches += len(gids) if scan is None else scan.searched
         answer = frozenset(supporting)
         if lru_key is not None:
             self._lru_put(lru_key, answer)
@@ -423,7 +373,7 @@ class QueryEngine:
         deadline: Deadline | None = None,
     ) -> list[int]:
         """Pids embedding in ``graph``; at most one when ``first_only``."""
-        accel = self._accel_on()
+        accel = perf.enabled()
         entries = self.snapshot.entries
         if accel:
             candidates = self.snapshot.index.candidate_patterns(
@@ -523,7 +473,7 @@ class QueryEngine:
             digest["snapshot_version"] = self.snapshot.version
             digest["patterns"] = len(self.snapshot.entries)
             digest["graphs"] = len(self.database)
-            digest["accel"] = self._accel_on()
+            digest["accel"] = perf.enabled()
         return digest
 
     def __repr__(self) -> str:

@@ -31,6 +31,7 @@ from hypothesis.stateful import (
 from repro.core.incremental import IncrementalPartMiner
 from repro.core.partminer import PartMiner
 from repro.mining.gaston import GastonMiner
+from repro.query import match_patterns
 from repro.updates.model import (
     AddEdge,
     AddVertex,
@@ -150,7 +151,7 @@ class IncrementalMachine(RuleBasedStateMachine):
         self.paper.apply_updates(batch)
         database = self.paper.database
         got = self.paper.current_patterns
-        assert pattern_map(got) == pattern_map(got.recount(database))
+        assert pattern_map(got) == pattern_map(match_patterns(got, database))
         scratch = PartMiner(k=self.k, max_size=MAX_SIZE).mine(
             database.copy(deep=True), self.support, ufreq=self.paper.ufreq
         )

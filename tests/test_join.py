@@ -1,5 +1,8 @@
 """Tests for pattern joins and the level support counter."""
 
+from contextlib import nullcontext
+
+from repro import perf
 from repro.core.join import (
     SupportCounter,
     join_patterns,
@@ -61,6 +64,26 @@ class TestSupportCounter:
         counter = SupportCounter(db)
         assert counter.candidate_gids(g1) == {0}
         assert counter.candidate_gids(triangle(labels=(5, 5, 5))) == set()
+
+    def test_edge_free_pattern_counted_on_every_graph(self):
+        db = GraphDatabase.from_graphs(
+            [make_graph([0, 0], [(0, 1, 0)]), make_graph([1], []),
+             make_graph([1, 0], [(0, 1, 2)])]
+        )
+        for matcher in (nullcontext, perf.disabled):  # kernel, reference
+            with matcher():
+                counter = SupportCounter(db)
+                assert counter.candidate_gids(make_graph([1], [])) == {0, 1, 2}
+                assert counter.count(make_graph([1], [])) == (
+                    2, frozenset({1, 2})
+                )
+                assert counter.count(make_graph([7], [])) == (0, frozenset())
+
+    def test_count_induced(self):
+        db = GraphDatabase.from_graphs([triangle(), path_graph(3)])
+        counter = SupportCounter(db)
+        assert counter.count(path_graph(3))[1] == {0, 1}
+        assert counter.count(path_graph(3), induced=True)[1] == {1}
 
 
 class TestJoinPatterns:

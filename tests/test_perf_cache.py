@@ -8,6 +8,8 @@ sharing patterns the miners use, comparing against cache-free runs.
 
 import gc
 import json
+import sys
+import threading
 
 from hypothesis import example, given, settings, strategies as st
 
@@ -91,6 +93,46 @@ class TestSupportCacheUnit:
         cache.clear()
         assert cache.entries() == 0
         assert cache.get(("k",), graph) is None
+
+    def test_threads_share_one_cache(self):
+        """The serving engine's threads probe and fill one cache while
+        /stats reads it, with no outer lock: no reader may trip over a
+        concurrent insert, and every get and put must be tallied."""
+        cache = perf.SupportCache()
+        graphs = [path_graph([0, i % 3]) for i in range(400)]
+        writers, errors = 6, []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def write(t):
+                for i, graph in enumerate(graphs):
+                    key = ("k", (t + i) % 5)
+                    if cache.get(key, graph) is None:
+                        cache.put(key, graph, True)
+
+            def read():
+                while any(thread.is_alive() for thread in threads[1:]):
+                    try:
+                        cache.stats()
+                    except RuntimeError as exc:  # dict changed size
+                        errors.append(exc)
+                        return
+
+            threads = [threading.Thread(target=read)] + [
+                threading.Thread(target=write, args=(t,))
+                for t in range(writers)
+            ]
+            for thread in threads[1:] + threads[:1]:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert cache.hits + cache.misses == writers * len(graphs)
+        assert cache.stores == cache.misses
+        assert cache.entries() == 5 * len(graphs)  # every (key, graph)
 
 
 # ----------------------------------------------------------------------

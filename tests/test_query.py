@@ -1,5 +1,9 @@
 """Tests for pattern queries (match / relocate / coverage)."""
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import perf
 from repro.graph.database import GraphDatabase
 from repro.graph.labeled_graph import LabeledGraph
 from repro.mining.base import Pattern, PatternSet
@@ -7,6 +11,7 @@ from repro.mining.gspan import GSpanMiner
 from repro.query import coverage, match, match_patterns
 
 from .conftest import make_graph, path_graph, random_database, triangle
+from .test_properties import databases
 
 
 class TestMatch:
@@ -104,79 +109,49 @@ class TestCoverage:
 
 
 class TestQueryAcceleration:
-    """match_patterns/coverage with and without the candidate filters."""
+    """match_patterns/coverage: kernel, reference matcher and the oracle."""
 
-    def relocation_case(self, seed):
-        source = random_database(seed=seed, num_graphs=8, n=6)
-        target = random_database(seed=seed + 1, num_graphs=10, n=6)
-        return GSpanMiner().mine(source, 3), target
-
-    def test_match_patterns_accel_identical(self):
-        for induced in (False, True):
-            mined, target = self.relocation_case(1200)
-            fast = match_patterns(mined, target, induced=induced)
-            slow = match_patterns(
-                mined, target, induced=induced, use_accel=False
-            )
-            assert fast.keys() == slow.keys()
-            for p in fast:
-                assert p.tids == slow.get(p.key).tids
-
-    def test_min_support_identical_under_accel(self):
-        mined, target = self.relocation_case(1210)
-        fast = match_patterns(mined, target, min_support=3)
-        slow = match_patterns(
-            mined, target, min_support=3, use_accel=False
+    @settings(max_examples=40, deadline=None)
+    @given(
+        source=databases(max_graphs=6, max_vertices=6),
+        db=databases(max_graphs=6, max_vertices=6),
+        induced=st.booleans(),
+        min_support=st.sampled_from([None, 1, 2, 0.5]),
+    )
+    def test_match_patterns_accel_identical(
+        self, source, db, induced, min_support
+    ):
+        patterns = GSpanMiner(max_size=3).mine(source, 2)
+        # One vertex (no edge triple to filter on), present or absent
+        # label; edge-free graphs have no canonical DFS code: key by hand.
+        for label in (0, 9):
+            dot = make_graph([label], [])
+            patterns.add(Pattern(dot, ("v", label), 0, frozenset()))
+        # Absent vertex label, absent edge label.
+        for edge in (make_graph([0, 9], [(0, 1, 0)]),
+                     make_graph([0, 1], [(0, 1, 7)])):
+            patterns.add(Pattern.from_graph(edge, []))
+        kernel = match_patterns(
+            patterns, db, induced=induced, min_support=min_support
         )
-        assert fast.keys() == slow.keys()
-
-    def test_coverage_accel_identical(self):
-        for induced in (False, True):
-            mined, target = self.relocation_case(1220)
-            assert coverage(mined, target, induced=induced) == coverage(
-                mined, target, induced=induced, use_accel=False
-            )
-
-    def test_accel_avoids_searches(self, monkeypatch):
-        import repro.query as query_mod
-
-        mined, target = self.relocation_case(1230)
-        real = query_mod.find_embeddings
-        calls = {"n": 0}
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(query_mod, "find_embeddings", counting)
-
-        def searches(**kwargs):
-            calls["n"] = 0
-            match_patterns(mined, target, **kwargs)
-            return calls["n"]
-
-        assert searches(use_accel=True) < searches(use_accel=False)
-
-    def test_global_switch_disables_filtering(self, monkeypatch):
-        import repro.query as query_mod
-        from repro import perf
-
-        mined, target = self.relocation_case(1240)
-        real = query_mod.find_embeddings
-        calls = {"n": 0}
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(query_mod, "find_embeddings", counting)
         with perf.disabled():
-            gated = match_patterns(mined, target)
-            gated_calls, calls["n"] = calls["n"], 0
-            plain = match_patterns(mined, target, use_accel=False)
-            plain_calls = calls["n"]
-        assert gated.keys() == plain.keys()
-        assert gated_calls == plain_calls  # accel request was a no-op
+            reference = match_patterns(
+                patterns, db, induced=induced, min_support=min_support
+            )
+        threshold = 0 if min_support is None else db.absolute_support(
+            min_support
+        )
+        oracle = {}
+        for pattern in patterns:
+            gids = match(
+                pattern.graph, db, induced=induced, max_occurrences_per_graph=1
+            ).supporting_gids
+            if len(gids) >= threshold:
+                oracle[pattern.key] = (len(gids), gids)
+        for got in (kernel, reference):
+            assert {p.key: (p.support, p.tids) for p in got} == oracle
+        covered = set().union(*(gids for _, gids in oracle.values()))
+        assert coverage(kernel, db, induced=induced)[1] == covered
 
     def test_vertex_only_pattern_matches_everywhere(self):
         target = random_database(seed=1250, num_graphs=5, n=5)
@@ -186,7 +161,10 @@ class TestQueryAcceleration:
             [Pattern(graph=dot, key=("v", 0), support=1, tids=frozenset([0]))]
         )
         fast = match_patterns(patterns, target)
-        slow = match_patterns(patterns, target, use_accel=False)
+        with perf.disabled():
+            slow = match_patterns(patterns, target)
         assert fast.keys() == slow.keys()
         for p in fast:
             assert p.tids == slow.get(p.key).tids
+        want = match(dot, target, max_occurrences_per_graph=1)
+        assert fast.get(("v", 0)).tids == want.supporting_gids

@@ -8,10 +8,11 @@ every test here pins a served answer against the linear-scan baseline.
 import pytest
 from hypothesis import given, settings
 
-from repro import query
+from repro import perf, query
 from repro.graph.isomorphism import subgraph_exists
 from repro.mining.base import Pattern, PatternSet
 from repro.mining.gspan import GSpanMiner
+from repro.resilience.health import Deadline
 from repro.serve.catalog import CatalogSnapshot, catalog_order
 from repro.serve.engine import QueryEngine
 from repro.serve.index import FragmentIndex
@@ -57,13 +58,10 @@ class TestMatchDifferential:
         other_db = random_database(seed=6300, num_graphs=10)
         engine, patterns, _ = mined_engine(seed=6202, db=other_db)
         got = engine.relocate(induced=induced, min_support=2)
-        want = query.match_patterns(
-            patterns,
-            other_db,
-            induced=induced,
-            min_support=2,
-            use_accel=False,
-        )
+        with perf.disabled():
+            want = query.match_patterns(
+                patterns, other_db, induced=induced, min_support=2
+            )
         assert_same_patterns(got, want)
 
     def test_relocate_external_patterns(self):
@@ -72,18 +70,32 @@ class TestMatchDifferential:
             random_database(seed=6301, num_graphs=6), 2
         )
         got = engine.relocate(external)
-        want = query.match_patterns(external, db, use_accel=False)
+        with perf.disabled():
+            want = query.match_patterns(external, db)
         assert_same_patterns(got, want)
 
     def test_no_accel_engine_identical(self):
-        accel, patterns, db = mined_engine(seed=6204, use_accel=True)
-        linear, _, _ = mined_engine(seed=6204, use_accel=False)
+        accel, patterns, db = mined_engine(seed=6204)
+        linear, _, _ = mined_engine(seed=6204)
         for pattern in patterns:
-            assert accel.match(pattern.graph).gids == (
-                linear.match(pattern.graph).gids
-            )
+            with perf.disabled():
+                want = linear.match(pattern.graph).gids
+            assert accel.match(pattern.graph).gids == want
         # The linear engine really scanned: no pruning happened.
         assert linear.totals.candidates == linear.totals.universe
+
+    @pytest.mark.parametrize("induced", [False, True])
+    def test_deadline_match_equals_batched_match(self, induced):
+        """A deadline-bearing match scans one gid per call; same gids."""
+        batched, patterns, db = mined_engine(seed=6206)
+        per_gid, _, _ = mined_engine(seed=6206)
+        for pattern in patterns:
+            want = batched.match(pattern.graph, induced=induced)
+            got = per_gid.match(
+                pattern.graph, induced=induced, deadline=Deadline.after(60)
+            )
+            assert got.gids == want.gids
+            assert got.stats.searches == want.stats.searches
 
     def test_index_strictly_prunes(self):
         engine, patterns, db = mined_engine(seed=6205)
@@ -113,9 +125,10 @@ class TestContainsDifferential:
     def test_coverage_equals_query_coverage(self, induced):
         engine, patterns, db = mined_engine(seed=6402, min_support=4)
         fraction, covered = engine.coverage(induced=induced)
-        want_fraction, want_covered = query.coverage(
-            patterns, db, induced=induced, use_accel=False
-        )
+        with perf.disabled():
+            want_fraction, want_covered = query.coverage(
+                patterns, db, induced=induced
+            )
         assert fraction == want_fraction
         assert covered == want_covered
 
@@ -226,9 +239,8 @@ class TestEngineProperties:
         engine = QueryEngine(make_snapshot(patterns, db), db)
         for induced in (False, True):
             got = engine.relocate(induced=induced)
-            want = query.match_patterns(
-                patterns, db, induced=induced, use_accel=False
-            )
+            with perf.disabled():
+                want = query.match_patterns(patterns, db, induced=induced)
             assert_same_patterns(got, want)
 
     @settings(max_examples=40, deadline=None)
