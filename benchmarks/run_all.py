@@ -31,7 +31,6 @@ BENCHES = [
     "bench_ablation_joins.py",
     "bench_ablation_miners.py",
     "bench_ablation_drift.py",
-    "bench_ablation_selective.py",
     "bench_obs_overhead.py",
 ]
 

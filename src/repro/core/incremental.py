@@ -167,18 +167,12 @@ class IncrementalPartMiner:
         unit_support: UnitSupport = "paper",
         strict_paper_joins: bool = False,
         max_size: int | None = None,
-        unit_remine: str = "full",
         runtime: object | None = None,
     ) -> None:
         """``runtime`` (a :class:`~repro.runtime.config.RuntimeConfig`)
         re-mines affected units through the fault-tolerant parallel
         runtime instead of in-process, recording execution telemetry on
-        ``stats.runtime_telemetry``.  It applies to ``unit_remine='full'``
-        (the ``'selective'`` single-unit patcher stays in-process)."""
-        if unit_remine not in ("full", "selective"):
-            raise ValueError(
-                f"unit_remine must be 'full' or 'selective': {unit_remine!r}"
-            )
+        ``stats.runtime_telemetry``."""
         self.k = k
         self.partitioner = (
             partitioner if partitioner is not None else GraphPartitioner()
@@ -187,7 +181,6 @@ class IncrementalPartMiner:
         self.unit_support = unit_support
         self.strict_paper_joins = strict_paper_joins
         self.max_size = max_size
-        self.unit_remine = unit_remine
         self.runtime = runtime
         self._database: GraphDatabase | None = None
         self._ufreq: UfreqMap | None = None
@@ -331,7 +324,7 @@ class IncrementalPartMiner:
             )
             for i in affected
         }
-        if self.runtime is not None and affected and self.unit_remine == "full":
+        if self.runtime is not None and affected:
             # Through the fault-tolerant runtime: only the affected units
             # are dispatched, each with timeout/retry/degradation
             # protection, and the run's telemetry lands on the stats.
@@ -353,11 +346,11 @@ class IncrementalPartMiner:
         else:
             for i in affected:
                 t0 = time.perf_counter()
-                new_unit_results[i] = self._remine_unit(
-                    units[i].database,
-                    old.unit_results[i],
-                    set(touched[_key(units[i])]),
-                    thresholds[i],
+                miner = self.miner_factory()
+                if self.max_size is not None and hasattr(miner, "max_size"):
+                    miner.max_size = self.max_size
+                new_unit_results[i] = miner.mine(
+                    units[i].database, thresholds[i]
                 )
                 unit_times[i] = time.perf_counter() - t0
         stats.remine_times = [unit_times[i] for i in affected]
@@ -418,25 +411,6 @@ class IncrementalPartMiner:
             became_frequent=became_frequent,
             stats=stats,
         )
-
-    def _remine_unit(
-        self,
-        database: GraphDatabase,
-        previous: PatternSet,
-        changed: set[int],
-        threshold: int,
-    ) -> PatternSet:
-        if self.unit_remine == "selective":
-            from ..mining.incremental_unit import selective_unit_remine
-
-            return selective_unit_remine(
-                database, previous, changed, threshold,
-                max_size=self.max_size,
-            )
-        miner = self.miner_factory()
-        if self.max_size is not None and hasattr(miner, "max_size"):
-            miner.max_size = self.max_size
-        return miner.mine(database, threshold)
 
     # ------------------------------------------------------------------
     def _pad_ufreq(self, gid: int) -> None:

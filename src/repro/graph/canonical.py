@@ -19,8 +19,10 @@ Vertex and edge labels must be mutually comparable (all ints or all strings).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
+from ..perf.counters import COUNTERS
 from .labeled_graph import Label, LabeledGraph
 
 # A DFS edge: (i, j, l_i, l_edge, l_j).  Forward iff i < j.
@@ -266,6 +268,17 @@ def min_dfs_code(graph: LabeledGraph) -> DFSCode:
     return DFSCode(tuple(result))
 
 
+# Process-wide codes by exact labelled structure, flattened into one tuple:
+# the vertex count, the vertex labels in id order, then every edge's
+# (u, v, label).  Equal keys are identical graphs, so a hit is exact.
+# Units, merge levels and update batches meet the same shapes again on
+# fresh instances (copies, join overlays, re-mines) whose ``_canon`` slot
+# is empty.  No lock: a thread racing the clear costs a recompute or
+# overshoots the cap by an entry, never a wrong code.
+_SHAPE_TABLE: dict[tuple, tuple[CodeKey, ...]] = {}
+_SHAPE_TABLE_LIMIT = 20_000
+
+
 def canonical_code(graph: LabeledGraph) -> tuple[CodeKey, ...]:
     """Hashable canonical key of a connected graph.
 
@@ -274,12 +287,23 @@ def canonical_code(graph: LabeledGraph) -> tuple[CodeKey, ...]:
     The key is memoized on the graph against its ``version`` counter (the
     same scheme as the histogram cache), so repeated canonicalization of a
     long-lived pattern graph — join inputs recur across levels, nodes and
-    update batches — costs a tuple compare after the first call.
+    update batches — costs a tuple compare after the first call.  Behind
+    that slot, a process-wide shape table serves any graph with exactly
+    the labels and edges of one coded before; only its misses run
+    :func:`min_dfs_code` (counted as ``canonical_codes``).
     """
     cached = graph._canon
     if cached is not None and cached[0] == graph.version:
         return cached[1]
-    code = min_dfs_code(graph).sort_key()
+    labels = graph._vertex_labels
+    shape = (len(labels), *labels, *chain.from_iterable(graph.edges()))
+    code = _SHAPE_TABLE.get(shape)
+    if code is None:
+        code = min_dfs_code(graph).sort_key()
+        COUNTERS.inc("canonical_codes")
+        if len(_SHAPE_TABLE) >= _SHAPE_TABLE_LIMIT:
+            _SHAPE_TABLE.clear()
+        _SHAPE_TABLE[shape] = code
     graph._canon = (graph.version, code)
     return code
 

@@ -22,7 +22,6 @@ from .fsg import FSGMiner, FSGStats
 from .edges import FrequentEdge, frequent_edge_patterns, frequent_edges
 from .gaston import GastonMiner, PatternClass, classify
 from .gspan import GSpanMiner
-from .incremental_unit import SelectiveRemineStats, selective_unit_remine
 from .select import greedy_cover, mine_top_k
 from .store import read_patterns, save_patterns
 from .validate import ValidationReport, validate
@@ -31,7 +30,6 @@ __all__ = [
     "AGMMiner",
     "InducedBruteForceMiner",
     "BruteForceMiner",
-    "SelectiveRemineStats",
     "ValidationReport",
     "closed_patterns",
     "Acyclic",
@@ -52,7 +50,6 @@ __all__ = [
     "save_patterns",
     "greedy_cover",
     "mine_top_k",
-    "selective_unit_remine",
     "validate",
     "FSGMiner",
     "FSGStats",

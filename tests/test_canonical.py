@@ -4,7 +4,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro.graph import canonical
 from repro.graph.canonical import (
     DFSCode,
     canonical_code,
@@ -15,11 +17,13 @@ from repro.graph.canonical import (
 )
 from repro.graph.isomorphism import are_isomorphic
 from repro.graph.labeled_graph import LabeledGraph
+from repro.perf import COUNTERS
 
 from .conftest import (
     make_graph,
     path_graph,
     permuted_copy,
+    random_database,
     random_graph,
     star_graph,
     triangle,
@@ -282,3 +286,143 @@ class TestAgainstWeisfeilerLehman:
                     assert wl(g1) == wl(g2)
                 elif wl(g1) != wl(g2):
                     assert canonical_code(g1) != canonical_code(g2)
+
+
+@st.composite
+def connected_graphs(draw, max_vertices=7):
+    """A spanning tree plus a few chords, labels from small alphabets."""
+    n = draw(st.integers(2, max_vertices))
+    graph = LabeledGraph()
+    for _ in range(n):
+        graph.add_vertex(draw(st.integers(0, 2)))
+    for v in range(1, n):
+        graph.add_edge(v, draw(st.integers(0, v - 1)), draw(st.integers(0, 1)))
+    for _ in range(draw(st.integers(0, 3))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v and not graph.has_edge(u, v):
+            graph.add_edge(u, v, draw(st.integers(0, 1)))
+    return graph
+
+
+def fresh_code(graph):
+    """The oracle: a from-scratch minimum DFS code, or the error it raises."""
+    try:
+        return min_dfs_code(graph).sort_key()
+    except ValueError as exc:
+        return type(exc)
+
+
+def table_code(graph):
+    try:
+        return canonical_code(graph)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestShapeTable:
+    """The process-wide shape table behind ``canonical_code`` is exact:
+    every answer equals a fresh :func:`min_dfs_code`, cold or warm."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(connected_graphs(), st.randoms(use_true_random=False))
+    def test_cold_and_warm_answers_equal_a_fresh_code(self, graph, rng):
+        want = min_dfs_code(graph).sort_key()
+        perm = list(range(graph.num_vertices))
+        rng.shuffle(perm)
+        edges = list(graph.edges())
+        rng.shuffle(edges)
+
+        def copies():
+            rebuilt = LabeledGraph()
+            for label in graph.vertex_labels():
+                rebuilt.add_vertex(label)
+            for u, v, label in edges:
+                rebuilt.add_edge(v, u, label)
+            return [permuted_copy(graph, perm), rebuilt]
+
+        canonical._SHAPE_TABLE.clear()
+        assert [canonical_code(g) for g in copies()] == [want, want]  # cold
+        assert [canonical_code(g) for g in copies()] == [want, want]  # warm
+
+    def test_every_mutator_yields_the_mutated_graphs_code(self):
+        graph = make_graph([0, 0, 1], [(0, 1, 5), (1, 2, 5)])
+        steps = [
+            lambda g: g.set_edge_label(0, 1, 6),
+            lambda g: g.set_vertex_label(2, 0),
+            lambda g: g.set_vertex_label(2, 1),
+            lambda g: g.add_vertex(1),  # isolated: no code
+            lambda g: g.add_edge(2, 3, 5),
+            lambda g: g.remove_edge(0, 1),  # disconnected: no code
+            lambda g: g.add_edge(0, 3, 6),  # same labels, rewired
+        ]
+        canonical._SHAPE_TABLE.clear()
+        for step in steps:
+            table_code(graph)  # cache the shape before mutating it
+            step(graph)
+            want = fresh_code(graph)
+            assert table_code(graph) == want
+            assert table_code(graph.copy()) == want  # empty instance slot
+
+    def test_same_labels_different_wiring_get_different_codes(self):
+        center_0 = make_graph([0, 0, 1], [(0, 1, 5), (1, 2, 5)])
+        center_1 = make_graph([0, 0, 1], [(0, 2, 5), (1, 2, 5)])
+        canonical._SHAPE_TABLE.clear()
+        assert canonical_code(center_0) == fresh_code(center_0)
+        assert canonical_code(center_1) == fresh_code(center_1)
+        assert canonical_code(center_0) != canonical_code(center_1)
+
+    def test_adjacency_order_does_not_change_the_code(self):
+        labels = [0, 1, 0, 2]
+        edges = [(0, 1, 0), (1, 2, 1), (2, 3, 0), (3, 0, 1), (0, 2, 0)]
+        forward = make_graph(labels, edges)
+        backward = make_graph(labels, [(v, u, l) for u, v, l in edges[::-1]])
+        assert list(forward.edges()) != list(backward.edges())
+        canonical._SHAPE_TABLE.clear()
+        want = fresh_code(forward)
+        assert canonical_code(forward) == canonical_code(backward) == want
+
+    def test_overflow_clears_the_table_and_stays_exact(self, monkeypatch):
+        monkeypatch.setattr(canonical, "_SHAPE_TABLE_LIMIT", 4)
+        canonical._SHAPE_TABLE.clear()
+        rng = random.Random(21)
+        graphs = [random_graph(rng, rng.randrange(2, 7), 2) for _ in range(30)]
+        sizes = []
+        for g in graphs + [g.copy() for g in graphs]:
+            assert canonical_code(g) == fresh_code(g)
+            sizes.append(len(canonical._SHAPE_TABLE))
+        assert max(sizes) == 4
+        assert 1 in sizes[4:]  # cleared in one go, then refilled
+
+    def test_only_misses_are_counted(self):
+        g = triangle(labels=(0, 1, 2))
+        canonical._SHAPE_TABLE.clear()
+        before = COUNTERS.canonical_codes
+        canonical_code(g)  # miss
+        canonical_code(g)  # instance slot
+        canonical_code(g.copy())  # table hit
+        canonical_code(permuted_copy(g, [2, 0, 1]))  # another shape: miss
+        assert COUNTERS.canonical_codes - before == 2
+
+    def test_cold_table_session_dumps_the_same_bytes(self, tmp_path):
+        from repro.core.incremental import IncrementalPartMiner
+        from repro.mining.store import save_patterns
+        from repro.updates.generator import UpdateGenerator
+        from repro.updates.tracker import hot_vertex_assignment
+
+        db = random_database(seed=910, num_graphs=12, n=6)
+        ufreq = hot_vertex_assignment(db, 0.25, seed=3)
+        dumps = []
+        for cold in (False, True):
+            inc = IncrementalPartMiner(k=2)
+            inc.initial_mine(db, 3, ufreq=ufreq)
+            gen = UpdateGenerator(3, 2, seed=4)
+            for _ in range(3):
+                if cold:
+                    canonical._SHAPE_TABLE.clear()
+                inc.apply_updates(
+                    gen.generate(inc.database, inc.ufreq, 0.3, 1, "mixed")
+                )
+            path = tmp_path / f"cold-{cold}.jsonl"
+            save_patterns(inc.current_patterns, path)
+            dumps.append(path.read_bytes())
+        assert dumps[0] == dumps[1]

@@ -149,16 +149,11 @@ class TestStreamedEpochs:
             report = validate(result.patterns, miner.database)
             assert report.ok, report.summary()
 
-    def test_selective_remine_in_streamed_session(self, synthetic_db):
+    def test_four_unit_streamed_session_equals_gspan(self, synthetic_db):
         from repro.updates.stream import UpdateStream
 
         ufreq = hot_vertex_assignment(synthetic_db, 0.2, seed=13)
-        miner = IncrementalPartMiner(
-            k=4,
-            unit_support="exact",
-            unit_remine="selective",
-            max_size=3,
-        )
+        miner = IncrementalPartMiner(k=4, unit_support="exact", max_size=3)
         miner.initial_mine(synthetic_db, 0.25, ufreq=ufreq)
         stream = UpdateStream(
             miner.database, ufreq, num_labels=8,

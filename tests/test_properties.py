@@ -247,37 +247,6 @@ class TestIOProperties:
 # ----------------------------------------------------------------------
 class TestExtensionProperties:
     @settings(max_examples=10, deadline=None)
-    @given(
-        databases(max_graphs=7, max_vertices=5),
-        st.data(),
-    )
-    def test_selective_remine_equals_full(self, db, data):
-        """Selective unit re-mining is exact for arbitrary piece changes."""
-        from repro.mining.gaston import GastonMiner
-        from repro.mining.incremental_unit import selective_unit_remine
-
-        threshold = data.draw(st.integers(2, 3))
-        old = GastonMiner().mine(db, threshold)
-        gids = db.gids()
-        changed = set(
-            data.draw(
-                st.lists(
-                    st.sampled_from(gids), max_size=len(gids) // 2,
-                    unique=True,
-                )
-            )
-        )
-        for gid in changed:
-            graph = db[gid]
-            v = data.draw(st.integers(0, graph.num_vertices - 1))
-            graph.set_vertex_label(v, 9)
-        got = selective_unit_remine(db, old, changed, threshold)
-        want = GastonMiner().mine(db, threshold)
-        assert got.keys() == want.keys()
-        for p in got:
-            assert p.tids == want.get(p.key).tids
-
-    @settings(max_examples=10, deadline=None)
     @given(databases(max_graphs=6, max_vertices=5))
     def test_closed_set_is_lossless(self, db):
         """Every frequent pattern has an equal-support closed witness."""
