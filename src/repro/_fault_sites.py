@@ -10,7 +10,6 @@ from . import cli  # noqa: F401  "cli.run" site
 from .coord import coordinator  # noqa: F401  coord.* sites
 from .graph import io  # noqa: F401  "graph.parse" site
 from .obs import sink  # noqa: F401  "obs.sink_write" site
-from .perf import flatgraph  # noqa: F401  "perf.shm_attach" site
 from .resilience import integrity  # noqa: F401  artifact.read/write sites
 from .runtime import engine  # noqa: F401  runtime.* sites
 from .serve import service  # noqa: F401  serve.* sites

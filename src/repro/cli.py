@@ -137,34 +137,59 @@ def _supervision_configs(args: argparse.Namespace, balance="density"):
     """``(RuntimeConfig, CoordConfig | None)`` from the policy flags.
 
     Returns ``None`` after printing a one-line usage error when a flag
-    is out of range or the combination is contradictory.
+    is out of range, the combination is contradictory, or nothing would
+    read a flag (a pool flag without a pool, a pool for a miner that has
+    no units).
     """
     from .runtime import RuntimeConfig
 
+    def options(names) -> str:
+        return ", ".join("--" + name.replace("_", "-") for name in names)
+
     flags = vars(args)
     shards = args.shards
+    pool = (
+        "--shards" if shards
+        else "--parallel" if flags.get("parallel") else None
+    )
     try:
         if shards and shards < 2:
             raise ValueError(
                 f"--shards must be >= 2 (0 = unsharded): {shards}"
             )
         unit_only = [
-            name
-            for name in ("parallel", "spill_dir", "no_shared_db")
-            if flags.get(name)
+            name for name in ("parallel", "spill_dir") if flags.get(name)
         ]
         if shards and unit_only:
             raise ValueError(
-                "--shards cannot be combined with "
-                + ", ".join("--" + n.replace("_", "-") for n in unit_only)
+                "--shards cannot be combined with " + options(unit_only)
             )
+        retries = flags.get("retries")
         runtime = RuntimeConfig(
             max_workers=args.workers,
             unit_timeout=args.unit_timeout,
-            max_retries=flags.get("retries", RuntimeConfig.max_retries),
-            shared_db=not flags.get("no_shared_db"),
+            max_retries=(
+                RuntimeConfig.max_retries if retries is None else retries
+            ),
             spill_dir=flags.get("spill_dir"),
         )
+        algorithm = flags.get("algorithm", "partminer")
+        if pool and algorithm != "partminer":
+            raise ValueError(
+                f"{pool} applies to --algorithm partminer only, "
+                f"not {algorithm}"
+            )
+        idle = [
+            name
+            for name in ("workers", "unit_timeout", "retries", "spill_dir")
+            if flags.get(name) is not None
+        ]
+        if idle and not pool:
+            raise ValueError(
+                options(idle) + " given without "
+                + ("--parallel or --shards" if "parallel" in flags
+                   else "--shards")
+            )
         coord = None
         if shards:
             from .coord import CoordConfig
@@ -785,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-accel", action="store_true",
         help="count support with the reference matcher instead of the "
              "acceleration layer (flat-array kernel, support cache, "
-             "join-bound pruning, shared-memory payloads); equivalent "
+             "join-bound pruning); equivalent "
              "to setting REPRO_NO_ACCEL=1",
     )
     parser.add_argument(
@@ -863,11 +888,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "and --shards alike (default: CPU count)")
     p.add_argument("--unit-timeout", type=float, default=None,
                    help="per-attempt wall-clock timeout in seconds")
-    p.add_argument("--retries", type=int, default=2,
-                   help="retries per unit before serial fallback")
-    p.add_argument("--no-shared-db", action="store_true",
-                   help="ship pickled graph lists to unit workers instead "
-                        "of mapping a shared-memory flat-database segment")
+    p.add_argument("--retries", type=int, default=None,
+                   help="retries per unit before serial fallback "
+                        "(default 2)")
     p.add_argument("--shards", type=int, default=0,
                    help="mine through the sharded coordinator with this "
                         "many density-balanced database shards (partminer "
@@ -904,7 +927,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="spill unit databases into per-unit SQLite files "
                         "here so parallel workers stream them through "
                         "read-only connections instead of receiving "
-                        "pickled graphs (partminer --parallel only)")
+                        "graph lists (partminer --parallel only)")
     _add_storage_flags(p)
     _add_parse_policy(p)
     p.set_defaults(func=cmd_mine)

@@ -263,7 +263,7 @@ def count_support(
     ``candidate_gids`` restricts the scan to those gids (the rest count as
     non-supporting) via direct lookup — the cost scales with the candidate
     set, not the database; candidates are scanned in ascending gid order
-    (deterministic replay, shared-memory page locality); pass ``None`` to
+    (deterministic replay); pass ``None`` to
     scan the whole database; ``induced`` switches to induced-subgraph
     semantics.  Returns ``(support, supporting_gids)``.
 

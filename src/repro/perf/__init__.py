@@ -61,11 +61,8 @@ from .flatgraph import (
     INTERNER,
     FlatDB,
     FlatGraph,
-    FlatSegment,
-    attach_segment,
     get_flat_db,
     get_flat_graph,
-    live_segments,
 )
 
 _ENABLED = not os.environ.get("REPRO_NO_ACCEL")
@@ -104,12 +101,10 @@ __all__ = [
     "ADMIT",
     "FlatPlan",
     "ScanArena",
-    "FlatSegment",
     "INTERNER",
     "PerfCounters",
     "SupportCache",
     "accel_token",
-    "attach_segment",
     "delta_since",
     "disabled",
     "enabled",
@@ -124,7 +119,6 @@ __all__ = [
     "get_flat_graph",
     "get_flat_plan",
     "global_counters",
-    "live_segments",
     "reset_counters",
     "set_enabled",
     "snapshot",

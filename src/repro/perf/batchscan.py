@@ -326,7 +326,7 @@ def flat_count_batch(
     """Count the graphs of ``flat`` containing ``plan``, in one frame.
 
     ``gids`` is the candidate list — **sorted ascending** (callers sort;
-    deterministic replay and shm page locality both want it), or ``None``
+    deterministic replay wants it), or ``None``
     to scan the whole database via the memoized full-scan admit list.
     Gids absent from the database are skipped silently, exactly like the
     per-graph loop they replace.

@@ -58,8 +58,6 @@ class PerfCounters:
     join_levels_skipped: int = 0  # merge-join levels skipped by the bound
     join_pairs_pruned: int = 0  # generator pairs skipped by the bound
     join_pairs_untouched: int = 0  # settled pairs an update batch missed
-    shm_publishes: int = 0  # flat databases published to shared memory
-    shm_attaches: int = 0  # shared-memory segments mapped
     canonical_codes: int = 0  # min DFS codes computed (shape-table misses)
 
     def snapshot(self) -> "PerfCounters":

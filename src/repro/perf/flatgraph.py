@@ -30,49 +30,18 @@ graphs are recompiled (alone: every still-current graph's arrays are
 carried into the refreshed FlatDB).  :func:`get_flat_graph` is the
 same cache for one free-standing graph (single-pair existence checks).
 
-Shared memory
--------------
-:meth:`FlatSegment.publish` serializes a :class:`FlatDB` into a
-``multiprocessing.shared_memory`` segment so runtime workers *map* the
-level database instead of receiving a pickled graph list per attempt.
-The wire format is self-describing and integrity-checked (sha256 over
-the whole blob), and :func:`attach_segment` rebuilds a read-only
-:class:`FlatDB` whose arrays are zero-copy ``memoryview`` slices of the
-segment whenever the child's interner agrees with the publisher's id
-assignment (it always does for fresh worker processes — the meta block
-carries the label table, which the child interns in publisher order).
-
-``perf.shm_attach`` is a registered fault site: the chaos suite injects
-attach failures and byte corruptions there; corruption is detected by
-the digest and surfaces as
-:class:`~repro.resilience.errors.ArtifactCorrupt`, which the runtime
-treats as "fall back to pickled payloads".
-
-The parent process owns every published segment: ``run_unit_mining``
-destroys them in a ``finally`` block, and a module ``atexit`` hook
-destroys anything left so a crashed parent cannot litter ``/dev/shm``.
+Flat forms are a per-process cache, never a wire format: unit workers
+receive the ``(gid, graph)`` list they mine (:mod:`repro.runtime.payload`).
 """
 
 from __future__ import annotations
 
-import atexit
-import hashlib
-import pickle
 import weakref
 from array import array
 
 from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import Label, LabeledGraph
-from ..resilience import faults
-from ..resilience.errors import ArtifactCorrupt
 from .counters import COUNTERS
-
-SITE_SHM_ATTACH = faults.register_site(
-    "perf.shm_attach", "mapping a shared-memory flat-database segment"
-)
-
-_MAGIC = b"RFLATDB1"
-_HEADER = len(_MAGIC) + 8 + 32 + 8  # magic + blob_len + sha256 + meta_len
 
 #: Cap on live plans per FlatDB admit/scan memo (see :class:`FlatDB`).
 ADMIT_MEMO_PLANS = 512
@@ -119,12 +88,7 @@ INTERNER = LabelInterner()
 # One compiled graph
 # ----------------------------------------------------------------------
 class FlatGraph:
-    """CSR form of one :class:`LabeledGraph` (see module docstring).
-
-    The four buffers are ``array('i')`` for locally-compiled graphs and
-    ``memoryview('i')`` slices for graphs attached from shared memory;
-    the matcher indexes and bisects both identically.
-    """
+    """CSR form of one :class:`LabeledGraph` (see module docstring)."""
 
     __slots__ = (
         "n",
@@ -133,8 +97,6 @@ class FlatGraph:
         "indptr",
         "nbr",
         "elab",
-        "anbr",
-        "aelab",
         "by_label",
         "ehist",
         "deg_by_label",
@@ -142,20 +104,13 @@ class FlatGraph:
         "deg",
     )
 
-    def __init__(self, n, m, vlab, indptr, nbr, elab, anbr=None, aelab=None) -> None:
+    def __init__(self, n, m, vlab, indptr, nbr, elab) -> None:
         self.n = n
         self.m = m
         self.vlab = vlab
         self.indptr = indptr
         self.nbr = nbr
         self.elab = elab
-        # Original adjacency-row order (pre-sort), sharing ``indptr``.
-        # The matcher never reads these; :meth:`to_labeled` replays them
-        # so a worker-side rebuild iterates neighbors in exactly the
-        # source graph's order — mining output stays byte-identical
-        # whether the database arrived pickled or via shared memory.
-        self.anbr = anbr
-        self.aelab = aelab
         by_label: dict[int, array] = {}
         for v in range(n):
             by_label.setdefault(vlab[v], array("i")).append(v)
@@ -209,54 +164,14 @@ class FlatGraph:
         indptr = array("i", [0])
         nbr = array("i")
         elab = array("i")
-        anbr = array("i")
-        aelab = array("i")
         for v in range(n):
-            run = []
-            for w, el in graph.neighbors(v):
-                el_id = intern(el)
-                anbr.append(w)
-                aelab.append(el_id)
-                run.append((el_id, w))
+            run = [(intern(el), w) for w, el in graph.neighbors(v)]
             run.sort()
             for el_id, w in run:
                 nbr.append(w)
                 elab.append(el_id)
             indptr.append(len(nbr))
-        return cls(n, graph.num_edges, vlab, indptr, nbr, elab, anbr, aelab)
-
-    def to_labeled(self, interner: LabelInterner = INTERNER) -> LabeledGraph:
-        """Reconstruct an *exact* :class:`LabeledGraph`.
-
-        Vertex ids and labels are preserved, and — when the original
-        adjacency order was captured (always, for graphs compiled by
-        :meth:`from_labeled` or parsed from a segment) — each adjacency
-        row is rebuilt in the source graph's dict insertion order, so
-        ``neighbors()`` iterates identically on both sides.  Without it
-        (hand-built FlatGraphs) rows come back in CSR-sorted order.
-        """
-        labels = interner.labels
-        graph = LabeledGraph()
-        for v in range(self.n):
-            graph.add_vertex(labels[self.vlab[v]])
-        indptr = self.indptr
-        anbr, aelab = self.anbr, self.aelab
-        if anbr is not None:
-            adj = graph._adj
-            for v in range(self.n):
-                row = adj[v]
-                for k in range(indptr[v], indptr[v + 1]):
-                    row[anbr[k]] = labels[aelab[k]]
-            graph._num_edges = self.m
-            graph.version += self.m
-            return graph
-        nbr, elab = self.nbr, self.elab
-        for v in range(self.n):
-            for k in range(indptr[v], indptr[v + 1]):
-                w = nbr[k]
-                if v < w:
-                    graph.add_edge(v, w, labels[elab[k]])
-        return graph
+        return cls(n, graph.num_edges, vlab, indptr, nbr, elab)
 
     def degree(self, v: int) -> int:
         return self.indptr[v + 1] - self.indptr[v]
@@ -309,8 +224,7 @@ class FlatDB:
 
     ``flats`` maps gid -> :class:`FlatGraph`.  A FlatDB compiled from a
     live database records ``(weakref(graph), version)`` stamps so
-    :func:`get_flat_db` can detect mutation or replacement; a FlatDB
-    attached from shared memory is immutable and carries no stamps.
+    :func:`get_flat_db` can detect mutation or replacement.
 
     ``admit_memo`` caches :func:`repro.perf.fastmatch.flat_admits`
     verdicts per plan (plan -> gid -> reason) and ``scan_memo`` caches
@@ -328,11 +242,10 @@ class FlatDB:
     """
 
     __slots__ = (
-        "gids", "flats", "admit_memo", "scan_memo", "_stamps", "_segment",
-        "_triple_index",
+        "gids", "flats", "admit_memo", "scan_memo", "_stamps", "_triple_index",
     )
 
-    def __init__(self, gids, flats, stamps=None, segment=None) -> None:
+    def __init__(self, gids, flats, stamps=None) -> None:
         self.gids = gids
         self.flats = flats
         self.admit_memo: "weakref.WeakKeyDictionary" = (
@@ -342,7 +255,6 @@ class FlatDB:
             weakref.WeakKeyDictionary()
         )
         self._stamps = stamps
-        self._segment = segment
         self._triple_index = None
 
     def plan_memo(self, plan) -> dict:
@@ -382,8 +294,8 @@ class FlatDB:
 
     def stale_gids(self, database: GraphDatabase) -> list[int] | None:
         """Gids whose compiled graph is no longer the database's graph;
-        ``None`` when only a full compile will do (no stamps or a mapped
-        segment, a different gid set, a moved state token).
+        ``None`` when only a full compile will do (no stamps, a different
+        gid set, a moved state token).
 
         Reads the database's gid map directly — this runs once per
         :func:`count_support` call, so the per-stamp cost (one dict get,
@@ -408,8 +320,6 @@ class FlatDB:
                 return None
             if ref() is not graph or graph.version != version:
                 stale.append(gid)
-        if stale and self._segment is not None:
-            return None  # views into a mapped segment are not carried over
         return stale
 
     def valid_for(self, database: GraphDatabase) -> bool:
@@ -467,162 +377,6 @@ class FlatDB:
         self._triple_index = index
         return index
 
-    def to_database(self) -> GraphDatabase:
-        """Materialize a :class:`GraphDatabase` (worker-side rebuild)."""
-        return GraphDatabase(
-            (gid, self.flats[gid].to_labeled()) for gid in self.gids
-        )
-
-    def adopt(self, database: GraphDatabase) -> None:
-        """Register this FlatDB as ``database``'s flat compilation.
-
-        For worker processes that rebuilt ``database`` from this very
-        FlatDB (:meth:`to_database` over an attached shared-memory
-        segment): version stamps are recorded against the rebuilt graph
-        instances, so :func:`get_flat_db` serves the zero-copy segment
-        views directly and the worker never recompiles CSR buffers it
-        already has mapped.  The mapping must outlive the database —
-        adopting ties their lifetimes together via the cache entry, and
-        an atexit release unmaps in order (views first, then the
-        mapping) so interpreter shutdown never tears them down with
-        memoryviews still exported.
-        """
-        self._stamps = [
-            (gid, weakref.ref(graph), graph.version)
-            for gid, graph in database
-        ]
-        _FLAT_DBS[database] = self
-        atexit.register(self.release)
-
-    def release(self) -> None:
-        """Drop the shared-memory mapping backing an attached FlatDB.
-
-        The flat graphs are views into the mapping, so they — and the
-        scan memo, which holds ``(gid, FlatGraph)`` pairs — are cleared
-        first: ``close`` cannot unmap while exported pointers exist.
-        The FlatDB is unusable afterwards.
-        """
-        segment = self._segment
-        if segment is not None:
-            self._segment = None
-            self.flats = {}
-            self.admit_memo.clear()
-            self.scan_memo.clear()
-            try:
-                segment.close()
-            except Exception:
-                pass
-
-    # ------------------------------------------------------------------
-    # Serialization (shared-memory wire format)
-    # ------------------------------------------------------------------
-    def to_bytes(self) -> bytes:
-        """Self-describing, digest-protected blob of the whole FlatDB."""
-        meta = pickle.dumps(
-            {
-                "gids": list(self.gids),
-                "labels": list(INTERNER.labels),
-                "shapes": [
-                    (self.flats[gid].n, self.flats[gid].m)
-                    for gid in self.gids
-                ],
-            },
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
-        pad = (-(_HEADER + len(meta))) % 4  # 4-align the int arrays
-        chunks = [meta, b"\0" * pad]
-        for gid in self.gids:
-            fg = self.flats[gid]
-            # anbr/aelab ride along so the attach side can rebuild exact
-            # adjacency order; hand-built FlatGraphs without them fall
-            # back to the (sorted) CSR rows.
-            anbr = fg.anbr if fg.anbr is not None else fg.nbr
-            aelab = fg.aelab if fg.aelab is not None else fg.elab
-            chunks += [
-                fg.vlab.tobytes(),
-                fg.indptr.tobytes(),
-                fg.nbr.tobytes(),
-                fg.elab.tobytes(),
-                anbr.tobytes(),
-                aelab.tobytes(),
-            ]
-        body = b"".join(chunks)
-        blob_len = _HEADER + len(body)
-        digest = hashlib.sha256(body).digest()
-        header = (
-            _MAGIC
-            + blob_len.to_bytes(8, "big")
-            + digest
-            + len(meta).to_bytes(8, "big")
-        )
-        return header + body
-
-
-def _parse_blob(data) -> FlatDB:
-    """Rebuild a FlatDB from a serialized blob (bytes or memoryview).
-
-    Raises :class:`ArtifactCorrupt` on any malformed or digest-divergent
-    input — the caller decides whether that means "retry without shared
-    memory".
-    """
-    view = memoryview(data)
-    try:
-        if bytes(view[: len(_MAGIC)]) != _MAGIC:
-            raise ValueError("bad magic")
-        blob_len = int.from_bytes(view[8:16], "big")
-        digest = bytes(view[16:48])
-        meta_len = int.from_bytes(view[48:56], "big")
-        if blob_len < _HEADER + meta_len or blob_len > len(view):
-            raise ValueError("bad lengths")
-        body = view[_HEADER:blob_len]
-        if hashlib.sha256(body).digest() != digest:
-            raise ValueError("digest mismatch")
-        meta = pickle.loads(body[:meta_len])
-        gids = meta["gids"]
-        labels = meta["labels"]
-        shapes = meta["shapes"]
-    except ArtifactCorrupt:
-        raise
-    except Exception as exc:
-        raise ArtifactCorrupt(f"flat segment corrupt: {exc}") from exc
-
-    # Map the publisher's label ids into this process's interner.  For a
-    # fresh worker the interner is empty, so ids come out identical and
-    # every array below is a zero-copy view into the segment.
-    mapping = [INTERNER.intern(label) for label in labels]
-    identity = mapping == list(range(len(mapping)))
-
-    pad = (-(_HEADER + meta_len)) % 4
-    ints = view[_HEADER + meta_len + pad : blob_len].cast("i")
-    flats = {}
-    offset = 0
-    try:
-        for gid, (n, m) in zip(gids, shapes):
-            vlab = ints[offset : offset + n]
-            offset += n
-            indptr = ints[offset : offset + n + 1]
-            offset += n + 1
-            nbr = ints[offset : offset + 2 * m]
-            offset += 2 * m
-            elab = ints[offset : offset + 2 * m]
-            offset += 2 * m
-            anbr = ints[offset : offset + 2 * m]
-            offset += 2 * m
-            aelab = ints[offset : offset + 2 * m]
-            offset += 2 * m
-            if len(aelab) != 2 * m:
-                raise ValueError("truncated arrays")
-            if not identity:
-                vlab = array("i", (mapping[x] for x in vlab))
-                elab = array("i", (mapping[x] for x in elab))
-                aelab = array("i", (mapping[x] for x in aelab))
-            flats[gid] = FlatGraph(n, m, vlab, indptr, nbr, elab, anbr, aelab)
-    except ArtifactCorrupt:
-        raise
-    except Exception as exc:
-        raise ArtifactCorrupt(f"flat segment corrupt: {exc}") from exc
-    return FlatDB(gids, flats)
-
 
 # ----------------------------------------------------------------------
 # Per-database cache
@@ -644,109 +398,3 @@ def get_flat_db(database: GraphDatabase) -> FlatDB:
         return flat
     _FLAT_DBS[database] = flat
     return flat
-
-
-# ----------------------------------------------------------------------
-# Shared-memory segments
-# ----------------------------------------------------------------------
-_LIVE_SEGMENTS: dict[str, "FlatSegment"] = {}
-
-
-def _attach_untracked(name: str):
-    """``SharedMemory(name=...)`` without resource-tracker registration.
-
-    Attaching must not register the segment: the parent owns it, and
-    with the fork start method all processes share one tracker whose
-    per-name entry is a set — the parent's create-registration and a
-    worker's attach-registration collapse into one entry, so the second
-    unregister (attach + parent ``unlink``) makes the tracker process
-    spew ``KeyError`` tracebacks at exit.  Python 3.13 has
-    ``track=False`` for exactly this; on older versions the register
-    call is stubbed out for the duration of the constructor (attaches
-    happen during single-threaded worker startup).
-    """
-    from multiprocessing import shared_memory
-
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:
-        pass
-    from multiprocessing import resource_tracker
-
-    original = resource_tracker.register
-    resource_tracker.register = lambda *args, **kwargs: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = original
-
-
-class FlatSegment:
-    """A published read-only shared-memory copy of one :class:`FlatDB`."""
-
-    __slots__ = ("shm", "name")
-
-    def __init__(self, shm) -> None:
-        self.shm = shm
-        self.name = shm.name
-
-    @classmethod
-    def publish(cls, flat: FlatDB) -> "FlatSegment":
-        """Write ``flat`` into a fresh segment owned by this process."""
-        from multiprocessing import shared_memory
-
-        data = flat.to_bytes()
-        shm = shared_memory.SharedMemory(create=True, size=len(data))
-        shm.buf[: len(data)] = data
-        segment = cls(shm)
-        _LIVE_SEGMENTS[segment.name] = segment
-        COUNTERS.inc("shm_publishes")
-        return segment
-
-    def destroy(self) -> None:
-        """Close and unlink the segment (idempotent)."""
-        _LIVE_SEGMENTS.pop(self.name, None)
-        try:
-            self.shm.close()
-        except Exception:
-            pass
-        try:
-            self.shm.unlink()
-        except Exception:
-            pass
-
-
-def attach_segment(name: str) -> FlatDB:
-    """Map the segment ``name`` and rebuild its :class:`FlatDB`.
-
-    The returned FlatDB's arrays are views into the mapping; call
-    :meth:`FlatDB.release` when done with them.  Raises
-    :class:`ArtifactCorrupt` on integrity failure and whatever the
-    platform raises when the segment does not exist.
-    """
-    faults.fire(SITE_SHM_ATTACH, segment=name)
-    shm = _attach_untracked(name)
-    try:
-        data = shm.buf
-        if faults.active_plan() is not None:
-            # Chaos path only: materialize the bytes so the plan can
-            # corrupt them; production attaches stay zero-copy.
-            data = faults.mangle(SITE_SHM_ATTACH, bytes(data), segment=name)
-        flat = _parse_blob(data)
-    except BaseException:
-        shm.close()
-        raise
-    flat._segment = shm
-    COUNTERS.inc("shm_attaches")
-    return flat
-
-
-def live_segments() -> list[str]:
-    """Names of segments published by this process and not yet destroyed."""
-    return sorted(_LIVE_SEGMENTS)
-
-
-@atexit.register
-def _cleanup_segments() -> None:
-    for segment in list(_LIVE_SEGMENTS.values()):
-        segment.destroy()

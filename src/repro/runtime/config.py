@@ -55,20 +55,13 @@ class RuntimeConfig:
     kill_grace:
         Seconds to wait for a terminated worker before escalating to
         ``SIGKILL``.
-    shared_db:
-        Publish each unit's database as a read-only shared-memory
-        flat-array segment that worker attempts *map* instead of
-        receiving a pickled graph list per attempt.  Effective only
-        while the acceleration layer is on (``--no-accel`` disables it
-        with everything else); any publish/attach failure falls back to
-        pickled payloads for that unit.
     spill_dir:
         When set, unit databases whose graphs live in a SQLite storage
         backend (:mod:`repro.storage`) are shipped to workers as
-        ``(db path, gid list)`` references instead of pickled graphs or
-        shared-memory segments: each worker opens its own read-only
-        connection and streams rows through a bounded decode cache, so
-        the parent never materializes the unit.  The directory itself is
+        ``(db path, gid list)`` references instead of graph lists: each
+        worker opens its own read-only connection and streams rows
+        through a bounded decode cache, so the parent never materializes
+        the unit.  The directory itself is
         where in-memory databases are spilled to SQLite first when the
         source database is not already on disk.
     """
@@ -84,7 +77,6 @@ class RuntimeConfig:
     fallback: str = "serial"
     start_method: str | None = None
     kill_grace: float = 5.0
-    shared_db: bool = True
     spill_dir: str | None = None
 
     def __post_init__(self) -> None:

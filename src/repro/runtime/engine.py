@@ -259,23 +259,15 @@ def run_unit_mining(
     (and nothing else) uses ``miner_factory`` — the worker processes run
     ``worker`` (Gaston by default), matching the paper's unit miner.
 
-    When the acceleration layer is on and ``config.shared_db`` allows it,
-    each unit's database is published once as a read-only shared-memory
-    flat-array segment and attempts receive only its name — re-pickling
-    the graph list per attempt disappears.  Each published segment is
-    verified by an in-process attach (which is also the ``perf.shm_attach``
-    fault site); any failure quietly reverts that unit to the pickled
-    payload.  Segments are always destroyed before this function returns,
-    so crashed or killed workers cannot leak them.
-
-    Disk-backed units take precedence over both: a unit whose database
-    already lives in a SQLite storage backend ships only a read-only
-    database reference, and with ``config.spill_dir`` set, in-memory
-    unit databases are first *spilled* into per-unit SQLite files there
-    — either way workers open their own connections and the parent never
-    pickles a graph list.  Spill files are removed before returning.
+    An in-memory unit ships as its ``(gid, graph)`` list: inherited by a
+    forked worker, pickled once per attempt under ``forkserver`` /
+    ``spawn``.  A unit whose database already lives in a SQLite storage
+    backend ships only a read-only database reference, and with
+    ``config.spill_dir`` set, in-memory unit databases are first
+    *spilled* into per-unit SQLite files there — either way workers open
+    their own connections and the parent never pickles a graph list.
+    Spill files are removed before returning.
     """
-    from .. import perf
 
     def make_fallback(unit, threshold):
         def fallback() -> PatternSet:
@@ -290,8 +282,6 @@ def run_unit_mining(
         return fallback
 
     resolved_config = config or RuntimeConfig()
-    use_shm = resolved_config.shared_db and perf.enabled()
-    segments = []
     spill_dir = resolved_config.spill_dir
     spilled = [
         Path(spill_dir) / f"unit-{index:04d}.db" if spill_dir else None
@@ -300,42 +290,11 @@ def run_unit_mining(
 
     def unit_payload(index, unit, threshold) -> dict:
         spec = sqlite_spec(unit.database, spilled[index])
-        if spec is not None:
-            return {
-                "sqlite": spec,
-                "threshold": threshold,
-                "max_size": max_size,
-            }
-        payload = {
-            "graphs": list(unit.database),
-            "threshold": threshold,
-            "max_size": max_size,
-        }
-        if not use_shm:
-            return payload
-        from ..perf import flatgraph
-
-        try:
-            segment = flatgraph.FlatSegment.publish(
-                flatgraph.get_flat_db(unit.database)
-            )
-        except Exception:
-            return payload
-        try:
-            # Verify round-trip before shipping the name to workers;
-            # this attach is the parent-side perf.shm_attach fault site.
-            check = flatgraph.attach_segment(segment.name)
-            same = check.gids == unit.database.gids()
-            check.release()
-            if not same:
-                raise ValueError("segment gids diverge from unit database")
-        except Exception:
-            segment.destroy()
-            return payload
-        segments.append(segment)
-        del payload["graphs"]
-        payload["shm"] = segment.name
-        return payload
+        source = (
+            {"graphs": list(unit.database)} if spec is None
+            else {"sqlite": spec}
+        )
+        return {**source, "threshold": threshold, "max_size": max_size}
 
     tasks = [
         UnitTask(
@@ -352,8 +311,6 @@ def run_unit_mining(
             tasks, checkpoint=checkpoint, on_unit_complete=on_unit_complete
         )
     finally:
-        for segment in segments:
-            segment.destroy()
         for path in filter(None, spilled):
             for side in (path, path.with_name(path.name + "-wal"),
                          path.with_name(path.name + "-shm")):

@@ -1,15 +1,11 @@
 """Wire forms of a graph database shipped to a worker process.
 
-A worker payload describes its database in one of three ways:
+A worker payload describes its database in one of two ways:
 
 ``graphs``
-    a pickled ``(gid, graph)`` list (the original protocol);
-``shm``
-    the name of a shared-memory flat-array segment published by the
-    parent (:mod:`repro.perf.flatgraph`) — the worker maps it, rebuilds
-    the graphs and **adopts** the mapping as the rebuilt database's flat
-    compilation, so its support counting runs on the zero-copy segment
-    views instead of recompiling CSR buffers it already has mapped;
+    the ``(gid, graph)`` list the worker mines — inherited, never
+    pickled, under the ``fork`` start method, and pickled once per
+    attempt under ``forkserver`` / ``spawn``;
 ``sqlite``
     a storage-backend reference ``{"path", "gids", "cache"}`` — the
     worker opens its **own read-only connection** (never the parent's,
@@ -44,18 +40,6 @@ def payload_database(payload: dict, gids=None) -> GraphDatabase:
         return backend.database(
             gids=spec.get("gids") if gids is None else list(gids)
         )
-    name = payload.get("shm")
-    if name is not None:
-        from ..perf.flatgraph import attach_segment
-
-        flat = attach_segment(name)
-        try:
-            database = flat.to_database()
-        except BaseException:
-            flat.release()
-            raise
-        flat.adopt(database)
-        return database  # one segment per unit: never cut down
     graphs = payload["graphs"]
     if gids is not None:
         wanted = set(gids)

@@ -9,9 +9,9 @@ the file-level framing.
 
 Encoding must be **order-preserving**: mining output is byte-identical
 across backends only if a decoded graph iterates ``neighbors()`` in the
-same order as the live graph it was encoded from (the same contract
-:meth:`repro.perf.flatgraph.FlatGraph.to_labeled` honours for
-shared-memory payloads).  Graph rows therefore store the full adjacency
+same order as the live graph it was encoded from (the same contract a
+pickled unit payload honours: pickling keeps dict order).  Graph rows
+therefore store the full adjacency
 rows — both directions, in dict insertion order — not a ``(u < v)`` edge
 list, and the decoder rebuilds ``_adj`` directly.
 

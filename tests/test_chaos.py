@@ -211,31 +211,6 @@ def scenario_runtime_fallback(tmp_path, plan):
         assert pattern_text(got) == pattern_text(want)
 
 
-def scenario_perf_shm_attach(tmp_path, plan):
-    from repro.perf import flatgraph
-
-    db = random_database(seed=4100 + SEED, num_graphs=8, n=5, extra_edges=1)
-    units = db_partition(db, 2).units()
-    thresholds = [resolve_unit_threshold(u, 3, "exact") for u in units]
-    baseline = run_unit_mining(units, thresholds)
-
-    with plan.active():
-        try:
-            result = run_unit_mining(
-                units, thresholds, config=RuntimeConfig(max_workers=1)
-            )
-        except TYPED_FAILURES:
-            result = None
-    # However the attach failed — raised, or bytes corrupted and caught
-    # by the segment digest — the affected unit reverts to pickled
-    # payloads and the mined patterns are exactly the baseline's.
-    if result is not None:
-        for got, want in zip(result.unit_results, baseline.unit_results):
-            assert pattern_text(got) == pattern_text(want)
-    # Published segments are destroyed no matter what happened.
-    assert flatgraph.live_segments() == []
-
-
 def scenario_journal_replay(tmp_path, plan):
     db = random_database(seed=3600 + SEED, num_graphs=6, n=5)
     ufreq = hot_vertex_assignment(db, hot_fraction=0.3, seed=SEED)
@@ -486,7 +461,6 @@ SCENARIOS = {
     "graph.parse": scenario_graph_parse,
     "runtime.worker_start": scenario_runtime_worker_start,
     "runtime.fallback": scenario_runtime_fallback,
-    "perf.shm_attach": scenario_perf_shm_attach,
     "journal.replay": scenario_journal_replay,
     "cli.run": scenario_cli_run,
     "serve.request": scenario_serve_request,
@@ -506,7 +480,6 @@ BYTE_SITES = {
     "artifact.write",
     "artifact.read",
     "obs.sink_write",
-    "perf.shm_attach",
     "storage.write",
     "storage.read",
     "coord.shard_result",

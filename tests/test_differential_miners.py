@@ -158,8 +158,8 @@ class TestAsPartMinerUnitMiners:
 class TestAccelMatrix:
     """The acceleration layer is an *optimization*, never a semantic:
     accel off (the reference matcher), the batched kernel, and the
-    kernel over shared-memory workers must all mine byte-identical
-    pattern sets.
+    kernel behind parallel unit workers (graph-list payloads) must all
+    mine byte-identical pattern sets.
 
     The matrix is the lockdown for the flat plans
     (:mod:`repro.perf.fastmatch`), the batched scan kernel with its
@@ -168,7 +168,7 @@ class TestAccelMatrix:
     shortcut in any of them shows up here as a divergence from the
     accel-off baseline."""
 
-    MODES = ("off", "kernel", "kernel+shm")
+    MODES = ("off", "kernel", "kernel+parallel")
 
     @staticmethod
     def mine_in_mode(mode: str, db, threshold: int):
@@ -182,12 +182,12 @@ class TestAccelMatrix:
                 )
         if mode == "kernel":
             return PartMiner(k=2, unit_support="exact").mine(db, threshold)
-        if mode == "kernel+shm":
+        if mode == "kernel+parallel":
             return PartMiner(
                 k=2,
                 unit_support="exact",
                 parallel_units=True,
-                runtime=RuntimeConfig(max_workers=2, shared_db=True),
+                runtime=RuntimeConfig(max_workers=2),
             ).mine(db, threshold)
         raise AssertionError(mode)
 
@@ -201,20 +201,6 @@ class TestAccelMatrix:
                 assert_same_patterns(
                     got, want, f"accel[{mode}] seed={seed} sup={threshold}"
                 )
-
-    def test_shared_memory_mode_actually_uses_segments(self):
-        """The third matrix column must not silently degrade to pickles
-        (which would make its column vacuous)."""
-        from repro.perf import flatgraph
-        from repro.perf.counters import COUNTERS
-
-        db = small_db(SEEDS[0])
-        published_before = COUNTERS.shm_publishes
-        attached_before = COUNTERS.shm_attaches
-        self.mine_in_mode("kernel+shm", db, 2)
-        assert COUNTERS.shm_publishes > published_before
-        assert COUNTERS.shm_attaches > attached_before
-        assert flatgraph.live_segments() == []  # all destroyed after
 
     @pytest.mark.parametrize("name", ("gspan", "gaston", "fsg"))
     def test_standalone_miners_are_mode_invariant(self, name):

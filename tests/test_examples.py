@@ -11,7 +11,7 @@ EXAMPLES = Path(__file__).resolve().parent.parent / "examples"
 
 def run_example(name: str, timeout: int = 240) -> str:
     # -W error::ResourceWarning: an example leaking a handle (SQLite
-    # connection, shm segment, run-dir file) is a bug, not a warning.
+    # connection, run-dir file) is a bug, not a warning.
     proc = subprocess.run(
         [sys.executable, "-W", "error::ResourceWarning", str(EXAMPLES / name)],
         capture_output=True,

@@ -10,8 +10,8 @@ Three layers of "observationally identical", strongest last:
    produces byte-identical pattern dumps to the same run over the
    in-memory database;
 3. **The accel matrix, end to end**: the CLI mines the same dataset with
-   the database on disk under every acceleration mode (off / plans /
-   flat / flat+batch / flat+shm-parallel) and all pattern records are
+   the database on disk under every acceleration mode (off / kernel /
+   kernel behind spilled parallel units) and all pattern records are
    byte-identical to the in-memory baseline's.  Only the header's
    ``backend`` tag and the integrity footer (which hashes the header)
    may differ.
@@ -157,7 +157,7 @@ class TestMiningDifferential:
 ACCEL_MATRIX = [
     ("off", ["--no-accel"], []),
     ("kernel", [], []),
-    ("kernel+shm", [], ["--parallel", "--workers", "1"]),
+    ("kernel+parallel", [], ["--parallel", "--workers", "1"]),
 ]
 
 
@@ -193,6 +193,10 @@ def test_accel_matrix_byte_identical_on_disk(tmp_path):
     assert want, "baseline mined nothing — dataset too sparse"
     for mode, global_flags, mine_flags in ACCEL_MATRIX:
         out = tmp_path / f"{mode}.jsonl"
+        if "--parallel" in mine_flags:  # nothing reads a spill dir serially
+            mine_flags = [
+                *mine_flags, "--spill-dir", str(tmp_path / f"spill-{mode}")
+            ]
         stdout = run_cli(
             *global_flags,
             "mine",
@@ -205,8 +209,6 @@ def test_accel_matrix_byte_identical_on_disk(tmp_path):
             str(tmp_path / f"{mode}.db"),
             "--graph-cache",
             "6",
-            "--spill-dir",
-            str(tmp_path / f"spill-{mode}"),
             "--output",
             str(out),
         )
