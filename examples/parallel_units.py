@@ -17,9 +17,9 @@ Run:  python examples/parallel_units.py
 import time
 
 from repro import GSpanMiner, GastonMiner, generate_dataset, merge_join
-from repro.bench.timing import mine_units_in_processes
 from repro.core.partminer import resolve_unit_threshold
 from repro.partition.dbpartition import db_partition
+from repro.runtime import run_unit_mining
 
 K = 4
 MINSUP = 0.06
@@ -56,7 +56,7 @@ def main() -> None:
 
     # --- real process pool -------------------------------------------
     start = time.perf_counter()
-    pool_results = mine_units_in_processes(units, thresholds)
+    pool_results = run_unit_mining(units, thresholds).unit_results
     pool_time = time.perf_counter() - start
     print(f"process-pool mining:  {pool_time:.2f}s "
           f"({K} workers, includes spawn overhead)")

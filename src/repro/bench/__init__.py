@@ -1,16 +1,13 @@
-"""Benchmark harness: experiments, series, timing modes."""
+"""Benchmark harness: experiments, series, plots."""
 
 from .harness import Experiment, Series, dominates, load_experiment
 from .plots import render_line_chart, save_plots
-from .timing import Timer, mine_units_in_processes
 
 __all__ = [
     "Experiment",
     "Series",
-    "Timer",
     "dominates",
     "render_line_chart",
     "save_plots",
     "load_experiment",
-    "mine_units_in_processes",
 ]

@@ -122,20 +122,6 @@ def load_experiment(path: str | Path) -> Experiment:
     return exp
 
 
-def attach_runtime_telemetry(experiment: Experiment, telemetry) -> None:
-    """Record a runtime run's execution digest on an experiment.
-
-    ``telemetry`` is a :class:`~repro.runtime.telemetry.RunTelemetry`
-    (anything with a ``summary()``).  The digest — unit statuses, attempt
-    and retry counts, wall time — lands in ``experiment.notes['runtime']``
-    and is persisted by :meth:`Experiment.save`, so benchmark artifacts
-    carry the fault-tolerance story of the run that produced them
-    (degraded units in a timing run are a validity caveat worth keeping).
-    """
-    runs = experiment.notes.setdefault("runtime", [])
-    runs.append(telemetry.summary())
-
-
 def dominates(winner: Series, loser: Series) -> bool:
     """True if ``winner`` is below ``loser`` at every shared x (runtime wins)."""
     loser_points = dict(loser.points)

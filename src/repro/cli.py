@@ -138,8 +138,8 @@ def _supervision_configs(args: argparse.Namespace, balance="density"):
 
     Returns ``None`` after printing a one-line usage error when a flag
     is out of range, the combination is contradictory, or nothing would
-    read a flag (a pool flag without a pool, a pool for a miner that has
-    no units).
+    read a flag (a pool flag or ``--telemetry`` without a pool; a pool,
+    ``--trace`` or ``--profile`` for a miner other than PartMiner).
     """
     from .runtime import RuntimeConfig
 
@@ -174,14 +174,19 @@ def _supervision_configs(args: argparse.Namespace, balance="density"):
             spill_dir=flags.get("spill_dir"),
         )
         algorithm = flags.get("algorithm", "partminer")
-        if pool and algorithm != "partminer":
+        partminer_only = ([pool] if pool else []) + [
+            "--" + name for name in ("trace", "profile") if flags.get(name)
+        ]
+        if partminer_only and algorithm != "partminer":
             raise ValueError(
-                f"{pool} applies to --algorithm partminer only, "
-                f"not {algorithm}"
+                ", ".join(partminer_only)
+                + f" applies to --algorithm partminer only, not {algorithm}"
             )
         idle = [
             name
-            for name in ("workers", "unit_timeout", "retries", "spill_dir")
+            for name in (
+                "workers", "unit_timeout", "retries", "spill_dir", "telemetry"
+            )
             if flags.get(name) is not None
         ]
         if idle and not pool:

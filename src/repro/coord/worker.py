@@ -20,7 +20,7 @@ heartbeat thread and reports the return value.  The worker:
 
 from __future__ import annotations
 
-from ..mining.base import PatternSet
+from ..mining.base import PatternSet, mine_unit
 from ..obs import trace as obs_trace
 from ..resilience.errors import ArtifactCorrupt
 from ..runtime.checkpoint import CheckpointStore
@@ -38,13 +38,13 @@ def mine_shard(payload: dict, attempt: int, beat) -> dict:
     from ..mining.store import save_patterns
 
     chunks = [tuple(chunk) for chunk in payload["chunks"]]
-    threshold = payload["threshold"]
+    threshold, max_size = payload["threshold"], payload.get("max_size")
     store = CheckpointStore(payload["run_dir"])
     store.open(
         {
             "units": len(chunks),
             "thresholds": [threshold] * len(chunks),
-            "max_size": payload.get("max_size"),
+            "max_size": max_size,
         }
     )
 
@@ -59,8 +59,8 @@ def mine_shard(payload: dict, attempt: int, beat) -> dict:
             except ArtifactCorrupt:
                 patterns = None  # quarantined; re-mine below
         if patterns is None:
-            miner = GastonMiner(max_size=payload.get("max_size"))
-            patterns = miner.mine(payload_database(payload, gids), threshold)
+            database = payload_database(payload, gids)
+            patterns, _ = mine_unit(GastonMiner, database, threshold, max_size)
             store.save(
                 index,
                 patterns,

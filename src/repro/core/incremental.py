@@ -1,20 +1,24 @@
 """IncPartMiner: incremental mining under database updates (paper, Fig 12).
 
-After an initial PartMiner run, an update batch is handled as follows:
+IncPartMiner is PartMiner's phase 2 re-run on the part of the partition
+tree an update batch touched, on one held :class:`PartMiner`.  After the
+initial run, a batch is handled as follows:
 
 1. apply the updates to copies of the touched graphs — a batch that fails
    half-way leaves the miner exactly as it was — swap them in and
    re-partition **only the updated graphs** through the existing tree;
 2. re-mine only the *affected units* — leaves whose piece of an updated
-   graph changed (the paper's ``setword``) — with the memory-based miner;
-3. re-merge bottom-up, at every internal node with an affected unit below
-   it, by **delta counting** (``IncMergeJoin``): the set ``U`` of graphs
-   whose piece changed at the node is known and every other graph is the
-   graph it was, so an old pattern's TID list becomes
-   ``(tids - U) | {g in U : P in g}`` — ``|U|`` searches per pattern, exact
-   by construction — and a generator pair the node had already joined is
-   joined again only where a graph of ``U`` gained an edge its candidates
-   could use (see :class:`~repro.core.mergejoin.MergeDelta`);
+   graph changed (the paper's ``setword``) — with PartMiner's unit-mining
+   step;
+3. re-merge bottom-up with PartMiner's merge, at every internal node with
+   an affected unit below it, by **delta counting** (``IncMergeJoin``):
+   the set ``U`` of graphs whose piece changed at the node is known and
+   every other graph is the graph it was, so an old pattern's TID list
+   becomes ``(tids - U) | {g in U : P in g}`` — ``|U|`` searches per
+   pattern, exact by construction — and a generator pair the node had
+   already joined is joined again only where a graph of ``U`` gained an
+   edge its candidates could use (see
+   :class:`~repro.core.mergejoin.MergeDelta`);
 4. classify every pattern into **UF** (unchanged), **FI** (frequent ->
    infrequent) and **IF** (infrequent -> frequent).
 
@@ -32,11 +36,11 @@ reduced unit threshold it contains everything a from-scratch
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .. import obs
 from ..obs import metrics as obs_metrics
-from ..obs import trace as obs_trace
 from ..graph.database import GraphDatabase
 from ..mining.base import PatternSet
 from ..mining.edges import normalize_triple
@@ -45,14 +49,8 @@ from ..partition.dbpartition import Partitioner
 from ..partition.graphpart import GraphPartitioner
 from ..partition.units import PartitionNode, UfreqMap
 from ..updates.model import Update, apply_updates
-from .mergejoin import MergeDelta, MergeJoinStats, merge_join
-from .partminer import (
-    MinerFactory,
-    PartMiner,
-    PartMinerResult,
-    UnitSupport,
-    resolve_unit_threshold,
-)
+from .mergejoin import MergeDelta, MergeJoinStats
+from .partminer import MinerFactory, PartMiner, PartMinerResult, UnitSupport
 
 NodeKey = tuple[int, int]
 
@@ -77,7 +75,7 @@ class IncrementalStats:
     merge_times: dict[NodeKey, float] = field(default_factory=dict)
     merge_stats: dict[NodeKey, MergeJoinStats] = field(default_factory=dict)
     classify_time: float = 0.0
-    runtime_telemetry: object | None = None  # RunTelemetry (runtime remine)
+    runtime_telemetry: object | None = None  # RunTelemetry of the re-mine
 
     @property
     def known_reused(self) -> int:
@@ -157,6 +155,9 @@ class IncrementalPartMiner:
 
     Construct, call :meth:`initial_mine` once, then :meth:`apply_updates`
     for every batch.  The miner owns a private copy of the database.
+    Everything runs on :attr:`miner`, the one :class:`PartMiner` built
+    from the arguments: the initial mine, each batch's re-mine of the
+    affected units and its bottom-up re-merge.
     """
 
     def __init__(
@@ -170,18 +171,22 @@ class IncrementalPartMiner:
         runtime: object | None = None,
     ) -> None:
         """``runtime`` (a :class:`~repro.runtime.config.RuntimeConfig`)
-        re-mines affected units through the fault-tolerant parallel
-        runtime instead of in-process, recording execution telemetry on
+        mines units — the initial mine's and every batch's affected ones
+        — through the fault-tolerant parallel runtime instead of
+        in-process; a batch's execution telemetry lands on
         ``stats.runtime_telemetry``."""
-        self.k = k
-        self.partitioner = (
-            partitioner if partitioner is not None else GraphPartitioner()
+        self.miner = PartMiner(
+            k=k,
+            partitioner=(
+                partitioner if partitioner is not None else GraphPartitioner()
+            ),
+            miner_factory=miner_factory,
+            unit_support=unit_support,
+            strict_paper_joins=strict_paper_joins,
+            max_size=max_size,
+            parallel_units=runtime is not None,
+            runtime=runtime,
         )
-        self.miner_factory = miner_factory
-        self.unit_support = unit_support
-        self.strict_paper_joins = strict_paper_joins
-        self.max_size = max_size
-        self.runtime = runtime
         self._database: GraphDatabase | None = None
         self._ufreq: UfreqMap | None = None
         self._result: PartMinerResult | None = None
@@ -223,15 +228,7 @@ class IncrementalPartMiner:
             }
         self._ufreq = dict(ufreq)
         self._threshold = self._database.absolute_support(min_support)
-        miner = PartMiner(
-            k=self.k,
-            partitioner=self.partitioner,
-            miner_factory=self.miner_factory,
-            unit_support=self.unit_support,
-            strict_paper_joins=self.strict_paper_joins,
-            max_size=self.max_size,
-        )
-        self._result = miner.mine(
+        self._result = self.miner.mine(
             self._database, self._threshold, ufreq=self._ufreq
         )
         return self._result
@@ -269,143 +266,116 @@ class IncrementalPartMiner:
         return result
 
     def _apply_staged(self, staged: GraphDatabase) -> IncrementalResult:
-        old = self._result
+        miner, old = self.miner, self._result
         tree = old.tree
         threshold = self._threshold
         stats = IncrementalStats(updated_graphs=len(staged))
 
         # --- step 1: swap in the updated graphs, re-partition them -------
-        step = obs_trace.begin("inc.repartition")
-        t0 = time.perf_counter()
-        nodes = list(tree.nodes())
-        before = {
-            (_key(node), gid): _piece_elements(node, gid)
-            for node in nodes
-            for gid in staged.gids()
-        }
-        for gid, graph in staged:
-            self._database.replace(gid, graph)
-            self._pad_ufreq(gid)
-            self._repartition_graph(tree.root, gid)
-        # Per node: the gids whose piece changed there, each with the
-        # label triples of the edges its new piece gained.
-        touched: dict[NodeKey, dict[int, frozenset]] = {
-            _key(node): {} for node in nodes
-        }
-        for node in nodes:
-            for gid in staged.gids():
-                gained = _new_edge_triples(
-                    before[(_key(node), gid)], _piece_elements(node, gid)
-                )
-                if gained is not None:
-                    touched[_key(node)][gid] = gained
-        units = tree.units()
-        affected = [
-            i for i, unit in enumerate(units) if touched[_key(unit)]
-        ]
-        stats.affected_units = stats.units_remined = len(affected)
-        stats.changed_piece_pairs = sum(
-            len(touched[_key(units[i])]) for i in affected
-        )
-        stats.repartition_time = time.perf_counter() - t0
-        step.set_attrs(
-            updated_graphs=stats.updated_graphs,
-            affected_units=stats.affected_units,
-        )
-        obs_trace.finish(step)
+        with obs.span("inc.repartition") as step:
+            t0 = time.perf_counter()
+            nodes = list(tree.nodes())
+            before = {
+                (_key(node), gid): _piece_elements(node, gid)
+                for node in nodes
+                for gid in staged.gids()
+            }
+            for gid, graph in staged:
+                self._database.replace(gid, graph)
+                self._pad_ufreq(gid)
+                self._repartition_graph(tree.root, gid)
+            # Per node: the gids whose piece changed there, each with the
+            # label triples of the edges its new piece gained.
+            touched: dict[NodeKey, dict[int, frozenset]] = {
+                _key(node): {} for node in nodes
+            }
+            for node in nodes:
+                for gid in staged.gids():
+                    gained = _new_edge_triples(
+                        before[(_key(node), gid)], _piece_elements(node, gid)
+                    )
+                    if gained is not None:
+                        touched[_key(node)][gid] = gained
+            units = tree.units()
+            affected = [
+                i for i, unit in enumerate(units) if touched[_key(unit)]
+            ]
+            stats.affected_units = stats.units_remined = len(affected)
+            stats.changed_piece_pairs = sum(
+                len(touched[_key(units[i])]) for i in affected
+            )
+            stats.repartition_time = time.perf_counter() - t0
+            step.set_attrs(
+                updated_graphs=stats.updated_graphs,
+                affected_units=stats.affected_units,
+            )
 
         # --- step 2: re-mine affected units ------------------------------
-        step = obs_trace.begin("inc.remine")
-        new_unit_results = list(old.unit_results)
-        unit_times = [0.0] * len(units)
-        thresholds = {
-            i: resolve_unit_threshold(
-                units[i], threshold, self.unit_support, k=self.k
+        with obs.span("inc.remine") as step:
+            mined, times, stats.runtime_telemetry = miner._mine_units(
+                [units[i] for i in affected], threshold
             )
-            for i in affected
-        }
-        if self.runtime is not None and affected:
-            # Through the fault-tolerant runtime: only the affected units
-            # are dispatched, each with timeout/retry/degradation
-            # protection, and the run's telemetry lands on the stats.
-            from ..runtime import run_unit_mining
-
-            run = run_unit_mining(
-                [units[i] for i in affected],
-                [thresholds[i] for i in affected],
-                max_size=self.max_size,
-                config=self.runtime,
-                miner_factory=self.miner_factory,
-            )
-            stats.runtime_telemetry = run.telemetry
-            for i, mined, record in zip(
-                affected, run.unit_results, run.telemetry.units
-            ):
-                new_unit_results[i] = mined
-                unit_times[i] = record.wall_time
-        else:
-            for i in affected:
-                t0 = time.perf_counter()
-                miner = self.miner_factory()
-                if self.max_size is not None and hasattr(miner, "max_size"):
-                    miner.max_size = self.max_size
-                new_unit_results[i] = miner.mine(
-                    units[i].database, thresholds[i]
-                )
-                unit_times[i] = time.perf_counter() - t0
-        stats.remine_times = [unit_times[i] for i in affected]
-        stats.remine_time = sum(stats.remine_times)
-        step.set_attrs(units_remined=stats.units_remined)
-        obs_trace.finish(step)
-
-        # --- step 3: delta merge-join, bottom-up --------------------------
-        step = obs_trace.begin("inc.merge")
-        t0 = time.perf_counter()
-        node_results = dict(old.node_results)
-        for unit, mined in zip(units, new_unit_results):
-            node_results[_key(unit)] = mined
-        totals: dict[str, int] = {}
-        new_patterns = self._merge(
-            tree.root, old, node_results, touched, stats, totals
-        )
-        stats.merge_time = time.perf_counter() - t0
-        step.set_attrs(nodes=len(stats.merge_stats), **totals)
-        obs_trace.finish(step)
-
-        # --- step 4: classification ---------------------------------------
-        step = obs_trace.begin("inc.classify")
-        t0 = time.perf_counter()
-        unchanged = PatternSet(
-            p for p in new_patterns if p.key in old.patterns
-        )
-        became_frequent = PatternSet(
-            p for p in new_patterns if p.key not in old.patterns
-        )
-        became_infrequent = PatternSet(
-            p for p in old.patterns if p.key not in new_patterns
-        )
-        stats.classify_time = time.perf_counter() - t0
-        step.set_attrs(
-            uf=len(unchanged),
-            fi=len(became_infrequent),
-            if_=len(became_frequent),
-        )
-        obs_trace.finish(step)
-
-        # Commit the new state; its run facts are this batch's own.
-        self._result = PartMinerResult(
-            patterns=new_patterns,
+            step.set_attrs(units_remined=stats.units_remined)
+        new = PartMinerResult(
+            patterns=old.patterns,
             tree=tree,
             threshold=threshold,
-            unit_results=new_unit_results,
-            node_results=node_results,
-            unit_times=unit_times,
+            unit_results=list(old.unit_results),
+            node_results=dict(old.node_results),
+            unit_times=[0.0] * len(units),
             merge_times=stats.merge_times,
             merge_stats=stats.merge_stats,
             partition_time=stats.repartition_time,
         )
+        for i, found, elapsed in zip(affected, mined, times):
+            new.unit_results[i], new.unit_times[i] = found, elapsed
+            new.node_results[_key(units[i])] = found
+        stats.remine_times = times
+        stats.remine_time = sum(times)
+
+        # --- step 3: delta merge-join, bottom-up --------------------------
+        deltas = {
+            _key(node): MergeDelta(
+                old.node_results[_key(node)],
+                *(old.node_results[_key(child)] for child in node.children),
+                touched[_key(node)],
+            )
+            for node in nodes
+            if not node.is_leaf
+            and any(touched[_key(leaf)] for leaf in node.leaves())
+        }
+        with obs.span("inc.merge") as step:
+            t0 = time.perf_counter()
+            new.patterns = miner._combine(tree.root, threshold, new, deltas)
+            stats.merge_time = time.perf_counter() - t0
+            totals: Counter[str] = Counter()
+            for key, work in stats.merge_stats.items():
+                totals.update(deltas[key].facts(new.node_results[key], work))
+            step.set_attrs(nodes=len(stats.merge_stats), **totals)
+
+        # --- step 4: classification ---------------------------------------
+        with obs.span("inc.classify") as step:
+            t0 = time.perf_counter()
+            unchanged = PatternSet(
+                p for p in new.patterns if p.key in old.patterns
+            )
+            became_frequent = PatternSet(
+                p for p in new.patterns if p.key not in old.patterns
+            )
+            became_infrequent = PatternSet(
+                p for p in old.patterns if p.key not in new.patterns
+            )
+            stats.classify_time = time.perf_counter() - t0
+            step.set_attrs(
+                uf=len(unchanged),
+                fi=len(became_infrequent),
+                if_=len(became_frequent),
+            )
+
+        # Commit the new state; its run facts are this batch's own.
+        self._result = new
         return IncrementalResult(
-            patterns=new_patterns,
+            patterns=new.patterns,
             unchanged=unchanged,
             became_infrequent=became_infrequent,
             became_frequent=became_frequent,
@@ -431,7 +401,7 @@ class IncrementalPartMiner:
             )
         if node.children is None:
             return
-        bipart = self.partitioner(node.database[gid], node.ufreq[gid])
+        bipart = self.miner.partitioner(node.database[gid], node.ufreq[gid])
         parent_orig = node.orig_vertices[gid]
         node.connective_edges[gid] = tuple(
             (parent_orig[u], parent_orig[v])
@@ -445,64 +415,3 @@ class IncrementalPartMiner:
                 parent_orig[old] for old in side.orig_vertices
             )
             self._repartition_graph(child, gid)
-
-    # ------------------------------------------------------------------
-    def _merge(
-        self,
-        node: PartitionNode,
-        old: PartMinerResult,
-        node_results: dict[NodeKey, PatternSet],
-        touched: dict[NodeKey, dict[int, frozenset]],
-        stats: IncrementalStats,
-        totals: dict[str, int],
-    ) -> PatternSet:
-        """The node's result after the batch, stored in ``node_results``
-        (which starts as the pre-batch map) for every re-merged node."""
-        key = _key(node)
-        if node.is_leaf:
-            return node_results[key]
-        previous = old.node_results[key]
-        if not any(touched[_key(leaf)] for leaf in node.leaves()):
-            # No affected unit below: the cached results are still valid.
-            return previous
-        children = [
-            self._merge(child, old, node_results, touched, stats, totals)
-            for child in node.children
-        ]
-        threshold = node.support_threshold(self._threshold)
-        work = stats.merge_stats[key] = MergeJoinStats()
-        t0 = time.perf_counter()
-        with obs.span(
-            "merge.level", level=node.depth, index=node.index
-        ) as level_span:
-            merged = node_results[key] = merge_join(
-                node.database,
-                *children,
-                threshold,
-                strict_paper_joins=self.strict_paper_joins,
-                max_size=self.max_size,
-                stats=work,
-                delta=MergeDelta(
-                    previous,
-                    *(old.node_results[_key(c)] for c in node.children),
-                    touched[key],
-                ),
-            )
-            facts = {
-                "recounted": work.known_reused,
-                "recount_searches": work.recount_searches,
-                "fi": sum(1 for p in previous if p.key not in merged),
-                "pairs_skipped_untouched": work.join_pairs_untouched,
-                "candidates_counted": work.candidates_counted,
-                "if_": sum(1 for p in merged if p.key not in previous),
-            }
-            level_span.set_attrs(
-                patterns=len(merged),
-                threshold=threshold,
-                touched=len(touched[key]),
-                **facts,
-            )
-        for name, value in facts.items():
-            totals[name] = totals.get(name, 0) + value
-        stats.merge_times[key] = time.perf_counter() - t0
-        return merged

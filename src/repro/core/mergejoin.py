@@ -93,6 +93,20 @@ class MergeDelta:
     right: PatternSet
     touched: Mapping[int, frozenset[EdgeTriple]]
 
+    def facts(self, merged: PatternSet, stats: MergeJoinStats) -> dict:
+        """What the re-merge that returned ``merged`` did, as trace
+        attributes: old patterns recounted and the searches that took,
+        patterns lost (``fi``), joined pairs the batch could not lift,
+        candidates counted, and patterns gained (``if_``)."""
+        return {
+            "recounted": stats.known_reused,
+            "recount_searches": stats.recount_searches,
+            "fi": sum(1 for p in self.previous if p.key not in merged),
+            "pairs_skipped_untouched": stats.join_pairs_untouched,
+            "candidates_counted": stats.candidates_counted,
+            "if_": sum(1 for p in merged if p.key not in self.previous),
+        }
+
 
 def merge_join(
     dataset: GraphDatabase,

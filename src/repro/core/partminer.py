@@ -4,7 +4,10 @@ Phase 1 divides the database into ``k`` units with :func:`db_partition`;
 phase 2 mines every unit with a memory-based miner (Gaston by default, per
 the paper) at the reduced threshold ``sup/k``, then recursively recombines
 sibling results with :func:`merge_join` up the partition tree, finishing at
-the root with the full support threshold.
+the root with the full support threshold.  Phase 2 is two methods,
+:meth:`PartMiner._mine_units` and :meth:`PartMiner._combine`;
+IncPartMiner (:mod:`repro.core.incremental`, Fig 12) re-runs both on the
+part of the tree an update batch touched.
 
 Timing follows the paper's Section 5.1.3 methodology: *aggregate* (serial)
 time sums the per-unit and per-merge wall times; *parallel* time takes the
@@ -19,17 +22,17 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Mapping
 
 from .. import obs, perf
 from ..obs import metrics as obs_metrics
 from ..graph.database import GraphDatabase
-from ..mining.base import MiningStats, PatternSet
+from ..mining.base import PatternSet, mine_unit
 from ..mining.gaston import GastonMiner
 from ..partition.dbpartition import Partitioner, db_partition
 from ..partition.graphpart import GraphPartitioner
 from ..partition.units import PartitionNode, PartitionTree, UfreqMap
-from .mergejoin import MergeJoinStats, merge_join
+from .mergejoin import MergeDelta, MergeJoinStats, merge_join
 
 MinerFactory = Callable[[], object]
 
@@ -313,91 +316,35 @@ class PartMiner:
         partition_time = time.perf_counter() - t0
         obs_metrics.observe_phase("partition", partition_time)
 
-        result = PartMinerResult(
-            patterns=PatternSet(),
-            tree=tree,
-            threshold=threshold,
-            unit_results=[],
-            node_results={},
-            unit_times=[],
-            merge_times={},
-            merge_stats={},
-            partition_time=partition_time,
-            support_cache=self.support_cache,
-        )
-
-        # Phase 2a: mine the units (serially, or in a real process pool).
+        # Phase 2a: mine the units.
         units = tree.units()
-        thresholds = [
-            resolve_unit_threshold(
-                unit, threshold, self.unit_support, k=self.k
-            )
-            for unit in units
-        ]
         units_t0 = time.perf_counter()
         with obs.span(
             "partminer.units",
             units=len(units),
             parallel=self.parallel_units,
         ), profiler.phase("unit_mining"):
-            if self.parallel_units:
-                from ..runtime import CheckpointStore, run_unit_mining
-
-                checkpoint = None
-                if self.run_dir is not None:
-                    checkpoint = CheckpointStore(self.run_dir)
-                    checkpoint.open(
-                        {
-                            "units": len(units),
-                            "thresholds": thresholds,
-                            "max_size": self.max_size,
-                            "k": self.k,
-                            "root_threshold": threshold,
-                        }
-                    )
-                run = run_unit_mining(
-                    units,
-                    thresholds,
-                    max_size=self.max_size,
-                    config=self.runtime,
-                    checkpoint=checkpoint,
-                    miner_factory=self.miner_factory,
-                )
-                result.telemetry = run.telemetry
-                if checkpoint is not None:
-                    checkpoint.save_telemetry(run.telemetry)
-                for unit, mined, record in zip(
-                    units, run.unit_results, run.telemetry.units
-                ):
-                    result.unit_times.append(record.wall_time)
-                    result.unit_results.append(mined)
-                    result.node_results[(unit.depth, unit.index)] = mined
-            else:
-                for unit, unit_threshold in zip(units, thresholds):
-                    miner = self.miner_factory()
-                    if self.max_size is not None and hasattr(
-                        miner, "max_size"
-                    ):
-                        miner.max_size = self.max_size
-                    t0 = time.perf_counter()
-                    with obs.span(
-                        "unit.mine",
-                        unit=unit.index,
-                        depth=unit.depth,
-                        threshold=unit_threshold,
-                    ) as unit_span:
-                        mined = miner.mine(unit.database, unit_threshold)
-                        unit_span.set_attrs(patterns=len(mined))
-                        # Not every unit miner keeps MiningStats (FSG,
-                        # ADI have their own counters).
-                        stats = getattr(miner, "stats", None)
-                        if isinstance(stats, MiningStats):
-                            unit_span.set_attrs(**stats.prune_attrs())
-                    result.unit_times.append(time.perf_counter() - t0)
-                    result.unit_results.append(mined)
-                    result.node_results[(unit.depth, unit.index)] = mined
+            unit_results, unit_times, telemetry = self._mine_units(
+                units, threshold
+            )
         obs_metrics.observe_phase(
             "unit_mining", time.perf_counter() - units_t0
+        )
+        result = PartMinerResult(
+            patterns=PatternSet(),
+            tree=tree,
+            threshold=threshold,
+            unit_results=unit_results,
+            node_results={
+                (unit.depth, unit.index): mined
+                for unit, mined in zip(units, unit_results)
+            },
+            unit_times=unit_times,
+            merge_times={},
+            merge_stats={},
+            partition_time=partition_time,
+            telemetry=telemetry,
+            support_cache=self.support_cache,
         )
 
         # Phase 2b: recombine bottom-up along the tree.
@@ -418,17 +365,92 @@ class PartMiner:
         return result
 
     # ------------------------------------------------------------------
+    def _mine_units(
+        self, units: list[PartitionNode], root_threshold: int
+    ) -> tuple[list[PatternSet], list[float], object | None]:
+        """Mine ``units`` at their unit thresholds: each unit's patterns,
+        its wall time, and the runtime's telemetry (``None`` when serial).
+
+        Serially with one ``unit.mine`` span per unit, or, under
+        ``parallel_units``, through the fault-tolerant runtime,
+        checkpointed into ``run_dir`` when one is set.
+        """
+        thresholds = [
+            resolve_unit_threshold(
+                unit, root_threshold, self.unit_support, k=self.k
+            )
+            for unit in units
+        ]
+        if not self.parallel_units:
+            results, times = [], []
+            for unit, threshold in zip(units, thresholds):
+                t0 = time.perf_counter()
+                with obs.span(
+                    "unit.mine",
+                    unit=unit.index,
+                    depth=unit.depth,
+                    threshold=threshold,
+                ) as unit_span:
+                    mined, pruned = mine_unit(
+                        self.miner_factory,
+                        unit.database,
+                        threshold,
+                        self.max_size,
+                    )
+                    unit_span.set_attrs(patterns=len(mined), **pruned)
+                times.append(time.perf_counter() - t0)
+                results.append(mined)
+            return results, times, None
+
+        from ..runtime import CheckpointStore, run_unit_mining
+
+        checkpoint = None
+        if self.run_dir is not None:
+            checkpoint = CheckpointStore(self.run_dir)
+            checkpoint.open(
+                {
+                    "units": len(units),
+                    "thresholds": thresholds,
+                    "max_size": self.max_size,
+                    "k": self.k,
+                    "root_threshold": root_threshold,
+                }
+            )
+        run = run_unit_mining(
+            units,
+            thresholds,
+            max_size=self.max_size,
+            config=self.runtime,
+            checkpoint=checkpoint,
+            miner_factory=self.miner_factory,
+        )
+        if checkpoint is not None:
+            checkpoint.save_telemetry(run.telemetry)
+        times = [record.wall_time for record in run.telemetry.units]
+        return run.unit_results, times, run.telemetry
+
     def _combine(
         self,
         node: PartitionNode,
         root_threshold: int,
         result: PartMinerResult,
+        delta: Mapping[tuple[int, int], MergeDelta] | None = None,
     ) -> PatternSet:
+        """``node``'s patterns, merged bottom-up and recorded on ``result``
+        with each merged level's time and work.
+
+        ``delta`` makes the recursion Fig 12's IncMergeJoin.  It maps every
+        node with an affected unit below it to the node's
+        :class:`MergeDelta`.  A node it does not name keeps its previous
+        result from ``result.node_results``.
+        """
         key = (node.depth, node.index)
-        if node.is_leaf:
+        if node.is_leaf or (delta is not None and key not in delta):
             return result.node_results[key]
-        left = self._combine(node.children[0], root_threshold, result)
-        right = self._combine(node.children[1], root_threshold, result)
+        node_delta = delta[key] if delta else None
+        left = self._combine(node.children[0], root_threshold, result, delta)
+        right = self._combine(node.children[1], root_threshold, result, delta)
+        threshold = node.support_threshold(root_threshold)
         stats = MergeJoinStats()
         t0 = time.perf_counter()
         with obs.span(
@@ -438,16 +460,19 @@ class PartMiner:
                 node.database,
                 left,
                 right,
-                node.support_threshold(root_threshold),
+                threshold,
                 strict_paper_joins=self.strict_paper_joins,
                 max_size=self.max_size,
                 stats=stats,
                 support_cache=self.support_cache,
+                delta=node_delta,
             )
-            level_span.set_attrs(
-                patterns=len(merged),
-                threshold=node.support_threshold(root_threshold),
-            )
+            level_span.set_attrs(patterns=len(merged), threshold=threshold)
+            if node_delta is not None:
+                level_span.set_attrs(
+                    touched=len(node_delta.touched),
+                    **node_delta.facts(merged, stats),
+                )
         result.merge_times[key] = time.perf_counter() - t0
         result.merge_stats[key] = stats
         result.node_results[key] = merged

@@ -10,7 +10,7 @@ support counting cheaply.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol
 
 from ..graph.canonical import CodeKey, canonical_code
 from ..graph.database import GraphDatabase
@@ -171,3 +171,26 @@ class Miner(Protocol):
         fraction of the database size (float in (0, 1]).
         """
         ...
+
+
+def mine_unit(
+    factory: Callable[[], Miner],
+    database: GraphDatabase,
+    threshold: int,
+    max_size: int | None,
+) -> tuple[PatternSet, dict]:
+    """Mine one partition unit (or shard chunk) with a fresh miner.
+
+    The miner comes from ``factory`` and is capped at ``max_size`` edges
+    when it takes a cap.  Returns the patterns and the miner's
+    :meth:`MiningStats.prune_attrs` (empty for a miner that keeps other
+    counters, as FSG and ADIMINE do).
+    """
+    miner = factory()
+    if max_size is not None and hasattr(miner, "max_size"):
+        miner.max_size = max_size
+    patterns = miner.mine(database, threshold)
+    stats = getattr(miner, "stats", None)
+    return patterns, (
+        stats.prune_attrs() if isinstance(stats, MiningStats) else {}
+    )

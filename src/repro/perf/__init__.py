@@ -22,8 +22,8 @@ against the reference matcher.  One switch chooses between the two
 ``REPRO_NO_ACCEL`` environment variable — the escape hatch and the
 baseline the benchmarks compare against).
 
-Work counters live in :mod:`repro.perf.counters` (re-exported for
-benchmark code as :mod:`repro.bench.counters`).
+Work counters live in :mod:`repro.perf.counters`, the one import point
+for product and benchmark code alike.
 """
 
 from __future__ import annotations

@@ -20,11 +20,6 @@ locked series in the :mod:`repro.obs.metrics` registry (family
 :meth:`LiveCounters.inc`; attribute *reads* (``COUNTERS.vf2_calls``) and
 the snapshot/delta API are unchanged, and :class:`PerfCounters` remains
 the plain-int value object snapshots are made of.
-
-The module is re-exported as :mod:`repro.bench.counters` for benchmark
-code; the implementation lives here so the hot modules
-(:mod:`repro.graph.isomorphism`, :mod:`repro.core.join`) can import it
-without pulling in the benchmark harness.
 """
 
 from __future__ import annotations

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 from ..graph.labeled_graph import LabeledGraph
-from ..mining.base import Pattern, PatternSet
+from ..mining.base import Pattern, PatternSet, mine_unit
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..resilience import faults
@@ -84,10 +84,11 @@ def mine_unit_worker(payload: dict, attempt: int) -> list:
     """
     from ..mining.gaston import GastonMiner
 
-    database = payload_database(payload)
-    miner = GastonMiner(max_size=payload.get("max_size"))
-    mined = miner.mine(database, payload["threshold"])
-    obs_trace.annotate(**miner.stats.prune_attrs())
+    database, threshold = payload_database(payload), payload["threshold"]
+    mined, pruned = mine_unit(
+        GastonMiner, database, threshold, payload.get("max_size")
+    )
+    obs_trace.annotate(**pruned)
     return encode_patterns(mined)
 
 
@@ -239,7 +240,7 @@ class MiningRuntime:
 
 
 # ----------------------------------------------------------------------
-# High-level entry point used by PartMiner, IncPartMiner and the bench.
+# High-level entry point: PartMiner's parallel unit-mining step.
 # ----------------------------------------------------------------------
 def run_unit_mining(
     units,
@@ -274,10 +275,7 @@ def run_unit_mining(
             from ..mining.gaston import GastonMiner
 
             factory = miner_factory or GastonMiner
-            miner = factory()
-            if max_size is not None and hasattr(miner, "max_size"):
-                miner.max_size = max_size
-            return miner.mine(unit.database, threshold)
+            return mine_unit(factory, unit.database, threshold, max_size)[0]
 
         return fallback
 

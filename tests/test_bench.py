@@ -1,12 +1,6 @@
-"""Tests for the benchmark harness and timing utilities."""
+"""Tests for the benchmark harness."""
 
 from repro.bench.harness import Experiment, Series, dominates, load_experiment
-from repro.bench.timing import Timer, mine_units_in_processes
-from repro.core.partminer import resolve_unit_threshold
-from repro.mining.gaston import GastonMiner
-from repro.partition.dbpartition import db_partition
-
-from .conftest import random_database
 
 
 class TestSeries:
@@ -66,28 +60,3 @@ class TestDominates:
         a = Series("a", [(1, 1.0)])
         b = Series("b", [(2, 2.0)])
         assert not dominates(a, b)
-
-
-class TestTimer:
-    def test_measure_accumulates(self):
-        timer = Timer()
-        with timer.measure("work"):
-            sum(range(1000))
-        with timer.measure("work"):
-            sum(range(1000))
-        assert timer["work"] > 0
-        assert timer.total() == timer["work"]
-
-
-class TestProcessPoolMining:
-    def test_matches_serial_results(self):
-        db = random_database(seed=700, num_graphs=8, n=6)
-        tree = db_partition(db, 2)
-        units = tree.units()
-        thresholds = [
-            resolve_unit_threshold(u, 3, "paper") for u in units
-        ]
-        parallel = mine_units_in_processes(units, thresholds)
-        for unit, threshold, got in zip(units, thresholds, parallel):
-            want = GastonMiner().mine(unit.database, threshold)
-            assert got.keys() == want.keys()

@@ -318,8 +318,8 @@ class TestExitCodes:
 
 #: Supervision-policy flag combinations that must exit 2 with a one-line
 #: message: out-of-range values, flags that contradict each other, and
-#: flags nothing would read (a pool flag without a pool, a pool for a
-#: miner that has no units).
+#: flags nothing would read (a pool flag or --telemetry without a pool; a
+#: pool, --trace or --profile for a miner that has no units).
 BAD_POLICY_FLAGS = [
     (["--parallel", "--retries", "-1"], "max_retries"),
     (["--parallel", "--unit-timeout", "0"], "unit_timeout"),
@@ -336,11 +336,14 @@ BAD_POLICY_FLAGS = [
     (["--retries", "1"], "--retries given without"),
     (["--spill-dir", "d"], "--spill-dir given without"),
     *(
-        ([*pool, "--algorithm", algorithm],
-         f"{pool[0]} applies to --algorithm partminer only, not {algorithm}")
-        for pool in (["--parallel"], ["--shards", "2"])
+        ([*flag, "--algorithm", algorithm],
+         f"{flag[0]} applies to --algorithm partminer only, not {algorithm}")
+        for flag in (["--parallel"], ["--shards", "2"],
+                     ["--trace", "t.jsonl"], ["--profile"])
         for algorithm in ("gspan", "gaston", "adimine")
     ),
+    (["--telemetry", "t.json"],
+     "--telemetry given without --parallel or --shards"),
 ]
 BAD_BIG_POLICY_FLAGS = [
     (["--shards", "1"], "--shards"),

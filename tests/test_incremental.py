@@ -302,12 +302,54 @@ class TestRunFacts:
 
     def test_one_partitioner_for_the_session(self):
         inc = IncrementalPartMiner(k=4)
-        partitioner = inc.partitioner
+        partitioner = inc.miner.partitioner
         assert partitioner is not None
         db = random_database(seed=616, num_graphs=6, n=6)
         inc.initial_mine(db, 3)
         inc.apply_updates([RelabelVertex(0, 0, 2), RelabelVertex(1, 0, 2)])
-        assert inc.partitioner is partitioner
+        assert inc.miner.partitioner is partitioner
+
+
+class TestRuntimeSession:
+    """``runtime=`` sends the initial mine and every batch's re-mine
+    through the process pool, and the answers are the serial session's."""
+
+    def test_pool_session_equals_serial_session(self):
+        from repro.runtime import RuntimeConfig
+
+        db = random_database(seed=618, num_graphs=10, n=6)
+        ufreq = hot_vertex_assignment(db, hot_fraction=0.25, seed=1)
+        serial = IncrementalPartMiner(k=4)
+        pooled = IncrementalPartMiner(
+            k=4, runtime=RuntimeConfig(max_workers=2)
+        )
+
+        def answer(patterns):
+            return {p.key: (p.support, p.tids) for p in patterns}
+
+        want = serial.initial_mine(db, 3, ufreq=ufreq)
+        got = pooled.initial_mine(db, 3, ufreq=ufreq)
+        assert want.telemetry is None
+        assert got.telemetry.counts() == {"ok": 4}
+        assert answer(got.patterns) == answer(want.patterns)
+        gen = UpdateGenerator(3, 2, seed=13)
+        for kind in ("relabel", "structural", "mixed"):
+            updates = gen.generate(serial.database, serial.ufreq, 0.4, 2, kind)
+            want = serial.apply_updates(updates)
+            got = pooled.apply_updates(updates)
+            for found in ("patterns", "unchanged", "became_infrequent",
+                          "became_frequent"):
+                assert answer(getattr(got, found)) == answer(
+                    getattr(want, found)
+                )
+            assert want.stats.runtime_telemetry is None
+            remined = got.stats.runtime_telemetry.units
+            assert got.stats.affected_units == want.stats.affected_units
+            assert [r.unit for r in remined] == list(
+                range(got.stats.affected_units)
+            )
+            assert all(r.status == "ok" for r in remined)
+            assert [r.wall_time for r in remined] == got.stats.remine_times
 
 
 class TestBatchTrace:
@@ -333,11 +375,25 @@ class TestBatchTrace:
                 "inc.classify"} <= names
         wanted = {"recounted", "recount_searches", "fi",
                   "pairs_skipped_untouched", "candidates_counted", "if_"}
+        by_id = {s["span_id"]: s for s in spans}
+        # The re-mine is traced like a static mine's unit phase: one
+        # unit.mine per affected unit, with the miner's prune attributes.
+        (remine,) = [s for s in spans if s["name"] == "inc.remine"]
+        units = [s for s in spans if s["name"] == "unit.mine"]
+        assert len(units) == remine["attrs"]["units_remined"] == (
+            result.stats.units_remined
+        ) > 0
+        for unit in units:
+            assert by_id[unit["parent_id"]]["name"] == "inc.remine"
+            assert unit["attrs"]["threshold"] == 1  # ceil(3 / 4)
+            assert {"patterns", "candidates", "duplicates_pruned",
+                    "infrequent_edges"} <= unit["attrs"].keys()
         (merge,) = [s for s in spans if s["name"] == "inc.merge"]
         levels = [s for s in spans if s["name"] == "merge.level"]
         assert len(levels) == merge["attrs"]["nodes"] == len(
             result.stats.merge_stats
         )
+        assert all(by_id[s["parent_id"]] is merge for s in levels)
         for attr in wanted:
             assert merge["attrs"][attr] == sum(
                 s["attrs"][attr] for s in levels

@@ -4,7 +4,7 @@ Covers series semantics (counter monotonicity, gauge latest-wins,
 histogram cumulative buckets), family identity and conflict detection,
 the two export shapes (JSON snapshot, Prometheus text exposition), the
 kill switch on the hook helpers, concurrent increments, and the
-``repro.bench.counters`` shim over the registry-backed perf counters.
+registry-backed perf counters.
 """
 
 from __future__ import annotations
@@ -293,12 +293,6 @@ class TestHooks:
 # The perf-counter bridge
 # ----------------------------------------------------------------------
 class TestPerfBridge:
-    def test_bench_counters_shim_is_the_perf_module(self):
-        from repro.bench import counters as bench_counters
-        from repro.perf import counters as perf_counters
-
-        assert bench_counters.COUNTERS is perf_counters.COUNTERS
-
     def test_live_counters_back_onto_registry(self):
         from repro.perf.counters import COUNTERS, FAMILY
 
