@@ -1,13 +1,13 @@
-"""Putting mined patterns to work: top-k, coverage, and cross-matching.
+"""Putting mined patterns to work: coverage and cross-matching.
 
 Mining produces a pile of patterns; this example shows the consumption
 side of the library on a concrete scenario — two months of "transaction"
 graph snapshots:
 
-1. mine last month's database and take the **top-k** patterns without
-   guessing a threshold;
-2. pick a small **pattern team** that covers as many graphs as possible
-   (greedy max-coverage);
+1. mine last month's database at a support threshold;
+2. take a small **pattern team** — the first few patterns in the serving
+   catalog's order (smallest, then most frequent) — and measure how many
+   graphs it covers;
 3. **re-locate** the team over this month's (updated) database and compare
    supports — which behaviours persisted, grew, or vanished;
 4. drill into one pattern's exact **occurrences** (graph ids + vertex
@@ -17,6 +17,7 @@ Run:  python examples/pattern_explorer.py
 """
 
 from repro import (
+    GastonMiner,
     UpdateGenerator,
     generate_dataset,
     hot_vertex_assignment,
@@ -25,10 +26,12 @@ from repro import (
     min_dfs_code,
 )
 from repro.mining.base import PatternSet
-from repro.mining.select import greedy_cover, mine_top_k
 from repro.query import coverage
+from repro.serve import catalog_order
 from repro.updates.journal import UpdateJournal, replay
 from repro.updates.model import apply_updates
+
+MINSUP = 0.1
 
 
 def main() -> None:
@@ -37,15 +40,17 @@ def main() -> None:
     print(f"month 1: {len(month1)} graphs, "
           f"avg {month1.average_size():.1f} edges")
 
-    top = mine_top_k(month1, k=12, min_size=2)
-    print(f"\ntop {len(top)} patterns (>= 2 edges), no threshold needed:")
-    for pattern in top[:5]:
+    patterns = GastonMiner().mine(month1, MINSUP)
+    ordered = catalog_order(patterns)
+    print(f"\n{len(patterns)} patterns at minsup={MINSUP:.0%}, "
+          f"in catalog order:")
+    for pattern in ordered[:5]:
         print(f"  support={pattern.support:3d} size={pattern.size}  "
               f"{min_dfs_code(pattern.graph)}")
     print("  ...")
 
-    team, covered = greedy_cover(PatternSet(top), k=4)
-    fraction, _ = coverage(PatternSet(team), month1)
+    team = ordered[:4]
+    fraction, covered = coverage(PatternSet(team), month1)
     print(f"\npattern team: {len(team)} patterns cover "
           f"{fraction:.0%} of month 1 ({len(covered)} graphs)")
 

@@ -1,14 +1,13 @@
-"""A pattern warehouse: persist, reload, validate, and condense results.
+"""A pattern warehouse: persist, reload, validate, and update results.
 
 A production deployment of an incremental miner needs its state to
 outlive the process: the pattern sets (with TID lists) are saved after
-every session, validated on reload, and served in condensed form (closed /
-maximal patterns).  This example walks that whole lifecycle:
+every session and validated on reload.  This example walks that whole
+lifecycle:
 
 1. mine a database, persist the result (JSON-lines pattern store);
 2. "restart": reload, validate supports + Apriori closure;
-3. compact to closed and maximal representations and compare sizes;
-4. run an update session on top of the reloaded state and persist again.
+3. run an update session on top of the reloaded state and persist again.
 
 Run:  python examples/pattern_warehouse.py
 """
@@ -21,16 +20,13 @@ from repro import (
     GastonMiner,
     IncrementalPartMiner,
     UpdateGenerator,
-    closed_patterns,
     generate_dataset,
     hot_vertex_assignment,
-    maximal_patterns,
     read_patterns,
     save_patterns,
     validate,
 )
 from repro.graph import io as graph_io
-from repro.mining.closed import compression_ratio
 
 MINSUP = 0.08
 
@@ -58,17 +54,6 @@ def main() -> None:
     report = validate(reloaded, database)
     print(f"validation: {report.summary()}")
     assert report.ok
-
-    # --- condensed representations --------------------------------------
-    closed = closed_patterns(reloaded)
-    maximal = maximal_patterns(reloaded)
-    print(
-        f"condensed: {len(reloaded)} frequent -> {len(closed)} closed "
-        f"({compression_ratio(reloaded, closed):.0%} smaller) -> "
-        f"{len(maximal)} maximal "
-        f"({compression_ratio(reloaded, maximal):.0%} smaller)"
-    )
-    save_patterns(maximal, warehouse / "maximal.jsonl")
 
     # --- session 3: updates land on the warehouse -----------------------
     ufreq = hot_vertex_assignment(database, 0.2, seed=3)

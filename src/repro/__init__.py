@@ -41,8 +41,6 @@ from .mining import (
     GastonMiner,
     Pattern,
     PatternSet,
-    closed_patterns,
-    maximal_patterns,
     read_patterns,
     save_patterns,
     validate,
@@ -122,8 +120,6 @@ __all__ = [
     "apply_updates",
     "are_isomorphic",
     "canonical_code",
-    "closed_patterns",
-    "maximal_patterns",
     "read_patterns",
     "save_patterns",
     "validate",

@@ -220,7 +220,7 @@ class GraphDatabase:
         if isinstance(fraction_or_count, float) and 0 < fraction_or_count <= 1:
             import math
 
-            return max(1, math.ceil(fraction_or_count * len(self._graphs)))
+            return max(1, math.ceil(fraction_or_count * len(self)))
         count = int(fraction_or_count)
         if count < 1:
             raise ValueError(f"support must be positive, got {fraction_or_count}")

@@ -54,15 +54,8 @@ class _IndexBackedDatabase:
             self._memo[gid] = graph
         return graph
 
-    def absolute_support(self, fraction_or_count: float | int) -> int:
-        if isinstance(fraction_or_count, float) and 0 < fraction_or_count <= 1:
-            import math
-
-            return max(1, math.ceil(fraction_or_count * len(self)))
-        count = int(fraction_or_count)
-        if count < 1:
-            raise ValueError(f"support must be positive: {fraction_or_count}")
-        return count
+    # The one threshold rule; it reads nothing of the database but len().
+    absolute_support = GraphDatabase.absolute_support
 
 
 @dataclass

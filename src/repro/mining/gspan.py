@@ -61,20 +61,10 @@ class GSpanMiner:
     max_size:
         Optional bound on pattern size (number of edges); ``None`` mines the
         full frequent set.
-    growth_filter:
-        Optional predicate on pattern graphs.  A pattern for which it
-        returns ``False`` is neither reported nor grown — correct only for
-        **anti-monotone** conditions (violated patterns have no satisfying
-        supergraphs); :mod:`repro.mining.constraints` builds these.
     """
 
-    def __init__(
-        self,
-        max_size: int | None = None,
-        growth_filter=None,
-    ) -> None:
+    def __init__(self, max_size: int | None = None) -> None:
         self.max_size = max_size
-        self.growth_filter = growth_filter
         self.stats = MiningStats()
 
     # ------------------------------------------------------------------
@@ -88,10 +78,6 @@ class GSpanMiner:
 
         for fedge in frequent_edges(database, threshold):
             lu, le, lv = fedge.triple
-            if self.growth_filter is not None and not self.growth_filter(
-                fedge.to_graph()
-            ):
-                continue
             result.add(fedge.to_pattern())
             self.stats.patterns_found += 1
             if self.max_size is not None and self.max_size <= 1:
@@ -143,10 +129,6 @@ class GSpanMiner:
                 self.stats.duplicate_codes_pruned += 1
                 continue
             pattern_graph = DFSCode(tuple(new_code)).to_graph()
-            if self.growth_filter is not None and not self.growth_filter(
-                pattern_graph
-            ):
-                continue  # anti-monotone: the whole subtree is out
             result.add(Pattern.from_graph(pattern_graph, tids))
             self.stats.patterns_found += 1
             self._grow(database, threshold, new_code, projs, result)

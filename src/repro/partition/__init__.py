@@ -1,12 +1,5 @@
 """Graph and database partitioning: GraphPart, DBPartition, METIS baseline."""
 
-from .analysis import (
-    BipartitionQuality,
-    TreeQuality,
-    bipartition_quality,
-    compare_partitioners,
-    tree_quality,
-)
 from .dbpartition import db_partition, recommended_k, split_node
 from .graphpart import (
     Bipartition,
@@ -26,11 +19,6 @@ from .weights import (
 )
 
 __all__ = [
-    "BipartitionQuality",
-    "TreeQuality",
-    "bipartition_quality",
-    "compare_partitioners",
-    "tree_quality",
     "PARTITION1",
     "PARTITION2",
     "PARTITION3",

@@ -398,9 +398,11 @@ def _coord_run(tmp_path, db, support=3):
             kill_grace=2.0,
         ),
     )
-    return Coordinator(config, run_dir=tmp_path / "coord-run").mine(
-        db, support
-    )
+    # Two chunks of two graphs per shard put the chunk threshold at 1.
+    with pytest.warns(RuntimeWarning, match="chunk-local support 1"):
+        return Coordinator(config, run_dir=tmp_path / "coord-run").mine(
+            db, support
+        )
 
 
 def scenario_coord_lease(tmp_path, plan):

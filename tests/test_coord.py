@@ -183,7 +183,8 @@ def test_sharded_run_matches_serial_byte_for_byte(tmp_path):
         shards=4, chunk_size=2, heartbeat_interval=0.05,
         runtime=FAST,
     )
-    result = Coordinator(config, tmp_path / "run").mine(db, SUPPORT)
+    with pytest.warns(RuntimeWarning, match="chunk-local support 1"):
+        result = Coordinator(config, tmp_path / "run").mine(db, SUPPORT)
     assert pattern_text(result.patterns) == baseline
     assert all(
         record["status"] == "committed"
@@ -229,7 +230,9 @@ def test_chaos_gate_kills_and_corruption_still_byte_identical(tmp_path):
         ),
     )
     run_dir = tmp_path / "run"
-    with plan.active():
+    with plan.active(), pytest.warns(
+        RuntimeWarning, match="chunk-local support 1"
+    ):
         result = Coordinator(
             config, run_dir, on_event=on_event
         ).mine(db, SUPPORT)
@@ -299,7 +302,8 @@ def test_killed_coordinator_resumes_from_sqlite_checkpoints(tmp_path):
         shards=4, chunk_size=2, heartbeat_interval=0.05,
         runtime=FAST,
     )
-    result = Coordinator(config, run_dir).mine(db, SUPPORT)
+    with pytest.warns(RuntimeWarning, match="chunk-local support 1"):
+        result = Coordinator(config, run_dir).mine(db, SUPPORT)
     assert pattern_text(result.patterns) == baseline
     # The first run's durable progress was adopted, not re-mined:
     # either whole committed shards or checkpointed chunks.
@@ -331,7 +335,8 @@ def test_sqlite_backed_database_is_referenced_not_respilled(tmp_path):
             mem_budget=2, runtime=FAST,
         )
         run_dir = tmp_path / "run"
-        result = Coordinator(config, run_dir).mine(stored, SUPPORT)
+        with pytest.warns(RuntimeWarning, match="chunk-local support 1"):
+            result = Coordinator(config, run_dir).mine(stored, SUPPORT)
     assert pattern_text(result.patterns) == baseline
     assert not (run_dir / "spill.db").exists()  # referenced in place
 
@@ -341,7 +346,9 @@ def test_run_dir_pins_the_plan(tmp_path):
     config = CoordConfig(shards=2, heartbeat_interval=0.05, runtime=FAST)
     Coordinator(config, tmp_path / "run").mine(db, SUPPORT)
     other = CoordConfig(shards=4, heartbeat_interval=0.05, runtime=FAST)
-    with pytest.raises(CheckpointMismatch):
+    with pytest.raises(CheckpointMismatch), pytest.warns(
+        RuntimeWarning, match="chunk-local support 1"
+    ):
         Coordinator(other, tmp_path / "run").mine(db, SUPPORT)
     # The edge cap is identity too: checkpoints and committed shard
     # results mined uncapped must not be adopted by a capped resume.

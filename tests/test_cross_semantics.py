@@ -1,13 +1,9 @@
 """Cross-semantics invariants: induced vs monomorphic mining."""
 
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.graph.isomorphism import count_support, subgraph_exists
-from repro.mining.agm import AGMMiner
-from repro.mining.gspan import GSpanMiner
 
-from .conftest import random_database
 from .test_properties import connected_graphs, databases
 
 
@@ -21,20 +17,6 @@ class TestInducedVsMonomorphic:
         plain_support, plain_tids = count_support(pattern, db)
         assert induced_tids <= plain_tids
         assert induced_support <= plain_support
-
-    def test_agm_patterns_are_monomorphically_frequent_too(self):
-        """Induced support <= monomorphic support, so every AGM pattern
-        with >= 1 edge reappears in the gSpan result at the same
-        threshold."""
-        db = random_database(seed=1400, num_graphs=10, n=6)
-        agm = AGMMiner().mine(db, 3)
-        gspan = GSpanMiner().mine(db, 3)
-        for p in agm:
-            if p.graph.num_edges == 0:
-                continue  # single vertices are outside gSpan's universe
-            match = gspan.get(p.key)
-            assert match is not None, p
-            assert p.tids <= match.tids
 
     def test_complete_patterns_agree_across_semantics(self):
         """For a pattern as dense as its occurrences allow (a full

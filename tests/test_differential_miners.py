@@ -4,11 +4,6 @@ On randomized small databases (fixed seeds + Hypothesis-generated), all
 monomorphic miners — gSpan, Gaston, FSG and the brute-force oracle — must
 return *canonically identical* frequent sets (same keys, same TID lists)
 at several thresholds, both standalone and as PartMiner unit miners.
-
-AGM mines under **induced** semantics, so its frequent set is a different
-mathematical object; it is differentially checked against its own oracle
-(:class:`InducedBruteForceMiner`) and cross-checked via the containment
-every induced pattern must satisfy monomorphically.
 """
 
 from __future__ import annotations
@@ -18,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.partminer import PartMiner
-from repro.mining.agm import AGMMiner, InducedBruteForceMiner
 from repro.mining.bruteforce import BruteForceMiner
 from repro.mining.fsg import FSGMiner
 from repro.mining.gaston import GastonMiner
@@ -67,31 +61,6 @@ class TestStandalone:
                 got, want, f"{name} seed={seed} sup={threshold}"
             )
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_agm_agrees_with_induced_oracle(self, seed):
-        db = small_db(seed)
-        for threshold in THRESHOLDS:
-            want = InducedBruteForceMiner().mine(db, threshold)
-            got = AGMMiner().mine(db, threshold)
-            assert got.keys() == want.keys(), f"seed={seed} sup={threshold}"
-            for pattern in got:
-                assert pattern.tids == want.get(pattern.key).tids
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_agm_patterns_contained_in_monomorphic_result(self, seed):
-        """Bridge between the two semantics: every induced-frequent
-        edge-pattern is monomorphically frequent with a superset TID
-        list."""
-        db = small_db(seed)
-        agm = AGMMiner().mine(db, 3)
-        mono = GSpanMiner().mine(db, 3)
-        for pattern in agm:
-            if pattern.graph.num_edges == 0:
-                continue  # single vertices: outside the edge-set universe
-            match = mono.get(pattern.key)
-            assert match is not None
-            assert pattern.tids <= match.tids
-
     @settings(max_examples=12, deadline=None)
     @given(db=databases(max_graphs=5, max_vertices=5),
            threshold=st.integers(2, 3))
@@ -137,19 +106,6 @@ class TestAsPartMinerUnitMiners:
             miner_factory=MONOMORPHIC_MINERS[name],
         ).mine(db, 3)
         assert_same_patterns(result.patterns, want, f"k=4 {name}")
-
-    def test_agm_is_not_a_valid_unit_miner(self):
-        """Documenting the exclusion: AGM's induced supports undercount
-        monomorphic supports, so PartMiner's merge-join (which assumes
-        monomorphic TID lists) may lose patterns — AGM is deliberately
-        not part of the unit-miner equivalence class."""
-        db = small_db(505)
-        want = BruteForceMiner().mine(db, 2)
-        result = PartMiner(
-            k=2, unit_support="exact", miner_factory=AGMMiner
-        ).mine(db, 2)
-        # Soundness still holds (nothing invented)…
-        assert result.patterns.keys() <= want.keys()
 
 
 # ----------------------------------------------------------------------

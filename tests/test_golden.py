@@ -13,14 +13,17 @@ Database (vertex labels in parentheses, edge labels on dashes):
   G3:  (B)-y-(C)                a single edge
 """
 
+import contextlib
+
 import pytest
 
+from repro import perf
+from repro.core.join import SupportCounter
 from repro.core.partminer import PartMiner
 from repro.graph.canonical import canonical_code
 from repro.graph.database import GraphDatabase
+from repro.graph.isomorphism import count_support
 from repro.graph.labeled_graph import LabeledGraph
-from repro.mining.agm import AGMMiner, induced_pattern_key
-from repro.mining.closed import closed_patterns, maximal_patterns
 from repro.mining.gaston import GastonMiner
 from repro.mining.gspan import GSpanMiner
 
@@ -91,48 +94,39 @@ def test_golden_support2_adds_the_star_and_az():
     assert result.keys() == set(EXPECTED_SUP3)
 
 
-def test_golden_closed_and_maximal():
-    patterns = GSpanMiner().mine(golden_db(), 3)
-    closed = closed_patterns(patterns)
-    maximal = maximal_patterns(patterns)
-    # (A)-x-(B) has support 3 == support of its supergraph ABC -> not
-    # closed; (B)-y-(C) has support 4 > 3 -> closed; ABC -> closed+maximal.
-    assert closed.keys() == {
-        canonical_code(BC), canonical_code(ABC)
-    }
-    assert maximal.keys() == {canonical_code(ABC)}
+def golden_induced_support(pattern):
+    """Induced ``(support, tids)`` of ``pattern`` on :func:`golden_db`.
+
+    Counted both ways the product counts (``count_support`` and a level
+    ``SupportCounter``), under the kernel and under the reference
+    matcher; all four answers must agree.
+    """
+    answers = set()
+    for mode in (contextlib.nullcontext, perf.disabled):
+        with mode():
+            db = golden_db()
+            support, tids = count_support(pattern, db, induced=True)
+            answers.add((support, frozenset(tids)))
+            answers.add(SupportCounter(db).count(pattern, induced=True))
+    assert len(answers) == 1, answers
+    return answers.pop()
 
 
 def test_golden_induced_mining():
-    """Induced semantics at support 3, by hand:
+    """Induced semantics (``repro query --induced``), by hand:
 
-    vertices: (A) in G0,G1,G2 -> 3; (B) in all -> 4; (C) in all -> 4.
     edges (induced == plain for 2-vertex patterns on these graphs):
       (A)-x-(B) -> 3;  (B)-y-(C) -> 4.
     (A)-x-(B)-y-(C) as INDUCED 3-vertex pattern: in G0 yes, in G1 yes
     (vertices 0,1,2 — vertex 3 not selected), in G2 NO (the z-edge closes
-    the triangle).  -> support 2, excluded at threshold 3.
+    the triangle).  -> support 2, below threshold 3, though its
+    monomorphic support is 3.
     """
-    result = AGMMiner().mine(golden_db(), 3)
-    single_a = LabeledGraph()
-    single_a.add_vertex("A")
-    single_b = LabeledGraph()
-    single_b.add_vertex("B")
-    single_c = LabeledGraph()
-    single_c.add_vertex("C")
-    expected = {
-        induced_pattern_key(single_a),
-        induced_pattern_key(single_b),
-        induced_pattern_key(single_c),
-        induced_pattern_key(AB),
-        induced_pattern_key(BC),
-    }
-    assert result.keys() == expected
-    abc = result.get(induced_pattern_key(ABC))
-    assert abc is None  # induced support only 2
+    assert golden_induced_support(AB) == (3, frozenset({0, 1, 2}))
+    assert golden_induced_support(BC) == (4, frozenset({0, 1, 2, 3}))
+    assert golden_induced_support(ABC)[0] == 2  # below threshold 3
+    assert count_support(ABC, golden_db())[0] == 3  # monomorphic
 
 
 def test_golden_induced_at_support2_includes_the_path():
-    result = AGMMiner().mine(golden_db(), 2)
-    assert induced_pattern_key(ABC) in result.keys()
-    assert result.get(induced_pattern_key(ABC)).tids == {0, 1}
+    assert golden_induced_support(ABC) == (2, frozenset({0, 1}))

@@ -246,33 +246,6 @@ class TestIOProperties:
 # Extension invariants
 # ----------------------------------------------------------------------
 class TestExtensionProperties:
-    @settings(max_examples=10, deadline=None)
-    @given(databases(max_graphs=6, max_vertices=5))
-    def test_closed_set_is_lossless(self, db):
-        """Every frequent pattern has an equal-support closed witness."""
-        from repro.mining.closed import closed_patterns
-
-        patterns = GSpanMiner().mine(db, 2)
-        closed = closed_patterns(patterns)
-        for p in patterns:
-            assert any(
-                q.support == p.support
-                and q.size >= p.size
-                and subgraph_exists(p.graph, q.graph)
-                for q in closed
-            )
-
-    @settings(max_examples=10, deadline=None)
-    @given(databases(max_graphs=6, max_vertices=5))
-    def test_maximal_subset_of_closed(self, db):
-        from repro.mining.closed import closed_patterns, maximal_patterns
-
-        patterns = GSpanMiner().mine(db, 2)
-        assert (
-            maximal_patterns(patterns).keys()
-            <= closed_patterns(patterns).keys()
-        )
-
     @settings(max_examples=12, deadline=None)
     @given(databases(max_graphs=5, max_vertices=5))
     def test_store_roundtrip_property(self, db):
@@ -296,56 +269,3 @@ class TestExtensionProperties:
             pattern, target, induced=True
         ) or subgraph_exists(pattern, target)
 
-
-class TestSelectionProperties:
-    @settings(max_examples=10, deadline=None)
-    @given(databases(max_graphs=6, max_vertices=5), st.integers(1, 8))
-    def test_top_k_is_prefix_of_full_ranking(self, db, k):
-        from repro.mining.select import mine_top_k
-
-        top = mine_top_k(db, k)
-        full = sorted(
-            (p.support for p in GSpanMiner().mine(db, 1)), reverse=True
-        )
-        assert [p.support for p in top] == full[: len(top)]
-        assert len(top) == min(k, len(full))
-
-    @settings(max_examples=10, deadline=None)
-    @given(databases(max_graphs=6, max_vertices=5), st.integers(1, 4))
-    def test_greedy_cover_never_beats_itself(self, db, k):
-        """Coverage is monotone in k and selections stay deduplicated."""
-        from repro.mining.select import greedy_cover
-
-        patterns = GSpanMiner().mine(db, 2)
-        small, covered_small = greedy_cover(patterns, k)
-        large, covered_large = greedy_cover(patterns, k + 2)
-        assert covered_small <= covered_large
-        assert len({p.key for p in large}) == len(large)
-
-
-class TestConstraintProperties:
-    @settings(max_examples=10, deadline=None)
-    @given(databases(max_graphs=6, max_vertices=5), st.integers(1, 4))
-    def test_max_edges_pushdown_equals_filter(self, db, limit):
-        from repro.mining.constraints import ConstrainedMiner, MaxEdges
-
-        constrained = ConstrainedMiner([MaxEdges(limit)]).mine(db, 2)
-        reference = {
-            p.key
-            for p in GSpanMiner().mine(db, 2)
-            if p.size <= limit
-        }
-        assert constrained.keys() == reference
-
-    @settings(max_examples=10, deadline=None)
-    @given(databases(max_graphs=6, max_vertices=5))
-    def test_acyclic_pushdown_equals_filter(self, db):
-        from repro.mining.constraints import Acyclic, ConstrainedMiner
-
-        constrained = ConstrainedMiner([Acyclic()]).mine(db, 2)
-        reference = {
-            p.key
-            for p in GSpanMiner().mine(db, 2)
-            if p.graph.num_edges < p.graph.num_vertices
-        }
-        assert constrained.keys() == reference
