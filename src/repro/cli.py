@@ -23,6 +23,7 @@ Every command reads/writes the plain-text ``t/v/e`` graph format
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 import time
@@ -1107,6 +1108,13 @@ def main(argv: list[str] | None = None) -> int:
         from . import obs
 
         obs.set_enabled(False)
+    # A batch mine allocates millions of containers and leaves no reference
+    # cycles, so automatic cyclic collection only rescans live objects; the
+    # CLI owns the process and pauses it for those commands.  A long-lived
+    # `serve` keeps collecting.
+    paused = args.command in ("mine", "mine-big") and gc.isenabled()
+    if paused:
+        gc.disable()
     try:
         faults.fire(SITE_RUN, command=args.command)
         return args.func(args)
@@ -1124,6 +1132,9 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"repro: budget exceeded: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    finally:
+        if paused:
+            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,14 +1,15 @@
 """Graph substrate: labeled graphs, databases, I/O, isomorphism, canonical codes."""
 
-from .canonical import DFSCode, canonical_code, is_min_code, min_dfs_code
+from .canonical import (
+    DFSCode,
+    canonical_code,
+    canonical_form,
+    is_min_code,
+    min_dfs_code,
+)
 from .database import GraphDatabase
 from .dot import graph_to_dot, patterns_to_dot
-from .isomorphism import (
-    are_isomorphic,
-    count_support,
-    find_embeddings,
-    subgraph_exists,
-)
+from .isomorphism import are_isomorphic, count_support, subgraph_exists
 from .labeled_graph import LabeledGraph
 from .operations import DeletionCore, edge_deletion_cores, overlay_candidates
 
@@ -21,9 +22,9 @@ __all__ = [
     "LabeledGraph",
     "are_isomorphic",
     "canonical_code",
+    "canonical_form",
     "count_support",
     "edge_deletion_cores",
-    "find_embeddings",
     "is_min_code",
     "min_dfs_code",
     "overlay_candidates",

@@ -11,7 +11,9 @@ that keeps, for each candidate prefix, every embedding (partial DFS
 traversal) realizing it, and always explores the lexicographically smallest
 next edge first.  Sound pruning rules (forced backward edges; no forward
 extension that abandons pending edges; cross-edge death) make the first
-complete code found the minimum.
+complete code found the minimum.  The embeddings realizing it are the
+graph's automorphisms; :func:`canonical_form` keeps them as *orders*, which
+is how the merge-join overlays map one core onto another.
 
 Vertex and edge labels must be mutually comparable (all ints or all strings).
 """
@@ -203,12 +205,43 @@ def _extensions(
     return extensions
 
 
-def min_dfs_code(graph: LabeledGraph) -> DFSCode:
-    """Compute the minimum DFS code of a connected graph with >= 1 edge.
+def _search(
+    graph: LabeledGraph,
+    total_edges: int,
+    code: list[DFSEdge],
+    rmpath: list[int],
+    embeddings: list[_Embedding],
+) -> tuple[list[DFSEdge], list[_Embedding]] | None:
+    """Smallest completion of ``code``, with every embedding realizing it.
 
-    Raises :class:`ValueError` for empty or disconnected graphs (patterns in
-    frequent subgraph mining are connected by definition).
+    A module-level recursion: a self-referencing closure would leave a
+    reference cycle for the collector on every call.
     """
+    if len(code) == total_edges:
+        return code, embeddings
+    groups: dict[CodeKey, tuple[DFSEdge, list[_Embedding]]] = {}
+    for emb in embeddings:
+        for edge, new_vertex, graph_edge in _extensions(graph, emb, rmpath):
+            key = edge_sort_key(edge)
+            if key not in groups:
+                groups[key] = (edge, [])
+            groups[key][1].append(emb.extended(new_vertex, graph_edge))
+    for key in sorted(groups):
+        edge, group = groups[key]
+        i, j = edge[0], edge[1]
+        if i < j:  # forward: source depth on rmpath, then new vertex
+            depth = rmpath.index(i)
+            new_rmpath = rmpath[: depth + 1] + [j]
+        else:
+            new_rmpath = rmpath
+        result = _search(graph, total_edges, code + [edge], new_rmpath, group)
+        if result is not None:
+            return result
+    return None
+
+
+def _minimum(graph: LabeledGraph) -> tuple[list[DFSEdge], list[_Embedding]]:
+    """The minimum DFS code and every embedding realizing it."""
     if graph.num_edges == 0:
         raise ValueError("minimum DFS code requires at least one edge")
     if not graph.is_connected():
@@ -236,47 +269,58 @@ def min_dfs_code(graph: LabeledGraph) -> DFSCode:
                 )
     assert best_seed is not None
 
-    total_edges = graph.num_edges
-
-    def search(
-        code: list[DFSEdge], rmpath: list[int], embeddings: list[_Embedding]
-    ) -> list[DFSEdge] | None:
-        if len(code) == total_edges:
-            return code
-        groups: dict[CodeKey, tuple[DFSEdge, list[_Embedding]]] = {}
-        for emb in embeddings:
-            for edge, new_vertex, graph_edge in _extensions(graph, emb, rmpath):
-                key = edge_sort_key(edge)
-                if key not in groups:
-                    groups[key] = (edge, [])
-                groups[key][1].append(emb.extended(new_vertex, graph_edge))
-        for key in sorted(groups):
-            edge, group = groups[key]
-            i, j = edge[0], edge[1]
-            if i < j:  # forward: source depth on rmpath, then new vertex
-                depth = rmpath.index(i)
-                new_rmpath = rmpath[: depth + 1] + [j]
-            else:
-                new_rmpath = rmpath
-            result = search(code + [edge], new_rmpath, group)
-            if result is not None:
-                return result
-        return None
-
-    result = search([best_seed], [0, 1], seeds)
+    result = _search(graph, graph.num_edges, [best_seed], [0, 1], seeds)
     assert result is not None, "connected graph must have a complete DFS code"
-    return DFSCode(tuple(result))
+    return result
 
 
-# Process-wide codes by exact labelled structure, flattened into one tuple:
+def min_dfs_code(graph: LabeledGraph) -> DFSCode:
+    """Compute the minimum DFS code of a connected graph with >= 1 edge.
+
+    Raises :class:`ValueError` for empty or disconnected graphs (patterns in
+    frequent subgraph mining are connected by definition).
+    """
+    return DFSCode(tuple(_minimum(graph)[0]))
+
+
+# A canonical code and its orders: every ``order`` with code index i at
+# vertex ``order[i]``, one per automorphism.
+CanonicalForm = tuple[tuple[CodeKey, ...], tuple[tuple[int, ...], ...]]
+
+# Process-wide forms by exact labelled structure, flattened into one tuple:
 # the vertex count, the vertex labels in id order, then every edge's
-# (u, v, label).  Equal keys are identical graphs, so a hit is exact.
-# Units, merge levels and update batches meet the same shapes again on
-# fresh instances (copies, join overlays, re-mines) whose ``_canon`` slot
-# is empty.  No lock: a thread racing the clear costs a recompute or
+# (u, v, label).  Equal keys are identical graphs, so a hit is exact, and
+# the orders are in the ids every graph of that shape shares.  Units,
+# merge levels and update batches meet the same shapes again on fresh
+# instances (copies, join overlays, re-mines) whose ``_canon`` slot is
+# empty.  No lock: a thread racing the clear costs a recompute or
 # overshoots the cap by an entry, never a wrong code.
-_SHAPE_TABLE: dict[tuple, tuple[CodeKey, ...]] = {}
+_SHAPE_TABLE: dict[tuple, CanonicalForm] = {}
 _SHAPE_TABLE_LIMIT = 20_000
+
+
+def canonical_form(graph: LabeledGraph) -> CanonicalForm:
+    """``(canonical code, orders)`` of a connected graph with >= 1 edge.
+
+    The orders are every way of reading the minimum DFS code off
+    ``graph``: code index ``i`` sits at vertex ``order[i]``.  There is one
+    per automorphism, so two isomorphic graphs' isomorphisms are exactly
+    ``a[i] -> b[0]`` over the orders ``a`` of one and ``b`` of the other.
+
+    Served from the process-wide shape table; only its misses run the
+    minimum-code search (counted as ``canonical_codes``).
+    """
+    labels = graph._vertex_labels
+    shape = (len(labels), *labels, *chain.from_iterable(graph.edges()))
+    form = _SHAPE_TABLE.get(shape)
+    if form is None:
+        code, group = _minimum(graph)
+        form = (code_sort_key(code), tuple(tuple(emb.order) for emb in group))
+        COUNTERS.inc("canonical_codes")
+        if len(_SHAPE_TABLE) >= _SHAPE_TABLE_LIMIT:
+            _SHAPE_TABLE.clear()
+        _SHAPE_TABLE[shape] = form
+    return form
 
 
 def canonical_code(graph: LabeledGraph) -> tuple[CodeKey, ...]:
@@ -288,22 +332,13 @@ def canonical_code(graph: LabeledGraph) -> tuple[CodeKey, ...]:
     same scheme as the histogram cache), so repeated canonicalization of a
     long-lived pattern graph — join inputs recur across levels, nodes and
     update batches — costs a tuple compare after the first call.  Behind
-    that slot, a process-wide shape table serves any graph with exactly
-    the labels and edges of one coded before; only its misses run
-    :func:`min_dfs_code` (counted as ``canonical_codes``).
+    that slot, :func:`canonical_form`'s process-wide shape table serves
+    any graph with exactly the labels and edges of one coded before.
     """
     cached = graph._canon
     if cached is not None and cached[0] == graph.version:
         return cached[1]
-    labels = graph._vertex_labels
-    shape = (len(labels), *labels, *chain.from_iterable(graph.edges()))
-    code = _SHAPE_TABLE.get(shape)
-    if code is None:
-        code = min_dfs_code(graph).sort_key()
-        COUNTERS.inc("canonical_codes")
-        if len(_SHAPE_TABLE) >= _SHAPE_TABLE_LIMIT:
-            _SHAPE_TABLE.clear()
-        _SHAPE_TABLE[shape] = code
+    code = canonical_form(graph)[0]
     graph._canon = (graph.version, code)
     return code
 

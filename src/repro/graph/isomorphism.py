@@ -1,8 +1,9 @@
 """Subgraph isomorphism and graph isomorphism for labeled graphs.
 
 Implements a VF2-style backtracking matcher with label and degree pruning.
-This is the workhorse behind support counting (``CheckFrequency`` in the
-paper's Fig 11/12) and behind duplicate elimination fallbacks.
+It is the oracle behind support counting (``CheckFrequency`` in the
+paper's Fig 11/12), the engine of ``--no-accel``, and the occurrence
+enumerator of relocation and the MNI reference fold.
 
 The matcher finds *subgraph isomorphisms* in the paper's sense (Section 3):
 an injective mapping ``f`` from pattern vertices to target vertices that
@@ -12,7 +13,7 @@ the same label.  The target may have extra edges between mapped vertices
 uses).
 
 This module holds the **reference matcher** — :func:`find_embeddings` and
-:func:`subgraph_exists_reference`, recursive and dict-based, the oracle of
+:func:`subgraph_exists_reference`, dict-based backtracking, the oracle of
 the differential tests.  Existence checks (:func:`subgraph_exists`) and
 support counts (:func:`count_support`) are answered by the production
 kernel in :mod:`repro.perf.batchscan` instead — pattern compiled to a flat
@@ -109,91 +110,83 @@ def find_embeddings(
         yield {}
         return
 
-    mapping: dict[int, int] = {}
-    used: set[int] = set()
-    produced = 0
-
-    # Precompute, for each ordered vertex, its pattern neighbors that are
-    # already mapped when it is placed (and, for induced matching, the
-    # already-mapped non-neighbors whose images must stay non-adjacent).
+    # Per depth: the vertex placed there, its pattern neighbors already
+    # mapped by then, and (induced matching) the already-mapped
+    # non-neighbors whose images must stay non-adjacent.
     position = {v: i for i, v in enumerate(order)}
-    prior_neighbors: list[list[tuple[int, object]]] = []
-    prior_non_neighbors: list[list[int]] = []
+    steps: list[tuple[int, list[tuple[int, object]], list[int]]] = []
     for v in order:
         prior = [
             (w, label)
             for w, label in pattern.neighbors(v)
             if position[w] < position[v]
         ]
-        prior_neighbors.append(prior)
-        if induced:
-            neighbor_ids = set(pattern.neighbor_ids(v))
-            prior_non_neighbors.append(
-                [
-                    w
-                    for w in order[: position[v]]
-                    if w not in neighbor_ids
-                ]
-            )
-        else:
-            prior_non_neighbors.append([])
+        prior_non = [
+            w for w in order[: position[v]] if not pattern.has_edge(v, w)
+        ] if induced else []
+        steps.append((v, prior, prior_non))
 
-    def candidates(depth: int) -> Iterator[int]:
-        v = order[depth]
-        v_label = pattern.vertex_label(v)
-        prior = prior_neighbors[depth]
-        if prior:
-            # Candidates must be neighbors of an already-mapped vertex.
-            anchor, anchor_label = prior[0]
-            for cand, cand_elabel in target.neighbors(mapping[anchor]):
-                if cand in used or cand_elabel != anchor_label:
-                    continue
-                if target.vertex_label(cand) != v_label:
-                    continue
-                if target.degree(cand) < pattern.degree(v):
-                    continue
-                yield cand
-        else:
-            for cand in range(target.num_vertices):
-                if cand in used:
-                    continue
-                if target.vertex_label(cand) != v_label:
-                    continue
-                if target.degree(cand) < pattern.degree(v):
-                    continue
-                yield cand
-
-    def feasible(depth: int, cand: int) -> bool:
-        for w, label in prior_neighbors[depth]:
-            tw = mapping[w]
-            if not target.has_edge(cand, tw):
-                return False
-            if target.edge_label(cand, tw) != label:
-                return False
-        for w in prior_non_neighbors[depth]:
-            if target.has_edge(cand, mapping[w]):
-                return False  # induced matching: non-edge must stay one
-        return True
-
-    def backtrack(depth: int) -> Iterator[dict[int, int]]:
-        nonlocal produced
-        if depth == n:
+    # Backtracking over an explicit stack of candidate iterators, one per
+    # placed depth (a recursive closure would be a reference cycle per
+    # call).  ``stack[d]`` resumes only after depths > d are undone.
+    mapping: dict[int, int] = {}
+    used: set[int] = set()
+    produced = 0
+    stack = [_candidates(pattern, target, *steps[0], mapping, used)]
+    while stack:
+        depth = len(stack) - 1
+        cand = next(stack[-1], None)
+        if cand is not None:
+            mapping[order[depth]] = cand
+            used.add(cand)
+            if depth + 1 < n:
+                stack.append(
+                    _candidates(
+                        pattern, target, *steps[depth + 1], mapping, used
+                    )
+                )
+                continue
             produced += 1
             yield dict(mapping)
-            return
-        v = order[depth]
-        for cand in candidates(depth):
-            if not feasible(depth, cand):
-                continue
-            mapping[v] = cand
-            used.add(cand)
-            yield from backtrack(depth + 1)
-            used.discard(cand)
-            del mapping[v]
-            if limit is not None and produced >= limit:
+        else:
+            stack.pop()
+            depth -= 1  # the vertex above has exhausted its subtree
+            if depth < 0:
                 return
+        used.discard(mapping.pop(order[depth]))
+        if limit is not None and produced >= limit:
+            return
 
-    yield from backtrack(0)
+
+def _candidates(
+    pattern: LabeledGraph,
+    target: LabeledGraph,
+    v: int,
+    prior: list[tuple[int, object]],
+    prior_non: list[int],
+    mapping: dict[int, int],
+    used: set[int],
+) -> Iterator[int]:
+    """Unused target vertices that can take pattern vertex ``v``: same
+    label, enough degree, and every edge to the mapped vertices kept
+    (every non-edge too, for induced matching)."""
+    v_label = pattern.vertex_label(v)
+    pool = (
+        target.neighbor_ids(mapping[prior[0][0]])  # next to a mapped vertex
+        if prior
+        else range(target.num_vertices)
+    )
+    for cand in pool:
+        if cand in used or target.vertex_label(cand) != v_label:
+            continue
+        if target.degree(cand) < pattern.degree(v):
+            continue
+        row = target.adjacency(cand)
+        if all(
+            mapping[w] in row and row[mapping[w]] == label
+            for w, label in prior
+        ) and not any(mapping[w] in row for w in prior_non):
+            yield cand
 
 
 def subgraph_exists(

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import CodeKey, canonical_code
-from .isomorphism import find_embeddings
+from .canonical import CodeKey, canonical_form
 from .labeled_graph import Label, LabeledGraph
 
 
@@ -23,17 +22,17 @@ from .labeled_graph import Label, LabeledGraph
 class DeletionCore:
     """A connected core obtained from a pattern by deleting one edge.
 
-    ``core`` has densely renumbered vertices; ``core_to_parent`` maps core
-    vertex ids back to the parent pattern's ids.  The removed edge is
-    described relative to the core: ``anchor`` is the core vertex id of the
-    surviving endpoint; ``other`` is the core vertex id of the second
-    endpoint, or ``None`` if deleting the edge isolated it (in which case
+    Every vertex id is the parent pattern's.  ``orders`` reads the core's
+    canonical code ``core_key`` off the parent, one order per automorphism
+    of the core: code index ``i`` sits at parent vertex ``order[i]`` (see
+    :func:`~repro.graph.canonical.canonical_form`).  The removed edge runs
+    from ``anchor``, a core vertex, to ``other`` — a core vertex too, or
+    ``None`` if deleting the edge isolated it (in which case
     ``other_label`` carries its vertex label).
     """
 
-    core: LabeledGraph
     core_key: tuple[CodeKey, ...]
-    core_to_parent: tuple[int, ...]
+    orders: tuple[tuple[int, ...], ...]
     anchor: int
     other: int | None
     other_label: Label
@@ -66,20 +65,20 @@ def edge_deletion_cores(pattern: LabeledGraph) -> list[DeletionCore]:
         core = work.induced_subgraph(keep)
         if not core.is_connected() or core.num_edges != pattern.num_edges - 1:
             continue
-        parent_to_core = {old: new for new, old in enumerate(keep)}
         if dropped is None:
-            anchor, other = parent_to_core[u], parent_to_core[v]
+            anchor, other = u, v
             other_label = pattern.vertex_label(v)
         else:
-            survivor = v if dropped == u else u
-            anchor = parent_to_core[survivor]
+            anchor = v if dropped == u else u
             other = None
             other_label = pattern.vertex_label(dropped)
+        core_key, orders = canonical_form(core)
         cores.append(
             DeletionCore(
-                core=core,
-                core_key=canonical_code(core),
-                core_to_parent=tuple(keep),
+                core_key=core_key,
+                orders=tuple(
+                    tuple(keep[i] for i in order) for order in orders
+                ),
                 anchor=anchor,
                 other=other,
                 other_label=other_label,
@@ -108,16 +107,19 @@ def overlay_candidates(
     host instance) suppresses duplicates *before* any canonicalization —
     symmetric cores otherwise regenerate the same candidate once per
     automorphism.
+
+    The core isomorphisms need no search: both cores carry their canonical
+    orders, and donor order ``i`` followed by host order 0 (code index ->
+    host vertex) is one isomorphism per automorphism of the core — all of
+    them.
     """
     if donor_core.core_key != host_core.core_key:
         return []
     seen = seen_signatures if seen_signatures is not None else set()
     candidates: list[LabeledGraph] = []
-    host_of_core = host_core.core_to_parent
-    for phi in find_embeddings(donor_core.core, host_core.core):
-        # phi: donor-core vertex -> host-core vertex; cores are isomorphic so
-        # phi is a bijection.
-        anchor_host = host_of_core[phi[donor_core.anchor]]
+    host_order = host_core.orders[0]
+    for donor_order in donor_core.orders:
+        anchor_host = host_order[donor_order.index(donor_core.anchor)]
         if donor_core.other is None:
             # The donor edge's far endpoint was dropped with the deletion, so
             # in the overlay it may become a brand-new vertex or coincide
@@ -154,7 +156,7 @@ def overlay_candidates(
                 candidate.add_edge(anchor_host, w, donor_core.edge_label)
                 candidates.append(candidate)
         else:
-            other_host = host_of_core[phi[donor_core.other]]
+            other_host = host_order[donor_order.index(donor_core.other)]
             if host.has_edge(anchor_host, other_host):
                 continue  # donor edge coincides with an existing host edge
             signature = (

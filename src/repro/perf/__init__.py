@@ -3,9 +3,9 @@
 ``CheckFrequency`` asks one question — which graphs contain this
 pattern? — and there are two ways to answer it:
 
-* the **reference matcher** (:func:`repro.graph.isomorphism.find_embeddings`
-  / ``subgraph_exists_reference``): recursive, dict-based, the oracle of
-  every differential test;
+* the **reference matcher** (:mod:`repro.graph.isomorphism`'s embedding
+  enumerator and ``subgraph_exists_reference``): dict-based backtracking,
+  the oracle of every differential test;
 * the **production kernel** (:mod:`repro.perf.batchscan`): patterns
   compiled to flat plans (:mod:`repro.perf.fastmatch`), graphs to CSR
   arrays (:mod:`repro.perf.flatgraph`), an integer-space admit prefilter

@@ -422,8 +422,8 @@ def flat_embeddings(
     assignment buffer — ``item[d]`` is the image of plan position ``d``
     (pattern vertex ``plan.order[d]``) for ``d < plan.n`` — valid until
     the generator is resumed; copy it to keep it.  Monomorphism semantics
-    only (the set of mappings equals
-    :func:`repro.graph.isomorphism.find_embeddings`).
+    only (the set of mappings equals the reference matcher's in
+    :mod:`repro.graph.isomorphism`).
 
     ``roots`` restricts the depth-0 candidates to the given vertex ids
     (those carrying another label are skipped); the default is every

@@ -92,6 +92,31 @@ def permuted_copy(graph: LabeledGraph, perm: list[int]) -> LabeledGraph:
     return clone
 
 
+def deletion_core_graph(parent: LabeledGraph, core) -> LabeledGraph:
+    """Rebuild a :class:`~repro.graph.operations.DeletionCore`'s graph from
+    its parent as ``edge_deletion_cores`` builds it: the parent minus the
+    removed edge, on the core's vertices renumbered in ascending order."""
+    kept = sorted(core.orders[0])
+    far = core.other
+    if far is None:  # the endpoint the deletion isolated
+        far = next(v for v in parent.vertices() if v not in kept)
+    work = parent.copy()
+    work.remove_edge(core.anchor, far)
+    return work.induced_subgraph(kept)
+
+
+def reads_code(graph: LabeledGraph, order, code) -> bool:
+    """True if ``order`` (DFS code index -> vertex of ``graph``) maps every
+    edge of ``code`` onto an equally labelled edge of ``graph``."""
+    return all(
+        graph.vertex_label(order[i]) == li
+        and graph.vertex_label(order[j]) == lj
+        and graph.has_edge(order[i], order[j])
+        and graph.edge_label(order[i], order[j]) == le
+        for i, j, li, le, lj in code.edges
+    )
+
+
 @pytest.fixture
 def small_db() -> GraphDatabase:
     """A tiny deterministic database with known frequent patterns.

@@ -9,12 +9,18 @@ from repro.core.join import (
     join_single_edges,
     pattern_edge_triples,
 )
-from repro.graph.canonical import canonical_code
+from repro.graph.canonical import canonical_code, min_dfs_code
 from repro.graph.database import GraphDatabase
 from repro.graph.labeled_graph import LabeledGraph
 from repro.mining.base import Pattern
 
-from .conftest import make_graph, path_graph, triangle
+from .conftest import (
+    deletion_core_graph,
+    make_graph,
+    path_graph,
+    reads_code,
+    triangle,
+)
 
 
 def pat(graph, tids=(0,)):
@@ -160,11 +166,9 @@ class TestCoreCache:
         p = pat(triangle(labels=(1, 2, 3)), tids=(0,))
         graph, cores = cached_deletion_cores(p)
         for core in cores:
-            for v in core.core.vertices():
-                parent = core.core_to_parent[v]
-                assert core.core.vertex_label(v) == graph.vertex_label(
-                    parent
-                )
+            code = min_dfs_code(deletion_core_graph(graph, core))
+            for order in core.orders:
+                assert reads_code(graph, order, code)
 
 
 class TestOverlaySignatures:

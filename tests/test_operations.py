@@ -2,12 +2,20 @@
 
 import random
 
-from repro.graph.canonical import canonical_code
+from repro.graph.canonical import canonical_code, min_dfs_code
 from repro.graph.isomorphism import subgraph_exists
 from repro.graph.labeled_graph import LabeledGraph
 from repro.graph.operations import edge_deletion_cores, overlay_candidates
 
-from .conftest import make_graph, path_graph, random_graph, star_graph, triangle
+from .conftest import (
+    deletion_core_graph,
+    make_graph,
+    path_graph,
+    random_graph,
+    reads_code,
+    star_graph,
+    triangle,
+)
 
 
 class TestEdgeDeletionCores:
@@ -20,14 +28,14 @@ class TestEdgeDeletionCores:
         # dropped), so both produce a core.
         assert len(cores) == 2
         for core in cores:
-            assert core.core.num_edges == 1
+            assert len(core.core_key) == 1  # one code entry per core edge
             assert core.other is None  # deleting a path end isolates it
 
     def test_triangle_cores(self):
         cores = edge_deletion_cores(triangle())
         assert len(cores) == 3
         for core in cores:
-            assert core.core.num_edges == 2
+            assert len(core.core_key) == 2
             assert core.other is not None  # no vertex is isolated
 
     def test_disconnecting_deletion_skipped(self):
@@ -46,13 +54,19 @@ class TestEdgeDeletionCores:
     def test_core_mapping_back_to_parent(self):
         g = triangle(labels=(10, 20, 30))
         for core in edge_deletion_cores(g):
-            for v in core.core.vertices():
-                parent = core.core_to_parent[v]
-                assert core.core.vertex_label(v) == g.vertex_label(parent)
+            code = min_dfs_code(deletion_core_graph(g, core))
+            for order in core.orders:
+                # Every order reads the core's code off the parent's ids,
+                # and the removed edge is not one of the code's edges.
+                assert reads_code(g, order, code)
+                assert {core.anchor, core.other} not in [
+                    {order[i], order[j]} for i, j, *_ in code.edges
+                ]
 
     def test_core_key_is_canonical(self):
         for core in edge_deletion_cores(triangle()):
-            assert core.core_key == canonical_code(core.core)
+            graph = deletion_core_graph(triangle(), core)
+            assert core.core_key == canonical_code(graph)
 
 
 class TestOverlayCandidates:
