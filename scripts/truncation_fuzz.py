@@ -2,7 +2,7 @@
 """Truncation/bit-flip fuzz over every durable artifact loader.
 
 For each artifact kind the pipeline persists (pattern store, fragment
-index, catalog snapshot, update journal, checkpoint unit), write a good
+index, catalog snapshot and its index, update journal, checkpoint unit), write a good
 copy, then hammer it with byte-level damage — truncation at every cut
 fraction and single-bit flips at seeded positions — and load it.  The
 contract under test (DESIGN.md §10):
@@ -28,7 +28,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-from repro.graph.io import dumps as dump_db
 from repro.mining.gspan import GSpanMiner
 from repro.mining.store import dump_patterns, read_patterns, save_patterns
 from repro.serve.catalog import PatternCatalog
@@ -111,21 +110,28 @@ def build_targets(seed):
         journal.dump(buffer)
         return buffer.getvalue()
 
-    def write_snapshot(workdir):
-        catalog = PatternCatalog(workdir / "catalog")
-        catalog.publish(patterns, database=db)
-        return workdir / "catalog" / "snapshot-000001" / "patterns.jsonl"
+    def snapshot_writer(name):
+        # Damage one file of a published snapshot: its pattern store or
+        # its digest-stamped fragment index.
+        def write_snapshot(workdir):
+            PatternCatalog(workdir / "catalog").publish(patterns, database=db)
+            return workdir / "catalog" / "snapshot-000001" / name
 
-    def load_snapshot(path):
-        catalog = PatternCatalog(path.parent.parent)
-        snapshot = catalog.load(fallback=False)
-        return pattern_text(snapshot.patterns) + dump_db(db)
+        return write_snapshot
+
+    def load_catalog(path):
+        snapshot = PatternCatalog(path.parent.parent).load(fallback=False)
+        served = snapshot.index.stale_gids(db)
+        return pattern_text(snapshot.patterns) + repr(
+            (snapshot.index.to_dict(), sorted(served))
+        )
 
     return [
         ("pattern-store", write_store, load_store),
         ("fragment-index", write_index, load_index),
         ("update-journal", write_journal, load_journal),
-        ("catalog-snapshot", write_snapshot, load_snapshot),
+        ("catalog-snapshot", snapshot_writer("patterns.jsonl"), load_catalog),
+        ("catalog-index", snapshot_writer("index.json"), load_catalog),
     ]
 
 

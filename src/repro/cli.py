@@ -43,6 +43,7 @@ from .partition.weights import PartitionWeights
 from .resilience import faults
 from .resilience.errors import (
     ArtifactCorrupt,
+    ArtifactRetired,
     BudgetExceeded,
     exit_code_for,
 )
@@ -103,10 +104,9 @@ def _add_storage_flags(parser: argparse.ArgumentParser) -> None:
     """Attach the storage-backend flags to a database subcommand."""
     parser.add_argument(
         "--backend", choices=["memory", "sqlite"], default="memory",
-        help="storage engine for the graph database (and, for serve, "
-             "the catalog): 'memory' keeps everything resident "
-             "(default); 'sqlite' streams graphs from an on-disk "
-             "database through a bounded decode cache",
+        help="storage engine for the graph database: 'memory' keeps "
+             "everything resident (default); 'sqlite' streams graphs "
+             "from an on-disk database through a bounded decode cache",
     )
     parser.add_argument(
         "--db-path", default=None,
@@ -724,8 +724,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     if not _check_storage_flags(args):
         return 2
-    database, storage = _storage_database(args)
-    catalog = PatternCatalog(args.catalog, storage=storage)
+    database, _storage = _storage_database(args)
+    catalog = PatternCatalog(args.catalog)
     if args.patterns:
         patterns, meta = read_patterns(args.patterns)
         snapshot = catalog.publish(patterns, meta=meta, database=database)
@@ -1125,6 +1125,9 @@ def main(argv: list[str] | None = None) -> int:
     except ArtifactCorrupt as exc:
         where = f" (quarantined to {exc.quarantined})" if exc.quarantined else ""
         print(f"repro: corrupt artifact: {exc}{where}", file=sys.stderr)
+        return exit_code_for(exc)
+    except ArtifactRetired as exc:
+        print(f"repro: retired artifact: {exc}", file=sys.stderr)
         return exit_code_for(exc)
     except graph_io.GraphParseError as exc:
         print(f"repro: parse error: {exc}", file=sys.stderr)

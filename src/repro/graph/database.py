@@ -36,6 +36,10 @@ class GraphDatabase:
         store=None,
     ) -> None:
         self._graphs = store if store is not None else {}
+        #: Bumped whenever a graph object is added or replaced: a
+        #: same-shape replacement has the same version counter as the
+        #: graph it replaced, so versions alone cannot tell them apart.
+        self.generation = 0
         for gid, graph in graphs:
             self.add(gid, graph)
 
@@ -54,6 +58,7 @@ class GraphDatabase:
         if gid in self._graphs:
             raise ValueError(f"duplicate graph id {gid}")
         self._graphs[gid] = graph
+        self.generation += 1
 
     def add_graphs(
         self, graphs: Iterable[tuple[int, LabeledGraph]]
@@ -72,6 +77,7 @@ class GraphDatabase:
         inserted.
         """
         store = self._graphs
+        self.generation += 1
         if type(store) is not dict:
             staged = list(graphs)
             for gid, _graph in staged:
@@ -100,6 +106,7 @@ class GraphDatabase:
         if gid not in self._graphs:
             raise KeyError(gid)
         self._graphs[gid] = graph
+        self.generation += 1
 
     def copy(self, deep: bool = True) -> "GraphDatabase":
         """Copy the database; ``deep`` also copies every graph."""
@@ -147,6 +154,17 @@ class GraphDatabase:
         """
         token = getattr(self._graphs, "state_token", None)
         return token() if token is not None else None
+
+    def digests(self, digest: Callable[[LabeledGraph], str]) -> dict[int, str]:
+        """gid -> content digest of every graph.
+
+        Store-backed databases answer with the digests their rows keep,
+        without decoding any graph; in memory ``digest`` computes each.
+        """
+        stored = getattr(self._graphs, "digests", None)
+        if stored is not None:
+            return stored()
+        return {gid: digest(graph) for gid, graph in self._graphs.items()}
 
     # ------------------------------------------------------------------
     # Statistics

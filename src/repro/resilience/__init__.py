@@ -20,6 +20,7 @@ from .errors import (
     EXIT_OK,
     EXIT_PARSE_ERROR,
     ArtifactCorrupt,
+    ArtifactRetired,
     BudgetExceeded,
     CircuitOpen,
     DeadlineExceeded,
@@ -52,6 +53,7 @@ __all__ = [
     "EXIT_OK",
     "EXIT_PARSE_ERROR",
     "ArtifactCorrupt",
+    "ArtifactRetired",
     "BudgetExceeded",
     "CircuitBreaker",
     "CircuitOpen",

@@ -56,6 +56,15 @@ class ArtifactCorrupt(ResilienceError, ValueError):
         self.quarantined = quarantined  # where the bad bytes were moved
 
 
+class ArtifactRetired(ResilienceError):
+    """A stored artifact is intact but in a format this library refuses
+    to serve; the message names the step that rewrites it.
+
+    Not a ``ValueError``: nothing is quarantined, and catalog fallback
+    does not mistake a retired format for corruption.
+    """
+
+
 class BudgetExceeded(ResilienceError, RuntimeError):
     """A resource budget (time, memory) was exhausted."""
 

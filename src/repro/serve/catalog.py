@@ -23,7 +23,9 @@ Layout::
 Versions count up monotonically; old snapshot directories are kept (they
 are the time-travel/debugging record) unless :meth:`PatternCatalog.prune`
 is called.  This is the on-disk contract the hot-reload consistency model
-in DESIGN.md §9 stands on.
+in DESIGN.md §9 stands on.  The layout is the same whichever storage
+backend holds the graphs: the index stamps graphs by content digest, so
+a snapshot published over one backend serves soundly over another.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ..graph.labeled_graph import LabeledGraph
 from ..mining.base import Pattern, PatternKey, PatternSet
 from ..mining.store import read_patterns, save_patterns
 from ..resilience import integrity
-from ..resilience.errors import ArtifactCorrupt
+from ..resilience.errors import ArtifactCorrupt, ArtifactRetired
 from .index import FragmentIndex
 
 MANIFEST_NAME = "manifest.json"
@@ -116,23 +118,10 @@ class CatalogSnapshot:
 
 
 class PatternCatalog:
-    """A directory of versioned pattern snapshots (see module docs).
+    """A directory of versioned pattern snapshots (see module docs)."""
 
-    With ``storage`` set to a :class:`repro.storage.sqlite.SQLiteBackend`
-    the snapshots live as queryable tables in the backend's database
-    file instead of per-snapshot JSONL directories: publishing writes
-    one transaction, loading returns a *lazy* snapshot whose pattern
-    rows decode on access, and corruption fallback walks the stored
-    versions.  ``manifest.json`` is still written either way — it is the
-    cheap hot-reload poll, and its ``backend`` field tells readers where
-    the snapshot bodies are.
-    """
-
-    def __init__(self, path: str | Path, storage=None) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.storage = storage if storage is not None and getattr(
-            storage, "name", "memory"
-        ) != "memory" else None
 
     # ------------------------------------------------------------------
     # Manifest
@@ -178,50 +167,32 @@ class PatternCatalog:
         meta = dict(meta or {})
         previous = self.current_version()
         version = 1 if previous is None else previous + 1
-        ordered = catalog_order(patterns)
+        index = FragmentIndex.build(
+            (pattern.graph for pattern in catalog_order(patterns)), database
+        )
         snapshot_name = f"snapshot-{version:06d}"
-        self.path.mkdir(parents=True, exist_ok=True)
-        if self.storage is not None:
-            meta.setdefault("backend", self.storage.name)
-            self.storage.save_snapshot(version, ordered, meta, database)
-            snapshot = self.storage.load_snapshot(version)
-        else:
-            index = FragmentIndex.build(
-                (pattern.graph for pattern in ordered), database
-            )
-            snapshot_dir = self.path / snapshot_name
-            snapshot_dir.mkdir(parents=True, exist_ok=True)
-            save_patterns(
-                patterns, snapshot_dir / PATTERNS_NAME, meta=meta,
-                atomic=True,
-            )
-            index.save(snapshot_dir / INDEX_NAME)
-            snapshot = CatalogSnapshot(version, patterns, index, meta)
-        manifest = {
-            "format": CATALOG_FORMAT_VERSION,
-            "version": version,
-            "snapshot": snapshot_name,
-            "patterns": len(patterns),
-            "published_at": time.time(),
-        }
-        if self.storage is not None:
-            manifest["backend"] = self.storage.name
-        integrity.atomic_write_json(self.path / MANIFEST_NAME, manifest)
-        return snapshot
+        snapshot_dir = self.path / snapshot_name
+        snapshot_dir.mkdir(parents=True, exist_ok=True)
+        save_patterns(
+            patterns, snapshot_dir / PATTERNS_NAME, meta=meta, atomic=True
+        )
+        index.save(snapshot_dir / INDEX_NAME)
+        integrity.atomic_write_json(
+            self.path / MANIFEST_NAME,
+            {
+                "format": CATALOG_FORMAT_VERSION,
+                "version": version,
+                "snapshot": snapshot_name,
+                "patterns": len(patterns),
+                "published_at": time.time(),
+            },
+        )
+        return CatalogSnapshot(version, patterns, index, meta)
 
     def _load_version(
         self, version: int, snapshot_name: str, expected: int | None
     ) -> CatalogSnapshot:
         """Load one snapshot, validating the pattern count."""
-        if self.storage is not None:
-            snapshot = self.storage.load_snapshot(version)
-            if expected not in (None, len(snapshot.entries)):
-                raise ValueError(
-                    f"stored snapshot {version} holds "
-                    f"{len(snapshot.entries)} patterns, manifest says "
-                    f"{expected}"
-                )
-            return snapshot
         snapshot_dir = self.path / snapshot_name
         patterns, meta = read_patterns(snapshot_dir / PATTERNS_NAME)
         index = FragmentIndex.load(snapshot_dir / INDEX_NAME)
@@ -235,8 +206,10 @@ class PatternCatalog:
     def load(self, fallback: bool = True) -> CatalogSnapshot:
         """Load the currently published snapshot.
 
-        Raises :class:`FileNotFoundError` on an empty catalog and
-        :class:`ValueError` on a manifest/snapshot mismatch.
+        Raises :class:`FileNotFoundError` on an empty catalog,
+        :class:`ValueError` on a manifest/snapshot mismatch, and
+        :class:`~repro.resilience.errors.ArtifactRetired` when the
+        manifest or index predates content-digest stamps (re-publish).
 
         When the current snapshot's bytes are corrupt (checksum miss,
         torn file), the bad artifact has already been quarantined to
@@ -251,6 +224,12 @@ class PatternCatalog:
         if manifest is None:
             raise FileNotFoundError(
                 f"no snapshot published in catalog {self.path}"
+            )
+        if manifest.get("backend") == "sqlite":
+            raise ArtifactRetired(
+                f"{self.path / MANIFEST_NAME}: snapshot {manifest['version']}"
+                " lives in the retired SQLite catalog tables; re-publish it "
+                "as a snapshot directory with `repro serve --patterns`"
             )
         current = manifest["version"]
         try:
@@ -268,7 +247,10 @@ class PatternCatalog:
                 snapshot = self._load_version(
                     version, f"snapshot-{version:06d}", None
                 )
-            except (ArtifactCorrupt, FileNotFoundError, ValueError):
+            except (
+                ArtifactCorrupt, ArtifactRetired, FileNotFoundError,
+                ValueError,
+            ):
                 continue
             # Serve the recovered version and repair the manifest so
             # pollers (hot reload) agree with what is actually served.
@@ -291,8 +273,6 @@ class PatternCatalog:
     # ------------------------------------------------------------------
     def versions_on_disk(self) -> list[int]:
         """All snapshot versions present on disk, ascending."""
-        if self.storage is not None:
-            return self.storage.snapshot_versions()
         versions = []
         if not self.path.exists():
             return versions
@@ -317,10 +297,7 @@ class PatternCatalog:
         for version in self.versions_on_disk()[:-keep]:
             if version == current:
                 continue
-            if self.storage is not None:
-                self.storage.delete_snapshot(version)
-            else:
-                shutil.rmtree(self.path / f"snapshot-{version:06d}")
+            shutil.rmtree(self.path / f"snapshot-{version:06d}")
             removed.append(version)
         return removed
 

@@ -19,11 +19,12 @@ this for both monomorphism and induced semantics.
 Three layers of work avoidance, outermost first:
 
 1. an LRU result cache keyed on canonical codes (plus a database state
-   token built from the graphs' version counters, so in-place updates
-   invalidate stale results);
-2. the snapshot's :class:`~repro.serve.index.FragmentIndex` (graphs that
-   drifted since the index was built are treated as always-candidates —
-   see ``stale_gids``);
+   token that moves whenever a graph is added, replaced or mutated, so
+   results computed against an older database state never match);
+2. the snapshot's :class:`~repro.serve.index.FragmentIndex` (graphs whose
+   content digest drifted since the index was built are treated as
+   always-candidates — see ``stale_gids``, computed once per database
+   state);
 3. a :class:`repro.perf.SupportCache` memoizing per-graph containment
    verdicts under the pattern's canonical key.
 
@@ -142,6 +143,8 @@ class QueryEngine:
         self._lru: OrderedDict = OrderedDict()
         self._lru_size = lru_size
         self._lock = threading.Lock()
+        # (database token, index.stale_gids) of the last state asked about.
+        self._stale: tuple = (None, set())
 
     # ------------------------------------------------------------------
     # Internals
@@ -151,17 +154,25 @@ class QueryEngine:
 
         Store-backed databases provide a persisted token (one counter
         read — decoding every graph just to stamp a cache key would
-        defeat out-of-core serving).  In-memory databases build the
-        token from the gid -> version map; in-place mutations bump a
-        graph's version, replacements produce a fresh counter, so LRU
-        entries computed against older database states never match.
+        defeat out-of-core serving).  In-memory databases pair their
+        generation, which every add or replace bumps, with the graphs'
+        version counters, which every in-place mutation bumps.
         """
         token = self.database.state_token()
         if token is not None:
             return token
-        return tuple(
-            (gid, graph.version) for gid, graph in self.database
+        return (
+            self.database.generation,
+            tuple(graph.version for graph in self.database.graphs()),
         )
+
+    def _stale_gids(self, token) -> set[int]:
+        """The index's stale gids, computed once per database state."""
+        memo = self._stale
+        if memo[0] != token:
+            memo = (token, self.snapshot.index.stale_gids(self.database))
+            self._stale = memo
+        return memo[1]
 
     def _lru_get(self, key: tuple):
         with self._lock:
@@ -228,9 +239,10 @@ class QueryEngine:
         stats = QueryStats(kind="match", universe=len(self.database))
         accel = perf.enabled()
         key = self._safe_key(pattern)
+        token = self._db_token()
         lru_key = None
         if key is not None:
-            lru_key = ("match", key, induced, self._db_token())
+            lru_key = ("match", key, induced, token)
             cached = self._lru_get(lru_key)
             if cached is not None:
                 stats.lru_hit = True
@@ -247,8 +259,8 @@ class QueryEngine:
             else:
                 # Drifted graphs have unreliable posting lists: always
                 # re-candidates.  Deleted gids drop out via the live set.
-                candidates = (from_index & live_gids) | index.stale_gids(
-                    self.database
+                candidates = (from_index & live_gids) | self._stale_gids(
+                    token
                 )
         else:
             candidates = live_gids
@@ -407,11 +419,6 @@ class QueryEngine:
         """
         if by not in ("support", "size"):
             raise ValueError(f"top_k by must be 'support' or 'size': {by!r}")
-        pushdown = getattr(self.snapshot, "top_k", None)
-        if pushdown is not None:
-            # Stored snapshots answer from an indexed ORDER BY ... LIMIT
-            # without materializing (or decoding) any entry but the k.
-            return pushdown(k, by=by)
         entries = sorted(
             self.snapshot.entries,
             key=lambda e: (-(e.support if by == "support" else e.size), e.pid),

@@ -25,10 +25,14 @@ by a real search downstream.  The index is a pure pruning device: the
 differential tests pin every served answer against the unindexed
 :mod:`repro.query` results.
 
-Graph-side posting lists are stamped with each graph's ``version``
-counter.  A database mutated after the index was built (incremental
-update batches) stays sound: :meth:`FragmentIndex.stale_gids` reports the
-drifted graphs and the query engine treats them as always-candidates.
+Graph-side posting lists are stamped with each graph's **content
+digest**, ``payload_sha(encode_graph(g))`` — the sha the SQLite store
+already keeps per row.  A database that differs from the one indexed
+(incremental update batches, a relabelled copy loaded in another
+process, another backend) stays sound: :meth:`FragmentIndex.stale_gids`
+reports every graph whose digest drifted and the query engine treats
+those as always-candidates.  A mutation count could not do this: two
+graphs of the same shape count alike.
 
 The index serializes to JSON alongside the catalog snapshot
 (:meth:`save` / :meth:`load`); fragments are interned into an id table so
@@ -45,8 +49,11 @@ from typing import Iterable, Sequence
 from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
 from ..mining.edges import normalize_triple
+from ..resilience.errors import ArtifactCorrupt, ArtifactRetired
+from ..storage.encoding import encode_graph, payload_sha
 
-INDEX_FORMAT_VERSION = 1
+#: Format 1 stamped graphs with mutation counts and is refused on load.
+INDEX_FORMAT_VERSION = 2
 
 #: A fragment: ("e", lu, le, lv) or ("p", la, ea, lm, eb, lb).
 Fragment = tuple
@@ -56,6 +63,18 @@ Fragment = tuple
 # join._TRIPLES_CACHE) makes each graph pay once per mutation.
 _FRAGMENTS_CACHE: "weakref.WeakKeyDictionary[LabeledGraph, tuple]"
 _FRAGMENTS_CACHE = weakref.WeakKeyDictionary()
+_DIGESTS_CACHE: "weakref.WeakKeyDictionary[LabeledGraph, tuple]"
+_DIGESTS_CACHE = weakref.WeakKeyDictionary()
+
+
+def graph_digest(graph: LabeledGraph) -> str:
+    """The content digest ``graph`` is stamped with (memoized)."""
+    entry = _DIGESTS_CACHE.get(graph)
+    if entry is not None and entry[0] == graph.version:
+        return entry[1]
+    digest = payload_sha(encode_graph(graph))
+    _DIGESTS_CACHE[graph] = (graph.version, digest)
+    return digest
 
 
 def graph_fragments(graph: LabeledGraph) -> frozenset[Fragment]:
@@ -99,25 +118,20 @@ class FragmentIndex:
         self,
         pattern_fragments: Sequence[frozenset[Fragment]],
         graph_fragment_sets: dict[int, frozenset[Fragment]] | None = None,
-        graph_versions: dict[int, int] | None = None,
+        graph_digests: dict[int, str] | None = None,
     ) -> None:
         self.pattern_fragments: tuple[frozenset[Fragment], ...] = tuple(
             pattern_fragments
         )
-        self.pattern_postings: dict[Fragment, tuple[int, ...]] = {}
         postings: dict[Fragment, list[int]] = {}
         for pid, fragments in enumerate(self.pattern_fragments):
             for fragment in fragments:
                 postings.setdefault(fragment, []).append(pid)
-        self.pattern_postings = {
+        self.pids_by_fragment: dict[Fragment, tuple[int, ...]] = {
             fragment: tuple(pids) for fragment, pids in postings.items()
         }
         self.graph_fragment_sets = graph_fragment_sets
-        self.graph_versions = graph_versions
-        # State token of the store-backed database this index was built
-        # over (None for in-memory databases and deserialized indexes);
-        # see stale_gids.
-        self._db_token = None
+        self.graph_digests = graph_digests
         self.graph_postings: dict[Fragment, frozenset[int]] | None = None
         if graph_fragment_sets is not None:
             gpost: dict[Fragment, set[int]] = {}
@@ -138,21 +152,12 @@ class FragmentIndex:
         database: GraphDatabase | None = None,
     ) -> "FragmentIndex":
         """Index pattern graphs (pid = iteration order) and, when given,
-        the database's graphs (with version stamps for drift detection)."""
+        the database's graphs (with content digests for drift detection)."""
         pattern_fragments = [graph_fragments(p) for p in patterns]
-        graph_sets = None
-        graph_versions = None
-        token = None
-        if database is not None:
-            graph_sets = {}
-            graph_versions = {}
-            for gid, graph in database:
-                graph_sets[gid] = graph_fragments(graph)
-                graph_versions[gid] = graph.version
-            token = database.state_token()
-        index = cls(pattern_fragments, graph_sets, graph_versions)
-        index._db_token = token
-        return index
+        if database is None:
+            return cls(pattern_fragments)
+        graph_sets = {gid: graph_fragments(graph) for gid, graph in database}
+        return cls(pattern_fragments, graph_sets, database.digests(graph_digest))
 
     @property
     def num_patterns(self) -> int:
@@ -177,7 +182,7 @@ class FragmentIndex:
         """
         counts: dict[int, int] = {}
         for fragment in fragments:
-            for pid in self.pattern_postings.get(fragment, ()):
+            for pid in self.pids_by_fragment.get(fragment, ()):
                 counts[pid] = counts.get(pid, 0) + 1
         candidates = [
             pid
@@ -195,16 +200,16 @@ class FragmentIndex:
     def candidate_graphs(
         self, fragments: frozenset[Fragment]
     ) -> set[int] | None:
-        """Gids (at index-build versions) that hold every given fragment.
+        """Gids (as indexed) that hold every given fragment.
 
         ``None`` when the index was built without a database.  A pattern
         with no fragments cannot be pruned: every indexed gid comes back.
         """
         if self.graph_postings is None:
             return None
-        assert self.graph_versions is not None
+        assert self.graph_digests is not None
         if not fragments:
-            return set(self.graph_versions)
+            return set(self.graph_digests)
         candidates: set[int] | None = None
         for fragment in fragments:
             gids = self.graph_postings.get(fragment)
@@ -229,7 +234,7 @@ class FragmentIndex:
             return list(range(self.num_patterns))
         candidates: set[int] | None = None
         for fragment in fragments:
-            pids = set(self.pattern_postings.get(fragment, ()))
+            pids = set(self.pids_by_fragment.get(fragment, ()))
             candidates = pids if candidates is None else candidates & pids
             if not candidates:
                 return []
@@ -237,33 +242,21 @@ class FragmentIndex:
         return sorted(candidates)
 
     def stale_gids(self, database: GraphDatabase) -> set[int]:
-        """Gids whose graph drifted since the index was built.
+        """Gids whose graph content differs from what the index saw.
 
-        A gid is stale when it is missing from the index or its stored
-        version stamp no longer matches the live graph (in-place update or
-        instance replacement).  Stale graphs have unreliable posting lists
-        and must be treated as always-candidates by the caller.
+        A gid is stale when it is missing from the index or its content
+        digest no longer matches the live graph's.  Stale graphs have
+        unreliable posting lists and must be treated as
+        always-candidates by the caller.  Store-backed databases hand
+        over the digests their rows keep, so nothing is decoded.
         """
-        if self.graph_versions is None:
+        if self.graph_digests is None:
             return set(database.gids())
-        token = database.state_token()
-        if token is not None:
-            # Store-backed database: decoded graphs carry deterministic
-            # version counters that do NOT track row mutations, so the
-            # per-graph stamps below would be unsound here.  Compare the
-            # store's persisted token instead: unchanged store -> no
-            # drift; anything else (mutated store, index built over a
-            # different database, deserialized index) -> conservatively
-            # all-stale, which downstream means always-candidate,
-            # always-verified.
-            if self._db_token is not None and token == self._db_token:
-                return set()
-            return set(database.gids())
-        versions = self.graph_versions
+        stamps = self.graph_digests
         return {
             gid
-            for gid, graph in database
-            if versions.get(gid) != graph.version
+            for gid, digest in database.digests(graph_digest).items()
+            if stamps.get(gid) != digest
         }
 
     # ------------------------------------------------------------------
@@ -286,10 +279,10 @@ class FragmentIndex:
         ]
         graphs = None
         if self.graph_fragment_sets is not None:
-            assert self.graph_versions is not None
+            assert self.graph_digests is not None
             graphs = {
                 str(gid): {
-                    "version": self.graph_versions[gid],
+                    "digest": self.graph_digests[gid],
                     "fragments": sorted(fid(f) for f in fragments),
                 }
                 for gid, fragments in self.graph_fragment_sets.items()
@@ -303,6 +296,13 @@ class FragmentIndex:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FragmentIndex":
+        if data.get("format") == 1:
+            raise ArtifactRetired(
+                "fragment index format 1 stamps graphs with mutation "
+                "counts, which cannot tell a relabelled graph from the "
+                "one indexed; re-publish the catalog with "
+                "`repro serve --patterns`"
+            )
         if data.get("format") != INDEX_FORMAT_VERSION:
             raise ValueError(
                 f"unsupported fragment-index format {data.get('format')!r}"
@@ -312,17 +312,17 @@ class FragmentIndex:
             frozenset(table[i] for i in fids) for fids in data["patterns"]
         ]
         graph_sets = None
-        graph_versions = None
+        graph_digests = None
         if data.get("graphs") is not None:
             graph_sets = {}
-            graph_versions = {}
+            graph_digests = {}
             for gid_text, record in data["graphs"].items():
                 gid = int(gid_text)
                 graph_sets[gid] = frozenset(
                     table[i] for i in record["fragments"]
                 )
-                graph_versions[gid] = record["version"]
-        return cls(pattern_fragments, graph_sets, graph_versions)
+                graph_digests[gid] = record["digest"]
+        return cls(pattern_fragments, graph_sets, graph_digests)
 
     def save(self, path: str | Path) -> None:
         """Atomically write the index as checksummed JSON."""
@@ -335,15 +335,18 @@ class FragmentIndex:
         """Load and integrity-verify an index file.
 
         Checksum misses and structurally-bad JSON both quarantine the
-        file and raise :class:`~repro.resilience.errors.ArtifactCorrupt`.
+        file and raise :class:`~repro.resilience.errors.ArtifactCorrupt`;
+        an intact format-1 file raises
+        :class:`~repro.resilience.errors.ArtifactRetired` and stays put.
         """
         from ..resilience import integrity
-        from ..resilience.errors import ArtifactCorrupt
 
         path = Path(path)
         text = integrity.read_checked(path)
         try:
             return cls.from_dict(json.loads(text))
+        except ArtifactRetired as exc:
+            raise ArtifactRetired(f"{path}: {exc}") from None
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             corrupt = ArtifactCorrupt(
                 f"index {path} is corrupt: {type(exc).__name__}: {exc}",
@@ -358,16 +361,14 @@ class FragmentIndex:
         return (
             self.pattern_fragments == other.pattern_fragments
             and self.graph_fragment_sets == other.graph_fragment_sets
-            and self.graph_versions == other.graph_versions
+            and self.graph_digests == other.graph_digests
         )
 
     def __repr__(self) -> str:
         graphs = (
-            len(self.graph_versions)
-            if self.graph_versions is not None
-            else 0
+            len(self.graph_digests) if self.graph_digests is not None else 0
         )
         return (
             f"FragmentIndex(patterns={self.num_patterns}, graphs={graphs}, "
-            f"fragments={len(self.pattern_postings)})"
+            f"fragments={len(self.pids_by_fragment)})"
         )

@@ -1,7 +1,8 @@
-"""Storage engines behind the graph database, catalog, and index.
+"""Storage engines behind the graph database — graphs only.
 
 ``open_backend("memory")`` is the extracted in-memory behaviour (the
 default); ``open_backend("sqlite", path)`` is the out-of-core engine.
+Pattern sets and catalog snapshots stay files over either backend.
 See DESIGN.md §14 for the schema and the atomicity/quarantine model.
 """
 
@@ -13,13 +14,7 @@ from .backend import (
     StorageBackend,
     open_backend,
 )
-from .encoding import (
-    decode_graph,
-    decode_pattern,
-    encode_graph,
-    encode_pattern,
-    payload_sha,
-)
+from .encoding import decode_graph, encode_graph, payload_sha
 from .lru import DEFAULT_CACHE_GRAPHS, GraphLRU
 
 __all__ = [
@@ -31,9 +26,7 @@ __all__ = [
     "SITE_STORAGE_WRITE",
     "StorageBackend",
     "decode_graph",
-    "decode_pattern",
     "encode_graph",
-    "encode_pattern",
     "open_backend",
     "payload_sha",
 ]

@@ -1,14 +1,11 @@
 """The storage-engine interface and the in-memory reference backend.
 
-A :class:`StorageBackend` owns everything the pipeline persists:
-
-* the **graph database** — exposed as a store object speaking the dict
-  protocol :class:`~repro.graph.database.GraphDatabase` runs on, so the
-  whole mining/serving stack works unchanged over any backend;
-* **pattern snapshots** — versioned, queryable pattern sets (what
-  :class:`~repro.serve.catalog.PatternCatalog` publishes);
-* the **fragment index** — the inverted posting lists of
-  :mod:`repro.serve.index`.
+A :class:`StorageBackend` holds graphs only: the graph database, exposed
+as a store object speaking the dict protocol
+:class:`~repro.graph.database.GraphDatabase` runs on, so the whole
+mining/serving stack works unchanged over any backend.  Pattern sets and
+catalog snapshots are files (:mod:`repro.mining.store`,
+:mod:`repro.serve.catalog`) whichever backend holds the graphs.
 
 :class:`MemoryBackend` is the extracted pre-storage behaviour: plain
 dicts, everything resident, zero I/O — the default, and the differential
@@ -29,11 +26,10 @@ from abc import ABC, abstractmethod
 from pathlib import Path
 
 from ..graph.database import GraphDatabase
-from ..mining.base import PatternSet
 from ..resilience import faults
 
 SITE_STORAGE_WRITE = faults.register_site(
-    "storage.write", "storage-backend row write (graphs/patterns/postings)"
+    "storage.write", "storage-backend graph row write"
 )
 SITE_STORAGE_READ = faults.register_site(
     "storage.read", "storage-backend row read + sha256 verification"
@@ -43,7 +39,7 @@ BACKEND_NAMES = ("memory", "sqlite")
 
 
 class StorageBackend(ABC):
-    """Abstract storage engine behind databases, catalogs and indexes."""
+    """Abstract storage engine behind graph databases."""
 
     #: Backend tag recorded in artifact headers (``memory``/``sqlite``).
     name: str = "abstract"
@@ -94,17 +90,13 @@ class MemoryBackend(StorageBackend):
     """The original in-memory behaviour, behind the backend interface.
 
     Graphs live in a plain dict (exactly what ``GraphDatabase`` held
-    before the storage engine existed); pattern snapshots live in a
-    version-keyed dict.  Nothing survives the process — persistence for
-    this backend is what it always was: the JSONL artifacts written by
-    :mod:`repro.mining.store` and :mod:`repro.serve.catalog`.
+    before the storage engine existed).  Nothing survives the process.
     """
 
     name = "memory"
 
     def __init__(self, database: GraphDatabase | None = None) -> None:
         self._database = database if database is not None else GraphDatabase()
-        self._snapshots: dict[int, tuple[PatternSet, dict]] = {}
 
     # -- graphs --------------------------------------------------------
     def database(self) -> GraphDatabase:
@@ -123,24 +115,8 @@ class MemoryBackend(StorageBackend):
     def num_graphs(self) -> int:
         return len(self._database)
 
-    # -- snapshots -----------------------------------------------------
-    def save_snapshot(
-        self, version: int, patterns: PatternSet, meta: dict
-    ) -> None:
-        self._snapshots[version] = (patterns, dict(meta))
-
-    def load_snapshot(self, version: int) -> tuple[PatternSet, dict]:
-        return self._snapshots[version]
-
-    def snapshot_versions(self) -> list[int]:
-        return sorted(self._snapshots)
-
     def stats(self) -> dict:
-        return {
-            "backend": self.name,
-            "graphs": len(self._database),
-            "snapshots": len(self._snapshots),
-        }
+        return {"backend": self.name, "graphs": len(self._database)}
 
 
 def open_backend(

@@ -1,8 +1,9 @@
 """Row encodings for the storage engine.
 
-Graphs and patterns are stored as UTF-8 JSON blobs, one row each, with a
-sha256 hex digest column computed over the exact payload bytes — the
-row-level analogue of :func:`repro.resilience.integrity.frame`.  The
+Graphs are stored as UTF-8 JSON blobs, one row each, with a sha256 hex
+digest column computed over the exact payload bytes — the row-level
+analogue of :func:`repro.resilience.integrity.frame`.  That digest is
+also the graph's content stamp in :mod:`repro.serve.index`.  The
 digest is computed *before* the ``storage.write`` fault site mangles the
 bytes, so a corrupted write is detected on the next read, exactly like
 the file-level framing.
@@ -27,8 +28,6 @@ import hashlib
 import json
 
 from ..graph.labeled_graph import LabeledGraph
-from ..mining.base import Pattern
-from ..resilience.errors import ArtifactCorrupt
 
 
 def payload_sha(payload: bytes) -> str:
@@ -58,10 +57,7 @@ def decode_graph(payload: bytes) -> LabeledGraph:
     :class:`ValueError` on structurally invalid payloads (the caller
     wraps that into the typed corruption failure).
     """
-    return _graph_from_record(json.loads(payload))
-
-
-def _graph_from_record(record: dict) -> LabeledGraph:
+    record = json.loads(payload)
     labels = record["v"]
     adj = record["adj"]
     m = record["m"]
@@ -88,44 +84,3 @@ def _graph_from_record(record: dict) -> LabeledGraph:
     graph._num_edges = m
     graph.version += m
     return graph
-
-
-def encode_pattern(pattern: Pattern) -> bytes:
-    """Serialize one pattern row: graph (exact order) + support data."""
-    record = {
-        "v": pattern.graph.vertex_labels(),
-        "adj": [
-            [[w, label] for w, label in pattern.graph.neighbors(v)]
-            for v in pattern.graph.vertices()
-        ],
-        "m": pattern.graph.num_edges,
-        "tids": sorted(pattern.tids),
-        "support": pattern.support,
-    }
-    return json.dumps(record, separators=(",", ":")).encode("utf-8")
-
-
-def decode_pattern(payload: bytes) -> Pattern:
-    """Rebuild a pattern row; validates the stored support count."""
-    record = json.loads(payload)
-    graph = _graph_from_record(record)
-    pattern = Pattern.from_graph(graph, [int(t) for t in record["tids"]])
-    support = record.get("support")
-    if support is not None and support != pattern.support:
-        raise ValueError(
-            f"corrupt pattern row: support field says {support}, "
-            f"TID list holds {pattern.support}"
-        )
-    return pattern
-
-
-def verify_payload(
-    payload: bytes, sha: str, *, what: str, path=None
-) -> bytes:
-    """Check a row's digest; raises :class:`ArtifactCorrupt` on mismatch."""
-    if payload_sha(payload) != sha:
-        raise ArtifactCorrupt(
-            f"{what}: row sha256 mismatch — stored bytes are corrupt",
-            path=path,
-        )
-    return payload

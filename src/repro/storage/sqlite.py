@@ -1,35 +1,30 @@
-"""The SQLite storage backend: out-of-core graphs, patterns, postings.
+"""The SQLite storage backend: out-of-core graphs.
 
-One database file holds every durable structure of the pipeline, each as
-an indexed table (schema diagram in DESIGN.md §14):
+One database file holds the graph database as an indexed table (schema
+diagram in DESIGN.md §14):
 
 * ``graphs`` — one sha256-stamped JSON blob per graph, ordered by an
   insertion ``seq`` so iteration matches the in-memory dict order
   byte for byte; decoded :class:`LabeledGraph` objects live in a bounded
   :class:`~repro.storage.lru.GraphLRU`, which is what lets a database
   far larger than the cache budget stream through mining;
-* ``snapshots`` / ``patterns`` — versioned catalog snapshots with
-  ``support``, ``size`` and canonical-code columns, so ``top_k`` and
-  key lookups run as indexed SQL instead of decoding every pattern;
-* ``fragments`` / ``pattern_postings`` / ``graph_postings`` /
-  ``graph_stamps`` — the on-disk inverted index of
-  :mod:`repro.serve.index`.  Graph-side postings are stamped with each
-  row's sha: publishing snapshot ``N`` copies the postings of every
-  graph whose bytes did not change since snapshot ``N-1`` with one SQL
-  statement (a version-stamped incremental upsert) and recomputes only
-  the drifted rows.
+* ``meta`` — the persisted ``generation`` counter every write bumps.
 
-Durability model: the connection runs in WAL mode; multi-row operations
-(imports, snapshot publishes) are single transactions, so a crash leaves
-either the old state or the new state.  Every blob row carries a sha256
-digest computed *before* the ``storage.write`` fault site can mangle the
-bytes; a digest miss on read moves the bad row's bytes into a sibling
-``<name>.corrupt/`` directory, voids the row in place (empty payload,
-empty sha — the insertion ``seq`` survives, so a healing re-import
-restores the original iteration order), and raises
-:class:`~repro.resilience.errors.ArtifactCorrupt` — the same
-quarantine discipline as :mod:`repro.resilience.integrity`, applied
-per row.
+The row sha is the graph's content digest: the serving layer's fragment
+index (:mod:`repro.serve.index`) stamps graphs with the same
+``payload_sha(encode_graph(g))``, so :meth:`SQLiteGraphStore.digests`
+tells drifted rows apart without decoding any.
+
+Durability model: the connection runs in WAL mode; imports are single
+transactions, so a crash leaves either the old state or the new state.
+Every row carries a sha256 digest computed *before* the
+``storage.write`` fault site can mangle the bytes; a digest miss on read
+moves the bad row's bytes into a sibling ``<name>.corrupt/`` directory,
+voids the row in place (empty payload, empty sha — the insertion ``seq``
+survives, so a healing re-import restores the original iteration
+order), and raises :class:`~repro.resilience.errors.ArtifactCorrupt` —
+the same quarantine discipline as :mod:`repro.resilience.integrity`,
+applied per row.
 
 ``PRAGMA user_version`` carries the schema version: files written by a
 newer schema are rejected with an error naming the version and the path.
@@ -38,28 +33,19 @@ newer schema are rejected with an error naming the version and the path.
 from __future__ import annotations
 
 import atexit
-import json
 import sqlite3
 import threading
-import time
 import weakref
 from pathlib import Path
 
 from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
-from ..mining.base import Pattern, PatternSet
 from ..obs import metrics as obs_metrics
 from ..resilience import faults
 from ..resilience.errors import ArtifactCorrupt
 from .backend import SITE_STORAGE_READ, SITE_STORAGE_WRITE, StorageBackend
-from .encoding import (
-    decode_graph,
-    decode_pattern,
-    encode_graph,
-    encode_pattern,
-    payload_sha,
-)
-from .lru import DEFAULT_CACHE_GRAPHS, GraphLRU
+from .encoding import decode_graph, encode_graph, payload_sha
+from .lru import GraphLRU
 
 SCHEMA_VERSION = 1
 
@@ -73,76 +59,12 @@ CREATE TABLE IF NOT EXISTS graphs(
     edges INTEGER NOT NULL,
     payload BLOB NOT NULL,
     sha TEXT NOT NULL);
-CREATE TABLE IF NOT EXISTS snapshots(
-    version INTEGER PRIMARY KEY,
-    patterns INTEGER NOT NULL,
-    meta TEXT NOT NULL,
-    db_generation INTEGER,
-    published_at REAL NOT NULL);
-CREATE TABLE IF NOT EXISTS patterns(
-    version INTEGER NOT NULL,
-    pid INTEGER NOT NULL,
-    size INTEGER NOT NULL,
-    support INTEGER NOT NULL,
-    canon TEXT NOT NULL,
-    nfrag INTEGER NOT NULL,
-    payload BLOB NOT NULL,
-    sha TEXT NOT NULL,
-    PRIMARY KEY(version, pid));
-CREATE INDEX IF NOT EXISTS idx_patterns_support
-    ON patterns(version, support DESC, pid);
-CREATE INDEX IF NOT EXISTS idx_patterns_size
-    ON patterns(version, size DESC, pid);
-CREATE INDEX IF NOT EXISTS idx_patterns_canon
-    ON patterns(version, canon);
-CREATE TABLE IF NOT EXISTS fragments(
-    fid INTEGER PRIMARY KEY AUTOINCREMENT,
-    frag TEXT UNIQUE NOT NULL);
-CREATE TABLE IF NOT EXISTS pattern_postings(
-    version INTEGER NOT NULL,
-    fid INTEGER NOT NULL,
-    pid INTEGER NOT NULL,
-    PRIMARY KEY(version, fid, pid)) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS graph_postings(
-    version INTEGER NOT NULL,
-    fid INTEGER NOT NULL,
-    gid INTEGER NOT NULL,
-    PRIMARY KEY(version, fid, gid)) WITHOUT ROWID;
-CREATE TABLE IF NOT EXISTS graph_stamps(
-    version INTEGER NOT NULL,
-    gid INTEGER NOT NULL,
-    sha TEXT NOT NULL,
-    PRIMARY KEY(version, gid)) WITHOUT ROWID;
 """
 
 #: Backends opened and not yet closed; an atexit sweep closes leftovers
 #: so short-lived processes (unit workers, examples) cannot leak
 #: connections even on abrupt exits.
 _OPEN_BACKENDS: "weakref.WeakSet[SQLiteBackend]" = weakref.WeakSet()
-
-
-def fragment_text(fragment: tuple) -> str:
-    """Stable text key of one fragment (the ``fragments.frag`` column)."""
-    return json.dumps(list(fragment), separators=(",", ":"), default=str)
-
-
-# Fragment-postings queries (StoredFragmentIndex), module-level so the
-# query-plan regression test can EXPLAIN exactly the strings production
-# runs: every one must resolve through the WITHOUT ROWID composite
-# primary keys — a full SCAN of a postings table is a perf regression.
-# ``{placeholders}`` expands to the ``?`` list of the fid/fragment set.
-SQL_CANDIDATE_PATTERNS = (
-    "SELECT pp.pid FROM pattern_postings pp"
-    " WHERE pp.version=? AND pp.fid IN ({placeholders})"
-    " GROUP BY pp.pid HAVING COUNT(*) = ("
-    "SELECT nfrag FROM patterns p"
-    " WHERE p.version=? AND p.pid=pp.pid)"
-)
-SQL_CANDIDATE_GRAPHS = (
-    "SELECT gid FROM graph_postings"
-    " WHERE version=? AND fid IN ({placeholders})"
-    " GROUP BY gid HAVING COUNT(*)=?"
-)
 
 
 class SQLiteBackend(StorageBackend):
@@ -227,8 +149,8 @@ class SQLiteBackend(StorageBackend):
         )
         return value
 
-    def quarantine_row(self, table: str, key, payload: bytes) -> Path:
-        """Preserve a bad row's bytes in ``<name>.corrupt/`` and void it.
+    def quarantine_row(self, gid: int, payload: bytes) -> Path:
+        """Preserve a bad graph row's bytes in ``<name>.corrupt/`` and void it.
 
         Mirrors :func:`repro.resilience.integrity.quarantine`: evidence
         is kept, and the row's payload/sha are emptied in place — never
@@ -238,36 +160,26 @@ class SQLiteBackend(StorageBackend):
         """
         pen = self.path.with_name(self.path.name + ".corrupt")
         pen.mkdir(parents=True, exist_ok=True)
-        dest = pen / f"{table}-{key}.bin"
+        dest = pen / f"graphs-{gid}.bin"
         serial = 0
         while dest.exists():
             serial += 1
-            dest = pen / f"{table}-{key}.{serial}.bin"
+            dest = pen / f"graphs-{gid}.{serial}.bin"
         dest.write_bytes(payload)
         if not self.read_only:
             with self._lock:
-                if table == "graphs":
-                    self._conn.execute(
-                        "UPDATE graphs SET payload=X'', sha='' WHERE gid=?",
-                        (key,),
-                    )
-                elif table == "patterns":
-                    version, pid = key
-                    self._conn.execute(
-                        "UPDATE patterns SET payload=X'', sha=''"
-                        " WHERE version=? AND pid=?",
-                        (version, pid),
-                    )
+                self._conn.execute(
+                    "UPDATE graphs SET payload=X'', sha='' WHERE gid=?",
+                    (gid,),
+                )
                 self._bump_generation()
         return dest
 
-    def _corrupt(
-        self, table: str, key, payload: bytes, why: str
-    ) -> ArtifactCorrupt:
+    def _corrupt(self, gid: int, payload: bytes, why: str) -> ArtifactCorrupt:
         exc = ArtifactCorrupt(
-            f"{self.path}: {table} row {key}: {why}", path=self.path
+            f"{self.path}: graphs row {gid}: {why}", path=self.path
         )
-        exc.quarantined = self.quarantine_row(table, key, payload)
+        exc.quarantined = self.quarantine_row(gid, payload)
         return exc
 
     # ------------------------------------------------------------------
@@ -356,24 +268,18 @@ class SQLiteBackend(StorageBackend):
         )
         if payload_sha(payload) != row[1]:
             raise self._corrupt(
-                "graphs", gid, payload, "sha256 mismatch — row bytes corrupt"
+                gid, payload, "sha256 mismatch — row bytes corrupt"
             )
         try:
             graph = decode_graph(payload)
         except (ValueError, KeyError, TypeError) as exc:
             raise self._corrupt(
-                "graphs", gid, payload, f"undecodable payload ({exc})"
+                gid, payload, f"undecodable payload ({exc})"
             ) from exc
         self.cache.put(gid, graph)
         obs_metrics.count_storage_op("graphs", "read")
         obs_metrics.set_storage_cache_entries(len(self.cache))
         return graph
-
-    def graph_sha(self, gid: int) -> str | None:
-        row = self._execute(
-            "SELECT sha FROM graphs WHERE gid=?", (gid,)
-        ).fetchone()
-        return None if row is None else row[0]
 
     def import_database(self, database: GraphDatabase) -> int:
         """Transactionally upsert every graph; returns rows written."""
@@ -397,256 +303,6 @@ class SQLiteBackend(StorageBackend):
             self._execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     # ------------------------------------------------------------------
-    # Snapshot facet (catalog storage)
-    # ------------------------------------------------------------------
-    def snapshot_versions(self) -> list[int]:
-        return [
-            row[0]
-            for row in self._execute(
-                "SELECT version FROM snapshots ORDER BY version"
-            ).fetchall()
-        ]
-
-    def save_snapshot(
-        self,
-        version: int,
-        ordered: list[Pattern],
-        meta: dict,
-        database: GraphDatabase | None = None,
-    ) -> dict:
-        """Write one catalog snapshot: pattern rows + inverted index.
-
-        ``ordered`` must already be in catalog pid order.  When
-        ``database`` is given its graphs are indexed too; graph-side
-        postings of rows whose sha matches the previous snapshot's stamp
-        are copied in SQL (never decoded) — the incremental upsert.
-        Returns counters (``postings_reused``/``postings_rebuilt``) the
-        tests and telemetry read.
-        """
-        from ..serve.index import graph_fragments
-
-        self._require_writable("publish a snapshot")
-        counters = {"postings_reused": 0, "postings_rebuilt": 0}
-        previous = self._execute(
-            "SELECT MAX(version) FROM snapshots WHERE version < ?",
-            (version,),
-        ).fetchone()[0]
-        with self._lock:
-            self._conn.execute("BEGIN")
-            try:
-                faults.fire(
-                    SITE_STORAGE_WRITE, table="snapshots", key=version
-                )
-                for pid, pattern in enumerate(ordered):
-                    fragments = graph_fragments(pattern.graph)
-                    payload = encode_pattern(pattern)
-                    sha = payload_sha(payload)
-                    payload = faults.mangle(
-                        SITE_STORAGE_WRITE,
-                        payload,
-                        table="patterns",
-                        key=(version, pid),
-                    )
-                    self._conn.execute(
-                        "INSERT OR REPLACE INTO patterns"
-                        "(version, pid, size, support, canon, nfrag,"
-                        " payload, sha) VALUES(?,?,?,?,?,?,?,?)",
-                        (
-                            version,
-                            pid,
-                            pattern.size,
-                            pattern.support,
-                            repr(pattern.key),
-                            len(fragments),
-                            payload,
-                            sha,
-                        ),
-                    )
-                    for fid in self._intern_fragments(fragments):
-                        self._conn.execute(
-                            "INSERT OR IGNORE INTO pattern_postings"
-                            "(version, fid, pid) VALUES(?,?,?)",
-                            (version, fid, pid),
-                        )
-                if database is not None:
-                    self._index_graphs(
-                        version, previous, database, counters
-                    )
-                self._conn.execute(
-                    "INSERT OR REPLACE INTO snapshots"
-                    "(version, patterns, meta, db_generation, published_at)"
-                    " VALUES(?,?,?,?,?)",
-                    (
-                        version,
-                        len(ordered),
-                        json.dumps(meta),
-                        self.generation() if database is not None else None,
-                        time.time(),
-                    ),
-                )
-                self._bump_generation()
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._conn.execute("COMMIT")
-        obs_metrics.count_storage_op("snapshots", "write")
-        return counters
-
-    def _intern_fragments(self, fragments) -> list[int]:
-        fids = []
-        for fragment in sorted(fragments):
-            text = fragment_text(fragment)
-            row = self._conn.execute(
-                "SELECT fid FROM fragments WHERE frag=?", (text,)
-            ).fetchone()
-            if row is None:
-                cursor = self._conn.execute(
-                    "INSERT INTO fragments(frag) VALUES(?)", (text,)
-                )
-                fids.append(cursor.lastrowid)
-            else:
-                fids.append(row[0])
-        return fids
-
-    def _index_graphs(
-        self, version, previous, database: GraphDatabase, counters
-    ) -> None:
-        """Graph-side postings for one snapshot, incrementally."""
-        from ..serve.index import graph_fragments
-
-        store = getattr(database, "_graphs", None)
-        own_store = (
-            isinstance(store, SQLiteGraphStore) and store.backend is self
-        )
-        previous_stamps = {}
-        if previous is not None:
-            previous_stamps = dict(
-                self._conn.execute(
-                    "SELECT gid, sha FROM graph_stamps WHERE version=?",
-                    (previous,),
-                ).fetchall()
-            )
-        for gid in database.gids():
-            if own_store:
-                sha = self.graph_sha(gid)
-            else:
-                sha = payload_sha(encode_graph(database[gid]))
-            if sha is not None and previous_stamps.get(gid) == sha:
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO graph_postings(version, fid, gid)"
-                    " SELECT ?, fid, gid FROM graph_postings"
-                    " WHERE version=? AND gid=?",
-                    (version, previous, gid),
-                )
-                counters["postings_reused"] += 1
-            else:
-                for fid in self._intern_fragments(
-                    graph_fragments(database[gid])
-                ):
-                    self._conn.execute(
-                        "INSERT OR IGNORE INTO graph_postings"
-                        "(version, fid, gid) VALUES(?,?,?)",
-                        (version, fid, gid),
-                    )
-                counters["postings_rebuilt"] += 1
-            self._conn.execute(
-                "INSERT OR REPLACE INTO graph_stamps(version, gid, sha)"
-                " VALUES(?,?,?)",
-                (version, gid, sha),
-            )
-
-    def load_snapshot(self, version: int):
-        """A lazy :class:`StoredCatalogSnapshot` for ``version``.
-
-        Validates existence and the stored pattern count; pattern rows
-        themselves decode lazily (and verify their digests) on access.
-        """
-        row = self._execute(
-            "SELECT patterns, meta, db_generation FROM snapshots"
-            " WHERE version=?",
-            (version,),
-        ).fetchone()
-        if row is None:
-            raise FileNotFoundError(
-                f"{self.path}: no stored snapshot version {version}"
-            )
-        declared, meta_text, db_generation = row
-        held = self._execute(
-            "SELECT COUNT(*) FROM patterns WHERE version=?", (version,)
-        ).fetchone()[0]
-        if held != declared:
-            raise ValueError(
-                f"{self.path}: snapshot {version} holds {held} pattern "
-                f"rows, header says {declared}"
-            )
-        obs_metrics.count_storage_op("snapshots", "read")
-        return StoredCatalogSnapshot(
-            self, version, json.loads(meta_text), declared, db_generation
-        )
-
-    def delete_snapshot(self, version: int) -> None:
-        self._require_writable("delete a snapshot")
-        with self._lock:
-            self._conn.execute("BEGIN")
-            try:
-                for sql in (
-                    "DELETE FROM snapshots WHERE version=?",
-                    "DELETE FROM patterns WHERE version=?",
-                    "DELETE FROM pattern_postings WHERE version=?",
-                    "DELETE FROM graph_postings WHERE version=?",
-                    "DELETE FROM graph_stamps WHERE version=?",
-                ):
-                    self._conn.execute(sql, (version,))
-                self._bump_generation()
-            except BaseException:
-                self._conn.execute("ROLLBACK")
-                raise
-            self._conn.execute("COMMIT")
-        obs_metrics.count_storage_op("snapshots", "delete")
-
-    def read_pattern_row(self, version: int, pid: int) -> Pattern:
-        """Decode one pattern row, verifying its digest."""
-        row = self._execute(
-            "SELECT payload, sha FROM patterns WHERE version=? AND pid=?",
-            (version, pid),
-        ).fetchone()
-        if row is None:
-            raise KeyError((version, pid))
-        if row[1] == "":
-            raise ArtifactCorrupt(
-                f"{self.path}: patterns row {(version, pid)} was "
-                "quarantined and not yet re-published",
-                path=self.path,
-            )
-        faults.fire(
-            SITE_STORAGE_READ, table="patterns", key=(version, pid)
-        )
-        payload = faults.mangle(
-            SITE_STORAGE_READ,
-            bytes(row[0]),
-            table="patterns",
-            key=(version, pid),
-        )
-        if payload_sha(payload) != row[1]:
-            raise self._corrupt(
-                "patterns",
-                (version, pid),
-                payload,
-                "sha256 mismatch — row bytes corrupt",
-            )
-        try:
-            pattern = decode_pattern(payload)
-        except (ValueError, KeyError, TypeError) as exc:
-            raise self._corrupt(
-                "patterns",
-                (version, pid),
-                payload,
-                f"undecodable payload ({exc})",
-            ) from exc
-        obs_metrics.count_storage_op("patterns", "read")
-        return pattern
-
-    # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
@@ -663,7 +319,6 @@ class SQLiteBackend(StorageBackend):
             "backend": self.name,
             "path": str(self.path),
             "graphs": self.num_graphs(),
-            "snapshots": len(self.snapshot_versions()),
             "generation": self.generation(),
             "cache": self.cache.stats(),
         }
@@ -766,6 +421,17 @@ class SQLiteGraphStore:
         """Changes whenever any row of the backing store changes."""
         return ("sqlite", str(self.backend.path), self.backend.generation())
 
+    def digests(self) -> dict[int, str]:
+        """gid -> row sha, read without decoding (see module docs).
+
+        A quarantined row reads as ``''``, which matches no digest.
+        """
+        rows = self.backend._execute("SELECT gid, sha FROM graphs")
+        if self._subset is None:
+            return dict(rows.fetchall())
+        wanted = set(self._subset)
+        return {gid: sha for gid, sha in rows.fetchall() if gid in wanted}
+
     def total_edges(self) -> int:
         """SQL fast path for :meth:`GraphDatabase.total_edges`."""
         if self._subset is not None:
@@ -807,268 +473,3 @@ class SQLiteGraphStore:
 
     def stats(self) -> dict:
         return self.backend.cache.stats()
-
-
-# ----------------------------------------------------------------------
-# Lazy catalog snapshot + stored fragment index
-# ----------------------------------------------------------------------
-class StoredPatternEntry:
-    """One catalog entry whose graph/key/tids decode on first access.
-
-    ``pid``/``support``/``size`` come straight from indexed columns, so
-    metadata queries (``top_k``, listings) never touch the payload blob.
-    """
-
-    __slots__ = ("pid", "support", "size", "_snapshot", "_pattern")
-
-    def __init__(self, snapshot, pid, support, size) -> None:
-        self.pid = pid
-        self.support = support
-        self.size = size
-        self._snapshot = snapshot
-        self._pattern = None
-
-    def _load(self) -> Pattern:
-        if self._pattern is None:
-            self._pattern = self._snapshot.backend.read_pattern_row(
-                self._snapshot.version, self.pid
-            )
-        return self._pattern
-
-    @property
-    def graph(self) -> LabeledGraph:
-        return self._load().graph
-
-    @property
-    def key(self):
-        return self._load().key
-
-    @property
-    def tids(self) -> frozenset[int]:
-        return self._load().tids
-
-
-class StoredEntries:
-    """The lazy ``snapshot.entries`` sequence (pid-indexed)."""
-
-    def __init__(self, snapshot, count: int) -> None:
-        self._snapshot = snapshot
-        self._count = count
-        self._cache: dict[int, StoredPatternEntry] = {}
-
-    def __len__(self) -> int:
-        return self._count
-
-    def __getitem__(self, pid: int):
-        if isinstance(pid, slice):
-            return [self[i] for i in range(*pid.indices(self._count))]
-        if pid < 0:
-            pid += self._count
-        entry = self._cache.get(pid)
-        if entry is None:
-            row = self._snapshot.backend._execute(
-                "SELECT support, size FROM patterns"
-                " WHERE version=? AND pid=?",
-                (self._snapshot.version, pid),
-            ).fetchone()
-            if row is None:
-                raise IndexError(pid)
-            entry = StoredPatternEntry(self._snapshot, pid, row[0], row[1])
-            self._cache[pid] = entry
-        return entry
-
-    def __iter__(self):
-        for pid in range(self._count):
-            yield self[pid]
-
-
-class StoredFragmentIndex:
-    """SQL-backed drop-in for the query engine's fragment-index calls.
-
-    Implements the candidate-filtering surface
-    (:meth:`candidate_patterns` / :meth:`candidate_graphs` /
-    :meth:`stale_gids` / ``num_patterns`` / ``has_graph_postings``) with
-    indexed queries; answers are element-identical to the eager
-    :class:`~repro.serve.index.FragmentIndex` built over the same data,
-    which the differential tests pin.
-    """
-
-    def __init__(self, snapshot: "StoredCatalogSnapshot") -> None:
-        self.snapshot = snapshot
-        self.backend = snapshot.backend
-        self.version = snapshot.version
-
-    @property
-    def num_patterns(self) -> int:
-        return len(self.snapshot.entries)
-
-    @property
-    def has_graph_postings(self) -> bool:
-        return (
-            self.backend._execute(
-                "SELECT 1 FROM graph_stamps WHERE version=? LIMIT 1",
-                (self.version,),
-            ).fetchone()
-            is not None
-        )
-
-    def _fids(self, fragments) -> list[int] | None:
-        """fids of ``fragments``; ``None`` if any is out of vocabulary."""
-        fids = []
-        for fragment in fragments:
-            row = self.backend._execute(
-                "SELECT fid FROM fragments WHERE frag=?",
-                (fragment_text(fragment),),
-            ).fetchone()
-            if row is None:
-                return None
-            fids.append(row[0])
-        return fids
-
-    def candidate_patterns(self, fragments) -> list[int]:
-        """Pids whose full fragment set is covered by ``fragments``."""
-        backend = self.backend
-        candidates = set()
-        known = []
-        for fragment in fragments:
-            row = backend._execute(
-                "SELECT fid FROM fragments WHERE frag=?",
-                (fragment_text(fragment),),
-            ).fetchone()
-            if row is not None:
-                known.append(row[0])
-        if known:
-            sql = SQL_CANDIDATE_PATTERNS.format(
-                placeholders=",".join("?" * len(known))
-            )
-            candidates.update(
-                row[0]
-                for row in backend._execute(
-                    sql, (self.version, *known, self.version)
-                ).fetchall()
-            )
-        candidates.update(
-            row[0]
-            for row in backend._execute(
-                "SELECT pid FROM patterns WHERE version=? AND nfrag=0",
-                (self.version,),
-            ).fetchall()
-        )
-        return sorted(candidates)
-
-    def candidate_graphs(self, fragments) -> set[int] | None:
-        if not self.has_graph_postings:
-            return None
-        if not fragments:
-            return {
-                row[0]
-                for row in self.backend._execute(
-                    "SELECT gid FROM graph_stamps WHERE version=?",
-                    (self.version,),
-                ).fetchall()
-            }
-        fids = self._fids(fragments)
-        if fids is None:
-            return set()
-        sql = SQL_CANDIDATE_GRAPHS.format(
-            placeholders=",".join("?" * len(fids))
-        )
-        return {
-            row[0]
-            for row in self.backend._execute(
-                sql, (self.version, *fids, len(fids))
-            ).fetchall()
-        }
-
-    def stale_gids(self, database: GraphDatabase) -> set[int]:
-        """Gids whose stored bytes drifted since this snapshot indexed them.
-
-        For a database backed by the same engine this is pure SQL: the
-        store's persisted generation short-circuits the common no-drift
-        case, and otherwise row shas are compared against the snapshot's
-        stamps — no graph is ever decoded.  A foreign database (any
-        other store) is conservatively all-stale, which downstream means
-        "always a candidate, always verified": slower, never wrong.
-        """
-        store = getattr(database, "_graphs", None)
-        if not (
-            isinstance(store, SQLiteGraphStore)
-            and store.backend is self.backend
-        ):
-            return {gid for gid in database.gids()}
-        if (
-            self.snapshot.db_generation is not None
-            and self.backend.generation() == self.snapshot.db_generation
-        ):
-            return set()
-        stamps = dict(
-            self.backend._execute(
-                "SELECT gid, sha FROM graph_stamps WHERE version=?",
-                (self.version,),
-            ).fetchall()
-        )
-        stale = set()
-        for gid in database.gids():
-            if stamps.get(gid) != self.backend.graph_sha(gid):
-                stale.add(gid)
-        return stale
-
-
-class StoredCatalogSnapshot:
-    """A published snapshot served straight from the SQLite tables.
-
-    Duck-types :class:`~repro.serve.catalog.CatalogSnapshot` (version /
-    meta / entries / index / patterns) with lazy entries, and adds
-    :meth:`top_k` — the push-down the query engine delegates to, so
-    metadata queries are one indexed ``ORDER BY ... LIMIT`` without
-    decoding a single pattern blob.
-    """
-
-    def __init__(
-        self, backend, version, meta, count, db_generation
-    ) -> None:
-        self.backend = backend
-        self.version = version
-        self.meta = meta
-        self.db_generation = db_generation
-        self.entries = StoredEntries(self, count)
-        self.index = StoredFragmentIndex(self)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def entry(self, pid: int):
-        return self.entries[pid]
-
-    @property
-    def patterns(self) -> PatternSet:
-        """The full pattern set, materialized (eager callers only)."""
-        return PatternSet(entry._load() for entry in self.entries)
-
-    def top_k(self, k: int, by: str = "support") -> list:
-        """SQL push-down of :meth:`repro.serve.engine.QueryEngine.top_k`."""
-        if by not in ("support", "size"):
-            raise ValueError(
-                f"top_k by must be 'support' or 'size': {by!r}"
-            )
-        column = "support" if by == "support" else "size"
-        rows = self.backend._execute(
-            "SELECT pid FROM patterns WHERE version=?"
-            f" ORDER BY {column} DESC, pid LIMIT ?",
-            (self.version, max(0, k)),
-        ).fetchall()
-        return [self.entries[row[0]] for row in rows]
-
-    def lookup_canonical(self, key) -> list:
-        """Entries whose canonical code equals ``key`` (indexed lookup)."""
-        rows = self.backend._execute(
-            "SELECT pid FROM patterns WHERE version=? AND canon=?",
-            (self.version, repr(key)),
-        ).fetchall()
-        return [self.entries[row[0]] for row in rows]
-
-    def __repr__(self) -> str:
-        return (
-            f"StoredCatalogSnapshot(version={self.version}, "
-            f"patterns={len(self.entries)}, path={str(self.backend.path)!r})"
-        )

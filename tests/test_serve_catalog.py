@@ -1,11 +1,20 @@
 """Tests for the versioned pattern catalog (repro.serve.catalog)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from repro import query
+from repro.graph.database import GraphDatabase
+from repro.graph.io import write_database
 from repro.mining.base import Pattern, PatternSet
 from repro.mining.gspan import GSpanMiner
+from repro.resilience import integrity
+from repro.resilience.errors import ArtifactRetired
 from repro.serve.catalog import (
     CatalogSnapshot,
     PatternCatalog,
@@ -13,7 +22,7 @@ from repro.serve.catalog import (
 )
 from repro.serve.index import FragmentIndex
 
-from .conftest import path_graph, random_database, triangle
+from .conftest import make_graph, path_graph, random_database, triangle
 
 
 def mined(seed=5100, num_graphs=8, min_support=3):
@@ -153,3 +162,87 @@ class TestPrune:
     def test_prune_requires_positive_keep(self, tmp_path):
         with pytest.raises(ValueError, match="keep"):
             PatternCatalog(tmp_path / "cat").prune(keep=0)
+
+
+class TestRetiredArtifacts:
+    """Old artifacts are refused, never mis-served."""
+
+    def test_sqlite_manifest_refused_then_republished(self, tmp_path):
+        catalog_dir = tmp_path / "cat"
+        catalog_dir.mkdir()
+        (catalog_dir / "manifest.json").write_text(json.dumps({
+            "format": 1, "version": 3, "snapshot": "snapshot-000003",
+            "patterns": 5, "backend": "sqlite",
+        }))
+        with pytest.raises(ArtifactRetired, match="repro serve --patterns"):
+            PatternCatalog(catalog_dir).load()
+        db, patterns = mined(seed=5401)
+        assert PatternCatalog(catalog_dir).publish(
+            patterns, database=db
+        ).version == 4
+        assert PatternCatalog(catalog_dir).load().version == 4
+
+    def test_mutation_count_index_refused_not_quarantined(self, tmp_path):
+        db, patterns = mined(seed=5402)
+        catalog = PatternCatalog(tmp_path / "cat")
+        catalog.publish(patterns, database=db)
+        index_path = tmp_path / "cat" / "snapshot-000001" / "index.json"
+        data = json.loads(integrity.read_checked(index_path))
+        data["format"] = 1
+        for record in data["graphs"].values():
+            record["version"] = 9
+            del record["digest"]
+        integrity.write_checked(index_path, json.dumps(data))
+        with pytest.raises(ArtifactRetired, match="repro serve --patterns"):
+            catalog.load()
+        assert index_path.exists()
+
+    def test_storage_keyword_is_gone(self, tmp_path):
+        with pytest.raises(TypeError):
+            PatternCatalog(tmp_path / "cat", storage=object())
+
+
+#: Loads the catalog in a fresh interpreter and prints its answers.
+SERVE_IN_FRESH_PROCESS = """
+import json, sys
+from repro.graph.io import read_database
+from repro.serve import PatternCatalog, QueryEngine
+database = read_database(sys.argv[2])
+engine = QueryEngine(PatternCatalog(sys.argv[1]).load(), database)
+print(json.dumps({
+    "match": [sorted(engine.match(e.graph).gids)
+              for e in engine.snapshot.entries],
+    "coverage": sorted(engine.coverage()[1]),
+}))
+"""
+
+
+def test_relabelled_database_served_exactly_in_a_fresh_process(tmp_path):
+    """Publish over database A, serve over B in another process: B has
+    A's graphs' shapes and version counters, relabelled."""
+    db_a, patterns = mined(seed=5500, num_graphs=10)
+    catalog = PatternCatalog(tmp_path / "cat")
+    snapshot = catalog.publish(patterns, database=db_a)
+    db_b = GraphDatabase()
+    for gid, graph in db_a:
+        labels = [(label + 1) % 3 for label in graph.vertex_labels()]
+        edges = list(graph.edges())
+        db_b.add(gid, make_graph(labels, edges))
+    write_database(db_b, tmp_path / "b.tve")
+    want_match = [
+        sorted(query.match(e.graph, db_b).supporting_gids)
+        for e in snapshot.entries
+    ]
+    assert want_match != [sorted(e.tids) for e in snapshot.entries]
+    result = subprocess.run(
+        [sys.executable, "-c", SERVE_IN_FRESH_PROCESS,
+         str(tmp_path / "cat"), str(tmp_path / "b.tve")],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH="src"),
+        cwd=Path(__file__).resolve().parent.parent,
+    )
+    served = json.loads(result.stdout)
+    assert served["match"] == want_match
+    _fraction, covered = query.coverage(patterns, db_b)
+    assert served["coverage"] == sorted(covered)
+

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro import perf, query
+from repro.graph.database import GraphDatabase
 from repro.graph.isomorphism import subgraph_exists
 from repro.mining.base import Pattern, PatternSet
 from repro.mining.gspan import GSpanMiner
@@ -158,6 +159,41 @@ class TestCaching:
         db[0].add_vertex(9)
         answer = engine.match(pattern)
         assert not answer.stats.lru_hit
+
+    def test_same_shape_replacement_is_answered_afresh(self):
+        """A fresh graph with the old one's vertex and edge counts carries
+        the same version counter; the answer must still move with it."""
+        edge = make_graph([0, 0], [(0, 1, 0)])
+        db = GraphDatabase.from_graphs([
+            make_graph([1, 1, 1], [(0, 1, 0), (1, 2, 0)]),
+            make_graph([0, 0, 0], [(0, 1, 0), (1, 2, 0)]),
+        ])
+        patterns = PatternSet([Pattern.from_graph(edge, [1])])
+        engine = QueryEngine(make_snapshot(patterns, db), db)
+        assert engine.match(edge).gids == {1}
+        replacement = make_graph([0, 0, 0], [(0, 1, 0), (1, 2, 0)])
+        assert replacement.version == db[0].version
+        db.replace(0, replacement)
+        answer = engine.match(edge)
+        assert not answer.stats.lru_hit
+        assert answer.gids == {0, 1}
+
+    def test_stale_gids_once_per_database_state(self, monkeypatch):
+        engine, patterns, db = mined_engine(seed=6506)
+        index = engine.snapshot.index
+        calls = []
+
+        def counted(database):
+            calls.append(database)
+            return type(index).stale_gids(index, database)
+
+        monkeypatch.setattr(index, "stale_gids", counted)
+        for pattern in patterns:
+            engine.match(pattern.graph)
+        assert len(calls) == 1
+        db[0].add_vertex(9)
+        engine.match(next(iter(patterns)).graph)
+        assert len(calls) == 2
 
     def test_lru_bounded(self):
         engine, patterns, _ = mined_engine(seed=6504, lru_size=2)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from repro.graph.database import GraphDatabase
 from repro.graph.isomorphism import subgraph_exists
 from repro.mining.gspan import GSpanMiner
+from repro.resilience.errors import ArtifactRetired
 from repro.serve.index import FragmentIndex, graph_fragments
 
 from .conftest import make_graph, path_graph, random_database, triangle
@@ -132,6 +133,22 @@ class TestStaleness:
         db.add(99, triangle())
         assert index.stale_gids(db) == {99}
 
+    def test_same_shape_relabel_goes_stale(self):
+        db = random_database(seed=4404, num_graphs=3)
+        index = FragmentIndex.build([path_graph(2)], db)
+        labels = db[1].vertex_labels()
+        labels[0] = 99
+        fresh = make_graph(labels, list(db[1].edges()))
+        assert fresh.version == db[1].version  # counts cannot tell them
+        db.replace(1, fresh)
+        assert index.stale_gids(db) == {1}
+
+    def test_loaded_index_is_fresh_over_equal_content(self):
+        db = random_database(seed=4405, num_graphs=4)
+        index = FragmentIndex.build([path_graph(2)], db)
+        loaded = FragmentIndex.from_dict(index.to_dict())
+        assert loaded.stale_gids(db.copy(deep=True)) == set()
+
     def test_index_without_graphs_reports_all_stale(self):
         db = random_database(seed=4403, num_graphs=3)
         index = FragmentIndex.build([path_graph(2)])
@@ -157,6 +174,10 @@ class TestSerialization:
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             FragmentIndex.from_dict({"format": 99})
+
+    def test_mutation_count_format_retired(self):
+        with pytest.raises(ArtifactRetired, match="repro serve --patterns"):
+            FragmentIndex.from_dict({"format": 1})
 
     def test_roundtrip_preserves_candidates(self, tmp_path):
         db, patterns = mined_graphs(seed=4502)

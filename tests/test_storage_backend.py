@@ -7,9 +7,10 @@ bytes, same query answers — while holding only a bounded number of
 decoded graphs alive.  The differential suite
 (test_storage_differential.py) pins the identical-output half; this file
 covers the backend's own mechanics: round-trips, the LRU, generations,
-quarantine-and-heal, snapshots, and the stored fragment index.
+quarantine-and-heal, and the row digests the fragment index reads.
 """
 
+import shutil
 import sqlite3
 
 import pytest
@@ -17,8 +18,9 @@ import pytest
 from repro.graph.database import GraphDatabase
 from repro.mining.gspan import GSpanMiner
 from repro.resilience.errors import ArtifactCorrupt, exit_code_for
-from repro.serve.catalog import catalog_order
-from repro.serve.index import FragmentIndex, graph_fragments
+from repro.serve.catalog import PatternCatalog, catalog_order
+from repro.serve.engine import QueryEngine
+from repro.serve.index import FragmentIndex
 from repro.storage import (
     BACKEND_NAMES,
     DEFAULT_CACHE_GRAPHS,
@@ -297,24 +299,23 @@ class TestIntegrity:
 
 
 # ----------------------------------------------------------------------
-# Snapshots (catalog facet)
+# Catalog snapshots over a stored database: the one directory format
 # ----------------------------------------------------------------------
-def publish(backend, db, version=1, meta=None):
-    patterns = GSpanMiner().mine(db, 3)
-    ordered = catalog_order(patterns)
-    counters = backend.save_snapshot(
-        version, ordered, dict(meta or {}), db
-    )
-    return patterns, ordered, counters
+def publish(tmp_path, backend, meta=None):
+    view = backend.database()
+    patterns = GSpanMiner().mine(view, 3)
+    catalog = PatternCatalog(tmp_path / "catalog")
+    catalog.publish(patterns, meta=dict(meta or {}), database=view)
+    return catalog, catalog_order(patterns)
 
 
 class TestSnapshots:
-    def test_save_load_round_trip(self, backend):
-        db = filled(backend)
-        patterns, ordered, _ = publish(backend, db, meta={"note": "x"})
-        snap = backend.load_snapshot(1)
+    def test_save_load_round_trip(self, tmp_path, backend):
+        filled(backend)
+        catalog, ordered = publish(tmp_path, backend, meta={"note": "x"})
+        snap = catalog.load()
         assert snap.version == 1
-        assert snap.meta == {"note": "x"}
+        assert snap.meta["note"] == "x"
         assert len(snap.entries) == len(ordered)
         for pid, want in enumerate(ordered):
             entry = snap.entries[pid]
@@ -323,185 +324,104 @@ class TestSnapshots:
             assert entry.key == want.key
             assert entry.tids == want.tids
 
-    def test_missing_snapshot(self, backend):
+    def test_missing_snapshot(self, tmp_path, backend):
+        filled(backend)
+        catalog, _ = publish(tmp_path, backend)
+        shutil.rmtree(tmp_path / "catalog" / "snapshot-000001")
         with pytest.raises(FileNotFoundError):
-            backend.load_snapshot(5)
+            catalog.load(fallback=False)
 
-    def test_snapshot_versions_and_delete(self, backend):
-        db = filled(backend)
-        publish(backend, db, version=1)
-        publish(backend, db, version=2)
-        assert backend.snapshot_versions() == [1, 2]
-        backend.delete_snapshot(1)
-        assert backend.snapshot_versions() == [2]
-        with pytest.raises(FileNotFoundError):
-            backend.load_snapshot(1)
+    def test_snapshot_versions_and_delete(self, tmp_path, backend):
+        filled(backend)
+        catalog, _ = publish(tmp_path, backend)
+        publish(tmp_path, backend)
+        assert catalog.versions_on_disk() == [1, 2]
+        assert catalog.prune(keep=1) == [1]
+        assert catalog.versions_on_disk() == [2]
+        assert catalog.load().version == 2
 
-    def test_incremental_postings_reused_when_unchanged(self, backend):
+    def test_incremental_rebuilds_only_drifted_rows(self, tmp_path, backend):
         db = filled(backend)
-        _, _, first = publish(backend, db, version=1)
-        assert first["postings_rebuilt"] == len(db)
-        _, _, second = publish(backend, db, version=2)
-        assert second["postings_reused"] == len(db)
-        assert second["postings_rebuilt"] == 0
-
-    def test_incremental_rebuilds_only_drifted_rows(self, backend):
-        db = filled(backend)
-        publish(backend, db, version=1)
+        catalog, _ = publish(tmp_path, backend)
         g0 = db[0].copy()
         g0.set_vertex_label(0, 9)
         backend.write_graph(0, g0)
-        _, _, counters = publish(backend, backend.database(), version=2)
-        assert counters["postings_rebuilt"] == 1
-        assert counters["postings_reused"] == len(db) - 1
+        view = backend.database()
+        assert catalog.load().index.stale_gids(view) == {0}
+        publish(tmp_path, backend)
+        assert catalog.load().index.stale_gids(view) == set()
 
-    def test_top_k_matches_eager_order(self, backend):
-        db = filled(backend)
-        _, ordered, _ = publish(backend, db)
-        snap = backend.load_snapshot(1)
+    def test_top_k_matches_eager_order(self, tmp_path, backend):
+        filled(backend)
+        catalog, ordered = publish(tmp_path, backend)
+        engine = QueryEngine(catalog.load(), backend.database())
         for by, keyfn in (
             ("support", lambda i: (-ordered[i].support, i)),
             ("size", lambda i: (-ordered[i].size, i)),
         ):
             want = sorted(range(len(ordered)), key=keyfn)
             for k in (0, 1, 3, len(ordered) + 5):
-                got = [e.pid for e in snap.top_k(k, by=by)]
+                got = [e.pid for e in engine.top_k(k, by=by)]
                 assert got == want[:k], (by, k)
         with pytest.raises(ValueError):
-            snap.top_k(3, by="color")
+            engine.top_k(3, by="color")
 
-    def test_top_k_decodes_no_pattern_blobs(self, backend):
-        db = filled(backend)
-        publish(backend, db)
-        snap = backend.load_snapshot(1)
-        top = snap.top_k(3)
-        assert len(top) == 3
-        assert all(e._pattern is None for e in top)
-
-    def test_lookup_canonical(self, backend):
-        db = filled(backend)
-        _, ordered, _ = publish(backend, db)
-        snap = backend.load_snapshot(1)
-        for pid, pattern in enumerate(ordered):
-            assert [e.pid for e in snap.lookup_canonical(pattern.key)] == [
-                pid
-            ]
-        assert snap.lookup_canonical(("no", "such", "key")) == []
-
-    def test_corrupt_pattern_row_is_typed(self, backend):
-        db = filled(backend)
-        publish(backend, db)
-        backend._conn.execute(
-            "UPDATE patterns SET payload=? WHERE version=1 AND pid=0",
-            (b"junk",),
-        )
-        snap = backend.load_snapshot(1)
+    def test_corrupt_pattern_row_is_typed(self, tmp_path, backend):
+        filled(backend)
+        catalog, _ = publish(tmp_path, backend)
+        path = tmp_path / "catalog" / "snapshot-000001" / "patterns.jsonl"
+        path.write_bytes(path.read_bytes().replace(b'"support"', b'"sUpport"', 1))
         with pytest.raises(ArtifactCorrupt) as info:
-            snap.entries[0].graph
+            catalog.load(fallback=False)
         assert exit_code_for(info.value) == 3
 
 
 # ----------------------------------------------------------------------
-# Query plans: postings lookups must never degenerate to table scans
+# The fragment index over a stored database: row shas are its stamps
 # ----------------------------------------------------------------------
-class TestPostingsQueryPlans:
-    """EXPLAIN the exact production SQL of the fragment-postings index.
-
-    Both candidate queries must resolve through the ``WITHOUT ROWID``
-    composite primary keys — a plan step that SCANs a postings table
-    means every published snapshot's postings are walked per probe, the
-    exact regression the composite PKs exist to prevent.
-    """
-
-    def _details(self, backend, sql, params):
-        rows = backend._conn.execute(
-            "EXPLAIN QUERY PLAN " + sql, params
-        ).fetchall()
-        return [row[3] for row in rows]
-
-    def test_candidate_queries_search_not_scan(self, backend):
-        from repro.storage.sqlite import (
-            SQL_CANDIDATE_GRAPHS,
-            SQL_CANDIDATE_PATTERNS,
-        )
-
+class TestIndexOverStore:
+    def test_index_over_store_equals_index_over_memory(self, backend):
         db = filled(backend)
-        publish(backend, db)
-        plans = {
-            "candidate_patterns": self._details(
-                backend,
-                SQL_CANDIDATE_PATTERNS.format(placeholders="?,?"),
-                (1, 1, 2, 1),
-            ),
-            "candidate_graphs": self._details(
-                backend,
-                SQL_CANDIDATE_GRAPHS.format(placeholders="?,?"),
-                (1, 1, 2, 2),
-            ),
-        }
-        for name, details in plans.items():
-            assert any(
-                "USING" in detail for detail in details
-            ), (name, details)
-            for detail in details:
-                assert not detail.startswith("SCAN"), (name, details)
+        patterns = [p.graph for p in catalog_order(GSpanMiner().mine(db, 3))]
+        assert FragmentIndex.build(
+            patterns, backend.database()
+        ) == FragmentIndex.build(patterns, db)
 
-
-# ----------------------------------------------------------------------
-# Stored fragment index vs the eager one
-# ----------------------------------------------------------------------
-class TestStoredFragmentIndex:
-    def test_candidates_match_eager_index(self, backend):
+    def test_stale_gids_read_row_digests_without_decoding(self, backend):
         db = filled(backend)
-        patterns, ordered, _ = publish(backend, db)
-        stored = backend.load_snapshot(1).index
-        eager = FragmentIndex.build(
-            (p.graph for p in ordered), db
-        )
-        assert stored.num_patterns == eager.num_patterns
-        assert stored.has_graph_postings and eager.has_graph_postings
-        probes = [graph_fragments(g) for _, g in db]
-        probes += [graph_fragments(p.graph) for p in ordered]
-        probes.append(frozenset())
-        probes.append(frozenset({("e", 99, 99, 99)}))
-        for fragments in probes:
-            assert stored.candidate_patterns(
-                fragments
-            ) == eager.candidate_patterns(fragments)
-            assert stored.candidate_graphs(
-                fragments
-            ) == eager.candidate_graphs(fragments)
-
-    def test_stale_gids_same_store(self, backend):
-        db = filled(backend)
-        publish(backend, db)
+        index = FragmentIndex.build([triangle()], db)
         view = backend.database()
-        stored = backend.load_snapshot(1).index
-        assert stored.stale_gids(view) == set()
-        g0 = view[0].copy()
+        misses = backend.cache.stats()["misses"]
+        assert index.stale_gids(view) == set()
+        g0 = db[0].copy()
         g0.set_vertex_label(0, 9)
         backend.write_graph(0, g0)
-        assert stored.stale_gids(view) == {0}
+        assert index.stale_gids(view) == {0}
+        assert backend.cache.stats()["misses"] == misses
 
-    def test_stale_gids_foreign_database_all_stale(self, backend):
+    def test_foreign_database_stale_by_content(self, backend):
+        """An index built over the store judges any other database by
+        content: an equal copy is fresh, a relabelled graph is stale."""
         db = filled(backend)
-        publish(backend, db)
-        stored = backend.load_snapshot(1).index
-        assert stored.stale_gids(db) == set(db.gids())
+        index = FragmentIndex.build([triangle()], backend.database())
+        foreign = db.copy(deep=True)
+        assert index.stale_gids(foreign) == set()
+        foreign[2].set_vertex_label(0, 9)
+        assert index.stale_gids(foreign) == {2}
 
 
 # ----------------------------------------------------------------------
 # Memory backend parity
 # ----------------------------------------------------------------------
 class TestMemoryBackend:
-    def test_import_and_snapshots(self):
+    def test_import_and_snapshots(self, tmp_path):
         db = random_database(seed=21, num_graphs=4, n=5)
         b = open_backend("memory")
         b.import_database(db)
         assert b.num_graphs() == len(db)
-        patterns = GSpanMiner().mine(db, 2)
-        b.save_snapshot(1, patterns, {"note": "m"})
-        assert b.snapshot_versions() == [1]
-        loaded, meta = b.load_snapshot(1)
-        assert loaded is patterns
-        assert meta == {"note": "m"}
+        assert b.database().gids() == db.gids()
+        # Snapshots are catalog directories over either backend.
+        catalog, ordered = publish(tmp_path, b)
+        assert [e.key for e in catalog.load().entries] == [
+            p.key for p in ordered
+        ]

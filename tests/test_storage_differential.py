@@ -2,7 +2,7 @@
 
 Three layers of "observationally identical", strongest last:
 
-1. **Property round-trips** (hypothesis): any graph/pattern encodes to
+1. **Property round-trips** (hypothesis): any graph encodes to
    the store's row format and decodes back label- and order-exact, so a
    database pushed through SQLite iterates exactly like the dict it came
    from;
@@ -29,18 +29,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.graph.database import GraphDatabase
-from repro.mining.base import Pattern
 from repro.mining.gaston import GastonMiner
 from repro.mining.gspan import GSpanMiner
 from repro.mining.store import dump_patterns
 from repro.core.partminer import PartMiner
-from repro.storage import (
-    decode_graph,
-    decode_pattern,
-    encode_graph,
-    encode_pattern,
-    open_backend,
-)
+from repro.storage import decode_graph, encode_graph, open_backend
 
 from .conftest import random_database
 from .test_properties import connected_graphs
@@ -68,19 +61,6 @@ class TestRoundTripProperties:
             # neighbors in dict insertion order.
             assert list(back.neighbors(v)) == list(graph.neighbors(v))
         assert encode_graph(back) == encode_graph(graph)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        connected_graphs(max_vertices=6),
-        st.sets(st.integers(0, 50), min_size=1, max_size=10),
-    )
-    def test_pattern_round_trip(self, graph, tids):
-        pattern = Pattern.from_graph(graph, tids)
-        back = decode_pattern(encode_pattern(pattern))
-        assert back.key == pattern.key
-        assert back.tids == pattern.tids
-        assert back.support == pattern.support
-        assert back.graph.vertex_labels() == pattern.graph.vertex_labels()
 
     @settings(max_examples=25, deadline=None)
     @given(

@@ -10,20 +10,27 @@ machine-independent form of "peak RSS is bounded by the cache budget,
 not the database size" (the actual process-level RSS ratio is measured
 and reported by ``benchmarks/bench_storage.py``).
 
-The serving half: a catalog published into the backend answers metadata
-queries straight from indexed SQL, without decoding pattern blobs.
+The serving half: a catalog published over the store (by the library or
+by ``repro serve --backend sqlite``) reloads from disk and answers like
+the memory backend, telling stale graphs by row sha without decoding.
 """
 
 import io
+import os
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro import perf
 from repro.core.mergejoin import merge_join
 from repro.core.partminer import PartMiner, resolve_unit_threshold
+from repro.graph.io import read_database, write_database
 from repro.mining.gaston import GastonMiner
 from repro.mining.gspan import GSpanMiner
-from repro.mining.store import dump_patterns
+from repro.mining.store import dump_patterns, read_patterns, save_patterns
 from repro.partition import db_partition
 from repro.serve.catalog import PatternCatalog
 from repro.serve.engine import QueryEngine
@@ -178,60 +185,101 @@ def test_incremental_reimport_touches_only_changed_rows(
         backend.close()
 
 
-def test_serve_answers_without_decoding_patterns(tmp_path, database):
-    patterns = GSpanMiner().mine(database, NUM_GRAPHS // 3)
-    assert len(patterns) >= 5
-    backend = stored(tmp_path, database, "serve.db")
-    try:
-        catalog = PatternCatalog(tmp_path / "catalog", storage=backend)
-        snapshot = catalog.publish(
-            patterns, meta={"note": "v1"}, database=backend.database()
-        )
-        engine = QueryEngine(snapshot, backend.database())
-
-        def decoded_rows():
-            return sum(
-                1
-                for entry in snapshot.entries._cache.values()
-                if entry._pattern is not None
-            )
-
-        top = engine.top_k(3)
-        assert len(top) == 3
-        assert [e.support for e in top] == sorted(
-            (p.support for p in patterns), reverse=True
-        )[:3]
-        # Metadata queries ran as indexed SQL: no payload was decoded.
-        assert decoded_rows() == 0
-
-        # A containment query verifies only the index's candidates —
-        # decoding stays a strict subset of the catalog.
-        answer = engine.contains(database[0])
-        assert answer.stats.candidates < len(snapshot.entries)
-        assert decoded_rows() <= answer.stats.candidates
-    finally:
-        backend.close()
-
-
 def test_catalog_reload_from_disk_only(tmp_path, database):
-    """A fresh backend over the same file serves the published catalog."""
+    """A fresh backend over the same file serves the published catalog.
+
+    The snapshot is a directory whichever backend holds the graphs; its
+    index stamps graphs with the row shas, so reopening the store finds
+    every graph fresh without decoding one.
+    """
     patterns = GSpanMiner().mine(database, NUM_GRAPHS // 3)
     path = tmp_path / "persist.db"
     with open_backend(
         "sqlite", path, cache_graphs=CACHE_GRAPHS
     ) as backend:
         backend.import_database(database)
-        catalog = PatternCatalog(tmp_path / "cat", storage=backend)
-        published = catalog.publish(
+        published = PatternCatalog(tmp_path / "cat").publish(
             patterns, database=backend.database()
         )
         want = pattern_text(published.patterns)
-        version = published.version
     # Everything above is gone; reopen from bytes on disk alone.
     with open_backend(
         "sqlite", path, cache_graphs=CACHE_GRAPHS
     ) as backend:
-        catalog = PatternCatalog(tmp_path / "cat", storage=backend)
-        loaded = catalog.load()
-        assert loaded.version == version
+        loaded = PatternCatalog(tmp_path / "cat").load()
+        assert loaded.version == published.version
         assert pattern_text(loaded.patterns) == want
+        misses = backend.cache.stats()["misses"]
+        assert loaded.index.stale_gids(backend.database()) == set()
+        assert backend.cache.stats()["misses"] == misses
+
+
+def free_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+def test_serve_backend_sqlite_answers_like_memory(tmp_path, database):
+    """`repro serve --backend sqlite` publishes a catalog that a fresh
+    load over the reopened store serves exactly like the memory backend:
+    same match / contains / top_k / coverage answers, and finding the
+    stale graphs decodes none."""
+    tve, store = tmp_path / "db.tve", tmp_path / "serve.db"
+    write_database(database, tve)
+    patterns_file = tmp_path / "patterns.jsonl"
+    save_patterns(GSpanMiner().mine(database, NUM_GRAPHS // 3), patterns_file)
+    env = dict(os.environ, PYTHONPATH="src", PYTHONUNBUFFERED="1")
+    serve = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(tmp_path / "cat"),
+         str(tve), "--patterns", str(patterns_file), "--backend", "sqlite",
+         "--db-path", str(store), "--graph-cache", str(CACHE_GRAPHS),
+         "--port", str(free_port())],
+        stdout=subprocess.PIPE, text=True, env=env,
+        cwd=Path(__file__).resolve().parent.parent,
+    )
+    try:
+        lines = []
+        for line in serve.stdout:
+            lines.append(line)
+            if line.startswith("serving catalog v1"):
+                break
+        assert any(line.startswith("published snapshot v1") for line in lines)
+    finally:
+        serve.terminate()
+        serve.communicate(timeout=60)
+    assert serve.returncode == 0, lines
+
+    patterns, _meta = read_patterns(patterns_file)
+    memory_db = read_database(tve)
+    want = QueryEngine(
+        PatternCatalog(tmp_path / "memory").publish(
+            patterns, database=memory_db
+        ),
+        memory_db,
+    )
+    with open_backend(
+        "sqlite", store, cache_graphs=CACHE_GRAPHS
+    ) as backend:
+        view = backend.database()
+        snapshot = PatternCatalog(tmp_path / "cat").load()
+        misses = backend.cache.stats()["misses"]
+        assert snapshot.index.stale_gids(view) == set()
+        assert backend.cache.stats()["misses"] == misses
+        got = QueryEngine(snapshot, view)
+        assert got.stats_dict()["patterns"] == len(patterns)
+        for entry in snapshot.entries:
+            assert got.match(entry.graph).gids == (
+                want.match(entry.graph).gids
+            )
+        for _gid, graph in memory_db:
+            assert got.contains(graph).pids == want.contains(graph).pids
+        for by in ("support", "size"):
+            assert [e.pid for e in got.top_k(5, by=by)] == [
+                e.pid for e in want.top_k(5, by=by)
+            ]
+        assert got.coverage() == want.coverage()
+        # Every graph was fresh: the index kept exactly the candidates it
+        # kept in memory.  (Searches differ: the support cache is keyed by
+        # graph instance, and the store re-decodes evicted graphs.)
+        assert got.totals.candidates == want.totals.candidates
