@@ -1,13 +1,12 @@
-"""Single-large-graph mining: r-neighborhood decomposition + MNI support.
+"""Single-large-graph mining: pattern growth under MNI support.
 
-ROADMAP item 5.  One large labeled graph is decomposed into the r-hop
-neighborhoods of its (optionally label-restricted) pivot vertices
-(:mod:`~repro.biggraph.extract`), mined as an ordinary transactional
-database through the full PartMiner pipeline — partitioning, merge-join,
-acceleration, sharding, storage — and the candidate patterns are then
-re-verified under minimum-image-based support
-(:mod:`~repro.biggraph.mni`).  :class:`BigGraphMiner` is the façade;
-the CLI exposes it as ``repro mine-big`` / ``repro neighborhoods``.
+One large labeled graph; an embedding counts when some pivot's r-ball
+holds it — the semantics of mining the graph's r-neighborhood
+decomposition (:mod:`~repro.biggraph.extract`) as a transactional
+database.  :class:`BigGraphMiner` grows patterns on the graph itself,
+pruning on minimum-image support (:mod:`~repro.biggraph.mni`) and on
+that pivot support during growth.  The CLI exposes it as
+``repro mine-big``; ``repro neighborhoods`` inspects the decomposition.
 """
 
 from .extract import (

@@ -6,20 +6,19 @@ every vertex (the *pivot*) out of the input graph and treating the
 resulting collection as an ordinary
 :class:`~repro.graph.database.GraphDatabase`.  Any embedding of a
 connected pattern whose radius is at most ``r`` lies entirely inside the
-r-neighborhood of the image of one of its center vertices, so the
-frequent patterns of the neighborhood database are a superset of the
-frequent neighborhood patterns of the graph — the rest of the pipeline
-(PartMiner, merge-join, sharding, storage) applies unchanged, and
-:mod:`repro.biggraph.mni` re-verifies the candidates under the
-single-graph support semantics.
+r-neighborhood of the image of one of its center vertices.  That
+database *defines* the support semantics of ``repro mine-big`` — a
+pattern's pivot support is the number of units containing it — but the
+miner itself grows patterns on the big graph and never builds it
+(:mod:`repro.biggraph.miner`); the reference MNI fold
+(:mod:`repro.biggraph.mni`, ``--no-accel``), ``repro neighborhoods``
+and the tests do.
 
 Provenance is positional: **each unit graph's gid is its pivot vertex
 id**, and the unit is the induced subgraph over
 :func:`neighborhood_vertices` *in that exact order* — so the mapping
 ``local vertex i  ↔  global vertex order[i]`` is recomputable on demand
-from the big graph alone.  Nothing else needs to be persisted, which is
-what lets neighborhoods spill straight into the SQLite storage backend
-and still fold matches back to global vertex ids after a round-trip.
+from the big graph alone, also after a storage round-trip.
 """
 
 from __future__ import annotations
@@ -28,10 +27,6 @@ from dataclasses import dataclass
 
 from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import Label, LabeledGraph
-
-#: Graphs staged per bulk insert / backend import while extracting.
-_BATCH = 1024
-
 
 def neighborhood_vertices(
     graph: LabeledGraph, pivot: int, radius: int
@@ -106,9 +101,9 @@ class NeighborhoodExtractor:
 
     ``pivot_labels`` restricts pivots to vertices carrying one of the
     given labels.  The default (``None``) pivots on *every* vertex,
-    which is what makes the candidate-superset argument hold for all
-    patterns of radius ≤ r; a restricted pivot set changes the semantics
-    to *pivot-anchored* patterns (see DESIGN.md §16) — embeddings not
+    which is what makes MNI exact for all patterns of radius ≤ r; a
+    restricted pivot set changes the semantics to *pivot-anchored*
+    patterns (see DESIGN.md §16) — embeddings not
     within ``radius`` of any pivot-labeled vertex become invisible.
     """
 
@@ -148,45 +143,14 @@ class NeighborhoodExtractor:
 
     # ------------------------------------------------------------------
     def extract(self, graph: LabeledGraph) -> GraphDatabase:
-        """Materialize the neighborhood database in memory.
-
-        Unit gids are pivot vertex ids.  Units are staged through the
-        database's bulk :meth:`~repro.graph.database.GraphDatabase.\
-add_graphs` path in batches, skipping the per-graph probe/insert
-        round-trips a vertex-per-unit decomposition would otherwise pay.
-        """
+        """Materialize the neighborhood database in memory, through one
+        bulk :meth:`~repro.graph.database.GraphDatabase.add_graphs`.
+        Unit gids are pivot vertex ids."""
         database = GraphDatabase()
-        batch: list[tuple[int, LabeledGraph]] = []
-        for pivot in self.pivots(graph):
-            batch.append((pivot, self.unit(graph, pivot)))
-            if len(batch) >= _BATCH:
-                database.add_graphs(batch)
-                batch.clear()
-        if batch:
-            database.add_graphs(batch)
+        database.add_graphs(
+            (pivot, self.unit(graph, pivot)) for pivot in self.pivots(graph)
+        )
         return database
-
-    def extract_into(self, graph: LabeledGraph, backend) -> GraphDatabase:
-        """Spill the decomposition into a storage backend.
-
-        ``backend`` is a :class:`~repro.storage.backend.StorageBackend`;
-        units are imported in bounded batches so the resident set stays
-        ``O(batch)`` regardless of graph size, and the returned database
-        is the backend's lazily-decoding store view.  Re-extraction over
-        an unchanged graph rewrites nothing (checksum-compared import).
-        """
-        staged = GraphDatabase()
-        for pivot in self.pivots(graph):
-            staged.add(pivot, self.unit(graph, pivot))
-            if len(staged) >= _BATCH:
-                backend.import_database(staged)
-                staged = GraphDatabase()
-        if len(staged):
-            backend.import_database(staged)
-        checkpoint = getattr(backend, "checkpoint", None)
-        if checkpoint is not None:
-            checkpoint()
-        return backend.database()
 
     # ------------------------------------------------------------------
     def stats(self, database: GraphDatabase) -> ExtractionStats:

@@ -1,42 +1,29 @@
-"""BigGraphMiner: single-large-graph mining over the existing pipeline.
+"""BigGraphMiner: frequent-pattern growth on one large graph.
 
-The façade strings the subsystem together::
-
-    LabeledGraph
-      │  NeighborhoodExtractor (radius r, optional pivot labels)
-      ▼
-    GraphDatabase of neighborhoods          gid == pivot vertex id
-      │  PartMiner (k-way partition, merge-join; optionally sharded
-      │  through the coordinator with edge-balanced placement)
-      ▼
-    transactional candidate superset        support == #neighborhoods
-      │  MNISupport.verify (support-mode 'mni')
-      ▼
-    PatternSet under MNI semantics          tids == argmin image set
-
-Everything downstream of the candidate set — canonical dumps, the
-pattern store, serving, query — consumes the resulting
-:class:`~repro.mining.base.PatternSet` unchanged, because MNI patterns
-keep the store invariant ``support == len(tids)`` (the TID list is the
-minimum image set instead of a graph-id list).
-
-Support thresholds are **absolute counts**: a fraction of "the database
-size" is meaningless on a single graph, so ``mine`` rejects fractional
-thresholds instead of guessing a denominator.
+Level 1 is one pass over the graph's edges; each later level extends
+every kept pattern by one frequent edge (to a new vertex or as a chord),
+deduplicated by canonical code and measured once by
+:class:`~repro.biggraph.mni.MNISupport`.  ``mni`` mode keeps ``P`` iff
+``mni(P) >= t`` and its pivot support (counted unless implied) ``>= t``;
+``neighborhood`` mode keeps it iff its pivot support ``>= t`` and
+reports the supporting pivots as TIDs.  Both counts are anti-monotone,
+so this is exactly the decomposition-then-verify answer (DESIGN.md
+§16).  Thresholds are absolute counts: one graph has no size to take a
+fraction of.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import permutations
 
-from .. import obs
-from ..core.partminer import PartMiner, PartMinerResult
-from ..graph.database import GraphDatabase
+from .. import obs, perf
+from ..graph.canonical import canonical_form
 from ..graph.labeled_graph import Label, LabeledGraph
-from ..mining.base import PatternSet
-from .extract import ExtractionStats, NeighborhoodExtractor
-from .mni import MNISupport
+from ..mining.base import Pattern, PatternSet
+from .extract import NeighborhoodExtractor
+from .mni import MNISupport, min_image, pattern_centre
 
 SUPPORT_MODES = ("mni", "neighborhood")
 
@@ -47,16 +34,14 @@ class BigGraphResult:
 
     #: Final pattern set under the chosen support semantics.
     patterns: PatternSet
-    #: The transactional candidate superset (pre-verification).
-    candidates: PatternSet
+    #: Patterns measured during growth, 1-edge label triples included.
+    candidates: int
     threshold: int
     radius: int
     support_mode: str
-    extraction: ExtractionStats
-    part_result: PartMinerResult
-    extract_time: float = 0.0
+    #: Number of pivot vertices.
+    pivots: int
     mine_time: float = 0.0
-    verify_time: float = 0.0
     #: Emitted patterns of radius > ``radius``: under MNI their support
     #: is a lower bound (DESIGN.md §16), never an unmarked number.
     lower_bound_patterns: int = 0
@@ -69,7 +54,7 @@ class BigGraphResult:
             "radius": self.radius,
             "support_mode": self.support_mode,
             "threshold": self.threshold,
-            "pivots": self.extraction.pivots,
+            "pivots": self.pivots,
             "lower_bound_patterns": self.lower_bound_patterns,
         }
         if self.pivot_labels is not None:
@@ -78,50 +63,31 @@ class BigGraphResult:
 
 
 @dataclass
+class _Kept:
+    """A kept pattern and what its children are bounded by."""
+
+    pattern: Pattern
+    images: list[set[int]]
+    pivots: frozenset[int] | None
+
+
+@dataclass
 class BigGraphMiner:
     """Frequent neighborhood-pattern miner for one large graph.
 
-    Parameters
-    ----------
-    radius:
-        Neighborhood radius ``r`` of the decomposition.  MNI counts are
-        exact for patterns of radius ≤ r and lower bounds beyond
-        (DESIGN.md §16).
-    support_mode:
-        ``'mni'`` (default) re-verifies candidates under minimum-image
-        support; ``'neighborhood'`` keeps the transactional semantics —
-        support = number of pivots whose neighborhood contains the
-        pattern, TIDs = those pivots.
-    pivot_labels:
-        Restrict pivots to these vertex labels (pivot-anchored
-        semantics); ``None`` pivots on every vertex.
-    k / max_size / parallel_units / runtime / run_dir:
-        Forwarded to :class:`~repro.core.partminer.PartMiner`.
-        ``max_size`` also bounds the MNI verification work.
-    shards / coord:
-        ``shards >= 2`` routes the candidate mining through the sharded
-        coordinator with **edge-balanced** shard placement — pivot
-        neighborhoods all have density ≈ 1, so the default density
-        ranking degenerates while hub pivots skew sizes by orders of
-        magnitude (see :meth:`repro.coord.ShardPlan.build`).  ``coord``
-        overrides the whole coordinator policy.
-    backend:
-        Optional :class:`~repro.storage.backend.StorageBackend` the
-        neighborhood database spills into (out-of-core decomposition);
-        in-memory when ``None``.
+    ``radius`` is the ball radius ``r``: MNI counts are exact for
+    patterns of radius ≤ r and lower bounds beyond (DESIGN.md §16).
+    ``support_mode`` is ``'mni'`` (minimum-image support, default) or
+    ``'neighborhood'`` (support = pivots whose r-neighborhood contains
+    the pattern, TIDs = those pivots).  ``pivot_labels`` restricts the
+    pivots to these vertex labels (pivot-anchored semantics; ``None``:
+    every vertex).  ``max_size`` bounds pattern size in edges.
     """
 
     radius: int = 1
     support_mode: str = "mni"
     pivot_labels: frozenset[Label] | None = None
-    k: int = 2
     max_size: int | None = None
-    parallel_units: bool = False
-    runtime: object | None = None
-    run_dir: object | None = None
-    shards: int = 0
-    coord: object | None = None
-    backend: object | None = None
 
     def __post_init__(self) -> None:
         if self.support_mode not in SUPPORT_MODES:
@@ -130,30 +96,6 @@ class BigGraphMiner:
                 f"one of {', '.join(SUPPORT_MODES)})"
             )
 
-    # ------------------------------------------------------------------
-    def extractor(self) -> NeighborhoodExtractor:
-        return NeighborhoodExtractor(
-            radius=self.radius,
-            pivot_labels=(
-                frozenset(self.pivot_labels)
-                if self.pivot_labels is not None
-                else None
-            ),
-        )
-
-    def _coord_config(self):
-        if self.coord is not None:
-            return self.coord
-        if self.shards < 2:
-            return None
-        from ..coord import CoordConfig
-
-        extra = {} if self.runtime is None else {"runtime": self.runtime}
-        return CoordConfig(
-            shards=self.shards, balance="edges", **extra
-        )
-
-    # ------------------------------------------------------------------
     def mine(
         self, graph: LabeledGraph, min_support: int
     ) -> BigGraphResult:
@@ -164,56 +106,178 @@ class BigGraphMiner:
                 "big-graph support must be an absolute count >= 1, "
                 f"got {min_support!r}"
             )
-        extractor = self.extractor()
+        extractor = NeighborhoodExtractor(self.radius, self.pivot_labels)
+        pivots = extractor.pivots(graph)
         t0 = time.perf_counter()
-        with obs.span("biggraph.extract", radius=self.radius) as span:
-            if self.backend is not None:
-                neighborhoods = extractor.extract_into(graph, self.backend)
+        with obs.span(
+            "biggraph.mine", radius=self.radius, mode=self.support_mode
+        ) as span:
+            if perf.enabled():
+                counter = MNISupport.over_pivots(graph, pivots, self.radius)
             else:
-                neighborhoods = extractor.extract(graph)
-            span.set_attrs(pivots=len(neighborhoods))
-        extract_time = time.perf_counter() - t0
-        stats = extractor.stats(neighborhoods)
-
-        part = PartMiner(
-            k=self.k,
-            max_size=self.max_size,
-            parallel_units=self.parallel_units,
-            runtime=self.runtime,
-            run_dir=self.run_dir,
-            shards=self.shards,
-            coord=self._coord_config(),
-        )
-        t0 = time.perf_counter()
-        with obs.span("biggraph.mine", k=self.k) as span:
-            part_result = part.mine(neighborhoods, threshold)
-            candidates = part_result.patterns
-            span.set_attrs(candidates=len(candidates))
-        mine_time = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        lower_bound = 0
-        if self.support_mode == "mni":
-            with obs.span("biggraph.mni_verify") as span:
-                counter = MNISupport(graph, neighborhoods, self.radius)
-                patterns = counter.verify(candidates, threshold)
-                span.set_attrs(**counter.stats)
-            lower_bound = counter.stats["lower_bound_patterns"]
-        else:
-            patterns = candidates
-        verify_time = time.perf_counter() - t0
-
+                with obs.span("biggraph.extract", radius=self.radius):
+                    database = extractor.extract(graph)
+                counter = MNISupport(graph, database, self.radius)
+            patterns, candidates = self._grow(counter, threshold)
+            lower_bound = sum(
+                pattern_centre(p.graph)[1] > self.radius for p in patterns
+            ) if self.support_mode == "mni" else 0
+            span.set_attrs(
+                candidates=candidates,
+                patterns=len(patterns),
+                lower_bound_patterns=lower_bound,
+            )
         return BigGraphResult(
             patterns=patterns,
             candidates=candidates,
             threshold=threshold,
             radius=self.radius,
             support_mode=self.support_mode,
-            extraction=stats,
-            part_result=part_result,
-            extract_time=extract_time,
-            mine_time=mine_time,
-            verify_time=verify_time,
+            pivots=len(pivots),
+            mine_time=time.perf_counter() - t0,
             lower_bound_patterns=lower_bound,
             pivot_labels=extractor.pivot_labels,
         )
+
+    def _grow(
+        self, counter: MNISupport, threshold: int
+    ) -> tuple[PatternSet, int]:
+        """Level-wise growth; returns ``(kept patterns, candidates)``."""
+        tally = self.support_mode == "neighborhood"
+        patterns = PatternSet()
+        candidates, size = 0, 1
+        level: list[_Kept] = []
+        # Frequent edges: end label -> (edge label, other end's label)
+        # -> (images at this end, at the other end, supporting pivots).
+        edges: dict[Label, dict[tuple, tuple]] = {}
+        while size == 1 or level:
+            with obs.span("biggraph.grow", size=size) as span:
+                before = dict(counter.stats)
+                if size == 1:
+                    measured = counter.edge_patterns(tally)
+                else:
+                    children = _extensions(
+                        level, edges, threshold, 1 if tally else threshold
+                    )
+                    measured = [
+                        (canon, key, *counter.measure(
+                            canon, pivots, roots, tally
+                        ))
+                        for key, (canon, pivots, roots) in children.items()
+                    ]
+                level = []
+                for canon, key, images, pivots in measured:
+                    if tally:
+                        support, tids = len(pivots), pivots
+                    elif pivots is None or len(pivots) >= threshold:
+                        count = min_image(images)
+                        support, tids = count.support, count.min_image
+                    else:
+                        continue
+                    if support >= threshold:
+                        pattern = Pattern(canon, key, support, tids)
+                        level.append(_Kept(pattern, images, pivots))
+                span.set_attrs(
+                    candidates=len(measured),
+                    kept=len(level),
+                    **{name: counter.stats[name] - before[name]
+                       for name in before},
+                )
+            candidates += len(measured)
+            for kept in level:
+                patterns.add(kept.pattern)
+                if size == 1:
+                    graph = kept.pattern.graph
+                    (_u, _v, label), = graph.edges()
+                    ends = zip(graph.vertex_labels(), kept.images)
+                    for (lu, at_u), (lv, at_v) in permutations(ends):
+                        edges.setdefault(lu, {})[label, lv] = (
+                            at_u, at_v, kept.pivots
+                        )
+            if self.max_size is not None and size >= self.max_size:
+                break
+            size += 1
+        return patterns, candidates
+
+
+def _extensions(
+    level: list[_Kept],
+    edges: dict[Label, dict[tuple, tuple]],
+    threshold: int,
+    least: int,
+) -> dict[tuple, tuple]:
+    """Canonical key -> ``(canonical graph, pivot seed, root seed)`` of
+    the children worth measuring.  A visible embedding restricts to one
+    of each sub-pattern, so a child vertex's images lie among its parent
+    vertex's and the new edge end's (fewer than ``least`` drops it), its
+    supporting pivots among those of every kept one-edge-smaller pattern
+    (one not kept, or fewer than ``threshold`` shared, drops it), and its
+    centre's images among the parent vertex's it is, if any."""
+    kept = {parent.pattern.key: parent for parent in level}
+    # key -> [canonical graph, pivot seed, root seed, centre]; None: dropped
+    found: dict[tuple, list | None] = {}
+
+    def offer(child: LabeledGraph, parent: _Kept) -> None:
+        key, orders = canonical_form(child)
+        entry = found.get(key, ())
+        if entry == ():
+            canon = child.induced_subgraph(orders[0])
+            pivots = _pivot_seed(canon, kept)
+            entry = found[key] = (
+                None if pivots is False
+                or (pivots is not None and len(pivots) < threshold)
+                else [canon, pivots, None, pattern_centre(canon)[0]]
+            )
+        if entry is None:
+            return
+        n, centre = parent.pattern.graph.num_vertices, entry[3]
+        for order in orders:
+            if order[centre] < n:
+                roots = parent.images[order[centre]]
+                if entry[2] is None or len(roots) < len(entry[2]):
+                    entry[2] = roots
+
+    for parent in level:
+        graph, images = parent.pattern.graph, parent.images
+        n = graph.num_vertices
+        for u in range(n):
+            lu = graph.vertex_label(u)
+            frequent = edges.get(lu, {}).items()
+            for (label, other), (near, far, pivots) in frequent:
+                if len(images[u] & near) < least or (
+                    pivots is not None
+                    and parent.pivots is not None
+                    and len(pivots & parent.pivots) < threshold
+                ):
+                    continue
+                child = graph.copy()
+                child.add_edge(u, child.add_vertex(other), label)
+                offer(child, parent)
+                for v in range(u + 1, n):
+                    if (
+                        graph.vertex_label(v) == other
+                        and not graph.has_edge(u, v)
+                        and len(images[v] & far) >= least
+                    ):
+                        child = graph.copy()
+                        child.add_edge(u, v, label)
+                        offer(child, parent)
+    return {key: tuple(entry[:3]) for key, entry in found.items() if entry}
+
+
+def _pivot_seed(graph: LabeledGraph, kept: dict[tuple, _Kept]):
+    """The intersection of the known supporting pivots of the connected
+    patterns one edge smaller than ``graph`` (``None`` if none is
+    known), or ``False`` when one of them was not kept."""
+    edges = [(u, v) for u, v, _label in graph.edges()]
+    seed = None
+    for i in range(len(edges)):
+        sub = graph.edge_subgraph(edges[:i] + edges[i + 1:])
+        if not sub.is_connected():
+            continue
+        found = kept.get(canonical_form(sub)[0])
+        if found is None:
+            return False
+        if found.pivots is not None:
+            seed = found.pivots if seed is None else seed & found.pivots
+    return seed

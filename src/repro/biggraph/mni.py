@@ -1,63 +1,37 @@
 """Minimum-image-based (MNI) support over a neighborhood decomposition.
 
-Raw embedding counts are not anti-monotone on a single graph (a larger
-pattern can have *more* embeddings than a sub-pattern), so single-graph
-mining uses the minimum-image support of Bringmann & Nijssen: for a
-pattern ``P`` with vertices ``u``, collect the *image set* ``I(u) =
-{f(u) : f an embedding of P}`` and define ::
-
-    mni(P)  =  min over u of |I(u)|
-
-which is anti-monotone — deleting a pattern vertex can only grow the
-remaining image sets.
-
-This module computes MNI *through* the r-neighborhood decomposition
-(:mod:`repro.biggraph.extract`): an embedding counts iff some unit
-contains it.  Units are *induced* subgraphs over the pivots' r-balls,
-so that is a predicate on the embedding's image — it lies inside
-``ball_r(p)`` for some pivot ``p``, i.e. ``∩ ball_r(x)`` over the image
-vertices ``x`` meets the pivot set.
+Raw embedding counts are not anti-monotone on a single graph, so
+single-graph mining uses Bringmann & Nijssen's minimum-image support:
+with ``I(u) = {f(u) : f an embedding of P}``, ``mni(P) = min over u of
+|I(u)|``.  An embedding counts iff a unit of the r-neighborhood
+decomposition (:mod:`repro.biggraph.extract`) contains it, i.e. iff the
+balls ``ball_r(x)`` of its image vertices meet in a pivot — one of its
+*supporting pivots*.  Their union over the embeddings is the pattern's
+pivot support set: the units that contain it.
 
 **Enumerate once, test visibility** (``perf.enabled()``, the default).
-The big graph is compiled to one :class:`~repro.perf.FlatGraph`; each
-pattern's canonical graph is enumerated *once* on it by
-:func:`repro.perf.flat_embeddings`, rooted at a centre vertex of the
-pattern, global vertex ids throughout.  The ball intersection (balls
-memoised per vertex) is carried along the descent, so a partial image
-no pivot can see is pruned with its subtree.  When every vertex is a
-pivot and ``pattern_radius(P) <= r`` the centre's image is such a pivot
-by construction and the test is skipped.  A caller's ``candidate_gids``
-(a sound superset of the supporting pivots) seeds the roots: the
-centre's image is a supporting pivot in the skipped case and lies in
-some candidate's ball otherwise.  The neighborhood database contributes
-only its gids; a store-backed one is never decoded.
+A canonical pattern is enumerated once on the big graph's
+:class:`~repro.perf.FlatGraph` (:func:`repro.perf.flat_embeddings`),
+rooted at a centre vertex, carrying the ball intersection down the
+descent so that an embedding no pivot sees is pruned with its subtree.
+When every vertex is a pivot and ``pattern_radius(P) <= r`` the
+centre's image is such a pivot and the test is skipped.  A sound
+superset of the supporting pivots narrows the test and seeds the roots.
+1-edge patterns take one pass over the edges instead.
 
-**Reference fold** (``perf.disabled()`` / ``--no-accel``).  *Locate*
-the pivots whose units contain the pattern with
-:func:`repro.graph.isomorphism.count_support`, then *fold*
-:func:`~repro.graph.isomorphism.find_embeddings` over each supporting
-unit, translating unit-local vertices to global ids via the
-deterministic :func:`~repro.biggraph.extract.neighborhood_vertices`
-order; the global image sets deduplicate an embedding seen from several
-units.  It shares no matching code with the kernel, which is what makes
-it the oracle (tests, the benchmark ladder's precision check).
+**Reference fold** (``perf.disabled()`` / ``--no-accel``).  *Locate* the
+units containing the pattern (:func:`repro.graph.isomorphism.\
+count_support`), then *fold* :func:`~repro.graph.isomorphism.\
+find_embeddings` over them through the deterministic
+:func:`~repro.biggraph.extract.neighborhood_vertices` order.  It shares
+no matching code with the kernel: it is the oracle.
 
-**Exactness.** With unrestricted pivots, every embedding of a pattern
-whose radius is ≤ r lies inside the neighborhood of the image of one of
-its center vertices, so the image sets are complete and the count *is*
-the graph's exact MNI.  For patterns of radius > r (possible when
-``max_size`` allows them) the count is a deterministic **lower bound**
-— embeddings spanning more than r hops from every vertex are invisible
-to the decomposition; :meth:`MNISupport.verify` counts the emitted
-patterns this applies to for the dump header (DESIGN.md §16).
-
-Determinism down to bytes: both paths run on the pattern's *canonical*
-(min-DFS-code) graph, so the per-vertex image sets — and the argmin
-vertex, tie-broken by ``(image count, canonical vertex id)`` — are pure
-functions of the isomorphism class and the input graph.  The reported
-TID list is the argmin vertex's image set, which satisfies the pattern
-store's ``support == len(tids)`` invariant and makes serial, sharded
-and accel-matrix runs dump byte-identical artifacts.
+**Exactness.** With every vertex a pivot the count of a pattern of
+radius ≤ r *is* the graph's MNI; beyond r it is a deterministic lower
+bound, which the dump header marks (DESIGN.md §16).  Both paths run on
+the canonical graph and break argmin ties by ``(image count, canonical
+vertex id)``, so the TID list — the argmin image set — is a pure
+function of the isomorphism class and the input graph.
 """
 
 from __future__ import annotations
@@ -65,12 +39,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .. import perf
-from ..graph.canonical import min_dfs_code
+from ..graph.canonical import canonical_form, min_dfs_code
 from ..graph.database import GraphDatabase
 from ..graph.isomorphism import count_support, find_embeddings
 from ..graph.labeled_graph import LabeledGraph
 from ..mining.base import Pattern, PatternSet
 from .extract import neighborhood_vertices
+
+#: The kernel's work tallies, ``MNISupport.stats`` keys.
+_WORK = ("roots_tried", "embeddings", "visibility_checks", "invisible")
 
 
 def _eccentricities(graph: LabeledGraph) -> list[float]:
@@ -95,14 +72,10 @@ def _eccentricities(graph: LabeledGraph) -> list[float]:
 
 
 def pattern_radius(graph: LabeledGraph) -> int:
-    """Radius (minimum eccentricity) of a connected pattern graph.
-
-    The quantity the exactness guarantee is stated in: neighborhood
-    MNI is exact for patterns with ``pattern_radius(P) <= r``.
-    Disconnected graphs have no finite radius; miners only emit
-    connected patterns, so this raises on disconnected input.
-    """
-    radius = min(_eccentricities(graph), default=0)
+    """Radius (minimum eccentricity) of a connected pattern graph: MNI
+    is exact for patterns with ``pattern_radius(P) <= r``.  Raises on a
+    disconnected graph, which has no finite radius."""
+    radius = pattern_centre(graph)[1] if graph.num_vertices else 0
     if radius == float("inf"):
         raise ValueError("pattern_radius requires a connected graph")
     return radius
@@ -126,35 +99,35 @@ class MNICount:
 class MNISupport:
     """MNI counter over one big graph and its neighborhood database.
 
-    ``database`` must be the ``radius``-decomposition of ``graph``
-    produced by :class:`~repro.biggraph.extract.NeighborhoodExtractor`
-    (in-memory or a storage-backend view).  The accelerated path reads
-    only its gids — the pivot set — and compiles ``graph`` to flat form
-    once per instance; the reference path (``perf.disabled()``) scans
-    and folds its units.  ``stats`` tallies the work of every
-    :meth:`count` so far (plus :meth:`verify`'s pass totals).
+    ``database`` is the ``radius``-decomposition of ``graph``
+    (:class:`~repro.biggraph.extract.NeighborhoodExtractor`, in memory or
+    stored).  The kernel reads only its gids, the pivots; the reference
+    fold reads its units.  ``stats`` tallies the kernel's work so far.
     """
 
     def __init__(
-        self,
-        graph: LabeledGraph,
-        database: GraphDatabase,
-        radius: int,
+        self, graph: LabeledGraph, database: GraphDatabase, radius: int
     ) -> None:
         if radius < 0:
             raise ValueError(f"radius must be >= 0: {radius}")
         self.graph = graph
         self.database = database
         self.radius = radius
-        self.stats = dict.fromkeys(
-            ("roots_tried", "embeddings", "visibility_checks", "invisible"),
-            0,
-        )
-        self._pivots = frozenset(database.gids())
+        self.stats = dict.fromkeys(_WORK, 0)
+        self._pivots = frozenset(database.gids() if database else ())
         self._all_pivots = len(self._pivots) == graph.num_vertices
         self._balls: dict[int, frozenset[int]] = {}
         self._flat: perf.FlatGraph | None = None
         self._arena = perf.ScanArena()
+
+    @classmethod
+    def over_pivots(cls, graph: LabeledGraph, pivots, radius: int):
+        """A counter for the kernel alone: ``pivots`` instead of the
+        neighborhood database, which only the reference fold reads."""
+        counter = cls(graph, None, radius)
+        counter._pivots = frozenset(pivots)
+        counter._all_pivots = len(counter._pivots) == graph.num_vertices
+        return counter
 
     # ------------------------------------------------------------------
     def count(
@@ -163,80 +136,65 @@ class MNISupport:
         key: tuple | None = None,
         candidate_gids: set[int] | None = None,
     ) -> MNICount:
-        """The MNI count of ``pattern``.
+        """The MNI count of ``pattern``, given a sound superset of its
+        supporting pivots (e.g. its TID list); ``key`` is not needed."""
+        return min_image(self.measure(_canonical(pattern), candidate_gids)[0])
 
-        ``candidate_gids`` is a sound superset of the supporting pivots
-        (e.g. the transactional TID list of a mined candidate): it seeds
-        the enumeration's roots (reference path: the locate scan), so
-        the cost scales with the candidates instead of the graph.
-        ``key`` is forwarded to the reference path's locate scan only.
-        """
-        return self._count(_canonical(pattern), key, candidate_gids)
-
-    def _count(self, canon, key, candidate_gids) -> MNICount:
+    def measure(
+        self, canon: LabeledGraph, pivots=None, roots=None, tally=False
+    ) -> tuple[list[set[int]], frozenset[int] | None]:
+        """``(image sets, supporting pivots)`` of a canonical pattern,
+        given sound supersets of the supporting pivots and (kernel only)
+        of the centre's images.  The pivots are ``None`` when the kernel
+        skips the visibility test and ``tally`` is false."""
         if perf.enabled():
-            images = self._enumerate(canon, candidate_gids)
-        else:
-            images = self._fold(canon, key, candidate_gids)
-        if not images:
-            return MNICount(0, 0, frozenset())
-        vertex = min(
-            range(len(images)), key=lambda v: (len(images[v]), v)
-        )
-        return MNICount(
-            support=len(images[vertex]),
-            vertex=vertex,
-            min_image=frozenset(images[vertex]),
-        )
+            return self._enumerate(canon, pivots, roots, tally)
+        return self._fold(canon, pivots)
 
-    def _fold(self, canon, key, candidate_gids) -> list[set[int]]:
+    def _fold(self, canon, candidate_gids):
         """Reference path: locate supporting pivots, fold their units."""
-        _support, pivots = count_support(
-            canon, self.database, candidate_gids=candidate_gids, key=key
-        )
-        images: list[set[int]] = [
-            set() for _ in range(canon.num_vertices)
-        ]
+        _support, pivots = count_support(canon, self.database, candidate_gids)
+        images: list[set[int]] = [set() for _ in canon.vertices()]
         for pivot in sorted(pivots):
             order = neighborhood_vertices(self.graph, pivot, self.radius)
             unit = self.database[pivot]
             for mapping in find_embeddings(canon, unit):
                 for pv, local in mapping.items():
                     images[pv].add(order[local])
-        return images
+        return images, frozenset(pivots)
 
-    def _enumerate(self, canon, candidate_gids) -> list[set[int]]:
+    def _enumerate(self, canon, pivots, roots, tally):
         """Accelerated path: one rooted enumeration on the flat graph."""
         n = canon.num_vertices
         if n == 0:
-            return []
+            return [], frozenset()
         if self._flat is None:
             self._flat = perf.FlatGraph.from_labeled(self.graph)
-        eccs = _eccentricities(canon)
-        centre = eccs.index(min(eccs))
+        centre, ecc = pattern_centre(canon)
         # With every vertex a pivot, the centre's image of a radius <= r
         # pattern is itself a pivot whose ball holds the embedding.
-        checked = not (self._all_pivots and eccs[centre] <= self.radius)
+        checked = tally or not (self._all_pivots and ecc <= self.radius)
         plan = perf.FlatPlan(canon, start=centre)
-        pivots = self._pivots
-        if candidate_gids is not None:
-            pivots = pivots.intersection(candidate_gids)
-        roots = None if candidate_gids is None else pivots
+        seeded = pivots is not None
+        pivots = self._pivots.intersection(pivots) if seeded else self._pivots
+        if roots is None and seeded and not checked:
+            roots = pivots
         within = None
         checks = invisible = 0
+        seen: set[int] = set()
         if checked:
             # common[d]: the pivots whose ball holds images 0..d-1.  It
             # only shrinks along a descent, so an empty one prunes.
             common = [pivots] * (n + 1)
             ball = self._ball
-            if roots is not None:
+            if roots is None and seeded:
                 roots = frozenset().union(*map(ball, pivots))
 
             def within(depth: int, vertex: int) -> bool:
                 nonlocal checks, invisible
                 checks += 1
-                seen = common[depth + 1] = common[depth] & ball(vertex)
-                if seen:
+                visible = common[depth + 1] = common[depth] & ball(vertex)
+                if visible:
                     return True
                 invisible += 1
                 return False
@@ -250,12 +208,14 @@ class MNISupport:
             embeddings += 1
             for add, image in zip(adders, assigned):
                 add(image)
-        stats = self.stats
-        stats["roots_tried"] += 0 if roots is None else len(roots)
-        stats["embeddings"] += embeddings
-        stats["visibility_checks"] += checks
-        stats["invisible"] += invisible
-        return images
+            if checked:
+                seen |= common[n]
+        self._tally(len(roots or ()), embeddings, checks, invisible)
+        return images, frozenset(seen) if checked else None
+
+    def _tally(self, *work: int) -> None:
+        for name, amount in zip(_WORK, work):
+            self.stats[name] += amount
 
     def _ball(self, vertex: int) -> frozenset[int]:
         ball = self._balls.get(vertex)
@@ -266,35 +226,77 @@ class MNISupport:
         return ball
 
     # ------------------------------------------------------------------
+    def edge_patterns(self, tally: bool = False) -> list[tuple]:
+        """``(canonical graph, key, image sets, supporting pivots)`` of
+        every 1-edge pattern, as :meth:`measure` has them, from one pass
+        over the edges: an edge is visible iff some pivot's ball holds
+        both ends (so radius 0 sees none).  The reference path folds each
+        label triple over the units of the pivots that see its edges.
+        """
+        labels = self.graph.vertex_labels()
+        forms: dict[tuple, tuple] = {}
+        found: dict[tuple, list] = {}
+        fold = not perf.enabled()
+        checked = fold or tally or not (
+            self._all_pivots and self.radius >= 1
+        )
+        pivots, ball = self._pivots, self._ball
+        checks = invisible = embeddings = 0
+        for u, v, label in self.graph.edges():
+            triple = (labels[u], label, labels[v])
+            form = forms.get(triple)
+            if form is None:
+                edge = LabeledGraph.single_edge(*triple)
+                key, orders = form = forms[triple] = canonical_form(edge)
+                canon = edge.induced_subgraph(orders[0])
+                found.setdefault(key, [canon, [set(), set()], set()])
+            key, orders = form
+            _canon, images, seen = found[key]
+            if checked:
+                checks += 1
+                visible = ball(u) & ball(v) & pivots
+                if not visible:
+                    invisible += 1
+                    continue
+                seen |= visible
+            if fold:
+                continue
+            ends = (u, v)
+            for order in orders:
+                images[0].add(ends[order[0]])
+                images[1].add(ends[order[1]])
+            embeddings += len(orders)
+        self._tally(0, embeddings, checks, invisible)
+        if fold:
+            return [
+                (canon, key, *self._fold(canon, seen))
+                for key, (canon, _images, seen) in found.items()
+            ]
+        return [
+            (canon, key, images, frozenset(seen) if checked else None)
+            for key, (canon, images, seen) in found.items()
+        ]
+
+    # ------------------------------------------------------------------
     def verify(
         self, candidates: PatternSet, min_support: int
     ) -> PatternSet:
         """Re-verify a transactional candidate set under MNI.
 
-        Each candidate's neighborhood TID list seeds its count;
-        survivors carry their MNI count as ``support`` and the argmin
-        image set as ``tids`` (so ``support == len(tids)`` holds for
-        the pattern store).  The output is a pure function of the
-        candidate *keys* and the big graph — the property the
-        serial-vs-sharded byte-identity test pins down.
-        ``stats['lower_bound_patterns']`` counts the survivors of radius
-        ``> r``, whose support is a lower bound (module docstring).
+        Each candidate's TID list seeds its count; survivors carry the
+        MNI count as ``support`` and the argmin image set as ``tids``.
+        ``stats['lower_bound_patterns']`` counts those of radius ``> r``.
         """
         verified = PatternSet()
         lower_bound = 0
         for candidate in candidates:
             canon = _canonical(candidate.graph)
-            count = self._count(canon, candidate.key, candidate.tids)
+            count = min_image(self.measure(canon, candidate.tids)[0])
             if count.support < min_support:
                 continue
-            lower_bound += min(_eccentricities(canon)) > self.radius
+            lower_bound += pattern_centre(canon)[1] > self.radius
             verified.add(
-                Pattern(
-                    graph=canon,
-                    key=candidate.key,
-                    support=count.support,
-                    tids=count.min_image,
-                )
+                Pattern(canon, candidate.key, count.support, count.min_image)
             )
         self.stats.update(
             candidates=len(candidates),
@@ -302,6 +304,23 @@ class MNISupport:
             lower_bound_patterns=lower_bound,
         )
         return verified
+
+
+def min_image(images: list[set[int]]) -> MNICount:
+    """The MNI count of per-vertex image sets: the smallest set, ties
+    broken by the lowest canonical vertex id."""
+    if not images:
+        return MNICount(0, 0, frozenset())
+    vertex = min(range(len(images)), key=lambda v: (len(images[v]), v))
+    return MNICount(len(images[vertex]), vertex, frozenset(images[vertex]))
+
+
+def pattern_centre(graph: LabeledGraph) -> tuple[int, float]:
+    """``(centre vertex, its eccentricity)``: the lowest-id vertex of
+    minimum eccentricity, where a rooted enumeration starts."""
+    eccs = _eccentricities(graph)
+    ecc = min(eccs)
+    return eccs.index(ecc), ecc
 
 
 def _canonical(pattern: LabeledGraph) -> LabeledGraph:

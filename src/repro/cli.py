@@ -5,7 +5,7 @@ Commands
 ``generate``  — synthesize a database (Table 1 parameters) to a t/v/e file
 ``generate-big`` — grow one large graph with planted frequent neighborhoods
 ``mine``      — mine frequent patterns (partminer / gspan / gaston / adimine)
-``mine-big``  — mine one large graph via r-neighborhoods + MNI support
+``mine-big``  — mine one large graph by pattern growth under MNI support
 ``neighborhoods`` — inspect (or export) an r-neighborhood decomposition
 ``partition`` — split a database into k units and report cut statistics
 ``update``    — apply a random update batch to a database file
@@ -23,6 +23,7 @@ Every command reads/writes the plain-text ``t/v/e`` graph format
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import os
 import sys
@@ -134,7 +135,7 @@ def _check_storage_flags(args: argparse.Namespace) -> bool:
     return True
 
 
-def _supervision_configs(args: argparse.Namespace, balance="density"):
+def _supervision_configs(args: argparse.Namespace):
     """``(RuntimeConfig, CoordConfig | None)`` from the policy flags.
 
     Returns ``None`` after printing a one-line usage error when a flag
@@ -147,54 +148,45 @@ def _supervision_configs(args: argparse.Namespace, balance="density"):
     def options(names) -> str:
         return ", ".join("--" + name.replace("_", "-") for name in names)
 
-    flags = vars(args)
     shards = args.shards
-    pool = (
-        "--shards" if shards
-        else "--parallel" if flags.get("parallel") else None
-    )
+    pool = "--shards" if shards else "--parallel" if args.parallel else None
     try:
         if shards and shards < 2:
             raise ValueError(
                 f"--shards must be >= 2 (0 = unsharded): {shards}"
             )
-        unit_only = [
-            name for name in ("parallel", "spill_dir") if flags.get(name)
-        ]
+        unit_only = [n for n in ("parallel", "spill_dir") if getattr(args, n)]
         if shards and unit_only:
             raise ValueError(
                 "--shards cannot be combined with " + options(unit_only)
             )
-        retries = flags.get("retries")
         runtime = RuntimeConfig(
             max_workers=args.workers,
             unit_timeout=args.unit_timeout,
             max_retries=(
-                RuntimeConfig.max_retries if retries is None else retries
+                RuntimeConfig.max_retries
+                if args.retries is None else args.retries
             ),
-            spill_dir=flags.get("spill_dir"),
+            spill_dir=args.spill_dir,
         )
-        algorithm = flags.get("algorithm", "partminer")
         partminer_only = ([pool] if pool else []) + [
-            "--" + name for name in ("trace", "profile") if flags.get(name)
+            "--" + name for name in ("trace", "profile") if getattr(args, name)
         ]
-        if partminer_only and algorithm != "partminer":
+        if partminer_only and args.algorithm != "partminer":
             raise ValueError(
-                ", ".join(partminer_only)
-                + f" applies to --algorithm partminer only, not {algorithm}"
+                ", ".join(partminer_only) + " applies to --algorithm "
+                f"partminer only, not {args.algorithm}"
             )
         idle = [
             name
             for name in (
                 "workers", "unit_timeout", "retries", "spill_dir", "telemetry"
             )
-            if flags.get(name) is not None
+            if getattr(args, name) is not None
         ]
         if idle and not pool:
             raise ValueError(
-                options(idle) + " given without "
-                + ("--parallel or --shards" if "parallel" in flags
-                   else "--shards")
+                options(idle) + " given without --parallel or --shards"
             )
         coord = None
         if shards:
@@ -203,16 +195,9 @@ def _supervision_configs(args: argparse.Namespace, balance="density"):
             coord = CoordConfig(
                 shards=shards,
                 runtime=runtime,
-                balance=balance,
-                **{
-                    field: flags[flag]
-                    for field, flag in (
-                        ("chunk_size", "shard_chunk"),
-                        ("heartbeat_interval", "heartbeat_interval"),
-                        ("mem_budget", "shard_mem_budget"),
-                    )
-                    if flag in flags
-                },
+                chunk_size=args.shard_chunk,
+                heartbeat_interval=args.heartbeat_interval,
+                mem_budget=args.shard_mem_budget,
             )
     except ValueError as exc:
         print(f"repro: {exc}", file=sys.stderr)
@@ -245,6 +230,32 @@ def _storage_database(args: argparse.Namespace):
         f"({backend.num_graphs()} graphs, {written} rows written)"
     )
     return backend.database(), backend
+
+
+@contextlib.contextmanager
+def _tracing(path):
+    """Record the block's spans as a JSONL trace at ``path``, if any;
+    the yielded dict gets ``trace_id`` and the sink's stats at exit."""
+    trace: dict = {}
+    if not path:
+        yield trace
+        return
+    from .obs import EventSink, Tracer
+    from .obs import trace as obs_trace
+
+    sink = EventSink(path)
+    tracer = Tracer(on_record=sink.emit)
+    obs_trace.activate(tracer)
+    try:
+        yield trace
+    finally:
+        obs_trace.activate(None)
+        stats = sink.close()
+        print(
+            f"trace written to {path} ({stats['written_events']} events, "
+            f"{stats['dropped_events']} dropped)"
+        )
+        trace.update(trace_id=tracer.trace_id, **sink.stats())
 
 
 # ----------------------------------------------------------------------
@@ -283,16 +294,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
                     lambda2=args.lambda2 if args.lambda2 is not None else 1.0,
                 )
             )
-        trace_sink = None
-        trace_id = None
-        if args.trace:
-            from .obs import EventSink, Tracer
-            from .obs import trace as obs_trace
-
-            trace_sink = EventSink(args.trace)
-            tracer = Tracer(on_record=trace_sink.emit)
-            trace_id = tracer.trace_id
-            obs_trace.activate(tracer)
         profiler = None
         if args.profile:
             from .obs import PhaseProfiler
@@ -310,19 +311,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
             coord=coord_config,
             profiler=profiler,
         )
-        try:
+        with _tracing(args.trace) as trace:
             result = miner.mine(database, args.support)
-        finally:
-            if trace_sink is not None:
-                from .obs import trace as obs_trace
-
-                obs_trace.activate(None)
-                sink_stats = trace_sink.close()
-                print(
-                    f"trace written to {args.trace} "
-                    f"({sink_stats['written_events']} events, "
-                    f"{sink_stats['dropped_events']} dropped)"
-                )
         if profiler is not None:
             from pathlib import Path as _Path
 
@@ -337,11 +327,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
             f"parallel {result.parallel_time:.2f}s"
         )
         if result.telemetry is not None:
-            if trace_sink is not None:
-                result.telemetry.trace = {
-                    "trace_id": trace_id,
-                    **trace_sink.stats(),
-                }
+            if trace:
+                result.telemetry.trace = trace
             print(f"runtime: {result.telemetry.format_summary()}")
             coord_doc = getattr(result.telemetry, "coord", None) or {}
             if coord_doc:
@@ -399,15 +386,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
         )
         print(f"saved to {args.output}")
     else:
-        for pattern in sorted(
-            patterns, key=lambda p: (-p.size, -p.support)
-        )[: args.top]:
-            from .graph.canonical import min_dfs_code
-
-            print(
-                f"  support={pattern.support:4d} size={pattern.size} "
-                f"{min_dfs_code(pattern.graph)}"
-            )
+        _print_top(patterns, args.top)
     if storage is not None:
         # The out-of-core read pattern of this run: every miss decoded
         # one row, so misses / graphs is the number of passes made.
@@ -418,6 +397,19 @@ def cmd_mine(args: argparse.Namespace) -> int:
             f"decode cache {cache['entries']}/{cache['capacity']} graphs"
         )
     return 0
+
+
+def _print_top(patterns, top: int) -> None:
+    """The ``top`` largest (then best-supported) patterns, one a line."""
+    from .graph.canonical import min_dfs_code
+
+    for pattern in sorted(
+        patterns, key=lambda p: (-p.size, -p.support)
+    )[:top]:
+        print(
+            f"  support={pattern.support:4d} size={pattern.size} "
+            f"{min_dfs_code(pattern.graph)}"
+        )
 
 
 def _parse_labels(text: str | None):
@@ -436,9 +428,8 @@ def _parse_labels(text: str | None):
     return frozenset(labels) if labels else None
 
 
-def _load_single_graph(args: argparse.Namespace):
-    """The one graph of a single-graph ``.tve`` file."""
-    database = _load_database(args)
+def _load_single_graph(args: argparse.Namespace, database):
+    """The one graph of a single-graph ``.tve`` file (or its store)."""
     gids = database.gids()
     if len(gids) != 1:
         print(
@@ -485,49 +476,28 @@ def cmd_generate_big(args: argparse.Namespace) -> int:
 
 
 def cmd_mine_big(args: argparse.Namespace) -> int:
-    """Mine one large graph via r-neighborhood decomposition + MNI."""
+    """Mine one large graph by pattern growth under MNI support."""
     if not _check_storage_flags(args):
         return 2
-    configs = _supervision_configs(args, balance="edges")
-    if configs is None:
-        return 2
-    runtime_config, coord_config = configs
-    graph = _load_single_graph(args)
+    database, storage = _storage_database(args)
+    graph = _load_single_graph(args, database)
     if graph is None:
         return 2
     from .biggraph import BigGraphMiner
 
-    backend = None
-    if args.backend == "sqlite":
-        from .storage import open_backend
-
-        backend = open_backend(
-            "sqlite", args.db_path, cache_graphs=args.graph_cache
-        )
     miner = BigGraphMiner(
         radius=args.radius,
         support_mode=args.support_mode,
         pivot_labels=_parse_labels(args.pivot_labels),
-        k=args.k,
         max_size=args.max_size,
-        runtime=runtime_config,
-        run_dir=args.run_dir,
-        shards=args.shards,
-        coord=coord_config,
-        backend=backend,
     )
-    result = miner.mine(graph, args.support)
-    stats = result.extraction
+    with _tracing(args.trace):
+        result = miner.mine(graph, args.support)
     print(
-        f"decomposed into {stats.pivots} radius-{args.radius} "
-        f"neighborhoods (avg {stats.avg_edges:.1f} edges, "
-        f"max {stats.max_edges}) in {result.extract_time:.2f}s"
-    )
-    print(
-        f"{len(result.candidates)} candidates "
-        f"({result.mine_time:.2f}s) -> {len(result.patterns)} "
+        f"grew {result.candidates} candidates over {result.pivots} "
+        f"radius-{args.radius} pivots -> {len(result.patterns)} "
         f"frequent patterns under {args.support_mode} support "
-        f"({result.verify_time:.2f}s)"
+        f"({result.mine_time:.2f}s)"
     )
     if args.support_mode == "mni":
         print(
@@ -544,37 +514,26 @@ def cmd_mine_big(args: argparse.Namespace) -> int:
         )
         print(f"saved to {args.output}")
     else:
-        for pattern in sorted(
-            result.patterns, key=lambda p: (-p.size, -p.support)
-        )[: args.top]:
-            from .graph.canonical import min_dfs_code
-
-            print(
-                f"  support={pattern.support:4d} size={pattern.size} "
-                f"{min_dfs_code(pattern.graph)}"
-            )
+        _print_top(result.patterns, args.top)
     exit_code = 0
     if args.check_planted:
         from .graph.canonical import canonical_code
 
         planted = _load_database(args, path=args.check_planted)
-        mined_keys = result.patterns.keys()
         found = sum(
-            1
+            canonical_code(pattern_graph) in result.patterns
             for _gid, pattern_graph in planted
-            if canonical_code(pattern_graph) in mined_keys
         )
         print(f"planted recall: {found}/{len(planted)}")
-        if found != len(planted):
-            exit_code = 1
-    if backend is not None:
-        backend.close()
+        exit_code = int(found != len(planted))
+    if storage is not None:
+        storage.close()
     return exit_code
 
 
 def cmd_neighborhoods(args: argparse.Namespace) -> int:
     """Inspect (or export) the r-neighborhood decomposition."""
-    graph = _load_single_graph(args)
+    graph = _load_single_graph(args, _load_database(args))
     if graph is None:
         return 2
     from .biggraph import NeighborhoodExtractor
@@ -776,7 +735,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    """Render a trace file written by ``mine --trace``."""
+    """Render a trace file written by ``mine`` / ``mine-big --trace``."""
     from .obs import summarize_file
 
     print(summarize_file(args.file, require=args.require_footer))
@@ -940,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "mine-big",
-        help="mine one large graph (r-neighborhoods + MNI support)",
+        help="mine one large graph (pattern growth, MNI support)",
     )
     p.add_argument("database", help="single-graph .tve file")
     p.add_argument("support", type=int,
@@ -959,19 +918,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated vertex labels to pivot on "
                         "(default: every vertex); restricting pivots "
                         "switches to pivot-anchored semantics")
-    p.add_argument("-k", type=int, default=2,
-                   help="PartMiner units over the neighborhood database")
+    p.add_argument("-k", type=int,
+                   help="ignored: patterns grow on the graph, no units")
     p.add_argument("--max-size", type=int, default=None,
                    help="bound on pattern size in edges")
-    p.add_argument("--shards", type=int, default=0,
-                   help="mine candidates through the sharded "
-                        "coordinator with edge-balanced placement")
-    p.add_argument("--workers", type=int, default=None,
-                   help="worker processes for the sharded run")
-    p.add_argument("--unit-timeout", type=float, default=None,
-                   help="per-attempt wall-clock timeout in seconds")
-    p.add_argument("--run-dir", default=None,
-                   help="checkpoint directory for sharded runs")
+    p.add_argument("--trace", default=None,
+                   help="write a JSONL span trace of the run here "
+                        "(render with `repro trace summarize`)")
     p.add_argument("--output", help="save patterns to this file")
     p.add_argument("--top", type=int, default=10,
                    help="patterns to print when not saving")
@@ -1079,7 +1032,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = trace_sub.add_parser(
         "summarize", help="render a trace file as a phase-time tree"
     )
-    p.add_argument("file", help="JSONL trace from `mine --trace`")
+    p.add_argument("file", help="JSONL trace from `mine`/`mine-big --trace`")
     p.add_argument("--require-footer", action="store_true",
                    help="fail (exit 3) unless the integrity footer "
                         "verifies — rejects truncated traces")

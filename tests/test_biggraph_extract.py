@@ -93,20 +93,6 @@ class TestNeighborhoodExtractor:
                 extractor.unit(g, pivot)
             )
 
-    def test_extract_into_sqlite_round_trips(self, tmp_path):
-        from repro.storage import open_backend
-
-        rng = random.Random(5)
-        g = random_graph(rng, 30, extra_edges=12)
-        extractor = NeighborhoodExtractor(radius=1)
-        resident = extractor.extract(g)
-        with open_backend("sqlite", tmp_path / "spill.db") as backend:
-            spilled = extractor.extract_into(g, backend)
-            assert sorted(spilled.gids()) == sorted(resident.gids())
-            from repro.graph.io import dumps
-
-            assert dumps(spilled) == dumps(resident)
-
     def test_stats(self):
         g = star_graph(5)
         stats = NeighborhoodExtractor(radius=1).stats(

@@ -114,34 +114,29 @@ class TestBigGraphMiner:
             for tid in pattern.tids
         )
 
-    def test_serial_and_sharded_dump_byte_identical(self, tmp_path):
-        result = generate_large_graph(small_spec(vertices=200, copies=6))
-        serial = BigGraphMiner(radius=1, max_size=3).mine(
-            result.graph, 6
-        )
-        sharded = BigGraphMiner(
-            radius=1, max_size=3, shards=2, run_dir=tmp_path
-        ).mine(result.graph, 6)
-        assert dump_text(sharded.patterns) == dump_text(serial.patterns)
-
-    def test_sharded_uses_edge_balanced_plan(self, tmp_path):
-        result = generate_large_graph(small_spec(vertices=200, copies=6))
-        miner = BigGraphMiner(radius=1, max_size=2, shards=2)
-        assert miner._coord_config().balance == "edges"
-
     def test_backend_spill_matches_in_memory(self, tmp_path):
-        from repro.storage import open_backend
+        """An input loaded through ``--backend sqlite`` mines like the
+        resident one: same pattern records."""
+        from repro.graph.io import write_graph
 
         rng = random.Random(21)
-        graph = random_graph(rng, 60, extra_edges=30)
-        resident = BigGraphMiner(radius=1, max_size=2).mine(graph, 4)
-        with open_backend("sqlite", tmp_path / "n.db") as backend:
-            spilled = BigGraphMiner(
-                radius=1, max_size=2, backend=backend
-            ).mine(graph, 4)
-        assert dump_text(spilled.patterns) == dump_text(
-            resident.patterns
-        )
+        path = tmp_path / "g.tve"
+        with open(path, "w", encoding="utf-8") as handle:
+            write_graph(random_graph(rng, 60, extra_edges=30), 0, handle)
+        records = []
+        for backend in (
+            [], ["--backend", "sqlite", "--db-path", str(tmp_path / "g.db")]
+        ):
+            out = tmp_path / f"out{len(records)}.jsonl"
+            assert main([
+                "mine-big", str(path), "4", "--max-size", "2",
+                "--output", str(out), *backend,
+            ]) == 0
+            records.append([
+                line for line in out.read_text().splitlines()
+                if '"kind": "pattern"' in line
+            ])
+        assert records[0] and records[1] == records[0]
 
     def test_rejects_fractional_support(self):
         rng = random.Random(2)
@@ -164,7 +159,7 @@ class TestBigGraphMiner:
         mined = BigGraphMiner(
             radius=1, max_size=3, pivot_labels=centers
         ).mine(result.graph, spec.copies)
-        assert mined.extraction.pivots == spec.planted * spec.copies
+        assert mined.pivots == spec.planted * spec.copies
         for planted in result.planted:
             assert (
                 canonical_code(planted.graph) in mined.patterns.keys()
@@ -206,6 +201,23 @@ class TestBigGraphCLI:
         assert meta["workload"] == "biggraph"
         assert meta["support_mode"] == "mni"
         assert len(patterns) > 0
+
+    def test_mine_big_trace_has_one_grow_span_per_level(
+        self, big_files, tmp_path, capsys
+    ):
+        graph, _planted = big_files
+        trace = tmp_path / "trace.jsonl"
+        assert main([
+            "mine-big", str(graph), "8", "--max-size", "3",
+            "--trace", str(trace),
+        ]) == 0
+        assert main([
+            "trace", "summarize", str(trace), "--require-footer",
+        ]) == 0
+        text = capsys.readouterr().out
+        assert text.count("biggraph.grow") == 3
+        assert "lower_bound_patterns=0" in text
+        assert "0 orphan(s)" in text
 
     def test_mine_big_missing_planted_fails(self, big_files, tmp_path, capsys):
         graph, _planted = big_files

@@ -25,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import perf
 from repro.biggraph import (
+    SUPPORT_MODES,
     BigGraphMiner,
     MNISupport,
     NeighborhoodExtractor,
@@ -256,9 +257,9 @@ class TestEnumerationVsReferenceFold:
         candidates = GSpanMiner(max_size=3).mine(resident, 4)
         expected = MNISupport(graph, resident, 1).verify(candidates, 4)
         with open_backend("sqlite", tmp_path / "n.db") as backend:
-            stored = NeighborhoodExtractor(radius=1).extract_into(
-                graph, backend
-            )
+            backend.import_database(resident)
+            backend.checkpoint()
+            stored = backend.database()
             before = backend.stats()["cache"]
             verified = MNISupport(graph, stored, 1).verify(candidates, 4)
             after = backend.stats()["cache"]
@@ -267,6 +268,47 @@ class TestEnumerationVsReferenceFold:
         )
         assert len(verified) > 0
         assert dump_text(verified) == dump_text(expected)
+
+
+class TestGrowthMatchesDecomposition:
+    """Growth on the big graph emits exactly the decomposition's answer:
+    mine the neighborhood database transactionally at ``t``, then (MNI
+    mode) keep the candidates whose reference-fold MNI reaches ``t``."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        connected_graphs(max_vertices=10, vlabels=2, elabels=2),
+        st.integers(0, 2),
+        st.one_of(
+            st.none(),
+            st.frozensets(st.integers(0, 1), min_size=1, max_size=1),
+        ),
+        st.sampled_from(SUPPORT_MODES),
+        st.integers(1, 3),
+        st.integers(1, 4),
+    )
+    def test_dump_equals_mine_then_verify(
+        self, graph, radius, labels, mode, threshold, max_size
+    ):
+        with perf.disabled():
+            database = NeighborhoodExtractor(
+                radius=radius, pivot_labels=labels
+            ).extract(graph)
+            expected = GSpanMiner(max_size=max_size).mine(
+                database, threshold
+            )
+            if mode == "mni":
+                expected = MNISupport(graph, database, radius).verify(
+                    expected, threshold
+                )
+        miner = BigGraphMiner(
+            radius=radius, support_mode=mode, pivot_labels=labels,
+            max_size=max_size,
+        )
+        for name, state in accel_matrix():
+            with state():
+                grown = miner.mine(graph, threshold)
+            assert dump_text(grown.patterns) == dump_text(expected), name
 
 
 class TestLowerBoundMarking:
@@ -278,7 +320,7 @@ class TestLowerBoundMarking:
         tracer = obs_trace.Tracer()
         obs_trace.activate(tracer)
         try:
-            result = BigGraphMiner(radius=1, max_size=4, k=1).mine(graph, 3)
+            result = BigGraphMiner(radius=1, max_size=4).mine(graph, 3)
         finally:
             obs_trace.activate(None)
         recount = sum(
@@ -288,20 +330,31 @@ class TestLowerBoundMarking:
         assert result.meta()["lower_bound_patterns"] == recount
         assert "pivot_labels" not in result.meta()
 
-        by_name = {span["name"]: span for span in tracer.spans()}
-        assert {"biggraph.extract", "biggraph.mine"} <= set(by_name)
-        attrs = by_name["biggraph.mni_verify"]["attrs"]
-        assert attrs["candidates"] == len(result.candidates)
-        assert attrs["survivors"] == len(result.patterns)
-        assert attrs["lower_bound_patterns"] == recount
-        assert attrs["embeddings"] > 0 and attrs["roots_tried"] > 0
-        assert 0 < attrs["invisible"] <= attrs["visibility_checks"]
+        spans = tracer.spans()
+        (run,) = [span for span in spans if span["name"] == "biggraph.mine"]
+        assert run["attrs"]["lower_bound_patterns"] == recount
+        assert run["attrs"]["patterns"] == len(result.patterns)
+        grow = [span["attrs"] for span in spans
+                if span["name"] == "biggraph.grow"]
+        assert [attrs["size"] for attrs in grow] == [1, 2, 3, 4]
+        assert sum(attrs["candidates"] for attrs in grow) == (
+            result.candidates
+        )
+        assert sum(attrs["kept"] for attrs in grow) == len(result.patterns)
+        total = {
+            name: sum(attrs[name] for attrs in grow)
+            for name in (
+                "roots_tried", "embeddings", "visibility_checks", "invisible"
+            )
+        }
+        assert total["embeddings"] > 0 and total["roots_tried"] > 0
+        assert 0 < total["invisible"] <= total["visibility_checks"]
 
     def test_header_names_restricted_pivots(self):
         rng = random.Random(3)
         graph = random_graph(rng, 30, extra_edges=40, num_vertex_labels=2)
         anchored = BigGraphMiner(
-            radius=1, max_size=2, k=1, pivot_labels=frozenset([1, 0])
+            radius=1, max_size=2, pivot_labels=frozenset([1, 0])
         ).mine(graph, 3)
         assert anchored.meta()["pivot_labels"] == [0, 1]
 

@@ -345,13 +345,6 @@ BAD_POLICY_FLAGS = [
     (["--telemetry", "t.json"],
      "--telemetry given without --parallel or --shards"),
 ]
-BAD_BIG_POLICY_FLAGS = [
-    (["--shards", "1"], "--shards"),
-    (["--shards", "2", "--workers", "0"], "max_workers"),
-    (["--unit-timeout", "-1"], "unit_timeout"),
-    (["--workers", "2"], "--workers given without --shards"),
-    (["--unit-timeout", "5"], "--unit-timeout given without --shards"),
-]
 
 
 def live_children():
@@ -388,17 +381,6 @@ class TestSupervisionFlags:
                   "--no-shared" + "-db"])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("flags, named", BAD_BIG_POLICY_FLAGS)
-    def test_bad_mine_big_policy_is_a_usage_error(
-        self, tmp_path, capsys, flags, named
-    ):
-        # Flags are checked before the input is opened.
-        assert main(["mine-big", str(tmp_path / "absent.tve"), "3",
-                     *flags]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("repro: ") and err.count("\n") == 1
-        assert named in err
-
     @pytest.mark.parametrize("workers, most", [(1, 1), (2, 2)])
     def test_workers_bounds_live_shard_workers(
         self, tmp_path, workers, most
@@ -407,10 +389,9 @@ class TestSupervisionFlags:
         ``--parallel``: that many worker processes alive at once."""
         import threading
 
-        graph = tmp_path / "big.tve"
+        database = tmp_path / "db.tve"
         assert main([
-            "generate-big", str(graph), "--vertices", "300",
-            "--labels", "6", "--communities", "3", "--seed", "4",
+            "generate", "D40T8N8L10I3", str(database), "--seed", "3",
         ]) == 0
         # Earlier tests may have left helpers behind (a multiprocessing
         # resource tracker is one); only count what this run spawns.
@@ -425,7 +406,7 @@ class TestSupervisionFlags:
         watcher.start()
         try:
             assert main([
-                "mine-big", str(graph), "8", "--max-size", "3",
+                "mine", str(database), "0.3", "--max-size", "3",
                 "--shards", "4", "--workers", str(workers),
                 "--run-dir", str(tmp_path / "run"),
             ]) == 0
@@ -434,6 +415,39 @@ class TestSupervisionFlags:
             watcher.join(10)
         assert not watcher.is_alive()
         assert max(seen) == most
+
+
+class TestMineBig:
+    """``mine-big`` grows patterns on the graph: no units, no shards."""
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--shards", "2"], ["--workers", "2"], ["--unit-timeout", "5"],
+         ["--run-dir", "run"]],
+        ids=lambda flags: flags[0],
+    )
+    def test_pipeline_flags_are_gone(self, tmp_path, flags):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine-big", str(tmp_path / "absent.tve"), "3", *flags])
+        assert excinfo.value.code == 2
+
+    def test_k_is_accepted_and_ignored(self, tmp_path):
+        graph = tmp_path / "big.tve"
+        assert main([
+            "generate-big", str(graph), "--vertices", "200",
+            "--labels", "6", "--communities", "3", "--copies", "6",
+            "--seed", "4",
+        ]) == 0
+        dumps = []
+        for k in ("1", "4"):
+            out = tmp_path / f"k{k}.jsonl"
+            assert main([
+                "mine-big", str(graph), "6", "--max-size", "3", "-k", k,
+                "--output", str(out),
+            ]) == 0
+            dumps.append(out.read_bytes())
+        assert dumps[0] == dumps[1]
+        assert dumps[0].count(b'"kind": "pattern"') > 0
 
 
 class TestAccelSwitch:
