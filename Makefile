@@ -2,7 +2,7 @@
 
 PY ?= python3
 
-.PHONY: test bench experiments examples quicktest clean
+.PHONY: test bench figures examples quicktest clean
 
 test:            ## full test suite
 	$(PY) -m pytest tests/
@@ -10,18 +10,15 @@ test:            ## full test suite
 quicktest:       ## tests minus the example subprocess smoke tests
 	$(PY) -m pytest tests/ --ignore=tests/test_examples.py
 
-bench:           ## every figure + ablations (~15 min), saves JSON
-	$(PY) -m pytest benchmarks/ --benchmark-only
+bench:           ## the micro benches (support counting, shard, storage, serving, obs)
+	$(PY) -m pytest benchmarks/ --benchmark-only --ignore=benchmarks/ladder
 
-experiments:     ## run everything and regenerate EXPERIMENTS.md
-	$(PY) benchmarks/run_all.py
-
-plots:           ## render benchmarks/results/*.json as SVG charts
-	$(PY) benchmarks/make_plots.py
+figures:         ## every paper figure + ablations: results/*.json + .svg, EXPERIMENTS.md
+	$(PY) benchmarks/figures.py
 
 examples:        ## run every example script
 	for s in examples/*.py; do echo "== $$s"; $(PY) $$s || exit 1; done
 
-clean:
-	rm -rf .pytest_cache benchmarks/results src/repro.egg-info
+clean:           ## untracked outputs only: benchmarks/results/ is committed
+	rm -rf .pytest_cache benchmarks/.quick src/repro.egg-info
 	find . -name __pycache__ -type d -exec rm -rf {} +

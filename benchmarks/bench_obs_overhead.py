@@ -31,7 +31,7 @@ from repro.obs import EventSink, Tracer
 from repro.obs import trace as obs_trace
 
 from .conftest import RESULTS_DIR, finish, run_once
-from repro.bench.harness import Experiment
+from .figures import Experiment
 
 DATASET = "D80T10N12L20I4"
 MINSUP = 0.1

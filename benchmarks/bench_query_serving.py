@@ -19,7 +19,6 @@ import time
 
 import repro.query as query_mod
 from repro import perf, query
-from repro.bench.harness import Experiment
 from repro.datagen.synthetic import generate_dataset
 from repro.mining.base import Pattern, PatternSet
 from repro.mining.gspan import GSpanMiner
@@ -28,6 +27,7 @@ from repro.serve.engine import QueryEngine
 from repro.serve.index import FragmentIndex
 
 from .conftest import finish, run_once
+from .figures import Experiment
 
 DATASET = "D80T10N12L20I4"
 MINSUP = 0.1

@@ -29,13 +29,13 @@ import resource
 import time
 from pathlib import Path
 
-from repro.bench.harness import Experiment
 from repro.coord import CoordConfig, Coordinator
 from repro.datagen.synthetic import generate_dataset
 from repro.mining.gaston import GastonMiner
 from repro.mining.store import dump_patterns
 
 from .conftest import finish, run_once
+from .figures import Experiment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

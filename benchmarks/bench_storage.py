@@ -28,7 +28,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.bench.harness import Experiment
 from repro.datagen.synthetic import generate_dataset
 from repro.graph.io import read_database, write_database
 from repro.mining.gaston import GastonMiner
@@ -36,6 +35,7 @@ from repro.mining.store import dump_patterns
 from repro.storage import open_backend
 
 from .conftest import finish, run_once
+from .figures import Experiment
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SRC = REPO_ROOT / "src"

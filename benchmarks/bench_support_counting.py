@@ -36,13 +36,13 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from repro import perf
-from repro.bench.harness import Experiment
 from repro.core.incremental import IncrementalPartMiner
 from repro.datagen.synthetic import generate_dataset
 from repro.graph.isomorphism import count_support
 from repro.updates.generator import UpdateGenerator
 
 from .conftest import finish, run_once
+from .figures import Experiment
 
 DATASET = "D80T10N12L20I4"
 MINSUP = 0.1

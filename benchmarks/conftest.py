@@ -1,42 +1,20 @@
-"""Shared benchmark configuration.
+"""Shared configuration of the micro benches (``bench_*.py``).
 
-Every paper figure is reproduced by one bench target.  Datasets are scaled
-down from the paper's (DESIGN.md documents the substitution); the *shape*
-of each figure — who wins, by what factor, where crossovers fall — is the
-reproduction target, not absolute seconds.
-
-Each bench runs its sweep exactly once under ``benchmark.pedantic`` (the
-sweep itself takes and reports wall times per point), prints the same
-series the paper plots, and persists JSON under ``benchmarks/results/`` for
-EXPERIMENTS.md.
+The paper's figures are not pytest benches: ``benchmarks/figures.py``
+runs them.  Each micro bench here runs its workload exactly once under
+``benchmark.pedantic`` (the workload takes and reports its own timings),
+gates on what it measured, and persists JSON under
+``benchmarks/results/`` through the figure driver's experiment record.
 """
 
 from __future__ import annotations
 
 import os
-import sys
-from pathlib import Path
 
 import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.bench.harness import Experiment  # noqa: E402
-from repro.datagen.synthetic import generate_dataset  # noqa: E402
-from repro.updates.tracker import hot_vertex_assignment  # noqa: E402
-
-RESULTS_DIR = Path(__file__).resolve().parent / "results"
-
-# Scaled stand-ins for the paper's datasets (see DESIGN.md):
-#   paper D50kT20N20L200I5  ->  STATIC_SMALL
-#   paper D100kT20N20L200I9 ->  STATIC_LARGE (used for the k sweep; more
-#   graphs than STATIC_SMALL — kernel size is kept moderate because the
-#   I9-style heavy kernels push our Python merge-join into a regime where
-#   its cost, not the baseline's disk-bound I/O, dominates and the paper's
-#   fig15 ordering no longer shows at this scale)
-STATIC_SMALL = "D120T12N15L30I5"
-STATIC_LARGE = "D150T12N15L30I5"
-SCALE_BASE = "D100T12N15L30I5"
+from .figures import RESULTS as RESULTS_DIR  # also puts src/ on sys.path
+from .figures import Experiment, markdown_table
 
 
 def pytest_addoption(parser):
@@ -58,33 +36,17 @@ def quick(request):
     )
 
 
-@pytest.fixture(scope="session")
-def small_dataset():
-    return generate_dataset(STATIC_SMALL, seed=1)
-
-
-@pytest.fixture(scope="session")
-def large_dataset():
-    return generate_dataset(STATIC_LARGE, seed=2)
-
-
-@pytest.fixture(scope="session")
-def small_ufreq(small_dataset):
-    return hot_vertex_assignment(small_dataset, hot_fraction=0.2, seed=11)
-
-
-@pytest.fixture(scope="session")
-def large_ufreq(large_dataset):
-    return hot_vertex_assignment(large_dataset, hot_fraction=0.2, seed=12)
-
-
 def finish(experiment: Experiment) -> None:
-    """Print the paper-style table and persist the series."""
-    print()
-    print(experiment.format_table())
+    """Print the table and save the series, with the run's work counters
+    (a :mod:`repro.obs.metrics` snapshot) under ``notes['metrics']``."""
+    from repro.obs import metrics
+
+    print(f"\n== {experiment.exp_id}: {experiment.title}")
+    print(markdown_table(experiment))
+    experiment.notes["metrics"] = metrics.registry().snapshot()
     experiment.save(RESULTS_DIR)
 
 
 def run_once(benchmark, fn):
-    """Run a sweep exactly once under pytest-benchmark accounting."""
+    """Run a workload exactly once under pytest-benchmark accounting."""
     return benchmark.pedantic(fn, rounds=1, iterations=1)

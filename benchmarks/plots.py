@@ -21,10 +21,11 @@ validated design recipe:
 from __future__ import annotations
 
 import math
-from pathlib import Path
+from typing import TYPE_CHECKING
 from xml.sax.saxutils import escape
 
-from .harness import Experiment, Series
+if TYPE_CHECKING:
+    from .figures import Experiment, Series
 
 # Validated light-mode palette (fixed assignment order).
 SERIES_COLORS = ["#2a78d6", "#1baf7a", "#eda100", "#008300", "#4a3aa7"]
@@ -255,24 +256,3 @@ def render_line_chart(
 
     parts.append("</svg>")
     return "\n".join(parts)
-
-
-def save_plots(
-    results_dir: str | Path, output_dir: str | Path | None = None
-) -> list[Path]:
-    """Render every saved experiment under ``results_dir`` to SVG files."""
-    from .reporting import load_results
-
-    results_dir = Path(results_dir)
-    output_dir = Path(output_dir) if output_dir else results_dir
-    output_dir.mkdir(parents=True, exist_ok=True)
-    written = []
-    for exp_id, experiment in load_results(results_dir).items():
-        if not any(s.points for s in experiment.series):
-            continue
-        if len(experiment.series) > len(SERIES_COLORS):
-            continue  # ablation grids with many value-columns stay tabular
-        path = output_dir / f"{exp_id}.svg"
-        path.write_text(render_line_chart(experiment), encoding="utf-8")
-        written.append(path)
-    return written

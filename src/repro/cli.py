@@ -558,17 +558,6 @@ def cmd_neighborhoods(args: argparse.Namespace) -> int:
             f"  pivot {pivot}: {unit.num_vertices} vertices, "
             f"{unit.num_edges} edges"
         )
-    if args.shards >= 2:
-        from .coord import ShardPlan
-
-        for balance in ("density", "edges"):
-            plan = ShardPlan.build(database, args.shards, balance=balance)
-            summary = plan.summary()
-            print(
-                f"  shard balance {balance!r}: edge spread "
-                f"{summary['edge_spread']} over {args.shards} shards "
-                f"{summary['edges']}"
-            )
     if args.output:
         graph_io.write_database(database, args.output)
         print(f"wrote neighborhood database to {args.output}")
@@ -946,9 +935,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated vertex labels to pivot on")
     p.add_argument("--top", type=int, default=5,
                    help="largest neighborhoods to list")
-    p.add_argument("--shards", type=int, default=0,
-                   help="also preview shard balance (density vs edges "
-                        "placement) for this many shards")
     p.add_argument("--output", default=None,
                    help="write the neighborhood database to this .tve")
     _add_parse_policy(p)

@@ -117,10 +117,6 @@ class CoordConfig:
     lease_ttl: float | None = None
     mem_budget: int | None = None
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
-    #: Shard placement heuristic (see :meth:`ShardPlan.build`):
-    #: ``"density"`` for transactional corpora, ``"edges"`` for
-    #: size-skewed ones like neighborhood databases.
-    balance: str = "density"
 
     def __post_init__(self) -> None:
         if self.shards < 1:
@@ -149,7 +145,6 @@ class CoordConfig:
             "lease_ttl": self.resolved_ttl,
             "mem_budget": self.mem_budget,
             "runtime": self.runtime.to_dict(),
-            "balance": self.balance,
         }
 
 
@@ -319,9 +314,7 @@ class Coordinator:
             graphs=len(database),
         ) as run_span:
             with obs.span("coord.plan"):
-                plan = ShardPlan.build(
-                    database, config.shards, balance=config.balance
-                )
+                plan = ShardPlan.build(database, config.shards)
             for shard, (graphs, edges) in enumerate(plan.sizes):
                 obs_metrics.set_coord_shard_size(shard, graphs, edges)
 

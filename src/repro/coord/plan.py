@@ -32,10 +32,6 @@ from dataclasses import dataclass
 from ..graph.database import GraphDatabase
 
 
-#: Placement heuristics :meth:`ShardPlan.build` understands.
-BALANCE_MODES = ("density", "edges")
-
-
 @dataclass(frozen=True)
 class ShardPlan:
     """Placement of database graphs onto ``num_shards`` shards."""
@@ -47,68 +43,34 @@ class ShardPlan:
     #: Per shard, total (graphs, edges) — the balance the heuristic
     #: optimizes for, kept for telemetry and the per-shard gauges.
     sizes: tuple[tuple[int, int], ...]
-    #: The heuristic that produced the assignments (manifest identity:
-    #: a resumed run must re-derive the same placement).
-    balance: str = "density"
 
     # ------------------------------------------------------------------
     @classmethod
-    def build(
-        cls,
-        database: GraphDatabase,
-        num_shards: int,
-        balance: str = "density",
-    ) -> "ShardPlan":
-        """Place graphs onto shards under the chosen ``balance`` mode.
+    def build(cls, database: GraphDatabase, num_shards: int) -> "ShardPlan":
+        """Rank graphs by edge/vertex ratio and deal them round-robin.
 
-        ``"density"`` ranks by edge/vertex ratio and deals round-robin —
-        right for transactional corpora where density tracks mining
-        cost.  ``"edges"`` is longest-processing-time placement by raw
-        edge count (each graph goes to the currently lightest shard):
-        the mode for *neighborhood* databases (:mod:`repro.biggraph`),
-        whose unit graphs all sit near density 1 while pivot-degree skew
-        makes their sizes span orders of magnitude — round-robin over a
-        near-constant density rank then lands several hub neighborhoods
-        on one worker, which LPT provably avoids (within 4/3 of optimal
-        makespan).  Both modes are pure functions of the database.
+        Density tracks mining cost on transactional corpora, so every
+        shard gets an even slice of every density band.  The plan is a
+        pure function of the database.
         """
         if num_shards < 1:
             raise ValueError(f"num_shards must be >= 1: {num_shards}")
-        if balance not in BALANCE_MODES:
-            raise ValueError(
-                f"unknown balance mode {balance!r} (expected one of "
-                f"{', '.join(BALANCE_MODES)})"
-            )
         stats: dict[int, tuple[float, int]] = {}
         for gid, graph in database:
             vertices = max(1, graph.num_vertices)
             stats[gid] = (graph.num_edges / vertices, graph.num_edges)
         shards: list[list[int]] = [[] for _ in range(num_shards)]
-        if balance == "edges":
-            # Heaviest first; each goes to the lightest shard so far
-            # (ties by shard index, gid breaks graph ties).
-            ranked = sorted(stats, key=lambda gid: (-stats[gid][1], gid))
-            loads = [0] * num_shards
-            for gid in ranked:
-                target = min(range(num_shards), key=lambda s: (loads[s], s))
-                shards[target].append(gid)
-                loads[target] += stats[gid][1]
-        else:
-            # Densest first; gid breaks ties so the plan is a pure
-            # function of the database.
-            ranked = sorted(stats, key=lambda gid: (-stats[gid][0], gid))
-            for position, gid in enumerate(ranked):
-                shards[position % num_shards].append(gid)
+        # Densest first; gid breaks ties.
+        ranked = sorted(stats, key=lambda gid: (-stats[gid][0], gid))
+        for position, gid in enumerate(ranked):
+            shards[position % num_shards].append(gid)
         assignments = tuple(tuple(sorted(gids)) for gids in shards)
         sizes = tuple(
             (len(gids), sum(stats[g][1] for g in gids))
             for gids in assignments
         )
         return cls(
-            num_shards=num_shards,
-            assignments=assignments,
-            sizes=sizes,
-            balance=balance,
+            num_shards=num_shards, assignments=assignments, sizes=sizes
         )
 
     # ------------------------------------------------------------------
@@ -167,16 +129,11 @@ class ShardPlan:
         }
 
     def to_dict(self) -> dict:
-        data = {
+        return {
             "num_shards": self.num_shards,
             "assignments": [list(gids) for gids in self.assignments],
             "sizes": [list(pair) for pair in self.sizes],
         }
-        # Old manifests predate balance modes; only stamp non-default
-        # ones so their byte layout (and resume compatibility) holds.
-        if self.balance != "density":
-            data["balance"] = self.balance
-        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ShardPlan":
@@ -188,5 +145,4 @@ class ShardPlan:
             sizes=tuple(
                 (int(g), int(e)) for g, e in data["sizes"]
             ),
-            balance=data.get("balance", "density"),
         )

@@ -1,6 +1,6 @@
-"""Tests for the benchmark harness."""
+"""Tests for the figure driver's result record: series, JSON, table."""
 
-from repro.bench.harness import Experiment, Series, dominates, load_experiment
+from benchmarks.figures import Experiment, Series, markdown_table
 
 
 class TestSeries:
@@ -9,6 +9,7 @@ class TestSeries:
         s.add(1, 10.0)
         s.add(2, 20.0)
         assert s.ys() == [10.0, 20.0]
+        assert s.points == [(1, 10.0), (2, 20.0)]
 
 
 class TestExperiment:
@@ -23,40 +24,28 @@ class TestExperiment:
         return exp
 
     def test_format_table_contains_values(self):
-        table = self.build().format_table()
-        assert "PartMiner" in table
-        assert "ADIMINE" in table
-        assert "1.500" in table
-        assert "fig_x" in table
+        assert markdown_table(self.build()).splitlines() == [
+            "| minsup | PartMiner | ADIMINE |", "| --- | --- | --- |",
+            "| 1 | 1.500 | 2.000 |", "| 2 | 1.000 | 3.000 |",
+        ]
 
     def test_format_handles_missing_points(self):
         exp = Experiment("e", "t", "x", "y")
-        a = exp.new_series("a")
-        a.add(1, 1.0)
-        b = exp.new_series("b")
-        b.add(2, 2.0)
-        table = exp.format_table()
-        assert "-" in table
+        exp.new_series("a").add(1, 1.0)
+        exp.new_series("b").add(2, 2.0)
+        assert markdown_table(exp).splitlines()[2:] == [
+            "| 1 | 1.000 | — |", "| 2 | — | 2.000 |",
+        ]
 
     def test_save_and_load_roundtrip(self, tmp_path):
         exp = self.build()
         exp.notes["dataset"] = "D10T5N5L5I2"
+        exp.check(True, "sound")
         path = exp.save(tmp_path)
-        back = load_experiment(path)
-        assert back.exp_id == exp.exp_id
-        assert back.notes == exp.notes
+        assert path == tmp_path / "fig_x.json"
+        back = Experiment.load(path)
+        assert back == exp
         assert [s.name for s in back.series] == ["PartMiner", "ADIMINE"]
         assert back.series[0].points == [(1, 1.5), (2, 1.0)]
-
-
-class TestDominates:
-    def test_dominates(self):
-        fast = Series("fast", [(1, 1.0), (2, 1.0)])
-        slow = Series("slow", [(1, 2.0), (2, 2.0)])
-        assert dominates(fast, slow)
-        assert not dominates(slow, fast)
-
-    def test_no_shared_points(self):
-        a = Series("a", [(1, 1.0)])
-        b = Series("b", [(2, 2.0)])
-        assert not dominates(a, b)
+        assert back.values("ADIMINE") == {1: 2.0, 2: 3.0}
+        assert back.failed_checks() == []

@@ -247,11 +247,13 @@ class TestBigGraphCLI:
         out = tmp_path / "units.tve"
         assert main([
             "neighborhoods", str(graph), "--radius", "1",
-            "--shards", "2", "--output", str(out),
+            "--output", str(out),
         ]) == 0
         text = capsys.readouterr().out
         assert "neighborhoods at radius 1" in text
-        assert "shard balance 'edges'" in text
+        with pytest.raises(SystemExit) as excinfo:
+            main(["neighborhoods", str(graph), "--shards", "2"])
+        assert excinfo.value.code == 2
         from repro.graph.io import read_database
 
         units = read_database(out)

@@ -9,6 +9,7 @@ way.
 """
 
 import io
+import json
 import multiprocessing
 import os
 import signal
@@ -112,43 +113,13 @@ class TestShardPlan:
         plan = ShardPlan.build(db, 4)
         assert ShardPlan.from_dict(plan.to_dict()) == plan
 
-    def test_edge_balance_round_trip_and_manifest_compat(self):
-        db = random_database(seed=15, num_graphs=9, n=5)
-        plan = ShardPlan.build(db, 4, balance="edges")
-        assert plan.to_dict()["balance"] == "edges"
-        assert ShardPlan.from_dict(plan.to_dict()) == plan
-        # Old manifests carry no balance key and must load as density.
-        legacy = ShardPlan.build(db, 4).to_dict()
-        assert "balance" not in legacy
-        assert ShardPlan.from_dict(legacy).balance == "density"
-
     def test_unknown_balance_rejected(self):
+        # Density placement is the only one since edge-LPT placement went.
         db = random_database(seed=15, num_graphs=4, n=4)
-        with pytest.raises(ValueError, match="balance"):
-            ShardPlan.build(db, 2, balance="bogus")
-
-    def test_edge_balance_beats_density_on_neighborhood_skew(self):
-        # Regression for the biggraph workload: a radius-1 neighborhood
-        # database has near-constant density (edges/vertices ≈ 1) while
-        # pivot-degree skew spreads unit sizes over orders of magnitude.
-        # The density deal then degenerates to gid order and piles the
-        # hub neighborhoods together; edge-LPT placement must cut the
-        # summary() edge spread.
-        from repro.biggraph import NeighborhoodExtractor
-        from repro.graph.labeled_graph import LabeledGraph
-
-        g = LabeledGraph()
-        for i in range(120):
-            g.add_vertex(i % 3)
-        # One hub adjacent to everything, plus a sparse ring.
-        for v in range(1, 120):
-            g.add_edge(0, v, 0)
-        for v in range(1, 119):
-            g.add_edge(v, v + 1, 1)
-        db = NeighborhoodExtractor(radius=1).extract(g)
-        density = ShardPlan.build(db, 2).summary()
-        edges = ShardPlan.build(db, 2, balance="edges").summary()
-        assert edges["edge_spread"] < density["edge_spread"]
+        with pytest.raises(TypeError):
+            ShardPlan.build(db, 2, balance="edges")
+        with pytest.raises(TypeError):
+            CoordConfig(balance="density")
 
     def test_more_shards_than_graphs(self):
         db = random_database(seed=16, num_graphs=2, n=4)
@@ -354,6 +325,24 @@ def test_run_dir_pins_the_plan(tmp_path):
     # results mined uncapped must not be adopted by a capped resume.
     with pytest.raises(CheckpointMismatch):
         Coordinator(config, tmp_path / "run").mine(db, SUPPORT, max_size=3)
+
+
+def test_run_dir_written_under_edge_balance_is_refused(tmp_path):
+    """A density plan (no ``balance`` key) resumes; an edge one is refused."""
+    db = random_database(seed=24, num_graphs=8, n=5)
+    config = CoordConfig(shards=2, heartbeat_interval=0.05, runtime=FAST)
+    run_dir = tmp_path / "run"
+    first = Coordinator(config, run_dir).mine(db, SUPPORT)
+    manifest = run_dir / "coord.json"
+    written = json.loads(manifest.read_text())
+    assert "balance" not in written["plan"]
+    resumed = Coordinator(config, run_dir).mine(db, SUPPORT)
+    assert pattern_text(resumed.patterns) == pattern_text(first.patterns)
+
+    written["plan"]["balance"] = "edges"
+    manifest.write_text(json.dumps(written))
+    with pytest.raises(CheckpointMismatch, match="plan differs"):
+        Coordinator(config, run_dir).mine(db, SUPPORT)
 
 
 def test_serial_fallback_degrades_exactly(tmp_path):

@@ -1,16 +1,12 @@
 """Tests for the SVG chart renderer."""
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from repro.bench.harness import Experiment
-from repro.bench.plots import (
-    SERIES_COLORS,
-    _nice_ticks,
-    render_line_chart,
-    save_plots,
-)
+from benchmarks.figures import FIGURES, Experiment
+from benchmarks.plots import SERIES_COLORS, _nice_ticks, render_line_chart
 
 
 def build_experiment(series_specs):
@@ -144,37 +140,18 @@ class TestRenderLineChart:
 class TestSavePlots:
     def test_renders_saved_experiments(self, tmp_path):
         exp = build_experiment([("a", [(1, 1.0), (2, 2.0)])])
-        exp.save(tmp_path)
-        written = save_plots(tmp_path, tmp_path / "out")
-        assert len(written) == 1
-        assert written[0].suffix == ".svg"
-        parse(written[0].read_text())
-
-    def test_skips_wide_experiments(self, tmp_path):
-        exp = build_experiment(
-            [(f"s{i}", [(1, i)]) for i in range(1, 8)]
-        )
-        exp.save(tmp_path)
-        assert save_plots(tmp_path, tmp_path / "out") == []
+        saved = Experiment.load(exp.save(tmp_path))
+        assert saved == exp
+        svg = render_line_chart(saved)
+        assert parse(svg).tag.endswith("svg")
+        assert geometry_ok(svg)
 
     def test_real_results_render_cleanly(self):
-        """Every shipped benchmark result must chart without geometry
+        """Every figure the driver saved must chart without geometry
         faults (the permanent form of the eyeball pass)."""
-        from pathlib import Path
-
         results = Path(__file__).resolve().parent.parent / (
             "benchmarks/results"
         )
-        if not list(results.glob("*.json")):
-            pytest.skip("no benchmark results present")
-        from repro.bench.reporting import load_results
-
-        rendered = 0
-        for experiment in load_results(results).values():
-            if not any(s.points for s in experiment.series):
-                continue
-            if len(experiment.series) > len(SERIES_COLORS):
-                continue
-            assert geometry_ok(render_line_chart(experiment))
-            rendered += 1
-        assert rendered > 0
+        for fig in FIGURES:
+            experiment = Experiment.load(results / f"{fig.id}.json")
+            assert geometry_ok(render_line_chart(experiment)), fig.id

@@ -1,17 +1,13 @@
-"""Tests for benchmark reporting utilities."""
-
-import math
+"""Tests for the figure driver's report: tables, series lookup, render."""
 
 import pytest
 
-from repro.bench.harness import Experiment, Series
-from repro.bench.reporting import (
-    crossover_points,
-    find_series,
-    load_results,
+from benchmarks.figures import (
+    Experiment,
+    Figure,
+    below,
     markdown_table,
     render_report,
-    speedup,
 )
 
 
@@ -33,59 +29,41 @@ class TestMarkdownTable:
         table = markdown_table(build_experiment())
         assert "| minsup | PartMiner | ADIMINE |" in table
         assert "| 1 | 2.000 | 1.000 |" in table
+        assert "| 3 | 1.000 | 4.000 |" in table
 
     def test_missing_values_rendered(self):
         exp = Experiment("e", "t", "x", "y")
         exp.new_series("a").add(1, 1.0)
         exp.new_series("b").add(2, 2.0)
-        assert "—" in markdown_table(exp)
-
-
-class TestSpeedup:
-    def test_geometric_mean(self):
-        exp = build_experiment()
-        ratio = speedup(exp.series[0], exp.series[1])
-        # ratios: 0.5, 2, 4 -> geometric mean = cbrt(4) ≈ 1.587
-        assert ratio == pytest.approx(4 ** (1 / 3))
-
-    def test_no_shared_points(self):
-        a = Series("a", [(1, 1.0)])
-        b = Series("b", [(2, 1.0)])
-        assert math.isnan(speedup(a, b))
-
-
-class TestCrossover:
-    def test_single_flip(self):
-        exp = build_experiment()
-        flips = crossover_points(exp.series[0], exp.series[1])
-        assert flips == [2]
-
-    def test_no_flip(self):
-        a = Series("a", [(1, 1.0), (2, 1.0)])
-        b = Series("b", [(1, 2.0), (2, 3.0)])
-        assert crossover_points(a, b) == []
+        assert "| 1 | 1.000 | — |" in markdown_table(exp)
 
 
 class TestFindSeries:
-    def test_case_insensitive_fragment(self):
-        exp = build_experiment()
-        assert find_series(exp, "adimine").name == "ADIMINE"
-        assert find_series(exp, "Part").name == "PartMiner"
-
     def test_missing_raises(self):
+        exp = build_experiment()
+        assert exp.values("ADIMINE") == {1: 1.0, 2: 2.0, 3: 4.0}
         with pytest.raises(KeyError):
-            find_series(build_experiment(), "gaston")
+            exp.values("Gaston")
+        with pytest.raises(KeyError):
+            exp.values("adimine")  # names match exactly
 
 
 class TestLoadAndRender:
     def test_roundtrip_directory(self, tmp_path):
         exp = build_experiment()
-        exp.save(tmp_path)
-        results = load_results(tmp_path)
-        assert set(results) == {"figx"}
-        report = render_report(
-            results, expectations={"figx": "Expected: a crossover at 2."}
+        exp.notes["wall_s"] = 1.5
+        exp.check(False, "x=2: sound")
+        saved = Experiment.load(exp.save(tmp_path))
+        fig = Figure(
+            "figx", "demo", "minsup", "runtime (s)", "minsup", {}, [1, 2, 3],
+            [1], {}, "PartMiner is below ADIMINE",
+            lambda e: below(e, "PartMiner", "ADIMINE"),
         )
+        report = render_report([fig], {"figx": saved}, tmp_path,
+                               tmp_path / "EXPERIMENTS.md", quick=False)
+        assert "| figx | PartMiner is below ADIMINE | no |" in report
         assert "### figx: demo" in report
-        assert "Expected: a crossover at 2." in report
-        assert "| minsup |" in report
+        assert "![figx](figx.svg)" in report
+        assert "| minsup | PartMiner | ADIMINE |" in report
+        assert "checks: 0 of 1 passed; **failed:** x=2: sound" in report
+        assert "- wall time: 1.5 s" in report
