@@ -5,7 +5,8 @@ The CI gate for the coordinator's supervision story, run end to end
 through ``python -m repro``:
 
 1. generate a fixture database;
-2. mine it single-process (the baseline artifact);
+2. mine it with whole-database Gaston (``--algorithm gaston``, the
+   exact baseline artifact the coordinator must reproduce);
 3. mine it again with ``--shards`` while this script SIGKILLs the
    coordinator's worker processes from the outside, mid-shard;
 4. require: exit code 0, a pattern artifact **byte-identical** to the
@@ -90,7 +91,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="shard-drill-") as tmp:
         tmp_path = Path(tmp)
         fixture = tmp_path / "fixture.tve"
-        serial_out = tmp_path / "serial.jsonl"
+        exact_out = tmp_path / "exact.jsonl"
         sharded_out = tmp_path / "sharded.jsonl"
         telemetry_out = tmp_path / "telemetry.json"
 
@@ -98,9 +99,9 @@ def main() -> int:
             ["generate", args.spec, str(fixture), "--seed", str(args.seed)]
         )
         run_cli(
-            ["mine", str(fixture), args.support,
+            ["mine", str(fixture), args.support, "--algorithm", "gaston",
              "--max-size", str(args.max_size),
-             "--output", str(serial_out)]
+             "--output", str(exact_out)]
         )
 
         mine = subprocess.Popen(
@@ -152,7 +153,7 @@ def main() -> int:
                   file=sys.stderr)
             return 1
 
-        want = stripped(serial_out)
+        want = stripped(exact_out)
         got = stripped(sharded_out)
         if want != got:
             print(f"drill: FAIL - artifacts diverge "

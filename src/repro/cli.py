@@ -69,8 +69,36 @@ exit codes:
 
 
 def _support(text: str) -> float | int:
-    value = float(text)
-    return int(value) if value >= 1 and value == int(value) else value
+    """A support argument: a fraction in (0, 1) or a whole count >= 1."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = 0.0
+    if 0 < value < 1:
+        return value
+    if value >= 1 and value.is_integer():
+        return int(value)
+    raise argparse.ArgumentTypeError(
+        f"must be a fraction in (0, 1) or a whole count >= 1: {text!r}"
+    )
+
+
+def _positive_int(text: str) -> int:
+    """``-k``: a whole number >= 1."""
+    if text.isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be a whole number >= 1: {text!r}")
+
+
+def _unit_support(text: str) -> str | int:
+    """``--unit-support``: ``paper``, ``exact`` or a whole count >= 1."""
+    if text in ("paper", "exact"):
+        return text
+    if text.isdecimal() and int(text) >= 1:
+        return int(text)
+    raise argparse.ArgumentTypeError(
+        f"must be 'paper', 'exact' or a whole count >= 1: {text!r}"
+    )
 
 
 def _add_parse_policy(parser: argparse.ArgumentParser) -> None:
@@ -140,8 +168,8 @@ def _supervision_configs(args: argparse.Namespace):
 
     Returns ``None`` after printing a one-line usage error when a flag
     is out of range, the combination is contradictory, or nothing would
-    read a flag (a pool flag or ``--telemetry`` without a pool; a pool,
-    ``--trace`` or ``--profile`` for a miner other than PartMiner).
+    read a flag (a pool flag or ``--telemetry`` without a pool; a pool
+    or ``--trace`` for a miner other than PartMiner).
     """
     from .runtime import RuntimeConfig
 
@@ -155,11 +183,8 @@ def _supervision_configs(args: argparse.Namespace):
             raise ValueError(
                 f"--shards must be >= 2 (0 = unsharded): {shards}"
             )
-        unit_only = [n for n in ("parallel", "spill_dir") if getattr(args, n)]
-        if shards and unit_only:
-            raise ValueError(
-                "--shards cannot be combined with " + options(unit_only)
-            )
+        if shards and args.parallel:
+            raise ValueError("--shards cannot be combined with --parallel")
         runtime = RuntimeConfig(
             max_workers=args.workers,
             unit_timeout=args.unit_timeout,
@@ -167,11 +192,10 @@ def _supervision_configs(args: argparse.Namespace):
                 RuntimeConfig.max_retries
                 if args.retries is None else args.retries
             ),
-            spill_dir=args.spill_dir,
         )
-        partminer_only = ([pool] if pool else []) + [
-            "--" + name for name in ("trace", "profile") if getattr(args, name)
-        ]
+        partminer_only = [pool] if pool else []
+        if args.trace:
+            partminer_only.append("--trace")
         if partminer_only and args.algorithm != "partminer":
             raise ValueError(
                 ", ".join(partminer_only) + " applies to --algorithm "
@@ -179,9 +203,7 @@ def _supervision_configs(args: argparse.Namespace):
             )
         idle = [
             name
-            for name in (
-                "workers", "unit_timeout", "retries", "spill_dir", "telemetry"
-            )
+            for name in ("workers", "unit_timeout", "retries", "telemetry")
             if getattr(args, name) is not None
         ]
         if idle and not pool:
@@ -273,6 +295,25 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
+def _coordinate(config, database, args):
+    """Mine through the sharded coordinator (``--shards``).
+
+    Without ``--run-dir`` the coordinator's durable state lives in a
+    temporary directory for the length of the call.
+    """
+    import tempfile
+
+    from .coord import Coordinator
+
+    with contextlib.ExitStack() as stack:
+        run_dir = args.run_dir or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-coord-")
+        )
+        return Coordinator(config, run_dir=run_dir).mine(
+            database, args.support, max_size=args.max_size
+        )
+
+
 def cmd_mine(args: argparse.Namespace) -> int:
     """Mine frequent patterns with the chosen algorithm."""
     if not _check_storage_flags(args):
@@ -283,7 +324,14 @@ def cmd_mine(args: argparse.Namespace) -> int:
     runtime_config, coord_config = configs
     database, storage = _storage_database(args)
     start = time.perf_counter()
-    if args.algorithm == "partminer":
+    algorithm, telemetry = args.algorithm, None
+    if coord_config is not None:
+        algorithm = "coordinator"
+        with _tracing(args.trace) as trace:
+            result = _coordinate(coord_config, database, args)
+        patterns, telemetry = result.patterns, result.telemetry
+        timing = f"{time.perf_counter() - start:.2f}s"
+    elif args.algorithm == "partminer":
         partitioner = None
         if args.metis:
             partitioner = MetisPartitioner()
@@ -294,57 +342,21 @@ def cmd_mine(args: argparse.Namespace) -> int:
                     lambda2=args.lambda2 if args.lambda2 is not None else 1.0,
                 )
             )
-        profiler = None
-        if args.profile:
-            from .obs import PhaseProfiler
-
-            profiler = PhaseProfiler()
         miner = PartMiner(
             k=args.k,
             partitioner=partitioner,
             unit_support=args.unit_support,
             max_size=args.max_size,
-            parallel_units=args.parallel,
-            runtime=runtime_config,
+            runtime=runtime_config if args.parallel else None,
             run_dir=args.run_dir,
-            shards=args.shards,
-            coord=coord_config,
-            profiler=profiler,
         )
         with _tracing(args.trace) as trace:
             result = miner.mine(database, args.support)
-        if profiler is not None:
-            from pathlib import Path as _Path
-
-            profile_dir = args.run_dir or _Path(
-                args.trace or "."
-            ).parent
-            for report in profiler.finish(profile_dir):
-                print(f"profile: {report}")
-        patterns = result.patterns
+        patterns, telemetry = result.patterns, result.telemetry
         timing = (
             f"aggregate {result.aggregate_time:.2f}s, "
             f"parallel {result.parallel_time:.2f}s"
         )
-        if result.telemetry is not None:
-            if trace:
-                result.telemetry.trace = trace
-            print(f"runtime: {result.telemetry.format_summary()}")
-            coord_doc = getattr(result.telemetry, "coord", None) or {}
-            if coord_doc:
-                counters = coord_doc["counters"]
-                plan_doc = coord_doc["plan"]
-                print(
-                    f"coord: {plan_doc['shards']} shards "
-                    f"(edge spread {plan_doc['edge_spread']}), "
-                    f"retries {counters['retries']}, "
-                    f"lease expiries {counters['lease_expiries']}, "
-                    f"reassignments {counters['reassignments']}, "
-                    f"degraded {counters['degraded']}"
-                )
-            if args.telemetry:
-                result.telemetry.save(args.telemetry)
-                print(f"telemetry saved to {args.telemetry}")
     else:
         if args.algorithm == "gspan":
             miner = GSpanMiner(max_size=args.max_size)
@@ -363,6 +375,24 @@ def cmd_mine(args: argparse.Namespace) -> int:
             if close is not None:
                 close()
         timing = f"{time.perf_counter() - start:.2f}s"
+    if telemetry is not None:
+        if trace:
+            telemetry.trace = trace
+        print(f"runtime: {telemetry.format_summary()}")
+        if telemetry.coord:
+            counters = telemetry.coord["counters"]
+            plan_doc = telemetry.coord["plan"]
+            print(
+                f"coord: {plan_doc['shards']} shards "
+                f"(edge spread {plan_doc['edge_spread']}), "
+                f"retries {counters['retries']}, "
+                f"lease expiries {counters['lease_expiries']}, "
+                f"reassignments {counters['reassignments']}, "
+                f"degraded {counters['degraded']}"
+            )
+        if args.telemetry:
+            telemetry.save(args.telemetry)
+            print(f"telemetry saved to {args.telemetry}")
     if args.metrics:
         from .obs import metrics as obs_metrics
         from .resilience import integrity
@@ -379,7 +409,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
             meta={
                 "database": args.database,
                 "support": args.support,
-                "algorithm": args.algorithm,
+                "algorithm": algorithm,
                 "backend": args.backend,
             },
             atomic=True,
@@ -696,17 +726,18 @@ def cmd_serve(args: argparse.Namespace) -> int:
         reload_interval=args.reload_interval,
     )
     service.start()
-    print(
-        f"serving catalog v{service.engine.snapshot.version} "
-        f"({len(service.engine.snapshot.entries)} patterns, "
-        f"{len(database)} graphs) on {service.base_url}"
-    )
-    # Process managers (and CI) stop daemons with SIGTERM; give it the
-    # same graceful-shutdown path as Ctrl-C.
     import signal
 
-    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
+        # Process managers (and CI) stop daemons with SIGTERM; give it the
+        # same graceful-shutdown path as Ctrl-C before announcing the
+        # service, so a client that stops it on that line shuts it down.
+        signal.signal(signal.SIGTERM, signal.default_int_handler)
+        print(
+            f"serving catalog v{service.engine.snapshot.version} "
+            f"({len(service.engine.snapshot.entries)} patterns, "
+            f"{len(database)} graphs) on {service.base_url}"
+        )
         while True:
             time.sleep(3600)
     except KeyboardInterrupt:
@@ -821,8 +852,9 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["partminer", "gspan", "gaston", "adimine"],
         default="partminer",
     )
-    p.add_argument("-k", type=int, default=2, help="number of units")
-    p.add_argument("--unit-support", default="paper",
+    p.add_argument("-k", type=_positive_int, default=2,
+                   help="number of units")
+    p.add_argument("--unit-support", type=_unit_support, default="paper",
                    help="'paper', 'exact' or an absolute count")
     p.add_argument("--lambda1", type=float, default=None,
                    help="weight of update-frequency term (GraphPart)")
@@ -846,18 +878,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="retries per unit before serial fallback "
                         "(default 2)")
     p.add_argument("--shards", type=int, default=0,
-                   help="mine through the sharded coordinator with this "
-                        "many density-balanced database shards (partminer "
-                        "only); worker processes run under lease "
-                        "supervision and the final set is byte-identical "
-                        "to the in-process run")
+                   help="mine through the sharded coordinator instead of "
+                        "PartMiner: this many density-ranked database "
+                        "shards mined by lease-supervised worker "
+                        "processes, then every candidate recounted over "
+                        "the whole database — the exact frequent set, "
+                        "as --algorithm gaston finds it")
     p.add_argument("--shard-mem-budget", type=int, default=None,
                    help="per-worker decoded-graph cache budget in graphs; "
                         "shards larger than the budget stream their rows "
                         "from SQLite instead of materializing")
     p.add_argument("--heartbeat-interval", type=float, default=0.25,
-                   help="seconds between shard-worker heartbeats (the "
-                        "lease TTL defaults to 8x this)")
+                   help="seconds between shard-worker heartbeats (a "
+                        "lease expires after 8x this)")
     p.add_argument("--shard-chunk", type=int, default=0,
                    help="graphs per shard checkpoint chunk — the resume "
                         "granularity after a worker kill (0 = whole "
@@ -874,14 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--metrics", default=None,
                    help="write a JSON snapshot of the metrics registry "
                         "here after mining")
-    p.add_argument("--profile", action="store_true",
-                   help="capture per-phase cProfile reports into the "
-                        "run dir (partminer only)")
-    p.add_argument("--spill-dir", default=None,
-                   help="spill unit databases into per-unit SQLite files "
-                        "here so parallel workers stream them through "
-                        "read-only connections instead of receiving "
-                        "graph lists (partminer --parallel only)")
     _add_storage_flags(p)
     _add_parse_policy(p)
     p.set_defaults(func=cmd_mine)
@@ -942,7 +967,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("partition", help="split a database into units")
     p.add_argument("database")
-    p.add_argument("-k", type=int, default=2)
+    p.add_argument("-k", type=_positive_int, default=2)
     p.add_argument("--hot-fraction", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-prefix",

@@ -4,7 +4,8 @@ Splits a graph database into density-balanced shards, mines each in a
 supervised worker process under a heartbeat lease, survives worker
 kills and corrupted shard artifacts, and recounts the merged candidate
 set to the exact global answer — the sharded run's output is
-byte-identical to a single-process run.
+byte-identical to whole-database Gaston's.  It is not PartMiner: no
+merge-join runs (``repro mine --shards`` calls :class:`Coordinator`).
 
 Public surface::
 

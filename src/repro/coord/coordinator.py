@@ -13,7 +13,7 @@ Architecture (DESIGN.md §7, §15)::
       │     ├─ failed attempt      ─▶ jittered backoff ─▶ any free slot
       │     │                         re-leases it (reassignment)
       │     └─ budget exhausted    ─▶ in-process serial fallback
-      └─ global-support phase       merge-join candidates + exact recount
+      └─ global-support phase       union the candidates + exact recount
 
 Every shard's durable state lives under ``<run_dir>/shards/shard_NN/``:
 chunk checkpoints (the worker's resume points) and the exactly-once
@@ -93,10 +93,9 @@ class CoordConfig:
         chunks).  Smaller chunks = finer resume granularity after a
         worker kill, at more checkpoint-write cost.
     heartbeat_interval:
-        Seconds between worker heartbeats.
-    lease_ttl:
-        Heartbeat silence that expires a lease (``None`` = ``8x`` the
-        interval — tolerant of a dropped beat, fast on a dead worker).
+        Seconds between worker heartbeats.  Eight intervals of silence
+        expire a lease — tolerant of a dropped beat, fast on a dead
+        worker.
     mem_budget:
         Per-worker decoded-graph cache budget, in graphs.  Shards
         larger than the budget stream their SQLite rows instead of
@@ -114,7 +113,6 @@ class CoordConfig:
     shards: int = 4
     chunk_size: int = 0
     heartbeat_interval: float = 0.25
-    lease_ttl: float | None = None
     mem_budget: int | None = None
     runtime: RuntimeConfig = field(default_factory=RuntimeConfig)
 
@@ -126,23 +124,12 @@ class CoordConfig:
                 f"heartbeat_interval must be positive: "
                 f"{self.heartbeat_interval}"
             )
-        if self.lease_ttl is not None and self.lease_ttl <= 0:
-            raise ValueError(f"lease_ttl must be positive: {self.lease_ttl}")
-
-    @property
-    def resolved_ttl(self) -> float:
-        return (
-            self.lease_ttl
-            if self.lease_ttl is not None
-            else 8.0 * self.heartbeat_interval
-        )
 
     def to_dict(self) -> dict:
         return {
             "shards": self.shards,
             "chunk_size": self.chunk_size,
             "heartbeat_interval": self.heartbeat_interval,
-            "lease_ttl": self.resolved_ttl,
             "mem_budget": self.mem_budget,
             "runtime": self.runtime.to_dict(),
         }
@@ -175,7 +162,7 @@ class _ShardTask(Task):
         )
         self.index, self.worker = record.shard, coordinator.worker
         self.beat_every = config.heartbeat_interval
-        self.beat_ttl = config.resolved_ttl
+        self.beat_ttl = 8.0 * config.heartbeat_interval
         self.lost_lease = False  # last attempt forfeited a live lease
 
     def _event(self, kind: str, slot: str, **ctx) -> None:

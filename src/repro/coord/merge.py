@@ -6,7 +6,7 @@ sets is a complete candidate *superset* of the globally frequent
 patterns — but the local supports and TID lists are partial (a shard
 only sees its own gids).  This phase restores exactness:
 
-1. **merge-join** the shard results by canonical key, unioning the TID
+1. **union** the shard results by canonical key, unioning the TID
    lists each shard proved (a free lower bound on global support);
 2. **recount** every merged candidate against the *full* database
    through the batched flat kernels with the real threshold as the
@@ -16,8 +16,9 @@ only sees its own gids).  This phase restores exactness:
 3. keep the candidates meeting the root threshold.
 
 The result is exactly the frequent pattern set of the whole database —
-the same set, supports and TIDs a single-process run produces, which is
-what makes the sharded run's output byte-identical.
+the same set, supports and TIDs whole-database Gaston produces, which is
+what makes the sharded run's output byte-identical to it.  No merge-join
+runs here.
 """
 
 from __future__ import annotations

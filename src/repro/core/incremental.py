@@ -184,7 +184,6 @@ class IncrementalPartMiner:
             unit_support=unit_support,
             strict_paper_joins=strict_paper_joins,
             max_size=max_size,
-            parallel_units=runtime is not None,
             runtime=runtime,
         )
         self._database: GraphDatabase | None = None

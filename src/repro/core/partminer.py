@@ -19,12 +19,11 @@ from __future__ import annotations
 
 import math
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
-from .. import obs, perf
+from .. import obs
 from ..obs import metrics as obs_metrics
 from ..graph.database import GraphDatabase
 from ..mining.base import PatternSet, mine_unit
@@ -37,17 +36,6 @@ from .mergejoin import MergeDelta, MergeJoinStats, merge_join
 MinerFactory = Callable[[], object]
 
 UnitSupport = str | int  # 'paper' | 'exact' | absolute count
-
-
-class _NullProfiler:
-    """Stand-in when no ``--profile`` profiler was attached."""
-
-    @contextmanager
-    def phase(self, name: str):
-        yield
-
-
-_NULL_PROFILER = _NullProfiler()
 
 
 def resolve_unit_threshold(
@@ -88,8 +76,7 @@ class PartMinerResult:
     merge_times: dict[tuple[int, int], float]
     merge_stats: dict[tuple[int, int], MergeJoinStats]
     partition_time: float = 0.0
-    telemetry: object | None = None  # RunTelemetry when parallel_units ran
-    support_cache: object | None = None  # the caller's SupportCache, if any
+    telemetry: object | None = None  # RunTelemetry when the runtime ran
 
     @property
     def aggregate_time(self) -> float:
@@ -138,43 +125,21 @@ class PartMiner:
         Forwarded to :func:`merge_join`.
     max_size:
         Optional bound on pattern size.
-    parallel_units:
-        Mine the units through the fault-tolerant runtime
-        (:mod:`repro.runtime`) — the paper's "inherently parallel"
-        execution, with per-attempt worker processes, timeouts, retries
-        and graceful degradation.  Workers run the default Gaston unit
-        miner; ``miner_factory`` is used for the in-process serial
-        fallback.  Per-unit wall times come from runtime telemetry and
-        the aggregate/parallel timing model still applies.
     runtime:
-        :class:`~repro.runtime.config.RuntimeConfig` execution policy for
-        ``parallel_units`` mode (defaults apply when omitted).
+        ``None`` mines the units in-process.  A
+        :class:`~repro.runtime.config.RuntimeConfig` mines them through
+        the fault-tolerant runtime (:mod:`repro.runtime`) — the paper's
+        "inherently parallel" execution, with per-attempt worker
+        processes, timeouts, retries and graceful degradation.  Workers
+        run the default Gaston unit miner; ``miner_factory`` is used for
+        the in-process serial fallback.  Per-unit wall times come from
+        runtime telemetry and the aggregate/parallel timing model still
+        applies.
     run_dir:
-        Checkpoint directory for ``parallel_units`` mode.  Completed units
-        are persisted here as they finish; re-running with the same
-        directory resumes, skipping finished units.  Telemetry is saved
-        alongside as ``telemetry.json``.
-    shards:
-        ``>= 2`` routes the whole run through the sharded mining
-        coordinator (:mod:`repro.coord`): density-balanced shards mined
-        by lease-supervised worker processes, with chunk checkpoints,
-        worker-kill recovery and an exact global-support phase.  The
-        output is identical to the in-process run.  ``run_dir`` becomes
-        the coordinator's durable state root (a temporary directory is
-        used when omitted — durability then lasts only for the call).
-    coord:
-        Optional :class:`~repro.coord.CoordConfig` overriding the
-        coordinator policy (takes precedence over ``shards``).
-    support_cache:
-        A :class:`~repro.perf.SupportCache` handed to every merge-join of
-        the run, for an owner that mines the same graph instances again.
-        ``None`` (the default) mines without one: the level datasets of
-        one partition tree never share a graph instance, so a cache
-        private to a single :meth:`mine` call could never hit.
-    profiler:
-        Optional :class:`~repro.obs.PhaseProfiler` capturing per-phase
-        cProfile stats (the CLI creates one under ``--profile``).
-        Worker processes are not followed; see :mod:`repro.obs.profile`.
+        Checkpoint directory for the runtime.  Completed units are
+        persisted here as they finish; re-running with the same directory
+        resumes, skipping finished units.  Telemetry is saved alongside as
+        ``telemetry.json``.
     """
 
     k: int = 2
@@ -183,13 +148,8 @@ class PartMiner:
     unit_support: UnitSupport = "paper"
     strict_paper_joins: bool = False
     max_size: int | None = None
-    parallel_units: bool = False
     runtime: object | None = None  # RuntimeConfig
     run_dir: str | Path | None = None
-    shards: int = 0
-    coord: object | None = None  # CoordConfig
-    support_cache: object | None = None  # SupportCache
-    profiler: object | None = None  # PhaseProfiler
 
     def mine(
         self,
@@ -203,111 +163,35 @@ class PartMiner:
         partitioning criteria (zeros when omitted — pure connectivity).
         """
         threshold = database.absolute_support(min_support)
-        support_cache = self.support_cache
-        counters_before = perf.snapshot()
-        profiler = self.profiler or _NULL_PROFILER
-
         with obs.span(
             "partminer.mine",
             k=self.k,
             threshold=threshold,
             graphs=len(database),
         ) as run_span:
-            if self.coord is not None or self.shards >= 2:
-                run_span.set_attrs(sharded=True)
-                result = self._mine_sharded(database, threshold, profiler)
-                result.support_cache = support_cache
-            else:
-                result = self._mine_inner(
-                    database, threshold, ufreq, profiler
-                )
+            result = self._mine(database, threshold, ufreq)
             run_span.set_attrs(patterns=len(result.patterns))
-        if result.telemetry is not None:
-            result.telemetry.perf = {
-                "support_cache": (
-                    None if support_cache is None else support_cache.stats()
-                ),
-                "counters": perf.delta_since(counters_before).to_dict(),
-                "accel": perf.enabled(),
-                "join_levels_skipped": sum(
-                    s.join_levels_skipped for s in result.merge_stats.values()
-                ),
-                "join_pairs_pruned": sum(
-                    s.join_pairs_pruned for s in result.merge_stats.values()
-                ),
-            }
         return result
 
-    def _mine_sharded(
-        self, database: GraphDatabase, threshold: int, profiler
-    ) -> PartMinerResult:
-        """Delegate the run to the sharded coordinator (``shards >= 2``).
-
-        The result is wrapped over the trivial one-unit partition tree:
-        per-shard pattern sets stand in as unit results and the
-        coordinator's :class:`~repro.runtime.telemetry.RunTelemetry`
-        (with its ``coord`` digest) rides in ``telemetry``.
-        """
-        import tempfile
-
-        from ..coord import CoordConfig, Coordinator
-
-        config = self.coord
-        if config is None:
-            runtime = self.runtime
-            config = CoordConfig(
-                shards=self.shards,
-                **({} if runtime is None else {"runtime": runtime}),
-            )
-        tmp = None
-        run_dir = self.run_dir
-        if run_dir is None:
-            tmp = tempfile.TemporaryDirectory(prefix="repro-coord-")
-            run_dir = tmp.name
-        try:
-            with profiler.phase("sharded_mining"):
-                coordinator = Coordinator(config, run_dir=run_dir)
-                coord_result = coordinator.mine(
-                    database, threshold, max_size=self.max_size
-                )
-        finally:
-            if tmp is not None:
-                tmp.cleanup()
-        tree = db_partition(database, 1)
-        records = coord_result.telemetry.coord["shards"]
-        return PartMinerResult(
-            patterns=coord_result.patterns,
-            tree=tree,
-            threshold=coord_result.threshold,
-            unit_results=list(coord_result.shard_results),
-            node_results={(0, 0): coord_result.patterns},
-            unit_times=[record["wall_time"] for record in records],
-            merge_times={},
-            merge_stats={},
-            partition_time=0.0,
-            telemetry=coord_result.telemetry,
-        )
-
-    def _mine_inner(
+    def _mine(
         self,
         database: GraphDatabase,
         threshold: int,
         ufreq: UfreqMap | None,
-        profiler,
     ) -> PartMinerResult:
+        # Phase 1: partition the database into k units.
         t0 = time.perf_counter()
         partitioner = self.partitioner
         if partitioner is None:
             partitioner = GraphPartitioner()
         seeds_before = getattr(partitioner, "seeds_walked", 0)
         with obs.span("partminer.partition", k=self.k) as part_span:
-            with profiler.phase("partition"):
-                tree = db_partition(
-                    database,
-                    self.k,
-                    ufreq=ufreq,
-                    partitioner=partitioner,
-                )
+            tree = db_partition(
+                database,
+                self.k,
+                ufreq=ufreq,
+                partitioner=partitioner,
+            )
             part_span.set_attrs(
                 units=len(tree.units()),
                 seeds=getattr(partitioner, "seeds_walked", 0) - seeds_before,
@@ -322,8 +206,8 @@ class PartMiner:
         with obs.span(
             "partminer.units",
             units=len(units),
-            parallel=self.parallel_units,
-        ), profiler.phase("unit_mining"):
+            parallel=self.runtime is not None,
+        ):
             unit_results, unit_times, telemetry = self._mine_units(
                 units, threshold
             )
@@ -344,14 +228,11 @@ class PartMiner:
             merge_stats={},
             partition_time=partition_time,
             telemetry=telemetry,
-            support_cache=self.support_cache,
         )
 
         # Phase 2b: recombine bottom-up along the tree.
         merge_t0 = time.perf_counter()
-        with obs.span("partminer.merge") as merge_span, profiler.phase(
-            "merge_join"
-        ):
+        with obs.span("partminer.merge") as merge_span:
             result.patterns = self._combine(tree.root, threshold, result)
             merge_span.set_attrs(
                 levels=len(
@@ -371,9 +252,9 @@ class PartMiner:
         """Mine ``units`` at their unit thresholds: each unit's patterns,
         its wall time, and the runtime's telemetry (``None`` when serial).
 
-        Serially with one ``unit.mine`` span per unit, or, under
-        ``parallel_units``, through the fault-tolerant runtime,
-        checkpointed into ``run_dir`` when one is set.
+        Serially with one ``unit.mine`` span per unit, or, given a
+        ``runtime``, through the fault-tolerant runtime, checkpointed into
+        ``run_dir`` when one is set.
         """
         thresholds = [
             resolve_unit_threshold(
@@ -381,7 +262,7 @@ class PartMiner:
             )
             for unit in units
         ]
-        if not self.parallel_units:
+        if self.runtime is None:
             results, times = [], []
             for unit, threshold in zip(units, thresholds):
                 t0 = time.perf_counter()
@@ -464,7 +345,6 @@ class PartMiner:
                 strict_paper_joins=self.strict_paper_joins,
                 max_size=self.max_size,
                 stats=stats,
-                support_cache=self.support_cache,
                 delta=node_delta,
             )
             level_span.set_attrs(patterns=len(merged), threshold=threshold)

@@ -15,7 +15,6 @@ of them (DESIGN.md §11):
   JSONL writer with an explicit drop counter and an integrity-framed
   output file;
 * :mod:`repro.obs.summarize` — the ``repro trace summarize`` renderer;
-* :mod:`repro.obs.profile` — opt-in per-phase cProfile capture;
 * :mod:`repro.obs.switch` — the ``REPRO_NO_OBS`` / ``--no-obs`` kill
   switch that turns every hook above into a near-free no-op.
 
@@ -32,7 +31,6 @@ from .metrics import (  # noqa: F401
     MetricsRegistry,
     registry,
 )
-from .profile import PhaseProfiler  # noqa: F401
 from .sink import EventSink, load_events  # noqa: F401
 from .summarize import summarize_file, summarize_spans  # noqa: F401
 from .switch import disabled, enabled, set_enabled  # noqa: F401

@@ -55,15 +55,6 @@ class RuntimeConfig:
     kill_grace:
         Seconds to wait for a terminated worker before escalating to
         ``SIGKILL``.
-    spill_dir:
-        When set, unit databases whose graphs live in a SQLite storage
-        backend (:mod:`repro.storage`) are shipped to workers as
-        ``(db path, gid list)`` references instead of graph lists: each
-        worker opens its own read-only connection and streams rows
-        through a bounded decode cache, so the parent never materializes
-        the unit.  The directory itself is
-        where in-memory databases are spilled to SQLite first when the
-        source database is not already on disk.
     """
 
     max_workers: int | None = None
@@ -77,7 +68,6 @@ class RuntimeConfig:
     fallback: str = "serial"
     start_method: str | None = None
     kill_grace: float = 5.0
-    spill_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.fallback not in FALLBACKS:

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable
 
 from ..graph.labeled_graph import LabeledGraph
@@ -263,11 +262,8 @@ def run_unit_mining(
     An in-memory unit ships as its ``(gid, graph)`` list: inherited by a
     forked worker, pickled once per attempt under ``forkserver`` /
     ``spawn``.  A unit whose database already lives in a SQLite storage
-    backend ships only a read-only database reference, and with
-    ``config.spill_dir`` set, in-memory unit databases are first
-    *spilled* into per-unit SQLite files there — either way workers open
-    their own connections and the parent never pickles a graph list.
-    Spill files are removed before returning.
+    backend ships only a read-only database reference; the worker opens
+    its own connection.
     """
 
     def make_fallback(unit, threshold):
@@ -279,15 +275,8 @@ def run_unit_mining(
 
         return fallback
 
-    resolved_config = config or RuntimeConfig()
-    spill_dir = resolved_config.spill_dir
-    spilled = [
-        Path(spill_dir) / f"unit-{index:04d}.db" if spill_dir else None
-        for index in range(len(thresholds))
-    ]
-
-    def unit_payload(index, unit, threshold) -> dict:
-        spec = sqlite_spec(unit.database, spilled[index])
+    def unit_payload(unit, threshold) -> dict:
+        spec = sqlite_spec(unit.database, None)
         source = (
             {"graphs": list(unit.database)} if spec is None
             else {"sqlite": spec}
@@ -297,22 +286,13 @@ def run_unit_mining(
     tasks = [
         UnitTask(
             index=i,
-            payload=unit_payload(i, unit, threshold),
+            payload=unit_payload(unit, threshold),
             fallback=make_fallback(unit, threshold),
             checkpoint_meta={"threshold": threshold},
         )
         for i, (unit, threshold) in enumerate(zip(units, thresholds))
     ]
-    runtime = MiningRuntime(resolved_config, worker=worker)
-    try:
-        return runtime.run(
-            tasks, checkpoint=checkpoint, on_unit_complete=on_unit_complete
-        )
-    finally:
-        for path in filter(None, spilled):
-            for side in (path, path.with_name(path.name + "-wal"),
-                         path.with_name(path.name + "-shm")):
-                try:
-                    side.unlink()
-                except OSError:
-                    pass
+    runtime = MiningRuntime(config or RuntimeConfig(), worker=worker)
+    return runtime.run(
+        tasks, checkpoint=checkpoint, on_unit_complete=on_unit_complete
+    )

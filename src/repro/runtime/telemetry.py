@@ -86,13 +86,6 @@ class UnitRecord:
 class RunTelemetry:
     """Telemetry of one full runtime run.
 
-    ``perf`` carries the support-counting acceleration digest of the run
-    that produced this telemetry (matcher work counters, plus cache
-    hit/miss/bytes under ``support_cache`` — ``null`` when the miner had
-    no :class:`~repro.perf.SupportCache` attached, the static-mining
-    default; see :mod:`repro.perf`); empty when the acceleration layer
-    recorded nothing.
-
     ``serving`` carries the pattern-serving digest when the run fed a
     query service (request/batching/reload counters and the query
     engine's work totals, see
@@ -115,7 +108,6 @@ class RunTelemetry:
     units: list[UnitRecord] = field(default_factory=list)
     config: dict = field(default_factory=dict)
     total_wall_time: float = 0.0
-    perf: dict = field(default_factory=dict)
     serving: dict = field(default_factory=dict)
     trace: dict = field(default_factory=dict)
     coord: dict = field(default_factory=dict)
@@ -165,7 +157,6 @@ class RunTelemetry:
             "version": TELEMETRY_VERSION,
             "config": self.config,
             "total_wall_time": self.total_wall_time,
-            "perf": self.perf,
             "serving": self.serving,
             "trace": self.trace,
             "coord": self.coord,
@@ -192,7 +183,6 @@ class RunTelemetry:
             units=units,
             config=data.get("config", {}),
             total_wall_time=data.get("total_wall_time", 0.0),
-            perf=data.get("perf", {}),
             serving=data.get("serving", {}),
             trace=data.get("trace", {}),
             coord=data.get("coord", {}),

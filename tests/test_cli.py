@@ -7,6 +7,7 @@ import pytest
 
 from repro import perf
 from repro.cli import main
+from repro.core.partminer import PartMiner
 from repro.graph import io as graph_io
 from repro.mining.store import read_patterns
 
@@ -233,10 +234,52 @@ class TestErrorPaths:
         with pytest.raises(SystemExit):
             main(["frobnicate"])
 
-    def test_mine_invalid_unit_support(self, database_file):
-        with pytest.raises(ValueError, match="unit_support"):
+    def test_mine_invalid_unit_support(self, database_file, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             main(["mine", str(database_file), "0.3",
                   "--unit-support", "bogus"])
+        assert excinfo.value.code == 2
+        assert "argument --unit-support" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["mine", "DB", "0.3", "--unit-support", "0"],
+        ["mine", "DB", "0.3", "--unit-support", "2.5"],
+        ["mine", "DB", "0.3", "-k", "0"],
+        ["partition", "DB", "-k", "0"],
+        ["mine", "DB", "0"],
+        ["mine", "DB", "-1"],
+        ["mine", "DB", "1.5"],
+        ["mine", "DB", "nan"],
+        ["query", "p.jsonl", "DB", "--min-support", "0"],
+    ])
+    def test_bad_numeric_argument_is_a_usage_error(
+        self, database_file, capsys, argv
+    ):
+        """Numbers are checked where they are parsed: one error line and
+        exit 2, not a traceback from deep in the run (or, for a support
+        of 1.5, a silent mine at support 1)."""
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(database_file) if a == "DB" else a for a in argv])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1].startswith(
+            f"repro {argv[0]}: error: argument "
+        )
+
+    def test_unit_support_count_mines_like_the_library(
+        self, database_file, tmp_path
+    ):
+        out = tmp_path / "p.jsonl"
+        assert main(["mine", str(database_file), "0.3", "-k", "4",
+                     "--unit-support", "3", "--output", str(out)]) == 0
+        got, _meta = read_patterns(out)
+        want = PartMiner(k=4, unit_support=3).mine(
+            graph_io.read_database(database_file), 0.3
+        ).patterns
+        assert {p.key: p.tids for p in got} == {
+            p.key: p.tids for p in want
+        }
 
 
 class TestExitCodes:
@@ -319,7 +362,7 @@ class TestExitCodes:
 #: Supervision-policy flag combinations that must exit 2 with a one-line
 #: message: out-of-range values, flags that contradict each other, and
 #: flags nothing would read (a pool flag or --telemetry without a pool; a
-#: pool, --trace or --profile for a miner that has no units).
+#: pool or --trace for a miner that has no units).
 BAD_POLICY_FLAGS = [
     (["--parallel", "--retries", "-1"], "max_retries"),
     (["--parallel", "--unit-timeout", "0"], "unit_timeout"),
@@ -329,17 +372,21 @@ BAD_POLICY_FLAGS = [
     (["--shards", "1"], "--shards"),
     (["--shards", "-2"], "--shards"),
     (["--shards", "4", "--parallel"], "--parallel"),
-    (["--shards", "4", "--parallel", "--spill-dir", "d"],
-     "--parallel, --spill-dir"),
+    (["--shards", "4", "--parallel", "--workers", "2"],
+     "--shards cannot be combined with --parallel"),
     (["--workers", "2"], "--workers given without --parallel or --shards"),
     (["--unit-timeout", "5"], "--unit-timeout given without"),
     (["--retries", "1"], "--retries given without"),
-    (["--spill-dir", "d"], "--spill-dir given without"),
+    (["--shards", "2", "--unit-timeout", "0"], "unit_timeout"),
     *(
-        ([*flag, "--algorithm", algorithm],
-         f"{flag[0]} applies to --algorithm partminer only, not {algorithm}")
-        for flag in (["--parallel"], ["--shards", "2"],
-                     ["--trace", "t.jsonl"], ["--profile"])
+        ([*flags, "--algorithm", algorithm],
+         f"{named} applies to --algorithm partminer only, not {algorithm}")
+        for flags, named in (
+            (["--parallel"], "--parallel"),
+            (["--shards", "2"], "--shards"),
+            (["--trace", "t.jsonl"], "--trace"),
+            (["--parallel", "--trace", "t.jsonl"], "--parallel, --trace"),
+        )
         for algorithm in ("gspan", "gaston", "adimine")
     ),
     (["--telemetry", "t.json"],
@@ -379,6 +426,19 @@ class TestSupervisionFlags:
         with pytest.raises(SystemExit) as excinfo:
             main(["mine", str(database_file), "0.3", "--parallel",
                   "--no-shared" + "-db"])
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--profile"],
+        ["--parallel", "--spill-dir", "d"],
+    ])
+    def test_retired_profile_and_spill_flags_are_usage_errors(
+        self, database_file, flags
+    ):
+        """Function profiles come from ``python -m cProfile``, and unit
+        databases are never spilled: both flags are gone, not ignored."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine", str(database_file), "0.3", *flags])
         assert excinfo.value.code == 2
 
     @pytest.mark.parametrize("workers, most", [(1, 1), (2, 2)])

@@ -17,11 +17,12 @@ import warnings
 
 import pytest
 
+from repro.cli import main
 from repro.coord import CoordConfig, Coordinator, ShardPlan
 from repro.coord.lease import ShardRecord
-from repro.core.partminer import PartMiner
+from repro.graph.io import write_database
 from repro.mining.gaston import GastonMiner
-from repro.mining.store import dump_patterns
+from repro.mining.store import dump_patterns, read_patterns
 from repro.resilience.faults import FaultPlan
 from repro.runtime import Lease, RuntimeConfig
 from repro.runtime.checkpoint import CheckpointMismatch
@@ -375,18 +376,25 @@ def test_serial_fallback_degrades_exactly(tmp_path):
     )
 
 
-def test_partminer_shards_delegates_to_coordinator(tmp_path):
+def test_partminer_shards_delegates_to_coordinator(tmp_path, capsys):
+    """``repro mine --shards`` runs the coordinator, not PartMiner: the
+    dump's header names it, and its records are whole-database Gaston's
+    (the coordinator recounts every candidate, so it is exact where
+    PartMiner's reduced unit threshold can lose a pattern)."""
     db = random_database(seed=26, num_graphs=10, n=5, extra_edges=1)
-    serial = PartMiner(k=2).mine(db, SUPPORT)
-    sharded = PartMiner(
-        shards=2,
-        run_dir=tmp_path / "run",
-        coord=CoordConfig(shards=2, heartbeat_interval=0.05, runtime=FAST),
-    ).mine(db, SUPPORT)
-    assert pattern_text(sharded.patterns) == pattern_text(serial.patterns)
-    assert sharded.telemetry is not None
-    assert sharded.telemetry.coord["counters"]["retries"] == 0
-    assert len(sharded.unit_results) == 2
+    source, out = tmp_path / "db.tve", tmp_path / "sharded.jsonl"
+    write_database(db, source)
+    assert main([
+        "mine", str(source), str(SUPPORT), "--shards", "2",
+        "--workers", "2", "--heartbeat-interval", "0.05",
+        "--run-dir", str(tmp_path / "run"), "--output", str(out),
+    ]) == 0
+    patterns, meta = read_patterns(out)
+    assert meta["algorithm"] == "coordinator"
+    assert pattern_text(patterns) == pattern_text(
+        GastonMiner().mine(db, SUPPORT)
+    )
+    assert "retries 0" in capsys.readouterr().out
 
 
 def test_shard_record_round_trip():

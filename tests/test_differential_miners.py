@@ -142,8 +142,7 @@ class TestAccelMatrix:
             return PartMiner(
                 k=2,
                 unit_support="exact",
-                parallel_units=True,
-                runtime=RuntimeConfig(max_workers=2),
+                    runtime=RuntimeConfig(max_workers=2),
             ).mine(db, threshold)
         raise AssertionError(mode)
 

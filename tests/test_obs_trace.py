@@ -167,7 +167,6 @@ def mine_traced(db, support=3, config=None):
     with obs_trace.tracing(tracer):
         result = PartMiner(
             k=2,
-            parallel_units=True,
             runtime=config or RuntimeConfig(max_workers=2),
         ).mine(db, support)
     return result, tracer
@@ -282,7 +281,7 @@ class TestParallelRuntimeTree:
     def test_untraced_parallel_run_records_nothing(self):
         db = random_database(seed=4400, num_graphs=6, n=5)
         result = PartMiner(
-            k=2, parallel_units=True,
+            k=2,
             runtime=RuntimeConfig(max_workers=2),
         ).mine(db, 3)
         assert obs_trace.active() is None
@@ -295,20 +294,19 @@ class TestShardedTree:
         so a traced ``--shards 2`` mine is one tree too: every
         ``coord.shard`` attempt holds the span its worker process ran
         under, carrying what that worker did."""
-        from repro.coord import CoordConfig
+        from repro.coord import CoordConfig, Coordinator
 
         db = random_database(seed=4700, num_graphs=8, n=5, extra_edges=1)
         tracer = Tracer()
         with obs_trace.tracing(tracer):
-            PartMiner(
-                shards=2,
+            Coordinator(
+                CoordConfig(shards=2, heartbeat_interval=0.05),
                 run_dir=tmp_path / "run",
-                coord=CoordConfig(shards=2, heartbeat_interval=0.05),
             ).mine(db, 3)
 
         roots, orphans = span_tree(tracer)
         assert orphans == []
-        assert [root["name"] for root in roots] == ["partminer.mine"]
+        assert [root["name"] for root in roots] == ["coord.mine"]
         by_id = {s["span_id"]: s for s in tracer.spans()}
         attempts = [s for s in by_id.values() if s["name"] == "coord.shard"]
         workers = [s for s in by_id.values() if s["name"] == "coord.worker"]

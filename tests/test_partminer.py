@@ -1,5 +1,7 @@
 """Tests for the PartMiner algorithm (paper Fig 11)."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.partminer import PartMiner, resolve_unit_threshold
@@ -9,6 +11,7 @@ from repro.partition.dbpartition import db_partition
 from repro.partition.metis import MetisPartitioner
 from repro.partition.weights import PARTITION2
 from repro.partition.graphpart import GraphPartitioner
+from repro.runtime import RuntimeConfig
 
 from .conftest import random_database
 
@@ -169,19 +172,37 @@ class TestResultBookkeeping:
 
 
 class TestParallelUnits:
+    """A ``runtime`` is the one switch to the process pool."""
+
     def test_parallel_units_matches_serial(self):
         db = random_database(seed=414, num_graphs=8, n=6)
         serial = PartMiner(k=2, unit_support="exact").mine(db, 3)
         parallel = PartMiner(
-            k=2, unit_support="exact", parallel_units=True
+            k=2, unit_support="exact", runtime=RuntimeConfig()
         ).mine(db, 3)
         assert parallel.patterns.keys() == serial.patterns.keys()
+        assert serial.telemetry is None
+        assert parallel.telemetry.counts() == {"ok": 2}
 
     def test_parallel_units_times_recorded(self):
         db = random_database(seed=415, num_graphs=6, n=5)
-        result = PartMiner(k=4, parallel_units=True).mine(db, 2)
+        result = PartMiner(k=4, runtime=RuntimeConfig()).mine(db, 2)
         assert len(result.unit_times) == 4
         assert result.aggregate_time > 0
+
+    def test_paper_parameters_plus_one_executor(self):
+        assert [f.name for f in fields(PartMiner)] == [
+            "k", "partitioner", "miner_factory", "unit_support",
+            "strict_paper_joins", "max_size", "runtime", "run_dir",
+        ]
+
+    @pytest.mark.parametrize("retired", [
+        "shards", "coord", "parallel_" + "units", "profiler",
+        "support_cache",
+    ])
+    def test_retired_parameters_are_type_errors(self, retired):
+        with pytest.raises(TypeError):
+            PartMiner(**{retired: None})
 
     def test_unit_thresholds_use_k_not_tree_depth(self):
         # k=5 leaves sit at depths 2 and 3; the paper's sup/k must be

@@ -7,7 +7,6 @@ sharing patterns the miners use, comparing against cache-free runs.
 """
 
 import gc
-import json
 import sys
 import threading
 
@@ -16,10 +15,13 @@ from hypothesis import example, given, settings, strategies as st
 from repro import perf
 from repro.core.incremental import IncrementalPartMiner
 from repro.core.join import SupportCounter
+from repro.core.mergejoin import MergeJoinStats, merge_join
 from repro.core.partminer import PartMiner
 from repro.graph.database import GraphDatabase
 from repro.graph.labeled_graph import LabeledGraph
 from repro.mining.edges import edge_triple_index, frequent_edges
+from repro.mining.gaston import GastonMiner
+from repro.partition.dbpartition import db_partition
 from repro.updates.generator import UpdateGenerator
 from repro.updates.model import RelabelVertex
 
@@ -37,6 +39,25 @@ def path_graph(labels, elabel=0):
 
 def pattern_maps(patterns):
     return {p.key: (p.support, p.tids) for p in patterns}
+
+
+def unit_merge(db):
+    """PartMiner's phases for ``k=2`` at unit support 1, with the merge
+    left to the caller: ``merge(threshold, cache, stats)`` runs the root
+    merge-join again over the same graph instances, handing it ``cache``
+    — the ``support_cache=`` parameter a long-lived cache's owner uses."""
+    tree = db_partition(db, 2)
+    left, right = (
+        GastonMiner().mine(unit.database, 1) for unit in tree.units()
+    )
+
+    def merge(threshold, cache=None, stats=None):
+        return merge_join(
+            tree.root.database, left, right, threshold,
+            stats=stats, support_cache=cache,
+        )
+
+    return merge
 
 
 # ----------------------------------------------------------------------
@@ -143,13 +164,14 @@ class TestCrossRunReuse:
     @given(databases(max_graphs=6, max_vertices=5))
     def test_repeated_mine_shares_verdicts(self, db):
         cache = perf.SupportCache()
-        miner = PartMiner(k=2, unit_support="exact", support_cache=cache)
-        first = miner.mine(db, 2).patterns
+        merge = unit_merge(db)
+        first = merge(2, cache)
         hits_after_first = cache.hits
-        second = miner.mine(db, 2).patterns
+        second = merge(2, cache)
         assert pattern_maps(first) == pattern_maps(second)
-        # Nothing changed between runs, so the second run's merge levels
-        # found their verdicts memoized whenever the first run tested any.
+        assert pattern_maps(first) == pattern_maps(merge(2))
+        # Nothing changed between runs, so the second merge found its
+        # verdicts memoized whenever the first one tested any.
         if cache.misses > 0:
             assert cache.hits > hits_after_first
 
@@ -197,38 +219,28 @@ class TestCrossRunReuse:
             + [path_graph([0, 2, 2]) for _ in range(3)]
         )
         cache = perf.SupportCache()
-        miner = PartMiner(k=2, support_cache=cache)
-        result = miner.mine(db, 2)
-        assert miner.support_cache is cache
-        assert result.support_cache is cache
+        unit_merge(db)(2, cache)
         assert cache.stores > 0
-
-    def test_mine_telemetry_carries_perf_digest(self):
-        db = GraphDatabase.from_graphs(
-            [path_graph([0, 1, 2]) for _ in range(4)]
-        )
-        result = PartMiner(k=2, parallel_units=True).mine(db, 2)
-        assert result.telemetry is not None
-        digest = result.telemetry.perf
-        assert "counters" in digest
-        # No cache was attached, and none is invented for one static run.
-        assert result.support_cache is None
-        assert digest["support_cache"] is None
-        document = json.loads(json.dumps(result.telemetry.to_dict()))
-        assert document["perf"]["support_cache"] is None
-        roundtrip = type(result.telemetry).from_dict(document)
-        assert roundtrip.perf == digest
+        assert cache.entries() > 0
 
     def test_attached_cache_is_reported_in_the_digest(self):
+        """``MergeJoinStats`` reports what the attached cache served."""
         db = GraphDatabase.from_graphs(
-            [path_graph([0, 1, 2]) for _ in range(4)]
+            [path_graph([0, 1, 2, 1]) for _ in range(4)]
+            + [path_graph([0, 2, 2]) for _ in range(3)]
         )
         cache = perf.SupportCache()
-        result = PartMiner(
-            k=2, parallel_units=True, support_cache=cache
-        ).mine(db, 2)
-        assert result.support_cache is cache
-        assert result.telemetry.perf["support_cache"] == cache.stats()
+        merge = unit_merge(db)
+        first, second = MergeJoinStats(), MergeJoinStats()
+        merge(2, cache, first)
+        merge(2, cache, second)
+        assert first.support_cache_hits == 0
+        assert first.support_cache_misses > 0
+        assert second.support_cache_hits > 0
+        assert cache.hits == second.support_cache_hits
+        assert cache.misses == (
+            first.support_cache_misses + second.support_cache_misses
+        )
 
 
 # ----------------------------------------------------------------------
@@ -243,8 +255,7 @@ class TestCacheOwnership:
 
     def test_static_mine_creates_no_cache(self):
         before = perf.snapshot()
-        result = PartMiner(k=2).mine(self.database(), 2)
-        assert result.support_cache is None
+        PartMiner(k=2).mine(self.database(), 2)
         work = perf.delta_since(before)
         assert work.support_cache_hits == 0
         assert work.support_cache_misses == 0
@@ -255,8 +266,7 @@ class TestCacheOwnership:
         version-keyed cache could never serve: the session keeps none."""
         before = perf.snapshot()
         miner = IncrementalPartMiner(k=2)
-        result = miner.initial_mine(self.database(), 2)
-        assert result.support_cache is None
+        miner.initial_mine(self.database(), 2)
         miner.apply_updates([RelabelVertex(gid=6, vertex=0, new_label=1)])
         work = perf.delta_since(before)
         assert work.support_cache_hits == 0
@@ -368,10 +378,10 @@ class TestAccelTokenInvalidation:
              path_graph([1, 2, 0])]
         )
         cache = perf.SupportCache()
-        miner = PartMiner(k=2, unit_support="exact", support_cache=cache)
-        kernel_run = miner.mine(db, 2).patterns
+        merge = unit_merge(db)
+        kernel_run = merge(2, cache)
         with perf.disabled():
-            off_run = miner.mine(db, 2).patterns
-        final_run = miner.mine(db, 2).patterns
+            off_run = merge(2, cache)
+        final_run = merge(2, cache)
         assert pattern_maps(kernel_run) == pattern_maps(off_run)
         assert pattern_maps(kernel_run) == pattern_maps(final_run)

@@ -204,7 +204,6 @@ class TestInterruptedResume:
         miner = PartMiner(
             k=2,
             unit_support="exact",
-            parallel_units=True,
             runtime=RuntimeConfig(max_workers=2),
             run_dir=run_dir,
         )

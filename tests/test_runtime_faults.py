@@ -241,14 +241,13 @@ class TestDegradation:
 
 class TestEndToEnd:
     def test_parallel_partminer_reports_telemetry(self):
-        """PartMiner(parallel_units=True) surfaces runtime telemetry and
+        """PartMiner(runtime=...) surfaces runtime telemetry and
         matches the serial run exactly."""
         db = random_database(seed=78, num_graphs=8, n=6, extra_edges=1)
         serial = PartMiner(k=2, unit_support="exact").mine(db, 3)
         parallel = PartMiner(
             k=2,
             unit_support="exact",
-            parallel_units=True,
             runtime=RuntimeConfig(max_workers=2),
         ).mine(db, 3)
         assert parallel.patterns.keys() == serial.patterns.keys()

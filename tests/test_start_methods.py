@@ -46,7 +46,6 @@ def test_parallel_dump_is_the_serial_dump(method, serial_dumps):
         pytest.skip(f"start method {method!r} is not available here")
     result = PartMiner(
         k=4,
-        parallel_units=True,
         runtime=RuntimeConfig(max_workers=2, start_method=method),
     ).mine(DATABASE, SUPPORT)
     statuses = {record.status for record in result.telemetry.units}

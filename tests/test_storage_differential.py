@@ -11,7 +11,7 @@ Three layers of "observationally identical", strongest last:
    in-memory database;
 3. **The accel matrix, end to end**: the CLI mines the same dataset with
    the database on disk under every acceleration mode (off / kernel /
-   kernel behind spilled parallel units) and all pattern records are
+   kernel behind parallel units) and all pattern records are
    byte-identical to the in-memory baseline's.  Only the header's
    ``backend`` tag and the integrity footer (which hashes the header)
    may differ.
@@ -173,10 +173,6 @@ def test_accel_matrix_byte_identical_on_disk(tmp_path):
     assert want, "baseline mined nothing — dataset too sparse"
     for mode, global_flags, mine_flags in ACCEL_MATRIX:
         out = tmp_path / f"{mode}.jsonl"
-        if "--parallel" in mine_flags:  # nothing reads a spill dir serially
-            mine_flags = [
-                *mine_flags, "--spill-dir", str(tmp_path / f"spill-{mode}")
-            ]
         stdout = run_cli(
             *global_flags,
             "mine",
