@@ -109,13 +109,6 @@ class ShardPlan:
             1, math.ceil(self.shard_threshold(root_threshold) / chunks)
         )
 
-    def shard_database(
-        self, database: GraphDatabase, shard: int
-    ) -> GraphDatabase:
-        """An in-memory view of one shard's graphs."""
-        gids = set(self.assignments[shard])
-        return database.filter(lambda gid, _graph: gid in gids)
-
     # ------------------------------------------------------------------
     def summary(self) -> dict:
         """JSON-ready balance digest (telemetry, CLI output)."""

@@ -157,7 +157,9 @@ class IncrementalPartMiner:
     for every batch.  The miner owns a private copy of the database.
     Everything runs on :attr:`miner`, the one :class:`PartMiner` built
     from the arguments: the initial mine, each batch's re-mine of the
-    affected units and its bottom-up re-merge.
+    affected units and its bottom-up re-merge.  Unlike a static run it
+    keeps every piece database of the partition tree: batches
+    re-partition through them and re-read them.
     """
 
     def __init__(
@@ -227,8 +229,8 @@ class IncrementalPartMiner:
             }
         self._ufreq = dict(ufreq)
         self._threshold = self._database.absolute_support(min_support)
-        self._result = self.miner.mine(
-            self._database, self._threshold, ufreq=self._ufreq
+        self._result = self.miner._mine(
+            self._database, self._threshold, self._ufreq, keep_tree=True
         )
         return self._result
 
@@ -312,7 +314,7 @@ class IncrementalPartMiner:
         # --- step 2: re-mine affected units ------------------------------
         with obs.span("inc.remine") as step:
             mined, times, stats.runtime_telemetry = miner._mine_units(
-                [units[i] for i in affected], threshold
+                [units[i] for i in affected], threshold, keep_tree=True
             )
             step.set_attrs(units_remined=stats.units_remined)
         new = PartMinerResult(
@@ -345,7 +347,9 @@ class IncrementalPartMiner:
         }
         with obs.span("inc.merge") as step:
             t0 = time.perf_counter()
-            new.patterns = miner._combine(tree.root, threshold, new, deltas)
+            new.patterns = miner._combine(
+                tree.root, threshold, new, deltas, keep_tree=True
+            )
             stats.merge_time = time.perf_counter() - t0
             totals: Counter[str] = Counter()
             for key, work in stats.merge_stats.items():

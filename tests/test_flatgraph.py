@@ -138,7 +138,7 @@ class TestFlatDBCache:
         first = get_flat_db(db)
         gid = db.gids()[0]
         db.replace(gid, make_graph([0, 1], [(0, 1, 0)]))
-        assert not first.valid_for(db)
+        assert first.stale_gids(db) != []
         second = get_flat_db(db)
         assert second is not first
         assert_compiled_from(second.get(gid), db[gid])

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import obs
+from repro import obs, perf
 from repro.core.partminer import PartMiner
 from repro.obs import summarize_spans
 from repro.obs import trace as obs_trace
@@ -200,6 +200,22 @@ class TestParallelRuntimeTree:
         assert names.count("unit.attempt") >= names.count("unit.mine")
         assert names.count("unit.worker") >= 1
         assert names.count("merge.level") == len(result.merge_times)
+        assert names.count("merge.counter") == len(result.merge_times)
+
+    def test_counter_build_is_a_span_under_each_level(self):
+        db = random_database(seed=4150, num_graphs=8, n=5, extra_edges=1)
+        tracer = Tracer()
+        with obs_trace.tracing(tracer):
+            result = PartMiner(k=4).mine(db, 3)
+        by_id = {s["span_id"]: s for s in tracer.spans()}
+        counters = [s for s in by_id.values() if s["name"] == "merge.counter"]
+        assert len(counters) == len(result.merge_times) == 3
+        for span in counters:
+            assert by_id[span["parent_id"]]["name"] == "merge.level"
+            # Every level dataset is a new database: compiled, not a hit.
+            assert span["attrs"] == {
+                "graphs": len(db), "compiled": perf.enabled(),
+            }
 
     def test_worker_spans_parent_to_their_attempt(self):
         db = random_database(seed=4200, num_graphs=6, n=5)

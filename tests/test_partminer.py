@@ -1,9 +1,14 @@
 """Tests for the PartMiner algorithm (paper Fig 11)."""
 
+import contextlib
+import gc
+import weakref
 from dataclasses import fields
 
 import pytest
 
+from repro.core import partminer as partminer_module
+from repro.core.incremental import IncrementalPartMiner
 from repro.core.partminer import PartMiner, resolve_unit_threshold
 from repro.mining.gaston import GastonMiner
 from repro.mining.gspan import GSpanMiner
@@ -11,7 +16,10 @@ from repro.partition.dbpartition import db_partition
 from repro.partition.metis import MetisPartitioner
 from repro.partition.weights import PARTITION2
 from repro.partition.graphpart import GraphPartitioner
+from repro.perf import enabled as accel_enabled
+from repro.perf import flatgraph
 from repro.runtime import RuntimeConfig
+from repro.updates.generator import UpdateGenerator
 
 from .conftest import random_database
 
@@ -216,3 +224,84 @@ class TestParallelUnits:
         assert resolve_unit_threshold(deepest, 6, "paper", k=5) == 2
         # Without k, the depth-based fallback over-reduces: ceil(6/8) = 1.
         assert resolve_unit_threshold(deepest, 6, "paper") == 1
+
+
+@pytest.fixture
+def partitioned(monkeypatch):
+    """Each tree PartMiner builds, with weakrefs to its non-root piece
+    databases taken as :func:`db_partition` returns it; ``_FLAT_DBS``
+    starts empty."""
+    captured = []
+
+    def capture(*args, **kwargs):
+        tree = db_partition(*args, **kwargs)
+        pieces = [
+            weakref.ref(node.database) for node in tree.nodes() if node.depth
+        ]
+        captured.append((tree, pieces))
+        return tree
+
+    monkeypatch.setattr(partminer_module, "db_partition", capture)
+    monkeypatch.setattr(flatgraph, "_FLAT_DBS", weakref.WeakKeyDictionary())
+    return captured
+
+
+@contextlib.contextmanager
+def collector_off():
+    """The CLI's regime while mining: no cyclic collection at all, so a
+    piece database dies by reference count or not at all."""
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+class TestTreeRelease:
+    """A static mine drops every non-root piece database once the merge
+    above it has read it; IncPartMiner keeps its whole tree."""
+
+    @pytest.mark.parametrize(
+        "runtime", [None, RuntimeConfig(max_workers=2)],
+        ids=["serial", "runtime"],
+    )
+    def test_static_mine_releases_every_piece(self, partitioned, runtime):
+        db = random_database(seed=417, num_graphs=8, n=6)
+        with collector_off():
+            result = PartMiner(k=4, runtime=runtime).mine(db, 2)
+            [(tree, pieces)] = partitioned
+            assert len(pieces) == 6  # 2 internal nodes + 4 units
+            assert [ref() for ref in pieces] == [None] * 6
+            if accel_enabled():
+                assert list(flatgraph._FLAT_DBS.keys()) == [db]
+        assert result.tree is tree and tree.root.database is db
+        for node in tree.nodes():
+            if node.depth:
+                assert node.database is None
+                assert "released" in repr(node)
+        # Structure and provenance stay.
+        assert len(tree.units()) == 4
+        assert tree.total_connective_edges() > 0
+        assert result.parallel_time > 0
+
+    def test_k1_keeps_the_callers_database(self):
+        db = random_database(seed=418, num_graphs=6, n=5)
+        result = PartMiner(k=1).mine(db, 2)
+        assert result.tree.root.database is db
+
+    def test_incremental_miner_keeps_every_piece(self, partitioned):
+        db = random_database(seed=419, num_graphs=8, n=6)
+        inc = IncrementalPartMiner(k=4)
+        with collector_off():
+            inc.initial_mine(db, 2)
+            [(tree, pieces)] = partitioned
+            assert all(ref() is not None for ref in pieces)
+            updates = UpdateGenerator(3, 2, seed=5).generate(
+                inc.database, inc.ufreq, 0.4, 2, "mixed"
+            )
+            inc.apply_updates(updates)
+            assert all(ref() is not None for ref in pieces)
+        assert inc._result.tree is tree
+        assert all(node.database is not None for node in tree.nodes())
