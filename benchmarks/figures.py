@@ -647,6 +647,11 @@ at every x of the sweep, "lowest" the smallest total over it.
 """
 
 
+#: Heading of EXPERIMENTS.md's hand-recorded section (CLI timings that
+#: are not figure sweeps); ``run`` carries it over when it re-renders.
+MEASURED = "## Measured outside the figure sweeps\n"
+
+
 def render_report(figures: list[Figure], experiments: dict, results: Path,
                   report: Path, quick: bool) -> str:
     """EXPERIMENTS.md from saved experiments: claims, tables, checks."""
@@ -712,8 +717,14 @@ def run(figures: list[Figure], quick: bool, results: Path,
         print(markdown_table(saved), f"{saved.notes['wall_s']:.1f} s",
               sep="\n", flush=True)
         experiments[fig.id] = saved
+    # Hand-recorded measurements below MEASURED survive a re-render.
+    kept = ""
+    if report.exists():
+        _, marker, tail = report.read_text(encoding="utf-8").partition(
+            MEASURED)
+        kept = "\n" + marker + tail if marker else ""
     report.write_text(render_report(figures, experiments, results, report,
-                                    quick), encoding="utf-8")
+                                    quick) + kept, encoding="utf-8")
     print(f"wrote {report}")
     failed = [f"{exp_id}: {what}" for exp_id, e in experiments.items()
               for what in e.failed_checks()]

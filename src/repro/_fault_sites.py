@@ -7,7 +7,6 @@ sync with the Failure model table in DESIGN.md §10.
 """
 
 from . import cli  # noqa: F401  "cli.run" site
-from .coord import coordinator  # noqa: F401  coord.* sites
 from .graph import io  # noqa: F401  "graph.parse" site
 from .obs import sink  # noqa: F401  "obs.sink_write" site
 from .resilience import integrity  # noqa: F401  artifact.read/write sites

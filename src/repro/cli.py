@@ -84,7 +84,7 @@ def _support(text: str) -> float | int:
 
 
 def _positive_int(text: str) -> int:
-    """``-k``: a whole number >= 1."""
+    """``-k``, ``--max-size``, ``--graph-cache``: a whole number >= 1."""
     if text.isdecimal() and int(text) >= 1:
         return int(text)
     raise argparse.ArgumentTypeError(f"must be a whole number >= 1: {text!r}")
@@ -144,7 +144,7 @@ def _add_storage_flags(parser: argparse.ArgumentParser) -> None:
              "unchanged rows are not rewritten",
     )
     parser.add_argument(
-        "--graph-cache", type=int, default=None,
+        "--graph-cache", type=_positive_int, default=None,
         help="decoded graphs the sqlite backend keeps in memory "
              "(default 256); the knob that bounds resident set size",
     )
@@ -163,28 +163,17 @@ def _check_storage_flags(args: argparse.Namespace) -> bool:
     return True
 
 
-def _supervision_configs(args: argparse.Namespace):
-    """``(RuntimeConfig, CoordConfig | None)`` from the policy flags.
+def _runtime_config(args: argparse.Namespace):
+    """The ``--parallel`` runtime's :class:`RuntimeConfig`, from the flags.
 
     Returns ``None`` after printing a one-line usage error when a flag
-    is out of range, the combination is contradictory, or nothing would
-    read a flag (a pool flag or ``--telemetry`` without a pool; a pool
-    or ``--trace`` for a miner other than PartMiner).
+    is out of range or nothing would read it (a pool flag, ``--run-dir``
+    or ``--telemetry`` without ``--parallel``; ``--parallel`` or
+    ``--trace`` for a miner other than PartMiner).
     """
     from .runtime import RuntimeConfig
 
-    def options(names) -> str:
-        return ", ".join("--" + name.replace("_", "-") for name in names)
-
-    shards = args.shards
-    pool = "--shards" if shards else "--parallel" if args.parallel else None
     try:
-        if shards and shards < 2:
-            raise ValueError(
-                f"--shards must be >= 2 (0 = unsharded): {shards}"
-            )
-        if shards and args.parallel:
-            raise ValueError("--shards cannot be combined with --parallel")
         runtime = RuntimeConfig(
             max_workers=args.workers,
             unit_timeout=args.unit_timeout,
@@ -193,7 +182,7 @@ def _supervision_configs(args: argparse.Namespace):
                 if args.retries is None else args.retries
             ),
         )
-        partminer_only = [pool] if pool else []
+        partminer_only = ["--parallel"] if args.parallel else []
         if args.trace:
             partminer_only.append("--trace")
         if partminer_only and args.algorithm != "partminer":
@@ -202,29 +191,18 @@ def _supervision_configs(args: argparse.Namespace):
                 f"partminer only, not {args.algorithm}"
             )
         idle = [
-            name
-            for name in ("workers", "unit_timeout", "retries", "telemetry")
+            "--" + name.replace("_", "-")
+            for name in (
+                "workers", "unit_timeout", "retries", "run_dir", "telemetry"
+            )
             if getattr(args, name) is not None
         ]
-        if idle and not pool:
-            raise ValueError(
-                options(idle) + " given without --parallel or --shards"
-            )
-        coord = None
-        if shards:
-            from .coord import CoordConfig
-
-            coord = CoordConfig(
-                shards=shards,
-                runtime=runtime,
-                chunk_size=args.shard_chunk,
-                heartbeat_interval=args.heartbeat_interval,
-                mem_budget=args.shard_mem_budget,
-            )
+        if idle and not args.parallel:
+            raise ValueError(", ".join(idle) + " given without --parallel")
     except ValueError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return None
-    return runtime, coord
+    return runtime
 
 
 def _storage_database(args: argparse.Namespace):
@@ -295,43 +273,17 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _coordinate(config, database, args):
-    """Mine through the sharded coordinator (``--shards``).
-
-    Without ``--run-dir`` the coordinator's durable state lives in a
-    temporary directory for the length of the call.
-    """
-    import tempfile
-
-    from .coord import Coordinator
-
-    with contextlib.ExitStack() as stack:
-        run_dir = args.run_dir or stack.enter_context(
-            tempfile.TemporaryDirectory(prefix="repro-coord-")
-        )
-        return Coordinator(config, run_dir=run_dir).mine(
-            database, args.support, max_size=args.max_size
-        )
-
-
 def cmd_mine(args: argparse.Namespace) -> int:
     """Mine frequent patterns with the chosen algorithm."""
     if not _check_storage_flags(args):
         return 2
-    configs = _supervision_configs(args)
-    if configs is None:
+    runtime_config = _runtime_config(args)
+    if runtime_config is None:
         return 2
-    runtime_config, coord_config = configs
     database, storage = _storage_database(args)
     start = time.perf_counter()
-    algorithm, telemetry = args.algorithm, None
-    if coord_config is not None:
-        algorithm = "coordinator"
-        with _tracing(args.trace) as trace:
-            result = _coordinate(coord_config, database, args)
-        patterns, telemetry = result.patterns, result.telemetry
-        timing = f"{time.perf_counter() - start:.2f}s"
-    elif args.algorithm == "partminer":
+    telemetry = None
+    if args.algorithm == "partminer":
         partitioner = None
         if args.metis:
             partitioner = MetisPartitioner()
@@ -379,17 +331,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
         if trace:
             telemetry.trace = trace
         print(f"runtime: {telemetry.format_summary()}")
-        if telemetry.coord:
-            counters = telemetry.coord["counters"]
-            plan_doc = telemetry.coord["plan"]
-            print(
-                f"coord: {plan_doc['shards']} shards "
-                f"(edge spread {plan_doc['edge_spread']}), "
-                f"retries {counters['retries']}, "
-                f"lease expiries {counters['lease_expiries']}, "
-                f"reassignments {counters['reassignments']}, "
-                f"degraded {counters['degraded']}"
-            )
         if args.telemetry:
             telemetry.save(args.telemetry)
             print(f"telemetry saved to {args.telemetry}")
@@ -409,7 +350,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
             meta={
                 "database": args.database,
                 "support": args.support,
-                "algorithm": algorithm,
+                "algorithm": args.algorithm,
                 "backend": args.backend,
             },
             atomic=True,
@@ -862,7 +803,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="weight of connectivity term (GraphPart)")
     p.add_argument("--metis", action="store_true",
                    help="use the METIS-like partitioner")
-    p.add_argument("--max-size", type=int, default=None)
+    p.add_argument("--max-size", type=_positive_int, default=None,
+                   help="bound on pattern size in edges")
     p.add_argument("--output", help="save patterns to this file")
     p.add_argument("--top", type=int, default=10,
                    help="patterns to print when not saving")
@@ -870,31 +812,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="mine units through the fault-tolerant parallel "
                         "runtime (partminer only)")
     p.add_argument("--workers", type=int, default=None,
-                   help="worker processes alive at once, under --parallel "
-                        "and --shards alike (default: CPU count)")
+                   help="worker processes alive at once under --parallel "
+                        "(default: CPU count)")
     p.add_argument("--unit-timeout", type=float, default=None,
                    help="per-attempt wall-clock timeout in seconds")
     p.add_argument("--retries", type=int, default=None,
                    help="retries per unit before serial fallback "
                         "(default 2)")
-    p.add_argument("--shards", type=int, default=0,
-                   help="mine through the sharded coordinator instead of "
-                        "PartMiner: this many density-ranked database "
-                        "shards mined by lease-supervised worker "
-                        "processes, then every candidate recounted over "
-                        "the whole database — the exact frequent set, "
-                        "as --algorithm gaston finds it")
-    p.add_argument("--shard-mem-budget", type=int, default=None,
-                   help="per-worker decoded-graph cache budget in graphs; "
-                        "shards larger than the budget stream their rows "
-                        "from SQLite instead of materializing")
-    p.add_argument("--heartbeat-interval", type=float, default=0.25,
-                   help="seconds between shard-worker heartbeats (a "
-                        "lease expires after 8x this)")
-    p.add_argument("--shard-chunk", type=int, default=0,
-                   help="graphs per shard checkpoint chunk — the resume "
-                        "granularity after a worker kill (0 = whole "
-                        "shard)")
     p.add_argument("--run-dir", default=None,
                    help="checkpoint directory; re-running with the same "
                         "directory resumes, skipping finished units")
@@ -934,7 +858,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "switches to pivot-anchored semantics")
     p.add_argument("-k", type=int,
                    help="ignored: patterns grow on the graph, no units")
-    p.add_argument("--max-size", type=int, default=None,
+    p.add_argument("--max-size", type=_positive_int, default=None,
                    help="bound on pattern size in edges")
     p.add_argument("--trace", default=None,
                    help="write a JSONL span trace of the run here "

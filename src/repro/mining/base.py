@@ -179,7 +179,7 @@ def mine_unit(
     threshold: int,
     max_size: int | None,
 ) -> tuple[PatternSet, dict]:
-    """Mine one partition unit (or shard chunk) with a fresh miner.
+    """Mine one partition unit with a fresh miner.
 
     The miner comes from ``factory`` and is capped at ``max_size`` edges
     when it takes a cap.  Returns the patterns and the miner's

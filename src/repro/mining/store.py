@@ -51,7 +51,7 @@ _REQUIRED_FIELDS = ("vertices", "edges", "tids")
 def _pattern_record(pattern: Pattern) -> dict:
     # Serialize the canonical representative, not whichever isomorphic
     # embedding the miner happened to build: different execution paths
-    # (serial, runtime workers, sharded coordinator) discover the same
+    # (serial, runtime workers, resumed runs) discover the same
     # pattern through different embeddings, and byte-identical artifacts
     # require a graph that is a pure function of the isomorphism class.
     graph = pattern.graph
@@ -112,7 +112,7 @@ def dump_patterns(
     out.write(json.dumps(header) + "\n")
     # The canonical-key tiebreaker makes the serialization a pure
     # function of the pattern *set*: runs that discover the same
-    # patterns in different orders (serial vs sharded, resumed vs
+    # patterns in different orders (serial vs parallel, resumed vs
     # uninterrupted) still dump byte-identical files.
     for pattern in sorted(
         patterns, key=lambda p: (p.size, -p.support, repr(p.key))

@@ -521,61 +521,6 @@ def count_storage_cache(hit: bool) -> None:
     ).labels(result="hit" if hit else "miss").inc()
 
 
-def count_coord_lease(event: str) -> None:
-    """Record one coordinator lease-table transition.
-
-    ``event`` vocabulary: ``granted`` (a shard leased to a worker),
-    ``renewed`` (heartbeat arrived in time), ``expired`` (heartbeat
-    missed or worker died — the lease was revoked), ``reassigned``
-    (an expired shard re-leased to a fresh worker).
-    """
-    if not switch.enabled():
-        return
-    REGISTRY.counter(
-        "repro_coord_leases_total",
-        "Coordinator lease-table transitions by event",
-        labels=("event",),
-    ).labels(event=event).inc()
-
-
-def count_coord_attempt(outcome: str) -> None:
-    """Record one shard-mining attempt outcome."""
-    if not switch.enabled():
-        return
-    REGISTRY.counter(
-        "repro_coord_attempts_total",
-        "Shard-mining attempts by outcome",
-        labels=("outcome",),
-    ).labels(outcome=outcome).inc()
-
-
-def count_coord_shard_status(status: str) -> None:
-    """Record one shard's final status."""
-    if not switch.enabled():
-        return
-    REGISTRY.counter(
-        "repro_coord_shards_total",
-        "Shards completed by final status",
-        labels=("status",),
-    ).labels(status=status).inc()
-
-
-def set_coord_shard_size(shard: int, graphs: int, edges: int) -> None:
-    """Publish one shard's placement size (per-shard gauges)."""
-    if not switch.enabled():
-        return
-    REGISTRY.gauge(
-        "repro_coord_shard_graphs",
-        "Graphs placed on each shard by the density plan",
-        labels=("shard",),
-    ).labels(shard=str(shard)).set(graphs)
-    REGISTRY.gauge(
-        "repro_coord_shard_edges",
-        "Total edges placed on each shard by the density plan",
-        labels=("shard",),
-    ).labels(shard=str(shard)).set(edges)
-
-
 def set_storage_cache_entries(entries: int) -> None:
     """Publish the storage backend's decoded-graph cache occupancy."""
     if not switch.enabled():

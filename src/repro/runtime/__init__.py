@@ -24,14 +24,13 @@ from .engine import (
     mine_unit_worker,
     run_unit_mining,
 )
-from .supervisor import Lease, Supervisor, Task, UnitMiningError
+from .supervisor import Supervisor, Task, UnitMiningError
 from .telemetry import AttemptRecord, RunTelemetry, UnitRecord
 
 __all__ = [
     "AttemptRecord",
     "CheckpointMismatch",
     "CheckpointStore",
-    "Lease",
     "MiningRuntime",
     "RunTelemetry",
     "RuntimeConfig",

@@ -21,8 +21,8 @@ class RuntimeConfig:
     Parameters
     ----------
     max_workers:
-        Worker processes alive at once, for unit and shard tasks alike
-        (``None`` = CPU count, capped by the number of tasks).
+        Worker processes alive at once (``None`` = CPU count, capped by
+        the number of units).
     unit_timeout:
         Wall-clock seconds one *attempt* may run before its worker process
         is killed (``None`` = unlimited).
@@ -36,10 +36,8 @@ class RuntimeConfig:
     backoff_jitter / backoff_seed:
         Seeded jitter over the exponential delay.  Without jitter,
         workers that fail *simultaneously* (one machine fault killing a
-        whole batch, the coordinator expiring several leases in one
-        sweep) retry in lockstep against the same shard store —
-        ``backoff_jitter`` spreads each delay uniformly over
-        ``[delay * (1 - jitter), delay]``.  The spread is a pure
+        whole batch) retry in lockstep — ``backoff_jitter`` spreads each
+        delay uniformly over ``[delay * (1 - jitter), delay]``.  The spread is a pure
         function of ``(backoff_seed, unit, attempt)``, so a replayed
         run sleeps the same delays (deterministic chaos tests) while
         different units always de-correlate.  ``0.0`` restores the

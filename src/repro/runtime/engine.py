@@ -12,7 +12,6 @@ what is particular to units:
 * each completed unit is checkpointed immediately (when a
   :class:`~repro.runtime.checkpoint.CheckpointStore` is attached), so a
   killed run resumes by adopting finished units;
-* unit workers do not beat, so only ``unit_timeout`` bounds an attempt;
 * everything that happened is recorded as structured telemetry
   (:class:`~repro.runtime.telemetry.RunTelemetry`).
 """
@@ -114,12 +113,6 @@ class RuntimeResult:
 
 class _SupervisedUnit(Task):
     """A :class:`UnitTask` bound to one run's worker, store and hook."""
-
-    label = "unit"
-    task_span, attempt_span = "unit.mine", "unit.attempt"
-    worker_span, fallback_span = "unit.worker", "unit.fallback"
-    adopted, corrupt = "checkpoint", "checkpoint-corrupt"
-    undecodable, start_error = "garbage", "error"
 
     def __init__(self, task: UnitTask, runtime, checkpoint, on_complete):
         self.task, self.index = task, task.index
@@ -276,7 +269,7 @@ def run_unit_mining(
         return fallback
 
     def unit_payload(unit, threshold) -> dict:
-        spec = sqlite_spec(unit.database, None)
+        spec = sqlite_spec(unit.database)
         source = (
             {"graphs": list(unit.database)} if spec is None
             else {"sqlite": spec}

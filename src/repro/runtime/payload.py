@@ -20,56 +20,27 @@ sweep closes connections).
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from ..graph.database import GraphDatabase
 
 
-def payload_database(payload: dict, gids=None) -> GraphDatabase:
-    """The database ``payload`` describes, optionally cut down to ``gids``."""
+def payload_database(payload: dict) -> GraphDatabase:
+    """The database ``payload`` describes."""
     spec = payload.get("sqlite")
-    if spec is not None:
-        from ..storage.backend import open_backend
+    if spec is None:
+        return GraphDatabase(payload["graphs"])
+    from ..storage.backend import open_backend
 
-        backend = open_backend(
-            "sqlite",
-            spec["path"],
-            cache_graphs=spec.get("cache"),
-            read_only=True,
-        )
-        return backend.database(
-            gids=spec.get("gids") if gids is None else list(gids)
-        )
-    graphs = payload["graphs"]
-    if gids is not None:
-        wanted = set(gids)
-        graphs = [(gid, graph) for gid, graph in graphs if gid in wanted]
-    return GraphDatabase(graphs)
+    backend = open_backend(
+        "sqlite", spec["path"], cache_graphs=spec.get("cache"), read_only=True
+    )
+    return backend.database(gids=spec.get("gids"))
 
 
-def sqlite_spec(
-    database: GraphDatabase, spill_path: Path | None
-) -> dict | None:
+def sqlite_spec(database: GraphDatabase) -> dict | None:
     """A ``sqlite`` payload spec for ``database``, or ``None``.
 
-    A database already living in a SQLite backend is referenced in
-    place; an in-memory one is spilled into the single file
-    ``spill_path`` (checksum-upserted, so a re-run rewrites nothing) when
-    a path is given.  Either way the parent never pickles a graph list.
+    A database that lives in a SQLite backend is referenced in place, so
+    the parent never pickles its graphs; an in-memory one has no spec.
     """
-    store = getattr(database, "_graphs", None)
-    spec = getattr(store, "payload_spec", None)
-    if spec is not None:
-        return spec()
-    if spill_path is None:
-        return None
-    from ..storage.sqlite import SQLiteBackend
-
-    spill_path.parent.mkdir(parents=True, exist_ok=True)
-    backend = SQLiteBackend(spill_path)
-    try:
-        backend.import_database(database)
-        backend.checkpoint()
-    finally:
-        backend.close()
-    return {"path": str(spill_path.resolve()), "gids": None, "cache": None}
+    spec = getattr(getattr(database, "_graphs", None), "payload_spec", None)
+    return None if spec is None else spec()

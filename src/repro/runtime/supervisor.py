@@ -2,8 +2,7 @@
 
 The paper calls PartMiner's phase 2 "inherently parallel"; this module
 is the one place that runs such independent jobs as supervised worker
-processes.  Unit tasks (:mod:`repro.runtime.engine`, ``--parallel``) and
-shard tasks (:mod:`repro.coord.coordinator`, ``--shards``) are both
+processes.  Unit tasks (:mod:`repro.runtime.engine`, ``--parallel``) are
 :class:`Task` definitions over it; DESIGN.md §7 draws the state machine.
 
 * every attempt runs in a fresh worker **process**, so a crashed or
@@ -11,11 +10,9 @@ shard tasks (:mod:`repro.coord.coordinator`, ``--shards``) are both
 * slot threads (``RuntimeConfig.max_workers`` of them) drain one queue
   whose entries carry a ``not_before`` time — a task that is backing
   off waits in the queue, not in a slot, while other tasks are ready;
-* the read loop understands three message kinds — a *beat* renews the
-  attempt's :class:`Lease`, a terminal ``ok`` carries the result, a
-  terminal ``error`` the worker's exception — and checks two stop rules:
-  the wall-clock ``unit_timeout`` and the lease TTL.  A task that never
-  beats has no TTL, so its loop is a single blocking ``poll``;
+* the worker sends exactly one message — ``ok`` with the result or
+  ``error`` with its exception — and the parent waits for it in one
+  ``poll`` bounded by the wall-clock ``unit_timeout``;
 * failed attempts retry after a capped, jittered exponential backoff;
   with the budget spent the task is mined in-process by the real serial
   miner, so an adversarial worker can delay a run but never change its
@@ -24,7 +21,6 @@ shard tasks (:mod:`repro.coord.coordinator`, ``--shards``) are both
 
 from __future__ import annotations
 
-import math
 import multiprocessing
 import os
 import threading
@@ -55,69 +51,23 @@ class UnitMiningError(RuntimeError):
         self.telemetry = telemetry
 
 
-@dataclass
-class Lease:
-    """A worker's claim on its task: live while beats arrive within ``ttl``.
-
-    ``ttl=None`` never expires — the lease of a task whose workers do
-    not beat, which only the wall-clock timeout can stop.
-    """
-
-    ttl: float | None
-    last_beat: float = field(default_factory=time.monotonic)
-    heartbeats: int = 0
-
-    @property
-    def deadline(self) -> float:
-        return math.inf if self.ttl is None else self.last_beat + self.ttl
-
-    def renew(self, now: float | None = None) -> None:
-        self.last_beat = time.monotonic() if now is None else now
-        self.heartbeats += 1
-
-    def expired(self, now: float | None = None) -> bool:
-        return (time.monotonic() if now is None else now) > self.deadline
-
-
 class Task:
-    """One supervised job; a subclass states what its kind does differently.
+    """One supervised job; a subclass supplies each lifecycle step.
 
-    Class attributes name the kind's spans and outcomes (telemetry.py
-    lists the union vocabulary); the methods are the kind's side of each
-    lifecycle step.  ``slot`` is the supervisor slot (``"w0"`` …) running
-    the step.
+    ``slot`` is the supervisor slot (``"w0"`` …) running the step.
     """
-
-    label: str  # span attribute holding ``index``: "unit" / "shard"
-    task_span: str | None  # span held open across all attempts, if any
-    attempt_span: str
-    worker_span: str  # opened in the child around the worker call
-    fallback_span: str
-    adopted: str  # outcome: an earlier result was adopted
-    corrupt: str  # outcome: that earlier result failed verification
-    undecodable: str  # outcome: the worker's result failed ``decode``
-    start_error: str  # outcome: ``start`` raised, nothing was spawned
 
     index: int
-    #: Picklable callable the child runs: ``worker(payload, attempt)``,
-    #: or ``worker(payload, attempt, beat)`` when ``beat_every`` is set.
+    #: Picklable callable the child runs: ``worker(payload, attempt)``.
     worker: Callable
-    beat_every: float | None = None  # child heartbeat period (None = none)
-    beat_ttl: float | None = None  # beat silence that forfeits the attempt
 
     def adopt(self) -> PatternSet | None:
-        """An earlier run's (or attempt's) verified result, if one exists."""
+        """An earlier run's verified result (a checkpoint), if one exists."""
         return None
 
     def start(self, attempt: int, slot: str) -> object:
         """The child payload; a raise burns the attempt before any spawn."""
         raise NotImplementedError
-
-    def spawned(self, pid: int, slot: str) -> None:
-        """The worker process is running."""
-
-    def beat(self, info, pid: int, slot: str) -> None:
-        """One beat arrived; a raise loses it (the lease is not renewed)."""
 
     def decode(self, result, record: AttemptRecord) -> PatternSet:
         """Validate the terminal ``ok`` message into patterns (or raise)."""
@@ -140,67 +90,28 @@ def _describe(exc: BaseException) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def child_main(
-    worker: Callable,
-    payload: object,
-    attempt: int,
-    conn,
-    span_name: str,
-    beat_every: float | None,
-) -> None:
-    """Worker-process entry for every task kind: run, report over the pipe.
+def child_main(worker: Callable, payload: object, attempt: int, conn) -> None:
+    """Worker-process entry: run the worker, report over the pipe.
 
-    Messages: ``("beat", info)`` any number of times, then exactly one of
-    ``("ok", result, spans)`` / ``("error", "Type: message")``.  With
-    ``beat_every`` set a daemon thread beats ``("hb", seq)`` — once
-    immediately, so the lease is live before any mining — and the worker
-    receives ``beat`` to report progress of its own; sends are serialized
-    because both threads share the pipe.
-
-    When the payload carries an ``obs_trace`` handoff (a traced parent
-    run) the child joins the parent's trace: the worker runs under a
-    ``span_name`` span parented to the attempt's, and the collected spans
-    ride back in the ``ok`` message.
+    Exactly one message: ``("ok", result, spans)`` or ``("error",
+    "Type: message")``.  When the payload carries an ``obs_trace``
+    handoff (a traced parent run) the child joins the parent's trace:
+    the worker runs under a ``unit.worker`` span parented to the
+    attempt's, and the collected spans ride back in the ``ok`` message.
     """
-    lock = threading.Lock()
-    stop = threading.Event()
-
-    def send(message) -> None:
-        with lock:
-            conn.send(message)
-
-    def beat(info) -> None:
-        send(("beat", info))
-
-    def heartbeat() -> None:
-        seq = 0
-        try:
-            beat(("hb", seq))
-            while not stop.wait(beat_every):
-                seq += 1
-                beat(("hb", seq))
-        except OSError:
-            return  # supervisor went away; the worker continues or dies
-
-    args = (payload, attempt)
-    if beat_every is not None:
-        threading.Thread(target=heartbeat, daemon=True).start()
-        args += (beat,)
     handoff = payload.get("obs_trace") if isinstance(payload, dict) else None
     try:
         if handoff:
             obs_trace.begin_in_child(handoff)
-            with obs_trace.span(span_name, attempt=attempt):
-                result = worker(*args)
+            with obs_trace.span("unit.worker", attempt=attempt):
+                result = worker(payload, attempt)
             spans = obs_trace.collect_child_spans()
         else:
-            result, spans = worker(*args), []
-        stop.set()
-        send(("ok", result, spans))
+            result, spans = worker(payload, attempt), []
+        conn.send(("ok", result, spans))
     except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        stop.set()
         try:
-            send(("error", _describe(exc)))
+            conn.send(("error", _describe(exc)))
         except Exception:
             pass
     finally:
@@ -215,7 +126,7 @@ class _Entry:
     attempts: list[AttemptRecord] = field(default_factory=list)
     failures: int = 0
     not_before: float = 0.0
-    span: object = None  # the open ``task_span``, once first picked up
+    span: object = None  # the open ``unit.mine`` span, once picked up
 
 
 class Supervisor:
@@ -299,13 +210,8 @@ class Supervisor:
         self, entry: _Entry, slot: str
     ) -> tuple[PatternSet | None, UnitRecord] | None:
         """One attempt, then route its outcome (None = back to the queue)."""
-        task = entry.task
-        if task.task_span is None:
-            return self._step(entry, slot)
         if entry.span is None:
-            entry.span = obs_trace.begin(
-                task.task_span, **{task.label: task.index}
-            )
+            entry.span = obs_trace.begin("unit.mine", unit=entry.task.index)
         with obs_trace.under(entry.span):
             done = self._step(entry, slot)
         if done is not None:
@@ -326,7 +232,7 @@ class Supervisor:
         patterns = self._attempt(entry, slot)
         last = entry.attempts[-1]
         if patterns is not None:
-            status = "checkpoint" if last.outcome == task.adopted else "ok"
+            status = "checkpoint" if last.outcome == "checkpoint" else "ok"
         elif entry.failures <= config.max_retries:
             last.backoff = config.backoff_delay(
                 entry.failures - 1, unit=task.index
@@ -340,9 +246,7 @@ class Supervisor:
             )
             t0 = time.perf_counter()
             try:
-                with obs_trace.span(
-                    task.fallback_span, **{task.label: task.index}
-                ):
+                with obs_trace.span("unit.fallback", unit=task.index):
                     patterns = task.degrade(record, slot)
             except Exception as exc:  # noqa: BLE001 - recorded, failed
                 record.outcome, record.error = "fallback-error", _describe(exc)
@@ -373,8 +277,8 @@ class Supervisor:
         patterns = None
         t0 = time.perf_counter()
         with obs_trace.span(
-            task.attempt_span,
-            **{task.label: task.index}, attempt=record.attempt, slot=slot,
+            "unit.attempt", unit=task.index, attempt=record.attempt,
+            slot=slot,
         ) as span:
             try:
                 patterns = self._adopt_or_spawn(task, record, slot)
@@ -399,16 +303,16 @@ class Supervisor:
         except ArtifactCorrupt as exc:
             # Bad bytes on disk: the store already quarantined the file,
             # so the retry mines afresh; keep the detection on record.
-            record.outcome, record.pid = task.corrupt, os.getpid()
+            record.outcome, record.pid = "checkpoint-corrupt", os.getpid()
             record.error = str(exc)
             return None
         if patterns is not None:
-            record.outcome, record.pid = task.adopted, os.getpid()
+            record.outcome, record.pid = "checkpoint", os.getpid()
             return patterns
         try:
             payload = task.start(record.attempt, slot)
         except Exception as exc:  # noqa: BLE001 - a retryable attempt
-            record.outcome, record.error = task.start_error, _describe(exc)
+            record.outcome, record.error = "error", _describe(exc)
             return None
         # Traced runs hand the trace id + this attempt span to the child
         # so worker-side spans join the same tree.
@@ -419,53 +323,30 @@ class Supervisor:
         recv, send = ctx.Pipe(duplex=False)
         proc = ctx.Process(
             target=child_main,
-            args=(
-                task.worker, payload, record.attempt, send,
-                task.worker_span, task.beat_every,
-            ),
+            args=(task.worker, payload, record.attempt, send),
             daemon=True,
         )
         proc.start()
         send.close()
         record.pid = proc.pid
 
-        lease = Lease(task.beat_ttl)
-        deadline = time.monotonic() + (config.unit_timeout or math.inf)
         outcome = error = message = None
         try:
-            task.spawned(proc.pid, slot)
-            while outcome is None:
-                # Sleep until a message or the nearer stop rule; with
-                # neither rule armed this is one blocking poll.
-                limit = min(deadline, lease.deadline)
-                if recv.poll(
-                    None if limit == math.inf
-                    else max(0.0, limit - time.monotonic())
-                ):
-                    try:
-                        message = recv.recv()
-                    except EOFError:
-                        outcome = "crash"
-                        error = "worker died without a report"
-                        break
-                    if message[0] != "beat":
-                        outcome = message[0]
-                        if outcome != "ok":
-                            outcome, error = "error", message[1]
-                        break
-                    try:
-                        task.beat(message[1], proc.pid, slot)
-                    except Exception:  # noqa: BLE001 - beat lost
-                        pass  # a dropped heartbeat does not renew
-                    else:
-                        lease.renew()
-                now = time.monotonic()
-                if lease.expired(now):
-                    outcome = "lease-expired"
-                    error = f"no heartbeat within {lease.ttl:.2f}s"
-                elif now >= deadline:
-                    outcome = "timeout"
-                    error = f"no result within {config.unit_timeout}s"
+            # One blocking poll, bounded by the wall-clock timeout (None
+            # waits for as long as the worker runs).
+            if not recv.poll(config.unit_timeout):
+                outcome = "timeout"
+                error = f"no result within {config.unit_timeout}s"
+            else:
+                try:
+                    message = recv.recv()
+                except EOFError:
+                    outcome = "crash"
+                    error = "worker died without a report"
+                else:
+                    outcome = message[0]
+                    if outcome != "ok":
+                        outcome, error = "error", message[1]
         finally:
             if proc.is_alive():
                 proc.terminate()
@@ -476,7 +357,6 @@ class Supervisor:
             else:
                 proc.join()
             recv.close()
-            record.heartbeats = lease.heartbeats
 
         patterns = None
         if outcome == "crash" and proc.exitcode not in (None, 0):
@@ -490,6 +370,6 @@ class Supervisor:
             try:
                 patterns = task.decode(message[1], record)
             except Exception as exc:  # noqa: BLE001 - undecodable result
-                outcome, error = task.undecodable, _describe(exc)
+                outcome, error = "garbage", _describe(exc)
         record.outcome, record.error = outcome, error
         return patterns

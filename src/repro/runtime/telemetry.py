@@ -6,21 +6,17 @@ a run degraded, not just that it did.  The whole record serializes to a
 single JSON document (``RunTelemetry.to_dict`` / ``save``) whose schema is
 documented in DESIGN.md.
 
-Outcome vocabulary (``AttemptRecord.outcome``), one list for unit and
-shard tasks — where the kinds name an event differently, unit first:
+Outcome vocabulary (``AttemptRecord.outcome``):
 
 ``ok``              worker returned a valid result
 ``timeout``         attempt exceeded ``unit_timeout``; worker killed
-``lease-expired``   no heartbeat within the lease TTL; worker killed
 ``crash``           worker died without reporting (segfault, OOM kill…)
 ``error``           worker raised an exception (message in ``error``)
-``lease-error``     the shard's lease grant failed before any spawn
-``garbage`` / ``result-corrupt``  the worker's result failed validation
-``checkpoint`` / ``resumed-commit``  an earlier result was adopted,
-                    nothing ran
-``checkpoint-corrupt`` / ``result-corrupt``  that earlier result failed
-                    integrity verification and was quarantined
-``fallback-serial`` in-process serial fallback mined the task
+``garbage``         the worker's result failed validation
+``checkpoint``      an earlier result was adopted, nothing ran
+``checkpoint-corrupt``  that earlier result failed integrity
+                    verification and was quarantined
+``fallback-serial`` in-process serial fallback mined the unit
 ``fallback-error``  even the serial fallback raised
 
 Unit status (``UnitRecord.status``): ``ok`` (a worker attempt succeeded),
@@ -30,7 +26,7 @@ Unit status (``UnitRecord.status``): ``ok`` (a worker attempt succeeded),
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 TELEMETRY_VERSION = 1
@@ -38,13 +34,7 @@ TELEMETRY_VERSION = 1
 
 @dataclass
 class AttemptRecord:
-    """One attempt at one supervised task (a unit or a shard).
-
-    ``worker`` is the supervisor slot that ran the attempt; the last
-    three fields are filled by tasks that beat and checkpoint inside
-    the attempt (shards) and keep their defaults otherwise, so files
-    written before they existed still load.
-    """
+    """One attempt at one unit; ``worker`` is the supervisor slot."""
 
     attempt: int
     outcome: str
@@ -53,9 +43,13 @@ class AttemptRecord:
     error: str | None = None
     backoff: float | None = None  # delay slept after this failed attempt
     worker: str | None = None
-    heartbeats: int = 0
-    resumed_units: int = 0
-    mined_units: int = 0
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "AttemptRecord":
+        """Load one attempt; keys this version does not know are dropped
+        (files from sharded runs carried ``heartbeats`` and friends)."""
+        known = {f.name for f in fields(cls)}
+        return cls(**{key: raw[key] for key in raw.keys() & known})
 
 
 @dataclass
@@ -96,13 +90,6 @@ class RunTelemetry:
     replacement by it: when the run was traced it holds the trace id,
     the trace-file path and the sink's written/dropped counts (see
     :mod:`repro.obs`); empty for untraced runs.
-
-    ``coord`` carries the sharded-mining coordinator's digest when the
-    run was sharded (:mod:`repro.coord`): per-shard, per-attempt retry
-    records plus lease-expiry and reassignment counters, so a chaos run
-    is debuggable from this JSON alone — which worker held each lease,
-    when it expired, where the shard was reassigned, and what the
-    global-support phase merged.  Empty for unsharded runs.
     """
 
     units: list[UnitRecord] = field(default_factory=list)
@@ -110,7 +97,6 @@ class RunTelemetry:
     total_wall_time: float = 0.0
     serving: dict = field(default_factory=dict)
     trace: dict = field(default_factory=dict)
-    coord: dict = field(default_factory=dict)
 
     def unit(self, index: int) -> UnitRecord:
         for record in self.units:
@@ -159,7 +145,6 @@ class RunTelemetry:
             "total_wall_time": self.total_wall_time,
             "serving": self.serving,
             "trace": self.trace,
-            "coord": self.coord,
             "units": [asdict(record) for record in self.units],
         }
 
@@ -173,7 +158,7 @@ class RunTelemetry:
             UnitRecord(
                 unit=raw["unit"],
                 status=raw["status"],
-                attempts=[AttemptRecord(**a) for a in raw["attempts"]],
+                attempts=[AttemptRecord.from_dict(a) for a in raw["attempts"]],
                 wall_time=raw["wall_time"],
                 patterns=raw.get("patterns"),
             )
@@ -185,7 +170,6 @@ class RunTelemetry:
             total_wall_time=data.get("total_wall_time", 0.0),
             serving=data.get("serving", {}),
             trace=data.get("trace", {}),
-            coord=data.get("coord", {}),
         )
 
     def save(self, path: str | Path) -> None:

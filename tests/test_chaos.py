@@ -386,69 +386,6 @@ def scenario_storage_read(tmp_path, plan):
         backend.close()
 
 
-def _coord_run(tmp_path, db, support=3):
-    from repro.coord import CoordConfig, Coordinator
-
-    config = CoordConfig(
-        shards=2,
-        chunk_size=2,
-        heartbeat_interval=0.05,
-        runtime=RuntimeConfig(
-            max_workers=2, backoff_base=0.001, backoff_max=0.01,
-            kill_grace=2.0,
-        ),
-    )
-    # Two chunks of two graphs per shard put the chunk threshold at 1.
-    with pytest.warns(RuntimeWarning, match="chunk-local support 1"):
-        return Coordinator(config, run_dir=tmp_path / "coord-run").mine(
-            db, support
-        )
-
-
-def scenario_coord_lease(tmp_path, plan):
-    # A failed lease grant burns one attempt; the retry re-grants and
-    # the sharded output is exactly the single-process baseline.
-    db = random_database(seed=4400 + SEED, num_graphs=8, n=5, extra_edges=1)
-    baseline = pattern_text(GSpanMiner().mine(db, 3))
-    with plan.active():
-        try:
-            result = _coord_run(tmp_path, db)
-        except TYPED_FAILURES:
-            return  # budget exhausted without fallback — typed, not silent
-    assert pattern_text(result.patterns) == baseline
-
-
-def scenario_coord_heartbeat(tmp_path, plan):
-    # A lost heartbeat never changes the mined output: the lease TTL
-    # tolerates one gap, and if injection storms every beat the lease
-    # expires and the shard is re-assigned to a fresh worker — either
-    # way the final set is the baseline.
-    db = random_database(seed=4500 + SEED, num_graphs=8, n=5, extra_edges=1)
-    baseline = pattern_text(GSpanMiner().mine(db, 3))
-    with plan.active():
-        try:
-            result = _coord_run(tmp_path, db)
-        except TYPED_FAILURES:
-            return
-    assert pattern_text(result.patterns) == baseline
-    counters = result.telemetry.coord["counters"]
-    assert counters["lease_expiries"] == counters["reassignments"]
-
-
-def scenario_coord_shard_result(tmp_path, plan):
-    # Corrupting a committed shard-result artifact is detected by the
-    # sha256 footer, the artifact is quarantined, and the shard re-mines
-    # from its chunk checkpoints — the output never silently diverges.
-    db = random_database(seed=4600 + SEED, num_graphs=8, n=5, extra_edges=1)
-    baseline = pattern_text(GSpanMiner().mine(db, 3))
-    with plan.active():
-        try:
-            result = _coord_run(tmp_path, db)
-        except TYPED_FAILURES:
-            return
-    assert pattern_text(result.patterns) == baseline
-
-
 def _published(tmp_path):
     db = random_database(seed=3800 + SEED, num_graphs=6, n=5)
     patterns = GSpanMiner().mine(db, 3)
@@ -471,9 +408,6 @@ SCENARIOS = {
     "obs.metrics_scrape": scenario_obs_metrics_scrape,
     "storage.write": scenario_storage_write,
     "storage.read": scenario_storage_read,
-    "coord.lease": scenario_coord_lease,
-    "coord.heartbeat": scenario_coord_heartbeat,
-    "coord.shard_result": scenario_coord_shard_result,
 }
 
 #: Sites whose hook passes bytes through ``mangle`` — they additionally
@@ -484,7 +418,6 @@ BYTE_SITES = {
     "obs.sink_write",
     "storage.write",
     "storage.read",
-    "coord.shard_result",
 }
 
 

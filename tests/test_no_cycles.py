@@ -81,8 +81,6 @@ MINES = {
                "--db-path", "{root}/graphs.db"],
     "parallel": ["mine", "{db}", "0.15", "-k", "4", "--parallel",
                  "--workers", "2"],
-    "shards": ["mine", "{db}", "0.15", "--shards", "2", "--max-size", "4",
-               "--run-dir", "{root}/shards"],
     "trace": ["mine", "{db}", "0.15", "-k", "4",
               "--trace", "{root}/trace.jsonl"],
     "mine-big": ["mine-big", "{big}", "8", "--max-size", "3"],

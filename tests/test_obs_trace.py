@@ -304,39 +304,6 @@ class TestParallelRuntimeTree:
         assert len(result.patterns) > 0
 
 
-class TestShardedTree:
-    def test_shard_worker_spans_parent_to_their_attempt(self, tmp_path):
-        """Shard workers go through the same child entry as unit workers,
-        so a traced ``--shards 2`` mine is one tree too: every
-        ``coord.shard`` attempt holds the span its worker process ran
-        under, carrying what that worker did."""
-        from repro.coord import CoordConfig, Coordinator
-
-        db = random_database(seed=4700, num_graphs=8, n=5, extra_edges=1)
-        tracer = Tracer()
-        with obs_trace.tracing(tracer):
-            Coordinator(
-                CoordConfig(shards=2, heartbeat_interval=0.05),
-                run_dir=tmp_path / "run",
-            ).mine(db, 3)
-
-        roots, orphans = span_tree(tracer)
-        assert orphans == []
-        assert [root["name"] for root in roots] == ["coord.mine"]
-        by_id = {s["span_id"]: s for s in tracer.spans()}
-        attempts = [s for s in by_id.values() if s["name"] == "coord.shard"]
-        workers = [s for s in by_id.values() if s["name"] == "coord.worker"]
-        assert sorted(s["attrs"]["shard"] for s in attempts) == [0, 1]
-        assert len(workers) == 2
-        for worker in workers:
-            parent = by_id[worker["parent_id"]]
-            assert parent["name"] == "coord.shard"
-            assert parent["attrs"]["outcome"] == "ok"
-            assert by_id[parent["parent_id"]]["name"] == "coord.mine"
-            assert worker["trace_id"] == tracer.trace_id
-            assert worker["attrs"]["mined"] == worker["attrs"]["chunks"] == 1
-
-
 # ----------------------------------------------------------------------
 # Summarizer
 # ----------------------------------------------------------------------

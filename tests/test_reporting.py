@@ -3,11 +3,13 @@
 import pytest
 
 from benchmarks.figures import (
+    MEASURED,
     Experiment,
     Figure,
     below,
     markdown_table,
     render_report,
+    run,
 )
 
 
@@ -67,3 +69,15 @@ class TestLoadAndRender:
         assert "| minsup | PartMiner | ADIMINE |" in report
         assert "checks: 0 of 1 passed; **failed:** x=2: sound" in report
         assert "- wall time: 1.5 s" in report
+
+    def test_rerender_keeps_the_hand_recorded_section(self, tmp_path):
+        """EXPERIMENTS.md's measurements outside the sweeps survive a
+        re-render; everything above them is regenerated."""
+        report = tmp_path / "EXPERIMENTS.md"
+        kept = MEASURED + "\n| input | wall |\n|---|---|\n| D10k | 2.7 s |\n"
+        report.write_text("stale sweep output\n\n" + kept, encoding="utf-8")
+        assert run([], quick=True, results=tmp_path, report=report) == 0
+        text = report.read_text(encoding="utf-8")
+        assert "stale sweep output" not in text
+        assert text.startswith("# EXPERIMENTS")
+        assert text.endswith("\n" + kept)
