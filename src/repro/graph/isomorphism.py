@@ -326,10 +326,10 @@ def scan_support(
     and returns ``(scan, cache_hits)``.
 
     ``flat`` selects the matcher.  A :class:`~repro.perf.FlatDB` of
-    ``database`` runs the kernel: ``cache`` resolves what it can, one
-    :func:`~repro.perf.flat_count_batch` call decides the rest (its
-    :class:`~repro.perf.BatchScan` is returned for the work tallies), and
-    every decided miss is stored — after an early exit the undecided
+    ``database`` runs the kernel: one ``cache`` probe resolves what it
+    can, one :func:`~repro.perf.flat_count_batch` call decides the rest
+    (its :class:`~repro.perf.BatchScan` is returned for the tallies), one
+    store keeps every decided miss — after an early exit the undecided
     gids are not.  ``None`` runs the reference matcher over every gid,
     exactly and cache-less; ``scan`` is then ``None``.
     """
@@ -353,15 +353,16 @@ def scan_support(
     cache_hits = 0
     if cache is not None:
         probe = sorted(database.gids()) if gids is None else gids
-        gids = []
-        for gid in probe:
-            verdict = cache.get(key, database[gid], induced=induced)
+        graphs = [database[gid] for gid in probe]
+        gids, missed = [], []
+        known = cache.probe([key], graphs, induced=induced)
+        for gid, graph, verdict in zip(probe, graphs, known):
             if verdict is None:
                 gids.append(gid)
-            else:
-                cache_hits += 1
-                if verdict:
-                    supporting.add(gid)
+                missed.append(graph)
+            elif verdict:
+                supporting.add(gid)
+        cache_hits = len(probe) - len(gids)
     scan = perf.flat_count_batch(
         perf.get_flat_plan(pattern),
         flat,
@@ -373,9 +374,10 @@ def scan_support(
     )
     supporting.update(scan.hits)
     if cache is not None:
-        hits = set(scan.hits)
-        undecided = set(scan.undecided)
-        for gid in gids:
-            if gid not in undecided:
-                cache.put(key, database[gid], gid in hits, induced=induced)
+        hits, undecided = set(scan.hits), set(scan.undecided)
+        decided = [i for i, gid in enumerate(gids) if gid not in undecided]
+        cache.store(
+            [key], [missed[i] for i in decided],
+            [gids[i] in hits for i in decided], induced=induced,
+        )
     return scan, cache_hits

@@ -18,20 +18,25 @@ this for both monomorphism and induced semantics.
 
 Three layers of work avoidance, outermost first:
 
-1. an LRU result cache keyed on canonical codes (plus a database state
-   token that moves whenever a graph is added, replaced or mutated, so
-   results computed against an older database state never match);
+1. an LRU result cache.  ``match`` keys on the pattern's canonical code
+   and a database epoch — a small int per database state (a graph added,
+   replaced or mutated is a new state); ``contains`` keys on the graph's
+   content digest (:func:`~repro.serve.index.graph_digest`): exact
+   repeats hit, HTTP re-encodes too, a renumbered copy is recomputed;
 2. the snapshot's :class:`~repro.serve.index.FragmentIndex` (graphs whose
-   content digest drifted since the index was built are treated as
-   always-candidates — see ``stale_gids``, computed once per database
-   state);
-3. a :class:`repro.perf.SupportCache` memoizing per-graph containment
-   verdicts under the pattern's canonical key.
+   content digest drifted since the index was built are always
+   candidates — ``stale_gids``, resolved once per epoch like the
+   database's :class:`~repro.perf.FlatDB`);
+3. a :class:`repro.perf.SupportCache` of per-graph containment verdicts
+   under the pattern's canonical key, probed and filled once per query.
+   Over a store-backed database it is bypassed for database graphs: the
+   store re-decodes evicted graphs, so an instance-keyed entry would not
+   be found again and each probe would cost a row decode.
 
 ``REPRO_NO_ACCEL`` (:func:`repro.perf.enabled`) bypasses layers 2–3 and
 scans linearly with the reference matcher — the differential baseline.
 The engine is thread-safe: snapshots are immutable, the support cache
-locks itself, and the LRU and stats sit behind the engine's lock.
+locks itself, and the LRU, epoch and stats sit behind the engine's lock.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from __future__ import annotations
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 
 from .. import perf
 from ..obs import metrics as obs_metrics
@@ -50,7 +56,9 @@ from ..graph.labeled_graph import LabeledGraph
 from ..mining.base import Pattern, PatternSet
 from ..resilience.health import Deadline
 from .catalog import CatalogSnapshot, PatternEntry
-from .index import graph_fragments
+from .index import graph_digest, graph_fragments
+
+_VERSION = attrgetter("version")
 
 
 @dataclass
@@ -114,17 +122,10 @@ class EngineTotals:
         self.by_kind[stats.kind] = self.by_kind.get(stats.kind, 0) + 1
 
     def to_dict(self) -> dict:
-        return {
-            "queries": self.queries,
-            "lru_hits": self.lru_hits,
-            "searches": self.searches,
-            "candidates": self.candidates,
-            "universe": self.universe,
-            "pruned": self.universe - self.candidates,
-            "support_cache_hits": self.support_cache_hits,
-            "elapsed": round(self.elapsed, 6),
-            "by_kind": dict(self.by_kind),
-        }
+        digest = asdict(self)
+        digest["pruned"] = self.universe - self.candidates
+        digest["elapsed"] = round(self.elapsed, 6)
+        return digest
 
 
 class QueryEngine:
@@ -143,36 +144,54 @@ class QueryEngine:
         self._lru: OrderedDict = OrderedDict()
         self._lru_size = lru_size
         self._lock = threading.Lock()
-        # (database token, index.stale_gids) of the last state asked about.
-        self._stale: tuple = (None, set())
+        # The support cache for database graphs: held in memory only.
+        self._db_cache = (
+            self.support_cache if database.state_token() is None else None
+        )
+        # The last database state seen, its epoch, and what _resolved
+        # resolved against it.
+        self._state: tuple | None = None
+        self._epoch = 0
+        self._memo: tuple = (None, set(), None)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _db_token(self) -> tuple:
-        """A value that changes whenever any database graph changes.
+    def _db_epoch(self) -> int:
+        """A small int that changes whenever any database graph changes.
 
         Store-backed databases provide a persisted token (one counter
         read — decoding every graph just to stamp a cache key would
         defeat out-of-core serving).  In-memory databases pair their
         generation, which every add or replace bumps, with the graphs'
-        version counters, which every in-place mutation bumps.
+        version counters, which every in-place mutation bumps.  Each new
+        state takes the next epoch under the engine's lock, so no two
+        states share one and cache keys carry an int, not a |D|-tuple.
         """
-        token = self.database.state_token()
-        if token is not None:
-            return token
-        return (
-            self.database.generation,
-            tuple(graph.version for graph in self.database.graphs()),
-        )
+        state = self.database.state_token()
+        if state is None:
+            state = (
+                self.database.generation,
+                tuple(map(_VERSION, self.database.graphs())),
+            )
+        with self._lock:
+            if state != self._state:
+                self._state = state
+                self._epoch += 1
+            return self._epoch
 
-    def _stale_gids(self, token) -> set[int]:
-        """The index's stale gids, computed once per database state."""
-        memo = self._stale
-        if memo[0] != token:
-            memo = (token, self.snapshot.index.stale_gids(self.database))
-            self._stale = memo
-        return memo[1]
+    def _resolved(self, epoch: int) -> tuple[set[int], "perf.FlatDB"]:
+        """The index's stale gids and the database's validated FlatDB,
+        resolved once per database epoch."""
+        memo = self._memo
+        if memo[0] != epoch:
+            memo = (
+                epoch,
+                self.snapshot.index.stale_gids(self.database),
+                perf.get_flat_db(self.database),
+            )
+            self._memo = memo
+        return memo[1], memo[2]
 
     def _lru_get(self, key: tuple):
         with self._lock:
@@ -187,35 +206,6 @@ class QueryEngine:
             self._lru.move_to_end(key)
             while len(self._lru) > self._lru_size:
                 self._lru.popitem(last=False)
-
-    def _cached_verdict(
-        self,
-        key: tuple | None,
-        graph: LabeledGraph,
-        pattern: LabeledGraph,
-        induced: bool,
-        stats: QueryStats,
-        use_cache: bool,
-    ) -> bool:
-        """Support-cache-memoized existence check for one pair."""
-        if use_cache and key is not None:
-            verdict = self.support_cache.get(key, graph, induced=induced)
-            if verdict is not None:
-                stats.support_cache_hits += 1
-                return verdict
-        stats.searches += 1
-        verdict = subgraph_exists(pattern, graph, induced=induced)
-        if use_cache and key is not None:
-            self.support_cache.put(key, graph, verdict, induced=induced)
-        return verdict
-
-    @staticmethod
-    def _safe_key(graph: LabeledGraph) -> tuple | None:
-        """Canonical key, or ``None`` for empty/disconnected graphs."""
-        try:
-            return canonical_code(graph)
-        except ValueError:
-            return None
 
     # ------------------------------------------------------------------
     # match: pattern -> supporting database graphs
@@ -238,32 +228,30 @@ class QueryEngine:
         start = time.perf_counter()
         stats = QueryStats(kind="match", universe=len(self.database))
         accel = perf.enabled()
-        key = self._safe_key(pattern)
-        token = self._db_token()
+        try:
+            key = canonical_code(pattern)
+        except ValueError:  # empty or disconnected: no key, no caching
+            key = None
+        epoch = self._db_epoch()
         lru_key = None
         if key is not None:
-            lru_key = ("match", key, induced, token)
+            lru_key = ("match", key, induced, epoch)
             cached = self._lru_get(lru_key)
             if cached is not None:
                 stats.lru_hit = True
-                stats.elapsed = time.perf_counter() - start
-                self._record_query(stats)
+                self._record_query(stats, start)
                 return MatchAnswer(gids=cached, stats=stats)
 
-        live_gids = set(self.database.gids())
+        candidates = live_gids = set(self.database.gids())
+        flat = None
         if accel:
+            stale, flat = self._resolved(epoch)
             index = self.snapshot.index
             from_index = index.candidate_graphs(graph_fragments(pattern))
-            if from_index is None:
-                candidates = live_gids
-            else:
+            if from_index is not None:
                 # Drifted graphs have unreliable posting lists: always
                 # re-candidates.  Deleted gids drop out via the live set.
-                candidates = (from_index & live_gids) | self._stale_gids(
-                    token
-                )
-        else:
-            candidates = live_gids
+                candidates = (from_index & live_gids) | stale
         stats.candidates = len(candidates)
 
         supporting: set[int] = set()
@@ -272,8 +260,7 @@ class QueryEngine:
             # One kernel call over the whole candidate list (the support
             # cache resolves what it can first); a deadline-bearing query
             # scans one gid per call so expiry is checked between searches.
-            flat = perf.get_flat_db(self.database) if accel else None
-            cache = self.support_cache if key is not None else None
+            cache = self._db_cache if key is not None else None
             for gids in [order] if deadline is None else [[g] for g in order]:
                 if deadline is not None:
                     deadline.check("match query")
@@ -287,8 +274,7 @@ class QueryEngine:
         answer = frozenset(supporting)
         if lru_key is not None:
             self._lru_put(lru_key, answer)
-        stats.elapsed = time.perf_counter() - start
-        self._record_query(stats)
+        self._record_query(stats, start)
         return MatchAnswer(gids=answer, stats=stats)
 
     def relocate(
@@ -304,33 +290,18 @@ class QueryEngine:
         and TID lists are measured against the live database, patterns
         below ``min_support`` (when given) are dropped.
         """
-        source = (
-            patterns
-            if patterns is not None
-            else PatternSet(
-                Pattern(
-                    graph=e.graph, key=e.key, support=e.support, tids=e.tids
-                )
-                for e in self.snapshot.entries
-            )
-        )
+        source = self.snapshot.patterns if patterns is None else patterns
         threshold = (
-            self.database.absolute_support(min_support)
-            if min_support is not None
-            else 0
+            0 if min_support is None
+            else self.database.absolute_support(min_support)
         )
         relocated = PatternSet()
         for pattern in source:
             answer = self.match(pattern.graph, induced=induced)
             if answer.support >= threshold:
-                relocated.add(
-                    Pattern(
-                        graph=pattern.graph,
-                        key=pattern.key,
-                        support=answer.support,
-                        tids=answer.gids,
-                    )
-                )
+                relocated.add(Pattern(
+                    pattern.graph, pattern.key, answer.support, answer.gids
+                ))
         return relocated
 
     # ------------------------------------------------------------------
@@ -347,29 +318,26 @@ class QueryEngine:
         stats = QueryStats(
             kind="contains", universe=len(self.snapshot.entries)
         )
-        key = self._safe_key(graph)
-        lru_key = None
-        if key is not None:
-            lru_key = ("contains", key, induced, self.snapshot.version)
-            cached = self._lru_get(lru_key)
-            if cached is not None:
-                stats.lru_hit = True
-                stats.elapsed = time.perf_counter() - start
-                self._record_query(stats)
-                return ContainsAnswer(pids=cached, stats=stats)
+        lru_key = (
+            "contains", graph_digest(graph), induced, self.snapshot.version
+        )
+        cached = self._lru_get(lru_key)
+        if cached is not None:
+            stats.lru_hit = True
+            self._record_query(stats, start)
+            return ContainsAnswer(pids=cached, stats=stats)
 
         pids = self._graph_hits(
-            graph, induced, stats, first_only=False, deadline=deadline
+            graph, induced, stats, self.support_cache, deadline=deadline
         )
         answer = tuple(pids)
-        if lru_key is not None:
-            self._lru_put(lru_key, answer)
-        stats.elapsed = time.perf_counter() - start
-        self._record_query(stats)
+        self._lru_put(lru_key, answer)
+        self._record_query(stats, start)
         return ContainsAnswer(pids=answer, stats=stats)
 
-    def _record_query(self, stats: QueryStats) -> None:
-        """Fold one finished query into the totals and the obs registry."""
+    def _record_query(self, stats: QueryStats, start: float) -> None:
+        """Fold one query begun at ``start`` into totals and obs registry."""
+        stats.elapsed = time.perf_counter() - start
         with self._lock:
             self.totals.record(stats)
         obs_metrics.observe_query(
@@ -381,10 +349,12 @@ class QueryEngine:
         graph: LabeledGraph,
         induced: bool,
         stats: QueryStats,
-        first_only: bool,
+        cache: "perf.SupportCache | None",
+        first_only: bool = False,
         deadline: Deadline | None = None,
     ) -> list[int]:
-        """Pids embedding in ``graph``; at most one when ``first_only``."""
+        """Pids embedding in ``graph``, at most one when ``first_only``;
+        one ``cache`` probe and one store cover every candidate."""
         accel = perf.enabled()
         entries = self.snapshot.entries
         if accel:
@@ -394,18 +364,31 @@ class QueryEngine:
         else:
             candidates = list(range(len(entries)))
         stats.candidates += len(candidates)
-        hits = []
-        for pid in candidates:
+        cache = cache if accel else None
+        keys = [entries[pid].key for pid in candidates]
+        known = (
+            [None] * len(keys) if cache is None
+            else cache.probe(keys, [graph], induced=induced)
+        )
+        hits, searched = [], {}
+        for pid, key, verdict in zip(candidates, keys, known):
             if deadline is not None:
                 deadline.check("contains query")
-            entry = entries[pid]
-            if self._cached_verdict(
-                entry.key, graph, entry.graph, induced, stats,
-                use_cache=accel,
-            ):
+            if verdict is None:
+                stats.searches += 1
+                verdict = searched[key] = subgraph_exists(
+                    entries[pid].graph, graph, induced=induced
+                )
+            else:
+                stats.support_cache_hits += 1
+            if verdict:
                 hits.append(pid)
                 if first_only:
                     break
+        if cache is not None and searched:
+            cache.store(
+                list(searched), [graph], list(searched.values()), induced
+            )
         return hits
 
     # ------------------------------------------------------------------
@@ -434,20 +417,21 @@ class QueryEngine:
         start = time.perf_counter()
         stats = QueryStats(kind="coverage", universe=len(self.database))
         lru_key = (
-            "coverage", induced, self.snapshot.version, self._db_token(),
+            "coverage", induced, self.snapshot.version, self._db_epoch(),
         )
         cached = self._lru_get(lru_key)
         if cached is None:
             covered = set()
             for gid, graph in self.database:
-                if self._graph_hits(graph, induced, stats, first_only=True):
+                if self._graph_hits(
+                    graph, induced, stats, self._db_cache, first_only=True
+                ):
                     covered.add(gid)
             cached = frozenset(covered)
             self._lru_put(lru_key, cached)
         else:
             stats.lru_hit = True
-        stats.elapsed = time.perf_counter() - start
-        self._record_query(stats)
+        self._record_query(stats, start)
         covered = set(cached)
         if not len(self.database):
             return 0.0, covered

@@ -163,10 +163,6 @@ class FragmentIndex:
     def num_patterns(self) -> int:
         return len(self.pattern_fragments)
 
-    @property
-    def has_graph_postings(self) -> bool:
-        return self.graph_postings is not None
-
     # ------------------------------------------------------------------
     # Candidate filtering
     # ------------------------------------------------------------------
@@ -222,24 +218,6 @@ class FragmentIndex:
                 return set()
         assert candidates is not None
         return candidates
-
-    def subpattern_candidates(self, pid: int) -> list[int]:
-        """Pids that may embed *into* pattern ``pid`` (itself included)."""
-        return self.candidate_patterns(self.pattern_fragments[pid])
-
-    def superpattern_candidates(self, pid: int) -> list[int]:
-        """Pids that pattern ``pid`` may embed into (itself included)."""
-        fragments = self.pattern_fragments[pid]
-        if not fragments:
-            return list(range(self.num_patterns))
-        candidates: set[int] | None = None
-        for fragment in fragments:
-            pids = set(self.pids_by_fragment.get(fragment, ()))
-            candidates = pids if candidates is None else candidates & pids
-            if not candidates:
-                return []
-        assert candidates is not None
-        return sorted(candidates)
 
     def stale_gids(self, database: GraphDatabase) -> set[int]:
         """Gids whose graph content differs from what the index saw.

@@ -29,7 +29,7 @@ Concurrency model
   rejected with 503 instead of piling up (load shedding).  Connection
   handling itself is ``ThreadingHTTPServer``'s thread-per-connection.
 * **Request batching** — concurrent *identical* queries (same endpoint,
-  same canonical payload, same engine) are single-flighted: one leader
+  same graph content digest, same engine) are single-flighted: one leader
   computes, followers wait on its result.  ``stats()["batched"]`` counts
   the queries that never reached the engine.
 * **Hot reload** — :meth:`reload` polls the catalog manifest and, when a
@@ -60,6 +60,7 @@ from ..resilience.errors import CircuitOpen, DeadlineExceeded
 from ..resilience.health import CircuitBreaker, Deadline, MemoryWatermark
 from .catalog import PatternCatalog
 from .engine import QueryEngine
+from .index import graph_digest
 
 SITE_REQUEST = faults.register_site(
     "serve.request", "HTTP request handling in PatternService"
@@ -576,15 +577,8 @@ class PatternService:
     def _flight_key(
         engine: QueryEngine, kind: str, graph: LabeledGraph, induced: bool
     ) -> tuple:
-        """Batching key: same engine + same canonical query => one flight."""
-        try:
-            from ..graph.canonical import canonical_code
-
-            code = canonical_code(graph)
-        except ValueError:
-            code = ("raw", tuple(graph.vertex_labels()),
-                    tuple(graph.edges()))
-        return (id(engine), kind, code, induced)
+        """Batching key: same engine + same graph content => one flight."""
+        return (id(engine), kind, graph_digest(graph), induced)
 
     def list_patterns(self, top: int | None, by: str) -> dict:
         engine = self._engine

@@ -157,6 +157,94 @@ class TestSupportCacheUnit:
 
 
 # ----------------------------------------------------------------------
+# Batched probe/store: the same as one get/put per pair
+# ----------------------------------------------------------------------
+#: A batch pairs keys[i] with graphs[i], or broadcasts a one-element side.
+_SHAPES = st.sampled_from(["one-key", "one-graph", "zip"])
+_PICKS = st.lists(st.integers(0, 2), min_size=1, max_size=4)
+_VERDICTS = st.lists(st.booleans(), min_size=4, max_size=4)
+_BATCH_OPS = st.one_of(
+    st.tuples(st.just("store"), _SHAPES, _PICKS, _VERDICTS, st.booleans()),
+    st.tuples(st.just("probe"), _SHAPES, _PICKS, st.none(), st.booleans()),
+    st.tuples(st.just("mutate"), st.integers(0, 2)),
+    st.tuples(st.just("bump")),
+    st.tuples(st.just("clear")),
+)
+
+
+def _batch_pairs(shape, picks):
+    """(keys, graphs) index lists for one batch, and its expanded pairs."""
+    if shape == "one-key":
+        keys, graphs = picks[:1], picks
+        return keys, graphs, [(picks[0], g) for g in picks]
+    if shape == "one-graph":
+        keys, graphs = picks, picks[:1]
+        return keys, graphs, [(k, picks[0]) for k in picks]
+    return picks, picks[::-1], list(zip(picks, picks[::-1]))
+
+
+class TestBatchedCalls:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_BATCH_OPS, max_size=25))
+    def test_batches_equal_per_pair_calls(self, ops):
+        from repro.perf._state import bump_token
+
+        keys = [("k", 0), ("k", 1), ("k", 2, "long")]
+        graphs = [path_graph([0, 1]), path_graph([1, 2, 0]), path_graph([2])]
+        batched, single = perf.SupportCache(), perf.SupportCache()
+        for op in ops:
+            if op[0] == "mutate":
+                graph = graphs[op[1]]
+                graph.set_vertex_label(0, graph.vertex_label(0) + 1)
+            elif op[0] == "bump":
+                bump_token()
+            elif op[0] == "clear":
+                batched.clear()
+                single.clear()
+            else:
+                kind, shape, picks, verdicts, induced = op
+                ks, gs, pairs = _batch_pairs(shape, picks)
+                key_list = [keys[i] for i in ks]
+                graph_list = [graphs[i] for i in gs]
+                if kind == "store":
+                    batched.store(
+                        key_list, graph_list, verdicts[: len(pairs)], induced
+                    )
+                    for (k, g), verdict in zip(pairs, verdicts):
+                        single.put(keys[k], graphs[g], verdict, induced)
+                else:
+                    got = batched.probe(key_list, graph_list, induced)
+                    want = [
+                        single.get(keys[k], graphs[g], induced)
+                        for k, g in pairs
+                    ]
+                    assert got == want
+            for counter in ("hits", "misses", "stores", "invalidated"):
+                assert getattr(batched, counter) == getattr(single, counter)
+            assert batched.entries() == single.entries()
+
+    def test_one_probe_flushes_each_counter_once(self, monkeypatch):
+        from repro.perf import cache as cache_module
+
+        calls = []
+
+        class Recorder:
+            def inc(self, name, amount=1):
+                calls.append((name, amount))
+
+        monkeypatch.setattr(cache_module, "COUNTERS", Recorder())
+        cache = perf.SupportCache()
+        graphs = [path_graph([0, i]) for i in range(5)]
+        cache.store([("k",)], graphs[:3], [True, False, True])
+        assert cache.probe([("k",)], graphs) == [True, False, True, None, None]
+        assert calls == [
+            ("support_cache_stores", 3),
+            ("support_cache_hits", 3),
+            ("support_cache_misses", 2),
+        ]
+
+
+# ----------------------------------------------------------------------
 # Cross-run reuse
 # ----------------------------------------------------------------------
 class TestCrossRunReuse:

@@ -16,7 +16,7 @@ from repro.mining.gspan import GSpanMiner
 from repro.resilience.health import Deadline
 from repro.serve.catalog import CatalogSnapshot, catalog_order
 from repro.serve.engine import QueryEngine
-from repro.serve.index import FragmentIndex
+from repro.serve.index import FragmentIndex, graph_digest
 
 from .conftest import make_graph, random_database
 from .test_properties import databases
@@ -194,6 +194,62 @@ class TestCaching:
         db[0].add_vertex(9)
         engine.match(next(iter(patterns)).graph)
         assert len(calls) == 2
+
+    def test_flat_db_validated_once_per_database_state(self, monkeypatch):
+        engine, patterns, db = mined_engine(seed=6507)
+        perf.get_flat_db(db)  # compiled: later calls validate it
+        calls = []
+        validate = perf.FlatDB.stale_gids
+
+        def counted(flat, database):
+            calls.append(database)
+            return validate(flat, database)
+
+        monkeypatch.setattr(perf.FlatDB, "stale_gids", counted)
+        for pattern in patterns:
+            engine.match(pattern.graph)
+        assert len(calls) == 1
+        db[0].add_vertex(9)
+        for pattern in patterns:
+            engine.match(pattern.graph)
+        assert len(calls) == 2
+
+    def test_contains_lru_hits_a_byte_identical_copy(self):
+        engine, _, db = mined_engine(seed=6508)
+        first = engine.contains(db[0])
+        again = engine.contains(db[0].copy())
+        assert not first.stats.lru_hit
+        assert again.stats.lru_hit
+        assert again.pids == first.pids
+
+    def test_contains_renumbered_copy_is_answered_afresh(self):
+        engine, _, db = mined_engine(seed=6509)
+        graph = db[0]
+        n = graph.num_vertices
+        renumbered = make_graph(
+            [graph.vertex_label(v) for v in reversed(range(n))],
+            [(n - 1 - u, n - 1 - v, label) for u, v, label in graph.edges()],
+        )
+        assert graph_digest(renumbered) != graph_digest(graph)
+        first = engine.contains(graph)
+        answer = engine.contains(renumbered)
+        assert not answer.stats.lru_hit
+        assert answer.pids == first.pids
+
+    @pytest.mark.parametrize("induced", [False, True])
+    def test_contains_after_in_place_mutation_is_exact(self, induced):
+        engine, _, db = mined_engine(seed=6510)
+        graph = db[1].copy()
+        engine.contains(graph, induced=induced)
+        graph.add_vertex(graph.vertex_label(0))
+        graph.add_edge(0, graph.num_vertices - 1, 0)
+        answer = engine.contains(graph, induced=induced)
+        assert not answer.stats.lru_hit
+        assert answer.pids == tuple(
+            e.pid
+            for e in engine.snapshot.entries
+            if subgraph_exists(e.graph, graph, induced=induced)
+        )
 
     def test_lru_bounded(self):
         engine, patterns, _ = mined_engine(seed=6504, lru_size=2)

@@ -87,7 +87,7 @@ class TestCandidateSoundness:
     def test_no_graph_side_returns_none(self):
         index = FragmentIndex.build([triangle()])
         assert index.candidate_graphs(graph_fragments(triangle())) is None
-        assert not index.has_graph_postings
+        assert index.graph_postings is None
 
     def test_fragment_free_pattern_never_pruned(self):
         db = GraphDatabase.from_graphs([triangle(), path_graph(2)])
@@ -102,17 +102,6 @@ class TestCandidateSoundness:
         index = FragmentIndex.build([triangle()], db)
         alien = make_graph([9, 9], [(0, 1, 9)])
         assert index.candidate_graphs(graph_fragments(alien)) == set()
-
-    def test_sub_and_superpattern_candidates(self):
-        patterns = [path_graph(2), path_graph(3), triangle()]
-        index = FragmentIndex.build(patterns)
-        # The single edge embeds into everything: all are supercandidates.
-        assert index.superpattern_candidates(0) == [0, 1, 2]
-        # Everything listed may embed into the triangle (path3 does too).
-        assert set(index.subpattern_candidates(2)) >= {0, 1, 2}
-        for pid in range(3):
-            assert pid in index.subpattern_candidates(pid)
-            assert pid in index.superpattern_candidates(pid)
 
 
 class TestStaleness:

@@ -32,8 +32,9 @@ from repro.mining.gaston import GastonMiner
 from repro.mining.gspan import GSpanMiner
 from repro.mining.store import dump_patterns, read_patterns, save_patterns
 from repro.partition import db_partition
-from repro.serve.catalog import PatternCatalog
+from repro.serve.catalog import CatalogSnapshot, PatternCatalog, catalog_order
 from repro.serve.engine import QueryEngine
+from repro.serve.index import FragmentIndex
 from repro.storage import open_backend
 
 from .conftest import random_database
@@ -170,6 +171,39 @@ def test_merge_join_ignores_a_cache_over_a_store_backed_dataset(
         backend.close()
 
 
+def test_repeated_matches_over_a_store_decode_no_rows(tmp_path, database):
+    """Once the store's FlatDB is current, serving ``match`` reads no row.
+
+    The engine's support cache is keyed by graph instance; the store
+    re-decodes evicted graphs as new instances, so probing it would cost
+    a decode per candidate and find nothing — over a store it is
+    bypassed, and no match holds more decoded graphs than the budget.
+    """
+    patterns = GSpanMiner().mine(database, NUM_GRAPHS // 3)
+    index = FragmentIndex.build(
+        (p.graph for p in catalog_order(patterns)), database
+    )
+    backend = stored(tmp_path, database)
+    try:
+        engine = QueryEngine(
+            CatalogSnapshot(1, patterns, index, {}), backend.database(),
+            lru_size=0,  # every match searches
+        )
+        entries = engine.snapshot.entries
+        engine.match(entries[0].graph)  # compiles the FlatDB: one pass
+        misses = backend.cache.misses
+        backend.cache.max_live = 0
+        for _round in range(3):
+            for entry in entries:
+                engine.match(entry.graph)
+        assert backend.cache.misses == misses
+        assert backend.cache.max_live <= CACHE_GRAPHS
+        assert engine.totals.searches > 0
+        assert engine.support_cache.stores == 0
+    finally:
+        backend.close()
+
+
 def test_incremental_reimport_touches_only_changed_rows(
     tmp_path, database
 ):
@@ -280,6 +314,6 @@ def test_serve_backend_sqlite_answers_like_memory(tmp_path, database):
             ]
         assert got.coverage() == want.coverage()
         # Every graph was fresh: the index kept exactly the candidates it
-        # kept in memory.  (Searches differ: the support cache is keyed by
-        # graph instance, and the store re-decodes evicted graphs.)
+        # kept in memory.  (Searches differ: over the store the engine
+        # bypasses its instance-keyed support cache for database graphs.)
         assert got.totals.candidates == want.totals.candidates
