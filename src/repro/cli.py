@@ -84,10 +84,19 @@ def _support(text: str) -> float | int:
 
 
 def _positive_int(text: str) -> int:
-    """``-k``, ``--max-size``, ``--graph-cache``: a whole number >= 1."""
+    """``-k``, ``--max-size``, ``--graph-cache``, ``serve --workers``:
+    a whole number >= 1."""
     if text.isdecimal() and int(text) >= 1:
         return int(text)
     raise argparse.ArgumentTypeError(f"must be a whole number >= 1: {text!r}")
+
+
+def _positive_seconds(text: str) -> float:
+    """``--unit-timeout``, ``--reload-interval``: finite seconds > 0."""
+    with contextlib.suppress(ValueError):
+        if 0 < (value := float(text)) < float("inf"):
+            return value
+    raise argparse.ArgumentTypeError(f"must be finite seconds > 0: {text!r}")
 
 
 def _unit_support(text: str) -> str | int:
@@ -814,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=None,
                    help="worker processes alive at once under --parallel "
                         "(default: CPU count)")
-    p.add_argument("--unit-timeout", type=float, default=None,
+    p.add_argument("--unit-timeout", type=_positive_seconds, default=None,
                    help="per-attempt wall-clock timeout in seconds")
     p.add_argument("--retries", type=int, default=None,
                    help="retries per unit before serial fallback "
@@ -949,9 +958,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "before serving")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8765)
-    p.add_argument("--workers", type=int, default=4,
+    p.add_argument("--workers", type=_positive_int, default=4,
                    help="bounded query worker pool size")
-    p.add_argument("--reload-interval", type=float, default=None,
+    p.add_argument("--reload-interval", type=_positive_seconds, default=None,
                    help="poll the catalog manifest every N seconds and "
                         "hot-reload new snapshots")
     p.add_argument("--telemetry", default=None,

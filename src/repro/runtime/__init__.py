@@ -3,9 +3,8 @@
 Public surface::
 
     from repro.runtime import (
-        RuntimeConfig,        # timeouts / retries / backoff / fallback
-        Supervisor, Task,     # the one process supervisor + its task API
-        MiningRuntime,        # unit tasks (generic over worker callables)
+        RuntimeConfig,        # workers / timeout / retries / start method
+        MiningRuntime,        # the one process supervisor, over unit tasks
         run_unit_mining,      # high-level: units + thresholds -> results
         CheckpointStore,      # per-unit persistence under a run directory
         RunTelemetry,         # structured execution record
@@ -18,13 +17,13 @@ from .config import RuntimeConfig
 from .engine import (
     MiningRuntime,
     RuntimeResult,
+    UnitMiningError,
     UnitTask,
     decode_patterns,
     encode_patterns,
     mine_unit_worker,
     run_unit_mining,
 )
-from .supervisor import Supervisor, Task, UnitMiningError
 from .telemetry import AttemptRecord, RunTelemetry, UnitRecord
 
 __all__ = [
@@ -35,8 +34,6 @@ __all__ = [
     "RunTelemetry",
     "RuntimeConfig",
     "RuntimeResult",
-    "Supervisor",
-    "Task",
     "UnitMiningError",
     "UnitRecord",
     "UnitTask",

@@ -17,7 +17,7 @@ Outcome vocabulary (``AttemptRecord.outcome``):
 ``checkpoint-corrupt``  that earlier result failed integrity
                     verification and was quarantined
 ``fallback-serial`` in-process serial fallback mined the unit
-``fallback-error``  even the serial fallback raised
+``fallback-error``  no serial fallback, or even the fallback raised
 
 Unit status (``UnitRecord.status``): ``ok`` (a worker attempt succeeded),
 ``degraded`` (serial fallback), ``checkpoint`` (adopted), ``failed``.

@@ -46,6 +46,7 @@ Concurrency model
 from __future__ import annotations
 
 import json
+import math
 import queue
 import threading
 import time
@@ -139,7 +140,7 @@ class _WorkerPool:
             threading.Thread(
                 target=self._run, name=f"serve-worker-{i}", daemon=True
             )
-            for i in range(max(1, size))
+            for i in range(size)
         ]
         for thread in self._threads:
             thread.start()
@@ -252,6 +253,14 @@ class PatternService:
         memory_hard_bytes: int | None = None,
         memory_usage_fn=None,
     ) -> None:
+        if workers < 1:
+            raise ValueError(f"workers must be >= 1: {workers}")
+        # Event.wait(x) returns at once for x <= 0 or NaN: a hot loop.
+        if reload_interval is not None and not 0 < reload_interval < math.inf:
+            raise ValueError(
+                f"reload_interval must be positive and finite: "
+                f"{reload_interval}"
+            )
         self.catalog = catalog
         self.database = database
         self.host = host

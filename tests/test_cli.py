@@ -255,6 +255,15 @@ class TestErrorPaths:
         ["mine-big", "DB", "3", "--max-size", "0"],
         ["mine", "DB", "0.3", "--backend", "sqlite", "--db-path", "x.db",
          "--graph-cache", "0"],
+        # A NaN / infinite timeout used to pass, then burn every attempt.
+        ["mine", "DB", "0.3", "--parallel", "--unit-timeout", "0"],
+        ["mine", "DB", "0.3", "--parallel", "--unit-timeout", "nan"],
+        ["mine", "DB", "0.3", "--parallel", "--unit-timeout", "inf"],
+        # Event.wait(x) returns at once for x <= 0 or NaN: a spinning
+        # reload thread; --workers 0 used to be clamped to 1.
+        ["serve", "CAT", "DB", "--reload-interval", "-1"],
+        ["serve", "CAT", "DB", "--reload-interval", "nan"],
+        ["serve", "CAT", "DB", "--workers", "0"],
     ])
     def test_bad_numeric_argument_is_a_usage_error(
         self, database_file, capsys, argv
@@ -369,7 +378,8 @@ class TestExitCodes:
 #: --trace for a miner that has no units).
 BAD_POLICY_FLAGS = [
     (["--parallel", "--retries", "-1"], "max_retries"),
-    (["--parallel", "--unit-timeout", "0"], "unit_timeout"),
+    (["--workers", "2", "--retries", "1"],
+     "--workers, --retries given without --parallel"),
     (["--parallel", "--workers", "0"], "max_workers"),
     (["--parallel", "--workers", "-3"], "max_workers"),
     (["--workers", "2"], "--workers given without --parallel"),

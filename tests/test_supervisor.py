@@ -2,10 +2,10 @@
 
 One fault schedule — a worker that raises, dies, hangs past the timeout
 or reports an undecodable result, once and then recovers; a worker that
-never recovers — is driven through ``MiningRuntime``, which sits on
-:mod:`repro.runtime.supervisor`.  Every schedule must show the expected
-attempt history, degrade when the budget runs out, and end with the
-exact fault-free answer.
+never recovers — is driven through ``MiningRuntime``, the one process
+supervisor.  Every schedule must show the expected attempt history,
+degrade when the budget runs out, end with the exact fault-free answer,
+and count in the metrics registry exactly what its telemetry records.
 """
 
 from __future__ import annotations
@@ -13,12 +13,13 @@ from __future__ import annotations
 import io
 import multiprocessing
 import os
-import time
+from collections import Counter
 
 import pytest
 
 from repro.core.partminer import resolve_unit_threshold
 from repro.mining.store import dump_patterns
+from repro.obs import metrics as obs_metrics
 from repro.partition.dbpartition import db_partition
 from repro.runtime import (
     MiningRuntime,
@@ -26,9 +27,10 @@ from repro.runtime import (
     RuntimeConfig,
     UnitMiningError,
 )
+from repro.runtime.config import backoff_delay
 
 from .conftest import random_database
-from .test_runtime_faults import faulty_tasks, faulty_worker
+from .test_runtime_faults import faulty_tasks, faulty_worker, skip_wait
 
 SUPPORT = 3
 #: fault -> the outcome its failed attempt is recorded as.
@@ -52,17 +54,15 @@ def database():
 
 
 def supervise(database, mode, fail_attempts, *, only=None,
-              sleep=time.sleep, **policy):
+              sleep=skip_wait, fallback=True, **policy):
     """Run two unit tasks under the fault; normalize what happened.
 
-    ``only`` restricts the fault to that task.  Returns ``(telemetry,
+    ``only`` restricts the fault to that task; ``fallback=False`` leaves
+    the tasks without a serial fallback.  Returns ``(telemetry,
     answer_text, settle_order)``; raises what the runtime raises.
     Whatever happened, no worker process may outlive the call.
     """
-    config = RuntimeConfig(
-        **{"backoff_base": 0.001, "backoff_max": 0.01, "kill_grace": 2.0,
-           "max_workers": 2, **policy}
-    )
+    config = RuntimeConfig(**{"max_workers": 2, **policy})
     order = []
     try:
         units = db_partition(database, 2).units()
@@ -73,6 +73,8 @@ def supervise(database, mode, fail_attempts, *, only=None,
         for task in tasks:
             if only not in (None, task.index):
                 task.payload["fail_attempts"] = 0
+            if not fallback:
+                task.fallback = None
         result = MiningRuntime(config, worker=faulty_worker, sleep=sleep).run(
             tasks, on_unit_complete=lambda index, *_: order.append(index)
         )
@@ -122,34 +124,37 @@ class TestFaultSchedule:
         assert answer == clean
 
     def test_fallback_none_raises_with_telemetry(self, database):
+        """A task without a fallback spends its budget, records the
+        missing fallback as ``fallback-error`` and ends ``failed``."""
         with pytest.raises(UnitMiningError) as excinfo:
             supervise(
-                database, "crash", 99, max_retries=1, fallback="none",
+                database, "crash", 99, max_retries=1, fallback=False,
             )
         err = excinfo.value
         assert err.failed == [0, 1]
         assert err.telemetry.counts() == {"failed": 2}
-        assert all(
-            [a.outcome for a in record.attempts] == ["crash", "crash"]
-            for record in err.telemetry.units
-        )
+        for record in err.telemetry.units:
+            assert [a.outcome for a in record.attempts] == [
+                "crash", "crash", "fallback-error",
+            ]
+            assert "no serial fallback" in record.attempts[-1].error
 
     def test_a_backing_off_task_does_not_hold_the_only_slot(
         self, database, clean
     ):
-        """One slot, task 0 fails into a long backoff: task 1 — ready —
-        runs first, and only then does the slot sleep out task 0's
-        delay (through the injectable wait, so the test does not)."""
+        """One slot, task 0 fails into a backoff: task 1 — ready — runs
+        first, and only then does the slot sleep out what is left of
+        task 0's delay (through the injectable wait)."""
         slept = []
-        started = time.monotonic()
         telemetry, answer, order = supervise(
             database, "error", 1, only=0,
             sleep=slept.append, max_workers=1, max_retries=1,
-            backoff_base=30.0, backoff_max=30.0, backoff_jitter=0.0,
         )
         assert order == [1, 0]
-        assert time.monotonic() - started < 25.0
-        assert slept == [pytest.approx(30.0, abs=5.0)]
+        failed = telemetry.unit(0).attempts[0]
+        assert failed.backoff == backoff_delay(0, unit=0)
+        assert len(slept) <= 1
+        assert all(0 < delay <= failed.backoff for delay in slept)
         assert [a.outcome for a in telemetry.unit(0).attempts] == [
             "error", "ok",
         ]
@@ -157,14 +162,72 @@ class TestFaultSchedule:
         assert answer == clean
 
 
+def runtime_counters():
+    """``(attempts by outcome, units by status)`` in the registry now."""
+    snapshot = obs_metrics.registry().snapshot()
+
+    def counts(name, label):
+        series = snapshot.get(name, {"series": []})["series"]
+        return Counter({s["labels"][label]: s["value"] for s in series})
+
+    return (
+        counts("repro_runtime_attempts_total", "outcome"),
+        counts("repro_runtime_units_total", "status"),
+    )
+
+
+#: (fault, failing attempts, policy): each once-then-recover fault and
+#: the exhausted budget.
+SCHEDULES = [
+    *((fault, 1, {"unit_timeout": 1.0, "max_retries": 2})
+      for fault in sorted(OUTCOMES)),
+    ("crash", 99, {"max_retries": 1}),
+]
+
+
+@pytest.mark.parametrize(
+    "fault, fail_attempts, policy", SCHEDULES,
+    ids=[f"{fault}x{n}" for fault, n, _ in SCHEDULES],
+)
+def test_registry_counts_agree_with_telemetry(
+    database, fault, fail_attempts, policy
+):
+    """Every attempt the telemetry records — the fallback's included —
+    is one tick of ``repro_runtime_attempts_total{outcome}``, and every
+    settled unit one tick of ``repro_runtime_units_total{status}``."""
+    attempts_before, units_before = runtime_counters()
+    telemetry, _, _ = supervise(database, fault, fail_attempts, **policy)
+    attempts_after, units_after = runtime_counters()
+    assert attempts_after - attempts_before == Counter(
+        attempt.outcome
+        for record in telemetry.units for attempt in record.attempts
+    )
+    assert units_after - units_before == Counter(telemetry.counts())
+
+
+def test_default_retry_schedule_is_pinned():
+    """The fixed schedule replays the delays every earlier run slept
+    (``0.05 * 2**n`` less a jitter keyed by unit and attempt)."""
+    expected = {
+        0: [0.043595454352078344, 0.0693426944114461, 0.15455474215828074],
+        1: [0.028581954129356914, 0.062269876676331465, 0.12584342959799183],
+        2: [0.026431441916595244, 0.09464078969468706, 0.19148358474679786],
+        3: [0.04734476984964078, 0.08549694428583801, 0.19493187931588718],
+    }
+    for unit, delays in expected.items():
+        assert [backoff_delay(n, unit=unit) for n in range(3)] == delays
+
+
 def test_telemetry_with_the_retired_shard_fields_still_loads():
     """Telemetry written while sharded mining existed carries
     ``heartbeats`` / ``resumed_units`` / ``mined_units`` on every attempt
-    and a top-level ``coord`` digest; such a file still loads, and
-    everything else it recorded survives."""
+    and a top-level ``coord`` digest, and its ``config`` holds the
+    policy knobs since retired; such a file still loads, and everything
+    else it recorded survives."""
     document = {
         "version": 1,
-        "config": {"max_workers": 2},
+        "config": {"max_workers": 2, "backoff_base": 0.05,
+                   "backoff_jitter": 0.5, "fallback": "serial"},
         "total_wall_time": 0.5,
         "serving": {},
         "trace": {},
@@ -186,7 +249,7 @@ def test_telemetry_with_the_retired_shard_fields_still_loads():
         ],
     }
     telemetry = RunTelemetry.from_dict(document)
-    assert telemetry.config == {"max_workers": 2}
+    assert telemetry.config["max_workers"] == 2
     record = telemetry.unit(0)
     assert (record.status, record.patterns) == ("ok", 3)
     assert [(a.outcome, a.pid, a.worker) for a in record.attempts] == [
