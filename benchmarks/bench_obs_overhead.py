@@ -7,9 +7,8 @@ The same seeded PartMiner workload runs in three modes:
 * ``on``     — switch up but no tracer active, the default production
   state (metric observations land in the registry, ``span()`` hands back
   the null span);
-* ``traced`` — switch up plus an active tracer streaming every span
-  through an :class:`~repro.obs.EventSink` to a JSONL file, i.e.
-  ``repro mine --trace``.
+* ``traced`` — switch up plus an active tracer whose spans are saved
+  to a sealed JSONL file after the run, i.e. ``repro mine --trace``.
 
 All three must mine identical pattern sets — the obs layer may never
 change mined bytes.  Timing is best-of-N (min of ``REPEATS`` runs; the
@@ -27,7 +26,7 @@ import time
 from repro import obs
 from repro.core.partminer import PartMiner
 from repro.datagen.synthetic import generate_dataset
-from repro.obs import EventSink, Tracer
+from repro.obs import Tracer, load_spans
 from repro.obs import trace as obs_trace
 
 from .conftest import RESULTS_DIR, finish, run_once
@@ -81,16 +80,14 @@ def test_obs_overhead(benchmark, tmp_path_factory):
         run_counter = iter(range(REPEATS))
 
         def _traced_setup():
-            path = trace_dir / f"trace_{next(run_counter)}.jsonl"
-            sink = EventSink(path)
-            obs_trace.activate(Tracer(on_record=sink.emit))
-            return sink
+            tracer = Tracer()
+            obs_trace.activate(tracer)
+            return tracer
 
-        def _traced_teardown(sink):
+        def _traced_teardown(tracer):
             obs_trace.activate(None)
-            stats = sink.close()
-            assert stats["written_events"] > 0
-            assert stats["dropped_events"] == 0
+            path = trace_dir / f"trace_{next(run_counter)}.jsonl"
+            assert len(load_spans(tracer.save(path))) == len(tracer) > 0
 
         traced_time, traced_patterns = _timed_mode(
             db, _traced_setup, _traced_teardown

@@ -2,10 +2,10 @@
 """Truncation/bit-flip fuzz over every durable artifact loader.
 
 For each artifact kind the pipeline persists (pattern store, fragment
-index, catalog snapshot and its index, update journal, checkpoint unit), write a good
-copy, then hammer it with byte-level damage — truncation at every cut
-fraction and single-bit flips at seeded positions — and load it.  The
-contract under test (DESIGN.md §10):
+index, catalog snapshot and its index, update journal, checkpoint unit,
+trace), write a good copy, then hammer it with byte-level damage —
+truncation at every cut fraction and single-bit flips at seeded
+positions — and load it.  The contract under test (DESIGN.md §10):
 
 * the loader either returns a result **identical** to the pristine one
   (damage hit redundant bytes, e.g. trailing newline), or raises a typed
@@ -28,8 +28,12 @@ import sys
 import tempfile
 from pathlib import Path
 
+from repro import obs
+from repro.core.partminer import PartMiner
 from repro.mining.gspan import GSpanMiner
 from repro.mining.store import dump_patterns, read_patterns, save_patterns
+from repro.obs import trace as obs_trace
+from repro.runtime.checkpoint import CheckpointStore
 from repro.serve.catalog import PatternCatalog
 from repro.serve.index import FragmentIndex
 from repro.updates.generator import UpdateGenerator
@@ -92,23 +96,32 @@ def build_targets(seed):
             num_vertex_labels=4, num_edge_labels=3, seed=seed
         )
         journal = UpdateJournal()
-        journal.append(generator.generate(db, ufreq, 0.5, 1, "relabel"))
+        for _ in range(3):
+            journal.append(generator.generate(db, ufreq, 0.5, 1, "relabel"))
         path = workdir / "updates.jsonl"
         journal.save(path)
         return path
 
     def load_journal(path):
-        import warnings
-
-        # Torn-tail tolerance is a *replay* convenience; for the fuzz
-        # equality check a truncated tail counts as damage detected, so
-        # run the strict policy here.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            journal = UpdateJournal.read(path, torn_tail="raise")
         buffer = io.StringIO()
-        journal.dump(buffer)
+        UpdateJournal.read(path).dump(buffer)
         return buffer.getvalue()
+
+    def write_checkpoint(workdir):
+        return CheckpointStore(workdir / "run").save(0, patterns)
+
+    def load_checkpoint(path):
+        return pattern_text(CheckpointStore(path.parent.parent).load(0))
+
+    tracer = obs.Tracer()
+    with obs_trace.tracing(tracer):
+        PartMiner(k=2).mine(db, 3)
+
+    def write_trace(workdir):
+        return tracer.save(workdir / "trace.jsonl")
+
+    def load_trace(path):
+        return repr(obs.load_spans(path))
 
     def snapshot_writer(name):
         # Damage one file of a published snapshot: its pattern store or
@@ -130,6 +143,8 @@ def build_targets(seed):
         ("pattern-store", write_store, load_store),
         ("fragment-index", write_index, load_index),
         ("update-journal", write_journal, load_journal),
+        ("checkpoint-unit", write_checkpoint, load_checkpoint),
+        ("trace", write_trace, load_trace),
         ("catalog-snapshot", snapshot_writer("patterns.jsonl"), load_catalog),
         ("catalog-index", snapshot_writer("index.json"), load_catalog),
     ]

@@ -8,7 +8,6 @@ sync with the Failure model table in DESIGN.md §10.
 
 from . import cli  # noqa: F401  "cli.run" site
 from .graph import io  # noqa: F401  "graph.parse" site
-from .obs import sink  # noqa: F401  "obs.sink_write" site
 from .resilience import integrity  # noqa: F401  artifact.read/write sites
 from .runtime import engine  # noqa: F401  runtime.* sites
 from .serve import service  # noqa: F401  serve.* sites

@@ -84,11 +84,26 @@ def _support(text: str) -> float | int:
 
 
 def _positive_int(text: str) -> int:
-    """``-k``, ``--max-size``, ``--graph-cache``, ``serve --workers``:
-    a whole number >= 1."""
+    """``-k``, ``--max-size``, ``--graph-cache``, ``serve --workers``,
+    ``--labels``, ``--communities``, ``update --ops``: a whole number >= 1."""
     if text.isdecimal() and int(text) >= 1:
         return int(text)
     raise argparse.ArgumentTypeError(f"must be a whole number >= 1: {text!r}")
+
+
+def _non_negative_int(text: str) -> int:
+    """``--radius``: a whole number >= 0."""
+    if text.isdecimal():
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be a whole number >= 0: {text!r}")
+
+
+def _fraction(text: str) -> float:
+    """``--fraction``, ``--hot-fraction``: a finite fraction in [0, 1]."""
+    with contextlib.suppress(ValueError):
+        if 0 <= (value := float(text)) <= 1:
+            return value
+    raise argparse.ArgumentTypeError(f"must be a fraction in [0, 1]: {text!r}")
 
 
 def _positive_seconds(text: str) -> float:
@@ -243,28 +258,38 @@ def _storage_database(args: argparse.Namespace):
 
 @contextlib.contextmanager
 def _tracing(path):
-    """Record the block's spans as a JSONL trace at ``path``, if any;
-    the yielded dict gets ``trace_id`` and the sink's stats at exit."""
+    """Record the block's spans and write them to ``path`` at exit, if any.
+
+    The yielded dict gets ``trace_id``, ``path`` and ``spans`` at exit,
+    plus ``error`` when the write failed.  A failed write is reported on
+    stderr and changes neither the exit code nor the mined output, and
+    never masks an exception leaving the block."""
     trace: dict = {}
     if not path:
         yield trace
         return
-    from .obs import EventSink, Tracer
+    from .obs import Tracer
     from .obs import trace as obs_trace
 
-    sink = EventSink(path)
-    tracer = Tracer(on_record=sink.emit)
+    tracer = Tracer()
     obs_trace.activate(tracer)
     try:
         yield trace
     finally:
         obs_trace.activate(None)
-        stats = sink.close()
-        print(
-            f"trace written to {path} ({stats['written_events']} events, "
-            f"{stats['dropped_events']} dropped)"
+        trace.update(
+            trace_id=tracer.trace_id, path=str(path), spans=len(tracer)
         )
-        trace.update(trace_id=tracer.trace_id, **sink.stats())
+        try:
+            tracer.save(path)
+        except Exception as exc:
+            trace["error"] = f"{type(exc).__name__}: {exc}"
+            print(
+                f"repro: trace not written to {path}: {trace['error']}",
+                file=sys.stderr,
+            )
+        else:
+            print(f"trace written to {path} ({trace['spans']} spans)")
 
 
 # ----------------------------------------------------------------------
@@ -708,7 +733,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """Render a trace file written by ``mine`` / ``mine-big --trace``."""
     from .obs import summarize_file
 
-    print(summarize_file(args.file, require=args.require_footer))
+    print(summarize_file(args.file))
     return 0
 
 
@@ -751,7 +776,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--no-obs", action="store_true",
         help="disable the observability subsystem (spans, metric "
-             "observations, event sink, profiling); equivalent to "
+             "observations); equivalent to "
              "setting REPRO_NO_OBS=1",
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -771,10 +796,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="preferential-attachment core size")
     p.add_argument("--edges-per-vertex", type=int, default=2,
                    help="attachment edges per new core vertex")
-    p.add_argument("--labels", type=int, default=8,
+    p.add_argument("--labels", type=_positive_int, default=8,
                    help="background label domain size (planted patterns "
                         "use reserved labels above this)")
-    p.add_argument("--communities", type=int, default=4,
+    p.add_argument("--communities", type=_positive_int, default=4,
                    help="labeled community blocks in the core")
     p.add_argument("--mixing", type=float, default=0.1,
                    help="probability a core vertex labels uniformly "
@@ -852,7 +877,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("support", type=int,
                    help="min support: absolute count (MNI or "
                         "neighborhood count, per --support-mode)")
-    p.add_argument("--radius", type=int, default=1,
+    p.add_argument("--radius", type=_non_negative_int, default=1,
                    help="neighborhood radius r; MNI counts are exact "
                         "for patterns of radius <= r")
     p.add_argument("--support-mode", choices=["mni", "neighborhood"],
@@ -888,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect the r-neighborhood decomposition of a graph",
     )
     p.add_argument("database", help="single-graph .tve file")
-    p.add_argument("--radius", type=int, default=1)
+    p.add_argument("--radius", type=_non_negative_int, default=1)
     p.add_argument("--pivot-labels", default=None,
                    help="comma-separated vertex labels to pivot on")
     p.add_argument("--top", type=int, default=5,
@@ -901,7 +926,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partition", help="split a database into units")
     p.add_argument("database")
     p.add_argument("-k", type=_positive_int, default=2)
-    p.add_argument("--hot-fraction", type=float, default=0.0)
+    p.add_argument("--hot-fraction", type=_fraction, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--output-prefix",
                    help="write each unit to PREFIX<i>.tve")
@@ -911,13 +936,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("update", help="apply a random update batch")
     p.add_argument("database")
     p.add_argument("output")
-    p.add_argument("--fraction", type=float, default=0.2,
+    p.add_argument("--fraction", type=_fraction, default=0.2,
                    help="fraction of graphs to update")
-    p.add_argument("--ops", type=int, default=1, help="updates per graph")
+    p.add_argument("--ops", type=_positive_int, default=1,
+                   help="updates per graph")
     p.add_argument("--kind", choices=list(UPDATE_KINDS), default="mixed")
-    p.add_argument("--labels", type=int, default=20,
+    p.add_argument("--labels", type=_positive_int, default=20,
                    help="label domain size for new labels")
-    p.add_argument("--hot-fraction", type=float, default=0.2)
+    p.add_argument("--hot-fraction", type=_fraction, default=0.2)
     p.add_argument("--seed", type=int, default=0)
     _add_parse_policy(p)
     p.set_defaults(func=cmd_update)
@@ -977,9 +1003,6 @@ def build_parser() -> argparse.ArgumentParser:
         "summarize", help="render a trace file as a phase-time tree"
     )
     p.add_argument("file", help="JSONL trace from `mine`/`mine-big --trace`")
-    p.add_argument("--require-footer", action="store_true",
-                   help="fail (exit 3) unless the integrity footer "
-                        "verifies — rejects truncated traces")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("stats", help="database statistics")

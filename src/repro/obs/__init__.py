@@ -1,4 +1,4 @@
-"""Unified observability: tracing spans, metrics, async event export.
+"""Unified observability: tracing spans, metrics, one sealed trace file.
 
 The repo's four layers each grew a private telemetry dialect —
 ``RunTelemetry`` JSON, process-global ``PerfCounters``, serve-engine work
@@ -7,13 +7,12 @@ of them (DESIGN.md §11):
 
 * :mod:`repro.obs.trace` — hierarchical spans over the whole pipeline,
   contextvar-propagated, with an explicit handoff into runtime worker
-  processes;
+  processes; the :class:`Tracer` keeps a run's spans and writes them
+  once, at the end, as an integrity-sealed JSONL file
+  (:meth:`Tracer.save` / :func:`load_spans`);
 * :mod:`repro.obs.metrics` — a thread-safe registry of labeled
   counters / gauges / histograms, exportable as a JSON snapshot or
   Prometheus text (``PatternService /metrics``);
-* :mod:`repro.obs.sink` — a fapilog-style non-blocking bounded-queue
-  JSONL writer with an explicit drop counter and an integrity-framed
-  output file;
 * :mod:`repro.obs.summarize` — the ``repro trace summarize`` renderer;
 * :mod:`repro.obs.switch` — the ``REPRO_NO_OBS`` / ``--no-obs`` kill
   switch that turns every hook above into a near-free no-op.
@@ -31,7 +30,6 @@ from .metrics import (  # noqa: F401
     MetricsRegistry,
     registry,
 )
-from .sink import EventSink, load_events  # noqa: F401
 from .summarize import summarize_file, summarize_spans  # noqa: F401
 from .switch import disabled, enabled, set_enabled  # noqa: F401
 from .trace import (  # noqa: F401
@@ -42,6 +40,7 @@ from .trace import (  # noqa: F401
     begin_in_child,
     collect_child_spans,
     current_handoff,
+    load_spans,
     span,
     traced,
     tracing,

@@ -1,9 +1,9 @@
 """Render a trace file as a human-readable phase-time tree.
 
-Backs ``repro trace summarize <file>``: loads the JSONL events written
-by :mod:`repro.obs.sink`, rebuilds the span tree, and prints each span
-with its duration, share of the root's wall-clock, status and the
-attributes worth a glance::
+Backs ``repro trace summarize <file>``: loads a trace written by
+:meth:`~repro.obs.trace.Tracer.save`, rebuilds the span tree, and prints
+each span with its duration, share of the root's wall-clock, status and
+the attributes worth a glance::
 
     partminer.mine                     412.3ms 100.0%  units=4 patterns=17
       partminer.partition                3.1ms   0.8%  parts=4
@@ -12,18 +12,16 @@ attributes worth a glance::
       ...
       merge.level [level=2]             55.0ms  13.3%
 
-Orphans (spans whose parent never made it into the file — e.g. spans a
-crashed worker managed to ship before dying mid-run) are grouped under
-an ``(orphans)`` heading rather than hidden, because a truncated trace
-should *look* truncated.
+Orphans (spans whose parent never made it into the file) are grouped
+under an ``(orphans)`` heading rather than hidden, because an incomplete
+trace should *look* incomplete.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
 
-from .sink import load_events
-from .trace import TRACE_EVENT
+from .trace import load_spans
 
 #: Attribute keys promoted into the tree line's ``[...]`` tag.
 _TAG_KEYS = ("unit", "attempt", "level", "round", "kind", "site")
@@ -121,16 +119,6 @@ def summarize_spans(spans: list[dict]) -> str:
     return "\n".join(lines)
 
 
-def summarize_file(path: str | Path, *, require: bool = False) -> str:
-    """Load a sink file and render its span tree plus sink stats."""
-    events = load_events(path, require=require)
-    spans = [e for e in events if e.get("event") == TRACE_EVENT]
-    other = [e for e in events if e.get("event") != TRACE_EVENT]
-    out = [summarize_spans(spans)]
-    for event in other:
-        if event.get("event") == "sink_stats":
-            out.append(
-                f"sink: {event.get('written_events', '?')} written, "
-                f"{event.get('dropped_events', '?')} dropped"
-            )
-    return "\n".join(out)
+def summarize_file(path: str | Path) -> str:
+    """Load a sealed trace file and render its span tree."""
+    return summarize_spans(load_spans(path))

@@ -1,8 +1,7 @@
 """The observability kill switch.
 
 One process-wide boolean gates every hook the observability subsystem
-plants in the pipeline — spans, metric observations, sink emission,
-profiling.  It lives in its own tiny module so the hot modules
+plants in the pipeline — spans and metric observations.  It lives in its own tiny module so the hot modules
 (:mod:`repro.obs.metrics`, :mod:`repro.obs.trace`) and the package
 ``__init__`` can all import it without cycles.
 

@@ -37,12 +37,16 @@ from __future__ import annotations
 
 import contextvars
 import functools
+import json
 import os
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Iterable
+from pathlib import Path
+from typing import Iterable
 
+from ..resilience import integrity
+from ..resilience.errors import ArtifactCorrupt
 from . import switch
 
 TRACE_EVENT = "span"  #: the ``event`` field of a span JSONL record
@@ -148,28 +152,20 @@ NULL_SPAN = _NullSpan()
 class Tracer:
     """Collects the finished spans of one trace.  Thread-safe.
 
-    ``on_record`` (usually ``EventSink.emit``) is called with each
-    finished span's dict — never from under the lock, so a slow or
-    faulty sink cannot stall recording.
+    The span list *is* the trace: :meth:`save` writes it once, at the
+    end of the run, as a sealed artifact (:func:`load_spans` reads it).
     """
 
-    def __init__(
-        self,
-        trace_id: str | None = None,
-        on_record: Callable[[dict], None] | None = None,
-    ) -> None:
+    def __init__(self, trace_id: str | None = None) -> None:
         self.trace_id = trace_id or _new_id()
         self._spans: list[dict] = []
         self._lock = threading.Lock()
-        self._on_record = on_record
 
     def record(self, span: Span) -> None:
         span.end()
         data = span.to_dict()
         with self._lock:
             self._spans.append(data)
-        if self._on_record is not None:
-            self._on_record(data)
 
     def adopt(self, spans: Iterable[dict]) -> None:
         """Merge span dicts collected in a worker process into this trace."""
@@ -178,9 +174,6 @@ class Tracer:
             data["trace_id"] = self.trace_id
         with self._lock:
             self._spans.extend(adopted)
-        if self._on_record is not None:
-            for data in adopted:
-                self._on_record(data)
 
     def spans(self) -> list[dict]:
         with self._lock:
@@ -189,6 +182,38 @@ class Tracer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._spans)
+
+    def save(self, path: str | Path) -> Path:
+        """Write the spans to ``path`` as JSON lines (creating its parent)
+        through ``integrity.write_checked`` like every other artifact:
+        atomic, fsynced and sealed, so a trace on disk is whole or absent."""
+        Path(path).parent.mkdir(parents=True, exist_ok=True)
+        dump = functools.partial(json.dumps, sort_keys=True, default=str)
+        text = "\n".join(map(dump, self.spans()))
+        return integrity.write_checked(path, text)
+
+
+def load_spans(path: str | Path) -> list[dict]:
+    """The span records of a trace written by :meth:`Tracer.save`.
+
+    The footer is required: a truncated or damaged trace raises
+    :class:`~repro.resilience.errors.ArtifactCorrupt` and is quarantined.
+    Records that are not spans are skipped.
+    """
+    text = integrity.read_checked(path, require=True)
+    spans = []
+    for number, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError:
+            raise ArtifactCorrupt(
+                f"{path}: unparseable record at line {number}", path=path
+            ) from None
+        if isinstance(record, dict) and record.get("event") == TRACE_EVENT:
+            spans.append(record)
+    return spans
 
 
 # ----------------------------------------------------------------------

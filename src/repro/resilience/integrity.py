@@ -66,7 +66,7 @@ def unframe(
     that keeps legacy artifacts loadable while letting callers that
     *know* they wrote a footer insist on one (a missing footer then
     means truncation).  Raises :class:`ArtifactCorrupt` on a digest or
-    length mismatch.
+    length mismatch, or a footer line that is cut short.
     """
     lines = text.splitlines(keepends=True)
     footer_at = None
@@ -92,6 +92,12 @@ def unframe(
     payload_bytes = payload.encode("utf-8")
     expected = fields.get("sha256")
     claimed_len = fields.get("bytes")
+    if not lines[footer_at].endswith("\n") or claimed_len is None:
+        raise ArtifactCorrupt(
+            f"{path or 'artifact'}: integrity footer cut short "
+            "(file truncated?)",
+            path=path,
+        )
     if trailer:
         raise ArtifactCorrupt(
             f"{path or 'artifact'}: {len(trailer)} bytes after the "

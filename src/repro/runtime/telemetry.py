@@ -88,8 +88,9 @@ class RunTelemetry:
 
     ``trace`` is a *pointer* into the observability subsystem, not a
     replacement by it: when the run was traced it holds the trace id,
-    the trace-file path and the sink's written/dropped counts (see
-    :mod:`repro.obs`); empty for untraced runs.
+    the trace-file path and the span count, plus ``error`` if the file
+    could not be written (see :mod:`repro.obs`); empty for untraced
+    runs.
     """
 
     units: list[UnitRecord] = field(default_factory=list)

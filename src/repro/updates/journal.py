@@ -8,12 +8,15 @@ so that experiments are replayable.  One JSON object per line::
     {"kind": "header", "version": 1, ...meta}
     {"kind": "batch", "index": 0, "updates": [ {"op": "relabel_vertex",
         "gid": 3, "vertex": 1, "new_label": 7}, ... ]}
+
+:meth:`UpdateJournal.save` writes the journal whole, atomically, with the
+integrity footer, so any damage — a cut, a flipped bit, a malformed
+record — raises on load rather than yielding a shorter journal.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -25,10 +28,6 @@ JOURNAL_VERSION = 1
 SITE_REPLAY = faults.register_site(
     "journal.replay", "applying journaled update batches to a database"
 )
-
-
-class TornJournalWarning(UserWarning):
-    """A journal ended mid-record; the torn tail was dropped on load."""
 
 _OP_NAMES = {
     RelabelVertex: "relabel_vertex",
@@ -45,18 +44,17 @@ def _encode(update: Update) -> dict:
     return record
 
 
-def _decode(record: dict) -> Update:
-    op = record.get("op")
-    fields = {k: v for k, v in record.items() if k != "op"}
-    if op == "relabel_vertex":
-        return RelabelVertex(**fields)
-    if op == "relabel_edge":
-        return RelabelEdge(**fields)
-    if op == "add_edge":
-        return AddEdge(**fields)
-    if op == "add_vertex":
-        return AddVertex(**fields)
-    raise ValueError(f"unknown update op {op!r}")
+_OPS = {name: op for op, name in _OP_NAMES.items()}
+
+
+def _decode(record) -> Update:
+    op = _OPS.get(record.get("op")) if isinstance(record, dict) else None
+    if op is None:
+        raise ValueError(f"unknown update op in {record!r}")
+    try:
+        return op(**{k: v for k, v in record.items() if k != "op"})
+    except TypeError as exc:
+        raise ValueError(f"malformed update {record!r}: {exc}") from None
 
 
 class UpdateJournal:
@@ -97,30 +95,21 @@ class UpdateJournal:
             )
 
     @classmethod
-    def load(
-        cls, lines: Iterator[str] | IO[str], *, torn_tail: str = "truncate"
-    ) -> "UpdateJournal":
-        """Parse a journal written by :meth:`dump` (validates structure).
+    def load(cls, lines: Iterator[str] | IO[str]) -> "UpdateJournal":
+        """Parse a journal written by :meth:`dump`.
 
-        An append-only journal's one legitimate failure mode is a crash
-        mid-append: the *final* record is torn (unparseable JSON).  With
-        ``torn_tail="truncate"`` (the default) that tail is dropped with
-        a :class:`TornJournalWarning` — replay resumes from the last
-        complete batch, exactly the state the crashed writer had durably
-        reached.  ``torn_tail="raise"`` restores the strict behaviour.
-        Corruption anywhere *before* the final record is never
-        tolerated: that is bit rot, not a torn append, and raises.
+        Any malformed record — unparseable JSON, a wrong kind, an
+        out-of-order batch, an unknown or ill-formed update — raises
+        :class:`ValueError`; nothing is skipped.
         """
-        if torn_tail not in ("truncate", "raise"):
-            raise ValueError(f"torn_tail must be truncate|raise: {torn_tail}")
         content = [line for line in lines if line.strip()]
         if not content:
             raise ValueError("empty journal (missing header)")
         try:
             header = json.loads(content[0])
         except json.JSONDecodeError:
-            raise ValueError("not a journal (first line is no header)") from None
-        if header.get("kind") != "header":
+            header = None
+        if not isinstance(header, dict) or header.get("kind") != "header":
             raise ValueError("not a journal (first line is no header)")
         if header.get("version") != JOURNAL_VERSION:
             raise ValueError(
@@ -133,55 +122,46 @@ class UpdateJournal:
                 if k not in ("kind", "version")
             }
         )
-        last = len(content) - 1
         for position, line in enumerate(content[1:], start=1):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                if torn_tail == "truncate" and position == last:
-                    warnings.warn(
-                        f"journal ends in a torn record "
-                        f"({len(line)} bytes dropped): {exc}",
-                        TornJournalWarning,
-                        stacklevel=2,
-                    )
-                    break
                 raise ValueError(
                     f"corrupt journal record at line {position + 1}: {exc}"
                 ) from None
-            if record.get("kind") != "batch":
+            if not isinstance(record, dict) or record.get("kind") != "batch":
                 raise ValueError(
-                    f"unexpected record kind {record.get('kind')!r}"
+                    f"unexpected record at line {position + 1}: {line[:40]!r}"
                 )
             if record.get("index") != len(journal.batches):
                 raise ValueError(
                     f"batch index {record.get('index')} out of order "
                     f"(expected {len(journal.batches)})"
                 )
-            journal.batches.append(
-                [_decode(r) for r in record.get("updates", [])]
-            )
+            updates = record.get("updates", [])
+            if not isinstance(updates, list):
+                raise ValueError(f"batch {record['index']}: updates no list")
+            journal.batches.append([_decode(r) for r in updates])
         return journal
 
-    def save(self, path: str | Path, *, atomic: bool = True) -> None:
-        """Write the journal to ``path`` (atomic + checksummed by default)."""
+    def save(self, path: str | Path) -> None:
+        """Write the journal to ``path``: atomic, fsynced, footer-sealed."""
         import io as _io
 
         buffer = _io.StringIO()
         self.dump(buffer)
-        if atomic:
-            integrity.write_checked(path, buffer.getvalue())
-        else:
-            with open(path, "w", encoding="utf-8") as out:
-                out.write(buffer.getvalue())
+        integrity.write_checked(path, buffer.getvalue())
 
     @classmethod
-    def read(
-        cls, path: str | Path, *, torn_tail: str = "truncate"
-    ) -> "UpdateJournal":
-        """Read (and integrity-verify) a journal from ``path``."""
-        text = integrity.read_checked(path)
-        return cls.load(iter(text.splitlines()), torn_tail=torn_tail)
+    def read(cls, path: str | Path) -> "UpdateJournal":
+        """Read a journal :meth:`save` wrote; the footer is required.
+
+        A missing or mismatched footer raises
+        :class:`~repro.resilience.errors.ArtifactCorrupt` (the file is
+        quarantined); a bad record raises :class:`ValueError`.
+        """
+        text = integrity.read_checked(path, require=True)
+        return cls.load(iter(text.splitlines()))
 
 
 def replay(journal: UpdateJournal, database) -> dict[int, set[int]]:

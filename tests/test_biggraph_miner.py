@@ -212,7 +212,7 @@ class TestBigGraphCLI:
             "--trace", str(trace),
         ]) == 0
         assert main([
-            "trace", "summarize", str(trace), "--require-footer",
+            "trace", "summarize", str(trace),
         ]) == 0
         text = capsys.readouterr().out
         assert text.count("biggraph.grow") == 3

@@ -32,8 +32,6 @@ from repro.mining.gspan import GSpanMiner
 from repro.mining.store import dump_patterns, read_patterns, save_patterns
 from repro.partition.dbpartition import db_partition
 from repro.core.partminer import PartMiner, resolve_unit_threshold
-from repro.obs import EventSink, Tracer, load_events
-from repro.obs import trace as obs_trace
 from repro.resilience import faults
 from repro.resilience.errors import (
     ArtifactCorrupt,
@@ -282,35 +280,6 @@ def scenario_serve_reload(tmp_path, plan):
         assert after == baseline
 
 
-def scenario_obs_sink_write(tmp_path, plan):
-    db = random_database(seed=3900 + SEED, num_graphs=8, n=5, extra_edges=1)
-    baseline = pattern_text(PartMiner(k=2).mine(db, 3).patterns)
-
-    path = tmp_path / "trace.jsonl"
-    sink = EventSink(path, batch=1)  # batch=1: every span is a write
-    tracer = Tracer(on_record=sink.emit)
-    with plan.active():
-        # The flusher appends while the plan is armed; whatever happens
-        # to the trace file, the mining call must not notice.
-        with obs_trace.tracing(tracer):
-            result = PartMiner(k=2).mine(db, 3)
-        stats = sink.close()
-    assert pattern_text(result.patterns) == baseline
-    if stats["broken"] is not None:
-        # Write failure: the sink latched broken and dropped the rest —
-        # it never re-raised into the miner.
-        assert stats["dropped_events"] > 0
-    else:
-        # The write "succeeded" but bytes may be mangled in flight: the
-        # strict reader returns real spans or detects the damage.
-        try:
-            events = load_events(path, require=True)
-        except ArtifactCorrupt as exc:
-            assert exit_code_for(exc) == 3
-        else:
-            assert any(e.get("event") == "span" for e in events)
-
-
 def scenario_obs_metrics_scrape(tmp_path, plan):
     catalog, db = _published(tmp_path)
     with PatternService(catalog, db) as service:
@@ -404,7 +373,6 @@ SCENARIOS = {
     "cli.run": scenario_cli_run,
     "serve.request": scenario_serve_request,
     "serve.reload": scenario_serve_reload,
-    "obs.sink_write": scenario_obs_sink_write,
     "obs.metrics_scrape": scenario_obs_metrics_scrape,
     "storage.write": scenario_storage_write,
     "storage.read": scenario_storage_read,
@@ -415,7 +383,6 @@ SCENARIOS = {
 BYTE_SITES = {
     "artifact.write",
     "artifact.read",
-    "obs.sink_write",
     "storage.write",
     "storage.read",
 }
@@ -454,3 +421,38 @@ def test_injected_os_errors(tmp_path):
         plan.inject(site, OSError(5, "Input/output error"), times=1)
         SCENARIOS[site](tmp_path, plan)
         assert plan.fired
+
+
+@pytest.mark.parametrize("fault", ["exception", "flip", "truncate"])
+def test_trace_write_fault_never_changes_the_mine(fault, tmp_path, capsys):
+    """``mine --trace`` writes its trace through ``artifact.write`` after
+    mining: a fault there leaves the exit code and the dump untouched,
+    and a trace damaged on the way to disk summarizes to exit 3."""
+    from repro.cli import main
+
+    db = random_database(seed=3900 + SEED, num_graphs=8, n=5, extra_edges=1)
+    path = tmp_path / "db.tve"
+    graph_io.write_database(db, path)
+    argv = ["mine", str(path), "3", "-k", "2"]
+    assert main(argv + ["--output", str(tmp_path / "base.jsonl")]) == 0
+
+    trace = tmp_path / "trace.jsonl"
+    plan = FaultPlan(seed=SEED)
+    if fault == "exception":
+        plan.inject("artifact.write", times=1)
+    else:
+        plan.inject("artifact.write", corrupt=fault, times=1)
+    with plan.active():
+        code = main(argv + ["--trace", str(trace),
+                            "--output", str(tmp_path / "got.jsonl")])
+    assert code == 0
+    (fired,) = plan.fired
+    assert fired.context["path"] == str(trace)
+    assert (tmp_path / "got.jsonl").read_bytes() == (
+        tmp_path / "base.jsonl"
+    ).read_bytes()
+    if fault == "exception":
+        assert not trace.exists()
+        assert "repro: trace not written" in capsys.readouterr().err
+    else:
+        assert main(["trace", "summarize", str(trace)]) == 3

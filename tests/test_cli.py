@@ -264,6 +264,20 @@ class TestErrorPaths:
         ["serve", "CAT", "DB", "--reload-interval", "-1"],
         ["serve", "CAT", "DB", "--reload-interval", "nan"],
         ["serve", "CAT", "DB", "--workers", "0"],
+        # These used to end in a traceback (or, for --ops, a no-op run
+        # that reported success).
+        ["update", "DB", "OUT", "--fraction", "2"],
+        ["update", "DB", "OUT", "--fraction", "-1"],
+        ["update", "DB", "OUT", "--fraction", "nan"],
+        ["update", "DB", "OUT", "--hot-fraction", "5"],
+        ["update", "DB", "OUT", "--labels", "0"],
+        ["update", "DB", "OUT", "--ops", "0"],
+        ["update", "DB", "OUT", "--ops", "-3"],
+        ["partition", "DB", "--hot-fraction", "3"],
+        ["mine-big", "DB", "3", "--radius", "-1"],
+        ["neighborhoods", "DB", "--radius", "-1"],
+        ["generate-big", "OUT", "--labels", "0"],
+        ["generate-big", "OUT", "--communities", "0"],
     ])
     def test_bad_numeric_argument_is_a_usage_error(
         self, database_file, capsys, argv

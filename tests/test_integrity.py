@@ -45,6 +45,12 @@ class TestFraming:
         with pytest.raises(ArtifactCorrupt, match="bytes"):
             integrity.unframe(tampered)
 
+    def test_every_cut_inside_the_footer_detected(self):
+        framed = integrity.frame("payload\n")
+        for cut in range(len("payload\n"), len(framed)):
+            with pytest.raises(ArtifactCorrupt):
+                integrity.unframe(framed[:cut], require=True)
+
     def test_bytes_after_footer_detected(self):
         framed = integrity.frame("payload\n") + "stray appended junk\n"
         with pytest.raises(ArtifactCorrupt, match="after the"):

@@ -5,7 +5,8 @@ import io
 import pytest
 
 from repro.updates.generator import UpdateGenerator
-from repro.updates.journal import TornJournalWarning, UpdateJournal, replay
+from repro.resilience.errors import ArtifactCorrupt
+from repro.updates.journal import UpdateJournal, replay
 from repro.updates.model import (
     AddEdge,
     AddVertex,
@@ -136,7 +137,8 @@ class TestValidation:
 
 
 class TestTornTail:
-    """A crash mid-append tears the final record; replay must survive it."""
+    """Nothing appends to a journal file, so a torn record is damage:
+    every cut, anywhere, raises rather than loading a shorter journal."""
 
     def _journal_lines(self):
         journal = UpdateJournal(meta={"dataset": "demo"})
@@ -146,19 +148,11 @@ class TestTornTail:
         journal.dump(buffer)
         return buffer.getvalue().splitlines()
 
-    def test_torn_final_record_truncated_with_warning(self):
+    def test_torn_final_record_raises(self):
         lines = self._journal_lines()
-        lines[-1] = lines[-1][: len(lines[-1]) // 2]  # torn mid-write
-        with pytest.warns(TornJournalWarning, match="torn record"):
-            back = UpdateJournal.load(iter(lines))
-        assert back.batches == sample_batches()[:-1]
-        assert back.meta == {"dataset": "demo"}
-
-    def test_torn_tail_raise_policy(self):
-        lines = self._journal_lines()
-        lines[-1] = lines[-1][:10]
+        lines[-1] = lines[-1][: len(lines[-1]) // 2]
         with pytest.raises(ValueError, match="corrupt journal record"):
-            UpdateJournal.load(iter(lines), torn_tail="raise")
+            UpdateJournal.load(iter(lines))
 
     def test_mid_file_corruption_always_raises(self):
         lines = self._journal_lines()
@@ -166,32 +160,37 @@ class TestTornTail:
         with pytest.raises(ValueError, match="corrupt journal record"):
             UpdateJournal.load(iter(lines))
 
-    def test_bad_policy_rejected(self):
-        with pytest.raises(ValueError, match="torn_tail"):
-            UpdateJournal.load(iter([]), torn_tail="maybe")
+    @pytest.mark.parametrize("record", [
+        '[1, 2]',
+        '{"kind": "batch", "index": 0, "updates": {"op": "add_edge"}}',
+        '{"kind": "batch", "index": 0, "updates": [7]}',
+        '{"kind": "batch", "index": 0, '
+        '"updates": [{"op": "add_edge", "gid": 0}]}',
+    ])
+    def test_malformed_record_raises(self, record):
+        with pytest.raises(ValueError):
+            UpdateJournal.load(iter(['{"kind": "header", "version": 1}',
+                                     record]))
 
-    def test_torn_tail_on_disk_roundtrip(self, tmp_path):
-        journal = UpdateJournal()
-        for batch in sample_batches():
-            journal.append(batch)
+    def test_every_truncation_of_a_saved_journal_raises(self, tmp_path):
+        db = random_database(seed=1203, num_graphs=6)
+        ufreq = hot_vertex_assignment(db, 0.3, seed=7)
+        generator = UpdateGenerator(5, 5, seed=8)
+        journal = UpdateJournal(meta={"dataset": "demo"})
+        for _ in range(3):
+            journal.append(generator.generate(db, ufreq, 0.5, 2, "mixed"))
         path = tmp_path / "updates.jsonl"
-        journal.save(path, atomic=False)  # no checksum footer: raw lines
-        raw = path.read_text().splitlines()
-        path.write_text("\n".join(raw[:-1] + [raw[-1][:12]]) + "\n")
-        with pytest.warns(TornJournalWarning):
-            back = UpdateJournal.read(path)
-        assert back.batches == sample_batches()[:-1]
+        journal.save(path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises((ArtifactCorrupt, ValueError)):
+                UpdateJournal.read(path)
+        path.write_bytes(data)
+        assert UpdateJournal.read(path).batches == journal.batches
 
-    def test_replay_after_truncation_applies_complete_batches(self):
-        lines = self._journal_lines()
-        lines[-1] = lines[-1][: len(lines[-1]) // 2]
-        with pytest.warns(TornJournalWarning):
-            back = UpdateJournal.load(iter(lines))
-        from repro.graph.database import GraphDatabase
-
-        from .conftest import path_graph
-
-        db = GraphDatabase([(0, path_graph(5)), (1, path_graph(5))])
-        touched = replay(back, db)
-        assert touched  # the surviving batch really was applied
-        assert db[0].has_edge(0, 3)
+    def test_footerless_journal_file_is_rejected(self, tmp_path):
+        path = tmp_path / "updates.jsonl"
+        path.write_text("\n".join(self._journal_lines()) + "\n")
+        with pytest.raises(ArtifactCorrupt, match="footer missing"):
+            UpdateJournal.read(path)

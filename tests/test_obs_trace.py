@@ -1,22 +1,34 @@
-"""Tests for tracing spans (repro.obs.trace) and the summarizer.
+"""Tests for tracing spans (repro.obs.trace), the trace file and the
+summarizer.
 
 The centerpiece is span-tree well-formedness under the parallel runtime:
 a traced ``PartMiner`` run with worker processes must produce a single
 tree — one root, zero orphans — whose unit/attempt/worker spans line up
 with the telemetry, even when workers are killed by fault injection.
+The trace file is the tracer's span list, written once and sealed: it
+loads back exactly, or raises.
 """
 
 from __future__ import annotations
 
+import json
+import threading
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs, perf
+from repro.cli import main
 from repro.core.partminer import PartMiner
-from repro.obs import summarize_spans
+from repro.graph import io as graph_io
+from repro.obs import load_spans, summarize_spans
 from repro.obs import trace as obs_trace
 from repro.obs.summarize import build_tree
 from repro.obs.trace import NULL_SPAN, Span, Tracer
-from repro.resilience.faults import FaultPlan
+from repro.resilience import integrity
+from repro.resilience.errors import ArtifactCorrupt
+from repro.resilience.faults import FaultPlan, InjectedFault
 from repro.runtime import RuntimeConfig
 
 from .conftest import random_database
@@ -157,6 +169,129 @@ class TestHandoff:
         tracer.adopt([{"name": "s", "trace_id": "theirs", "span_id": "1"}])
         (data,) = tracer.spans()
         assert data["trace_id"] == "mine"
+
+
+# ----------------------------------------------------------------------
+# The trace file: Tracer.save / load_spans
+# ----------------------------------------------------------------------
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**31), max_value=2**31)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=20),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=8,
+)
+
+
+def traced_spans(count):
+    tracer = Tracer()
+    with obs_trace.tracing(tracer):
+        with obs.span("root"):
+            for i in range(count):
+                with obs.span("step", i=i):
+                    pass
+    return tracer
+
+
+class TestSaveLoad:
+    def test_spans_round_trip_with_footer(self, tmp_path):
+        tracer = traced_spans(5)
+        path = tracer.save(tmp_path / "deep" / "trace.jsonl")
+        assert integrity.FOOTER_PREFIX in path.read_text()
+        assert load_spans(path) == tracer.spans()
+        # The write is atomic: no temp file is left next to the trace.
+        assert [p.name for p in path.parent.iterdir()] == ["trace.jsonl"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(values=st.lists(JSON_VALUES, max_size=10))
+    def test_arbitrary_json_attrs_round_trip(self, values, tmp_path_factory):
+        """Property: any JSON-representable attribute survives the file."""
+        # tmp_path_factory, not tmp_path: hypothesis reuses the fixture
+        # across generated examples and each needs a fresh file.
+        path = tmp_path_factory.mktemp("trace_prop") / "prop.jsonl"
+        tracer = Tracer()
+        with obs_trace.tracing(tracer):
+            for value in values:
+                with obs.span("s", payload=value):
+                    pass
+        tracer.save(path)
+        assert load_spans(path) == tracer.spans()
+
+    def test_concurrent_recording_loses_no_span(self, tmp_path):
+        tracer = Tracer()
+        threads, per_thread = 8, 200
+        barrier = threading.Barrier(threads)
+
+        def worker(tid):
+            barrier.wait(timeout=30)
+            for i in range(per_thread):
+                with obs.span("w", tid=tid, i=i):
+                    pass
+
+        with obs_trace.tracing(tracer):
+            pool = [
+                threading.Thread(target=worker, args=(t,))
+                for t in range(threads)
+            ]
+            for thread in pool:
+                thread.start()
+            for thread in pool:
+                thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in pool)
+        spans = load_spans(tracer.save(tmp_path / "hammer.jsonl"))
+        assert len(spans) == threads * per_thread
+        by_tid: dict[int, list[int]] = {}
+        for span in spans:
+            by_tid.setdefault(span["attrs"]["tid"], []).append(
+                span["attrs"]["i"]
+            )
+        assert all(seq == list(range(per_thread)) for seq in by_tid.values())
+
+    def test_write_fault_leaves_no_trace_file(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        plan = FaultPlan(seed=0)
+        plan.inject("artifact.write", times=1)
+        with plan.active(), pytest.raises(InjectedFault):
+            traced_spans(2).save(path)
+        assert plan.fired
+        assert list(tmp_path.iterdir()) == []
+
+    def test_injected_corruption_is_detected_at_read_time(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        plan = FaultPlan(seed=1)
+        plan.inject("artifact.write", corrupt="flip", times=1)
+        with plan.active():
+            traced_spans(4).save(path)
+        assert any(f.kind == "corrupt" for f in plan.fired)
+        with pytest.raises(ArtifactCorrupt) as excinfo:
+            load_spans(path)
+        assert excinfo.value.quarantined.exists()
+
+    def test_truncated_trace_is_rejected(self, tmp_path):
+        path = tmp_path / "torn.jsonl"
+        path.write_text(
+            json.dumps({"event": "span"}) + "\n" + '{"i": 1, "trunc',
+            encoding="utf-8",
+        )
+        with pytest.raises(ArtifactCorrupt, match="footer missing"):
+            load_spans(path)
+        assert not path.exists()  # quarantined
+
+    def test_event_sink_trace_still_loads(self, tmp_path):
+        """A trace sealed by the former streaming writer: span lines, a
+        ``sink_stats`` line, then the same footer."""
+        tracer = traced_spans(3)
+        stats = {"event": "sink_stats", "written_events": 5,
+                 "dropped_events": 0, "time": 0.0}
+        lines = [*tracer.spans(), stats]
+        path = tmp_path / "old.jsonl"
+        path.write_text(integrity.frame("".join(
+            json.dumps(line, sort_keys=True) + "\n" for line in lines
+        )))
+        assert load_spans(path) == tracer.spans()
 
 
 # ----------------------------------------------------------------------
@@ -326,3 +461,53 @@ class TestSummarize:
         text = summarize_spans(spans)
         assert "(orphans)" in text
         assert "1 orphan(s)" in text
+
+
+# ----------------------------------------------------------------------
+# The CLI: mine --trace, trace summarize
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def db_file(tmp_path):
+    path = tmp_path / "db.tve"
+    graph_io.write_database(
+        random_database(seed=4700, num_graphs=8, n=5, extra_edges=1), path
+    )
+    return path
+
+
+class TestTraceCLI:
+    @pytest.mark.parametrize("flags", [[], ["--parallel", "--workers", "2"]])
+    def test_mine_trace_summarizes_to_one_tree(
+        self, db_file, tmp_path, capsys, flags
+    ):
+        trace, telemetry = tmp_path / "t.jsonl", tmp_path / "tel.json"
+        extra = ["--telemetry", str(telemetry)] if flags else []
+        assert main(["mine", str(db_file), "3", "-k", "2", "--trace",
+                     str(trace), *flags, *extra]) == 0
+        spans = load_spans(trace)
+        assert f"trace written to {trace} ({len(spans)} spans)" in (
+            capsys.readouterr().out
+        )
+        assert main(["trace", "summarize", str(trace)]) == 0
+        text = capsys.readouterr().out
+        assert "1 root(s), 0 orphan(s)" in text
+        assert text.count("unit.mine") == 2
+        if flags:
+            pointer = json.loads(telemetry.read_text())["trace"]
+            assert pointer == {
+                "trace_id": spans[0]["trace_id"],
+                "path": str(trace),
+                "spans": len(spans),
+            }
+            assert "unit.worker" in text
+
+    def test_damaged_trace_exits_3_and_is_quarantined(
+        self, db_file, tmp_path, capsys
+    ):
+        trace = tmp_path / "t.jsonl"
+        assert main(["mine", str(db_file), "3", "--trace", str(trace)]) == 0
+        trace.write_bytes(trace.read_bytes()[:-5])
+        assert main(["trace", "summarize", str(trace)]) == 3
+        assert "corrupt artifact" in capsys.readouterr().err
+        assert not trace.exists()
+        assert (tmp_path / "t.jsonl.corrupt" / "t.jsonl").exists()
