@@ -10,7 +10,7 @@ test:            ## full test suite
 quicktest:       ## tests minus the example subprocess smoke tests
 	$(PY) -m pytest tests/ --ignore=tests/test_examples.py
 
-bench:           ## the micro benches (support counting, storage, serving, obs)
+bench:           ## the micro benches (support counting, storage, serving)
 	$(PY) -m pytest benchmarks/ --benchmark-only --ignore=benchmarks/ladder
 
 figures:         ## every paper figure + ablations: results/*.json + .svg, EXPERIMENTS.md

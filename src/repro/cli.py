@@ -85,25 +85,46 @@ def _support(text: str) -> float | int:
 
 def _positive_int(text: str) -> int:
     """``-k``, ``--max-size``, ``--graph-cache``, ``serve --workers``,
-    ``--labels``, ``--communities``, ``update --ops``: a whole number >= 1."""
+    ``--labels``, ``--communities``, ``--edges-per-vertex``,
+    ``--planted-size``, ``update --ops``, ``mine-big``'s support: a whole
+    number >= 1."""
     if text.isdecimal() and int(text) >= 1:
         return int(text)
     raise argparse.ArgumentTypeError(f"must be a whole number >= 1: {text!r}")
 
 
+def _vertex_count(text: str) -> int:
+    """``generate-big --vertices``: a whole number >= 2 (the core's
+    first edge needs both ends)."""
+    if text.isdecimal() and int(text) >= 2:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be a whole number >= 2: {text!r}")
+
+
 def _non_negative_int(text: str) -> int:
-    """``--radius``: a whole number >= 0."""
+    """``--radius``, ``--top``, ``--planted``, ``--copies``: a whole
+    number >= 0."""
     if text.isdecimal():
         return int(text)
     raise argparse.ArgumentTypeError(f"must be a whole number >= 0: {text!r}")
 
 
 def _fraction(text: str) -> float:
-    """``--fraction``, ``--hot-fraction``: a finite fraction in [0, 1]."""
+    """``--fraction``, ``--hot-fraction``, ``--mixing``: a finite fraction
+    in [0, 1]."""
     with contextlib.suppress(ValueError):
         if 0 <= (value := float(text)) <= 1:
             return value
     raise argparse.ArgumentTypeError(f"must be a fraction in [0, 1]: {text!r}")
+
+
+def _weight(text: str) -> float:
+    """``--lambda1``, ``--lambda2``: a finite GraphPart weight >= 0 (the
+    paper's Partition1/2/3 use 0 and 1)."""
+    with contextlib.suppress(ValueError):
+        if 0 <= (value := float(text)) < float("inf"):
+            return value
+    raise argparse.ArgumentTypeError(f"must be a finite weight >= 0: {text!r}")
 
 
 def _positive_seconds(text: str) -> float:
@@ -773,12 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
              "join-bound pruning); equivalent "
              "to setting REPRO_NO_ACCEL=1",
     )
-    parser.add_argument(
-        "--no-obs", action="store_true",
-        help="disable the observability subsystem (spans, metric "
-             "observations); equivalent to "
-             "setting REPRO_NO_OBS=1",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="synthesize a graph database")
@@ -792,24 +807,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="grow one large graph with planted neighborhoods",
     )
     p.add_argument("output", help="output .tve file (single graph)")
-    p.add_argument("--vertices", type=int, default=2000,
+    p.add_argument("--vertices", type=_vertex_count, default=2000,
                    help="preferential-attachment core size")
-    p.add_argument("--edges-per-vertex", type=int, default=2,
+    p.add_argument("--edges-per-vertex", type=_positive_int, default=2,
                    help="attachment edges per new core vertex")
     p.add_argument("--labels", type=_positive_int, default=8,
                    help="background label domain size (planted patterns "
                         "use reserved labels above this)")
     p.add_argument("--communities", type=_positive_int, default=4,
                    help="labeled community blocks in the core")
-    p.add_argument("--mixing", type=float, default=0.1,
+    p.add_argument("--mixing", type=_fraction, default=0.1,
                    help="probability a core vertex labels uniformly "
                         "instead of from its community slice")
-    p.add_argument("--planted", type=int, default=2,
+    p.add_argument("--planted", type=_non_negative_int, default=2,
                    help="distinct planted patterns")
-    p.add_argument("--copies", type=int, default=20,
+    p.add_argument("--copies", type=_non_negative_int, default=20,
                    help="disjoint copies per planted pattern "
                         "(= its exact MNI support)")
-    p.add_argument("--planted-size", type=int, default=3,
+    p.add_argument("--planted-size", type=_positive_int, default=3,
                    help="edges per planted star pattern")
     p.add_argument("--planted-out", default=None,
                    help="also write the planted patterns to this .tve "
@@ -831,16 +846,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="number of units")
     p.add_argument("--unit-support", type=_unit_support, default="paper",
                    help="'paper', 'exact' or an absolute count")
-    p.add_argument("--lambda1", type=float, default=None,
+    p.add_argument("--lambda1", type=_weight, default=None,
                    help="weight of update-frequency term (GraphPart)")
-    p.add_argument("--lambda2", type=float, default=None,
+    p.add_argument("--lambda2", type=_weight, default=None,
                    help="weight of connectivity term (GraphPart)")
     p.add_argument("--metis", action="store_true",
                    help="use the METIS-like partitioner")
     p.add_argument("--max-size", type=_positive_int, default=None,
                    help="bound on pattern size in edges")
     p.add_argument("--output", help="save patterns to this file")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_non_negative_int, default=10,
                    help="patterns to print when not saving")
     p.add_argument("--parallel", action="store_true",
                    help="mine units through the fault-tolerant parallel "
@@ -874,7 +889,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="mine one large graph (pattern growth, MNI support)",
     )
     p.add_argument("database", help="single-graph .tve file")
-    p.add_argument("support", type=int,
+    p.add_argument("support", type=_positive_int,
                    help="min support: absolute count (MNI or "
                         "neighborhood count, per --support-mode)")
     p.add_argument("--radius", type=_non_negative_int, default=1,
@@ -898,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write a JSONL span trace of the run here "
                         "(render with `repro trace summarize`)")
     p.add_argument("--output", help="save patterns to this file")
-    p.add_argument("--top", type=int, default=10,
+    p.add_argument("--top", type=_non_negative_int, default=10,
                    help="patterns to print when not saving")
     p.add_argument("--check-planted", default=None,
                    help="planted-pattern .tve (from generate-big "
@@ -916,7 +931,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radius", type=_non_negative_int, default=1)
     p.add_argument("--pivot-labels", default=None,
                    help="comma-separated vertex labels to pivot on")
-    p.add_argument("--top", type=int, default=5,
+    p.add_argument("--top", type=_non_negative_int, default=5,
                    help="largest neighborhoods to list")
     p.add_argument("--output", default=None,
                    help="write the neighborhood database to this .tve")
@@ -954,7 +969,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="input is a pattern file")
     p.add_argument("--gid", type=int, default=None,
                    help="graph id to show (databases)")
-    p.add_argument("--top", type=int, default=20,
+    p.add_argument("--top", type=_non_negative_int, default=20,
                    help="max patterns to include")
     _add_parse_policy(p)
     p.set_defaults(func=cmd_show)
@@ -968,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--induced", action="store_true",
                    help="use induced-subgraph semantics")
     p.add_argument("--min-support", type=_support, default=None)
-    p.add_argument("--top", type=int, default=10)
+    p.add_argument("--top", type=_non_negative_int, default=10)
     p.add_argument("--output", help="save relocated patterns here")
     _add_storage_flags(p)
     _add_parse_policy(p)
@@ -1024,10 +1039,6 @@ def main(argv: list[str] | None = None) -> int:
         # which import repro.perf afresh.
         os.environ["REPRO_NO_ACCEL"] = "1"
         perf.set_enabled(False)
-    if args.no_obs:
-        from . import obs
-
-        obs.set_enabled(False)
     # A batch mine allocates millions of containers and leaves no reference
     # cycles, so automatic cyclic collection only rescans live objects; the
     # CLI owns the process and pauses it for those commands.  A long-lived

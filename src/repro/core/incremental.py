@@ -40,7 +40,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .. import obs
-from ..obs import metrics as obs_metrics
 from ..graph.database import GraphDatabase
 from ..mining.base import PatternSet
 from ..mining.edges import normalize_triple
@@ -245,7 +244,6 @@ class IncrementalPartMiner:
         """
         if self._result is None or self._database is None:
             raise RuntimeError("call initial_mine() first")
-        t_start = time.perf_counter()
         with obs.span(
             "inc.apply_updates", updates=len(updates)
         ) as root_span:
@@ -261,9 +259,6 @@ class IncrementalPartMiner:
                 if_=len(result.became_frequent),
                 affected_units=result.stats.affected_units,
             )
-        obs_metrics.observe_phase(
-            "inc_apply_updates", time.perf_counter() - t_start
-        )
         return result
 
     def _apply_staged(self, staged: GraphDatabase) -> IncrementalResult:

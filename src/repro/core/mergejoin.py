@@ -33,7 +33,6 @@ from .. import obs, perf
 from ..graph.database import GraphDatabase
 from ..mining.base import Pattern, PatternKey, PatternSet
 from ..mining.edges import EdgeTriple
-from ..obs import metrics as obs_metrics
 from ..perf.counters import COUNTERS
 from .join import (
     SupportCounter,
@@ -345,7 +344,6 @@ def merge_join(
                 stats.rounds += 1
                 stats.join_levels_skipped += 1
                 COUNTERS.inc("join_levels_skipped")
-                obs_metrics.count_merge_level("skipped")
                 # The soundness test replays skipped levels without the
                 # bound and asserts they contain zero frequent patterns.
                 stats.extras.setdefault("skipped_join_levels", []).append(
@@ -362,7 +360,6 @@ def merge_join(
                 )
                 size += 1
                 continue
-            obs_metrics.count_merge_level("joined")
 
             seen = set(evaluated)
             candidates: dict[PatternKey, tuple] = {}

@@ -24,7 +24,6 @@ from pathlib import Path
 from typing import Callable, Mapping
 
 from .. import obs
-from ..obs import metrics as obs_metrics
 from ..graph.database import GraphDatabase
 from ..mining.base import PatternSet, mine_unit
 from ..mining.gaston import GastonMiner
@@ -198,11 +197,9 @@ class PartMiner:
                     cut_edges=tree.total_connective_edges(),
                 )
             partition_time = time.perf_counter() - t0
-            obs_metrics.observe_phase("partition", partition_time)
 
             # Phase 2a: mine the units.
             units = tree.units()
-            units_t0 = time.perf_counter()
             with obs.span(
                 "partminer.units", units=len(units),
                 parallel=self.runtime is not None,
@@ -210,9 +207,6 @@ class PartMiner:
                 unit_results, unit_times, telemetry = self._mine_units(
                     units, threshold, keep_tree
                 )
-            obs_metrics.observe_phase(
-                "unit_mining", time.perf_counter() - units_t0
-            )
             result = PartMinerResult(
                 patterns=PatternSet(),
                 tree=tree,
@@ -230,7 +224,6 @@ class PartMiner:
             )
 
             # Phase 2b: recombine bottom-up along the tree.
-            merge_t0 = time.perf_counter()
             with obs.span("partminer.merge") as merge_span:
                 result.patterns = self._combine(
                     tree.root, threshold, result, keep_tree=keep_tree
@@ -239,9 +232,6 @@ class PartMiner:
                     levels=len({depth for depth, _ in result.merge_times}),
                     patterns=len(result.patterns),
                 )
-            obs_metrics.observe_phase(
-                "merge_join", time.perf_counter() - merge_t0
-            )
             run_span.set_attrs(patterns=len(result.patterns))
         return result
 

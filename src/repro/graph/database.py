@@ -155,6 +155,15 @@ class GraphDatabase:
         token = getattr(self._graphs, "state_token", None)
         return token() if token is not None else None
 
+    def store_stats(self) -> dict | None:
+        """The backing store's decoded-graph cache stats.
+
+        ``None`` for plain in-memory databases; for a store-backed one,
+        its cache's ``GraphLRU.stats()`` (hits, misses, entries, ...).
+        """
+        stats = getattr(self._graphs, "stats", None)
+        return stats() if stats is not None else None
+
     def digests(self, digest: Callable[[LabeledGraph], str]) -> dict[int, str]:
         """gid -> content digest of every graph.
 

@@ -1,9 +1,9 @@
 """Unified observability: tracing spans, metrics, one sealed trace file.
 
-The repo's four layers each grew a private telemetry dialect —
-``RunTelemetry`` JSON, process-global ``PerfCounters``, serve-engine work
-stats, health snapshots.  This package is the one substrate behind all
-of them (DESIGN.md §11):
+Each fact a run produces has one record (DESIGN.md §11): merge levels
+live in ``MergeJoinStats``, unit attempts in ``RunTelemetry``, cache
+probes in ``GraphLRU.stats()``.  This package holds the trace (phase
+times) and the registry of what nothing else records:
 
 * :mod:`repro.obs.trace` — hierarchical spans over the whole pipeline,
   contextvar-propagated, with an explicit handoff into runtime worker
@@ -11,11 +11,11 @@ of them (DESIGN.md §11):
   once, at the end, as an integrity-sealed JSONL file
   (:meth:`Tracer.save` / :func:`load_spans`);
 * :mod:`repro.obs.metrics` — a thread-safe registry of labeled
-  counters / gauges / histograms, exportable as a JSON snapshot or
-  Prometheus text (``PatternService /metrics``);
-* :mod:`repro.obs.summarize` — the ``repro trace summarize`` renderer;
-* :mod:`repro.obs.switch` — the ``REPRO_NO_OBS`` / ``--no-obs`` kill
-  switch that turns every hook above into a near-free no-op.
+  counters / gauges / histograms for what nothing else records (the
+  support-counting work counters, serving counts and health gauges),
+  exportable as a JSON snapshot or Prometheus text
+  (``PatternService /metrics``);
+* :mod:`repro.obs.summarize` — the ``repro trace summarize`` renderer.
 
 Convenience re-exports cover the common surface::
 
@@ -31,7 +31,6 @@ from .metrics import (  # noqa: F401
     registry,
 )
 from .summarize import summarize_file, summarize_spans  # noqa: F401
-from .switch import disabled, enabled, set_enabled  # noqa: F401
 from .trace import (  # noqa: F401
     NULL_SPAN,
     Span,

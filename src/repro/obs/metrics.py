@@ -1,9 +1,14 @@
 """Metrics registry: thread-safe counters, gauges and histograms.
 
-One :class:`MetricsRegistry` replaces the repo's scattered telemetry
-dialects — :mod:`repro.perf.counters` increments, the serve engine's work
-totals and the health layer's watermark/breaker snapshots all land here
-as *labeled series* behind a single lock-protected API:
+The registry holds what no other record of the repo keeps: the
+support-counting work counters (:mod:`repro.perf.counters`, family
+``repro_perf_events_total``), the serving layer's process-lifetime
+query and HTTP counts (an engine's own totals restart with every
+reload), and the health and storage gauges ``PatternService`` refreshes
+at scrape time.  Phase times live in the trace and in
+``PartMinerResult``, merge levels in ``MergeJoinStats``, unit attempts in
+``RunTelemetry`` and cache probes in ``GraphLRU.stats()`` (DESIGN.md
+§11); none of them is copied here.
 
 * :class:`Counter` — monotonic ``inc``;
 * :class:`Gauge` — ``set`` to the latest value;
@@ -17,23 +22,19 @@ series; labeled families dispense series via :meth:`MetricFamily.labels`.
 
 Two export shapes:
 
-* :meth:`MetricsRegistry.snapshot` — a JSON-ready dict (attached to
-  telemetry, bench results and the CLI ``--metrics`` file);
+* :meth:`MetricsRegistry.snapshot` — a JSON-ready dict (bench results
+  and the CLI ``--metrics`` file);
 * :meth:`MetricsRegistry.render_prometheus` — Prometheus text exposition
   format v0.0.4 (served by ``PatternService`` at ``/metrics``).
 
-The module-level helpers (:func:`observe_phase`, :func:`observe_query`)
-are the hook API the pipeline calls; they check the global
-:mod:`repro.obs.switch` first, so ``--no-obs`` makes them single-branch
-no-ops.
+The serving layer records through :func:`observe_query` and
+:func:`count_http_request`.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable
-
-from . import switch
+from typing import Iterable
 
 #: Latency bucket boundaries (seconds) used by every duration histogram.
 DEFAULT_LATENCY_BUCKETS = (
@@ -65,11 +66,6 @@ class Counter:
     def reset(self) -> None:
         with self._lock:
             self._value = 0.0
-
-    def _force(self, value: float) -> None:
-        """Set the raw value (legacy ``COUNTERS.x = n`` compatibility)."""
-        with self._lock:
-            self._value = value
 
     def sample(self) -> float:
         return self.value
@@ -402,7 +398,7 @@ def _sample_line(name: str, labels: dict, value) -> str:
 
 
 # ----------------------------------------------------------------------
-# The global registry + the pipeline's hook helpers
+# The global registry + the serving layer's hook helpers
 # ----------------------------------------------------------------------
 REGISTRY = MetricsRegistry()
 
@@ -412,22 +408,9 @@ def registry() -> MetricsRegistry:
     return REGISTRY
 
 
-def observe_phase(phase: str, seconds: float) -> None:
-    """Record one mining-phase duration (no-op under ``--no-obs``)."""
-    if not switch.enabled():
-        return
-    REGISTRY.histogram(
-        "repro_phase_seconds",
-        "Wall-clock duration of mining pipeline phases",
-        labels=("phase",),
-    ).labels(phase=phase).observe(seconds)
-
-
 def observe_query(kind: str, elapsed: float, searches: int,
                   lru_hit: bool) -> None:
-    """Record one serving-layer query (no-op under ``--no-obs``)."""
-    if not switch.enabled():
-        return
+    """Record one serving-layer query."""
     REGISTRY.histogram(
         "repro_query_latency_seconds",
         "Serving-layer query latency by query kind",
@@ -450,92 +433,10 @@ def observe_query(kind: str, elapsed: float, searches: int,
         ).inc(searches)
 
 
-def count_runtime_attempt(outcome: str) -> None:
-    """Record one runtime unit-mining attempt outcome."""
-    if not switch.enabled():
-        return
-    REGISTRY.counter(
-        "repro_runtime_attempts_total",
-        "Unit-mining attempts by outcome",
-        labels=("outcome",),
-    ).labels(outcome=outcome).inc()
-
-
-def count_unit_status(status: str) -> None:
-    """Record one runtime unit's final status."""
-    if not switch.enabled():
-        return
-    REGISTRY.counter(
-        "repro_runtime_units_total",
-        "Units completed by final status",
-        labels=("status",),
-    ).labels(status=status).inc()
-
-
-def count_merge_level(outcome: str) -> None:
-    """Record one merge-join level: ``joined`` or ``skipped``.
-
-    ``skipped`` levels are those the cs/0112007 candidate upper bound
-    proved hopeless (no core-compatible generator pair's TID bound
-    reaches the level threshold), so no join ran at all.
-    """
-    if not switch.enabled():
-        return
-    REGISTRY.counter(
-        "repro_mergejoin_levels_total",
-        "Merge-join levels by outcome (joined vs bound-skipped)",
-        labels=("outcome",),
-    ).labels(outcome=outcome).inc()
-
-
 def count_http_request(route: str, outcome: str) -> None:
     """Record one PatternService HTTP request."""
-    if not switch.enabled():
-        return
     REGISTRY.counter(
         "repro_http_requests_total",
         "PatternService HTTP requests by route and outcome",
         labels=("route", "outcome"),
     ).labels(route=route, outcome=outcome).inc()
-
-
-def count_storage_op(table: str, op: str) -> None:
-    """Record one storage-backend row operation (read/write/delete)."""
-    if not switch.enabled():
-        return
-    REGISTRY.counter(
-        "repro_storage_ops_total",
-        "Storage-backend row operations by table and operation",
-        labels=("table", "op"),
-    ).labels(table=table, op=op).inc()
-
-
-def count_storage_cache(hit: bool) -> None:
-    """Record one decoded-graph cache probe of the storage backend."""
-    if not switch.enabled():
-        return
-    REGISTRY.counter(
-        "repro_storage_cache_total",
-        "Storage-backend decoded-graph cache probes by result",
-        labels=("result",),
-    ).labels(result="hit" if hit else "miss").inc()
-
-
-def set_storage_cache_entries(entries: int) -> None:
-    """Publish the storage backend's decoded-graph cache occupancy."""
-    if not switch.enabled():
-        return
-    REGISTRY.gauge(
-        "repro_storage_cache_entries",
-        "Decoded graphs currently held by the storage-backend cache",
-    ).set(entries)
-
-
-def timed(fn: Callable[[], object], phase: str):
-    """Run ``fn`` and record its duration as a phase observation."""
-    import time
-
-    start = time.perf_counter()
-    result = fn()
-    observe_phase(phase, time.perf_counter() - start)
-    return result

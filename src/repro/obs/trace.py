@@ -28,9 +28,8 @@ explicit help:
   the outcome).
 
 Spans are recorded into the process-global active :class:`Tracer`
-(installed with :func:`activate`); when no tracer is active — or the
-:mod:`repro.obs.switch` is off — ``span()`` hands back a shared no-op
-span, so untraced runs pay one branch per hook.
+(installed with :func:`activate`); when no tracer is active ``span()``
+hands back a shared no-op span, so untraced runs pay one branch per hook.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ from typing import Iterable
 
 from ..resilience import integrity
 from ..resilience.errors import ArtifactCorrupt
-from . import switch
 
 TRACE_EVENT = "span"  #: the ``event`` field of a span JSONL record
 
@@ -260,12 +258,12 @@ def current_span_id() -> str | None:
 def span(name: str, **attrs):
     """Open a child span of the current parent.
 
-    No-op — yields the shared :data:`NULL_SPAN` — when the obs switch is
-    off or no tracer is active.  Across a thread boundary the contextvar
-    parent is lost; re-enter the captured one with :func:`under`.
+    No-op — yields the shared :data:`NULL_SPAN` — when no tracer is
+    active.  Across a thread boundary the contextvar parent is lost;
+    re-enter the captured one with :func:`under`.
     """
     tracer = _ACTIVE
-    if tracer is None or not switch.enabled():
+    if tracer is None:
         yield NULL_SPAN
         return
     node = Span(name, tracer.trace_id, _CURRENT.get(), attrs)
@@ -317,7 +315,7 @@ def begin(name: str, **attrs) -> "Span | _NullSpan":
     spans opened while it is running.
     """
     tracer = _ACTIVE
-    if tracer is None or not switch.enabled():
+    if tracer is None:
         return NULL_SPAN
     return Span(name, tracer.trace_id, _CURRENT.get(), attrs)
 
@@ -359,7 +357,7 @@ def current_handoff() -> dict | None:
     byte-identical to the pre-obs protocol.
     """
     tracer = _ACTIVE
-    if tracer is None or not switch.enabled():
+    if tracer is None:
         return None
     return {"trace_id": tracer.trace_id, "parent_id": _CURRENT.get()}
 

@@ -45,8 +45,6 @@ from .counters import (
     COUNTERS,
     PerfCounters,
     delta_since,
-    global_counters,
-    reset_counters,
     snapshot,
 )
 from .fastmatch import (
@@ -118,8 +116,6 @@ __all__ = [
     "get_flat_db",
     "get_flat_graph",
     "get_flat_plan",
-    "global_counters",
-    "reset_counters",
     "set_enabled",
     "snapshot",
 ]

@@ -17,9 +17,9 @@ Since the serving layer arrived these counters are hit concurrently by
 longer a bag of bare ints: :class:`LiveCounters` stores each field as a
 locked series in the :mod:`repro.obs.metrics` registry (family
 ``repro_perf_events_total``, labeled by counter name).  Hot paths call
-:meth:`LiveCounters.inc`; attribute *reads* (``COUNTERS.vf2_calls``) and
-the snapshot/delta API are unchanged, and :class:`PerfCounters` remains
-the plain-int value object snapshots are made of.
+:meth:`LiveCounters.inc`; attribute reads (``COUNTERS.vf2_calls``) and
+the snapshot/delta API return plain ints, and :class:`PerfCounters` is
+the value object snapshots are made of.
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 from ..obs import metrics as _metrics
 
-#: Registry family backing the live counters (always on — perf counters
-#: measure algorithmic work, independent of the obs kill switch).
+#: Registry family backing the live counters.
 FAMILY = "repro_perf_events_total"
 _HELP = "Support-counting acceleration work counters, by counter name"
 
@@ -71,10 +70,6 @@ class PerfCounters:
     def to_dict(self) -> dict[str, int]:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
-    def reset(self) -> None:
-        for f in fields(self):
-            setattr(self, f.name, 0)
-
 
 _FIELD_NAMES = tuple(f.name for f in fields(PerfCounters))
 
@@ -82,10 +77,8 @@ _FIELD_NAMES = tuple(f.name for f in fields(PerfCounters))
 class LiveCounters:
     """The mutable global counters, stored as locked registry series.
 
-    Drop-in for the old bare-``int`` dataclass instance: reads like
-    ``COUNTERS.vf2_calls`` return ints, ``COUNTERS.vf2_calls = 0`` still
-    works (it forces the series value), but the supported hot-path write
-    is the atomic ``COUNTERS.inc("vf2_calls")``.
+    Reads like ``COUNTERS.vf2_calls`` return ints; the one write is the
+    atomic ``COUNTERS.inc("vf2_calls")``.
     """
 
     __slots__ = ("_series",)
@@ -94,11 +87,9 @@ class LiveCounters:
         family = _metrics.registry().counter(
             FAMILY, _HELP, labels=("counter",)
         )
-        object.__setattr__(
-            self,
-            "_series",
-            {name: family.labels(counter=name) for name in _FIELD_NAMES},
-        )
+        self._series = {
+            name: family.labels(counter=name) for name in _FIELD_NAMES
+        }
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Atomically bump one counter (the hot-path API)."""
@@ -110,12 +101,6 @@ class LiveCounters:
             raise AttributeError(name)
         return int(series.value)
 
-    def __setattr__(self, name: str, value) -> None:
-        series = self._series.get(name)
-        if series is None:
-            raise AttributeError(name)
-        series._force(value)
-
     # ------------------------------------------------------------------
     def snapshot(self) -> PerfCounters:
         """Freeze the live values into a plain-int value object."""
@@ -126,21 +111,9 @@ class LiveCounters:
     def delta(self, since: PerfCounters) -> PerfCounters:
         return self.snapshot().delta(since)
 
-    def to_dict(self) -> dict[str, int]:
-        return self.snapshot().to_dict()
-
-    def reset(self) -> None:
-        for series in self._series.values():
-            series.reset()
-
 
 #: The process-wide counter instance every fast path increments.
 COUNTERS = LiveCounters()
-
-
-def global_counters() -> LiveCounters:
-    """The live global counter object (mutating it is the API)."""
-    return COUNTERS
 
 
 def snapshot() -> PerfCounters:
@@ -151,8 +124,3 @@ def snapshot() -> PerfCounters:
 def delta_since(since: PerfCounters) -> PerfCounters:
     """Global counter increments since a :func:`snapshot`."""
     return COUNTERS.delta(since)
-
-
-def reset_counters() -> None:
-    """Zero the global counters (benchmark/test isolation)."""
-    COUNTERS.reset()

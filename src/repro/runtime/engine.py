@@ -31,7 +31,6 @@ from typing import Callable
 
 from ..graph.labeled_graph import LabeledGraph
 from ..mining.base import Pattern, PatternSet, mine_unit
-from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..resilience import faults
 from ..resilience.errors import ArtifactCorrupt
@@ -347,7 +346,6 @@ class MiningRuntime:
             wall_time=sum(a.wall_time for a in entry.attempts),
             patterns=None if patterns is None else len(patterns),
         )
-        obs_metrics.count_unit_status(status)
         if status in ("ok", "degraded"):
             # Adopted units are on disk already; failed ones have nothing.
             if checkpoint is not None:
@@ -379,7 +377,6 @@ class MiningRuntime:
             record.outcome, record.error = "fallback-error", _describe(exc)
         record.wall_time = time.perf_counter() - t0
         entry.attempts.append(record)
-        obs_metrics.count_runtime_attempt(record.outcome)
         return patterns
 
     # ------------------------------------------------------------------
@@ -410,7 +407,6 @@ class MiningRuntime:
             if patterns is None:
                 span.set_status("error", record.error or record.outcome)
         entry.attempts.append(record)
-        obs_metrics.count_runtime_attempt(record.outcome)
         return patterns
 
     @staticmethod

@@ -615,8 +615,9 @@ class PatternService:
         """The Prometheus text page for ``/metrics``.
 
         Pull-model export: scrape time is when the health gauges
-        (breaker states, memory watermark) and service-stat gauges are
-        refreshed into the registry, then the whole registry renders.
+        (breaker states, memory watermark), service-stat gauges and, over
+        a store-backed database, the storage cache gauges are refreshed
+        into the registry, then the whole registry renders.
         """
         faults.fire(SITE_METRICS_SCRAPE)
         registry = obs_metrics.registry()
@@ -640,6 +641,16 @@ class PatternService:
         )
         for name, value in stats_gauges.items():
             if isinstance(value, (int, float)):
+                family.labels(stat=name).set(value)
+        store_stats = self.database.store_stats()
+        if store_stats is not None:
+            family = registry.gauge(
+                "repro_storage_cache",
+                "Decoded-graph cache of the served database's store, "
+                "by stat name",
+                labels=("stat",),
+            )
+            for name, value in store_stats.items():
                 family.labels(stat=name).set(value)
         return registry.render_prometheus()
 

@@ -40,7 +40,6 @@ from pathlib import Path
 
 from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
-from ..obs import metrics as obs_metrics
 from ..resilience import faults
 from ..resilience.errors import ArtifactCorrupt
 from .backend import SITE_STORAGE_READ, SITE_STORAGE_WRITE, StorageBackend
@@ -241,16 +240,13 @@ class SQLiteBackend(StorageBackend):
                 )
             self._bump_generation()
         self.cache.pop(gid)
-        obs_metrics.count_storage_op("graphs", "write")
         return True
 
     def read_graph(self, gid: int) -> LabeledGraph:
         """Decode one graph row, verifying its digest (LRU-backed)."""
         cached = self.cache.get(gid)
         if cached is not None:
-            obs_metrics.count_storage_cache(hit=True)
             return cached
-        obs_metrics.count_storage_cache(hit=False)
         row = self._execute(
             "SELECT payload, sha FROM graphs WHERE gid=?", (gid,)
         ).fetchone()
@@ -277,8 +273,6 @@ class SQLiteBackend(StorageBackend):
                 gid, payload, f"undecodable payload ({exc})"
             ) from exc
         self.cache.put(gid, graph)
-        obs_metrics.count_storage_op("graphs", "read")
-        obs_metrics.set_storage_cache_entries(len(self.cache))
         return graph
 
     def import_database(self, database: GraphDatabase) -> int:

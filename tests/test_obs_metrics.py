@@ -2,9 +2,8 @@
 
 Covers series semantics (counter monotonicity, gauge latest-wins,
 histogram cumulative buckets), family identity and conflict detection,
-the two export shapes (JSON snapshot, Prometheus text exposition), the
-kill switch on the hook helpers, concurrent increments, and the
-registry-backed perf counters.
+the two export shapes (JSON snapshot, Prometheus text exposition),
+concurrent increments, and the registry-backed perf counters.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.obs.metrics import (
     DEFAULT_LATENCY_BUCKETS,
@@ -263,30 +261,24 @@ def test_concurrent_increments_lose_nothing():
 
 
 # ----------------------------------------------------------------------
-# Hook helpers + kill switch
+# Hook helpers (the serving layer's; nothing on the mining path pushes)
 # ----------------------------------------------------------------------
 class TestHooks:
-    def test_observe_phase_lands_in_global_registry(self):
-        obs_metrics.observe_phase("test_phase_xyz", 0.2)
+    def test_observe_query_lands_in_global_registry(self):
+        obs_metrics.observe_query("test_kind_xyz", 0.2, searches=3,
+                                  lru_hit=False)
         snap = obs_metrics.registry().snapshot()
-        series = snap["repro_phase_seconds"]["series"]
-        mine = [
-            s for s in series if s["labels"]["phase"] == "test_phase_xyz"
+        (latency,) = [
+            s for s in snap["repro_query_latency_seconds"]["series"]
+            if s["labels"]["kind"] == "test_kind_xyz"
         ]
-        assert mine and mine[0]["value"]["count"] >= 1
-
-    def test_hooks_are_noops_when_disabled(self):
-        reg = obs_metrics.registry()
-        fam = reg.counter(
-            "repro_runtime_attempts_total",
-            labels=("outcome",),
-        )
-        before = fam.labels(outcome="test_off").value
-        with obs.disabled():
-            obs_metrics.count_runtime_attempt("test_off")
-        assert fam.labels(outcome="test_off").value == before
-        obs_metrics.count_runtime_attempt("test_off")
-        assert fam.labels(outcome="test_off").value == before + 1
+        assert latency["value"]["count"] == 1
+        assert latency["value"]["sum"] == 0.2
+        (queries,) = [
+            s for s in snap["repro_serve_queries_total"]["series"]
+            if s["labels"]["kind"] == "test_kind_xyz"
+        ]
+        assert queries["value"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -304,22 +296,8 @@ class TestPerfBridge:
         )
         assert fam.labels(counter="vf2_calls").value == before + 1
 
-    def test_legacy_assignment_still_works(self):
+    def test_counters_are_written_only_through_inc(self):
         from repro.perf.counters import COUNTERS
 
-        saved = COUNTERS.quick_rejects
-        try:
+        with pytest.raises(AttributeError):
             COUNTERS.quick_rejects = 41
-            COUNTERS.inc("quick_rejects")
-            assert COUNTERS.quick_rejects == 42
-            assert COUNTERS.snapshot().quick_rejects == 42
-        finally:
-            COUNTERS.quick_rejects = saved
-
-    def test_perf_increments_ignore_obs_switch(self):
-        from repro.perf.counters import COUNTERS
-
-        before = COUNTERS.flat_db_hits
-        with obs.disabled():
-            COUNTERS.inc("flat_db_hits")
-        assert COUNTERS.flat_db_hits == before + 1

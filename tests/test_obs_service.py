@@ -140,6 +140,36 @@ class TestMetricsEndpoint:
         )
         assert match and int(match.group(1)) >= 1
 
+    def test_store_backed_database_exports_its_cache(self, tmp_path):
+        """Over a SQLite-backed database the page carries the store's
+        ``GraphLRU.stats()``, read at scrape time (the one record)."""
+        from repro.storage import open_backend
+
+        db = random_database(seed=5100, num_graphs=8, n=6)
+        patterns = GSpanMiner().mine(db, 3)
+        catalog = PatternCatalog(tmp_path / "catalog")
+        catalog.publish(patterns, database=db)
+        with open_backend("sqlite", tmp_path / "g.db",
+                          cache_graphs=2) as backend:
+            backend.import_database(db)
+            stored = backend.database()
+            with PatternService(catalog, stored) as svc:
+                status, _ = http_post(
+                    svc.base_url + "/query/match",
+                    {"pattern": encode_graph(next(iter(patterns)).graph)},
+                )
+                assert status == 200
+                _, page = scrape(svc)
+                cache = stored.store_stats()
+        assert cache["misses"] > 0
+        assert re.search(
+            r'^repro_storage_cache\{stat="misses"\} [1-9]', page, re.M
+        )
+        assert f'repro_storage_cache{{stat="capacity"}} 2' in page
+
+    def test_resident_database_has_no_store_stats(self, service):
+        assert service.database.store_stats() is None
+
     def test_metrics_payload_direct(self, service):
         page = service.metrics_payload()
         assert "# TYPE repro_serve_patterns gauge" in page
