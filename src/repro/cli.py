@@ -64,7 +64,7 @@ exit codes:
   3  corrupt stored artifact (checksum/structure miss; bad bytes
      quarantined to <name>.corrupt/)
   4  graph input failed t/v/e parsing (see --on-parse-error)
-  5  resource budget exceeded (deadline or memory watermark)
+  5  resource budget exceeded (request deadline)
 """
 
 
@@ -91,6 +91,14 @@ def _positive_int(text: str) -> int:
     if text.isdecimal() and int(text) >= 1:
         return int(text)
     raise argparse.ArgumentTypeError(f"must be a whole number >= 1: {text!r}")
+
+
+def _port(text: str) -> int:
+    """``serve --port``: a TCP port in [0, 65535] (0 binds an ephemeral
+    one)."""
+    if text.isdecimal() and int(text) <= 65535:
+        return int(text)
+    raise argparse.ArgumentTypeError(f"must be a port in [0, 65535]: {text!r}")
 
 
 def _vertex_count(text: str) -> int:
@@ -998,7 +1006,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="publish this pattern file into the catalog "
                         "before serving")
     p.add_argument("--host", default="127.0.0.1")
-    p.add_argument("--port", type=int, default=8765)
+    p.add_argument("--port", type=_port, default=8765)
     p.add_argument("--workers", type=_positive_int, default=4,
                    help="bounded query worker pool size")
     p.add_argument("--reload-interval", type=_positive_seconds, default=None,

@@ -7,8 +7,8 @@ subprocesses or sockets:
   writes/reads with quarantine of corrupt artifacts;
 * :mod:`~repro.resilience.faults` — deterministic, seedable fault
   injection over a registry of named sites (the chaos suite's engine);
-* :mod:`~repro.resilience.health` — circuit breakers, request deadlines
-  and memory watermarks for the serving layer;
+* :mod:`~repro.resilience.health` — circuit breakers and request
+  deadlines for the serving layer;
 * :mod:`~repro.resilience.errors` — the typed failure classes and their
   documented CLI exit codes.
 """
@@ -24,7 +24,6 @@ from .errors import (
     BudgetExceeded,
     CircuitOpen,
     DeadlineExceeded,
-    MemoryBudgetExceeded,
     ResilienceError,
     exit_code_for,
 )
@@ -35,7 +34,7 @@ from .faults import (
     register_site,
     registered_sites,
 )
-from .health import CircuitBreaker, Deadline, MemoryWatermark
+from .health import CircuitBreaker, Deadline
 from .integrity import (
     atomic_write_json,
     atomic_write_text,
@@ -61,8 +60,6 @@ __all__ = [
     "DeadlineExceeded",
     "FaultPlan",
     "InjectedFault",
-    "MemoryBudgetExceeded",
-    "MemoryWatermark",
     "ResilienceError",
     "active_plan",
     "atomic_write_json",

@@ -17,9 +17,7 @@ code  exception                meaning
 4     ``GraphParseError``      a ``t/v/e`` input failed strict parsing
                                (:mod:`repro.graph.io`)
 5     :class:`BudgetExceeded`  a resource budget was exhausted — request
-                               deadline (:class:`DeadlineExceeded`) or
-                               memory watermark
-                               (:class:`MemoryBudgetExceeded`)
+                               deadline (:class:`DeadlineExceeded`)
 ====  =======================  ========================================
 """
 
@@ -66,15 +64,11 @@ class ArtifactRetired(ResilienceError):
 
 
 class BudgetExceeded(ResilienceError, RuntimeError):
-    """A resource budget (time, memory) was exhausted."""
+    """A resource budget (time) was exhausted."""
 
 
 class DeadlineExceeded(BudgetExceeded):
     """A request deadline expired before the work finished."""
-
-
-class MemoryBudgetExceeded(BudgetExceeded):
-    """The process crossed its hard memory watermark."""
 
 
 class CircuitOpen(ResilienceError, RuntimeError):

@@ -1,36 +1,33 @@
-"""Service health primitives: circuit breakers, deadlines, watermarks.
+"""Service health primitives: circuit breakers and deadlines.
 
 These are the in-process guards the serving layer (and anything else
 with dependencies) composes:
 
-* :class:`CircuitBreaker` — classic three-state breaker.  ``closed``
-  passes calls through and counts consecutive failures; at
-  ``failure_threshold`` it opens and fails fast
-  (:class:`~repro.resilience.errors.CircuitOpen`) for ``reset_timeout``
-  seconds; then one **half-open** probe is admitted — success closes the
-  breaker, failure re-opens it for another full timeout.
+* :class:`CircuitBreaker` — classic three-state breaker.  The caller
+  asks :meth:`~CircuitBreaker.allow` before the guarded work and records
+  its outcome.  ``closed`` admits every call and counts consecutive
+  failures; at ``failure_threshold`` it opens and refuses for
+  ``reset_timeout`` seconds (the caller fails fast, e.g. with
+  :class:`~repro.resilience.errors.CircuitOpen`); then one **half-open**
+  probe is admitted — success closes the breaker, failure re-opens it
+  for another full timeout.
 * :class:`Deadline` — a monotonic-clock budget created at the request
   edge and *propagated* into long loops, which call :meth:`Deadline.check`
   between units of work and get a typed
   :class:`~repro.resilience.errors.DeadlineExceeded` instead of running
   arbitrarily long.
-* :class:`MemoryWatermark` — resident-set thresholds with three levels:
-  ``ok`` / ``soft`` (shed ballast: drop caches) / ``hard`` (refuse new
-  work).  Degrading in stages is the point — a service under memory
-  pressure gets slower, not OOM-killed.
 
-Everything takes an injectable clock / usage function so tests drive the
-state machines deterministically.
+Both take an injectable clock so tests drive the state machines
+deterministically.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from pathlib import Path
 from typing import Callable
 
-from .errors import CircuitOpen, DeadlineExceeded
+from .errors import DeadlineExceeded
 
 CLOSED = "closed"
 OPEN = "open"
@@ -59,7 +56,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at: float | None = None
         self._probing = False  # a half-open probe is in flight
-        self.stats = {"calls": 0, "failures": 0, "opens": 0, "rejected": 0}
+        self.stats = {"failures": 0, "opens": 0, "rejected": 0}
 
     # ------------------------------------------------------------------
     @property
@@ -113,20 +110,6 @@ class CircuitBreaker:
         self._opened_at = self.clock()
         self._probing = False
         self.stats["opens"] += 1
-
-    def call(self, fn: Callable, *args, **kwargs):
-        """Run ``fn`` through the breaker; raises :class:`CircuitOpen`."""
-        if not self.allow():
-            raise CircuitOpen(self.name)
-        with self._lock:
-            self.stats["calls"] += 1
-        try:
-            result = fn(*args, **kwargs)
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return result
 
     def snapshot(self) -> dict:
         """JSON-ready state for health endpoints."""
@@ -198,82 +181,3 @@ class Deadline:
                 f"{what} deadline exceeded "
                 f"(over budget by {-self.remaining():.3f}s)"
             )
-
-
-# ----------------------------------------------------------------------
-def _rss_bytes() -> int:
-    """Current resident set size; 0 when the platform offers no view."""
-    try:  # Linux: cheap and current
-        statm = Path("/proc/self/statm").read_text().split()
-        import os
-
-        return int(statm[1]) * os.sysconf("SC_PAGE_SIZE")
-    except (OSError, IndexError, ValueError):
-        pass
-    try:  # portable fallback: peak RSS (monotone, still useful as a cap)
-        import resource
-        import sys
-
-        rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        return rss * (1 if sys.platform == "darwin" else 1024)
-    except Exception:  # pragma: no cover - exotic platforms
-        return 0
-
-
-class MemoryWatermark:
-    """Soft/hard resident-memory thresholds (see module docs)."""
-
-    OK = "ok"
-    SOFT = "soft"
-    HARD = "hard"
-
-    def __init__(
-        self,
-        soft_bytes: int | None = None,
-        hard_bytes: int | None = None,
-        usage_fn: Callable[[], int] = _rss_bytes,
-    ) -> None:
-        if (
-            soft_bytes is not None
-            and hard_bytes is not None
-            and soft_bytes > hard_bytes
-        ):
-            raise ValueError("soft watermark above hard watermark")
-        self.soft_bytes = soft_bytes
-        self.hard_bytes = hard_bytes
-        self.usage_fn = usage_fn
-
-    def usage(self) -> int:
-        return self.usage_fn()
-
-    def level(self) -> str:
-        usage = self.usage()
-        if self.hard_bytes is not None and usage >= self.hard_bytes:
-            return self.HARD
-        if self.soft_bytes is not None and usage >= self.soft_bytes:
-            return self.SOFT
-        return self.OK
-
-    def snapshot(self) -> dict:
-        return {
-            "usage_bytes": self.usage(),
-            "soft_bytes": self.soft_bytes,
-            "hard_bytes": self.hard_bytes,
-            "level": self.level(),
-        }
-
-    #: Numeric encoding of watermark levels for gauge export.
-    LEVEL_CODES = {OK: 0, SOFT: 1, HARD: 2}
-
-    def export_gauges(self) -> None:
-        """Publish memory usage + level into the obs metrics registry."""
-        from ..obs import metrics as obs_metrics
-
-        registry = obs_metrics.registry()
-        registry.gauge(
-            "repro_memory_usage_bytes", "Resident memory usage"
-        ).set(self.usage())
-        registry.gauge(
-            "repro_memory_watermark_level",
-            "Memory watermark level (0=ok, 1=soft, 2=hard)",
-        ).set(self.LEVEL_CODES[self.level()])

@@ -438,23 +438,6 @@ class QueryEngine:
         return len(covered) / len(self.database), covered
 
     # ------------------------------------------------------------------
-    def clear_caches(self) -> dict:
-        """Drop the LRU and support caches (memory-watermark ballast).
-
-        Returns what was freed; answers stay byte-identical — caches are
-        pure memoization — so this is the safe first stage of degrading
-        under memory pressure.
-        """
-        with self._lock:
-            dropped = {
-                "lru_entries": len(self._lru),
-                "support_cache_entries": self.support_cache.entries(),
-            }
-            self._lru.clear()
-            self.support_cache.clear()
-        return dropped
-
-    # ------------------------------------------------------------------
     def stats_dict(self) -> dict:
         """JSON-ready digest for /stats, telemetry and benchmarks."""
         with self._lock:

@@ -14,7 +14,7 @@ through a small stdlib-only HTTP API:
 
 ``/metrics``          GET     Prometheus text exposition of the obs
                               metrics registry (query latency histograms,
-                              cache counters, breaker/memory gauges)
+                              cache counters, breaker gauges)
 
 ``GRAPH`` is the store wire format: ``{"vertices": [labels], "edges":
 [[u, v, label], ...]}``.  Every query response carries the snapshot
@@ -25,9 +25,10 @@ Concurrency model
 -----------------
 
 * **Bounded worker pool** — query execution happens on ``workers`` pool
-  threads fed by a bounded queue; when the queue is full the request is
-  rejected with 503 instead of piling up (load shedding).  Connection
-  handling itself is ``ThreadingHTTPServer``'s thread-per-connection.
+  threads fed by a queue of :data:`QUEUE_SIZE` jobs; when the queue is
+  full the request is rejected with 503 instead of piling up (load
+  shedding).  Connection handling itself is ``ThreadingHTTPServer``'s
+  thread-per-connection.
 * **Request batching** — concurrent *identical* queries (same endpoint,
   same graph content digest, same engine) are single-flighted: one leader
   computes, followers wait on its result.  ``stats()["batched"]`` counts
@@ -39,6 +40,10 @@ Concurrency model
   In-flight queries finish on the snapshot they started with; new
   queries see the new one — snapshot isolation, never a torn mixture.
   Optional ``reload_interval`` runs the poll on a background thread.
+* **Circuit breakers** — the ``catalog`` (reload) and ``query`` (engine)
+  dependencies each open after :data:`BREAKER_FAILURES` consecutive
+  failures and admit a half-open probe :data:`BREAKER_RESET` seconds
+  later.  Bad client input is a 400 before the breaker and never counts.
 * **Graceful shutdown** — :meth:`close` stops accepting connections,
   drains the worker queue, and joins every thread.
 """
@@ -58,7 +63,7 @@ from ..graph.labeled_graph import LabeledGraph
 from ..obs import metrics as obs_metrics
 from ..resilience import faults
 from ..resilience.errors import CircuitOpen, DeadlineExceeded
-from ..resilience.health import CircuitBreaker, Deadline, MemoryWatermark
+from ..resilience.health import CircuitBreaker, Deadline
 from .catalog import PatternCatalog
 from .engine import QueryEngine
 from .index import graph_digest
@@ -72,6 +77,13 @@ SITE_RELOAD = faults.register_site(
 SITE_METRICS_SCRAPE = faults.register_site(
     "obs.metrics_scrape", "/metrics rendering in PatternService"
 )
+
+#: Query jobs that may wait for a worker before requests are shed (503).
+QUEUE_SIZE = 64
+#: Consecutive failures that open a dependency's circuit breaker.
+BREAKER_FAILURES = 3
+#: Seconds an open breaker waits before admitting a half-open probe.
+BREAKER_RESET = 5.0
 
 #: Routes kept as-is in the ``route`` label; everything else is "other"
 #: so a 404 scan cannot explode the label space.
@@ -94,8 +106,16 @@ def encode_graph(graph: LabeledGraph) -> dict:
     }
 
 
+#: Python types of JSON scalars (``bool`` is an ``int``).
+_JSON_SCALARS = (str, int, float, type(None))
+
+
 def decode_graph(payload: dict) -> LabeledGraph:
-    """Parse the wire object back into a :class:`LabeledGraph`."""
+    """Parse the wire object back into a :class:`LabeledGraph`.
+
+    Every malformed shape raises :class:`ValueError` (HTTP 400), so bad
+    client input never reaches the engine or counts against its breaker.
+    """
     if not isinstance(payload, dict):
         raise ValueError("graph payload must be an object")
     try:
@@ -103,6 +123,21 @@ def decode_graph(payload: dict) -> LabeledGraph:
         edges = payload["edges"]
     except KeyError as exc:
         raise ValueError(f"graph payload missing {exc.args[0]!r}") from None
+    if not isinstance(vertices, list) or not isinstance(edges, list):
+        raise ValueError("graph 'vertices' and 'edges' must be lists")
+    for edge in edges:
+        if not isinstance(edge, list) or len(edge) != 3:
+            raise ValueError(f"an edge must be [u, v, label]: {edge!r}")
+        if type(edge[0]) is not int or type(edge[1]) is not int:
+            raise ValueError(f"edge endpoints must be integers: {edge!r}")
+    for labels in (vertices, [label for _, _, label in edges]):
+        if not all(isinstance(x, _JSON_SCALARS) for x in labels):
+            raise ValueError("graph labels must be JSON scalars")
+        try:  # canonical codes order labels of one kind against each other
+            sorted(set(labels))
+        except TypeError:
+            raise ValueError("graph labels of one kind must be "
+                             "mutually comparable") from None
     return LabeledGraph.from_vertices_and_edges(
         vertices, [(u, v, label) for u, v, label in edges]
     )
@@ -242,16 +277,7 @@ class PatternService:
         host: str = "127.0.0.1",
         port: int = 0,
         workers: int = 4,
-        queue_size: int = 64,
         reload_interval: float | None = None,
-        engine_factory=None,
-        breaker_failures: int = 3,
-        breaker_reset: float = 5.0,
-        breaker_clock=time.monotonic,
-        default_deadline: float | None = None,
-        memory_soft_bytes: int | None = None,
-        memory_hard_bytes: int | None = None,
-        memory_usage_fn=None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1: {workers}")
@@ -265,36 +291,25 @@ class PatternService:
         self.database = database
         self.host = host
         self._requested_port = port
-        self._engine_factory = engine_factory or (
-            lambda snapshot, db: QueryEngine(snapshot, db)
-        )
-        self._engine = self._engine_factory(catalog.load(), database)
+        self._engine = QueryEngine(catalog.load(), database)
         self._engine_lock = threading.Lock()
-        self._pool = _WorkerPool(workers, queue_size)
+        self._pool = _WorkerPool(workers, QUEUE_SIZE)
         self._flights = _SingleFlight()
         self._server: ThreadingHTTPServer | None = None
         self._server_thread: threading.Thread | None = None
         self._reload_interval = reload_interval
         self._reload_stop = threading.Event()
         self._reload_thread: threading.Thread | None = None
-        self.default_deadline = default_deadline
         # Per-dependency circuit breakers: catalog reloads and the query
         # engine fail (and recover) independently.
         self.breakers = {
             name: CircuitBreaker(
                 name,
-                failure_threshold=breaker_failures,
-                reset_timeout=breaker_reset,
-                clock=breaker_clock,
+                failure_threshold=BREAKER_FAILURES,
+                reset_timeout=BREAKER_RESET,
             )
             for name in ("catalog", "query")
         }
-        watermark_args = {}
-        if memory_usage_fn is not None:
-            watermark_args["usage_fn"] = memory_usage_fn
-        self.watermark = MemoryWatermark(
-            memory_soft_bytes, memory_hard_bytes, **watermark_args
-        )
         self._stats_lock = threading.Lock()
         self._stats = {
             "requests": 0,
@@ -303,8 +318,6 @@ class PatternService:
             "reloads": 0,
             "deadline_exceeded": 0,
             "circuit_rejections": 0,
-            "cache_drops": 0,
-            "shed_memory": 0,
             "started_at": time.time(),
         }
 
@@ -411,7 +424,7 @@ class PatternService:
                     if published == current
                     else self.catalog.load()
                 )
-                self._engine = self._engine_factory(snapshot, self.database)
+                self._engine = QueryEngine(snapshot, self.database)
                 with self._stats_lock:
                     self._stats["reloads"] += 1
         except Exception:
@@ -438,43 +451,24 @@ class PatternService:
         digest["uptime"] = round(time.time() - digest.pop("started_at"), 3)
         return digest
 
-    def _guard_memory(self) -> None:
-        """Degrade in stages under memory pressure (see DESIGN.md §10).
-
-        Soft watermark: drop the engine's LRU/support caches — pure
-        memoization, answers stay identical.  Hard watermark: shed the
-        request with 503 before allocating query state.
-        """
-        level = self.watermark.level()
-        if level == MemoryWatermark.OK:
-            return
-        if level == MemoryWatermark.SOFT:
-            self._engine.clear_caches()
-            with self._stats_lock:
-                self._stats["cache_drops"] += 1
-            return
-        with self._stats_lock:
-            self._stats["shed_memory"] += 1
-        raise ServiceError(
-            503, "service over its memory watermark, retry later"
-        )
-
-    def _request_deadline(self, payload: dict) -> Deadline | None:
-        """The request's deadline: explicit ``deadline_ms`` or default."""
+    @staticmethod
+    def _request_deadline(payload: dict) -> Deadline | None:
+        """The request's ``deadline_ms`` budget, if it carries one."""
         millis = payload.get("deadline_ms")
         if millis is None:
-            if self.default_deadline is None:
-                return None
-            return Deadline.after(self.default_deadline)
-        try:
-            seconds = float(millis) / 1000.0
-        except (TypeError, ValueError):
+            return None
+        # bool is an int; a NaN budget would never expire.
+        if (
+            isinstance(millis, bool)
+            or not isinstance(millis, (int, float))
+            or not 0 < millis < math.inf
+        ):
             raise ServiceError(
-                400, f"deadline_ms must be a number, got {millis!r}"
-            ) from None
-        if seconds <= 0:
-            raise ServiceError(400, "deadline_ms must be positive")
-        return Deadline.after(seconds)
+                400,
+                f"deadline_ms must be a finite positive number, "
+                f"got {millis!r}",
+            )
+        return Deadline.after(millis / 1000.0)
 
     def execute(self, kind: str, payload: dict) -> dict:
         """Run one query on the current engine (single-flighted).
@@ -494,7 +488,6 @@ class PatternService:
             raise ServiceError(404, f"unknown query kind {kind!r}")
         induced = bool(payload.get("induced", False))
         deadline = self._request_deadline(payload)
-        self._guard_memory()
 
         breaker = self.breakers["query"]
         if not breaker.allow():
@@ -552,21 +545,17 @@ class PatternService:
     # Health / readiness
     # ------------------------------------------------------------------
     def ready(self) -> bool:
-        """Ready = engine loaded, no open circuit, below hard watermark."""
-        return (
-            self._engine is not None
-            and all(
-                b.state != "open" for b in self.breakers.values()
-            )
-            and self.watermark.level() != MemoryWatermark.HARD
+        """Ready = engine loaded, no open circuit."""
+        return self._engine is not None and all(
+            b.state != "open" for b in self.breakers.values()
         )
 
     def health_payload(self) -> tuple[int, dict]:
         """(status_code, body) for ``/healthz`` and ``/readyz``.
 
         ``status`` flips from ``ok`` to ``unready`` whenever a breaker
-        is open or memory crossed the hard watermark; it recovers as
-        soon as a half-open probe closes the breaker again.
+        is open; it recovers as soon as a half-open probe closes the
+        breaker again.
         """
         ready = self.ready()
         body = {
@@ -578,7 +567,6 @@ class PatternService:
                 name: breaker.snapshot()
                 for name, breaker in self.breakers.items()
             },
-            "memory": self.watermark.snapshot(),
         }
         return (200 if ready else 503), body
 
@@ -614,16 +602,15 @@ class PatternService:
     def metrics_payload(self) -> str:
         """The Prometheus text page for ``/metrics``.
 
-        Pull-model export: scrape time is when the health gauges
-        (breaker states, memory watermark), service-stat gauges and, over
-        a store-backed database, the storage cache gauges are refreshed
-        into the registry, then the whole registry renders.
+        Pull-model export: scrape time is when the breaker-state gauges,
+        service-stat gauges and, over a store-backed database, the
+        storage cache gauges are refreshed into the registry, then the
+        whole registry renders.
         """
         faults.fire(SITE_METRICS_SCRAPE)
         registry = obs_metrics.registry()
         for breaker in self.breakers.values():
             breaker.export_gauges()
-        self.watermark.export_gauges()
         snapshot_version = self._engine.snapshot.version
         registry.gauge(
             "repro_serve_snapshot_version",
@@ -709,6 +696,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
+        if length < 0:  # rfile.read(-1) would block until the client hangs up
+            self.close_connection = True
+            raise ServiceError(400, f"bad Content-Length: {length}")
         raw = self.rfile.read(length) if length else b"{}"
         try:
             payload = json.loads(raw or b"{}")
@@ -761,6 +751,9 @@ class _RequestHandler(BaseHTTPRequestHandler):
         except ServiceError as exc:
             self._count(error=True)
             self._send_json(exc.status, {"error": str(exc)})
+        except ValueError as exc:
+            self._count(error=True)
+            self._send_json(400, {"error": str(exc)})
         except Exception as exc:  # noqa: BLE001 - report, don't crash
             self._count(error=True)
             self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})

@@ -264,6 +264,10 @@ class TestErrorPaths:
         ["serve", "CAT", "DB", "--reload-interval", "-1"],
         ["serve", "CAT", "DB", "--reload-interval", "nan"],
         ["serve", "CAT", "DB", "--workers", "0"],
+        # A port outside [0, 65535] published the catalog, then ended in
+        # an OverflowError traceback from bind().
+        ["serve", "CAT", "DB", "--port", "70000"],
+        ["serve", "CAT", "DB", "--port", "-1"],
         # These used to end in a traceback (or, for --ops, a no-op run
         # that reported success).
         ["update", "DB", "OUT", "--fraction", "2"],

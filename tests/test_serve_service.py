@@ -7,7 +7,9 @@ service, and every response must be exactly what a direct
 reports — snapshot isolation, no torn reads.
 """
 
+import inspect
 import json
+import socket
 import threading
 import time
 import urllib.error
@@ -21,6 +23,9 @@ from repro.runtime import RunTelemetry
 from repro.serve.catalog import PatternCatalog
 from repro.serve.engine import QueryEngine
 from repro.serve.service import (
+    BREAKER_FAILURES,
+    BREAKER_RESET,
+    QUEUE_SIZE,
     PatternService,
     _SingleFlight,
     _WorkerPool,
@@ -198,7 +203,6 @@ class TestEndpoints:
             assert body["patterns"] == len(patterns)
             assert body["circuits"]["catalog"]["state"] == "closed"
             assert body["circuits"]["query"]["state"] == "closed"
-            assert body["memory"]["level"] == "ok"
 
             status, body = http_get(service.base_url + "/stats")
             assert status == 200
@@ -262,6 +266,33 @@ class TestEndpoints:
             assert status == 404
             assert service.stats()["errors"] >= 3
 
+    @pytest.mark.parametrize(
+        "query", ["top=abc", "top=3&by=foo"], ids=["top-abc", "by-foo"]
+    )
+    def test_bad_patterns_query_is_a_400(self, tmp_path, query):
+        catalog, db, _ = published_catalog(tmp_path)
+        with PatternService(catalog, db) as service:
+            status, body = http_get(f"{service.base_url}/patterns?{query}")
+            assert status == 400, body
+
+    def test_negative_content_length_is_a_400(self, tmp_path):
+        """``rfile.read(-1)`` used to block the handler until the client
+        hung up, so the client never got an answer."""
+        catalog, db, _ = published_catalog(tmp_path)
+        with PatternService(catalog, db) as service:
+            with socket.create_connection(
+                (service.host, service.port), timeout=10
+            ) as sock:
+                sock.sendall(
+                    b"POST /query/match HTTP/1.1\r\n"
+                    b"Host: localhost\r\n"
+                    b"Content-Type: application/json\r\n"
+                    b"Content-Length: -1\r\n\r\n"
+                )
+                status_line = sock.makefile("rb").readline()
+            assert status_line.startswith(b"HTTP/1.1 400"), status_line
+            assert http_get(service.base_url + "/healthz")[0] == 200
+
     def test_graceful_shutdown(self, tmp_path):
         catalog, db, _ = published_catalog(tmp_path)
         service = PatternService(catalog, db).start()
@@ -285,6 +316,34 @@ class TestEndpoints:
         assert telemetry.serving["service"]["requests"] == 1
         back = RunTelemetry.from_dict(telemetry.to_dict())
         assert back.serving == telemetry.serving
+
+
+class TestConstructor:
+    def test_signature_is_what_repro_serve_sets(self):
+        assert list(inspect.signature(PatternService).parameters) == [
+            "catalog", "database", "host", "port", "workers",
+            "reload_interval",
+        ]
+
+    @pytest.mark.parametrize(
+        "knob", ["queue_size", "breaker_failures", "breaker_reset"]
+    )
+    def test_constant_knobs_are_refused(self, tmp_path, knob):
+        catalog, db, _ = published_catalog(tmp_path)
+        with pytest.raises(TypeError, match=knob):
+            PatternService(catalog, db, **{knob: 1})
+
+    def test_queue_and_breakers_keep_their_values(self, tmp_path):
+        """``repro serve`` sheds at 64 queued queries; its breakers open
+        after 3 consecutive failures and half-open 5 s later."""
+        assert (QUEUE_SIZE, BREAKER_FAILURES, BREAKER_RESET) == (64, 3, 5.0)
+        catalog, db, _ = published_catalog(tmp_path)
+        service = PatternService(catalog, db)
+        assert service._pool._queue.maxsize == QUEUE_SIZE
+        for breaker in service.breakers.values():
+            assert breaker.failure_threshold == BREAKER_FAILURES
+            assert breaker.reset_timeout == BREAKER_RESET
+        service.close()
 
 
 class TestHotReload:
