@@ -15,130 +15,65 @@ Public API quick tour::
     db = generate_dataset("D100T12N10L20I4")
     result = PartMiner(k=4).mine(db, min_support=0.05)
     print(len(result.patterns), "frequent patterns")
+
+Every package's public names load on first use (DESIGN.md §18), so
+``import repro`` imports nothing else and a CLI command loads only the
+modules it runs.
 """
 
-from .core import (
-    IncrementalPartMiner,
-    IncrementalResult,
-    MergeJoinStats,
-    PartMiner,
-    PartMinerResult,
-    merge_join,
-)
-from .datagen import DatasetSpec, SyntheticGenerator, generate_dataset
-from .graph import (
-    DFSCode,
-    GraphDatabase,
-    LabeledGraph,
-    are_isomorphic,
-    canonical_code,
-    min_dfs_code,
-    subgraph_exists,
-)
-from .mining import (
-    BruteForceMiner,
-    GSpanMiner,
-    GastonMiner,
-    Pattern,
-    PatternSet,
-    read_patterns,
-    save_patterns,
-    validate,
-)
-from . import perf
-from . import serve
-from .mining.adi import ADIMiner
-from .serve import (
-    FragmentIndex,
-    PatternCatalog,
-    PatternService,
-    QueryEngine,
-)
-from .perf import SupportCache
-from .query import MatchResult, Occurrence, coverage, match, match_patterns
-from .runtime import (
-    CheckpointStore,
-    MiningRuntime,
-    RunTelemetry,
-    RuntimeConfig,
-    run_unit_mining,
-)
-from .partition import (
-    PARTITION1,
-    PARTITION2,
-    PARTITION3,
-    GraphPartitioner,
-    MetisPartitioner,
-    PartitionWeights,
-    db_partition,
-)
-from .updates import (
-    AddEdge,
-    AddVertex,
-    RelabelEdge,
-    RelabelVertex,
-    UpdateGenerator,
-    apply_updates,
-    hot_vertex_assignment,
-)
+import importlib
+import sys
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ADIMiner",
-    "AddEdge",
-    "AddVertex",
-    "BruteForceMiner",
-    "CheckpointStore",
-    "DFSCode",
-    "DatasetSpec",
-    "GSpanMiner",
-    "GastonMiner",
-    "GraphDatabase",
-    "GraphPartitioner",
-    "IncrementalPartMiner",
-    "IncrementalResult",
-    "LabeledGraph",
-    "MergeJoinStats",
-    "MetisPartitioner",
-    "MiningRuntime",
-    "PARTITION1",
-    "PARTITION2",
-    "PARTITION3",
-    "PartMiner",
-    "PartMinerResult",
-    "Pattern",
-    "PatternSet",
-    "PartitionWeights",
-    "RelabelEdge",
-    "RelabelVertex",
-    "RunTelemetry",
-    "RuntimeConfig",
-    "SupportCache",
-    "SyntheticGenerator",
-    "UpdateGenerator",
-    "apply_updates",
-    "are_isomorphic",
-    "canonical_code",
-    "read_patterns",
-    "save_patterns",
-    "validate",
-    "db_partition",
-    "generate_dataset",
-    "hot_vertex_assignment",
-    "merge_join",
-    "MatchResult",
-    "Occurrence",
-    "coverage",
-    "match",
-    "match_patterns",
-    "min_dfs_code",
-    "perf",
-    "run_unit_mining",
-    "serve",
-    "subgraph_exists",
-    "FragmentIndex",
-    "PatternCatalog",
-    "PatternService",
-    "QueryEngine",
-]
+
+def _exports(package: str, table: dict[str, str]):
+    """PEP 562 ``(__getattr__, __dir__, __all__)`` for ``package``.
+
+    ``table`` maps each submodule (relative to ``package``) to the
+    whitespace-separated public names it defines; a name equal to its
+    submodule's last component is that submodule.  A name's submodule is
+    imported when the name is first read, and the value is then bound on
+    the package, so later reads are plain attribute hits.
+    """
+    owner = {
+        name: module for module, names in table.items()
+        for name in names.split()
+    }
+
+    def __getattr__(name: str):
+        if name not in owner:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            )
+        value = importlib.import_module(owner[name], package)
+        if value.__name__.rpartition(".")[2] != name:
+            value = getattr(value, name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(vars(sys.modules[package]).keys() | owner.keys())
+
+    return __getattr__, __dir__, list(owner)
+
+
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    ".core": """IncrementalPartMiner IncrementalResult MergeJoinStats
+                PartMiner PartMinerResult merge_join""",
+    ".datagen": "DatasetSpec SyntheticGenerator generate_dataset",
+    ".graph": """DFSCode GraphDatabase LabeledGraph are_isomorphic
+                 canonical_code min_dfs_code subgraph_exists""",
+    ".mining": """BruteForceMiner GSpanMiner GastonMiner Pattern PatternSet
+                  read_patterns save_patterns validate""",
+    ".mining.adi": "ADIMiner",
+    ".perf": "perf SupportCache",
+    ".serve": "serve FragmentIndex PatternCatalog PatternService QueryEngine",
+    ".query": "MatchResult Occurrence coverage match match_patterns",
+    ".runtime": """CheckpointStore MiningRuntime RunTelemetry RuntimeConfig
+                   run_unit_mining""",
+    ".partition": """PARTITION1 PARTITION2 PARTITION3 GraphPartitioner
+                     MetisPartitioner PartitionWeights db_partition""",
+    ".updates": """AddEdge AddVertex RelabelEdge RelabelVertex UpdateGenerator
+                   apply_updates hot_vertex_assignment""",
+})

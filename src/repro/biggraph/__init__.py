@@ -9,22 +9,10 @@ that pivot support during growth.  The CLI exposes it as
 ``repro mine-big``; ``repro neighborhoods`` inspects the decomposition.
 """
 
-from .extract import (
-    ExtractionStats,
-    NeighborhoodExtractor,
-    neighborhood_vertices,
-)
-from .miner import SUPPORT_MODES, BigGraphMiner, BigGraphResult
-from .mni import MNICount, MNISupport, pattern_radius
+from .. import _exports
 
-__all__ = [
-    "BigGraphMiner",
-    "BigGraphResult",
-    "ExtractionStats",
-    "MNICount",
-    "MNISupport",
-    "NeighborhoodExtractor",
-    "SUPPORT_MODES",
-    "neighborhood_vertices",
-    "pattern_radius",
-]
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    ".extract": "ExtractionStats NeighborhoodExtractor neighborhood_vertices",
+    ".miner": "SUPPORT_MODES BigGraphMiner BigGraphResult",
+    ".mni": "MNICount MNISupport pattern_radius",
+})

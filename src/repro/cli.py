@@ -29,18 +29,7 @@ import os
 import sys
 import time
 
-from .core.partminer import PartMiner
-from .datagen.synthetic import DatasetSpec, SyntheticGenerator
 from .graph import io as graph_io
-from .graph.dot import graph_to_dot, patterns_to_dot
-from .mining.adi.adimine import ADIMiner
-from .mining.gaston import GastonMiner
-from .mining.gspan import GSpanMiner
-from .mining.store import read_patterns, save_patterns
-from .partition.dbpartition import db_partition
-from .partition.graphpart import GraphPartitioner
-from .partition.metis import MetisPartitioner
-from .partition.weights import PartitionWeights
 from .resilience import faults
 from .resilience.errors import (
     ArtifactCorrupt,
@@ -48,9 +37,7 @@ from .resilience.errors import (
     BudgetExceeded,
     exit_code_for,
 )
-from .updates.generator import UPDATE_KINDS, UpdateGenerator
-from .updates.model import apply_updates
-from .updates.tracker import hot_vertex_assignment
+from .updates.generator import UPDATE_KINDS
 
 SITE_RUN = faults.register_site(
     "cli.run", "top-level CLI command dispatch"
@@ -60,7 +47,7 @@ EXIT_CODE_EPILOG = """\
 exit codes:
   0  success
   1  unclassified error
-  2  usage error (bad arguments)
+  2  usage error (bad arguments, an input file that cannot be read)
   3  corrupt stored artifact (checksum/structure miss; bad bytes
      quarantined to <name>.corrupt/)
   4  graph input failed t/v/e parsing (see --on-parse-error)
@@ -165,15 +152,24 @@ def _add_parse_policy(parser: argparse.ArgumentParser) -> None:
     )
 
 
+class _InputUnreadable(Exception):
+    """An input file the OS would not let a command read (exit 2)."""
+
+
 def _load_database(args: argparse.Namespace, path=None):
     """Read a database honoring the subcommand's parse-error policy."""
-    on_error = getattr(args, "on_parse_error", "raise")
+    path = path if path is not None else args.database
     report = graph_io.ParseReport()
-    database = graph_io.read_database(
-        path if path is not None else args.database,
-        on_error=on_error,
-        report=report,
-    )
+    try:
+        database = graph_io.read_database(
+            path,
+            on_error=getattr(args, "on_parse_error", "raise"),
+            report=report,
+        )
+    except OSError as exc:
+        raise _InputUnreadable(
+            f"cannot read {path}: {exc.strerror or exc}"
+        ) from None
     if report.graphs_skipped:
         print(
             f"warning: {report.summary()}",
@@ -271,10 +267,10 @@ def _storage_database(args: argparse.Namespace):
         return _load_database(args), None
     from .storage import open_backend
 
+    source = _load_database(args)
     backend = open_backend(
         "sqlite", args.db_path, cache_graphs=args.graph_cache
     )
-    source = _load_database(args)
     written = backend.import_database(source)
     backend.checkpoint()
     del source
@@ -326,6 +322,8 @@ def _tracing(path):
 # ----------------------------------------------------------------------
 def cmd_generate(args: argparse.Namespace) -> int:
     """Synthesize a database from a Table-1 spec name."""
+    from .datagen.synthetic import DatasetSpec, SyntheticGenerator
+
     spec = DatasetSpec.from_name(args.spec, seed=args.seed)
     database = SyntheticGenerator(spec).generate()
     graph_io.write_database(database, args.output)
@@ -344,9 +342,13 @@ def cmd_mine(args: argparse.Namespace) -> int:
     if runtime_config is None:
         return 2
     database, storage = _storage_database(args)
-    start = time.perf_counter()
     telemetry = None
     if args.algorithm == "partminer":
+        from .core.partminer import PartMiner
+        from .partition.graphpart import GraphPartitioner
+        from .partition.metis import MetisPartitioner
+        from .partition.weights import PartitionWeights
+
         partitioner = None
         if args.metis:
             partitioner = MetisPartitioner()
@@ -374,13 +376,20 @@ def cmd_mine(args: argparse.Namespace) -> int:
         )
     else:
         if args.algorithm == "gspan":
+            from .mining.gspan import GSpanMiner
+
             miner = GSpanMiner(max_size=args.max_size)
         elif args.algorithm == "gaston":
+            from .mining.gaston import GastonMiner
+
             miner = GastonMiner(max_size=args.max_size)
         elif args.algorithm == "adimine":
+            from .mining.adi.adimine import ADIMiner
+
             miner = ADIMiner(max_size=args.max_size)
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(args.algorithm)
+        start = time.perf_counter()
         try:
             patterns = miner.mine(database, args.support)
         finally:
@@ -407,6 +416,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
         print(f"metrics snapshot saved to {args.metrics}")
     print(f"{len(patterns)} frequent patterns ({timing})")
     if args.output:
+        from .mining.store import save_patterns
+
         save_patterns(
             patterns,
             args.output,
@@ -540,6 +551,8 @@ def cmd_mine_big(args: argparse.Namespace) -> int:
             "bound"
         )
     if args.output:
+        from .mining.store import save_patterns
+
         save_patterns(
             result.patterns,
             args.output,
@@ -600,6 +613,9 @@ def cmd_neighborhoods(args: argparse.Namespace) -> int:
 
 def cmd_partition(args: argparse.Namespace) -> int:
     """Split a database into k units and report cut statistics."""
+    from .partition.dbpartition import db_partition
+    from .updates.tracker import hot_vertex_assignment
+
     database = _load_database(args)
     ufreq = None
     if args.hot_fraction:
@@ -624,6 +640,10 @@ def cmd_partition(args: argparse.Namespace) -> int:
 
 def cmd_update(args: argparse.Namespace) -> int:
     """Apply a random update batch and write the result."""
+    from .updates.generator import UpdateGenerator
+    from .updates.model import apply_updates
+    from .updates.tracker import hot_vertex_assignment
+
     database = _load_database(args)
     ufreq = hot_vertex_assignment(
         database, hot_fraction=args.hot_fraction, seed=args.seed
@@ -647,6 +667,9 @@ def cmd_update(args: argparse.Namespace) -> int:
 
 def cmd_show(args: argparse.Namespace) -> int:
     """Export a database graph or a pattern file as Graphviz DOT."""
+    from .graph.dot import graph_to_dot, patterns_to_dot
+    from .mining.store import read_patterns
+
     if args.patterns:
         patterns, _ = read_patterns(args.input)
         print(patterns_to_dot(patterns, max_patterns=args.top))
@@ -661,6 +684,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     """Relocate stored patterns over a database (the memory or sqlite
     backend) through :func:`repro.query.match_patterns`."""
     from .graph.canonical import min_dfs_code
+    from .mining.store import read_patterns, save_patterns
     from .query import match_patterns
 
     if not _check_storage_flags(args):
@@ -702,6 +726,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Publish (optionally) and serve a pattern catalog over HTTP."""
+    from .mining.store import read_patterns
     from .serve import PatternCatalog, PatternService
 
     if not _check_storage_flags(args):
@@ -1071,6 +1096,9 @@ def main(argv: list[str] | None = None) -> int:
     except graph_io.GraphParseError as exc:
         print(f"repro: parse error: {exc}", file=sys.stderr)
         return exit_code_for(exc)
+    except _InputUnreadable as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 2
     except BudgetExceeded as exc:
         print(f"repro: budget exceeded: {exc}", file=sys.stderr)
         return exit_code_for(exc)

@@ -1,28 +1,10 @@
 """The paper's contribution: merge-join, PartMiner, IncPartMiner."""
 
-from .incremental import (
-    IncrementalPartMiner,
-    IncrementalResult,
-    IncrementalStats,
-)
-from .join import SupportCounter, join_patterns, pattern_edge_triples
-from .mergejoin import MergeJoinStats, merge_join
-from .partminer import (
-    PartMiner,
-    PartMinerResult,
-    resolve_unit_threshold,
-)
+from .. import _exports
 
-__all__ = [
-    "IncrementalPartMiner",
-    "IncrementalResult",
-    "IncrementalStats",
-    "MergeJoinStats",
-    "PartMiner",
-    "PartMinerResult",
-    "SupportCounter",
-    "join_patterns",
-    "merge_join",
-    "pattern_edge_triples",
-    "resolve_unit_threshold",
-]
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    ".incremental": "IncrementalPartMiner IncrementalResult IncrementalStats",
+    ".join": "SupportCounter join_patterns pattern_edge_triples",
+    ".mergejoin": "MergeJoinStats merge_join",
+    ".partminer": "PartMiner PartMinerResult resolve_unit_threshold",
+})

@@ -1,24 +1,10 @@
 """Synthetic workload generation (paper Table 1 parameters D/N/T/I/L)."""
 
-from .kernels import generate_kernels, random_connected_graph
-from .large_graph import (
-    LargeGraphResult,
-    LargeGraphSpec,
-    PlantedPattern,
-    generate_large_graph,
-    planted_star,
-)
-from .synthetic import DatasetSpec, SyntheticGenerator, generate_dataset
+from .. import _exports
 
-__all__ = [
-    "DatasetSpec",
-    "LargeGraphResult",
-    "LargeGraphSpec",
-    "PlantedPattern",
-    "SyntheticGenerator",
-    "generate_dataset",
-    "generate_kernels",
-    "generate_large_graph",
-    "planted_star",
-    "random_connected_graph",
-]
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    ".kernels": "generate_kernels random_connected_graph",
+    ".large_graph": """LargeGraphResult LargeGraphSpec PlantedPattern
+                       generate_large_graph planted_star""",
+    ".synthetic": "DatasetSpec SyntheticGenerator generate_dataset",
+})

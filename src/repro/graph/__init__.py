@@ -1,32 +1,13 @@
 """Graph substrate: labeled graphs, databases, I/O, isomorphism, canonical codes."""
 
-from .canonical import (
-    DFSCode,
-    canonical_code,
-    canonical_form,
-    is_min_code,
-    min_dfs_code,
-)
-from .database import GraphDatabase
-from .dot import graph_to_dot, patterns_to_dot
-from .isomorphism import are_isomorphic, count_support, subgraph_exists
-from .labeled_graph import LabeledGraph
-from .operations import DeletionCore, edge_deletion_cores, overlay_candidates
+from .. import _exports
 
-__all__ = [
-    "DFSCode",
-    "DeletionCore",
-    "GraphDatabase",
-    "graph_to_dot",
-    "patterns_to_dot",
-    "LabeledGraph",
-    "are_isomorphic",
-    "canonical_code",
-    "canonical_form",
-    "count_support",
-    "edge_deletion_cores",
-    "is_min_code",
-    "min_dfs_code",
-    "overlay_candidates",
-    "subgraph_exists",
-]
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    ".canonical": """DFSCode canonical_code canonical_form is_min_code
+                     min_dfs_code""",
+    ".database": "GraphDatabase",
+    ".dot": "graph_to_dot patterns_to_dot",
+    ".isomorphism": "are_isomorphic count_support subgraph_exists",
+    ".labeled_graph": "LabeledGraph",
+    ".operations": "DeletionCore edge_deletion_cores overlay_candidates",
+})

@@ -97,11 +97,17 @@ class ParseReport:
         return detail
 
 
-def _parse_label(token: str) -> Label:
-    try:
-        return int(token)
-    except ValueError:
-        return token
+class _Labels(dict):
+    """Label token -> label, each distinct token parsed once: ints when
+    ``int()`` reads them, the token itself otherwise."""
+
+    def __missing__(self, token: str) -> Label:
+        try:
+            label = int(token)
+        except ValueError:
+            label = token
+        self[token] = label
+        return label
 
 
 def _check_label(label: Label) -> Label:
@@ -143,79 +149,13 @@ def dumps(database: GraphDatabase) -> str:
     return buffer.getvalue()
 
 
-def _int_token(
-    token: str, what: str, source, line_number: int, gid
-) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise GraphParseError(
-            f"{what} is not an integer",
-            source=source, line=line_number, token=token, gid=gid,
-        ) from None
-
-
-def _parse_line(
-    parts: list[str],
-    gid: int | None,
-    graph: LabeledGraph | None,
-    source: str | None,
-    line_number: int,
-) -> tuple[int | None, LabeledGraph | None]:
-    """Apply one directive; returns the (gid, graph) state after it."""
-    kind = parts[0]
-    if kind == "t":
-        if len(parts) < 2:
-            raise GraphParseError(
-                "'t' record carries no graph id",
-                source=source, line=line_number,
-            )
-        gid = _int_token(parts[-1], "graph id", source, line_number, None)
-        return gid, LabeledGraph()
-    if kind == "v":
-        if graph is None:
-            raise GraphParseError(
-                "vertex before 't' record",
-                source=source, line=line_number,
-            )
-        if len(parts) != 3:
-            raise GraphParseError(
-                f"'v' record needs 2 fields, got {len(parts) - 1}",
-                source=source, line=line_number, gid=gid,
-            )
-        vid = _int_token(parts[1], "vertex id", source, line_number, gid)
-        if vid != graph.num_vertices:
-            raise GraphParseError(
-                f"vertex id {vid} out of order "
-                f"(expected {graph.num_vertices})",
-                source=source, line=line_number, token=parts[1], gid=gid,
-            )
-        graph.add_vertex(_parse_label(parts[2]))
-        return gid, graph
-    if kind == "e":
-        if graph is None:
-            raise GraphParseError(
-                "edge before 't' record",
-                source=source, line=line_number,
-            )
-        if len(parts) != 4:
-            raise GraphParseError(
-                f"'e' record needs 3 fields, got {len(parts) - 1}",
-                source=source, line=line_number, gid=gid,
-            )
-        u = _int_token(parts[1], "edge endpoint", source, line_number, gid)
-        v = _int_token(parts[2], "edge endpoint", source, line_number, gid)
-        try:
-            graph.add_edge(u, v, _parse_label(parts[3]))
-        except (ValueError, IndexError, KeyError) as exc:
-            raise GraphParseError(
-                str(exc), source=source, line=line_number, gid=gid
-            ) from None
-        return gid, graph
-    raise GraphParseError(
-        f"unknown directive {kind!r}",
-        source=source, line=line_number, token=kind, gid=gid,
-    )
+def _sealed(graph: LabeledGraph, edges: int) -> LabeledGraph:
+    """``graph``, whose rows were filled directly, with the edge count and
+    ``version`` (``n + m``) its ``add_vertex`` / ``add_edge`` calls would
+    have left."""
+    graph._num_edges = edges
+    graph.version = graph.num_vertices + edges
+    return graph
 
 
 def iter_graphs(
@@ -231,6 +171,14 @@ def iter_graphs(
     module docs); lenient modes record what they dropped into
     ``report``.  Raises :class:`GraphParseError` on malformed records
     under the default policy.
+
+    One pass, records handled inline: each graph's rows are filled in
+    file order (the adjacency order and ``version`` counter that
+    ``add_vertex`` / ``add_edge`` calls would leave), each distinct label
+    token is parsed once, and ids are read by ``int()``.  A graph id
+    already taken by an earlier ``t`` record is a parse error at the
+    later one.  The ``graph.parse`` fault site fires on every line while
+    a fault plan is armed when the parse starts.
     """
     if on_error not in ON_ERROR_POLICIES:
         raise ValueError(
@@ -238,35 +186,134 @@ def iter_graphs(
         )
     if report is None:
         report = ParseReport()
+    plan = faults.active_plan()
+    labels_of = _Labels()
+    taken: set[int] = set()
     gid: int | None = None
     graph: LabeledGraph | None = None
+    labels: list[Label] = []  # rows of ``graph`` while it is built
+    adj: list[dict[int, Label]] = []
+    edges = 0
     poisoned = False  # current graph had a bad record; swallow its rest
+    line_number = report.lines
     for line_number, raw in enumerate(lines, start=1):
-        report.lines = line_number
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
-        starts_graph = parts[0] == "t"
-        if poisoned and not starts_graph:
+        kind = parts[0]
+        if poisoned and kind != "t":
             continue
         try:
-            faults.fire(
-                SITE_PARSE, source=source or "<stream>", line=line_number
-            )
-            if starts_graph and graph is not None and gid is not None:
-                yield gid, graph
+            if plan is not None:
+                plan.fire(
+                    SITE_PARSE, source=source or "<stream>", line=line_number
+                )
+            if kind == "e":
+                if graph is None:
+                    raise GraphParseError(
+                        "edge before 't' record",
+                        source=source, line=line_number,
+                    )
+                if len(parts) != 4:
+                    raise GraphParseError(
+                        f"'e' record needs 3 fields, got {len(parts) - 1}",
+                        source=source, line=line_number, gid=gid,
+                    )
+                _, tu, tv, token = parts
+                u = None
+                try:
+                    u = int(tu)
+                    v = int(tv)
+                except ValueError:
+                    raise GraphParseError(
+                        "edge endpoint is not an integer",
+                        source=source, line=line_number,
+                        token=tu if u is None else tv, gid=gid,
+                    ) from None
+                n = len(labels)
+                if u == v:
+                    problem = f"self-loop on vertex {u} is not allowed"
+                elif not (0 <= u < n and 0 <= v < n):
+                    problem = (
+                        f"edge ({u}, {v}) references unknown vertex (n={n})"
+                    )
+                elif v in adj[u]:
+                    problem = f"duplicate edge ({u}, {v})"
+                else:
+                    label = labels_of[token]
+                    adj[u][v] = label
+                    adj[v][u] = label
+                    edges += 1
+                    continue
+                raise GraphParseError(
+                    problem, source=source, line=line_number, gid=gid
+                )
+            if kind == "v":
+                if graph is None:
+                    raise GraphParseError(
+                        "vertex before 't' record",
+                        source=source, line=line_number,
+                    )
+                if len(parts) != 3:
+                    raise GraphParseError(
+                        f"'v' record needs 2 fields, got {len(parts) - 1}",
+                        source=source, line=line_number, gid=gid,
+                    )
+                _, tid, token = parts
+                try:
+                    vid = int(tid)
+                except ValueError:
+                    raise GraphParseError(
+                        "vertex id is not an integer",
+                        source=source, line=line_number, token=tid, gid=gid,
+                    ) from None
+                if vid != len(labels):
+                    raise GraphParseError(
+                        f"vertex id {vid} out of order "
+                        f"(expected {len(labels)})",
+                        source=source, line=line_number, token=tid, gid=gid,
+                    )
+                labels.append(labels_of[token])
+                adj.append({})
+                continue
+            if kind != "t":
+                raise GraphParseError(
+                    f"unknown directive {kind!r}",
+                    source=source, line=line_number, token=kind, gid=gid,
+                )
+            if graph is not None:
+                report.lines = line_number
+                yield gid, _sealed(graph, edges)
                 report.graphs_ok += 1
                 graph = None
-            new_gid, new_graph = _parse_line(
-                parts, gid, graph, source, line_number
-            )
+            if len(parts) < 2:
+                raise GraphParseError(
+                    "'t' record carries no graph id",
+                    source=source, line=line_number,
+                )
+            try:
+                gid = int(parts[-1])
+            except ValueError:
+                raise GraphParseError(
+                    "graph id is not an integer",
+                    source=source, line=line_number, token=parts[-1],
+                ) from None
+            if gid in taken:
+                raise GraphParseError(
+                    f"duplicate graph id {gid}",
+                    source=source, line=line_number, token=parts[-1],
+                )
+            taken.add(gid)
+            graph = LabeledGraph()
+            labels, adj, edges = graph._vertex_labels, graph._adj, 0
+            poisoned = False
         except GraphParseError as exc:
+            report.lines = line_number
             if on_error == "raise":
                 raise
             if on_error == "collect":
                 report.errors.append(exc)
-            if poisoned or graph is not None or starts_graph:
+            if poisoned or graph is not None or kind == "t":
                 # the error poisons the graph under construction (or the
                 # one the bad 't' line would have started)
                 if not poisoned:
@@ -274,13 +321,9 @@ def iter_graphs(
                 poisoned = True
                 graph = None
                 gid = None
-            continue
-        else:
-            if starts_graph:
-                poisoned = False
-            gid, graph = new_gid, new_graph
-    if graph is not None and gid is not None and not poisoned:
-        yield gid, graph
+    report.lines = line_number
+    if graph is not None and not poisoned:
+        yield gid, _sealed(graph, edges)
         report.graphs_ok += 1
 
 

@@ -1,15 +1,9 @@
 """ADI / ADIMINE: the disk-based baseline miner (Wang et al., SIGKDD 2004)."""
 
-from .adimine import ADIMiner, ADIMineStats
-from .index import ADIIndex, deserialize_graph, serialize_graph
-from .storage import BlockStorage, StorageStats
+from ... import _exports
 
-__all__ = [
-    "ADIIndex",
-    "ADIMiner",
-    "ADIMineStats",
-    "BlockStorage",
-    "StorageStats",
-    "deserialize_graph",
-    "serialize_graph",
-]
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    ".adimine": "ADIMiner ADIMineStats",
+    ".index": "ADIIndex deserialize_graph serialize_graph",
+    ".storage": "BlockStorage StorageStats",
+})

@@ -25,22 +25,12 @@ Convenience re-exports cover the common surface::
     obs.registry().counter("repro_thing_total").inc()
 """
 
-from .metrics import (  # noqa: F401
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-    registry,
-)
-from .summarize import summarize_file, summarize_spans  # noqa: F401
-from .trace import (  # noqa: F401
-    NULL_SPAN,
-    Span,
-    Tracer,
-    activate,
-    begin_in_child,
-    collect_child_spans,
-    current_handoff,
-    load_spans,
-    span,
-    traced,
-    tracing,
-)
+from .. import _exports
+
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    ".metrics": "DEFAULT_LATENCY_BUCKETS MetricsRegistry registry",
+    ".summarize": "summarize_file summarize_spans",
+    ".trace": """NULL_SPAN Span Tracer activate begin_in_child
+                 collect_child_spans current_handoff load_spans span traced
+                 tracing""",
+})

@@ -13,63 +13,16 @@ subprocesses or sockets:
   documented CLI exit codes.
 """
 
-from .errors import (
-    EXIT_BUDGET_EXCEEDED,
-    EXIT_CORRUPT_ARTIFACT,
-    EXIT_ERROR,
-    EXIT_OK,
-    EXIT_PARSE_ERROR,
-    ArtifactCorrupt,
-    ArtifactRetired,
-    BudgetExceeded,
-    CircuitOpen,
-    DeadlineExceeded,
-    ResilienceError,
-    exit_code_for,
-)
-from .faults import (
-    FaultPlan,
-    InjectedFault,
-    active_plan,
-    register_site,
-    registered_sites,
-)
-from .health import CircuitBreaker, Deadline
-from .integrity import (
-    atomic_write_json,
-    atomic_write_text,
-    frame,
-    quarantine,
-    read_checked,
-    unframe,
-    write_checked,
-)
+from .. import _exports
 
-__all__ = [
-    "EXIT_BUDGET_EXCEEDED",
-    "EXIT_CORRUPT_ARTIFACT",
-    "EXIT_ERROR",
-    "EXIT_OK",
-    "EXIT_PARSE_ERROR",
-    "ArtifactCorrupt",
-    "ArtifactRetired",
-    "BudgetExceeded",
-    "CircuitBreaker",
-    "CircuitOpen",
-    "Deadline",
-    "DeadlineExceeded",
-    "FaultPlan",
-    "InjectedFault",
-    "ResilienceError",
-    "active_plan",
-    "atomic_write_json",
-    "atomic_write_text",
-    "exit_code_for",
-    "frame",
-    "quarantine",
-    "read_checked",
-    "register_site",
-    "registered_sites",
-    "unframe",
-    "write_checked",
-]
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    ".errors": """EXIT_BUDGET_EXCEEDED EXIT_CORRUPT_ARTIFACT EXIT_ERROR EXIT_OK
+                  EXIT_PARSE_ERROR ArtifactCorrupt ArtifactRetired
+                  BudgetExceeded CircuitOpen DeadlineExceeded
+                  ResilienceError exit_code_for""",
+    ".faults": """FaultPlan InjectedFault active_plan register_site
+                  registered_sites""",
+    ".health": "CircuitBreaker Deadline",
+    ".integrity": """atomic_write_json atomic_write_text frame quarantine
+                     read_checked unframe write_checked""",
+})

@@ -12,33 +12,13 @@ Public surface::
     )
 """
 
-from .checkpoint import CheckpointMismatch, CheckpointStore
-from .config import RuntimeConfig
-from .engine import (
-    MiningRuntime,
-    RuntimeResult,
-    UnitMiningError,
-    UnitTask,
-    decode_patterns,
-    encode_patterns,
-    mine_unit_worker,
-    run_unit_mining,
-)
-from .telemetry import AttemptRecord, RunTelemetry, UnitRecord
+from .. import _exports
 
-__all__ = [
-    "AttemptRecord",
-    "CheckpointMismatch",
-    "CheckpointStore",
-    "MiningRuntime",
-    "RunTelemetry",
-    "RuntimeConfig",
-    "RuntimeResult",
-    "UnitMiningError",
-    "UnitRecord",
-    "UnitTask",
-    "decode_patterns",
-    "encode_patterns",
-    "mine_unit_worker",
-    "run_unit_mining",
-]
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    ".checkpoint": "CheckpointMismatch CheckpointStore",
+    ".config": "RuntimeConfig",
+    ".engine": """MiningRuntime RuntimeResult UnitMiningError UnitTask
+                  decode_patterns encode_patterns mine_unit_worker
+                  run_unit_mining""",
+    ".telemetry": "AttemptRecord RunTelemetry UnitRecord",
+})

@@ -20,41 +20,12 @@ End-to-end story (mine -> publish -> serve -> update -> hot-reload):
 ``examples/serve_and_query.py``; design notes: DESIGN.md §9.
 """
 
-from .catalog import (
-    CatalogSnapshot,
-    PatternCatalog,
-    PatternEntry,
-    catalog_order,
-)
-from .engine import (
-    ContainsAnswer,
-    EngineTotals,
-    MatchAnswer,
-    QueryEngine,
-    QueryStats,
-)
-from .index import FragmentIndex, graph_fragments
-from .service import (
-    PatternService,
-    ServiceError,
-    decode_graph,
-    encode_graph,
-)
+from .. import _exports
 
-__all__ = [
-    "CatalogSnapshot",
-    "ContainsAnswer",
-    "EngineTotals",
-    "FragmentIndex",
-    "MatchAnswer",
-    "PatternCatalog",
-    "PatternEntry",
-    "PatternService",
-    "QueryEngine",
-    "QueryStats",
-    "ServiceError",
-    "catalog_order",
-    "decode_graph",
-    "encode_graph",
-    "graph_fragments",
-]
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    ".catalog": "CatalogSnapshot PatternCatalog PatternEntry catalog_order",
+    ".engine": """ContainsAnswer EngineTotals MatchAnswer QueryEngine
+                  QueryStats""",
+    ".index": "FragmentIndex graph_fragments",
+    ".service": "PatternService ServiceError decode_graph encode_graph",
+})

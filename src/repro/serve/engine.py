@@ -60,6 +60,9 @@ from .index import graph_digest, graph_fragments
 
 _VERSION = attrgetter("version")
 
+#: What :meth:`QueryEngine.top_k` can rank by.
+TOP_K_BY = ("support", "size")
+
 
 @dataclass
 class QueryStats:
@@ -399,14 +402,17 @@ class QueryEngine:
 
         Pure metadata — no search.  Ties break on catalog pid, which is
         itself deterministic (size, support desc, canonical key).
+        Raises :class:`ValueError` for a negative ``k`` or another ``by``.
         """
-        if by not in ("support", "size"):
+        if k < 0:
+            raise ValueError(f"top_k k must be a whole number >= 0: {k!r}")
+        if by not in TOP_K_BY:
             raise ValueError(f"top_k by must be 'support' or 'size': {by!r}")
         entries = sorted(
             self.snapshot.entries,
             key=lambda e: (-(e.support if by == "support" else e.size), e.pid),
         )
-        return entries[: max(0, k)]
+        return entries[:k]
 
     def coverage(self, induced: bool = False) -> tuple[float, set[int]]:
         """Fraction (and set) of graphs containing >= 1 catalog pattern.

@@ -65,7 +65,7 @@ from ..resilience import faults
 from ..resilience.errors import CircuitOpen, DeadlineExceeded
 from ..resilience.health import CircuitBreaker, Deadline
 from .catalog import PatternCatalog
-from .engine import QueryEngine
+from .engine import TOP_K_BY, QueryEngine
 from .index import graph_digest
 
 SITE_REQUEST = faults.register_site(
@@ -578,11 +578,14 @@ class PatternService:
         return (id(engine), kind, graph_digest(graph), induced)
 
     def list_patterns(self, top: int | None, by: str) -> dict:
+        """The ``top`` leading entries by ``by`` (every entry, in catalog
+        order, when ``top`` is ``None``); a bad ``by`` is a
+        :class:`ValueError` either way."""
         engine = self._engine
+        if by not in TOP_K_BY:
+            raise ValueError(f"by must be 'support' or 'size': {by!r}")
         entries = (
-            engine.top_k(top, by=by)
-            if top is not None
-            else list(engine.snapshot.entries)
+            engine.snapshot.entries if top is None else engine.top_k(top, by)
         )
         return {
             "version": engine.snapshot.version,
@@ -737,12 +740,16 @@ class _RequestHandler(BaseHTTPRequestHandler):
             elif parsed.path == "/patterns":
                 self._count()
                 params = parse_qs(parsed.query)
-                top = params.get("top")
-                by = params.get("by", ["support"])[0]
+                top = params.get("top", [None])[0]
+                if top is not None and not top.isdecimal():
+                    raise ValueError(
+                        f"top must be a whole number >= 0: {top!r}"
+                    )
                 self._send_json(
                     200,
                     service.list_patterns(
-                        int(top[0]) if top else None, by
+                        None if top is None else int(top),
+                        params.get("by", ["support"])[0],
                     ),
                 )
             else:

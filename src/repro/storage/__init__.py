@@ -6,27 +6,11 @@ Pattern sets and catalog snapshots stay files over either backend.
 See DESIGN.md §14 for the schema and the atomicity/quarantine model.
 """
 
-from .backend import (
-    BACKEND_NAMES,
-    SITE_STORAGE_READ,
-    SITE_STORAGE_WRITE,
-    MemoryBackend,
-    StorageBackend,
-    open_backend,
-)
-from .encoding import decode_graph, encode_graph, payload_sha
-from .lru import DEFAULT_CACHE_GRAPHS, GraphLRU
+from .. import _exports
 
-__all__ = [
-    "BACKEND_NAMES",
-    "DEFAULT_CACHE_GRAPHS",
-    "GraphLRU",
-    "MemoryBackend",
-    "SITE_STORAGE_READ",
-    "SITE_STORAGE_WRITE",
-    "StorageBackend",
-    "decode_graph",
-    "encode_graph",
-    "open_backend",
-    "payload_sha",
-]
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    ".backend": """BACKEND_NAMES SITE_STORAGE_READ SITE_STORAGE_WRITE
+                   MemoryBackend StorageBackend open_backend""",
+    ".encoding": "decode_graph encode_graph payload_sha",
+    ".lru": "DEFAULT_CACHE_GRAPHS GraphLRU",
+})

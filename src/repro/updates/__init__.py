@@ -1,33 +1,12 @@
 """Dynamic-environment support: update model, generator, ufreq tracking."""
 
-from .generator import UPDATE_KINDS, UpdateGenerator
-from .journal import UpdateJournal, replay
-from .stream import EpochPlan, UpdateStream
-from .model import (
-    AddEdge,
-    AddVertex,
-    RelabelEdge,
-    RelabelVertex,
-    Update,
-    apply_update,
-    apply_updates,
-)
-from .tracker import UpdateFrequencyTracker, hot_vertex_assignment
+from .. import _exports
 
-__all__ = [
-    "AddEdge",
-    "AddVertex",
-    "RelabelEdge",
-    "RelabelVertex",
-    "UPDATE_KINDS",
-    "Update",
-    "UpdateFrequencyTracker",
-    "UpdateGenerator",
-    "UpdateStream",
-    "EpochPlan",
-    "UpdateJournal",
-    "replay",
-    "apply_update",
-    "apply_updates",
-    "hot_vertex_assignment",
-]
+__getattr__, __dir__, __all__ = _exports(__name__, {
+    ".generator": "UPDATE_KINDS UpdateGenerator",
+    ".journal": "UpdateJournal replay",
+    ".stream": "EpochPlan UpdateStream",
+    ".model": """AddEdge AddVertex RelabelEdge RelabelVertex Update
+                 apply_update apply_updates""",
+    ".tracker": "UpdateFrequencyTracker hot_vertex_assignment",
+})

@@ -216,9 +216,12 @@ class TestMatch:
 
 
 class TestErrorPaths:
-    def test_mine_missing_database(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["mine", str(tmp_path / "nope.tve"), "0.3"])
+    def test_mine_missing_database(self, tmp_path, capsys):
+        missing = tmp_path / "nope.tve"
+        assert main(["mine", str(missing), "0.3"]) == 2
+        assert capsys.readouterr().err == (
+            f"repro: cannot read {missing}: No such file or directory\n"
+        )
 
     def test_match_missing_patterns(self, database_file, tmp_path):
         with pytest.raises(FileNotFoundError):
@@ -368,6 +371,44 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "1 skipped" in captured.err
         assert "graphs:          1" in captured.out
+
+    def test_duplicate_graph_id_exits_4(self, tmp_path, capsys):
+        bad = tmp_path / "db.tve"
+        bad.write_text("t # 0\nv 0 1\nt # 0\nv 0 2\n")
+        assert main(["stats", str(bad)]) == 4
+        assert capsys.readouterr().err == (
+            f"repro: parse error: {bad}:3: duplicate graph id 0 "
+            "(token '0')\n"
+        )
+        assert main(["stats", str(bad), "--on-parse-error", "skip"]) == 0
+        captured = capsys.readouterr()
+        assert "1 graphs parsed, 1 skipped" in captured.err
+        assert "graphs:          1" in captured.out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mine", "{missing}", "0.05"],
+            ["mine-big", "{missing}", "4"],
+            ["mine", "{directory}", "0.05"],
+            ["stats", "{directory}"],
+            ["mine", "{missing}", "0.05", "--backend", "sqlite",
+             "--db-path", "{directory}/g.db"],
+        ],
+        ids=["mine-missing", "mine-big-missing", "mine-directory",
+             "stats-directory", "sqlite-missing"],
+    )
+    def test_unreadable_input_is_a_usage_error(self, tmp_path, capsys, argv):
+        paths = {"missing": tmp_path / "nosuch.tve", "directory": tmp_path}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == 2
+        reason = "Is a directory" if argv[1] == str(tmp_path) else (
+            "No such file or directory"
+        )
+        assert capsys.readouterr().err == (
+            f"repro: cannot read {argv[1]}: {reason}\n"
+        )
+        assert list(tmp_path.iterdir()) == []  # no store was created
 
     def test_budget_exceeded_exits_5(self, capsys, monkeypatch):
         from repro.resilience.errors import BudgetExceeded

@@ -128,7 +128,7 @@ class TestClassificationConsistency:
 class TestStreamedEpochs:
     def test_stream_driven_incremental_session(self, synthetic_db):
         """Epochs from an UpdateStream keep IncPartMiner exact and sound."""
-        from repro.mining.validate import validate
+        from repro.mining.validation import validate
         from repro.updates.stream import UpdateStream
 
         ufreq = hot_vertex_assignment(synthetic_db, 0.2, seed=11)

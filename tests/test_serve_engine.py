@@ -310,6 +310,12 @@ class TestMetadata:
         with pytest.raises(ValueError, match="top_k"):
             engine.top_k(3, by="color")
 
+    def test_top_k_rejects_a_negative_k(self):
+        engine, _, _ = mined_engine(seed=6703)
+        assert engine.top_k(0) == []
+        with pytest.raises(ValueError, match="whole number >= 0"):
+            engine.top_k(-1)
+
     def test_stats_dict_shape(self):
         engine, patterns, db = mined_engine(seed=6704)
         engine.match(next(iter(patterns)).graph)

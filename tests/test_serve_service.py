@@ -267,13 +267,17 @@ class TestEndpoints:
             assert service.stats()["errors"] >= 3
 
     @pytest.mark.parametrize(
-        "query", ["top=abc", "top=3&by=foo"], ids=["top-abc", "by-foo"]
+        "query",
+        ["top=abc", "top=3&by=foo", "top=-1", "by=foo"],
+        ids=["top-abc", "by-foo", "top-negative", "by-foo-without-top"],
     )
     def test_bad_patterns_query_is_a_400(self, tmp_path, query):
         catalog, db, _ = published_catalog(tmp_path)
         with PatternService(catalog, db) as service:
             status, body = http_get(f"{service.base_url}/patterns?{query}")
             assert status == 400, body
+            status, body = http_get(f"{service.base_url}/patterns?top=0")
+            assert (status, body["patterns"]) == (200, [])
 
     def test_negative_content_length_is_a_400(self, tmp_path):
         """``rfile.read(-1)`` used to block the handler until the client

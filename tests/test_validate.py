@@ -4,7 +4,7 @@ import pytest
 
 from repro.mining.base import Pattern, PatternSet
 from repro.mining.gspan import GSpanMiner
-from repro.mining.validate import (
+from repro.mining.validation import (
     check_against_reference,
     check_downward_closure,
     check_supports,
