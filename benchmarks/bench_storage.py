@@ -80,7 +80,7 @@ elif mode == "memory":
 else:
     from repro.storage import open_backend
     backend = open_backend(
-        "sqlite", path, cache_graphs=cache, read_only=True
+        "sqlite", path, cache_graphs=cache
     )
     items = backend.database()
 if mode != "floor":
@@ -190,7 +190,7 @@ def test_storage_out_of_core(benchmark, quick, tmp_path):
         scan_rss.add(1, sqlite["rss_kb"] / 1024)
         memory_delta = memory["rss_kb"] - floor["rss_kb"]
         sqlite_delta = sqlite["rss_kb"] - floor["rss_kb"]
-        with open_backend("sqlite", store, read_only=True) as backend:
+        with open_backend("sqlite", store) as backend:
             graphs_scanned = backend.num_graphs()
         exp.notes["scan"] = {
             "dataset": scan_spec,

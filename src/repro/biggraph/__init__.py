@@ -13,6 +13,6 @@ from .. import _exports
 
 __getattr__, __dir__, __all__ = _exports(__name__, {
     ".extract": "ExtractionStats NeighborhoodExtractor neighborhood_vertices",
-    ".miner": "SUPPORT_MODES BigGraphMiner BigGraphResult",
+    ".miner": "BigGraphMiner BigGraphResult",
     ".mni": "MNICount MNISupport pattern_radius",
 })

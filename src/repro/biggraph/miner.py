@@ -3,13 +3,11 @@
 Level 1 is one pass over the graph's edges; each later level extends
 every kept pattern by one frequent edge (to a new vertex or as a chord),
 deduplicated by canonical code and measured once by
-:class:`~repro.biggraph.mni.MNISupport`.  ``mni`` mode keeps ``P`` iff
-``mni(P) >= t`` and its pivot support (counted unless implied) ``>= t``;
-``neighborhood`` mode keeps it iff its pivot support ``>= t`` and
-reports the supporting pivots as TIDs.  Both counts are anti-monotone,
-so this is exactly the decomposition-then-verify answer (DESIGN.md
-§16).  Thresholds are absolute counts: one graph has no size to take a
-fraction of.
+:class:`~repro.biggraph.mni.MNISupport`.  A pattern ``P`` is kept iff
+``mni(P) >= t`` and its pivot support (counted unless implied) ``>= t``.
+Both counts are anti-monotone, so this is exactly the
+decomposition-then-verify answer (DESIGN.md §16).  Thresholds are
+absolute counts: one graph has no size to take a fraction of.
 """
 
 from __future__ import annotations
@@ -25,20 +23,16 @@ from ..mining.base import Pattern, PatternSet
 from .extract import NeighborhoodExtractor
 from .mni import MNISupport, min_image, pattern_centre
 
-SUPPORT_MODES = ("mni", "neighborhood")
-
-
 @dataclass
 class BigGraphResult:
     """Output of one big-graph mining run."""
 
-    #: Final pattern set under the chosen support semantics.
+    #: Final pattern set under MNI support.
     patterns: PatternSet
     #: Patterns measured during growth, 1-edge label triples included.
     candidates: int
     threshold: int
     radius: int
-    support_mode: str
     #: Number of pivot vertices.
     pivots: int
     mine_time: float = 0.0
@@ -52,7 +46,7 @@ class BigGraphResult:
         meta = {
             "workload": "biggraph",
             "radius": self.radius,
-            "support_mode": self.support_mode,
+            "support_mode": "mni",
             "threshold": self.threshold,
             "pivots": self.pivots,
             "lower_bound_patterns": self.lower_bound_patterns,
@@ -77,24 +71,14 @@ class BigGraphMiner:
 
     ``radius`` is the ball radius ``r``: MNI counts are exact for
     patterns of radius ≤ r and lower bounds beyond (DESIGN.md §16).
-    ``support_mode`` is ``'mni'`` (minimum-image support, default) or
-    ``'neighborhood'`` (support = pivots whose r-neighborhood contains
-    the pattern, TIDs = those pivots).  ``pivot_labels`` restricts the
+    ``pivot_labels`` restricts the
     pivots to these vertex labels (pivot-anchored semantics; ``None``:
     every vertex).  ``max_size`` bounds pattern size in edges.
     """
 
     radius: int = 1
-    support_mode: str = "mni"
     pivot_labels: frozenset[Label] | None = None
     max_size: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.support_mode not in SUPPORT_MODES:
-            raise ValueError(
-                f"unknown support_mode {self.support_mode!r} (expected "
-                f"one of {', '.join(SUPPORT_MODES)})"
-            )
 
     def mine(
         self, graph: LabeledGraph, min_support: int
@@ -109,9 +93,7 @@ class BigGraphMiner:
         extractor = NeighborhoodExtractor(self.radius, self.pivot_labels)
         pivots = extractor.pivots(graph)
         t0 = time.perf_counter()
-        with obs.span(
-            "biggraph.mine", radius=self.radius, mode=self.support_mode
-        ) as span:
+        with obs.span("biggraph.mine", radius=self.radius) as span:
             if perf.enabled():
                 counter = MNISupport.over_pivots(graph, pivots, self.radius)
             else:
@@ -121,7 +103,7 @@ class BigGraphMiner:
             patterns, candidates = self._grow(counter, threshold)
             lower_bound = sum(
                 pattern_centre(p.graph)[1] > self.radius for p in patterns
-            ) if self.support_mode == "mni" else 0
+            )
             span.set_attrs(
                 candidates=candidates,
                 patterns=len(patterns),
@@ -132,7 +114,6 @@ class BigGraphMiner:
             candidates=candidates,
             threshold=threshold,
             radius=self.radius,
-            support_mode=self.support_mode,
             pivots=len(pivots),
             mine_time=time.perf_counter() - t0,
             lower_bound_patterns=lower_bound,
@@ -143,7 +124,6 @@ class BigGraphMiner:
         self, counter: MNISupport, threshold: int
     ) -> tuple[PatternSet, int]:
         """Level-wise growth; returns ``(kept patterns, candidates)``."""
-        tally = self.support_mode == "neighborhood"
         patterns = PatternSet()
         candidates, size = 0, 1
         level: list[_Kept] = []
@@ -154,28 +134,22 @@ class BigGraphMiner:
             with obs.span("biggraph.grow", size=size) as span:
                 before = dict(counter.stats)
                 if size == 1:
-                    measured = counter.edge_patterns(tally)
+                    measured = counter.edge_patterns()
                 else:
-                    children = _extensions(
-                        level, edges, threshold, 1 if tally else threshold
-                    )
+                    children = _extensions(level, edges, threshold)
                     measured = [
-                        (canon, key, *counter.measure(
-                            canon, pivots, roots, tally
-                        ))
+                        (canon, key, *counter.measure(canon, pivots, roots))
                         for key, (canon, pivots, roots) in children.items()
                     ]
                 level = []
                 for canon, key, images, pivots in measured:
-                    if tally:
-                        support, tids = len(pivots), pivots
-                    elif pivots is None or len(pivots) >= threshold:
-                        count = min_image(images)
-                        support, tids = count.support, count.min_image
-                    else:
+                    if pivots is not None and len(pivots) < threshold:
                         continue
-                    if support >= threshold:
-                        pattern = Pattern(canon, key, support, tids)
+                    count = min_image(images)
+                    if count.support >= threshold:
+                        pattern = Pattern(
+                            canon, key, count.support, count.min_image
+                        )
                         level.append(_Kept(pattern, images, pivots))
                 span.set_attrs(
                     candidates=len(measured),
@@ -204,12 +178,11 @@ def _extensions(
     level: list[_Kept],
     edges: dict[Label, dict[tuple, tuple]],
     threshold: int,
-    least: int,
 ) -> dict[tuple, tuple]:
     """Canonical key -> ``(canonical graph, pivot seed, root seed)`` of
     the children worth measuring.  A visible embedding restricts to one
     of each sub-pattern, so a child vertex's images lie among its parent
-    vertex's and the new edge end's (fewer than ``least`` drops it), its
+    vertex's and the new edge end's (fewer than ``threshold`` drops it), its
     supporting pivots among those of every kept one-edge-smaller pattern
     (one not kept, or fewer than ``threshold`` shared, drops it), and its
     centre's images among the parent vertex's it is, if any."""
@@ -244,7 +217,7 @@ def _extensions(
             lu = graph.vertex_label(u)
             frequent = edges.get(lu, {}).items()
             for (label, other), (near, far, pivots) in frequent:
-                if len(images[u] & near) < least or (
+                if len(images[u] & near) < threshold or (
                     pivots is not None
                     and parent.pivots is not None
                     and len(pivots & parent.pivots) < threshold
@@ -257,7 +230,7 @@ def _extensions(
                     if (
                         graph.vertex_label(v) == other
                         and not graph.has_edge(u, v)
-                        and len(images[v] & far) >= least
+                        and len(images[v] & far) >= threshold
                     ):
                         child = graph.copy()
                         child.add_edge(u, v, label)

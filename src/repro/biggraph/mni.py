@@ -141,14 +141,14 @@ class MNISupport:
         return min_image(self.measure(_canonical(pattern), candidate_gids)[0])
 
     def measure(
-        self, canon: LabeledGraph, pivots=None, roots=None, tally=False
+        self, canon: LabeledGraph, pivots=None, roots=None
     ) -> tuple[list[set[int]], frozenset[int] | None]:
         """``(image sets, supporting pivots)`` of a canonical pattern,
         given sound supersets of the supporting pivots and (kernel only)
         of the centre's images.  The pivots are ``None`` when the kernel
-        skips the visibility test and ``tally`` is false."""
+        skips the visibility test."""
         if perf.enabled():
-            return self._enumerate(canon, pivots, roots, tally)
+            return self._enumerate(canon, pivots, roots)
         return self._fold(canon, pivots)
 
     def _fold(self, canon, candidate_gids):
@@ -163,7 +163,7 @@ class MNISupport:
                     images[pv].add(order[local])
         return images, frozenset(pivots)
 
-    def _enumerate(self, canon, pivots, roots, tally):
+    def _enumerate(self, canon, pivots, roots):
         """Accelerated path: one rooted enumeration on the flat graph."""
         n = canon.num_vertices
         if n == 0:
@@ -173,7 +173,7 @@ class MNISupport:
         centre, ecc = pattern_centre(canon)
         # With every vertex a pivot, the centre's image of a radius <= r
         # pattern is itself a pivot whose ball holds the embedding.
-        checked = tally or not (self._all_pivots and ecc <= self.radius)
+        checked = not (self._all_pivots and ecc <= self.radius)
         plan = perf.FlatPlan(canon, start=centre)
         seeded = pivots is not None
         pivots = self._pivots.intersection(pivots) if seeded else self._pivots
@@ -226,7 +226,7 @@ class MNISupport:
         return ball
 
     # ------------------------------------------------------------------
-    def edge_patterns(self, tally: bool = False) -> list[tuple]:
+    def edge_patterns(self) -> list[tuple]:
         """``(canonical graph, key, image sets, supporting pivots)`` of
         every 1-edge pattern, as :meth:`measure` has them, from one pass
         over the edges: an edge is visible iff some pivot's ball holds
@@ -237,9 +237,7 @@ class MNISupport:
         forms: dict[tuple, tuple] = {}
         found: dict[tuple, list] = {}
         fold = not perf.enabled()
-        checked = fold or tally or not (
-            self._all_pivots and self.radius >= 1
-        )
+        checked = fold or not (self._all_pivots and self.radius >= 1)
         pivots, ball = self._pivots, self._ball
         checks = invisible = embeddings = 0
         for u, v, label in self.graph.edges():

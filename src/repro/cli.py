@@ -156,20 +156,35 @@ class _InputUnreadable(Exception):
     """An input file the OS would not let a command read (exit 2)."""
 
 
+@contextlib.contextmanager
+def _reading(path):
+    """Turn an ``OSError`` while reading ``path`` into _InputUnreadable."""
+    try:
+        yield
+    except OSError as exc:
+        raise _InputUnreadable(
+            f"cannot read {path}: {exc.strerror or exc}"
+        ) from None
+
+
+def _read_patterns(path):
+    """``read_patterns(path)``; a missing or unreadable file exits 2."""
+    from .mining.store import read_patterns
+
+    with _reading(path):
+        return read_patterns(path)
+
+
 def _load_database(args: argparse.Namespace, path=None):
     """Read a database honoring the subcommand's parse-error policy."""
     path = path if path is not None else args.database
     report = graph_io.ParseReport()
-    try:
+    with _reading(path):
         database = graph_io.read_database(
             path,
             on_error=getattr(args, "on_parse_error", "raise"),
             report=report,
         )
-    except OSError as exc:
-        raise _InputUnreadable(
-            f"cannot read {path}: {exc.strerror or exc}"
-        ) from None
     if report.graphs_skipped:
         print(
             f"warning: {report.summary()}",
@@ -201,10 +216,7 @@ def _add_storage_flags(parser: argparse.ArgumentParser) -> None:
 
 def _check_storage_flags(args: argparse.Namespace) -> bool:
     """Validate the storage flag combination; prints usage errors."""
-    if (
-        getattr(args, "backend", "memory") == "sqlite"
-        and not getattr(args, "db_path", None)
-    ):
+    if args.backend == "sqlite" and not args.db_path:
         print(
             "repro: --backend sqlite requires --db-path", file=sys.stderr
         )
@@ -261,9 +273,9 @@ def _storage_database(args: argparse.Namespace):
     database file (checksum-compared, so a re-run over unchanged input
     writes nothing) and the returned database is the lazily-decoding
     store view; the in-memory parse is dropped before mining/serving
-    starts.  The memory backend returns ``(resident database, None)``.
+    starts.  ``--backend memory`` returns ``(resident database, None)``.
     """
-    if getattr(args, "backend", "memory") != "sqlite":
+    if args.backend != "sqlite":
         return _load_database(args), None
     from .storage import open_backend
 
@@ -474,7 +486,7 @@ def _parse_labels(text: str | None):
 
 
 def _load_single_graph(args: argparse.Namespace, database):
-    """The one graph of a single-graph ``.tve`` file (or its store)."""
+    """The one graph of a single-graph ``.tve`` file."""
     gids = database.gids()
     if len(gids) != 1:
         print(
@@ -522,17 +534,13 @@ def cmd_generate_big(args: argparse.Namespace) -> int:
 
 def cmd_mine_big(args: argparse.Namespace) -> int:
     """Mine one large graph by pattern growth under MNI support."""
-    if not _check_storage_flags(args):
-        return 2
-    database, storage = _storage_database(args)
-    graph = _load_single_graph(args, database)
+    graph = _load_single_graph(args, _load_database(args))
     if graph is None:
         return 2
     from .biggraph import BigGraphMiner
 
     miner = BigGraphMiner(
         radius=args.radius,
-        support_mode=args.support_mode,
         pivot_labels=_parse_labels(args.pivot_labels),
         max_size=args.max_size,
     )
@@ -541,15 +549,12 @@ def cmd_mine_big(args: argparse.Namespace) -> int:
     print(
         f"grew {result.candidates} candidates over {result.pivots} "
         f"radius-{args.radius} pivots -> {len(result.patterns)} "
-        f"frequent patterns under {args.support_mode} support "
-        f"({result.mine_time:.2f}s)"
+        f"frequent patterns under mni support ({result.mine_time:.2f}s)"
     )
-    if args.support_mode == "mni":
-        print(
-            f"{result.lower_bound_patterns} of {len(result.patterns)} "
-            f"patterns exceed radius {args.radius}: support is a lower "
-            "bound"
-        )
+    print(
+        f"{result.lower_bound_patterns} of {len(result.patterns)} "
+        f"patterns exceed radius {args.radius}: support is a lower bound"
+    )
     if args.output:
         from .mining.store import save_patterns
 
@@ -562,20 +567,17 @@ def cmd_mine_big(args: argparse.Namespace) -> int:
         print(f"saved to {args.output}")
     else:
         _print_top(result.patterns, args.top)
-    exit_code = 0
-    if args.check_planted:
-        from .graph.canonical import canonical_code
+    if not args.check_planted:
+        return 0
+    from .graph.canonical import canonical_code
 
-        planted = _load_database(args, path=args.check_planted)
-        found = sum(
-            canonical_code(pattern_graph) in result.patterns
-            for _gid, pattern_graph in planted
-        )
-        print(f"planted recall: {found}/{len(planted)}")
-        exit_code = int(found != len(planted))
-    if storage is not None:
-        storage.close()
-    return exit_code
+    planted = _load_database(args, path=args.check_planted)
+    found = sum(
+        canonical_code(pattern_graph) in result.patterns
+        for _gid, pattern_graph in planted
+    )
+    print(f"planted recall: {found}/{len(planted)}")
+    return int(found != len(planted))
 
 
 def cmd_neighborhoods(args: argparse.Namespace) -> int:
@@ -668,10 +670,9 @@ def cmd_update(args: argparse.Namespace) -> int:
 def cmd_show(args: argparse.Namespace) -> int:
     """Export a database graph or a pattern file as Graphviz DOT."""
     from .graph.dot import graph_to_dot, patterns_to_dot
-    from .mining.store import read_patterns
 
     if args.patterns:
-        patterns, _ = read_patterns(args.input)
+        patterns, _ = _read_patterns(args.input)
         print(patterns_to_dot(patterns, max_patterns=args.top))
     else:
         database = _load_database(args, path=args.input)
@@ -684,13 +685,13 @@ def cmd_query(args: argparse.Namespace) -> int:
     """Relocate stored patterns over a database (the memory or sqlite
     backend) through :func:`repro.query.match_patterns`."""
     from .graph.canonical import min_dfs_code
-    from .mining.store import read_patterns, save_patterns
+    from .mining.store import save_patterns
     from .query import match_patterns
 
     if not _check_storage_flags(args):
         return 2
     database, _storage = _storage_database(args)
-    patterns, _ = read_patterns(args.patterns)
+    patterns, _ = _read_patterns(args.patterns)
     start = time.perf_counter()
     relocated = match_patterns(
         patterns,
@@ -726,7 +727,6 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Publish (optionally) and serve a pattern catalog over HTTP."""
-    from .mining.store import read_patterns
     from .serve import PatternCatalog, PatternService
 
     if not _check_storage_flags(args):
@@ -734,7 +734,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     database, _storage = _storage_database(args)
     catalog = PatternCatalog(args.catalog)
     if args.patterns:
-        patterns, meta = read_patterns(args.patterns)
+        patterns, meta = _read_patterns(args.patterns)
         snapshot = catalog.publish(patterns, meta=meta, database=database)
         print(
             f"published snapshot v{snapshot.version} "
@@ -923,17 +923,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("database", help="single-graph .tve file")
     p.add_argument("support", type=_positive_int,
-                   help="min support: absolute count (MNI or "
-                        "neighborhood count, per --support-mode)")
+                   help="min support: absolute MNI count")
     p.add_argument("--radius", type=_non_negative_int, default=1,
                    help="neighborhood radius r; MNI counts are exact "
                         "for patterns of radius <= r")
-    p.add_argument("--support-mode", choices=["mni", "neighborhood"],
-                   default="mni",
-                   help="'mni' = minimum-image support over the whole "
-                        "graph (default); 'neighborhood' = number of "
-                        "pivots whose r-neighborhood contains the "
-                        "pattern")
     p.add_argument("--pivot-labels", default=None,
                    help="comma-separated vertex labels to pivot on "
                         "(default: every vertex); restricting pivots "
@@ -952,7 +945,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="planted-pattern .tve (from generate-big "
                         "--planted-out); prints recall and exits 1 "
                         "unless every planted pattern was recovered")
-    _add_storage_flags(p)
     _add_parse_policy(p)
     p.set_defaults(func=cmd_mine_big)
 

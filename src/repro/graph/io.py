@@ -313,11 +313,11 @@ def iter_graphs(
                 raise
             if on_error == "collect":
                 report.errors.append(exc)
-            if poisoned or graph is not None or kind == "t":
-                # the error poisons the graph under construction (or the
-                # one the bad 't' line would have started)
-                if not poisoned:
-                    report.graphs_skipped += 1
+            # the error drops the graph under construction and, on a 't'
+            # line, the graph that line would have started
+            dropped = (graph is not None) + (kind == "t")
+            if dropped:
+                report.graphs_skipped += dropped
                 poisoned = True
                 graph = None
                 gid = None

@@ -31,7 +31,7 @@ carried into the refreshed FlatDB).  :func:`get_flat_graph` is the
 same cache for one free-standing graph (single-pair existence checks).
 
 Flat forms are a per-process cache, never a wire format: unit workers
-receive the ``(gid, graph)`` list they mine (:mod:`repro.runtime.payload`).
+receive the ``(gid, graph)`` list they mine (:mod:`repro.runtime.engine`).
 """
 
 from __future__ import annotations

@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable
 
+from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
 from ..mining.base import Pattern, PatternSet, mine_unit
 from ..obs import trace as obs_trace
@@ -36,7 +37,6 @@ from ..resilience import faults
 from ..resilience.errors import ArtifactCorrupt
 from .checkpoint import CheckpointStore
 from .config import RuntimeConfig, backoff_delay
-from .payload import payload_database, sqlite_spec
 from .telemetry import AttemptRecord, RunTelemetry, UnitRecord
 
 SITE_WORKER_START = faults.register_site(
@@ -111,9 +111,9 @@ def mine_unit_worker(payload: dict, attempt: int) -> list:
     """
     from ..mining.gaston import GastonMiner
 
-    database, threshold = payload_database(payload), payload["threshold"]
+    database = GraphDatabase(payload["graphs"])
     mined, pruned = mine_unit(
-        GastonMiner, database, threshold, payload.get("max_size")
+        GastonMiner, database, payload["threshold"], payload.get("max_size")
     )
     obs_trace.annotate(**pruned)
     return encode_patterns(mined)
@@ -516,11 +516,9 @@ def run_unit_mining(
     (and nothing else) uses ``miner_factory`` — the worker processes run
     ``worker`` (Gaston by default), matching the paper's unit miner.
 
-    An in-memory unit ships as its ``(gid, graph)`` list: inherited by a
-    forked worker, pickled once per attempt under ``forkserver`` /
-    ``spawn``.  A unit whose database already lives in a SQLite storage
-    backend ships only a read-only database reference; the worker opens
-    its own connection.
+    A unit ships as its ``(gid, graph)`` list: inherited by a forked
+    worker, pickled once per attempt under ``forkserver`` / ``spawn``.
+    A unit whose database is a SQLite store view is decoded here first.
     """
 
     def make_fallback(unit, threshold):
@@ -532,18 +530,14 @@ def run_unit_mining(
 
         return fallback
 
-    def unit_payload(unit, threshold) -> dict:
-        spec = sqlite_spec(unit.database)
-        source = (
-            {"graphs": list(unit.database)} if spec is None
-            else {"sqlite": spec}
-        )
-        return {**source, "threshold": threshold, "max_size": max_size}
-
     tasks = [
         UnitTask(
             index=i,
-            payload=unit_payload(unit, threshold),
+            payload={
+                "graphs": list(unit.database),
+                "threshold": threshold,
+                "max_size": max_size,
+            },
             fallback=make_fallback(unit, threshold),
             checkpoint_meta={"threshold": threshold},
         )

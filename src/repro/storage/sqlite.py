@@ -1,5 +1,7 @@
-"""The SQLite storage backend: out-of-core graphs.
+"""The graph store: out-of-core graphs in one SQLite file.
 
+``open_backend("sqlite", path)`` opens it; the CLI's ``--backend
+sqlite`` goes through it and ``--backend memory`` never opens a store.
 One database file holds the graph database as an indexed table (schema
 diagram in DESIGN.md §14):
 
@@ -24,7 +26,9 @@ voids the row in place (empty payload, empty sha — the insertion ``seq``
 survives, so a healing re-import restores the original iteration
 order), and raises :class:`~repro.resilience.errors.ArtifactCorrupt` —
 the same quarantine discipline as :mod:`repro.resilience.integrity`,
-applied per row.
+applied per row.  ``storage.read`` / ``storage.write`` are registered
+fault sites: the chaos suite injects row failures and corruptions
+through them.
 
 ``PRAGMA user_version`` carries the schema version: files written by a
 newer schema are rejected with an error naming the version and the path.
@@ -42,9 +46,15 @@ from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
 from ..resilience import faults
 from ..resilience.errors import ArtifactCorrupt
-from .backend import SITE_STORAGE_READ, SITE_STORAGE_WRITE, StorageBackend
 from .encoding import decode_graph, encode_graph, payload_sha
 from .lru import GraphLRU
+
+SITE_STORAGE_WRITE = faults.register_site(
+    "storage.write", "storage-backend graph row write"
+)
+SITE_STORAGE_READ = faults.register_site(
+    "storage.read", "storage-backend row read + sha256 verification"
+)
 
 SCHEMA_VERSION = 1
 
@@ -61,39 +71,40 @@ CREATE TABLE IF NOT EXISTS graphs(
 """
 
 #: Backends opened and not yet closed; an atexit sweep closes leftovers
-#: so short-lived processes (unit workers, examples) cannot leak
-#: connections even on abrupt exits.
+#: so short-lived processes (examples, scripts) cannot leak connections
+#: even on abrupt exits.
 _OPEN_BACKENDS: "weakref.WeakSet[SQLiteBackend]" = weakref.WeakSet()
 
 
-class SQLiteBackend(StorageBackend):
+def open_backend(
+    backend: str,
+    path: str | Path | None = None,
+    *,
+    cache_graphs: int | None = None,
+) -> "SQLiteBackend":
+    """Open the graph store at ``path``; ``backend`` must be ``sqlite``."""
+    if backend != "sqlite":
+        raise ValueError(
+            f"unknown storage backend {backend!r} (expected 'sqlite')"
+        )
+    if path is None:
+        raise ValueError("the sqlite backend requires a database path")
+    return SQLiteBackend(path, cache_graphs=cache_graphs)
+
+
+class SQLiteBackend:
     """WAL-mode SQLite storage engine (see module docs)."""
 
-    name = "sqlite"
-
     def __init__(
-        self,
-        path: str | Path,
-        *,
-        cache_graphs: int | None = None,
-        read_only: bool = False,
+        self, path: str | Path, *, cache_graphs: int | None = None
     ) -> None:
         self.path = Path(path)
-        self.read_only = read_only
         self.cache = GraphLRU(cache_graphs)
         self._lock = threading.RLock()
         self._closed = False
-        if read_only:
-            self._conn = sqlite3.connect(
-                f"file:{self.path}?mode=ro",
-                uri=True,
-                check_same_thread=False,
-                isolation_level=None,
-            )
-        else:
-            self._conn = sqlite3.connect(
-                self.path, check_same_thread=False, isolation_level=None
-            )
+        self._conn = sqlite3.connect(
+            self.path, check_same_thread=False, isolation_level=None
+        )
         try:
             self._setup()
         except BaseException:
@@ -111,8 +122,6 @@ class SQLiteBackend(StorageBackend):
                 "the library or re-export the database",
                 path=self.path,
             )
-        if self.read_only:
-            return
         conn.execute("PRAGMA journal_mode=WAL")
         conn.execute("PRAGMA synchronous=NORMAL")
         conn.executescript(_SCHEMA)
@@ -125,12 +134,6 @@ class SQLiteBackend(StorageBackend):
     def _execute(self, sql: str, params: tuple = ()):
         with self._lock:
             return self._conn.execute(sql, params)
-
-    def _require_writable(self, what: str) -> None:
-        if self.read_only:
-            raise ValueError(
-                f"storage backend {self.path} is read-only: cannot {what}"
-            )
 
     def generation(self) -> int:
         """The persisted mutation counter (bumped by every write txn)."""
@@ -165,13 +168,11 @@ class SQLiteBackend(StorageBackend):
             serial += 1
             dest = pen / f"graphs-{gid}.{serial}.bin"
         dest.write_bytes(payload)
-        if not self.read_only:
-            with self._lock:
-                self._conn.execute(
-                    "UPDATE graphs SET payload=X'', sha='' WHERE gid=?",
-                    (gid,),
-                )
-                self._bump_generation()
+        with self._lock:
+            self._conn.execute(
+                "UPDATE graphs SET payload=X'', sha='' WHERE gid=?", (gid,)
+            )
+            self._bump_generation()
         return dest
 
     def _corrupt(self, gid: int, payload: bytes, why: str) -> ArtifactCorrupt:
@@ -184,15 +185,12 @@ class SQLiteBackend(StorageBackend):
     # ------------------------------------------------------------------
     # Graph facet
     # ------------------------------------------------------------------
-    def database(
-        self, gids: list[int] | None = None
-    ) -> GraphDatabase:
+    def database(self) -> GraphDatabase:
         """A lazily-decoding :class:`GraphDatabase` over the stored graphs.
 
-        ``gids`` restricts the view to a subset (the runtime workers'
-        per-unit slices) without copying anything.
+        Writes through it (``add`` / ``replace``) land in the store.
         """
-        return GraphDatabase(store=SQLiteGraphStore(self, gids=gids))
+        return GraphDatabase(store=SQLiteGraphStore(self))
 
     def num_graphs(self) -> int:
         return self._execute("SELECT COUNT(*) FROM graphs").fetchone()[0]
@@ -213,7 +211,6 @@ class SQLiteBackend(StorageBackend):
         next read's digest check.  Unchanged rows are skipped entirely
         (checksum-compared upsert).
         """
-        self._require_writable("write graphs")
         payload = encode_graph(graph)
         sha = payload_sha(payload)
         with self._lock:
@@ -277,7 +274,6 @@ class SQLiteBackend(StorageBackend):
 
     def import_database(self, database: GraphDatabase) -> int:
         """Transactionally upsert every graph; returns rows written."""
-        self._require_writable("import a database")
         written = 0
         with self._lock:
             self._conn.execute("BEGIN")
@@ -292,14 +288,14 @@ class SQLiteBackend(StorageBackend):
         return written
 
     def checkpoint(self) -> None:
-        """Flush the WAL into the main file (before sharing read-only)."""
-        if not self.read_only:
-            self._execute("PRAGMA wal_checkpoint(TRUNCATE)")
+        """Flush the WAL into the main file."""
+        self._execute("PRAGMA wal_checkpoint(TRUNCATE)")
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
+        """Release the connection and the decode cache.  Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -308,9 +304,16 @@ class SQLiteBackend(StorageBackend):
         with self._lock:
             self._conn.close()
 
+    def __enter__(self) -> "SQLiteBackend":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
     def stats(self) -> dict:
+        """JSON-ready operational counters (cache, rows, generation)."""
         return {
-            "backend": self.name,
+            "backend": "sqlite",
             "path": str(self.path),
             "graphs": self.num_graphs(),
             "generation": self.generation(),
@@ -320,7 +323,7 @@ class SQLiteBackend(StorageBackend):
     def __repr__(self) -> str:
         return (
             f"SQLiteBackend({str(self.path)!r}, "
-            f"graphs={self.num_graphs()}, read_only={self.read_only})"
+            f"graphs={self.num_graphs()})"
         )
 
 
@@ -340,37 +343,17 @@ class SQLiteGraphStore:
     :class:`~repro.graph.database.GraphDatabase` uses, so the database
     class needs no backend-specific branches.  Iteration order is the
     insertion (``seq``) order — the same contract a plain dict gives the
-    in-memory path.  ``gids`` restricts the view to a subset (runtime
-    unit slices) without copying rows.
+    in-memory path.
     """
 
-    def __init__(
-        self, backend: SQLiteBackend, gids: list[int] | None = None
-    ) -> None:
+    def __init__(self, backend: SQLiteBackend) -> None:
         self.backend = backend
-        self._subset = list(gids) if gids is not None else None
-        if self._subset is not None:
-            stored = set(backend.graph_gids())
-            missing = [g for g in self._subset if g not in stored]
-            if missing:
-                raise KeyError(
-                    f"gids {missing[:5]} not present in {backend.path}"
-                )
 
     # -- dict protocol -------------------------------------------------
-    def _gids(self) -> list[int]:
-        if self._subset is not None:
-            return list(self._subset)
-        return self.backend.graph_gids()
-
     def __len__(self) -> int:
-        if self._subset is not None:
-            return len(self._subset)
         return self.backend.num_graphs()
 
     def __contains__(self, gid: int) -> bool:
-        if self._subset is not None:
-            return gid in self._subset
         return (
             self.backend._execute(
                 "SELECT 1 FROM graphs WHERE gid=?", (gid,)
@@ -379,19 +362,13 @@ class SQLiteGraphStore:
         )
 
     def __getitem__(self, gid: int) -> LabeledGraph:
-        if self._subset is not None and gid not in self._subset:
-            raise KeyError(gid)
         return self.backend.read_graph(gid)
 
     def __setitem__(self, gid: int, graph: LabeledGraph) -> None:
-        if self._subset is not None:
-            raise ValueError(
-                "cannot write through a gid-restricted store view"
-            )
         self.backend.write_graph(gid, graph)
 
     def __iter__(self):
-        return iter(self._gids())
+        return iter(self.backend.graph_gids())
 
     def get(self, gid: int, default=None):
         try:
@@ -400,14 +377,14 @@ class SQLiteGraphStore:
             return default
 
     def keys(self):
-        return self._gids()
+        return self.backend.graph_gids()
 
     def values(self):
-        for gid in self._gids():
+        for gid in self.backend.graph_gids():
             yield self.backend.read_graph(gid)
 
     def items(self):
-        for gid in self._gids():
+        for gid in self.backend.graph_gids():
             yield gid, self.backend.read_graph(gid)
 
     # -- storage-aware extensions --------------------------------------
@@ -420,50 +397,21 @@ class SQLiteGraphStore:
 
         A quarantined row reads as ``''``, which matches no digest.
         """
-        rows = self.backend._execute("SELECT gid, sha FROM graphs")
-        if self._subset is None:
-            return dict(rows.fetchall())
-        wanted = set(self._subset)
-        return {gid: sha for gid, sha in rows.fetchall() if gid in wanted}
+        return dict(
+            self.backend._execute("SELECT gid, sha FROM graphs").fetchall()
+        )
 
     def total_edges(self) -> int:
         """SQL fast path for :meth:`GraphDatabase.total_edges`."""
-        if self._subset is not None:
-            placeholders = ",".join("?" * len(self._subset))
-            sql = (
-                "SELECT COALESCE(SUM(edges), 0) FROM graphs "
-                f"WHERE gid IN ({placeholders})"
-            )
-            return self.backend._execute(
-                sql, tuple(self._subset)
-            ).fetchone()[0]
         return self.backend._execute(
             "SELECT COALESCE(SUM(edges), 0) FROM graphs"
         ).fetchone()[0]
 
     def total_vertices(self) -> int:
         """SQL fast path for :meth:`GraphDatabase.total_vertices`."""
-        if self._subset is not None:
-            placeholders = ",".join("?" * len(self._subset))
-            sql = (
-                "SELECT COALESCE(SUM(vertices), 0) FROM graphs "
-                f"WHERE gid IN ({placeholders})"
-            )
-            return self.backend._execute(
-                sql, tuple(self._subset)
-            ).fetchone()[0]
         return self.backend._execute(
             "SELECT COALESCE(SUM(vertices), 0) FROM graphs"
         ).fetchone()[0]
-
-    def payload_spec(self) -> dict:
-        """The worker wire form: open this store read-only over there."""
-        self.backend.checkpoint()
-        return {
-            "path": str(self.backend.path.resolve()),
-            "gids": self._subset,
-            "cache": self.backend.cache.capacity,
-        }
 
     def stats(self) -> dict:
         return self.backend.cache.stats()

@@ -94,59 +94,15 @@ class TestBigGraphMiner:
             assert pattern.support == planted.copies
             assert len(pattern.tids) == planted.copies
 
-    def test_neighborhood_mode_keeps_transactional_semantics(self):
-        result = generate_large_graph(small_spec())
-        mined = BigGraphMiner(
-            radius=1, max_size=3, support_mode="neighborhood"
-        ).mine(result.graph, small_spec().copies)
-        planted = result.planted[0]
-        pattern = mined.patterns.get(canonical_code(planted.graph))
-        assert pattern is not None
-        # A planted star occurs in the neighborhood of its center and
-        # of each of its leaves: center pivot sees the whole star,
-        # every leaf pivot reaches the center plus the siblings at
-        # distance 2... no — radius 1 from a leaf only reaches the
-        # center, so only the center's neighborhood contains the star.
-        assert pattern.support == planted.copies
-        # TIDs are pivot ids (vertices of the big graph).
-        assert all(
-            0 <= tid < result.graph.num_vertices
-            for tid in pattern.tids
-        )
-
-    def test_backend_spill_matches_in_memory(self, tmp_path):
-        """An input loaded through ``--backend sqlite`` mines like the
-        resident one: same pattern records."""
-        from repro.graph.io import write_graph
-
-        rng = random.Random(21)
-        path = tmp_path / "g.tve"
-        with open(path, "w", encoding="utf-8") as handle:
-            write_graph(random_graph(rng, 60, extra_edges=30), 0, handle)
-        records = []
-        for backend in (
-            [], ["--backend", "sqlite", "--db-path", str(tmp_path / "g.db")]
-        ):
-            out = tmp_path / f"out{len(records)}.jsonl"
-            assert main([
-                "mine-big", str(path), "4", "--max-size", "2",
-                "--output", str(out), *backend,
-            ]) == 0
-            records.append([
-                line for line in out.read_text().splitlines()
-                if '"kind": "pattern"' in line
-            ])
-        assert records[0] and records[1] == records[0]
-
     def test_rejects_fractional_support(self):
         rng = random.Random(2)
         graph = random_graph(rng, 10)
         with pytest.raises(ValueError, match="absolute count"):
             BigGraphMiner().mine(graph, 0.5)
 
-    def test_rejects_unknown_support_mode(self):
-        with pytest.raises(ValueError, match="support_mode"):
-            BigGraphMiner(support_mode="embeddings")
+    def test_support_mode_is_gone(self):
+        with pytest.raises(TypeError, match="support_mode"):
+            BigGraphMiner(support_mode="mni")
 
     def test_pivot_labels_anchor_patterns(self):
         result = generate_large_graph(small_spec())
@@ -239,6 +195,21 @@ class TestBigGraphCLI:
         ]) == 0
         assert main(["mine-big", str(multi), "2"]) == 2
         assert "single large graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--backend", "sqlite"],
+        ["--db-path", "g.db"],
+        ["--graph-cache", "4"],
+        ["--support-mode", "neighborhood"],
+    ], ids=lambda flags: flags[0])
+    def test_mine_big_retired_flags_are_usage_errors(
+        self, big_files, flags, capsys
+    ):
+        graph, _planted = big_files
+        with pytest.raises(SystemExit) as excinfo:
+            main(["mine-big", str(graph), "8", *flags])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_neighborhoods_summary_and_export(
         self, big_files, tmp_path, capsys

@@ -25,7 +25,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import perf
 from repro.biggraph import (
-    SUPPORT_MODES,
     BigGraphMiner,
     MNISupport,
     NeighborhoodExtractor,
@@ -272,8 +271,8 @@ class TestEnumerationVsReferenceFold:
 
 class TestGrowthMatchesDecomposition:
     """Growth on the big graph emits exactly the decomposition's answer:
-    mine the neighborhood database transactionally at ``t``, then (MNI
-    mode) keep the candidates whose reference-fold MNI reaches ``t``."""
+    mine the neighborhood database transactionally at ``t``, then keep
+    the candidates whose reference-fold MNI reaches ``t``."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -283,12 +282,11 @@ class TestGrowthMatchesDecomposition:
             st.none(),
             st.frozensets(st.integers(0, 1), min_size=1, max_size=1),
         ),
-        st.sampled_from(SUPPORT_MODES),
         st.integers(1, 3),
         st.integers(1, 4),
     )
     def test_dump_equals_mine_then_verify(
-        self, graph, radius, labels, mode, threshold, max_size
+        self, graph, radius, labels, threshold, max_size
     ):
         with perf.disabled():
             database = NeighborhoodExtractor(
@@ -297,13 +295,11 @@ class TestGrowthMatchesDecomposition:
             expected = GSpanMiner(max_size=max_size).mine(
                 database, threshold
             )
-            if mode == "mni":
-                expected = MNISupport(graph, database, radius).verify(
-                    expected, threshold
-                )
+            expected = MNISupport(graph, database, radius).verify(
+                expected, threshold
+            )
         miner = BigGraphMiner(
-            radius=radius, support_mode=mode, pivot_labels=labels,
-            max_size=max_size,
+            radius=radius, pivot_labels=labels, max_size=max_size
         )
         for name, state in accel_matrix():
             with state():

@@ -223,10 +223,21 @@ class TestErrorPaths:
             f"repro: cannot read {missing}: No such file or directory\n"
         )
 
-    def test_match_missing_patterns(self, database_file, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["query", str(tmp_path / "nope.jsonl"),
-                  str(database_file)])
+    def test_match_missing_patterns(self, database_file, tmp_path, capsys):
+        """A missing pattern store is a usage error (exit 2) for every
+        command that reads one: ``query``, ``show --patterns`` and
+        ``serve --patterns``."""
+        nope = tmp_path / "nope.jsonl"
+        for argv in (
+            ["query", str(nope), str(database_file)],
+            ["show", str(nope), "--patterns"],
+            ["serve", str(tmp_path / "cat"), str(database_file),
+             "--patterns", str(nope), "--port", "0"],
+        ):
+            assert main(argv) == 2, argv
+            assert capsys.readouterr().err == (
+                f"repro: cannot read {nope}: No such file or directory\n"
+            ), argv
 
     def test_update_invalid_kind(self, database_file, tmp_path):
         with pytest.raises(SystemExit):

@@ -136,6 +136,21 @@ class TestLenientPolicies:
         assert [gid for gid, _ in pairs] == [5]
         assert report.graphs_skipped == 1
 
+    @pytest.mark.parametrize("policy", ["skip", "collect"])
+    def test_bad_t_line_after_a_poisoned_graph_counts_both(self, policy):
+        text = "t # 0\nv 0 1\nbad\nt # x\nv 0 1\nt # 2\nv 0 1\n"
+        report = ParseReport()
+        pairs = list(
+            graph_io.iter_graphs(
+                text.splitlines(), on_error=policy, report=report
+            )
+        )
+        assert [gid for gid, _ in pairs] == [2]
+        assert (report.graphs_ok, report.graphs_skipped) == (1, 2)
+        assert [e.line for e in report.errors] == (
+            [3, 4] if policy == "collect" else []
+        )
+
     def test_read_database_skip_policy(self, tmp_path):
         path = tmp_path / "db.tve"
         path.write_text(POISONED)

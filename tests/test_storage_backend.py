@@ -10,6 +10,7 @@ covers the backend's own mechanics: round-trips, the LRU, generations,
 quarantine-and-heal, and the row digests the fragment index reads.
 """
 
+import importlib.util
 import shutil
 import sqlite3
 
@@ -22,10 +23,8 @@ from repro.serve.catalog import PatternCatalog, catalog_order
 from repro.serve.engine import QueryEngine
 from repro.serve.index import FragmentIndex
 from repro.storage import (
-    BACKEND_NAMES,
     DEFAULT_CACHE_GRAPHS,
     GraphLRU,
-    MemoryBackend,
     decode_graph,
     encode_graph,
     open_backend,
@@ -53,12 +52,28 @@ def filled(backend, seed=11, num_graphs=8, n=6):
 # ----------------------------------------------------------------------
 class TestOpenBackend:
     def test_names(self):
-        assert BACKEND_NAMES == ("memory", "sqlite")
+        """The seam, the memory backend, the name list and the worker
+        payload module left with no alias."""
+        import repro.storage
 
-    def test_memory_default(self):
-        b = open_backend("memory")
-        assert isinstance(b, MemoryBackend)
-        assert b.name == "memory"
+        for name in ("BACKEND_NAMES", "MemoryBackend", "StorageBackend"):
+            assert not hasattr(repro.storage, name)
+        for module in ("repro.storage.backend", "repro.runtime.payload"):
+            assert importlib.util.find_spec(module) is None
+
+    def test_memory_default(self, tmp_path):
+        """``--backend memory`` keeps the parse resident and opens no
+        store: ``open_backend`` opens the SQLite store only."""
+        with open_backend("sqlite", tmp_path / "x.db") as b:
+            assert isinstance(b, SQLiteBackend)
+        with pytest.raises(ValueError, match="memory"):
+            open_backend("memory", tmp_path / "y.db")
+
+    def test_read_only_is_gone(self, tmp_path):
+        with pytest.raises(TypeError, match="read_only"):
+            open_backend("sqlite", tmp_path / "x.db", read_only=True)
+        with pytest.raises(TypeError, match="read_only"):
+            SQLiteBackend(tmp_path / "x.db", read_only=True)
 
     def test_sqlite_requires_path(self):
         with pytest.raises(ValueError, match="path"):
@@ -130,29 +145,6 @@ class TestGraphRoundTrip:
         h = backend.database()[0]
         assert h.vertex_labels() == ["C", "O"]
         assert h.edge_label(0, 1) == "double"
-
-    def test_subset_view(self, backend):
-        db = filled(backend)
-        view = backend.database(gids=[2, 0])
-        assert view.gids() == [2, 0]
-        assert len(view) == 2
-        assert 1 not in view
-        with pytest.raises(KeyError):
-            view[1]
-        assert view.total_edges() == (
-            db[2].num_edges + db[0].num_edges
-        )
-
-    def test_subset_view_rejects_unknown_gid(self, backend):
-        filled(backend)
-        with pytest.raises(KeyError):
-            backend.database(gids=[999])
-
-    def test_subset_view_rejects_writes(self, backend):
-        db = filled(backend)
-        view = backend.database(gids=[0])
-        with pytest.raises(ValueError):
-            view.replace(0, db[1])
 
 
 # ----------------------------------------------------------------------
@@ -279,19 +271,6 @@ class TestIntegrity:
         with pytest.raises(ArtifactCorrupt, match="undecodable"):
             backend.database()[1]
 
-    def test_read_only_rejects_writes(self, backend, tmp_path):
-        db = filled(backend)
-        backend.checkpoint()
-        ro = SQLiteBackend(tmp_path / "store.db", read_only=True)
-        try:
-            assert ro.database().gids() == db.gids()
-            with pytest.raises(ValueError, match="read-only"):
-                ro.write_graph(0, db[0])
-            with pytest.raises(ValueError, match="read-only"):
-                ro.import_database(db)
-        finally:
-            ro.close()
-
     def test_close_is_idempotent(self, tmp_path):
         b = open_backend("sqlite", tmp_path / "c.db")
         b.close()
@@ -409,19 +388,3 @@ class TestIndexOverStore:
         foreign[2].set_vertex_label(0, 9)
         assert index.stale_gids(foreign) == {2}
 
-
-# ----------------------------------------------------------------------
-# Memory backend parity
-# ----------------------------------------------------------------------
-class TestMemoryBackend:
-    def test_import_and_snapshots(self, tmp_path):
-        db = random_database(seed=21, num_graphs=4, n=5)
-        b = open_backend("memory")
-        b.import_database(db)
-        assert b.num_graphs() == len(db)
-        assert b.database().gids() == db.gids()
-        # Snapshots are catalog directories over either backend.
-        catalog, ordered = publish(tmp_path, b)
-        assert [e.key for e in catalog.load().entries] == [
-            p.key for p in ordered
-        ]

@@ -104,6 +104,32 @@ def test_mine_larger_than_cache_is_byte_identical_and_bounded(
         backend.close()
 
 
+def test_parallel_one_unit_over_the_store_matches_serial(tmp_path, database):
+    """``mine -k 1 --parallel --backend sqlite`` is the one run whose unit
+    database is the store itself: it ships to the worker as a graph list
+    like every other unit, and writes serial ``mine -k 1``'s records."""
+    from repro.cli import main
+
+    source = tmp_path / "db.tve"
+    write_database(database, source)
+    records = []
+    for extra in (
+        [],
+        ["--parallel", "--workers", "1", "--backend", "sqlite",
+         "--db-path", str(tmp_path / "g.db")],
+    ):
+        out = tmp_path / f"out{len(records)}.jsonl"
+        assert main([
+            "mine", str(source), "6", "-k", "1", "--top", "0",
+            "--output", str(out), *extra,
+        ]) == 0
+        records.append([
+            line for line in out.read_text().splitlines()
+            if '"kind": "pattern"' in line
+        ])
+    assert records[0] and records[1] == records[0]
+
+
 # ----------------------------------------------------------------------
 # The pass budget: how often a mine may decode the store-backed root
 # ----------------------------------------------------------------------
