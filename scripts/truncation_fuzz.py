@@ -2,8 +2,7 @@
 """Truncation/bit-flip fuzz over every durable artifact loader.
 
 For each artifact kind the pipeline persists (pattern store, fragment
-index, catalog snapshot and its index, update journal, checkpoint unit,
-trace), write a good copy, then hammer it with byte-level damage —
+index, catalog snapshot and its index, checkpoint unit, trace), write a good copy, then hammer it with byte-level damage —
 truncation at every cut fraction and single-bit flips at seeded
 positions — and load it.  The contract under test (DESIGN.md §10):
 
@@ -36,9 +35,6 @@ from repro.obs import trace as obs_trace
 from repro.runtime.checkpoint import CheckpointStore
 from repro.serve.catalog import PatternCatalog
 from repro.serve.index import FragmentIndex
-from repro.updates.generator import UpdateGenerator
-from repro.updates.journal import UpdateJournal
-from repro.updates.tracker import hot_vertex_assignment
 
 
 def random_database(seed, num_graphs=6, n=5):
@@ -90,23 +86,6 @@ def build_targets(seed):
         index = FragmentIndex.load(path)
         return repr(index.to_dict())
 
-    def write_journal(workdir):
-        ufreq = hot_vertex_assignment(db, hot_fraction=0.3, seed=seed)
-        generator = UpdateGenerator(
-            num_vertex_labels=4, num_edge_labels=3, seed=seed
-        )
-        journal = UpdateJournal()
-        for _ in range(3):
-            journal.append(generator.generate(db, ufreq, 0.5, 1, "relabel"))
-        path = workdir / "updates.jsonl"
-        journal.save(path)
-        return path
-
-    def load_journal(path):
-        buffer = io.StringIO()
-        UpdateJournal.read(path).dump(buffer)
-        return buffer.getvalue()
-
     def write_checkpoint(workdir):
         return CheckpointStore(workdir / "run").save(0, patterns)
 
@@ -142,7 +121,6 @@ def build_targets(seed):
     return [
         ("pattern-store", write_store, load_store),
         ("fragment-index", write_index, load_index),
-        ("update-journal", write_journal, load_journal),
         ("checkpoint-unit", write_checkpoint, load_checkpoint),
         ("trace", write_trace, load_trace),
         ("catalog-snapshot", snapshot_writer("patterns.jsonl"), load_catalog),

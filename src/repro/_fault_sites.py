@@ -12,4 +12,3 @@ from .resilience import integrity  # noqa: F401  artifact.read/write sites
 from .runtime import engine  # noqa: F401  runtime.* sites
 from .serve import service  # noqa: F401  serve.* sites
 from .storage import sqlite  # noqa: F401  storage.read/write sites
-from .updates import journal  # noqa: F401  "journal.replay" site

@@ -228,9 +228,9 @@ def _runtime_config(args: argparse.Namespace):
     """The ``--parallel`` runtime's :class:`RuntimeConfig`, from the flags.
 
     Returns ``None`` after printing a one-line usage error when a flag
-    is out of range or nothing would read it (a pool flag, ``--run-dir``
-    or ``--telemetry`` without ``--parallel``; ``--parallel`` or
-    ``--trace`` for a miner other than PartMiner).
+    is out of range or nothing would read it (a pool flag or
+    ``--run-dir`` without ``--parallel``; ``--parallel`` or ``--trace``
+    for a miner other than PartMiner).
     """
     from .runtime import RuntimeConfig
 
@@ -253,9 +253,7 @@ def _runtime_config(args: argparse.Namespace):
             )
         idle = [
             "--" + name.replace("_", "-")
-            for name in (
-                "workers", "unit_timeout", "retries", "run_dir", "telemetry"
-            )
+            for name in ("workers", "unit_timeout", "retries", "run_dir")
             if getattr(args, name) is not None
         ]
         if idle and not args.parallel:
@@ -297,13 +295,11 @@ def _storage_database(args: argparse.Namespace):
 def _tracing(path):
     """Record the block's spans and write them to ``path`` at exit, if any.
 
-    The yielded dict gets ``trace_id``, ``path`` and ``spans`` at exit,
-    plus ``error`` when the write failed.  A failed write is reported on
-    stderr and changes neither the exit code nor the mined output, and
-    never masks an exception leaving the block."""
-    trace: dict = {}
+    A failed write is reported on stderr and changes neither the exit
+    code nor the mined output, and never masks an exception leaving the
+    block."""
     if not path:
-        yield trace
+        yield
         return
     from .obs import Tracer
     from .obs import trace as obs_trace
@@ -311,22 +307,19 @@ def _tracing(path):
     tracer = Tracer()
     obs_trace.activate(tracer)
     try:
-        yield trace
+        yield
     finally:
         obs_trace.activate(None)
-        trace.update(
-            trace_id=tracer.trace_id, path=str(path), spans=len(tracer)
-        )
         try:
             tracer.save(path)
         except Exception as exc:
-            trace["error"] = f"{type(exc).__name__}: {exc}"
             print(
-                f"repro: trace not written to {path}: {trace['error']}",
+                f"repro: trace not written to {path}: "
+                f"{type(exc).__name__}: {exc}",
                 file=sys.stderr,
             )
         else:
-            print(f"trace written to {path} ({trace['spans']} spans)")
+            print(f"trace written to {path} ({len(tracer)} spans)")
 
 
 # ----------------------------------------------------------------------
@@ -379,7 +372,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
             runtime=runtime_config if args.parallel else None,
             run_dir=args.run_dir,
         )
-        with _tracing(args.trace) as trace:
+        with _tracing(args.trace):
             result = miner.mine(database, args.support)
         patterns, telemetry = result.patterns, result.telemetry
         timing = (
@@ -412,12 +405,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
                 close()
         timing = f"{time.perf_counter() - start:.2f}s"
     if telemetry is not None:
-        if trace:
-            telemetry.trace = trace
         print(f"runtime: {telemetry.format_summary()}")
-        if args.telemetry:
-            telemetry.save(args.telemetry)
-            print(f"telemetry saved to {args.telemetry}")
     if args.metrics:
         from .obs import metrics as obs_metrics
         from .resilience import integrity
@@ -676,7 +664,14 @@ def cmd_show(args: argparse.Namespace) -> int:
         print(patterns_to_dot(patterns, max_patterns=args.top))
     else:
         database = _load_database(args, path=args.input)
-        gid = args.gid if args.gid is not None else database.gids()[0]
+        gids = database.gids()
+        if not gids:
+            print(f"repro: {args.input} holds no graphs", file=sys.stderr)
+            return 2
+        gid = args.gid if args.gid is not None else gids[0]
+        if gid not in database:
+            print(f"repro: no graph {gid} in {args.input}", file=sys.stderr)
+            return 2
         print(graph_to_dot(database[gid], name=f"g{gid}"))
     return 0
 
@@ -690,8 +685,8 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     if not _check_storage_flags(args):
         return 2
-    database, _storage = _storage_database(args)
     patterns, _ = _read_patterns(args.patterns)
+    database, _storage = _storage_database(args)
     start = time.perf_counter()
     relocated = match_patterns(
         patterns,
@@ -731,10 +726,12 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     if not _check_storage_flags(args):
         return 2
-    database, _storage = _storage_database(args)
-    catalog = PatternCatalog(args.catalog)
+    patterns = meta = None
     if args.patterns:
         patterns, meta = _read_patterns(args.patterns)
+    database, _storage = _storage_database(args)
+    catalog = PatternCatalog(args.catalog)
+    if patterns is not None:
         snapshot = catalog.publish(patterns, meta=meta, database=database)
         print(
             f"published snapshot v{snapshot.version} "
@@ -773,13 +770,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print("\nshutting down ...")
     finally:
         service.close()
-        if args.telemetry:
-            from .runtime.telemetry import RunTelemetry
-
-            telemetry = RunTelemetry(config={"command": "serve"})
-            service.attach_telemetry(telemetry)
-            telemetry.save(args.telemetry)
-            print(f"serving telemetry saved to {args.telemetry}")
     return 0
 
 
@@ -904,8 +894,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--run-dir", default=None,
                    help="checkpoint directory; re-running with the same "
                         "directory resumes, skipping finished units")
-    p.add_argument("--telemetry", default=None,
-                   help="also write runtime telemetry JSON here")
     p.add_argument("--trace", default=None,
                    help="write a JSONL span trace of the run here "
                         "(partminer only; render with `repro trace "
@@ -1029,8 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reload-interval", type=_positive_seconds, default=None,
                    help="poll the catalog manifest every N seconds and "
                         "hot-reload new snapshots")
-    p.add_argument("--telemetry", default=None,
-                   help="write a serving telemetry JSON on shutdown")
     _add_storage_flags(p)
     _add_parse_policy(p)
     p.set_defaults(func=cmd_serve)

@@ -74,7 +74,6 @@ class IncrementalStats:
     merge_times: dict[NodeKey, float] = field(default_factory=dict)
     merge_stats: dict[NodeKey, MergeJoinStats] = field(default_factory=dict)
     classify_time: float = 0.0
-    runtime_telemetry: object | None = None  # RunTelemetry of the re-mine
 
     @property
     def known_reused(self) -> int:
@@ -169,13 +168,7 @@ class IncrementalPartMiner:
         unit_support: UnitSupport = "paper",
         strict_paper_joins: bool = False,
         max_size: int | None = None,
-        runtime: object | None = None,
     ) -> None:
-        """``runtime`` (a :class:`~repro.runtime.config.RuntimeConfig`)
-        mines units — the initial mine's and every batch's affected ones
-        — through the fault-tolerant parallel runtime instead of
-        in-process; a batch's execution telemetry lands on
-        ``stats.runtime_telemetry``."""
         self.miner = PartMiner(
             k=k,
             partitioner=(
@@ -185,7 +178,6 @@ class IncrementalPartMiner:
             unit_support=unit_support,
             strict_paper_joins=strict_paper_joins,
             max_size=max_size,
-            runtime=runtime,
         )
         self._database: GraphDatabase | None = None
         self._ufreq: UfreqMap | None = None
@@ -308,7 +300,7 @@ class IncrementalPartMiner:
 
         # --- step 2: re-mine affected units ------------------------------
         with obs.span("inc.remine") as step:
-            mined, times, stats.runtime_telemetry = miner._mine_units(
+            mined, times, _ = miner._mine_units(
                 [units[i] for i in affected], threshold, keep_tree=True
             )
             step.set_attrs(units_remined=stats.units_remined)

@@ -137,8 +137,7 @@ class PartMiner:
     run_dir:
         Checkpoint directory for the runtime.  Completed units are
         persisted here as they finish; re-running with the same directory
-        resumes, skipping finished units.  Telemetry is saved alongside as
-        ``telemetry.json``.
+        resumes, skipping finished units.
     """
 
     k: int = 2
@@ -304,8 +303,6 @@ class PartMiner:
         for unit in units:
             if not keep_tree and unit.depth:
                 unit.database = None
-        if checkpoint is not None:
-            checkpoint.save_telemetry(run.telemetry)
         times = [record.wall_time for record in run.telemetry.units]
         return run.unit_results, times, run.telemetry
 

@@ -1,9 +1,10 @@
 """Unified observability: tracing spans, metrics, one sealed trace file.
 
 Each fact a run produces has one record (DESIGN.md §11): merge levels
-live in ``MergeJoinStats``, unit attempts in ``RunTelemetry``, cache
-probes in ``GraphLRU.stats()``.  This package holds the trace (phase
-times) and the registry of what nothing else records:
+live in ``MergeJoinStats``, cache probes in ``GraphLRU.stats()``.  This
+package holds the trace (phase times, and each unit's attempts as its
+``unit.mine`` / ``unit.attempt`` spans) and the registry of what nothing
+else records:
 
 * :mod:`repro.obs.trace` — hierarchical spans over the whole pipeline,
   contextvar-propagated, with an explicit handoff into runtime worker

@@ -7,8 +7,8 @@ query and HTTP counts (an engine's own totals restart with every
 reload), and the health and storage gauges ``PatternService`` refreshes
 at scrape time.  Phase times live in the trace and in
 ``PartMinerResult``, merge levels in ``MergeJoinStats``, unit attempts in
-``RunTelemetry`` and cache probes in ``GraphLRU.stats()`` (DESIGN.md
-§11); none of them is copied here.
+the ``unit.attempt`` spans and cache probes in ``GraphLRU.stats()``
+(DESIGN.md §11); none of them is copied here.
 
 * :class:`Counter` — monotonic ``inc``;
 * :class:`Gauge` — ``set`` to the latest value;

@@ -1,7 +1,7 @@
 """Checksummed durability: framed writes, verified reads, quarantine.
 
 Every durable artifact in the pipeline — checkpoints, pattern stores,
-catalog snapshots, journals — is plain text (JSON lines or JSON).  This
+catalog snapshots, traces — is plain text (JSON lines or JSON).  This
 module gives them all one integrity discipline:
 
 * **Framing** — :func:`frame` appends a footer line ``#repro-integrity

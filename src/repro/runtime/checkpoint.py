@@ -4,7 +4,6 @@ Run directory layout::
 
     <run_dir>/
         manifest.json           identity of the run (k, thresholds, …)
-        telemetry.json          last saved RunTelemetry (optional)
         units/
             unit_0000.jsonl     PatternSet of unit 0 (mining/store format)
             unit_0001.jsonl     …
@@ -27,7 +26,6 @@ from ..resilience import integrity
 from ..resilience.errors import ArtifactCorrupt
 
 MANIFEST_NAME = "manifest.json"
-TELEMETRY_NAME = "telemetry.json"
 UNITS_DIR = "units"
 MANIFEST_VERSION = 1
 
@@ -53,10 +51,6 @@ class CheckpointStore:
     @property
     def manifest_path(self) -> Path:
         return self.run_dir / MANIFEST_NAME
-
-    @property
-    def telemetry_path(self) -> Path:
-        return self.run_dir / TELEMETRY_NAME
 
     def unit_path(self, index: int) -> Path:
         return self.run_dir / UNITS_DIR / f"unit_{index:04d}.jsonl"
@@ -145,8 +139,3 @@ class CheckpointStore:
                 f"{path} claims unit {stored}, expected {index}"
             )
         return patterns
-
-    # ------------------------------------------------------------------
-    def save_telemetry(self, telemetry) -> Path:
-        telemetry.save(self.telemetry_path)
-        return self.telemetry_path

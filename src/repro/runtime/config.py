@@ -2,15 +2,15 @@
 
 One frozen dataclass holds the execution policy a caller sets — worker
 count, per-attempt wall-clock timeout, retry budget and start method —
-so a policy can be passed around, recorded in telemetry, and compared
-across runs.  The retry schedule is fixed: :func:`backoff_delay`.
+so a policy can be passed around and compared across runs.  The retry
+schedule is fixed: :func:`backoff_delay`.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 #: After the ``n``-th failed attempt (0-based) a unit waits
 #: ``min(BACKOFF_MAX, BACKOFF_BASE * BACKOFF_FACTOR ** n)`` seconds,
@@ -59,10 +59,6 @@ class RuntimeConfig:
                 f"unit_timeout must be positive and finite: "
                 f"{self.unit_timeout}"
             )
-
-    def to_dict(self) -> dict:
-        """JSON-ready form (embedded in run telemetry)."""
-        return asdict(self)
 
 
 def backoff_delay(failed_attempts: int, unit: int | None = None) -> float:

@@ -287,7 +287,6 @@ class MiningRuntime:
         results = [settled[task.index] for task in tasks]
         telemetry = RunTelemetry(
             units=[record for _patterns, record in results],
-            config=self.config.to_dict(),
             total_wall_time=time.perf_counter() - start,
         )
         failed = [
@@ -403,7 +402,7 @@ class MiningRuntime:
             except Exception as exc:  # noqa: BLE001 - retried, never hangs
                 record.error = _describe(exc)
             record.wall_time = time.perf_counter() - t0
-            span.set_attr("outcome", record.outcome)
+            span.set_attrs(outcome=record.outcome, pid=record.pid)
             if patterns is None:
                 span.set_status("error", record.error or record.outcome)
         entry.attempts.append(record)

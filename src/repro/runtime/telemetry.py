@@ -1,10 +1,10 @@
-"""Structured execution telemetry of one runtime run.
+"""In-memory execution record of one runtime run.
 
-Every unit keeps the full history of its attempts — outcome, wall time,
-worker pid, failure cause, backoff slept — so a post-mortem can tell *why*
-a run degraded, not just that it did.  The whole record serializes to a
-single JSON document (``RunTelemetry.to_dict`` / ``save``) whose schema is
-documented in DESIGN.md.
+Every unit keeps the history of its attempts — outcome, wall time,
+worker pid, failure cause, backoff slept — so a caller can tell *why* a
+run degraded, not just that it did.  The record is the runtime's return
+value and is not written to disk: a traced run's ``unit.mine`` and
+``unit.attempt`` spans carry the same facts (DESIGN.md §7).
 
 Outcome vocabulary (``AttemptRecord.outcome``):
 
@@ -25,11 +25,7 @@ Unit status (``UnitRecord.status``): ``ok`` (a worker attempt succeeded),
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
-
-TELEMETRY_VERSION = 1
+from dataclasses import dataclass, field
 
 
 @dataclass
@@ -43,13 +39,6 @@ class AttemptRecord:
     error: str | None = None
     backoff: float | None = None  # delay slept after this failed attempt
     worker: str | None = None
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "AttemptRecord":
-        """Load one attempt; keys this version does not know are dropped
-        (files from sharded runs carried ``heartbeats`` and friends)."""
-        known = {f.name for f in fields(cls)}
-        return cls(**{key: raw[key] for key in raw.keys() & known})
 
 
 @dataclass
@@ -78,26 +67,10 @@ class UnitRecord:
 
 @dataclass
 class RunTelemetry:
-    """Telemetry of one full runtime run.
-
-    ``serving`` carries the pattern-serving digest when the run fed a
-    query service (request/batching/reload counters and the query
-    engine's work totals, see
-    :meth:`repro.serve.PatternService.attach_telemetry`); empty when no
-    service was involved.
-
-    ``trace`` is a *pointer* into the observability subsystem, not a
-    replacement by it: when the run was traced it holds the trace id,
-    the trace-file path and the span count, plus ``error`` if the file
-    could not be written (see :mod:`repro.obs`); empty for untraced
-    runs.
-    """
+    """Telemetry of one full runtime run."""
 
     units: list[UnitRecord] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
     total_wall_time: float = 0.0
-    serving: dict = field(default_factory=dict)
-    trace: dict = field(default_factory=dict)
 
     def unit(self, index: int) -> UnitRecord:
         for record in self.units:
@@ -137,49 +110,3 @@ class RunTelemetry:
             f"({sum(r.num_attempts for r in self.units)} attempts, "
             f"{self.total_wall_time:.2f}s)"
         )
-
-    # ------------------------------------------------------------------
-    def to_dict(self) -> dict:
-        return {
-            "version": TELEMETRY_VERSION,
-            "config": self.config,
-            "total_wall_time": self.total_wall_time,
-            "serving": self.serving,
-            "trace": self.trace,
-            "units": [asdict(record) for record in self.units],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunTelemetry":
-        if data.get("version") != TELEMETRY_VERSION:
-            raise ValueError(
-                f"unsupported telemetry version {data.get('version')!r}"
-            )
-        units = [
-            UnitRecord(
-                unit=raw["unit"],
-                status=raw["status"],
-                attempts=[AttemptRecord.from_dict(a) for a in raw["attempts"]],
-                wall_time=raw["wall_time"],
-                patterns=raw.get("patterns"),
-            )
-            for raw in data["units"]
-        ]
-        return cls(
-            units=units,
-            config=data.get("config", {}),
-            total_wall_time=data.get("total_wall_time", 0.0),
-            serving=data.get("serving", {}),
-            trace=data.get("trace", {}),
-        )
-
-    def save(self, path: str | Path) -> None:
-        """Atomically (fsync + rename) persist the telemetry JSON."""
-        from ..resilience import integrity
-
-        integrity.atomic_write_json(path, self.to_dict())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "RunTelemetry":
-        with open(path, "r", encoding="utf-8") as handle:
-            return cls.from_dict(json.load(handle))

@@ -445,7 +445,7 @@ class QueryEngine:
 
     # ------------------------------------------------------------------
     def stats_dict(self) -> dict:
-        """JSON-ready digest for /stats, telemetry and benchmarks."""
+        """JSON-ready digest for /stats and benchmarks."""
         with self._lock:
             digest = self.totals.to_dict()
             digest["lru_entries"] = len(self._lru)

@@ -644,17 +644,6 @@ class PatternService:
                 family.labels(stat=name).set(value)
         return registry.render_prometheus()
 
-    def telemetry_digest(self) -> dict:
-        """Serving digest for :class:`repro.runtime.RunTelemetry.serving`."""
-        return {
-            "service": self.stats(),
-            "engine": self._engine.stats_dict(),
-        }
-
-    def attach_telemetry(self, telemetry) -> None:
-        """Record this service's digest on a ``RunTelemetry``."""
-        telemetry.serving = self.telemetry_digest()
-
 
 # ----------------------------------------------------------------------
 # HTTP plumbing

@@ -43,9 +43,6 @@ from repro.runtime import RuntimeConfig, run_unit_mining
 from repro.runtime.engine import UnitMiningError
 from repro.serve.catalog import PatternCatalog
 from repro.serve.service import PatternService
-from repro.updates.generator import UpdateGenerator
-from repro.updates.journal import UpdateJournal, replay
-from repro.updates.tracker import hot_vertex_assignment
 
 from .conftest import random_database
 
@@ -209,33 +206,6 @@ def scenario_runtime_fallback(tmp_path, plan):
         assert pattern_text(got) == pattern_text(want)
 
 
-def scenario_journal_replay(tmp_path, plan):
-    db = random_database(seed=3600 + SEED, num_graphs=6, n=5)
-    ufreq = hot_vertex_assignment(db, hot_fraction=0.3, seed=SEED)
-    generator = UpdateGenerator(
-        num_vertex_labels=4, num_edge_labels=3, seed=SEED
-    )
-    journal = UpdateJournal()
-    journal.append(generator.generate(db, ufreq, 0.5, 1, "relabel"))
-
-    def fresh_db():
-        return random_database(seed=3600 + SEED, num_graphs=6, n=5)
-
-    reference = fresh_db()
-    replay(journal, reference)
-    baseline = graph_io.dumps(reference)
-
-    target = fresh_db()
-    with plan.active():
-        try:
-            replay(journal, target)
-        except TYPED_FAILURES:
-            # Recovery: replay the journal against a fresh copy.
-            target = fresh_db()
-            replay(journal, target)
-    assert graph_io.dumps(target) == baseline
-
-
 def scenario_cli_run(tmp_path, plan):
     from repro.cli import main
 
@@ -369,7 +339,6 @@ SCENARIOS = {
     "graph.parse": scenario_graph_parse,
     "runtime.worker_start": scenario_runtime_worker_start,
     "runtime.fallback": scenario_runtime_fallback,
-    "journal.replay": scenario_journal_replay,
     "cli.run": scenario_cli_run,
     "serve.request": scenario_serve_request,
     "serve.reload": scenario_serve_reload,

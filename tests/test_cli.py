@@ -112,6 +112,20 @@ class TestShowAndStats:
         assert main(["show", str(database_file), "--gid", "0"]) == 0
         assert capsys.readouterr().out.startswith('graph "g0"')
 
+    def test_show_missing_gid(self, database_file, capsys):
+        assert main(["show", str(database_file), "--gid", "999"]) == 2
+        assert capsys.readouterr().err == (
+            f"repro: no graph 999 in {database_file}\n"
+        )
+
+    def test_show_empty_database(self, tmp_path, capsys):
+        empty = tmp_path / "empty.tve"
+        empty.write_text("")
+        assert main(["show", str(empty)]) == 2
+        assert capsys.readouterr().err == (
+            f"repro: {empty} holds no graphs\n"
+        )
+
     def test_show_patterns(self, database_file, tmp_path, capsys):
         pattern_file = tmp_path / "p.jsonl"
         main(["mine", str(database_file), "0.3", "--algorithm", "gspan",
@@ -226,18 +240,27 @@ class TestErrorPaths:
     def test_match_missing_patterns(self, database_file, tmp_path, capsys):
         """A missing pattern store is a usage error (exit 2) for every
         command that reads one: ``query``, ``show --patterns`` and
-        ``serve --patterns``."""
+        ``serve --patterns``.  Over ``--backend sqlite`` the store is
+        read first, so no database file is created or filled."""
         nope = tmp_path / "nope.jsonl"
+        db_path = tmp_path / "g.db"
+        sqlite = ["--backend", "sqlite", "--db-path", str(db_path)]
+        serve = ["serve", str(tmp_path / "cat"), str(database_file),
+                 "--patterns", str(nope), "--port", "0"]
         for argv in (
             ["query", str(nope), str(database_file)],
             ["show", str(nope), "--patterns"],
-            ["serve", str(tmp_path / "cat"), str(database_file),
-             "--patterns", str(nope), "--port", "0"],
+            serve,
+            ["query", str(nope), str(database_file), *sqlite],
+            [*serve, *sqlite],
         ):
             assert main(argv) == 2, argv
-            assert capsys.readouterr().err == (
+            captured = capsys.readouterr()
+            assert captured.err == (
                 f"repro: cannot read {nope}: No such file or directory\n"
             ), argv
+            assert captured.out == "", argv
+            assert not db_path.exists(), argv
 
     def test_update_invalid_kind(self, database_file, tmp_path):
         with pytest.raises(SystemExit):
@@ -468,8 +491,8 @@ class TestExitCodes:
 
 #: Supervision-policy flag combinations that must exit 2 with a one-line
 #: message: out-of-range values, and flags nothing would read (a pool
-#: flag, --run-dir or --telemetry without --parallel; --parallel or
-#: --trace for a miner that has no units).
+#: flag or --run-dir without --parallel; --parallel or --trace for a
+#: miner that has no units).
 BAD_POLICY_FLAGS = [
     (["--parallel", "--retries", "-1"], "max_retries"),
     (["--workers", "2", "--retries", "1"],
@@ -489,7 +512,8 @@ BAD_POLICY_FLAGS = [
         )
         for algorithm in ("gspan", "gaston", "adimine")
     ),
-    (["--telemetry", "t.json"], "--telemetry given without --parallel"),
+    (["--workers", "2", "--run-dir", "rd"],
+     "--workers, --run-dir given without --parallel"),
     (["--run-dir", "rd"], "--run-dir given without --parallel"),
     (["--run-dir", "rd", "--algorithm", "gaston"],
      "--run-dir given without --parallel"),
@@ -522,6 +546,22 @@ class TestSupervisionFlags:
             main(["mine", str(database_file), "0.3", "--parallel",
                   "--no-shared" + "-db"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["mine", "{db}", "0.3", "--parallel"],
+        ["serve", "{catalog}", "{db}"],
+    ], ids=lambda argv: argv[0])
+    def test_telemetry_flag_is_a_usage_error(
+        self, database_file, tmp_path, argv
+    ):
+        """A run's one record on disk is its trace: ``--telemetry`` is
+        gone from ``mine`` and ``serve``, not ignored."""
+        paths = {"db": database_file, "catalog": tmp_path / "cat"}
+        argv = [arg.format(**paths) for arg in argv]
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, "--telemetry", str(tmp_path / "t.json")])
+        assert excinfo.value.code == 2
+        assert not (tmp_path / "t.json").exists()
 
     @pytest.mark.parametrize("flags", [
         ["--profile"],

@@ -64,7 +64,7 @@ class TestExamples:
     def test_pattern_explorer(self):
         out = run_example("pattern_explorer.py")
         assert "pattern team" in out
-        assert "journal replay verified" in out
+        assert "month 2: 2 update batches applied" in out
         assert "month 1 -> month 2" in out
 
     def test_serve_and_query(self):

@@ -17,7 +17,6 @@ class TestSiteRegistry:
             "runtime.fallback",
             "serve.request",
             "serve.reload",
-            "journal.replay",
             "cli.run",
         ):
             assert expected in sites, f"site {expected} not registered"

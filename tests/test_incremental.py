@@ -310,48 +310,6 @@ class TestRunFacts:
         assert inc.miner.partitioner is partitioner
 
 
-class TestRuntimeSession:
-    """``runtime=`` sends the initial mine and every batch's re-mine
-    through the process pool, and the answers are the serial session's."""
-
-    def test_pool_session_equals_serial_session(self):
-        from repro.runtime import RuntimeConfig
-
-        db = random_database(seed=618, num_graphs=10, n=6)
-        ufreq = hot_vertex_assignment(db, hot_fraction=0.25, seed=1)
-        serial = IncrementalPartMiner(k=4)
-        pooled = IncrementalPartMiner(
-            k=4, runtime=RuntimeConfig(max_workers=2)
-        )
-
-        def answer(patterns):
-            return {p.key: (p.support, p.tids) for p in patterns}
-
-        want = serial.initial_mine(db, 3, ufreq=ufreq)
-        got = pooled.initial_mine(db, 3, ufreq=ufreq)
-        assert want.telemetry is None
-        assert got.telemetry.counts() == {"ok": 4}
-        assert answer(got.patterns) == answer(want.patterns)
-        gen = UpdateGenerator(3, 2, seed=13)
-        for kind in ("relabel", "structural", "mixed"):
-            updates = gen.generate(serial.database, serial.ufreq, 0.4, 2, kind)
-            want = serial.apply_updates(updates)
-            got = pooled.apply_updates(updates)
-            for found in ("patterns", "unchanged", "became_infrequent",
-                          "became_frequent"):
-                assert answer(getattr(got, found)) == answer(
-                    getattr(want, found)
-                )
-            assert want.stats.runtime_telemetry is None
-            remined = got.stats.runtime_telemetry.units
-            assert got.stats.affected_units == want.stats.affected_units
-            assert [r.unit for r in remined] == list(
-                range(got.stats.affected_units)
-            )
-            assert all(r.status == "ok" for r in remined)
-            assert [r.wall_time for r in remined] == got.stats.remine_times
-
-
 class TestBatchTrace:
     """One batch, one span tree that says what it cost and why."""
 

@@ -214,7 +214,6 @@ class TestInterruptedResume:
         assert second.patterns.keys() == first.patterns.keys()
         serial = PartMiner(k=2, unit_support="exact").mine(db, 3)
         assert second.patterns.keys() == serial.patterns.keys()
-        assert (run_dir / "telemetry.json").exists()
 
     def test_checkpoint_files_match_fresh_mining(self, tmp_path):
         """What lands on disk is exactly what the unit miner produces."""

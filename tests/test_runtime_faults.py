@@ -10,6 +10,7 @@ serial mining, and *no fault schedule can change the mined answer*.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 
@@ -200,7 +201,7 @@ class TestBackoff:
         for knob in retired:
             with pytest.raises(TypeError):
                 RuntimeConfig(**{knob: 1})
-        assert list(RuntimeConfig().to_dict()) == [
+        assert [f.name for f in dataclasses.fields(RuntimeConfig)] == [
             "max_workers", "unit_timeout", "max_retries", "start_method",
         ]
 

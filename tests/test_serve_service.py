@@ -19,7 +19,6 @@ import pytest
 
 from repro import query
 from repro.mining.gspan import GSpanMiner
-from repro.runtime import RunTelemetry
 from repro.serve.catalog import PatternCatalog
 from repro.serve.engine import QueryEngine
 from repro.serve.service import (
@@ -305,21 +304,6 @@ class TestEndpoints:
         service.close()
         with pytest.raises((ConnectionError, urllib.error.URLError)):
             urllib.request.urlopen(url, timeout=2)
-
-    def test_telemetry_digest(self, tmp_path):
-        catalog, db, patterns = published_catalog(tmp_path)
-        with PatternService(catalog, db) as service:
-            pattern = next(iter(patterns)).graph
-            http_post(
-                service.base_url + "/query/match",
-                {"pattern": encode_graph(pattern)},
-            )
-            telemetry = RunTelemetry()
-            service.attach_telemetry(telemetry)
-        assert telemetry.serving["engine"]["queries"] == 1
-        assert telemetry.serving["service"]["requests"] == 1
-        back = RunTelemetry.from_dict(telemetry.to_dict())
-        assert back.serving == telemetry.serving
 
 
 class TestConstructor:

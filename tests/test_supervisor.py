@@ -5,7 +5,8 @@ or reports an undecodable result, once and then recovers; a worker that
 never recovers — is driven through ``MiningRuntime``, the one process
 supervisor.  Every schedule must show the expected attempt history,
 degrade when the budget runs out, and end with the exact fault-free
-answer.  The telemetry is the one record of attempts and unit statuses.
+answer.  The returned ``RunTelemetry`` records every attempt and unit
+status.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.mining.store import dump_patterns
 from repro.partition.dbpartition import db_partition
 from repro.runtime import (
     MiningRuntime,
-    RunTelemetry,
     RuntimeConfig,
     UnitMiningError,
 )
@@ -171,47 +171,3 @@ def test_default_retry_schedule_is_pinned():
     }
     for unit, delays in expected.items():
         assert [backoff_delay(n, unit=unit) for n in range(3)] == delays
-
-
-def test_telemetry_with_the_retired_shard_fields_still_loads():
-    """Telemetry written while sharded mining existed carries
-    ``heartbeats`` / ``resumed_units`` / ``mined_units`` on every attempt
-    and a top-level ``coord`` digest, and its ``config`` holds the
-    policy knobs since retired; such a file still loads, and everything
-    else it recorded survives."""
-    document = {
-        "version": 1,
-        "config": {"max_workers": 2, "backoff_base": 0.05,
-                   "backoff_jitter": 0.5, "fallback": "serial"},
-        "total_wall_time": 0.5,
-        "serving": {},
-        "trace": {},
-        "coord": {"counters": {"retries": 1, "lease_expiries": 0}},
-        "units": [
-            {
-                "unit": 0, "status": "ok", "wall_time": 0.5, "patterns": 3,
-                "attempts": [
-                    {"attempt": 0, "outcome": "crash", "wall_time": 0.1,
-                     "pid": 11, "error": "worker exit code 13",
-                     "backoff": 0.05, "worker": "w0", "heartbeats": 2,
-                     "resumed_units": 0, "mined_units": 1},
-                    {"attempt": 1, "outcome": "ok", "wall_time": 0.4,
-                     "pid": 12, "error": None, "backoff": None,
-                     "worker": "w1", "heartbeats": 5,
-                     "resumed_units": 1, "mined_units": 1},
-                ],
-            }
-        ],
-    }
-    telemetry = RunTelemetry.from_dict(document)
-    assert telemetry.config["max_workers"] == 2
-    record = telemetry.unit(0)
-    assert (record.status, record.patterns) == ("ok", 3)
-    assert [(a.outcome, a.pid, a.worker) for a in record.attempts] == [
-        ("crash", 11, "w0"), ("ok", 12, "w1"),
-    ]
-    assert record.attempts[0].error == "worker exit code 13"
-    reloaded = telemetry.to_dict()
-    assert "coord" not in reloaded
-    assert "heartbeats" not in reloaded["units"][0]["attempts"][0]
-    assert RunTelemetry.from_dict(reloaded) == telemetry
