@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import gc
 import os
 import sys
 import time
@@ -726,23 +725,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     if not _check_storage_flags(args):
         return 2
+    catalog = PatternCatalog(args.catalog)
+    if not args.patterns and catalog.current_version() is None:
+        # Before the store is filled: an empty catalog leaves no db.
+        print(
+            f"catalog {args.catalog} is empty; publish with --patterns",
+            file=sys.stderr,
+        )
+        return 1
     patterns = meta = None
     if args.patterns:
         patterns, meta = _read_patterns(args.patterns)
     database, _storage = _storage_database(args)
-    catalog = PatternCatalog(args.catalog)
     if patterns is not None:
         snapshot = catalog.publish(patterns, meta=meta, database=database)
         print(
             f"published snapshot v{snapshot.version} "
             f"({len(snapshot)} patterns) to {args.catalog}"
         )
-    if catalog.current_version() is None:
-        print(
-            f"catalog {args.catalog} is empty; publish with --patterns",
-            file=sys.stderr,
-        )
-        return 1
     service = PatternService(
         catalog,
         database,
@@ -1050,13 +1050,19 @@ def main(argv: list[str] | None = None) -> int:
         # which import repro.perf afresh.
         os.environ["REPRO_NO_ACCEL"] = "1"
         perf.set_enabled(False)
-    # A batch mine allocates millions of containers and leaves no reference
-    # cycles, so automatic cyclic collection only rescans live objects; the
-    # CLI owns the process and pauses it for those commands.  A long-lived
+    # A batch mine runs with the cyclic collector paused; a long-lived
     # `serve` keeps collecting.
-    paused = args.command in ("mine", "mine-big") and gc.isenabled()
-    if paused:
-        gc.disable()
+    pause = contextlib.nullcontext()
+    if args.command in ("mine", "mine-big"):
+        from .perf import collector_paused
+
+        pause = collector_paused()
+    with pause:
+        return _dispatch(args)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run the parsed command, mapping typed failures to exit codes."""
     try:
         faults.fire(SITE_RUN, command=args.command)
         return args.func(args)
@@ -1080,9 +1086,6 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"repro: budget exceeded: {exc}", file=sys.stderr)
         return exit_code_for(exc)
-    finally:
-        if paused:
-            gc.enable()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -39,7 +39,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .. import obs
+from .. import obs, perf
 from ..graph.database import GraphDatabase
 from ..mining.base import PatternSet
 from ..mining.edges import normalize_triple
@@ -232,11 +232,12 @@ class IncrementalPartMiner:
         The batch is applied to copies of the graphs it touches and
         swapped in only once every update went through: an invalid update
         raises the error :func:`~repro.updates.model.apply_update` raises
-        and leaves the miner as it was before the call.
+        and leaves the miner as it was before the call.  The batch runs
+        with the cyclic collector paused (:func:`repro.perf.collector_paused`).
         """
         if self._result is None or self._database is None:
             raise RuntimeError("call initial_mine() first")
-        with obs.span(
+        with perf.collector_paused(), obs.span(
             "inc.apply_updates", updates=len(updates)
         ) as root_span:
             staged = GraphDatabase()

@@ -28,6 +28,7 @@ for product and benchmark code alike.
 
 from __future__ import annotations
 
+import gc
 import os
 from contextlib import contextmanager
 
@@ -91,6 +92,20 @@ def disabled():
         set_enabled(previous)
 
 
+@contextmanager
+def collector_paused():
+    """Pause automatic cyclic collection for a block, then restore the
+    caller's state: mining leaves no reference cycles, so a collection
+    during it would only rescan live objects."""
+    paused = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if paused:
+            gc.enable()
+
+
 __all__ = [
     "BatchScan",
     "COUNTERS",
@@ -103,6 +118,7 @@ __all__ = [
     "PerfCounters",
     "SupportCache",
     "accel_token",
+    "collector_paused",
     "delta_since",
     "disabled",
     "enabled",

@@ -65,7 +65,7 @@ from typing import NamedTuple
 
 from .counters import COUNTERS
 from .fastmatch import ADMIT, REJECT_QUICK, FlatPlan, flat_admits
-from .flatgraph import FlatDB, FlatGraph
+from .flatgraph import ADMIT_MEMO_PLANS, FlatDB, FlatGraph
 
 
 class ScanArena:
@@ -132,28 +132,24 @@ def _admitted_pairs(plan: FlatPlan, flat: FlatDB, gids) -> tuple:
     Returns ``(pairs, quick, finger, maxn)``.  Full-database scans
     (``gids is None``) are memoized per plan on the FlatDB — both sides
     are immutable, so repeated recounts of one database reduce the whole
-    admit phase to a single dict probe.
+    admit phase to a single dict probe.  A candidate list is admitted
+    afresh: a merge candidate or relocated pattern meets one FlatDB
+    once, and repeats are answered above the kernel.
     """
-    if gids is None:
+    memoize = gids is None
+    if memoize:
         entry = flat.scan_memo.get(plan)
         if entry is not None:
             return entry
         gids = sorted(flat.flats)
-        memoize_full = True
-    else:
-        memoize_full = False
     flats = flat.flats
-    memo = flat.plan_memo(plan)
-    memo_get = memo.get
     pairs = []
     quick = finger = maxn = 0
     for gid in gids:
         fg = flats.get(gid)
         if fg is None:
             continue
-        reason = memo_get(gid)
-        if reason is None:
-            reason = memo[gid] = flat_admits(plan, fg)
+        reason = flat_admits(plan, fg)
         if reason == 0:
             pairs.append((gid, fg))
             if fg.n > maxn:
@@ -163,7 +159,9 @@ def _admitted_pairs(plan: FlatPlan, flat: FlatDB, gids) -> tuple:
         else:
             finger += 1
     entry = (pairs, quick, finger, maxn)
-    if memoize_full:
+    if memoize:
+        if len(flat.scan_memo) >= ADMIT_MEMO_PLANS:
+            flat.scan_memo.clear()
         flat.scan_memo[plan] = entry
     return entry
 

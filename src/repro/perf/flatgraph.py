@@ -43,7 +43,7 @@ from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import Label, LabeledGraph
 from .counters import COUNTERS
 
-#: Cap on live plans per FlatDB admit/scan memo (see :class:`FlatDB`).
+#: Cap on live plans per FlatDB scan memo (see :class:`FlatDB`).
 ADMIT_MEMO_PLANS = 512
 
 
@@ -226,46 +226,24 @@ class FlatDB:
     live database records ``(weakref(graph), version)`` stamps so
     :func:`get_flat_db` can detect mutation or replacement.
 
-    ``admit_memo`` caches :func:`repro.perf.fastmatch.flat_admits`
-    verdicts per plan (plan -> gid -> reason) and ``scan_memo`` caches
-    whole full-database admit passes (plan -> admitted pair list) for
-    the batched scan kernel.  Both sides of an admit are immutable — a
-    mutated pattern compiles to a *new* plan object and a mutated
-    database compiles to a new FlatDB (version stamps) — so entries can
-    never go *stale*; they could however *accumulate*: plans retired by
-    pattern churn used to survive here forever, pinning their memos for
-    the lifetime of the FlatDB.  Both memos are therefore weakly keyed
-    (a dead plan's entries vanish with it) and capped at
-    :data:`ADMIT_MEMO_PLANS` live plans (both memos are dropped
-    wholesale at the cap — they are pure memoization, so correctness is
-    unaffected), which bounds memory over long incremental runs.
+    ``scan_memo`` caches whole full-database admit passes (plan ->
+    admitted pair list) for the batched scan kernel.  Both sides of an
+    admit are immutable (a mutated pattern or database compiles anew),
+    so entries never go stale; they are weakly keyed by plan and dropped
+    wholesale at :data:`ADMIT_MEMO_PLANS` live plans, so pattern churn
+    cannot make them accumulate.
     """
 
-    __slots__ = (
-        "gids", "flats", "admit_memo", "scan_memo", "_stamps", "_triple_index",
-    )
+    __slots__ = ("gids", "flats", "scan_memo", "_stamps", "_triple_index")
 
     def __init__(self, gids, flats, stamps=None) -> None:
         self.gids = gids
         self.flats = flats
-        self.admit_memo: "weakref.WeakKeyDictionary" = (
-            weakref.WeakKeyDictionary()
-        )
         self.scan_memo: "weakref.WeakKeyDictionary" = (
             weakref.WeakKeyDictionary()
         )
         self._stamps = stamps
         self._triple_index = None
-
-    def plan_memo(self, plan) -> dict:
-        """The per-gid admit memo of ``plan``, enforcing the plan cap."""
-        memo = self.admit_memo.get(plan)
-        if memo is None:
-            if len(self.admit_memo) >= ADMIT_MEMO_PLANS:
-                self.admit_memo.clear()
-                self.scan_memo.clear()
-            memo = self.admit_memo[plan] = {}
-        return memo
 
     @classmethod
     def compile(cls, database: GraphDatabase) -> "FlatDB":

@@ -11,10 +11,11 @@ layer's four query shapes:
 * :meth:`coverage` — how much of the database the catalog explains.
 
 Every answer is **identical to the unindexed** :mod:`repro.query` path —
-the fragment index only removes (pattern, graph) pairs whose fragments
-already prove non-containment, and every surviving candidate is verified
-by a real subgraph-isomorphism search.  The differential test-suite pins
-this for both monomorphism and induced semantics.
+the fragment index removes (pattern, graph) pairs whose fragments already
+prove non-containment, answers the non-induced pairs its fragments decide
+(:func:`~repro.serve.index.fragments_decide`; drifted graphs excepted),
+and every other candidate is verified by a real subgraph-isomorphism
+search.  The differential test-suite pins this for both semantics.
 
 Three layers of work avoidance, outermost first:
 
@@ -56,7 +57,7 @@ from ..graph.labeled_graph import LabeledGraph
 from ..mining.base import Pattern, PatternSet
 from ..resilience.health import Deadline
 from .catalog import CatalogSnapshot, PatternEntry
-from .index import graph_digest, graph_fragments
+from .index import fragments_decide, graph_digest, graph_fragments
 
 _VERSION = attrgetter("version")
 
@@ -72,6 +73,7 @@ class QueryStats:
     universe: int = 0  # pairs/entities before any filtering
     candidates: int = 0  # survivors of the fragment index
     searches: int = 0  # isomorphism searches actually run
+    decided: int = 0  # candidates answered from postings, no search
     support_cache_hits: int = 0
     lru_hit: bool = False
     elapsed: float = 0.0
@@ -108,6 +110,7 @@ class EngineTotals:
     queries: int = 0
     lru_hits: int = 0
     searches: int = 0
+    decided: int = 0
     candidates: int = 0
     universe: int = 0
     support_cache_hits: int = 0
@@ -118,6 +121,7 @@ class EngineTotals:
         self.queries += 1
         self.lru_hits += 1 if stats.lru_hit else 0
         self.searches += stats.searches
+        self.decided += stats.decided
         self.candidates += stats.candidates
         self.universe += stats.universe
         self.support_cache_hits += stats.support_cache_hits
@@ -143,6 +147,11 @@ class QueryEngine:
         self.snapshot = snapshot
         self.database = database
         self.support_cache = perf.SupportCache()
+        # Catalog pids whose fragments decide non-induced containment.
+        self._decided_pids = frozenset(
+            entry.pid for entry in snapshot.entries
+            if fragments_decide(entry.graph)
+        )
         self.totals = EngineTotals()
         self._lru: OrderedDict = OrderedDict()
         self._lru_size = lru_size
@@ -223,11 +232,13 @@ class QueryEngine:
 
         Identical to the supporting-gid set of :func:`repro.query.match`
         (existence only; occurrences are not enumerated).  ``deadline``
-        (propagated from the service's request edge) is checked between
-        per-graph searches; expiry raises a typed
+        (propagated from the service's request edge) is checked on entry
+        and between per-graph searches; expiry raises a typed
         :class:`~repro.resilience.errors.DeadlineExceeded` instead of
         letting one pathological query hold a worker indefinitely.
         """
+        if deadline is not None:
+            deadline.check("match query")
         start = time.perf_counter()
         stats = QueryStats(kind="match", universe=len(self.database))
         accel = perf.enabled()
@@ -246,6 +257,7 @@ class QueryEngine:
                 return MatchAnswer(gids=cached, stats=stats)
 
         candidates = live_gids = set(self.database.gids())
+        supporting: set[int] = set()
         flat = None
         if accel:
             stale, flat = self._resolved(epoch)
@@ -255,10 +267,12 @@ class QueryEngine:
                 # Drifted graphs have unreliable posting lists: always
                 # re-candidates.  Deleted gids drop out via the live set.
                 candidates = (from_index & live_gids) | stale
+                if not induced and fragments_decide(pattern):
+                    supporting = candidates - stale
+                    stats.decided = len(supporting)
         stats.candidates = len(candidates)
 
-        supporting: set[int] = set()
-        order = sorted(candidates)
+        order = sorted(candidates - supporting)
         if order:
             # One kernel call over the whole candidate list (the support
             # cache resolves what it can first); a deadline-bearing query
@@ -317,6 +331,8 @@ class QueryEngine:
         deadline: Deadline | None = None,
     ) -> ContainsAnswer:
         """The catalog pids whose pattern embeds in ``graph``."""
+        if deadline is not None:
+            deadline.check("contains query")
         start = time.perf_counter()
         stats = QueryStats(
             kind="contains", universe=len(self.snapshot.entries)
@@ -356,8 +372,9 @@ class QueryEngine:
         first_only: bool = False,
         deadline: Deadline | None = None,
     ) -> list[int]:
-        """Pids embedding in ``graph``, at most one when ``first_only``;
-        one ``cache`` probe and one store cover every candidate."""
+        """Pids embedding in ``graph``, ascending; any one when
+        ``first_only``.  Candidates the index decides are hits outright;
+        one ``cache`` probe and one store cover the rest."""
         accel = perf.enabled()
         entries = self.snapshot.entries
         if accel:
@@ -367,13 +384,23 @@ class QueryEngine:
         else:
             candidates = list(range(len(entries)))
         stats.candidates += len(candidates)
+        # candidate_patterns found every fragment in graph, which for a
+        # decided pid is its whole (non-induced) pattern.
+        decided = self._decided_pids if accel and not induced else ()
+        hits = [pid for pid in candidates if pid in decided]
+        if hits and first_only:
+            stats.decided += 1
+            return hits[:1]
+        stats.decided += len(hits)
+        if hits:
+            candidates = [pid for pid in candidates if pid not in decided]
         cache = cache if accel else None
         keys = [entries[pid].key for pid in candidates]
         known = (
             [None] * len(keys) if cache is None
             else cache.probe(keys, [graph], induced=induced)
         )
-        hits, searched = [], {}
+        found, searched = [], {}
         for pid, key, verdict in zip(candidates, keys, known):
             if deadline is not None:
                 deadline.check("contains query")
@@ -385,14 +412,14 @@ class QueryEngine:
             else:
                 stats.support_cache_hits += 1
             if verdict:
-                hits.append(pid)
+                found.append(pid)
                 if first_only:
                     break
         if cache is not None and searched:
             cache.store(
                 list(searched), [graph], list(searched.values()), induced
             )
-        return hits
+        return sorted(hits + found)
 
     # ------------------------------------------------------------------
     # Metadata queries

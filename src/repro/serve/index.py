@@ -20,9 +20,10 @@ therefore under induced embedding, which is in particular a monomorphism):
   appear in the target.
 
 If pattern ``P`` embeds in graph ``G`` then ``fragments(P) <=
-fragments(G)``; the converse is false, so candidates are always verified
-by a real search downstream.  The index is a pure pruning device: the
-differential tests pin every served answer against the unindexed
+fragments(G)``.  The converse holds only for connected 1- and 2-edge
+patterns (:func:`fragments_decide`, cf. FG-index's verification-free
+answers), so other candidates are verified by a real search downstream.
+The differential tests pin every served answer against the unindexed
 :mod:`repro.query` results.
 
 Graph-side posting lists are stamped with each graph's **content
@@ -107,6 +108,16 @@ def graph_fragments(graph: LabeledGraph) -> frozenset[Fragment]:
     return result
 
 
+def fragments_decide(pattern: LabeledGraph) -> bool:
+    """True when every graph holding ``pattern``'s fragments contains it
+    (non-induced): ``pattern`` is one edge, or a path ``a–m–b`` (graphs
+    are simple, so two edges on three vertices), which is exactly what a
+    label-path fragment records — two distinct neighbours of one centre.
+    """
+    edges = pattern.num_edges
+    return edges in (1, 2) and pattern.num_vertices == edges + 1
+
+
 class FragmentIndex:
     """Fragment -> posting lists over patterns and (optionally) graphs.
 
@@ -123,24 +134,14 @@ class FragmentIndex:
         self.pattern_fragments: tuple[frozenset[Fragment], ...] = tuple(
             pattern_fragments
         )
-        postings: dict[Fragment, list[int]] = {}
-        for pid, fragments in enumerate(self.pattern_fragments):
-            for fragment in fragments:
-                postings.setdefault(fragment, []).append(pid)
-        self.pids_by_fragment: dict[Fragment, tuple[int, ...]] = {
-            fragment: tuple(pids) for fragment, pids in postings.items()
-        }
         self.graph_fragment_sets = graph_fragment_sets
         self.graph_digests = graph_digests
-        self.graph_postings: dict[Fragment, frozenset[int]] | None = None
+        self.graph_postings: dict[Fragment, set[int]] | None = None
         if graph_fragment_sets is not None:
-            gpost: dict[Fragment, set[int]] = {}
+            self.graph_postings = {}
             for gid, fragments in graph_fragment_sets.items():
                 for fragment in fragments:
-                    gpost.setdefault(fragment, set()).add(gid)
-            self.graph_postings = {
-                fragment: frozenset(gids) for fragment, gids in gpost.items()
-            }
+                    self.graph_postings.setdefault(fragment, set()).add(gid)
 
     # ------------------------------------------------------------------
     # Construction
@@ -169,29 +170,18 @@ class FragmentIndex:
     def candidate_patterns(
         self, fragments: frozenset[Fragment]
     ) -> list[int]:
-        """Pids whose fragment set is contained in ``fragments``.
+        """Pids whose fragment set is contained in ``fragments``, ascending.
 
-        Classic feature-count filtering: walk the given fragments' posting
-        lists, count hits per pattern, keep patterns whose full fragment
-        set was covered.  Fragment-free patterns (single vertices) can
-        never be pruned and are always candidates.
+        One frozenset subset test per pattern, which runs in C and
+        outpaces walking the query's posting lists at catalog sizes in
+        the hundreds to thousands.  Fragment-free patterns (single
+        vertices) can never be pruned and are always candidates.
         """
-        counts: dict[int, int] = {}
-        for fragment in fragments:
-            for pid in self.pids_by_fragment.get(fragment, ()):
-                counts[pid] = counts.get(pid, 0) + 1
-        candidates = [
-            pid
-            for pid, count in counts.items()
-            if count == len(self.pattern_fragments[pid])
-        ]
-        candidates.extend(
+        return [
             pid
             for pid, owned in enumerate(self.pattern_fragments)
-            if not owned
-        )
-        candidates.sort()
-        return candidates
+            if owned <= fragments
+        ]
 
     def candidate_graphs(
         self, fragments: frozenset[Fragment]
@@ -206,18 +196,11 @@ class FragmentIndex:
         assert self.graph_digests is not None
         if not fragments:
             return set(self.graph_digests)
-        candidates: set[int] | None = None
-        for fragment in fragments:
-            gids = self.graph_postings.get(fragment)
-            if not gids:
-                return set()
-            candidates = (
-                set(gids) if candidates is None else candidates & gids
-            )
-            if not candidates:
-                return set()
-        assert candidates is not None
-        return candidates
+        empty: set[int] = set()
+        first, *rest = sorted(
+            (self.graph_postings.get(f, empty) for f in fragments), key=len
+        )
+        return first.intersection(*rest)
 
     def stale_gids(self, database: GraphDatabase) -> set[int]:
         """Gids whose graph content differs from what the index saw.
@@ -245,11 +228,7 @@ class FragmentIndex:
         fragment_ids: dict[Fragment, int] = {}
 
         def fid(fragment: Fragment) -> int:
-            known = fragment_ids.get(fragment)
-            if known is None:
-                known = len(fragment_ids)
-                fragment_ids[fragment] = known
-            return known
+            return fragment_ids.setdefault(fragment, len(fragment_ids))
 
         patterns = [
             sorted(fid(f) for f in fragments)
@@ -289,8 +268,7 @@ class FragmentIndex:
         pattern_fragments = [
             frozenset(table[i] for i in fids) for fids in data["patterns"]
         ]
-        graph_sets = None
-        graph_digests = None
+        graph_sets = graph_digests = None
         if data.get("graphs") is not None:
             graph_sets = {}
             graph_digests = {}
@@ -346,7 +324,4 @@ class FragmentIndex:
         graphs = (
             len(self.graph_digests) if self.graph_digests is not None else 0
         )
-        return (
-            f"FragmentIndex(patterns={self.num_patterns}, graphs={graphs}, "
-            f"fragments={len(self.pids_by_fragment)})"
-        )
+        return f"FragmentIndex(patterns={self.num_patterns}, graphs={graphs})"

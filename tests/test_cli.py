@@ -262,6 +262,23 @@ class TestErrorPaths:
             assert captured.out == "", argv
             assert not db_path.exists(), argv
 
+    def test_serve_empty_catalog_fills_no_store(
+        self, database_file, tmp_path, capsys
+    ):
+        """``serve`` with no ``--patterns`` over an empty catalog exits 1
+        before the SQLite store is created or filled."""
+        catalog, db_path = tmp_path / "cat", tmp_path / "s.db"
+        assert main([
+            "serve", str(catalog), str(database_file), "--port", "0",
+            "--backend", "sqlite", "--db-path", str(db_path),
+        ]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"catalog {catalog} is empty; publish with --patterns\n"
+        )
+        assert captured.out == ""
+        assert not db_path.exists()
+
     def test_update_invalid_kind(self, database_file, tmp_path):
         with pytest.raises(SystemExit):
             main(["update", str(database_file),

@@ -452,21 +452,20 @@ class TestArenaReuse:
 
 
 # ----------------------------------------------------------------------
-# Admit-memo lifecycle (the PR-7 leak fix)
+# Admit-memo lifecycle: the full-database scan memo
 # ----------------------------------------------------------------------
 class TestAdmitMemoLifecycle:
     def test_dead_plans_drop_their_memos(self):
-        """The memos key plans weakly: a retired plan's entries must
+        """The memo keys plans weakly: a retired plan's entry must
         vanish with it instead of pinning the FlatDB forever."""
         db = GraphDatabase((i, path_graph(4)) for i in range(3))
         flat = get_flat_db(db)
         pattern = path_graph(3)
         plan = get_flat_plan(pattern)
         flat_count_batch(plan, flat)
-        assert plan in flat.admit_memo and plan in flat.scan_memo
+        assert plan in flat.scan_memo
         del plan, pattern  # the plan cache is weak too
         gc.collect()
-        assert len(flat.admit_memo) == 0
         assert len(flat.scan_memo) == 0
 
     def test_memo_cap_drops_wholesale(self):
@@ -475,13 +474,13 @@ class TestAdmitMemoLifecycle:
         for i in range(ADMIT_MEMO_PLANS):
             g = make_graph([i], [])
             keep.append((g, get_flat_plan(g)))
-            flat.plan_memo(keep[-1][1])
-        assert len(flat.admit_memo) == ADMIT_MEMO_PLANS
+            flat_count_batch(keep[-1][1], flat)
+        assert len(flat.scan_memo) == ADMIT_MEMO_PLANS
         g = make_graph(["overflow"], [])
         overflow = get_flat_plan(g)
-        flat.plan_memo(overflow)
-        assert len(flat.admit_memo) == 1
-        assert overflow in flat.admit_memo
+        flat_count_batch(overflow, flat)
+        assert len(flat.scan_memo) == 1
+        assert overflow in flat.scan_memo
 
     def test_database_version_change_recompiles(self):
         """Mutating a graph retires the whole FlatDB (and its memos):

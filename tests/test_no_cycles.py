@@ -1,5 +1,6 @@
-"""The mining path leaves no reference cycles, and the CLI pauses the
-cyclic collector around ``mine`` / ``mine-big`` only.
+"""The mining path leaves no reference cycles; the CLI pauses the cyclic
+collector around ``mine`` / ``mine-big`` only, and the incremental miner
+around each update batch.
 
 Cycle-freedom is what makes the pause safe: with the collector off, a
 cycle is never freed.  Each case runs with ``gc.DEBUG_SAVEALL``, which
@@ -220,3 +221,58 @@ class TestCollectorPause:
             assert not gc.isenabled()
         finally:
             gc.enable()
+
+
+class TestIncrementalBatchPause:
+    """``IncrementalPartMiner.apply_updates`` runs a batch with the
+    collector paused and hands back the caller's state, also when the
+    batch raises."""
+
+    @pytest.fixture
+    def session(self):
+        from repro import IncrementalPartMiner, UpdateGenerator
+        from repro import generate_dataset
+        from repro.updates.tracker import hot_vertex_assignment
+
+        db = generate_dataset("D60T12N6L8I4", seed=5)
+        inc = IncrementalPartMiner(k=2)
+        ufreq = hot_vertex_assignment(db, 0.3, seed=1)
+        inc.initial_mine(db, 0.1, ufreq=ufreq)
+        return inc, UpdateGenerator(6, 8, seed=2)
+
+    def test_a_batch_runs_no_full_collection(self, session):
+        inc, gen = session
+        full = []
+
+        def count(phase, info):
+            if phase == "start" and info["generation"] == 2:
+                full.append(info)
+
+        batch = gen.generate(inc.database, inc.ufreq, 0.5, 1, "mixed")
+        gc.collect()
+        assert gc.isenabled()
+        # Thresholds low enough that an unpaused batch would collect
+        # generation 2 many times over.
+        thresholds = gc.get_threshold()
+        gc.set_threshold(50, 2, 2)
+        gc.callbacks.append(count)
+        try:
+            inc.apply_updates(batch)
+        finally:
+            gc.callbacks.remove(count)
+            gc.set_threshold(*thresholds)
+        assert full == []
+        assert gc.isenabled()
+
+    def test_a_raising_batch_hands_the_collector_back(self, session):
+        from repro.updates.model import RelabelVertex
+
+        inc, _gen = session
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            try:
+                with pytest.raises(Exception):
+                    inc.apply_updates([RelabelVertex(12345, 0, 1)])
+                assert gc.isenabled() is enabled
+            finally:
+                gc.enable()

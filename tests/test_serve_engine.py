@@ -6,20 +6,23 @@ every test here pins a served answer against the linear-scan baseline.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from repro import perf, query
 from repro.graph.database import GraphDatabase
-from repro.graph.isomorphism import subgraph_exists
+from repro.graph.isomorphism import subgraph_exists, subgraph_exists_reference
+from repro.graph.labeled_graph import LabeledGraph
 from repro.mining.base import Pattern, PatternSet
 from repro.mining.gspan import GSpanMiner
 from repro.resilience.health import Deadline
 from repro.serve.catalog import CatalogSnapshot, catalog_order
 from repro.serve.engine import QueryEngine
-from repro.serve.index import FragmentIndex, graph_digest
+from repro.serve.index import (
+    FragmentIndex, fragments_decide, graph_digest, graph_fragments,
+)
 
 from .conftest import make_graph, random_database
-from .test_properties import databases
+from .test_properties import connected_graphs, databases
 
 
 def make_snapshot(patterns, db=None, version=1):
@@ -260,12 +263,14 @@ class TestCaching:
         assert len(engine._lru) <= 2
 
     def test_support_cache_shared_between_queries(self):
+        # Induced: the index decides no pair, so every one is searched or
+        # probed.
         engine, _, db = mined_engine(seed=6505)
         for _, graph in db:
-            engine.contains(graph)
+            engine.contains(graph, induced=True)
         searched = engine.totals.searches
         # coverage re-asks the same (pattern, graph) pairs: all cache hits.
-        engine.coverage()
+        engine.coverage(induced=True)
         assert engine.totals.searches == searched
         assert engine.totals.support_cache_hits > 0
 
@@ -355,3 +360,127 @@ class TestEngineProperties:
                 e.pid for e in entries if subgraph_exists(e.graph, graph)
             )
             assert answer.pids == expected
+
+
+@st.composite
+def small_patterns(draw, edges):
+    """A connected pattern with exactly ``edges`` edges (0 to 3): a
+    random tree, or for three edges possibly a triangle."""
+    triangle = edges == 3 and draw(st.booleans())
+    graph = LabeledGraph()
+    for _ in range(3 if triangle else edges + 1):
+        graph.add_vertex(draw(st.integers(0, 2)))
+    if triangle:
+        links = [(0, 1), (1, 2), (2, 0)]
+    else:
+        links = [(v, draw(st.integers(0, v - 1))) for v in range(1, edges + 1)]
+    for u, v in links:
+        graph.add_edge(u, v, draw(st.integers(0, 1)))
+    return graph
+
+
+def drift(db, data):
+    """Make some graphs stale: relabel, grow, replace, add."""
+    gids = db.gids()
+    for gid in data.draw(st.sets(st.sampled_from(gids), max_size=2)):
+        graph = db[gid]
+        kind = data.draw(st.sampled_from(["relabel", "grow", "replace"]))
+        if kind == "relabel":
+            graph.set_vertex_label(0, data.draw(st.integers(0, 2)))
+        elif kind == "grow":
+            new = graph.add_vertex(data.draw(st.integers(0, 2)))
+            graph.add_edge(0, new, data.draw(st.integers(0, 1)))
+        else:
+            db.replace(gid, data.draw(connected_graphs(max_vertices=5)))
+    if data.draw(st.booleans()):
+        db.add(max(gids) + 1, data.draw(connected_graphs(max_vertices=5)))
+
+
+def reference_gids(pattern, db, induced):
+    return frozenset(
+        gid for gid, graph in db
+        if subgraph_exists_reference(pattern, graph, induced=induced)
+    )
+
+
+class TestIndexDecidedAnswers:
+    """A non-induced, connected 1- or 2-edge pattern is answered from
+    the fragment postings; only stale graphs are searched for it."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(databases(max_graphs=6, max_vertices=6), st.data())
+    def test_differential_over_drifted_graphs(self, db, data):
+        graphs = [
+            data.draw(small_patterns(edges))
+            for edges in (1, 1, 2, 2, 3, 3) for _ in range(2)
+        ]
+        patterns = PatternSet(
+            Pattern.from_graph(g, reference_gids(g, db, False))
+            for g in graphs
+        )
+        engine = QueryEngine(make_snapshot(patterns, db), db, lru_size=0)
+        drift(db, data)
+        stale = engine.snapshot.index.stale_gids(db)
+        entries = engine.snapshot.entries
+        for induced in (False, True):
+            for graph in [data.draw(small_patterns(0)), *graphs]:
+                answer = engine.match(graph, induced=induced)
+                assert answer.gids == reference_gids(graph, db, induced)
+                assert answer.gids == query.match(
+                    graph, db, induced=induced
+                ).supporting_gids
+                if not induced and fragments_decide(graph):
+                    # Zero searches on graphs the index still describes.
+                    assert answer.stats.searches <= len(stale)
+                    assert answer.stats.decided == len(answer.gids - stale)
+                else:
+                    assert answer.stats.decided == 0
+            got = engine.relocate(induced=induced)
+            with perf.disabled():
+                want = query.match_patterns(patterns, db, induced=induced)
+            assert_same_patterns(got, want)
+            for _, graph in db:
+                assert engine.contains(graph, induced=induced).pids == tuple(
+                    e.pid for e in entries
+                    if subgraph_exists_reference(e.graph, graph, induced)
+                )
+            fraction, covered = engine.coverage(induced=induced)
+            with perf.disabled():
+                assert (fraction, covered) == query.coverage(
+                    patterns, db, induced=induced
+                )
+
+    def test_only_stale_graphs_are_searched(self):
+        engine, patterns, db = mined_engine(seed=6801)
+        edge = next(p.graph for p in patterns if p.size == 1)
+        fresh = engine.match(edge)
+        assert fresh.stats.searches == 0
+        assert fresh.stats.decided == fresh.stats.candidates
+        assert fresh.stats.decided == len(fresh.gids) > 0
+        # A graph the index never saw: stale, so it is searched.
+        db.add(999, edge.copy())
+        answer = engine.match(edge)
+        assert answer.gids == fresh.gids | {999}
+        assert answer.stats.searches == 1
+        assert answer.stats.decided == len(fresh.gids)
+        induced = engine.match(edge, induced=True)
+        assert induced.stats.decided == 0
+        assert induced.stats.searches > 0
+
+    def test_contains_searches_only_undecided_candidates(self):
+        engine, _, db = mined_engine(seed=6802, min_support=2)
+        entries = engine.snapshot.entries
+        assert any(not fragments_decide(e.graph) for e in entries)
+        for _, graph in db:
+            stats = engine.contains(graph).stats
+            assert stats.decided == sum(
+                fragments_decide(entries[pid].graph)
+                for pid in engine.snapshot.index.candidate_patterns(
+                    graph_fragments(graph)
+                )
+            )
+            assert stats.searches + stats.support_cache_hits == (
+                stats.candidates - stats.decided
+            )
+        assert engine.totals.decided > 0
+        assert engine.stats_dict()["decided"] == engine.totals.decided

@@ -205,7 +205,10 @@ def test_repeated_matches_over_a_store_decode_no_rows(tmp_path, database):
     a decode per candidate and find nothing — over a store it is
     bypassed, and no match holds more decoded graphs than the budget.
     """
-    patterns = GSpanMiner().mine(database, NUM_GRAPHS // 3)
+    # Support 4 brings 3-edge patterns, which the index cannot decide:
+    # they reach the search over the store.
+    patterns = GSpanMiner().mine(database, 4)
+    assert max(p.graph.num_edges for p in patterns) >= 3
     index = FragmentIndex.build(
         (p.graph for p in catalog_order(patterns)), database
     )
