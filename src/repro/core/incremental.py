@@ -38,13 +38,15 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from .. import obs, perf
 from ..graph.database import GraphDatabase
+from ..graph.labeled_graph import LabeledGraph
 from ..mining.base import PatternSet
 from ..mining.edges import normalize_triple
 from ..mining.gaston import GastonMiner
-from ..partition.dbpartition import Partitioner
+from ..partition.dbpartition import Partitioner, Piece, split_piece
 from ..partition.graphpart import GraphPartitioner
 from ..partition.units import PartitionNode, UfreqMap
 from ..updates.model import Update, apply_updates
@@ -111,30 +113,33 @@ class IncrementalResult:
     stats: IncrementalStats
 
 
-def _piece_elements(node: PartitionNode, gid: int) -> tuple[dict, dict]:
-    """A node's piece of one graph in root vertex ids: edge -> label triple
-    and vertex -> label.  Two pieces with equal elements are one graph."""
-    piece = node.database[gid]
-    orig = node.orig_vertices[gid]
+def _piece_elements(
+    graph: LabeledGraph, orig: Sequence[int]
+) -> tuple[dict, dict]:
+    """A piece in root vertex ids: edge -> label triple and vertex ->
+    label.  Two pieces with equal elements are one graph."""
     edges = {}
-    for u, v, label in piece.edges():
+    for u, v, label in graph.edges():
         ends = (min(orig[u], orig[v]), max(orig[u], orig[v]), label)
         edges[ends] = normalize_triple(
-            piece.vertex_label(u), label, piece.vertex_label(v)
+            graph.vertex_label(u), label, graph.vertex_label(v)
         )
-    vertices = {orig[v]: piece.vertex_label(v) for v in piece.vertices()}
+    vertices = {orig[v]: graph.vertex_label(v) for v in graph.vertices()}
     return edges, vertices
 
 
-def _new_edge_triples(before: tuple, after: tuple) -> frozenset | None:
-    """Label triples of the edges a piece gained: added, re-labelled, or at
-    a new or re-labelled vertex.  ``None`` when the piece did not change.
+def _new_edge_triples(before: tuple, piece: Piece) -> frozenset | None:
+    """Label triples of the edges ``piece`` gained over ``before``, the
+    ``(graph, root_ids)`` it replaced: added, re-labelled, or at a new or
+    re-labelled vertex.  ``None`` when the piece did not change.
 
     Any occurrence of a pattern the new piece has and the old one lacked
     covers a changed element, and — patterns being connected — an edge
     that is new or ends at a changed vertex.
     """
-    (old_edges, old_vertices), (edges, vertices) = before, after
+    _node, _gid, graph, _ufreq, root_ids = piece
+    old_edges, old_vertices = _piece_elements(*before)
+    edges, vertices = _piece_elements(graph, root_ids)
     if old_edges == edges and old_vertices == vertices:
         return None
     moved = {
@@ -264,27 +269,35 @@ class IncrementalPartMiner:
         with obs.span("inc.repartition") as step:
             t0 = time.perf_counter()
             nodes = list(tree.nodes())
-            before = {
-                (_key(node), gid): _piece_elements(node, gid)
-                for node in nodes
-                for gid in staged.gids()
-            }
-            for gid, graph in staged:
-                self._database.replace(gid, graph)
-                self._pad_ufreq(gid)
-                self._repartition_graph(tree.root, gid)
             # Per node: the gids whose piece changed there, each with the
             # label triples of the edges its new piece gained.
             touched: dict[NodeKey, dict[int, frozenset]] = {
                 _key(node): {} for node in nodes
             }
-            for node in nodes:
-                for gid in staged.gids():
-                    gained = _new_edge_triples(
-                        before[(_key(node), gid)], _piece_elements(node, gid)
-                    )
+            for gid, graph in staged:
+                was = self._database[gid]
+                self._database.replace(gid, graph)
+                # The partition step, down the tree for this graph alone;
+                # each piece is paired with the one it replaced.
+                root = (
+                    tree.root, gid, graph, self._pad_ufreq(gid),
+                    range(graph.num_vertices),
+                )
+                pending = [(root, (was, range(was.num_vertices)))]
+                while pending:
+                    piece, before = pending.pop()
+                    node = piece[0]
+                    gained = _new_edge_triples(before, piece)
                     if gained is not None:
                         touched[_key(node)][gid] = gained
+                    if not node.is_leaf:
+                        replaced = [
+                            (child.database[gid], child.orig_vertices[gid])
+                            for child in node.children
+                        ]
+                        pending += zip(
+                            split_piece(piece, miner.partitioner), replaced
+                        )
             units = tree.units()
             affected = [
                 i for i, unit in enumerate(units) if touched[_key(unit)]
@@ -309,7 +322,6 @@ class IncrementalPartMiner:
             patterns=old.patterns,
             tree=tree,
             threshold=threshold,
-            unit_results=list(old.unit_results),
             node_results=dict(old.node_results),
             unit_times=[0.0] * len(units),
             merge_times=stats.merge_times,
@@ -317,7 +329,7 @@ class IncrementalPartMiner:
             partition_time=stats.repartition_time,
         )
         for i, found, elapsed in zip(affected, mined, times):
-            new.unit_results[i], new.unit_times[i] = found, elapsed
+            new.unit_times[i] = elapsed
             new.node_results[_key(units[i])] = found
         stats.remine_times = times
         stats.remine_time = sum(times)
@@ -374,35 +386,12 @@ class IncrementalPartMiner:
         )
 
     # ------------------------------------------------------------------
-    def _pad_ufreq(self, gid: int) -> None:
-        """Extend a graph's ufreq for vertices added by the batch."""
+    def _pad_ufreq(self, gid: int) -> tuple[float, ...]:
+        """A graph's ufreq, extended for vertices added by the batch."""
         graph = self._database[gid]
         current = self._ufreq.get(gid, ())
         if len(current) < graph.num_vertices:
             # Freshly added vertices were just updated: treat them as hot.
             pad = (0.5,) * (graph.num_vertices - len(current))
             self._ufreq[gid] = tuple(current) + pad
-
-    def _repartition_graph(self, node: PartitionNode, gid: int) -> None:
-        """Re-run the partition cascade for one (updated) graph."""
-        if node.depth == 0:
-            node.ufreq[gid] = self._ufreq[gid]
-            node.orig_vertices[gid] = tuple(
-                range(self._database[gid].num_vertices)
-            )
-        if node.children is None:
-            return
-        bipart = self.miner.partitioner(node.database[gid], node.ufreq[gid])
-        parent_orig = node.orig_vertices[gid]
-        node.connective_edges[gid] = tuple(
-            (parent_orig[u], parent_orig[v])
-            for u, v in bipart.connective_edges
-        )
-        for side_index, side in enumerate((bipart.side0, bipart.side1)):
-            child = node.children[side_index]
-            child.database.replace(gid, side.graph)
-            child.ufreq[gid] = side.ufreq
-            child.orig_vertices[gid] = tuple(
-                parent_orig[old] for old in side.orig_vertices
-            )
-            self._repartition_graph(child, gid)
+        return self._ufreq[gid]

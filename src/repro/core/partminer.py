@@ -69,13 +69,20 @@ class PartMinerResult:
     patterns: PatternSet
     tree: PartitionTree
     threshold: int
-    unit_results: list[PatternSet]
     node_results: dict[tuple[int, int], PatternSet]
     unit_times: list[float]
     merge_times: dict[tuple[int, int], float]
     merge_stats: dict[tuple[int, int], MergeJoinStats]
     partition_time: float = 0.0
     telemetry: object | None = None  # RunTelemetry when the runtime ran
+
+    @property
+    def unit_results(self) -> list[PatternSet]:
+        """Each unit's patterns, in ``tree.units()`` order."""
+        return [
+            self.node_results[(unit.depth, unit.index)]
+            for unit in self.tree.units()
+        ]
 
     @property
     def aggregate_time(self) -> float:
@@ -210,7 +217,6 @@ class PartMiner:
                 patterns=PatternSet(),
                 tree=tree,
                 threshold=threshold,
-                unit_results=unit_results,
                 node_results={
                     (unit.depth, unit.index): mined
                     for unit, mined in zip(units, unit_results)
@@ -275,7 +281,7 @@ class PartMiner:
                 times.append(time.perf_counter() - t0)
                 results.append(mined)
                 if not keep_tree and unit.depth:  # the root is the caller's
-                    unit.database = None
+                    unit.release()
             return results, times, None
 
         from ..runtime import CheckpointStore, run_unit_mining
@@ -302,7 +308,7 @@ class PartMiner:
         )
         for unit in units:
             if not keep_tree and unit.depth:
-                unit.database = None
+                unit.release()
         times = [record.wall_time for record in run.telemetry.units]
         return run.unit_results, times, run.telemetry
 
@@ -358,5 +364,5 @@ class PartMiner:
         result.merge_stats[key] = stats
         result.node_results[key] = merged
         if not keep_tree and node.depth:
-            node.database = None
+            node.release()
         return merged

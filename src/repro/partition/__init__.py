@@ -3,7 +3,7 @@
 from .. import _exports
 
 __getattr__, __dir__, __all__ = _exports(__name__, {
-    ".dbpartition": "db_partition recommended_k split_node",
+    ".dbpartition": "db_partition recommended_k split_piece",
     ".graphpart": """Bipartition GraphPartitioner SidePiece build_bipartition
                      dfs_scan""",
     ".metis": "MetisPartitioner",

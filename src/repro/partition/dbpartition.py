@@ -1,15 +1,17 @@
 """DBPartition: dividing a graph database into k units (paper, Fig 6).
 
-The database is split ``floor(log2 k)`` times into a full binary tree by
-calling the graph partitioner on every graph; when ``k`` is not a power of
-two, the first ``k - 2^l`` leaves are split one more time, yielding exactly
-``k`` leaf units.
+:func:`db_partition` builds the tree's skeleton — ``floor(log2 k)`` full
+levels, and when ``k`` is not a power of two the first ``k - 2^l`` leaves
+split once more, yielding exactly ``k`` leaf units — then splits every
+graph down it with :func:`split_piece`, the one partition step.
+IncPartMiner runs the same step down the tree for each graph an update
+batch changed.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
@@ -19,40 +21,33 @@ from .units import PartitionNode, PartitionTree, UfreqMap
 Partitioner = Callable[[LabeledGraph, Sequence[float]], Bipartition]
 
 
-def split_node(node: PartitionNode, partitioner: Partitioner) -> None:
-    """Split every graph of ``node`` in two, attaching two child nodes.
+#: A node's piece of one graph, with what splitting it further needs:
+#: ``(node, gid, graph, ufreq, root_ids)``, where ``root_ids[v]`` is the
+#: root graph's id of piece vertex ``v``.
+Piece = tuple[PartitionNode, int, LabeledGraph, Sequence[float], Sequence[int]]
 
-    This is the paper's ``DivideDBPart``: the two sides of each graph go to
-    the two child databases under the same gid.
+
+def split_piece(piece: Piece, partitioner: Partitioner) -> list[Piece]:
+    """Split one graph's piece at its (internal) node into the children.
+
+    This is the paper's ``DivideDBPart`` for one graph: the partitioner
+    cuts the piece by its ufreq, and both sides go into the two child
+    databases under the piece's gid — added, or replacing the piece an
+    earlier partition put there.  Returns the children's new pieces.
     """
-    if node.children is not None:
-        raise ValueError("node is already split")
-    databases = (GraphDatabase(), GraphDatabase())
-    ufreqs: tuple[UfreqMap, UfreqMap] = ({}, {})
-    origs: tuple[dict, dict] = ({}, {})
-    for gid, graph in node.database:
-        bipart = partitioner(graph, node.ufreq[gid])
-        parent_orig = node.orig_vertices[gid]
-        node.connective_edges[gid] = tuple(
-            (parent_orig[u], parent_orig[v])
-            for u, v in bipart.connective_edges
-        )
-        for side_index, side in enumerate((bipart.side0, bipart.side1)):
-            databases[side_index].add(gid, side.graph)
-            ufreqs[side_index][gid] = side.ufreq
-            origs[side_index][gid] = tuple(
-                parent_orig[old] for old in side.orig_vertices
-            )
-    node.children = tuple(
-        PartitionNode(
-            database=databases[i],
-            ufreq=ufreqs[i],
-            orig_vertices=origs[i],
-            depth=node.depth + 1,
-            index=2 * node.index + i,
-        )
-        for i in (0, 1)
-    )
+    node, gid, graph, ufreq, root_ids = piece
+    bipart = partitioner(graph, ufreq)
+    node.connective_edges[gid] = bipart.num_connective_edges
+    sides = []
+    for child, side in zip(node.children, (bipart.side0, bipart.side1)):
+        ids = tuple(root_ids[v] for v in side.orig_vertices)
+        if gid in child.database:
+            child.database.replace(gid, side.graph)
+        else:
+            child.database.add(gid, side.graph)
+        child.orig_vertices[gid] = ids
+        sides.append((child, gid, side.graph, side.ufreq, ids))
+    return sides
 
 
 def recommended_k(
@@ -102,40 +97,58 @@ def db_partition(
     if partitioner is None:
         partitioner = GraphPartitioner()
 
-    # One pass over the database fills both root maps: over a
-    # store-backed database every pass decodes every row.
-    root_ufreq: UfreqMap = {}
-    orig_vertices = {}
-    for gid, graph in database:
-        n = graph.num_vertices
-        if ufreq is None:
-            root_ufreq[gid] = (0.0,) * n
-        elif gid not in ufreq or len(ufreq[gid]) != n:
-            raise ValueError(
-                f"ufreq for graph {gid} missing or wrong length"
-            )
-        orig_vertices[gid] = tuple(range(n))
-    root = PartitionNode(
-        database=database,
-        ufreq=root_ufreq if ufreq is None else dict(ufreq),
-        orig_vertices=orig_vertices,
-        depth=0,
-        index=0,
-    )
-    tree = PartitionTree(root=root, k=k)
-    if k == 1:
-        return tree
-
+    root = PartitionNode(database=database, depth=0, index=0)
     level = int(math.floor(math.log2(k)))
     frontier = [root]
     for _ in range(level):
-        next_frontier = []
-        for node in frontier:
-            split_node(node, partitioner)
-            next_frontier.extend(node.children)
-        frontier = next_frontier
+        frontier = [child for node in frontier for child in _grow(node)]
+    for node in frontier[: k - 2**level]:
+        _grow(node)
 
-    extra = k - 2**level
-    for node in frontier[:extra]:
-        split_node(node, partitioner)
-    return tree
+    # One split pass per depth that holds internal nodes.  The root's
+    # pieces are read lazily, in one pass that also checks ufreq: over a
+    # store-backed database every pass decodes every row.  Below the
+    # root, a level is split node by node, each node's graphs in
+    # database order, so each node's pieces are allocated together and
+    # a released unit frees whole allocator pools (cascading each graph
+    # down the tree instead interleaves the levels' pieces and raises a
+    # static run's peak RSS).
+    pieces: Iterable[Piece] = _root_pieces(root, database, ufreq)
+    for _depth in range(level + 1):
+        pieces = sorted(
+            (
+                side
+                for piece in pieces
+                if not piece[0].is_leaf
+                for side in split_piece(piece, partitioner)
+            ),
+            key=lambda side: side[0].index,
+        )
+    return PartitionTree(root=root, k=k)
+
+
+def _root_pieces(
+    root: PartitionNode, database: GraphDatabase, ufreq: UfreqMap | None
+) -> Iterator[Piece]:
+    """The database's graphs as the root's pieces, ufreq checked."""
+    for gid, graph in database:
+        n = graph.num_vertices
+        graph_ufreq = (0.0,) * n if ufreq is None else ufreq.get(gid)
+        if graph_ufreq is None or len(graph_ufreq) != n:
+            raise ValueError(
+                f"ufreq for graph {gid} missing or wrong length"
+            )
+        yield root, gid, graph, graph_ufreq, range(n)
+
+
+def _grow(node: PartitionNode) -> tuple[PartitionNode, PartitionNode]:
+    """Attach two empty children to a leaf of the skeleton."""
+    node.children = tuple(
+        PartitionNode(
+            database=GraphDatabase(),
+            depth=node.depth + 1,
+            index=2 * node.index + i,
+        )
+        for i in (0, 1)
+    )
+    return node.children

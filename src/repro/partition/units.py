@@ -2,21 +2,25 @@
 
 ``DBPartition`` (paper Fig 6) recursively bi-partitions every graph of the
 database, producing a binary *partition tree* whose leaves are the ``k``
-units handed to the memory-based miner.  The tree records, at every node,
-the piece databases plus the provenance needed later:
+units handed to the memory-based miner.  A node holds:
 
+* ``database`` — its piece of every graph, under the graph's gid;
 * ``orig_vertices`` — for every gid, the map from piece vertex ids back to
-  the **root** graph's vertex ids.  IncPartMiner uses it to find which
-  units contain updated vertices;
-* ``ufreq`` — per-vertex update frequencies, propagated into the pieces;
-* ``connective_edges`` — the cut edges of the split that created this
-  node's children (root vertex ids), for diagnostics.
+  the **root** graph's vertex ids.  The root's pieces are the graphs
+  themselves, so the root stores none.  IncPartMiner uses the maps to
+  find which units hold changed elements;
+* ``connective_edges`` — per gid, the number of cut edges of the split
+  that created this node's children.
+
+Update frequencies (ufreq) are not stored here: their one owner is the
+caller's map, and each piece's share travels with it through the
+partition step (:func:`repro.partition.dbpartition.split_piece`).
 
 The merge-join runs bottom-up over the same tree, and the depth field
 drives the paper's reduced support thresholds (``sup/k`` in the units).
 A static PartMiner run releases every non-root piece database once the
-merge above it has read it: the node's ``database`` is then ``None`` and
-the rest of the node stays.
+merge above it has read it: the node's ``database`` is then ``None``, its
+``orig_vertices`` are empty, and the rest of the node stays.
 """
 
 from __future__ import annotations
@@ -36,14 +40,11 @@ class PartitionNode:
     """One node of the partition tree (the root holds the full database)."""
 
     database: GraphDatabase | None  # None once a static PartMiner released it
-    ufreq: UfreqMap
-    orig_vertices: OrigMap
     depth: int
     index: int
     children: tuple["PartitionNode", "PartitionNode"] | None = None
-    connective_edges: dict[int, tuple[tuple[int, int], ...]] = field(
-        default_factory=dict
-    )
+    orig_vertices: OrigMap = field(default_factory=dict)  # empty at the root
+    connective_edges: dict[int, int] = field(default_factory=dict)
 
     @property
     def is_leaf(self) -> bool:
@@ -59,7 +60,12 @@ class PartitionNode:
 
     def total_connective_edges(self) -> int:
         """Number of cut edges introduced by this node's split."""
-        return sum(len(edges) for edges in self.connective_edges.values())
+        return sum(self.connective_edges.values())
+
+    def release(self) -> None:
+        """Drop the piece database and its root-id maps (static runs)."""
+        self.database = None
+        self.orig_vertices = {}
 
     def support_threshold(self, root_threshold: int) -> int:
         """The paper's reduced threshold for this node: ``sup / 2^depth``."""

@@ -1,4 +1,4 @@
-"""Dynamic-environment support: update model, generator, ufreq tracking."""
+"""Dynamic-environment support: update model, generator, hot-set ufreq."""
 
 from .. import _exports
 
@@ -7,5 +7,5 @@ __getattr__, __dir__, __all__ = _exports(__name__, {
     ".stream": "EpochPlan UpdateStream",
     ".model": """AddEdge AddVertex RelabelEdge RelabelVertex Update
                  apply_update apply_updates""",
-    ".tracker": "UpdateFrequencyTracker hot_vertex_assignment",
+    ".tracker": "hot_vertex_assignment",
 })

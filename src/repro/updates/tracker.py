@@ -1,25 +1,21 @@
-"""Update-frequency tracking (the ``ufreq`` values of Section 4.1).
+"""Update frequencies (the ``ufreq`` values of Section 4.1).
 
 The paper associates every vertex with ``v.ufreq``, its update frequency,
 which the GraphPart weight function uses to corral frequently-updated
-vertices into few units.  Two sources of ufreq are supported:
-
-* :func:`hot_vertex_assignment` fabricates *a-priori* frequencies with a
-  hot-set model (a fraction of vertices receives high frequency) — this is
-  the predictive knowledge a deployment would have about its update
-  distribution, and the update generator samples accordingly;
-* :class:`UpdateFrequencyTracker` accumulates *observed* update counts and
-  turns them into frequencies, for workloads without prior knowledge.
+vertices into few units.  :func:`hot_vertex_assignment` fabricates
+*a-priori* frequencies with a hot-set model (a fraction of vertices
+receives high frequency) — the predictive knowledge a deployment would
+have about its update distribution; the update generator samples
+accordingly.  :class:`~repro.core.incremental.IncrementalPartMiner` keeps
+the map current as batches add vertices.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 from ..graph.database import GraphDatabase
 from ..partition.units import UfreqMap
-from .model import Update, apply_update
 
 
 def hot_vertex_assignment(
@@ -42,55 +38,3 @@ def hot_vertex_assignment(
             hot_ufreq if v in hot else cold_ufreq for v in range(n)
         )
     return assignment
-
-
-class UpdateFrequencyTracker:
-    """Accumulates observed per-vertex update counts into frequencies."""
-
-    def __init__(self) -> None:
-        self._counts: dict[int, Counter] = {}
-        self.total_updates = 0
-
-    def record(self, database: GraphDatabase, update: Update) -> list[int]:
-        """Apply ``update`` to ``database`` and record the touched vertices."""
-        vertices = apply_update(database, update)
-        counter = self._counts.setdefault(update.gid, Counter())
-        for v in vertices:
-            counter[v] += 1
-        self.total_updates += 1
-        return vertices
-
-    def observe(self, gid: int, vertices: list[int]) -> None:
-        """Record touched vertices without applying anything."""
-        counter = self._counts.setdefault(gid, Counter())
-        for v in vertices:
-            counter[v] += 1
-        self.total_updates += 1
-
-    def count(self, gid: int, vertex: int) -> int:
-        """Observed update count of one vertex."""
-        return self._counts.get(gid, Counter())[vertex]
-
-    def ufreq_map(
-        self, database: GraphDatabase, baseline: float = 0.0
-    ) -> UfreqMap:
-        """Frequencies normalized by the busiest vertex (0..1 scale).
-
-        ``baseline`` is the frequency assigned to never-updated vertices.
-        """
-        peak = max(
-            (
-                count
-                for counter in self._counts.values()
-                for count in counter.values()
-            ),
-            default=0,
-        )
-        result: UfreqMap = {}
-        for gid, graph in database:
-            counter = self._counts.get(gid, Counter())
-            result[gid] = tuple(
-                counter[v] / peak if peak and counter[v] else baseline
-                for v in range(graph.num_vertices)
-            )
-        return result

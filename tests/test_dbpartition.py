@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.partition.dbpartition import db_partition, split_node
+from repro.partition.dbpartition import db_partition
 from repro.partition.graphpart import GraphPartitioner
 
 from .conftest import random_database
@@ -21,6 +21,15 @@ class TestTreeShape:
         tree = db_partition(db, 1)
         assert tree.root.is_leaf
         assert tree.units() == [tree.root]
+
+    def test_root_holds_the_database_and_no_identity_maps(self):
+        db = random_database(seed=1, num_graphs=3)
+        tree = db_partition(db, 3)
+        assert tree.root.database is db
+        assert tree.root.orig_vertices == {}
+        for node in tree.nodes():
+            if node.depth:
+                assert node.orig_vertices.keys() == set(db.gids())
 
     def test_power_of_two_depths_uniform(self):
         db = random_database(seed=2, num_graphs=4)
@@ -118,8 +127,14 @@ class TestUnitLookup:
         db = random_database(seed=10, num_graphs=3)
         tree = db_partition(db, 2)
         gid = db.gids()[0]
-        # A connective edge endpoint must appear in both units.
-        root_cut = tree.root.connective_edges[gid]
+        graph = db[gid]
+        # A connective edge endpoint must appear in both units.  The root
+        # graph's vertex ids are the root ids, so its own split's cut
+        # names them.
+        root_cut = GraphPartitioner()(
+            graph, (0.0,) * graph.num_vertices
+        ).connective_edges
+        assert tree.root.connective_edges[gid] == len(root_cut)
         if root_cut:
             u = root_cut[0][0]
             assert len(units_holding(tree, gid, [u])) == 2
@@ -129,14 +144,6 @@ class TestUnitLookup:
         t2 = db_partition(db, 2)
         t4 = db_partition(db, 4)
         assert t4.total_connective_edges() >= t2.total_connective_edges()
-
-
-class TestSplitNode:
-    def test_double_split_rejected(self):
-        db = random_database(seed=12, num_graphs=2)
-        tree = db_partition(db, 2)
-        with pytest.raises(ValueError, match="already split"):
-            split_node(tree.root, GraphPartitioner())
 
 
 class TestRecommendedK:

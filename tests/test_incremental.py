@@ -4,7 +4,9 @@ import pytest
 
 from repro.core.incremental import IncrementalPartMiner
 from repro.core.partminer import PartMiner
+from repro.datagen.synthetic import generate_dataset
 from repro.mining.gspan import GSpanMiner
+from repro.partition.dbpartition import db_partition
 from repro.updates.generator import UpdateGenerator
 from repro.updates.model import (
     AddEdge,
@@ -212,6 +214,41 @@ class TestPaperHeuristicQuality:
             assert result.patterns.keys() >= scratch.patterns.keys()
 
 
+def tree_state(tree):
+    """Every node's pieces (in gid order), root vertex ids and cut counts."""
+    return [
+        (
+            (node.depth, node.index),
+            [(gid, g.vertex_labels(), sorted(g.edges()))
+             for gid, g in node.database],
+            dict(node.orig_vertices),
+            dict(node.connective_edges),
+        )
+        for node in tree.nodes()
+    ]
+
+
+class TestKeptTreeIsAFreshPartition:
+    """A batch re-partitions each updated graph with db_partition's own
+    step, so the kept tree is the tree a fresh partition of the current
+    database under the maintained ufreq builds."""
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_after_every_batch(self, k):
+        db = generate_dataset("D40T10N10L10I4", seed=k)
+        inc = IncrementalPartMiner(k=k)
+        inc.initial_mine(
+            db, 0.1, ufreq=hot_vertex_assignment(db, 0.25, seed=1)
+        )
+        gen = UpdateGenerator(10, 10, seed=k)
+        for _ in range(3):
+            inc.apply_updates(
+                gen.generate(inc.database, inc.ufreq, 0.3, 2, "mixed")
+            )
+            fresh = db_partition(inc.database, k, ufreq=inc.ufreq)
+            assert tree_state(inc._result.tree) == tree_state(fresh)
+
+
 def snapshot(inc):
     """Everything a batch may change, as comparable values."""
     result = inc._result
@@ -226,11 +263,7 @@ def snapshot(inc):
         "database": graphs(inc.database),
         "ufreq": dict(inc.ufreq),
         "patterns": {p.key: p.tids for p in inc.current_patterns},
-        "pieces": [
-            (graphs(node.database), dict(node.ufreq),
-             dict(node.orig_vertices), dict(node.connective_edges))
-            for node in result.tree.nodes()
-        ],
+        "pieces": tree_state(result.tree),
         "units": [{p.key: p.tids for p in unit} for unit in result.unit_results],
         "nodes": {
             key: {p.key: p.tids for p in found}

@@ -16,6 +16,10 @@ every batch:
   pattern, exactly the support a whole-database recount finds, and must
   contain everything a from-scratch :class:`PartMiner` over the same
   database and update frequencies finds.
+
+And after every batch each session's kept partition tree is the tree a
+fresh :func:`db_partition` of its current database under its maintained
+update frequencies builds.
 """
 
 from hypothesis import settings
@@ -31,6 +35,7 @@ from hypothesis.stateful import (
 from repro.core.incremental import IncrementalPartMiner
 from repro.core.partminer import PartMiner
 from repro.mining.gaston import GastonMiner
+from repro.partition.dbpartition import db_partition
 from repro.query import match_patterns
 from repro.updates.model import (
     AddEdge,
@@ -40,6 +45,7 @@ from repro.updates.model import (
     apply_update,
 )
 
+from .test_incremental import tree_state
 from .test_properties import databases
 
 VLABELS = st.integers(0, 3)
@@ -167,6 +173,13 @@ class IncrementalMachine(RuleBasedStateMachine):
                 want = self.shadow[gid]
                 assert graph.vertex_labels() == want.vertex_labels()
                 assert sorted(graph.edges()) == sorted(want.edges())
+
+    @precondition(lambda self: not self.batch)
+    @invariant()
+    def kept_tree_is_a_fresh_partition(self):
+        for miner in (self.exact, self.paper):
+            fresh = db_partition(miner.database, self.k, ufreq=miner.ufreq)
+            assert tree_state(miner._result.tree) == tree_state(fresh)
 
 
 IncrementalMachine.TestCase.settings = settings(

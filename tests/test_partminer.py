@@ -280,6 +280,7 @@ class TestTreeRelease:
         for node in tree.nodes():
             if node.depth:
                 assert node.database is None
+                assert node.orig_vertices == {}
                 assert "released" in repr(node)
         # Structure and provenance stay.
         assert len(tree.units()) == 4

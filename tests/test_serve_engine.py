@@ -149,6 +149,27 @@ class TestCaching:
         assert second.gids == first.gids
         assert engine.totals.lru_hits == 1
 
+    def test_whole_workload_prunes_and_a_warm_repeat_searches_nothing(self):
+        """Relocate every pattern, ``contains`` every graph, coverage:
+        the index enters fewer searches than the linear scan's one per
+        (pattern, graph) pair for relocate and contains alone, and the
+        caches answer a repeat of all three without one."""
+        engine, patterns, db = mined_engine(seed=6505)
+
+        def workload():
+            relocated = engine.relocate()
+            return (
+                {p.key: p.tids for p in relocated},
+                {gid: engine.contains(graph).pids for gid, graph in db},
+                engine.coverage(),
+            )
+
+        first = workload()
+        cold = engine.totals.searches
+        assert 0 < cold < 2 * len(patterns) * len(db)
+        assert workload() == first
+        assert engine.totals.searches == cold
+
     def test_lru_respects_semantics(self):
         engine, patterns, _ = mined_engine(seed=6502)
         pattern = next(iter(patterns)).graph

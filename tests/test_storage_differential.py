@@ -190,7 +190,7 @@ def test_accel_matrix_byte_identical_on_disk(tmp_path):
         )
         assert pattern_records(out) == want, mode
         # Every sqlite run ends by reporting its read pattern; the
-        # default kernel stays on the pass budget (3 passes over the 40
+        # default kernel stays on the pass budget (2 passes over the 40
         # graphs, see tests/test_storage_outofcore.py).
         summary = re.fullmatch(
             r"storage: (\d+) graph reads, cache (\d+) hits / (\d+) misses, "
@@ -199,4 +199,4 @@ def test_accel_matrix_byte_identical_on_disk(tmp_path):
         )
         assert summary, (mode, stdout)
         if mode == "kernel":
-            assert int(summary[3]) <= 4 * 40
+            assert int(summary[3]) <= 3 * 40

@@ -133,11 +133,11 @@ def test_parallel_one_unit_over_the_store_matches_serial(tmp_path, database):
 # ----------------------------------------------------------------------
 # The pass budget: how often a mine may decode the store-backed root
 # ----------------------------------------------------------------------
-#: PartMiner reads the root three times (partition set-up, split, the
+#: PartMiner reads the root twice (the per-graph partition cascade, the
 #: root merge-join's flat compile); merge-join's counting reads nothing.
 #: One more |D| of slack keeps the bound about the access *pattern*:
 #: the per-candidate fetches this guards against cost tens of |D|.
-MISS_BOUND = 3 * NUM_GRAPHS + NUM_GRAPHS
+MISS_BOUND = 2 * NUM_GRAPHS + NUM_GRAPHS
 TINY_CACHE = 4
 
 

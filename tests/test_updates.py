@@ -1,4 +1,4 @@
-"""Tests for the update model, generator, and ufreq tracking."""
+"""Tests for the update model, generator, and hot-set ufreq."""
 
 import pytest
 
@@ -12,7 +12,7 @@ from repro.updates.model import (
     apply_update,
     apply_updates,
 )
-from repro.updates.tracker import UpdateFrequencyTracker, hot_vertex_assignment
+from repro.updates.tracker import hot_vertex_assignment
 
 from .conftest import path_graph, random_database, triangle
 
@@ -115,40 +115,6 @@ class TestHotVertexAssignment:
         db = random_database(seed=502, num_graphs=2)
         with pytest.raises(ValueError):
             hot_vertex_assignment(db, hot_fraction=1.5)
-
-
-class TestTracker:
-    def test_record_applies_and_counts(self):
-        db = GraphDatabase.from_graphs([triangle()])
-        tracker = UpdateFrequencyTracker()
-        tracker.record(db, RelabelVertex(0, 1, 9))
-        tracker.record(db, RelabelVertex(0, 1, 8))
-        assert db[0].vertex_label(1) == 8
-        assert tracker.count(0, 1) == 2
-        assert tracker.total_updates == 2
-
-    def test_ufreq_map_normalized(self):
-        db = GraphDatabase.from_graphs([triangle()])
-        tracker = UpdateFrequencyTracker()
-        tracker.observe(0, [0])
-        tracker.observe(0, [0])
-        tracker.observe(0, [1])
-        ufreq = tracker.ufreq_map(db)
-        assert ufreq[0][0] == 1.0
-        assert ufreq[0][1] == 0.5
-        assert ufreq[0][2] == 0.0
-
-    def test_ufreq_map_baseline(self):
-        db = GraphDatabase.from_graphs([triangle()])
-        tracker = UpdateFrequencyTracker()
-        tracker.observe(0, [0])
-        ufreq = tracker.ufreq_map(db, baseline=0.1)
-        assert ufreq[0][2] == 0.1
-
-    def test_empty_tracker(self):
-        db = GraphDatabase.from_graphs([triangle()])
-        ufreq = UpdateFrequencyTracker().ufreq_map(db)
-        assert ufreq[0] == (0.0, 0.0, 0.0)
 
 
 class TestUpdateGenerator:
