@@ -29,7 +29,6 @@ import sys
 import time
 
 from .graph import io as graph_io
-from .resilience import faults
 from .resilience.errors import (
     ArtifactCorrupt,
     ArtifactRetired,
@@ -37,10 +36,6 @@ from .resilience.errors import (
     exit_code_for,
 )
 from .updates.generator import UPDATE_KINDS
-
-SITE_RUN = faults.register_site(
-    "cli.run", "top-level CLI command dispatch"
-)
 
 EXIT_CODE_EPILOG = """\
 exit codes:
@@ -777,7 +772,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
     """Render a trace file written by ``mine`` / ``mine-big --trace``."""
     from .obs import summarize_file
 
-    print(summarize_file(args.file))
+    with _reading(args.file):
+        summary = summarize_file(args.file)
+    print(summary)
     return 0
 
 
@@ -1064,7 +1061,6 @@ def main(argv: list[str] | None = None) -> int:
 def _dispatch(args: argparse.Namespace) -> int:
     """Run the parsed command, mapping typed failures to exit codes."""
     try:
-        faults.fire(SITE_RUN, command=args.command)
         return args.func(args)
     except BrokenPipeError:
         # Output piped into e.g. `head`; exiting quietly is the Unix way.

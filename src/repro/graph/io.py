@@ -30,15 +30,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
-from ..resilience import faults
 from .database import GraphDatabase
 from .labeled_graph import Label, LabeledGraph
 
 ON_ERROR_POLICIES = ("raise", "skip", "collect")
-
-SITE_PARSE = faults.register_site(
-    "graph.parse", "t/v/e line parsing (strict validation)"
-)
 
 
 class GraphParseError(ValueError):
@@ -177,8 +172,7 @@ def iter_graphs(
     ``add_vertex`` / ``add_edge`` calls would leave), each distinct label
     token is parsed once, and ids are read by ``int()``.  A graph id
     already taken by an earlier ``t`` record is a parse error at the
-    later one.  The ``graph.parse`` fault site fires on every line while
-    a fault plan is armed when the parse starts.
+    later one.
     """
     if on_error not in ON_ERROR_POLICIES:
         raise ValueError(
@@ -186,7 +180,6 @@ def iter_graphs(
         )
     if report is None:
         report = ParseReport()
-    plan = faults.active_plan()
     labels_of = _Labels()
     taken: set[int] = set()
     gid: int | None = None
@@ -204,10 +197,6 @@ def iter_graphs(
         if poisoned and kind != "t":
             continue
         try:
-            if plan is not None:
-                plan.fire(
-                    SITE_PARSE, source=source or "<stream>", line=line_number
-                )
             if kind == "e":
                 if graph is None:
                     raise GraphParseError(

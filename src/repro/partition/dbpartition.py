@@ -104,6 +104,8 @@ def db_partition(
         frontier = [child for node in frontier for child in _grow(node)]
     for node in frontier[: k - 2**level]:
         _grow(node)
+    if k == 1 and ufreq is None:
+        return PartitionTree(root=root, k=k)  # nothing to split or check
 
     # One split pass per depth that holds internal nodes.  The root's
     # pieces are read lazily, in one pass that also checks ufreq: over a

@@ -17,9 +17,6 @@ module gives them all one integrity discipline:
   artifact into a sibling ``<name>.corrupt/`` directory (preserving the
   evidence, and making retry-after-cleanup safe) and raises
   :class:`~repro.resilience.errors.ArtifactCorrupt`.
-
-Fault sites ``artifact.write`` / ``artifact.read`` let the chaos suite
-corrupt or fail any artifact flowing through here.
 """
 
 from __future__ import annotations
@@ -29,17 +26,9 @@ import json
 import os
 from pathlib import Path
 
-from . import faults
 from .errors import ArtifactCorrupt
 
 FOOTER_PREFIX = "#repro-integrity "
-
-SITE_WRITE = faults.register_site(
-    "artifact.write", "durable artifact write (checkpoint/store/catalog)"
-)
-SITE_READ = faults.register_site(
-    "artifact.read", "durable artifact read + checksum verification"
-)
 
 
 def _digest(payload: bytes) -> str:
@@ -127,12 +116,10 @@ def atomic_write_text(
 ) -> Path:
     """Write ``text`` to ``path`` via temp-file + fsync + rename."""
     path = Path(path)
-    faults.fire(SITE_WRITE, path=str(path))
-    data = faults.mangle(SITE_WRITE, text.encode("utf-8"), path=str(path))
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as out:
-            out.write(data)
+            out.write(text.encode("utf-8"))
             if fsync:
                 out.flush()
                 os.fsync(out.fileno())
@@ -206,9 +193,8 @@ def read_checked(
     :class:`ArtifactCorrupt` is raised carrying the quarantine location.
     """
     path = Path(path)
-    faults.fire(SITE_READ, path=str(path))
     with open(path, "rb") as handle:
-        data = faults.mangle(SITE_READ, handle.read(), path=str(path))
+        data = handle.read()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

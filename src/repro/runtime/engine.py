@@ -33,18 +33,10 @@ from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
 from ..mining.base import Pattern, PatternSet, mine_unit
 from ..obs import trace as obs_trace
-from ..resilience import faults
 from ..resilience.errors import ArtifactCorrupt
 from .checkpoint import CheckpointStore
 from .config import RuntimeConfig, backoff_delay
 from .telemetry import AttemptRecord, RunTelemetry, UnitRecord
-
-SITE_WORKER_START = faults.register_site(
-    "runtime.worker_start", "spawning a unit-mining worker process"
-)
-SITE_FALLBACK = faults.register_site(
-    "runtime.fallback", "in-process serial fallback miner call"
-)
 
 #: Seconds a terminated worker gets to exit before ``SIGKILL``.
 KILL_GRACE = 5.0
@@ -370,7 +362,6 @@ class MiningRuntime:
             with obs_trace.span("unit.fallback", unit=task.index):
                 if task.fallback is None:
                     raise RuntimeError("unit task has no serial fallback")
-                faults.fire(SITE_FALLBACK, unit=task.index)
                 patterns = task.fallback()
         except Exception as exc:  # noqa: BLE001 - recorded, failed
             record.outcome, record.error = "fallback-error", _describe(exc)
@@ -430,8 +421,6 @@ class MiningRuntime:
     ) -> PatternSet | None:
         """One worker process: spawn, one bounded poll, reap, decode."""
         config = self.config
-        # A raise here burns the attempt before any spawn.
-        faults.fire(SITE_WORKER_START, unit=task.index, attempt=record.attempt)
         payload = task.payload
         # Traced runs hand the trace id + this attempt span to the child
         # so worker-side spans join the same tree.

@@ -61,22 +61,12 @@ from urllib.parse import parse_qs, urlparse
 from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
 from ..obs import metrics as obs_metrics
-from ..resilience import faults
 from ..resilience.errors import CircuitOpen, DeadlineExceeded
 from ..resilience.health import CircuitBreaker, Deadline
 from .catalog import PatternCatalog
 from .engine import TOP_K_BY, QueryEngine
 from .index import graph_digest
 
-SITE_REQUEST = faults.register_site(
-    "serve.request", "HTTP request handling in PatternService"
-)
-SITE_RELOAD = faults.register_site(
-    "serve.reload", "catalog snapshot reload in PatternService"
-)
-SITE_METRICS_SCRAPE = faults.register_site(
-    "obs.metrics_scrape", "/metrics rendering in PatternService"
-)
 
 #: Query jobs that may wait for a worker before requests are shed (503).
 QUEUE_SIZE = 64
@@ -409,7 +399,6 @@ class PatternService:
             raise CircuitOpen("catalog")
         try:
             with self._engine_lock:
-                faults.fire(SITE_RELOAD)
                 current = self._engine.snapshot.version
                 published = self.catalog.current_version()
                 if published is None or (
@@ -610,7 +599,6 @@ class PatternService:
         storage cache gauges are refreshed into the registry, then the
         whole registry renders.
         """
-        faults.fire(SITE_METRICS_SCRAPE)
         registry = obs_metrics.registry()
         for breaker in self.breakers.values():
             breaker.export_gauges()
@@ -705,7 +693,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
         service = self.service
         parsed = urlparse(self.path)
         try:
-            faults.fire(SITE_REQUEST, path=parsed.path, method="GET")
             if parsed.path in ("/healthz", "/readyz"):
                 self._count()
                 status, body = service.health_payload()
@@ -758,7 +745,6 @@ class _RequestHandler(BaseHTTPRequestHandler):
         service = self.service
         parsed = urlparse(self.path)
         try:
-            faults.fire(SITE_REQUEST, path=parsed.path, method="POST")
             if parsed.path == "/reload":
                 self._count()
                 reloaded = service.reload()

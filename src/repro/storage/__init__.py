@@ -11,5 +11,5 @@ from .. import _exports
 __getattr__, __dir__, __all__ = _exports(__name__, {
     ".encoding": "decode_graph encode_graph payload_sha",
     ".lru": "DEFAULT_CACHE_GRAPHS GraphLRU",
-    ".sqlite": "SITE_STORAGE_READ SITE_STORAGE_WRITE open_backend",
+    ".sqlite": "open_backend",
 })

@@ -19,16 +19,14 @@ tells drifted rows apart without decoding any.
 
 Durability model: the connection runs in WAL mode; imports are single
 transactions, so a crash leaves either the old state or the new state.
-Every row carries a sha256 digest computed *before* the
-``storage.write`` fault site can mangle the bytes; a digest miss on read
-moves the bad row's bytes into a sibling ``<name>.corrupt/`` directory,
-voids the row in place (empty payload, empty sha — the insertion ``seq``
+Every row carries the sha256 digest of the bytes it was written from,
+so bytes damaged once stored fail the read's digest check; a digest
+miss moves the bad row's bytes into a sibling ``<name>.corrupt/``
+directory, voids the row in place (empty payload, empty sha — the insertion ``seq``
 survives, so a healing re-import restores the original iteration
 order), and raises :class:`~repro.resilience.errors.ArtifactCorrupt` —
 the same quarantine discipline as :mod:`repro.resilience.integrity`,
-applied per row.  ``storage.read`` / ``storage.write`` are registered
-fault sites: the chaos suite injects row failures and corruptions
-through them.
+applied per row.
 
 ``PRAGMA user_version`` carries the schema version: files written by a
 newer schema are rejected with an error naming the version and the path.
@@ -44,17 +42,9 @@ from pathlib import Path
 
 from ..graph.database import GraphDatabase
 from ..graph.labeled_graph import LabeledGraph
-from ..resilience import faults
 from ..resilience.errors import ArtifactCorrupt
 from .encoding import decode_graph, encode_graph, payload_sha
 from .lru import GraphLRU
-
-SITE_STORAGE_WRITE = faults.register_site(
-    "storage.write", "storage-backend graph row write"
-)
-SITE_STORAGE_READ = faults.register_site(
-    "storage.read", "storage-backend row read + sha256 verification"
-)
 
 SCHEMA_VERSION = 1
 
@@ -206,10 +196,9 @@ class SQLiteBackend:
     def write_graph(self, gid: int, graph: LabeledGraph) -> bool:
         """Upsert one graph row; returns whether bytes were written.
 
-        The sha is computed before the ``storage.write`` fault site
-        mangles the payload, so an in-flight corruption is caught by the
-        next read's digest check.  Unchanged rows are skipped entirely
-        (checksum-compared upsert).
+        The sha is the digest of the payload it writes, so bytes damaged
+        in the row later are caught by the next read's digest check.
+        Unchanged rows are skipped entirely (checksum-compared upsert).
         """
         payload = encode_graph(graph)
         sha = payload_sha(payload)
@@ -219,10 +208,6 @@ class SQLiteBackend:
             ).fetchone()
             if row is not None and row[0] == sha:
                 return False
-            faults.fire(SITE_STORAGE_WRITE, table="graphs", key=gid)
-            payload = faults.mangle(
-                SITE_STORAGE_WRITE, payload, table="graphs", key=gid
-            )
             if row is None:
                 self._conn.execute(
                     "INSERT INTO graphs(gid, vertices, edges, payload, sha)"
@@ -255,10 +240,7 @@ class SQLiteBackend:
                 "yet re-imported",
                 path=self.path,
             )
-        faults.fire(SITE_STORAGE_READ, table="graphs", key=gid)
-        payload = faults.mangle(
-            SITE_STORAGE_READ, bytes(row[0]), table="graphs", key=gid
-        )
+        payload = bytes(row[0])
         if payload_sha(payload) != row[1]:
             raise self._corrupt(
                 gid, payload, "sha256 mismatch — row bytes corrupt"

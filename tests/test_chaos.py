@@ -1,4 +1,5 @@
-"""Chaos suite: every registered fault site, injected, must end well.
+"""Chaos suite: every fault site in ``tests/faults.py``, injected, must
+end well.
 
 "Well" means exactly one of:
 
@@ -32,19 +33,18 @@ from repro.mining.gspan import GSpanMiner
 from repro.mining.store import dump_patterns, read_patterns, save_patterns
 from repro.partition.dbpartition import db_partition
 from repro.core.partminer import PartMiner, resolve_unit_threshold
-from repro.resilience import faults
 from repro.resilience.errors import (
     ArtifactCorrupt,
     ResilienceError,
     exit_code_for,
 )
-from repro.resilience.faults import FaultPlan, InjectedFault
 from repro.runtime import RuntimeConfig, run_unit_mining
 from repro.runtime.engine import UnitMiningError
 from repro.serve.catalog import PatternCatalog
 from repro.serve.service import PatternService
 
 from .conftest import random_database
+from .faults import SITES, FaultPlan, InjectedFault, target
 
 SEED = int(os.environ.get("REPRO_CHAOS_SEED", "0"))
 
@@ -284,10 +284,10 @@ def scenario_storage_write(tmp_path, plan):
                 # holds either nothing or intact rows, never torn state.
                 failed = True
         if not failed:
-            # The write "succeeded" but the bytes may have been mangled
-            # in flight: each row's sha256 was computed before the fault
-            # site, so the read side either returns the exact database
-            # or detects the damage and quarantines the row.
+            # The write "succeeded" but a row's payload may have been
+            # damaged under its stored sha256, so the read side either
+            # returns the exact database or detects the damage and
+            # quarantines the row.
             try:
                 assert graph_io.dumps(backend.database()) == baseline
             except ArtifactCorrupt as exc:
@@ -347,8 +347,8 @@ SCENARIOS = {
     "storage.read": scenario_storage_read,
 }
 
-#: Sites whose hook passes bytes through ``mangle`` — they additionally
-#: run the corruption arms, not just the exception arm.
+#: Sites whose wrapper can damage stored bytes — they additionally run
+#: the corruption arms, not just the exception arm.
 BYTE_SITES = {
     "artifact.write",
     "artifact.read",
@@ -358,8 +358,13 @@ BYTE_SITES = {
 
 
 def test_every_registered_site_has_a_scenario():
-    """The acceptance gate: full site-registry coverage, enforced."""
-    assert set(SCENARIOS) == set(faults.registered_sites())
+    """The acceptance gate: every site has a scenario, and every site's
+    wrapped boundary still exists in the product (a renamed boundary
+    fails here instead of silently disarming its site)."""
+    assert set(SCENARIOS) == set(SITES)
+    for site in SITES:
+        owner, name = target(site)
+        assert callable(getattr(owner, name)), site
 
 
 @pytest.mark.parametrize("site", sorted(SCENARIOS))

@@ -445,19 +445,21 @@ class TestExitCodes:
             ["stats", "{directory}"],
             ["mine", "{missing}", "0.05", "--backend", "sqlite",
              "--db-path", "{directory}/g.db"],
+            ["trace", "summarize", "{missing}"],
         ],
         ids=["mine-missing", "mine-big-missing", "mine-directory",
-             "stats-directory", "sqlite-missing"],
+             "stats-directory", "sqlite-missing", "trace-missing"],
     )
     def test_unreadable_input_is_a_usage_error(self, tmp_path, capsys, argv):
         paths = {"missing": tmp_path / "nosuch.tve", "directory": tmp_path}
         argv = [arg.format(**paths) for arg in argv]
+        path = next(arg for arg in argv if arg.startswith(str(tmp_path)))
         assert main(argv) == 2
-        reason = "Is a directory" if argv[1] == str(tmp_path) else (
+        reason = "Is a directory" if path == str(tmp_path) else (
             "No such file or directory"
         )
         assert capsys.readouterr().err == (
-            f"repro: cannot read {argv[1]}: {reason}\n"
+            f"repro: cannot read {path}: {reason}\n"
         )
         assert list(tmp_path.iterdir()) == []  # no store was created
 

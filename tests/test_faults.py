@@ -1,36 +1,16 @@
-"""Tests for the deterministic fault-injection registry (repro.resilience.faults)."""
+"""Tests for the chaos suite's fault-injection kit (tests/faults.py)."""
+
+import random
 
 import pytest
 
-from repro.resilience import faults
-from repro.resilience.faults import FaultPlan, InjectedFault, flip_bit, truncate
+from repro.resilience import integrity
 
-
-class TestSiteRegistry:
-    def test_known_sites_registered(self):
-        sites = faults.registered_sites()
-        for expected in (
-            "artifact.write",
-            "artifact.read",
-            "graph.parse",
-            "runtime.worker_start",
-            "runtime.fallback",
-            "serve.request",
-            "serve.reload",
-            "cli.run",
-        ):
-            assert expected in sites, f"site {expected} not registered"
-        # Every site carries a human-readable description.
-        assert all(isinstance(d, str) and d for d in sites.values())
-
-    def test_register_returns_name(self):
-        assert faults.register_site("test.site", "a test site") == "test.site"
+from .faults import SITES, FaultPlan, InjectedFault, flip_bit, target, truncate
 
 
 class TestCorruptions:
     def test_flip_bit_changes_exactly_one_bit(self):
-        import random
-
         data = bytes(range(64))
         mutated = flip_bit(data, random.Random(3))
         assert len(mutated) == len(data)
@@ -38,13 +18,9 @@ class TestCorruptions:
         assert len(diff) == 1 and bin(diff[0]).count("1") == 1
 
     def test_flip_bit_on_empty(self):
-        import random
-
         assert flip_bit(b"", random.Random(0)) == b"\xff"
 
     def test_truncate_shortens(self):
-        import random
-
         data = b"x" * 100
         assert len(truncate(data, random.Random(1))) < 100
 
@@ -52,10 +28,8 @@ class TestCorruptions:
         data = b"deterministic chaos" * 10
         outs = set()
         for _ in range(3):
-            plan = FaultPlan(seed=42)
-            plan.inject("artifact.write", corrupt="flip")
-            with plan.active():
-                outs.add(faults.mangle("artifact.write", data))
+            plan = FaultPlan(seed=42).inject("a.site", corrupt="flip")
+            outs.add(plan.mangle("a.site", data))
         assert len(outs) == 1
         assert outs.pop() != data
 
@@ -63,71 +37,60 @@ class TestCorruptions:
 class TestFaultPlan:
     def test_fire_raises_armed_exception(self):
         plan = FaultPlan().inject("a.site", OSError("disk on fire"))
-        with plan.active():
-            with pytest.raises(OSError, match="disk on fire"):
-                faults.fire("a.site")
+        with pytest.raises(OSError, match="disk on fire"):
+            plan.fire("a.site")
         assert [f.site for f in plan.fired] == ["a.site"]
 
     def test_default_exception_is_injected_fault(self):
         plan = FaultPlan().inject("a.site")
-        with plan.active(), pytest.raises(InjectedFault):
-            faults.fire("a.site")
+        with pytest.raises(InjectedFault):
+            plan.fire("a.site")
 
     def test_exception_class_is_instantiated(self):
         plan = FaultPlan().inject("a.site", ConnectionError)
-        with plan.active(), pytest.raises(ConnectionError):
-            faults.fire("a.site")
+        with pytest.raises(ConnectionError):
+            plan.fire("a.site")
 
     def test_times_bounds_firings(self):
         plan = FaultPlan().inject("a.site", times=2)
-        with plan.active():
-            for _ in range(2):
-                with pytest.raises(InjectedFault):
-                    faults.fire("a.site")
-            faults.fire("a.site")  # third call passes: arm exhausted
+        for _ in range(2):
+            with pytest.raises(InjectedFault):
+                plan.fire("a.site")
+        plan.fire("a.site")  # third call passes: arm exhausted
         assert len(plan.fired) == 2
 
     def test_unarmed_sites_untouched(self):
         plan = FaultPlan().inject("a.site")
-        with plan.active():
-            faults.fire("other.site")
-            assert faults.mangle("other.site", b"data") == b"data"
+        plan.fire("other.site")
+        assert plan.mangle("other.site", b"data") == b"data"
         assert plan.fired == []
 
-    def test_noop_without_active_plan(self):
-        faults.fire("a.site")
-        assert faults.mangle("a.site", b"data") == b"data"
+    def test_noop_while_inactive(self, tmp_path):
+        plan = FaultPlan().inject("artifact.write", times=2)
+        integrity.atomic_write_text(tmp_path / "a", "x")
+        assert plan.fired == []
+        with plan.active(), pytest.raises(InjectedFault):
+            integrity.atomic_write_text(tmp_path / "b", "x")
+        assert [f.context for f in plan.fired] == [
+            {"path": str(tmp_path / "b")}
+        ]
 
     def test_active_restores_previous_plan(self):
-        outer = FaultPlan()
-        inner = FaultPlan()
-        with outer.active():
-            with inner.active():
-                assert faults.active_plan() is inner
-            assert faults.active_plan() is outer
-        assert faults.active_plan() is None
+        def boundaries():
+            return {site: getattr(*target(site)) for site in SITES}
 
-    def test_probability_is_seeded(self):
-        def firings(seed):
-            plan = FaultPlan(seed=seed)
-            plan.inject("a.site", times=1000, probability=0.5)
-            count = 0
-            with plan.active():
-                for _ in range(100):
-                    try:
-                        faults.fire("a.site")
-                        count += 0
-                    except InjectedFault:
-                        count += 1
-            return count
-
-        assert firings(7) == firings(7)
-        assert 10 < firings(7) < 90
+        original = boundaries()
+        with FaultPlan().active():
+            outer = boundaries()
+            assert all(outer[s] is not original[s] for s in SITES)
+            with FaultPlan().active():
+                assert all(boundaries()[s] is not outer[s] for s in SITES)
+            assert boundaries() == outer
+        assert boundaries() == original
 
     def test_mangle_context_recorded(self):
         plan = FaultPlan().inject("a.site", corrupt="truncate")
-        with plan.active():
-            faults.mangle("a.site", b"0123456789", path="x.json")
+        plan.mangle("a.site", b"0123456789", path="x.json")
         assert plan.fired[0].kind == "corrupt"
         assert plan.fired[0].context == {"path": "x.json"}
 
@@ -135,6 +98,5 @@ class TestFaultPlan:
         plan = FaultPlan().inject(
             "a.site", corrupt=lambda data, rng: b"REPLACED"
         )
-        with plan.active():
-            assert faults.mangle("a.site", b"original") == b"REPLACED"
+        assert plan.mangle("a.site", b"original") == b"REPLACED"
         assert plan.fired[0].detail == "custom"

@@ -5,7 +5,8 @@ import pytest
 from repro.graph import io as graph_io
 from repro.graph.io import GraphParseError, ParseReport
 from repro.graph.labeled_graph import LabeledGraph
-from repro.resilience.faults import FaultPlan, InjectedFault
+
+from .faults import FaultPlan, InjectedFault
 
 GOOD = """\
 t # 0
@@ -230,14 +231,14 @@ def _shape(graph):
 
 
 class _RecordingPlan(FaultPlan):
-    """An armed plan that notes each line the parse site fires on."""
+    """A plan that notes each line the wrapped parse input yields."""
 
     def __init__(self):
         super().__init__()
         self.lines = []
 
     def fire(self, site, **context):
-        if site == graph_io.SITE_PARSE:
+        if site == "graph.parse":
             self.lines.append(context["line"])
         super().fire(site, **context)
 
@@ -304,7 +305,7 @@ class TestInlineParse:
         assert graph.edge_label(0, 1) is graph.vertex_label(0)
 
     def test_injected_fault_still_aborts_the_parse(self):
-        plan = FaultPlan().inject(graph_io.SITE_PARSE, times=1)
+        plan = FaultPlan().inject("graph.parse", times=1)
         with plan.active(), pytest.raises(InjectedFault):
             graph_io.loads(GOOD)
         assert len(plan.fired) == 1

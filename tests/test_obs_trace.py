@@ -29,10 +29,10 @@ from repro.obs.summarize import build_tree
 from repro.obs.trace import NULL_SPAN, Span, Tracer
 from repro.resilience import integrity
 from repro.resilience.errors import ArtifactCorrupt
-from repro.resilience.faults import FaultPlan, InjectedFault
 from repro.runtime import RuntimeConfig
 
 from .conftest import random_database
+from .faults import FaultPlan, InjectedFault
 
 
 def span_tree(tracer):

@@ -20,7 +20,6 @@ from repro.mining.gspan import GSpanMiner
 from repro.mining.store import dump_patterns, read_patterns
 from repro.partition.dbpartition import db_partition
 from repro.resilience.errors import ArtifactCorrupt
-from repro.resilience.faults import FaultPlan
 from repro.runtime import (
     CheckpointStore,
     RuntimeConfig,
@@ -29,6 +28,7 @@ from repro.runtime import (
 from repro.serve.catalog import PatternCatalog
 
 from .conftest import random_database
+from .faults import FaultPlan
 
 
 def mined(seed=2200, support=4):

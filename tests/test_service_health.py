@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.resilience.faults import FaultPlan
 from repro.serve.service import (
     BREAKER_FAILURES,
     BREAKER_RESET,
@@ -12,6 +11,7 @@ from repro.serve.service import (
 )
 
 from .conftest import path_graph
+from .faults import FaultPlan
 from .test_serve_service import http_get, http_post, published_catalog
 
 

@@ -159,6 +159,23 @@ def test_partminer_reads_the_root_in_sequential_passes(tmp_path, database):
         backend.close()
 
 
+def test_single_unit_partminer_reads_the_root_like_gaston(tmp_path, database):
+    """``k = 1`` has nothing to split and, with no ufreq, nothing to
+    check: PartMiner decodes the root 2 x |D| times, as Gaston does."""
+    reads = {}
+    for name, miner in (("partminer", PartMiner(k=1)),
+                        ("gaston", GastonMiner())):
+        backend = stored(tmp_path, database, name=f"{name}.db",
+                         cache_graphs=TINY_CACHE)
+        try:
+            miner.mine(backend.database(), 6)
+            cache = backend.stats()["cache"]
+            reads[name] = cache["hits"] + cache["misses"]
+        finally:
+            backend.close()
+    assert reads == {"partminer": 2 * NUM_GRAPHS, "gaston": 2 * NUM_GRAPHS}
+
+
 def test_merge_join_ignores_a_cache_over_a_store_backed_dataset(
     tmp_path, database
 ):
